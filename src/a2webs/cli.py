@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 from .exactmath import eval_q1, rational_to_str
 from .immanants import (
+    STRAND_BOUNDS,
     ExactMatrix,
     evaluate_immanant,
     immanant_table,
@@ -65,7 +66,7 @@ from .networks import (
     path_matrix,
     random_planar_network,
 )
-from .perms import all_perms, all_reduced_words, avoids, count_avoiding, kostka_three_column
+from .perms import all_perms, all_reduced_words, avoids, count_avoiding, is_perm, kostka_three_column
 from .spider import (
     WebCombo,
     generator_combo,
@@ -92,19 +93,10 @@ SUITES = (
     "all",
 )
 
-# documented feasibility bounds; single suites refuse above these,
-# the "all" runner clamps instead
-_CAPS = {
-    "relations": 4,
-    "confluence": 4,
-    "dimensions": 5,
-    "kappa": 4,
-    "ci": 4,
-    "minors": 4,
-    "bridge": 3,
-    "networks": 3,
-    "tnn": 4,
-}
+
+def _check_bound(name: str, n: int, what: str) -> None:
+    if n > STRAND_BOUNDS[name]:
+        raise WebError(f"{what} documented up to n={STRAND_BOUNDS[name]}, got {n}")
 
 
 def _emit(obj) -> None:
@@ -127,10 +119,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_perm(text: str) -> tuple[int, ...]:
     if "," in text:
-        return _parse_ints(text)
-    if not text.isdigit():
+        w = _parse_ints(text)
+    elif text.isdigit():
+        w = tuple(int(ch) for ch in text)
+    else:
         raise WebError(f"bad permutation {text!r}: use digits like 231")
-    return tuple(int(ch) for ch in text)
+    if not is_perm(w):
+        raise WebError(f"{text!r} is not a permutation of 1..{len(w)}")
+    return w
 
 
 def _combo_json(combo: WebCombo, laurent: bool) -> dict:
@@ -252,18 +248,15 @@ def cmd_labelings(args) -> int:
 
 def cmd_immanants(args) -> int:
     if args.table:
-        n = args.n
-        if n > _CAPS["minors"]:
-            raise WebError(f"full coefficient tables are documented up to n=4, got {n}")
-        _emit(immanant_table(n).to_json_obj())
+        _check_bound("immanants", args.n, "full coefficient tables are")
+        _emit(immanant_table(args.n).to_json_obj())
         return 0
     if args.matrix is None:
         raise WebError("need --matrix FILE or --table")
     X = ExactMatrix.from_json_obj(_load_json(args.matrix))
     if X.n != args.n:
         raise WebError(f"matrix is {X.n}x{X.n} but --n is {args.n}")
-    if args.n > _CAPS["minors"]:
-        raise WebError(f"immanant evaluation is documented up to n=4, got {args.n}")
+    _check_bound("immanants", args.n, "immanant evaluation is")
     out = {}
     for D in irreducible_webs(args.n):
         out[_webkey(D.code)] = rational_to_str(evaluate_immanant(D, X))
@@ -307,8 +300,7 @@ def cmd_network(args) -> int:
     if args.matrix:
         _emit(path_matrix(net).to_json_obj())
         return 0
-    if net.n > _CAPS["networks"]:
-        raise WebError(f"network immanants are documented up to n=3, got {net.n}")
+    _check_bound("networks", net.n, "network immanants are")
     if args.immanants:
         vals = network_immanants(net)
         _emit(
@@ -597,11 +589,11 @@ def run_suite(cfg: SuiteConfig) -> dict:
         raise WebError(f"need n >= 1, got {cfg.n}")
     if cfg.suite == "all":
         tasks = [
-            (name, min(cfg.n, _CAPS[name]), cfg.samples, cfg.seed * 1009 + i)
+            (name, min(cfg.n, STRAND_BOUNDS[name]), cfg.samples, cfg.seed * 1009 + i)
             for i, name in enumerate(_SUITE_ORDER)
         ]
     else:
-        cap = _CAPS[cfg.suite]
+        cap = STRAND_BOUNDS[cfg.suite]
         if cfg.n > cap:
             raise WebError(
                 f"suite {cfg.suite!r} is documented up to n={cap}, got n={cfg.n}; "

@@ -96,10 +96,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no extremal exponent")
         return max(self._c)
 
-    def bar(self) -> "LaurentPoly":
-        """Image under t -> t^-1."""
-        return LaurentPoly({-e: c for e, c in self._c.items()})
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "LaurentPoly | Coeffable") -> "LaurentPoly":

@@ -23,14 +23,30 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1, rational_to_str
-from .perms import Perm, all_perms, first_reduced_word, perm_from_word, perm_length
+from .exactmath import LaurentPoly, eval_q1, rational_to_str
+from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError
 
-# expansions run over all of S_n, so the cost is factorial; n = 5 is
-# the last size that finishes in reasonable time
-WEB_BOUND = 5
+# documented strand bounds, the one table of them.  "webs" bounds web
+# enumeration: expansions run over all of S_n, so the cost is factorial
+# and n = 5 is the last size that finishes in reasonable time.  The
+# others bound the CLI's coefficient tables and immanant evaluation and
+# each verification suite; exhaustive checks stop being desk-scale above
+# them, so single suites refuse above these and the "all" runner clamps.
+STRAND_BOUNDS = {
+    "webs": 5,
+    "immanants": 4,
+    "relations": 4,
+    "confluence": 4,
+    "dimensions": 5,
+    "kappa": 4,
+    "ci": 4,
+    "minors": 4,
+    "bridge": 3,
+    "networks": 3,
+    "tnn": 4,
+}
 
 
 @dataclass(frozen=True)
@@ -118,6 +134,8 @@ def theta_image(w: Perm, word: Optional[Sequence[int]] = None) -> WebCombo:
     word order; that way the product realizes w itself, source i
     wired to sink w(i), matching row i and column w(i) of a matrix.
     """
+    if not is_perm(w):
+        raise WebError(f"{w} is not a permutation")
     if word is None:
         word = first_reduced_word(w)
     else:
@@ -135,14 +153,14 @@ def _q1_row(combo: WebCombo) -> dict:
         if v:
             if v.denominator != 1:
                 raise WebError(f"non-integer coefficient {v} at q = 1")
-            out[web.code] = int(v)
+            out[web] = int(v)
     return out
 
 
 _IRRED: dict[int, list[Web]] = {}
 
 
-def irreducible_webs(n: int, bound: int = WEB_BOUND) -> list[Web]:
+def irreducible_webs(n: int, bound: int = STRAND_BOUNDS["webs"]) -> list[Web]:
     """Every irreducible web hit by the S_n expansion, sorted by code.
 
     The count must equal the number of 4321-avoiding permutations of
@@ -208,13 +226,13 @@ class ImmanantTable:
 _TABLES: dict[int, ImmanantTable] = {}
 
 
-def immanant_table(n: int, bound: int = WEB_BOUND) -> ImmanantTable:
+def immanant_table(n: int, bound: int = STRAND_BOUNDS["webs"]) -> ImmanantTable:
     if n not in _TABLES:
         webs = irreducible_webs(n, bound)
         rows: dict = {D.code: {} for D in webs}
         for w in all_perms(n):
-            for code, v in _q1_row(theta_image(w)).items():
-                rows[code][w] = v
+            for D, v in _q1_row(theta_image(w)).items():
+                rows[D.code][w] = v
         _TABLES[n] = ImmanantTable(n, webs, rows)
     return _TABLES[n]
 
@@ -240,18 +258,13 @@ def parabolic_image(n: int, i: int, j: int) -> WebCombo:
     if not 1 <= i < j <= n:
         raise WebError(f"need 1 <= i < j <= n, got ({i}, {j}) at n = {n}")
     window = range(i, j + 1)
-    acc_terms: dict = {}
+    terms = []
     for block in permutations(window):
         w = list(range(1, n + 1))
         for pos, val in zip(window, block):
             w[pos - 1] = val
-        for code, v in _q1_row(theta_image(tuple(w))).items():
-            acc_terms[code] = acc_terms.get(code, 0) + v
-    out = WebCombo.zero(n)
-    for code, v in acc_terms.items():
-        if v:
-            out = out + WebCombo.from_web(Web.from_code(code), v)
-    return out
+        terms.extend(_q1_row(theta_image(tuple(w))).items())
+    return WebCombo(n, ((D, LaurentPoly.const(v)) for D, v in terms))
 
 
 def tnn_check(n: int, samples: int = 100, seed: int = 0) -> dict:

@@ -33,6 +33,7 @@ from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div
 from .spider import Outcome, apply_rule, find_reducible_face
 from .webcore import (
     ROLE_SINK,
+    Combo,
     Web,
     WebError,
     canonical_edge_order,
@@ -230,94 +231,30 @@ def weighted_count(w: Web, g: BoundaryLabeling) -> LaurentPoly:
     return acc
 
 
-class KappaVector:
-    """Sparse vector of weighted counts per boundary word."""
+class KappaVector(Combo):
+    """Sparse vector of weighted counts per boundary word.  The product
+    joins entries whose middle words match (the left factor's sink word
+    against the right's source word)."""
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ()
+    ZERO = LaurentPoly.zero()
 
-    def __init__(self, n: int, entries: Optional[dict] = None):
-        self.n = n
-        self._entries = {} if entries is None else entries
+    entry = Combo.coeff
+    entries = Combo.terms
 
-    def entry(self, g: BoundaryLabeling) -> LaurentPoly:
-        return self._entries.get(g, LaurentPoly.zero())
-
-    def entries(self) -> list[tuple[BoundaryLabeling, LaurentPoly]]:
-        return [(g, self._entries[g]) for g in sorted(self._entries)]
-
-    def support_size(self) -> int:
-        return len(self._entries)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def scale(self, c: LaurentPoly) -> "KappaVector":
-        if c.is_zero():
-            return KappaVector(self.n)
-        return KappaVector(self.n, {g: v * c for g, v in self._entries.items()})
-
-    def __add__(self, other: "KappaVector") -> "KappaVector":
-        if not isinstance(other, KappaVector):
-            return NotImplemented
-        if self.n != other.n:
-            raise WebError("cannot add vectors on different strand counts")
-        acc = dict(self._entries)
-        for g, v in other._entries.items():
-            s = acc.get(g, LaurentPoly.zero()) + v
-            if s.is_zero():
-                acc.pop(g, None)
-            else:
-                acc[g] = s
-        return KappaVector(self.n, acc)
-
-    def __sub__(self, other: "KappaVector") -> "KappaVector":
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def __mul__(self, other: "KappaVector") -> "KappaVector":
-        """Concatenation product: join entries whose middle words match
-        (the left factor's sink word against the right's source word)."""
-        if not isinstance(other, KappaVector):
-            return NotImplemented
-        if self.n != other.n:
-            raise WebError("cannot multiply vectors on different strand counts")
-        by_src: dict[tuple[int, ...], list] = {}
-        for g2, c2 in other._entries.items():
-            by_src.setdefault(g2.sources, []).append((g2, c2))
-        acc: dict[BoundaryLabeling, LaurentPoly] = {}
-        for g1, c1 in self._entries.items():
-            for g2, c2 in by_src.get(g1.sinks, ()):
-                g = BoundaryLabeling(g1.sources, g2.sinks)
-                s = acc.get(g, LaurentPoly.zero()) + c1 * c2
-                if s.is_zero():
-                    acc.pop(g, None)
-                else:
-                    acc[g] = s
-        return KappaVector(self.n, acc)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KappaVector)
-            and self.n == other.n
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self._entries.items(), key=lambda kv: kv[0]))))
-
-    def __repr__(self) -> str:
-        bits = ", ".join(f"{g.to_text()}: {v}" for g, v in self.entries()[:4])
-        more = ", ..." if self.support_size() > 4 else ""
-        return f"<KappaVector n={self.n} [{bits}{more}]>"
+    @staticmethod
+    def _product(g1: BoundaryLabeling, g2: BoundaryLabeling) -> tuple:
+        if g1.sinks != g2.sources:
+            return ()
+        return ((BoundaryLabeling(g1.sources, g2.sinks), 1),)
 
 
 def boundary_profile(w: Web) -> KappaVector:
     """The full vector of weighted counts of w, one entry per boundary
     word that admits a labeling."""
-    acc: dict[BoundaryLabeling, LaurentPoly] = {}
-    for f in enumerate_labelings(w):
-        g = boundary_restriction(w, f)
-        acc[g] = acc.get(g, LaurentPoly.zero()) + labeling_weight(w, f)
-    return KappaVector(w.n, acc)
+    return KappaVector(w.n, (
+        (boundary_restriction(w, f), labeling_weight(w, f)) for f in enumerate_labelings(w)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .exactmath import LaurentPoly, qint
 from .webcore import (
+    Combo,
     PlanarMap,
     Web,
     WebError,
@@ -92,24 +93,19 @@ class ReductionTrace:
 
 # deterministic rewriting makes these safe to share
 _NODES: dict = {}
-_RESULTS: dict = {}
+_RESULTS: dict = {}  # code -> reduced WebCombo
+
+_RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
 
 
 def find_reducible_face(w: Web) -> Optional[Feature]:
-    """The next feature the rules erase, or None when w is irreducible."""
-    m = w.pmap
-    if m.loops:
-        return ("loop",)
-    outer = m.outer_face_indices()
-    best = None
-    for fi, orbit in enumerate(m.faces()):
-        if fi in outer or len(orbit) not in (2, 4):
-            continue
-        kind = "bigon" if len(orbit) == 2 else "square"
-        key = (0 if kind == "bigon" else 1, orbit[0])
-        if best is None or key < best[0]:
-            best = (key, (kind, orbit))
-    return best[1] if best else None
+    """The next feature the rules erase, or None when w is irreducible:
+    loops first, then bigons before squares, then the lowest first dart."""
+    return min(
+        all_reducible_features(w),
+        key=lambda f: (_RULE_RANK[f[0]], f[1][0] if len(f) > 1 else 0),
+        default=None,
+    )
 
 
 def is_irreducible(w: Web) -> bool:
@@ -135,17 +131,17 @@ def reduce_random_order(x: Union[Web, "WebCombo"], rng: random.Random) -> "WebCo
     the answer cannot depend on those choices, so this must agree with
     reduce_web on every input; the verification suites lean on that."""
     start = x if isinstance(x, WebCombo) else WebCombo.from_web(x)
-    out = WebCombo.zero(start.n)
+    done = []
     work = list(start.terms())
     while work:
         w, c = work.pop()
         feats = all_reducible_features(w)
         if not feats:
-            out = out + WebCombo.from_web(w, c)
+            done.append((w, c))
             continue
         for oc in apply_rule(w, feats[rng.randrange(len(feats))]):
             work.append((oc.child, c * oc.coeff))
-    return out
+    return WebCombo(start.n, done)
 
 
 def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
@@ -167,22 +163,14 @@ def reduce_web(w: Web) -> "WebCombo":
 
 
 def reduce_combo(c: "WebCombo") -> "WebCombo":
-    out = WebCombo.zero(c.n)
-    for web_, coeff in c.terms():
-        out = out + reduce_web(web_).scale(coeff)
-    return out
-
-
-def reduce_any(x: Union[Web, "WebCombo"]) -> "WebCombo":
-    return reduce_combo(x) if isinstance(x, WebCombo) else reduce_web(x)
+    return WebCombo(c.n, (
+        (w, coeff * v) for web_, coeff in c.terms() for w, v in reduce_web(web_).terms()
+    ))
 
 
 def reduce_with_trace(w: Web) -> tuple["WebCombo", ReductionTrace]:
     _reduce_into_cache(w)
-    trace = ReductionTrace(w.code, _NODES)
-    terms = _RESULTS[w.code]
-    combo = WebCombo(w.n, dict(terms[0]), dict(terms[1]))
-    return combo, trace
+    return _RESULTS[w.code], ReductionTrace(w.code, _NODES)
 
 
 def _reduce_into_cache(w: Web) -> None:
@@ -197,7 +185,7 @@ def _reduce_into_cache(w: Web) -> None:
             feature = find_reducible_face(cur)
             if feature is None:
                 _NODES[cur.code] = TraceNode(cur, None, ())
-                _RESULTS[cur.code] = ({cur.code: LaurentPoly.one()}, {cur.code: cur})
+                _RESULTS[cur.code] = WebCombo.from_web(cur)
                 continue
             _NODES[cur.code] = TraceNode(cur, feature, apply_rule(cur, feature))
         node = _NODES[cur.code]
@@ -206,17 +194,11 @@ def _reduce_into_cache(w: Web) -> None:
             stack.append(cur)
             stack.extend(missing)
             continue
-        acc: dict = {}
-        webs: dict = {}
-        for o in node.outcomes:
-            child_terms, child_webs = _RESULTS[o.child.code]
-            for code, coeff in child_terms.items():
-                acc[code] = acc.get(code, LaurentPoly.zero()) + o.coeff * coeff
-                webs[code] = child_webs[code]
-        _RESULTS[cur.code] = (
-            {c: v for c, v in acc.items() if not v.is_zero()},
-            webs,
-        )
+        _RESULTS[cur.code] = WebCombo(cur.n, (
+            (D, o.coeff * v)
+            for o in node.outcomes
+            for D, v in _RESULTS[o.child.code]._terms.items()
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -482,87 +464,32 @@ def _as_poly(x) -> LaurentPoly:
     raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
 
 
-class WebCombo:
+class WebCombo(Combo):
     """A finite Laurent-coefficient combination of webs on n strands."""
 
-    __slots__ = ("n", "_terms", "_webs")
+    __slots__ = ()
+    ZERO = LaurentPoly.zero()
 
-    def __init__(self, n: int, terms: Optional[dict] = None, webs: Optional[dict] = None):
-        self.n = n
-        self._terms = {} if terms is None else terms
-        self._webs = {} if webs is None else webs
-
-    @classmethod
-    def zero(cls, n: int) -> "WebCombo":
-        return cls(n)
+    # bound in this class's own dict: perfbench/tracer.py wraps them from cls.__dict__
+    __add__ = Combo.__add__
+    __mul__ = Combo.__mul__
 
     @classmethod
     def from_web(cls, w: Web, coeff=1) -> "WebCombo":
-        c = _as_poly(coeff)
-        if c.is_zero():
-            return cls.zero(w.n)
-        return cls(w.n, {w.code: c}, {w.code: w})
+        return cls(w.n, {w: _as_poly(coeff)})
 
     @classmethod
     def unit(cls, n: int) -> "WebCombo":
         return cls.from_web(Web.from_slice(identity_web(n)))
 
-    def terms(self) -> list[tuple[Web, LaurentPoly]]:
-        return [(self._webs[c], self._terms[c]) for c in sorted(self._terms)]
+    @staticmethod
+    def _sort_key(w: Web) -> tuple[int, ...]:
+        return w.code
 
-    def coeff(self, w: Web) -> LaurentPoly:
-        return self._terms.get(w.code, LaurentPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def support_size(self) -> int:
-        return len(self._terms)
-
-    def scale(self, c) -> "WebCombo":
-        c = _as_poly(c)
-        if c.is_zero():
-            return WebCombo.zero(self.n)
-        return WebCombo(
-            self.n,
-            {code: v * c for code, v in self._terms.items()},
-            dict(self._webs),
-        )
-
-    def __add__(self, other: "WebCombo") -> "WebCombo":
-        if not isinstance(other, WebCombo):
-            return NotImplemented
-        if self.n != other.n:
-            raise WebError("cannot add combinations on different strand counts")
-        terms = dict(self._terms)
-        webs = dict(self._webs)
-        for code, v in other._terms.items():
-            s = terms.get(code, LaurentPoly.zero()) + v
-            if s.is_zero():
-                terms.pop(code, None)
-            else:
-                terms[code] = s
-                webs[code] = other._webs[code]
-        return WebCombo(self.n, terms, webs)
-
-    def __neg__(self) -> "WebCombo":
-        return self.scale(-1)
-
-    def __sub__(self, other: "WebCombo") -> "WebCombo":
-        return self + (-other)
-
-    def __mul__(self, other: "WebCombo") -> "WebCombo":
-        """Concatenate term by term, then rewrite to irreducibles."""
-        if not isinstance(other, WebCombo):
-            return NotImplemented
-        if self.n != other.n:
-            raise WebError("cannot multiply combinations on different strand counts")
-        out = WebCombo.zero(self.n)
-        for wa, ca in self.terms():
-            for wb, cb in other.terms():
-                prod = Web.from_slice(concatenate(wa.diagram, wb.diagram))
-                out = out + reduce_web(prod).scale(ca * cb)
-        return out
+    @staticmethod
+    def _product(a: Web, b: Web) -> Iterable[tuple[Web, LaurentPoly]]:
+        """Concatenate, then rewrite to irreducibles."""
+        return reduce_web(Web.from_slice(concatenate(a.diagram, b.diagram)))._terms.items()
 
     def __pow__(self, k: int) -> "WebCombo":
         if k < 0:
@@ -571,22 +498,6 @@ class WebCombo:
         for _ in range(k):
             acc = acc * self
         return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WebCombo)
-            and self.n == other.n
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted((c, k) for c, k in self._terms.items()))))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "<WebCombo 0>"
-        bits = ", ".join(f"({coeff})*{w!r}" for w, coeff in self.terms())
-        return f"<WebCombo {bits}>"
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 from .immanants import ExactMatrix, irreducible_webs
 from .labelings import BoundaryLabeling, Labeling, enumerate_labelings
-from .perms import Perm, all_perms, avoids, first_reduced_word
-from .webcore import Web, WebError
+from .perms import Perm, all_perms, avoids, first_reduced_word, is_perm
+from .webcore import Combo, Web, WebError
 
 Arc = tuple[int, int]
 
@@ -169,19 +169,11 @@ def tl_concat(a: A1Web, b: A1Web) -> tuple[A1Web, int]:
     return A1Web(n, tuple(arcs)), loops
 
 
-class TLCombo:
+class TLCombo(Combo):
     """Integer combination of matchings, multiplied by concatenation
     with every erased loop worth a factor of two."""
 
-    __slots__ = ("n", "_terms")
-
-    def __init__(self, n: int, terms: Optional[dict] = None):
-        self.n = n
-        self._terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls, n: int) -> "TLCombo":
-        return cls(n)
+    __slots__ = ()
 
     @classmethod
     def unit(cls, n: int) -> "TLCombo":
@@ -191,62 +183,14 @@ class TLCombo:
     def from_matching(cls, m: A1Web, coeff: int = 1) -> "TLCombo":
         return cls(m.n, {m: coeff})
 
-    def terms(self) -> list[tuple[A1Web, int]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].arcs)
+    @staticmethod
+    def _sort_key(m: A1Web) -> tuple[Arc, ...]:
+        return m.arcs
 
-    def coeff(self, m: A1Web) -> int:
-        return self._terms.get(m, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "TLCombo") -> "TLCombo":
-        if self.n != other.n:
-            raise WebError("mismatched strand counts")
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return TLCombo(self.n, out)
-
-    def __neg__(self) -> "TLCombo":
-        return TLCombo(self.n, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "TLCombo") -> "TLCombo":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TLCombo(self.n, {m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, TLCombo):
-            return NotImplemented
-        if self.n != other.n:
-            raise WebError("mismatched strand counts")
-        out: dict[A1Web, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                prod, loops = tl_concat(m1, m2)
-                out[prod] = out.get(prod, 0) + c1 * c2 * (2 ** loops)
-        return TLCombo(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TLCombo)
-            and self.n == other.n
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"{c}*{m.arcs}" for m, c in self.terms())
+    @staticmethod
+    def _product(a: A1Web, b: A1Web) -> tuple:
+        prod, loops = tl_concat(a, b)
+        return ((prod, 2 ** loops),)
 
 
 def tl_generator_combo(n: int, i: int) -> TLCombo:
@@ -293,6 +237,8 @@ def theta_two(v: Perm) -> TLCombo:
     """Image of a permutation under s_i -> (uncrossing i) - 1 at q = 1,
     multiplied along the reversed reduced word as in matching_of_perm."""
     if v not in _THETA:
+        if not is_perm(v):
+            raise WebError(f"{v} is not a permutation")
         n = len(v)
         acc = TLCombo.unit(n)
         for i in reversed(first_reduced_word(v)):
@@ -495,6 +441,11 @@ def lifted_boundaries(
     return out
 
 
+def _count_onto(D: Web, boundary: BoundaryLabeling, target: A1Web) -> int:
+    """Labelings of D with the given boundary that forget onto target."""
+    return sum(1 for f in enumerate_labelings(D, boundary) if forgetful(D, f)[0] == target)
+
+
 def bridge_coefficient(
     D: Web,
     w: Perm,
@@ -519,10 +470,7 @@ def bridge_coefficient(
         boundary = cands[0]
     elif boundary not in cands:
         raise WebError("boundary does not fit the deleted sets and the matching")
-    target = matching_of_perm(w)
-    return sum(
-        1 for f in enumerate_labelings(D, boundary) if forgetful(D, f)[0] == target
-    )
+    return _count_onto(D, boundary, matching_of_perm(w))
 
 
 def bridge_expansion(
@@ -534,11 +482,10 @@ def bridge_expansion(
     if not cands:
         warnings.warn("no admissible boundary; returning an empty expansion")
         return {}
-    gt = cands[0]
     target = matching_of_perm(w)
     out = {}
     for D in irreducible_webs(n):
-        c = sum(1 for f in enumerate_labelings(D, gt) if forgetful(D, f)[0] == target)
+        c = _count_onto(D, cands[0], target)
         if c:
             out[D] = c
     return out

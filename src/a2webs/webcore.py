@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 RIGHT = "R"
 LEFT = "L"
@@ -39,6 +39,102 @@ ROLE_SOURCE = "source"  # internal, all edges point out
 
 class WebError(ValueError):
     """Structurally invalid web data."""
+
+
+class Combo:
+    """A finite combination of basis elements on n strands: a dict from
+    basis element to nonzero coefficient (int, Fraction or LaurentPoly).
+
+    The constructor takes a dict or (element, coefficient) pairs;
+    repeated elements are summed and zero sums dropped.  Combinations
+    are never changed in place.  Only the product of two basis elements
+    depends on the basis, so a subclass supplies _product(a, b), the
+    (element, coefficient) pairs of that product, together with its zero
+    coefficient ZERO and the term order _sort_key.
+    """
+
+    __slots__ = ("n", "_terms")
+    ZERO = 0
+
+    def __init__(self, n: int, terms: Union[dict, Iterable[tuple]] = ()):
+        acc: dict = {}
+        for k, c in terms.items() if isinstance(terms, dict) else terms:
+            acc[k] = acc[k] + c if k in acc else c
+        self.n = n
+        self._terms = {k: c for k, c in acc.items() if c}
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    @staticmethod
+    def _sort_key(k):
+        return k
+
+    @staticmethod
+    def _product(a, b) -> Iterable[tuple]:
+        raise NotImplementedError
+
+    def terms(self) -> list[tuple]:
+        key = self._sort_key
+        return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
+
+    def coeff(self, k):
+        return self._terms.get(k, self.ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def support_size(self) -> int:
+        return len(self._terms)
+
+    def scale(self, c):
+        if not c:
+            return self.zero(self.n)
+        return type(self)(self.n, {k: v * c for k, v in self._terms.items()})
+
+    def _check_n(self, other: "Combo") -> None:
+        if self.n != other.n:
+            raise WebError(f"strand counts differ: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_n(other)
+        return type(self)(self.n, [*self._terms.items(), *other._terms.items()])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Scale by an int, or multiply term by term through _product."""
+        if isinstance(other, int):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_n(other)
+        return type(self)(self.n, (
+            (k, v * ca * cb)
+            for a, ca in self._terms.items()
+            for b, cb in other._terms.items()
+            for k, v in self._product(a, b)
+        ))
+
+    def __rmul__(self, other):
+        return self.scale(other) if isinstance(other, int) else NotImplemented
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.n == other.n and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self._terms.items())))
+
+    def __repr__(self) -> str:
+        bits = " + ".join(f"({c})*{k!r}" for k, c in self.terms()) or "0"
+        return f"<{type(self).__name__} n={self.n} {bits}>"
 
 
 # ---------------------------------------------------------------------------

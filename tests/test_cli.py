@@ -238,6 +238,14 @@ class TestSubcommands:
         assert got["matching"] == [[0, 2], [1, 3]]
         assert all(c == 1 for c in got["coefficients"].values())
 
+    @pytest.mark.parametrize("w", ["113", "1,1,3"])
+    def test_bridge_rejects_non_permutation(self, capsys, w):
+        rc = main(["bridge", "--n", "3", "--w", w])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_network_matrix_and_corollary(self, capsys, tmp_path):
         import random
 

@@ -1,0 +1,39 @@
+"""Byte-for-byte CLI outputs against recorded golden files.
+
+Each golden file holds the exact stdout of one call followed by a line
+``exit=<code>``; per-check ``seconds`` values are masked on both sides.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from a2webs.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CALLS = {
+    "reduce_e1e2e1": ["reduce", "E1*E2*E1", "--n", "3"],
+    "reduce_shifted_q": ["reduce", "(E1-1)*(E2-1)", "--n", "3", "--q"],
+    "reduce_d2_q": ["reduce", "D2_1*D2_2*D2_1", "--n", "4", "--q"],
+    "immanants_table_4": ["immanants", "--table", "--n", "4"],
+    "decompose_4": ["decompose", "--n", "4", "--I1", "1,2", "--J1", "1,3",
+                    "--I2", "3", "--J2", "2", "--I3", "4", "--J3", "4"],
+    "bridge_231": ["bridge", "--n", "3", "--w", "231"],
+    "verify_all_4": ["verify", "--suite", "all", "--n", "4", "--seed", "0"],
+}
+
+_SECONDS = re.compile(r'"seconds": [0-9.eE+-]+')
+
+
+def run_cli(capsys, argv) -> str:
+    rc = main(argv)
+    out = capsys.readouterr().out
+    return _SECONDS.sub('"seconds": _', out) + f"exit={rc}\n"
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_output_matches_golden(capsys, name):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert run_cli(capsys, CALLS[name]) == expected

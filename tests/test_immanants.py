@@ -101,6 +101,10 @@ class TestThetaImage:
     def test_identity_image(self):
         assert theta_image((1, 2, 3)) == WebCombo.unit(3)
 
+    def test_rejects_non_permutation(self):
+        with pytest.raises(WebError, match="not a permutation"):
+            theta_image((1, 1, 3))
+
     def test_rejects_non_reduced_word(self):
         with pytest.raises(WebError):
             theta_image((2, 1), word=(1, 1, 1))

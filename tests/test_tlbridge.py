@@ -133,6 +133,10 @@ class TestThetaTwo:
     def test_identity_is_unit(self):
         assert theta_two((1, 2)) == TLCombo.unit(2)
 
+    def test_rejects_non_permutation(self):
+        with pytest.raises(WebError, match="not a permutation"):
+            theta_two((2, 2, 1))
+
     def test_generator_image(self):
         t = theta_two((2, 1))
         assert t.coeff(tl_generator(2, 1)) == 1
