@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1, rational_to_str
+from .exactmath import eval_q1, rank, rational_to_str
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -382,25 +382,6 @@ def _suite_dimensions(n: int, samples: Optional[int], rng: random.Random) -> tup
     return ok, {"rows": rows}
 
 
-def _kappa_rank_q1(webs) -> int:
-    vectors = [boundary_profile(w) for w in webs]
-    cols = sorted({g for v in vectors for g, _ in v.entries()})
-    rows = [[Fraction(eval_q1(v.entry(g))) for g in cols] for v in vectors]
-    rank = 0
-    for c in range(len(cols)):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / lead[c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
-        rank += 1
-    return rank
-
-
 def _suite_kappa(n: int, samples: Optional[int], rng: random.Random) -> tuple[bool, dict]:
     pairs = samples or 15
     nn = min(n, 3)
@@ -413,11 +394,12 @@ def _suite_kappa(n: int, samples: Optional[int], rng: random.Random) -> tuple[bo
         rhs = boundary_profile(product_web(k, u)) * boundary_profile(product_web(k, v))
         if lhs != rhs:
             bad.append({"n": k, "left": list(u), "right": list(v)})
-    webs = irreducible_webs(n)
-    rank = _kappa_rank_q1(webs)
-    if rank != len(webs):
-        bad.append({"rank": rank, "webs": len(webs)})
-    return not bad, {"pairs": pairs, "rank": rank, "webs": len(webs), "failed": bad}
+    vectors = [boundary_profile(w) for w in irreducible_webs(n)]
+    cols = sorted({g for v in vectors for g, _ in v.entries()})
+    r = rank([eval_q1(v.entry(g)) for g in cols] for v in vectors)
+    if r != len(vectors):
+        bad.append({"rank": r, "webs": len(vectors)})
+    return not bad, {"pairs": pairs, "rank": r, "webs": len(vectors), "failed": bad}
 
 
 def _suite_ci(n: int, samples: Optional[int], rng: random.Random) -> tuple[bool, dict]:

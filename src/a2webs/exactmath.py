@@ -10,7 +10,8 @@ are exponents divisible by 4.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -25,11 +26,18 @@ def rational_to_str(r: Rational) -> str:
     return str(r)
 
 
-def rational_from_str(s: str) -> Rational:
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
+def parse_rational(x) -> Rational:
+    """The one reader of rational input: an int, a Fraction, a string
+    such as "-22/7" or "0.1", or a float read through its decimal form,
+    so 0.1 is 1/10.  Anything else, bool included, raises ValueError."""
+    if isinstance(x, float):
+        x = str(x)
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational: {x!r}")
 
 
 class LaurentPoly:
@@ -197,7 +205,7 @@ class LaurentPoly:
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, str]) -> "LaurentPoly":
         try:
-            return cls({int(e): rational_from_str(str(c)) for e, c in obj.items()})
+            return cls({int(e): parse_rational(c) for e, c in obj.items()})
         except (ValueError, TypeError) as exc:
             raise ValueError(f"not a polynomial object: {obj!r}") from exc
 
@@ -255,3 +263,38 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def eval_q1(a: LaurentPoly) -> Rational:
     """Evaluate at q = 1 (t = 1); a ring homomorphism onto the rationals."""
     return sum((c for _, c in a.items()), Fraction(0))
+
+
+def echelon(
+    rows: Iterable[Sequence[Coeffable]],
+) -> Iterator[Optional[tuple[int, list[int], Fraction]]]:
+    """Fraction-free elimination over Q (Bareiss, Math. Comp. 1968), one
+    row at a time.  Each row (all of one length) is cleared of
+    denominators and reduced against the pivots so far by integer
+    updates a*row - b*pivot, dividing out the content after each.
+    Yields None for a row in the span of the rows before it, otherwise
+    (lead, vec, scale): vec = scale * (row + a combination of earlier
+    rows) is zero at every earlier lead, lead is its first nonzero
+    column, and vec is kept as a pivot, so it must not be modified."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        vec = [x.numerator * (d // x.denominator) for x in row]
+        scale = Fraction(d)
+        for lead, piv in pivots:
+            if vec[lead]:
+                g = gcd(piv[lead], vec[lead])
+                a, b = piv[lead] // g, vec[lead] // g
+                vec = [a * x - b * y for x, y in zip(vec, piv)]
+                c = gcd(*vec)
+                vec = [x // c for x in vec] if c > 1 else vec
+                scale *= Fraction(a, c or 1)
+        lead = next((k for k, x in enumerate(vec) if x), None)
+        if lead is not None:
+            pivots.append((lead, vec))
+        yield None if lead is None else (lead, vec, scale)
+
+
+def rank(rows: Iterable[Sequence[Coeffable]]) -> int:
+    """Rank over Q of a matrix given as an iterable of rational rows."""
+    return sum(step is not None for step in echelon(rows))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .exactmath import LaurentPoly, eval_q1, rational_to_str
+from .exactmath import LaurentPoly, echelon, eval_q1, parse_rational, rational_to_str
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError
@@ -62,7 +62,7 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in r) for r in rows))
+        return cls(tuple(tuple(parse_rational(x) for x in r) for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -83,25 +83,17 @@ class ExactMatrix:
         )
 
     def det(self) -> Fraction:
-        n = self.n
-        m = [list(r) for r in self.rows]
-        sign = 1
-        for c in range(n):
-            p = next((r for r in range(c, n) if m[r][c]), None)
-            if p is None:
+        out = Fraction(1)
+        leads = []
+        for step in echelon(self.rows):
+            if step is None:
                 return Fraction(0)
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                sign = -sign
-            for r in range(c + 1, n):
-                if m[r][c]:
-                    f = m[r][c] / m[c][c]
-                    for k in range(c, n):
-                        m[r][k] -= f * m[c][k]
-        out = Fraction(sign)
-        for c in range(n):
-            out *= m[c][c]
-        return out
+            lead, vec, scale = step
+            leads.append(lead)
+            out *= vec[lead] / scale
+        # row i of the reduced matrix vanishes at the leads of rows
+        # before it, so it is triangular up to the column order `leads`
+        return -out if perm_length(leads) % 2 else out
 
     def to_json_obj(self) -> dict:
         return {
@@ -117,7 +109,7 @@ class ExactMatrix:
             raise WebError("matrix object needs a 'rows' field") from exc
         try:
             m = cls.from_rows(rows)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise WebError(f"bad matrix entry: {exc}") from exc
         if "n" in obj and obj["n"] != m.n:
             raise WebError(f"matrix says n={obj['n']} but has {m.n} rows")
@@ -157,9 +149,6 @@ def _q1_row(combo: WebCombo) -> dict:
     return out
 
 
-_IRRED: dict[int, list[Web]] = {}
-
-
 def irreducible_webs(n: int, bound: int = STRAND_BOUNDS["webs"]) -> list[Web]:
     """Every irreducible web hit by the S_n expansion, sorted by code.
 
@@ -167,17 +156,7 @@ def irreducible_webs(n: int, bound: int = STRAND_BOUNDS["webs"]) -> list[Web]:
     S_n (equivalently a Kostka number); callers are expected to keep
     that certification enforced, as the tests do.
     """
-    if not 1 <= n <= bound:
-        raise WebError(f"web enumeration is bounded at n = {bound}, got {n}")
-    if n not in _IRRED:
-        found: dict = {}
-        for w in all_perms(n):
-            combo = theta_image(w)
-            for web, coeff in combo.terms():
-                if eval_q1(coeff):
-                    found[web.code] = web
-        _IRRED[n] = [found[c] for c in sorted(found)]
-    return list(_IRRED[n])
+    return list(immanant_table(n, bound).webs)
 
 
 class ImmanantTable:
@@ -185,28 +164,26 @@ class ImmanantTable:
 
     __slots__ = ("n", "webs", "_rows")
 
-    def __init__(self, n: int, webs: Sequence[Web], rows: dict):
+    def __init__(self, n: int, rows: dict):
         self.n = n
-        self.webs = tuple(webs)
-        self._rows = rows  # code -> {perm: int}, zeros omitted
+        self.webs = tuple(sorted(rows, key=lambda D: D.code))
+        self._rows = rows  # web -> {perm: int}, zeros omitted
 
     def coefficient(self, D: Web, w: Perm) -> int:
-        if D.code not in self._rows:
-            raise WebError("not an irreducible web of this table")
-        return self._rows[D.code].get(w, 0)
+        return self.row(D).get(w, 0)
 
     def row(self, D: Web) -> dict:
-        if D.code not in self._rows:
+        if D not in self._rows:
             raise WebError("not an irreducible web of this table")
-        return dict(self._rows[D.code])
+        return dict(self._rows[D])
 
     def combo_at_q1(self, w: Perm) -> dict:
         """code -> f_D(w), reconstructed column of the table."""
         out = {}
-        for code, row in self._rows.items():
+        for D, row in self._rows.items():
             v = row.get(w, 0)
             if v:
-                out[code] = v
+                out[D.code] = v
         return out
 
     def to_json_obj(self) -> dict:
@@ -216,7 +193,7 @@ class ImmanantTable:
             "rows": [
                 {
                     ",".join(map(str, w)): v
-                    for w, v in sorted(self._rows[D.code].items())
+                    for w, v in sorted(self._rows[D].items())
                 }
                 for D in self.webs
             ],
@@ -227,13 +204,15 @@ _TABLES: dict[int, ImmanantTable] = {}
 
 
 def immanant_table(n: int, bound: int = STRAND_BOUNDS["webs"]) -> ImmanantTable:
+    """The one expansion over S_n: f_D(w) for every web D it hits."""
+    if not 1 <= n <= bound:
+        raise WebError(f"web enumeration is bounded at n = {bound}, got {n}")
     if n not in _TABLES:
-        webs = irreducible_webs(n, bound)
-        rows: dict = {D.code: {} for D in webs}
+        rows: dict = {}
         for w in all_perms(n):
             for D, v in _q1_row(theta_image(w)).items():
-                rows[D.code][w] = v
-        _TABLES[n] = ImmanantTable(n, webs, rows)
+                rows.setdefault(D, {})[w] = v
+        _TABLES[n] = ImmanantTable(n, rows)
     return _TABLES[n]
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .exactmath import rank
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .labelings import BoundaryLabeling, enumerate_labelings
 from .webcore import Web, WebError
@@ -89,8 +90,6 @@ def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
     for m in I + J:
         if not 1 <= m <= X.n:
             raise WebError(f"index {m} outside 1..{X.n}")
-    if not I:
-        return Fraction(1)
     return X.submatrix([i - 1 for i in I], [j - 1 for j in J]).det()
 
 
@@ -181,35 +180,28 @@ def rank_check(n: int) -> dict:
     minor products.  The report also records the largest coefficient
     seen, since the expansion is not multiplicity free in general."""
     webs = irreducible_webs(n)
-    codes = [D.code for D in webs]
-    pivots: list[list[Fraction]] = []
+    triples = all_triples(n)
     max_coeff = 0
     max_at = None
-    triples = all_triples(n)
-    for T in triples:
-        counts = decompose_triple(T)
-        if counts:
-            biggest = max(counts.values())
-            if biggest > max_coeff:
-                max_coeff = biggest
-                max_at = T
-        by_code = {D.code: c for D, c in counts.items()}
-        vec = [Fraction(by_code.get(c, 0)) for c in codes]
-        for row in pivots:
-            lead = next(k for k, x in enumerate(row) if x)
-            if vec[lead]:
-                f = vec[lead] / row[lead]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        if any(vec):
-            pivots.append(vec)
+
+    def coefficient_rows():
+        nonlocal max_coeff, max_at
+        for T in triples:
+            counts = decompose_triple(T)
+            row = [counts.get(D, 0) for D in webs]
+            if max(row) > max_coeff:
+                max_coeff, max_at = max(row), T
+            yield row
+
+    r = rank(coefficient_rows())
     report = {
         "n": n,
         "triples": len(triples),
         "webs": len(webs),
-        "rank": len(pivots),
+        "rank": r,
         "max_coefficient": max_coeff,
         "max_coefficient_triple": None,
-        "passed": len(pivots) == len(webs),
+        "passed": r == len(webs),
     }
     if max_at is not None:
         report["max_coefficient_triple"] = {

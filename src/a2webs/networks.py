@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactmath import eval_q1, rational_to_str
+from .exactmath import eval_q1, parse_rational, rational_to_str
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .perms import Perm, all_perms
 from .spider import reduce_web
@@ -53,18 +53,10 @@ Point = tuple[Fraction, Fraction]
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, bool):
-        raise WebError(f"not a number: {x!r}")
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise WebError(f"bad rational {x!r}: {exc}") from exc
-    if isinstance(x, float):
-        return Fraction(str(x))
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise WebError(f"not a number: {x!r}")
+    try:
+        return parse_rational(x)
+    except ValueError as exc:
+        raise WebError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

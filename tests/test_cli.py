@@ -210,6 +210,22 @@ class TestSubcommands:
         assert rc == 0
         assert set(got.values()) == {"1", "0"}
 
+    def test_immanants_reads_decimals_exactly(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "rows": [[0.1]]}')
+        rc, got = run_json(capsys, ["immanants", "--n", "1", "--matrix", str(path)])
+        assert rc == 0
+        assert list(got.values()) == ["1/10"]
+
+    def test_immanants_rejects_boolean_entry(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "rows": [[true]]}')
+        assert main(["immanants", "--n", "1", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_immanants_size_mismatch(self, capsys, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"n": 2, "rows": [["1", "0"], ["0", "1"]]}))

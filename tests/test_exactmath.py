@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,12 +7,16 @@ import pytest
 from a2webs.exactmath import (
     InexactDivisionError,
     LaurentPoly,
+    echelon,
     eval_q1,
     exact_div,
+    parse_rational,
     qint,
-    rational_from_str,
+    rank,
     rational_to_str,
 )
+from a2webs.immanants import ExactMatrix
+from a2webs.perms import all_perms, perm_length
 
 
 def P(coeffs):
@@ -155,16 +160,23 @@ class TestJson:
 class TestRationalCodec:
     def test_roundtrip(self):
         for s in ["3", "-3", "3/4", "-22/7", "0"]:
-            assert rational_to_str(rational_from_str(s)) == s
+            assert rational_to_str(parse_rational(s)) == s
 
     def test_normalization(self):
-        assert rational_from_str("4/8") == Fraction(1, 2)
+        assert parse_rational("4/8") == Fraction(1, 2)
+        assert parse_rational(" 0.1 ") == Fraction(1, 10)
+        assert parse_rational(0.1) == Fraction(1, 10)
+        assert parse_rational(-3) == Fraction(-3)
+        assert parse_rational(Fraction(6, 4)) == Fraction(3, 2)
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            rational_from_str("three halves")
+            parse_rational("three halves")
         with pytest.raises(ValueError):
-            rational_from_str("1/0")
+            parse_rational("1/0")
+        for bad in (True, False, None, [1], float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
 
 
 def _random_poly(rng):
@@ -174,3 +186,91 @@ def _random_poly(rng):
             rng.randrange(-9, 10), rng.randrange(1, 5)
         )
     return LaurentPoly(terms)
+
+
+def _random_rows(rng, m, n, k):
+    """An m by n rational matrix of rank at most k, the product of
+    random m by k and k by n factors."""
+    def rnd(r, c):
+        return [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(c)]
+            for _ in range(r)
+        ]
+
+    B, C = rnd(m, k), rnd(k, n)
+    return [[sum(B[i][t] * C[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for w in all_perms(n):
+        term = Fraction(-1 if perm_length(w) % 2 else 1)
+        for i in range(n):
+            term *= rows[i][w[i] - 1]
+        total += term
+    return total
+
+
+def _rank_by_minors(rows):
+    """Largest k with a nonzero k by k minor, each minor a Leibniz sum."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(m, n), 0, -1):
+        for I in itertools.combinations(range(m), k):
+            for J in itertools.combinations(range(n), k):
+                if _leibniz([[rows[i][j] for j in J] for i in I]):
+                    return k
+    return 0
+
+
+class TestElimination:
+    def test_det_matches_leibniz(self):
+        rng = random.Random(7)
+        for n in range(6):
+            for _ in range(4):
+                rows = _random_rows(rng, n, n, n)
+                cases = [rows]
+                if n:
+                    i = rng.randrange(n)
+                    cases.append(rows[:i] + [[Fraction(0)] * n] + rows[i + 1:])
+                if n > 1:
+                    j = (i + rng.randrange(1, n)) % n
+                    cases.append(rows[:i] + [rows[j]] + rows[i + 1:])
+                for case in cases:
+                    assert ExactMatrix.from_rows(case).det() == _leibniz(case), case
+
+    def test_rank_matches_minors_and_ignores_order(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            m, n = rng.randint(0, 4), rng.randint(1, 5)
+            rows = _random_rows(rng, m, n, rng.randint(0, 4))
+            want = _rank_by_minors(rows)
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            transposed = [list(col) for col in zip(*rows)]
+            assert rank(rows) == rank(shuffled) == rank(transposed) == want, rows
+
+    def test_generator_input_matches_list(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            rows = _random_rows(rng, 5, 4, rng.randint(1, 4))
+            assert list(echelon(iter(rows))) == list(echelon(rows))
+            assert rank(list(r) for r in rows) == rank(rows)
+
+    def test_pivot_rows_are_scaled_reductions(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            rows = _random_rows(rng, 5, 5, rng.randint(1, 5))
+            leads = []
+            for k, step in enumerate(echelon(rows)):
+                if step is None:
+                    assert rank(rows[: k + 1]) == rank(rows[:k])
+                    continue
+                lead, vec, scale = step
+                assert all(isinstance(x, int) for x in vec)
+                assert not any(vec[:lead]) and vec[lead]
+                assert all(vec[p] == 0 for p in leads)
+                leads.append(lead)
+                # vec / scale - row must lie in the span of the rows before it
+                diff = [x / scale - y for x, y in zip(vec, rows[k])]
+                assert rank(rows[:k] + [diff]) == rank(rows[:k])

@@ -52,15 +52,16 @@ class TestExactMatrix:
             ExactMatrix.from_rows([[1, 2], [3]])
 
     def test_identity_det(self):
-        assert ExactMatrix.identity(4).det() == 1
+        for n in range(5):
+            assert ExactMatrix.identity(n).det() == 1
 
     def test_det_2x2(self):
         X = ExactMatrix.from_rows([[1, 2], [3, 4]])
         assert X.det() == -2
 
     def test_det_singular(self):
-        X = ExactMatrix.from_rows([[1, 2], [2, 4]])
-        assert X.det() == 0
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [3, 4]], [[1, 2, 3], [4, 5, 6], [1, 2, 3]]):
+            assert ExactMatrix.from_rows(rows).det() == 0
 
     def test_det_multiplicative(self):
         rng = random.Random(SEED)
@@ -90,6 +91,8 @@ class TestExactMatrix:
             ExactMatrix.from_json_obj({"rows": [["1", "x"], ["2", "3"]]})
         with pytest.raises(WebError):
             ExactMatrix.from_json_obj({"n": 3, "rows": [["1"]]})
+        with pytest.raises(WebError):
+            ExactMatrix.from_json_obj({"rows": [[True]]})
 
 
 class TestThetaImage:
