@@ -8,6 +8,11 @@ complementary minors, `bridge` expands a two-label immanant times a
 minor, `network` works on weighted planar network files, and `verify`
 runs named identity suites and exits 0 only if every check passes.
 
+Exit codes: 0 success, 1 a check failed, 2 bad input (one `error:`
+line), 3 a failed internal invariant (one `error: internal:` line),
+141 (128 + SIGPIPE, as for a filter killed by the signal) when the
+reader closes stdout early; none of them prints a traceback.
+
 All rationals are written "p/q"; keys are emitted in a deterministic
 order; every randomized check is reproducible from the seed recorded
 in its report.  Timing fields are informational and are the only part
@@ -41,6 +46,7 @@ from .immanants import (
 )
 from .labelings import (
     BoundaryLabeling,
+    boundary_counts,
     boundary_profile,
     boundary_restriction,
     coefficient_via_labelings,
@@ -232,16 +238,10 @@ def cmd_labelings(args) -> int:
         else:
             out["count"] = len(enumerate_labelings(w, g))
     else:
-        groups: dict = {}
-        for f in enumerate_labelings(w):
-            groups.setdefault(boundary_restriction(w, f), []).append(f)
-        table = {}
-        for g in sorted(groups):
-            if args.q:
-                table[g.to_text()] = weighted_count(w, g).to_json_obj()
-            else:
-                table[g.to_text()] = len(groups[g])
-        out["boundaries"] = table
+        out["boundaries"] = {
+            g.to_text(): weighted_count(w, g).to_json_obj() if args.q else c
+            for g, c in sorted(boundary_counts(w).items())
+        }
     _emit(out)
     return 0
 
@@ -664,13 +664,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _silence_stdout() -> None:
+    # Point the closed stdout at devnull, so that the interpreter's
+    # final flush of the unwritten buffer cannot fail a second time.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
     except WebError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        _silence_stdout()
+        return 141
 
 
 if __name__ == "__main__":

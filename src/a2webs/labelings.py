@@ -190,6 +190,17 @@ def enumerate_labelings(
     return result
 
 
+def boundary_counts(w: Web) -> dict[BoundaryLabeling, int]:
+    """Plain labeling count of w per boundary word, from one
+    unrestricted enumeration; words without a labeling are absent.
+    boundary_counts(w).get(g, 0) == len(enumerate_labelings(w, g))."""
+    counts: dict[BoundaryLabeling, int] = {}
+    for f in enumerate_labelings(w):
+        g = boundary_restriction(w, f)
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # The weight statistic
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .exactmath import rank
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from .labelings import BoundaryLabeling, enumerate_labelings
+from .labelings import BoundaryLabeling, boundary_counts
 from .webcore import Web, WebError
 
 
@@ -93,16 +93,28 @@ def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
     return X.submatrix([i - 1 for i in I], [j - 1 for j in J]).det()
 
 
+# n -> boundary word -> {irreducible web: labeling count}, webs in
+# irreducible_webs order.  Bounded: irreducible_webs refuses n above
+# its strand bound.
+_DECOMPOSITIONS: dict[int, dict[BoundaryLabeling, dict[Web, int]]] = {}
+
+
+def _decompositions(n: int) -> dict[BoundaryLabeling, dict[Web, int]]:
+    table = _DECOMPOSITIONS.get(n)
+    if table is None:
+        table = {}
+        for D in irreducible_webs(n):
+            for g, c in boundary_counts(D).items():
+                table.setdefault(g, {})[D] = c
+        _DECOMPOSITIONS[n] = table
+    return table
+
+
 def decompose_triple(T: MinorTriple) -> dict[Web, int]:
     """Webs with nonzero coefficient in the expansion of T's product,
-    each coefficient a plain labeling count."""
-    g = boundary_from_triple(T)
-    out = {}
-    for D in irreducible_webs(T.n):
-        c = len(enumerate_labelings(D, g))
-        if c:
-            out[D] = c
-    return out
+    each coefficient a plain labeling count.  The counts of every web
+    on T.n strands are enumerated once, on the first call for that n."""
+    return dict(_decompositions(T.n).get(boundary_from_triple(T), {}))
 
 
 def triple_product(T: MinorTriple, X: ExactMatrix) -> Fraction:

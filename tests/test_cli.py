@@ -306,3 +306,44 @@ class TestSubcommands:
     def test_parser_rejects_missing_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestExitPaths:
+    def test_closed_stdout_ends_quietly(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        rc = main(["reduce", "E1*E2*E1", "--n", "3"])
+        monkeypatch.undo()
+        assert rc == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_real_process(self):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            cmd = [sys.executable, "-m", "a2webs.cli", "reduce", "E1*E2*E1", "--n", "3"]
+            proc = subprocess.run(cmd, stdout=w, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(w)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
+    def test_internal_error_is_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("transport left a child edge unlabeled")
+
+        monkeypatch.setattr("a2webs.cli.cmd_reduce", broken)
+        rc = main(["reduce", "E1", "--n", "3"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == "error: internal: transport left a child edge unlabeled\n"

@@ -13,6 +13,14 @@ from a2webs.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# An n = 4 irreducible web whose boundary words carry counts of 1 and 2
+# and weighted counts with more than one term.
+WEB_4 = (
+    "4,0,1,64,1,1,0,3,0,0,1,2,4,0,1,3,4,4,0,2,5,6,3,0,3,7,8,3,0,4,9,10,"
+    "3,0,5,11,12,2,1,6,1,2,7,1,3,8,1,4,9,4,0,10,13,11,4,0,12,14,15,2,4,"
+    "13,2,3,14,2,2,15"
+)
+
 CALLS = {
     "reduce_e1e2e1": ["reduce", "E1*E2*E1", "--n", "3"],
     "reduce_shifted_q": ["reduce", "(E1-1)*(E2-1)", "--n", "3", "--q"],
@@ -22,6 +30,8 @@ CALLS = {
                     "--I2", "3", "--J2", "2", "--I3", "4", "--J3", "4"],
     "bridge_231": ["bridge", "--n", "3", "--w", "231"],
     "verify_all_4": ["verify", "--suite", "all", "--n", "4", "--seed", "0"],
+    "labelings_4": ["labelings", "--web", WEB_4],
+    "labelings_4_q": ["labelings", "--web", WEB_4, "--q"],
 }
 
 _SECONDS = re.compile(r'"seconds": [0-9.eE+-]+')

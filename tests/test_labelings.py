@@ -8,6 +8,7 @@ from a2webs.labelings import (
     BoundaryLabeling,
     KappaVector,
     Labeling,
+    boundary_counts,
     boundary_profile,
     boundary_restriction,
     coefficient_via_labelings,
@@ -142,6 +143,48 @@ class TestEnumeration:
         for w in [gweb(2, 1), product_web(3, (1, 2, 1)), second_generator(3, 1)]:
             for f in enumerate_labelings(w):
                 assert boundary_restriction(w, f).is_balanced()
+
+
+def random_web_with_loops(rng):
+    """A product of generators on 1 to 4 strands with closed loops
+    dropped in between them at random wire positions."""
+    n = rng.randint(1, 4)
+    d = identity_web(n)
+    for _ in range(rng.randint(1, 5)):
+        if n > 1 and rng.random() < 0.7:
+            d = concatenate(d, generator_web(n, rng.randint(1, n - 1)))
+        else:
+            p = rng.randint(1, n + 1)
+            d = concatenate(d, SliceDiagram(n, (
+                Column(p, "cup", ("R", "L")),
+                Column(p, "cap", ("R", "L")),
+            )))
+    return Web.from_slice(d)
+
+
+class TestBoundaryCounts:
+    def test_partition_the_full_enumeration(self):
+        rng = random.Random(SEED + 7)
+        loops = 0
+        for _ in range(25):
+            w = random_web_with_loops(rng)
+            loops += w.pmap.loops
+            counts = boundary_counts(w)
+            assert sum(counts.values()) == len(enumerate_labelings(w))
+            assert all(g.is_balanced() for g in counts)
+        assert loops > 0
+
+    def test_each_count_is_the_restricted_enumeration(self):
+        rng = random.Random(SEED + 8)
+        for _ in range(6):
+            w = random_web_with_loops(rng)
+            counts = boundary_counts(w)
+            for g, c in counts.items():
+                assert c == len(enumerate_labelings(w, g))
+        assert boundary_counts(gweb(2, 1)).get(bl("1,1:1,1"), 0) == 0
+
+    def test_circle(self):
+        assert boundary_counts(circle_web()) == {bl(f"{i}:{i}"): 3 for i in (1, 2, 3)}
 
 
 class TestWeight:

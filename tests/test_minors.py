@@ -102,6 +102,29 @@ class TestDecompose:
                 assert c == len(enumerate_labelings(D, g)) > 0
 
 
+class TestDecompositionTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_triple_matches_restricted_enumeration(self, n):
+        webs = irreducible_webs(n)
+        for T in all_triples(n):
+            g = boundary_from_triple(T)
+            counts = decompose_triple(T)
+            for D in webs:
+                assert counts.get(D, 0) == len(enumerate_labelings(D, g)), (T.rows, T.cols)
+
+    def test_support_follows_web_order(self):
+        order = {D: k for k, D in enumerate(irreducible_webs(4))}
+        for T in all_triples(4)[::37]:
+            ks = [order[D] for D in decompose_triple(T)]
+            assert ks == sorted(ks)
+
+    def test_result_is_a_copy(self):
+        T = MinorTriple.from_sets((1, 4), (2,), (3,), (1, 3), (2,), (4,))
+        first = decompose_triple(T)
+        first.clear()
+        assert len(decompose_triple(T)) == 15
+
+
 class TestTripleIdentity:
     def test_all_triples_three_strands(self):
         rng = random.Random(SEED + 2)
@@ -161,8 +184,18 @@ class TestRank:
 
     @pytest.mark.slow
     def test_rank_four_strands(self):
-        report = rank_check(4)
-        assert report["rank"] == 23 and report["passed"]
+        assert rank_check(4) == {
+            "n": 4,
+            "triples": 639,
+            "webs": 23,
+            "rank": 23,
+            "max_coefficient": 2,
+            "max_coefficient_triple": {
+                "rows": [[2], [3], [1, 4]],
+                "cols": [[2], [3], [1, 4]],
+            },
+            "passed": True,
+        }
 
     def test_multiplicity_is_recorded(self):
         # the expansion need not be multiplicity free; the report
