@@ -149,14 +149,14 @@ def _q1_row(combo: WebCombo) -> dict:
     return out
 
 
-def irreducible_webs(n: int, bound: int = STRAND_BOUNDS["webs"]) -> list[Web]:
+def irreducible_webs(n: int) -> list[Web]:
     """Every irreducible web hit by the S_n expansion, sorted by code.
 
     The count must equal the number of 4321-avoiding permutations of
     S_n (equivalently a Kostka number); callers are expected to keep
     that certification enforced, as the tests do.
     """
-    return list(immanant_table(n, bound).webs)
+    return list(immanant_table(n).webs)
 
 
 class ImmanantTable:
@@ -203,8 +203,9 @@ class ImmanantTable:
 _TABLES: dict[int, ImmanantTable] = {}
 
 
-def immanant_table(n: int, bound: int = STRAND_BOUNDS["webs"]) -> ImmanantTable:
+def immanant_table(n: int) -> ImmanantTable:
     """The one expansion over S_n: f_D(w) for every web D it hits."""
+    bound = STRAND_BOUNDS["webs"]
     if not 1 <= n <= bound:
         raise WebError(f"web enumeration is bounded at n = {bound}, got {n}")
     if n not in _TABLES:

@@ -25,7 +25,7 @@ Weight bookkeeping, in t-exponents:
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -194,11 +194,9 @@ def boundary_counts(w: Web) -> dict[BoundaryLabeling, int]:
     """Plain labeling count of w per boundary word, from one
     unrestricted enumeration; words without a labeling are absent.
     boundary_counts(w).get(g, 0) == len(enumerate_labelings(w, g))."""
-    counts: dict[BoundaryLabeling, int] = {}
-    for f in enumerate_labelings(w):
-        g = boundary_restriction(w, f)
-        counts[g] = counts.get(g, 0) + 1
-    return counts
+    be = _boundary_edges(w)
+    words = Counter(tuple(f.edge_labels[e] for e in be) for f in enumerate_labelings(w))
+    return {BoundaryLabeling(g[: w.n], g[w.n :]): c for g, c in words.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +270,11 @@ def boundary_profile(w: Web) -> KappaVector:
 # Transport through the rewrite steps
 #
 # Transport replays the same rewrite steps the reduction engine takes,
-# re-derived on the exact web object at hand: the engine's shared trace
-# is keyed by canonical code and may hold a different drawing (hence a
-# different edge numbering) of an equal-code web.  When two walks meet
-# at equal-code children the labeling is re-indexed through the
-# canonical edge matching instead.
+# re-derived on the exact web object at hand: the engine keeps no trace,
+# and an equal-code web reached by another path may have a different
+# map (hence a different edge numbering).  When two walks meet at
+# equal-code children the labeling is re-indexed through the canonical
+# edge matching instead.
 
 
 def _reindex(f: Labeling, src: Web, dst: Web) -> Labeling:

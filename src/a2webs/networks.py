@@ -42,9 +42,7 @@ from .webcore import (
     ROLE_SOURCE,
     ROLE_SNK,
     ROLE_SRC,
-    Column,
     PlanarMap,
-    SliceDiagram,
     Web,
     WebError,
 )
@@ -414,10 +412,10 @@ def uncross(sub: MarkedSubnetwork) -> Web:
     aimed against the flow, three strands meeting at a point become a
     sink and a source with no connecting edge, and entering or
     leaving a multiple run attaches strands to the run's opposing
-    edge.  Strand ends that close up on themselves become drawn
-    loops.  The resulting rotation system is validated before
-    drawing, so a marking whose entries and exits are not laid out
-    along the outer face is rejected rather than mis-drawn.
+    edge.  Strand ends that close up on themselves become closed
+    loops.  The resulting rotation system is validated here, so a
+    marking whose entries and exits are not laid out along the outer
+    face is rejected rather than mis-drawn when the web is drawn.
     """
     net = sub.network
     n = net.n
@@ -519,7 +517,7 @@ def uncross(sub: MarkedSubnetwork) -> Web:
         else:
             raise WebError(f"unsupported strand profile {prof} at vertex {v!r}")
 
-    # stitch the spliced curves into web edges and drawn loops
+    # stitch the spliced curves into web edges and closed loops
     slot_vertex: dict[tuple[int, int], int] = dict(bnd_attach)
     for gi, (_, slots) in enumerate(gadgets):
         for end, _ in slots:
@@ -571,16 +569,9 @@ def uncross(sub: MarkedSubnetwork) -> Web:
     for _, slots in gadgets:
         rot_refs.append([chain_ref[end] for end in _ccw_slots(slots)])
 
-    pmap = PlanarMap(n, roles, rot_refs, edges, loops=0)
+    pmap = PlanarMap(n, roles, rot_refs, edges, loops=loops)
     pmap.validate()
-    web = Web.from_map(pmap)
-    if loops:
-        cols = list(web.diagram.columns)
-        for _ in range(loops):
-            cols.append(Column(n + 1, "cup", ("R", "L")))
-            cols.append(Column(n + 1, "cap", ("R", "L")))
-        web = Web.from_slice(SliceDiagram(n, tuple(cols)))
-    return web
+    return Web.from_map(pmap)
 
 
 # ---------------------------------------------------------------------------

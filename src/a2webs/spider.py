@@ -28,8 +28,6 @@ from .webcore import (
     PlanarMap,
     Web,
     WebError,
-    canonical_edge_order,
-    canonical_form,
     concatenate,
     generator_web,
     identity_web,
@@ -67,32 +65,12 @@ class Outcome:
     edge_map: dict  # surviving parent eid -> child eid
     chains: tuple[Chain, ...] = ()
     closed_chains: tuple[Chain, ...] = ()
-    dropped_drawn_loops: int = 0
     face_edges: tuple[int, ...] = ()
     corners: tuple[int, ...] = ()
     branch: Optional[int] = None
 
 
-@dataclass
-class TraceNode:
-    web: Web
-    feature: Optional[Feature]
-    outcomes: tuple[Outcome, ...]
-
-
-@dataclass
-class ReductionTrace:
-    """The rewrite DAG below one starting web, nodes keyed by code."""
-
-    root: tuple[int, ...]
-    nodes: dict
-
-    def node(self, code) -> TraceNode:
-        return self.nodes[code]
-
-
-# deterministic rewriting makes these safe to share
-_NODES: dict = {}
+# deterministic rewriting makes this safe to share
 _RESULTS: dict = {}  # code -> reduced WebCombo
 
 _RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
@@ -146,10 +124,10 @@ def reduce_random_order(x: Union[Web, "WebCombo"], rng: random.Random) -> "WebCo
 
 def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
     """Rewrite one feature of w.  A loop feature erases every closed
-    loop of the drawing at once (one rule application per loop, fused
+    loop of the web at once (one rule application per loop, fused
     into a single outcome)."""
     if feature[0] == "loop":
-        return (_strip_drawn_loops(w),)
+        return (_strip_loops(w),)
     if feature[0] == "bigon":
         return (_collapse_bigon(w, feature[1]),)
     if feature[0] == "square":
@@ -158,8 +136,8 @@ def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
 
 
 def reduce_web(w: Web) -> "WebCombo":
-    combo, _ = reduce_with_trace(w)
-    return combo
+    _reduce_into_cache(w)
+    return _RESULTS[w.code]
 
 
 def reduce_combo(c: "WebCombo") -> "WebCombo":
@@ -168,47 +146,36 @@ def reduce_combo(c: "WebCombo") -> "WebCombo":
     ))
 
 
-def reduce_with_trace(w: Web) -> tuple["WebCombo", ReductionTrace]:
-    _reduce_into_cache(w)
-    return _RESULTS[w.code], ReductionTrace(w.code, _NODES)
-
-
 def _reduce_into_cache(w: Web) -> None:
     if w.code in _RESULTS:
         return
+    pending: dict = {}  # code -> outcomes of a web whose children are not all reduced
     stack = [w]
     while stack:
         cur = stack.pop()
         if cur.code in _RESULTS:
             continue
-        if cur.code not in _NODES:
+        if cur.code not in pending:
             feature = find_reducible_face(cur)
             if feature is None:
-                _NODES[cur.code] = TraceNode(cur, None, ())
                 _RESULTS[cur.code] = WebCombo.from_web(cur)
                 continue
-            _NODES[cur.code] = TraceNode(cur, feature, apply_rule(cur, feature))
-        node = _NODES[cur.code]
-        missing = [o.child for o in node.outcomes if o.child.code not in _RESULTS]
+            pending[cur.code] = apply_rule(cur, feature)
+        outcomes = pending[cur.code]
+        missing = [o.child for o in outcomes if o.child.code not in _RESULTS]
         if missing:
             stack.append(cur)
             stack.extend(missing)
             continue
         _RESULTS[cur.code] = WebCombo(cur.n, (
             (D, o.coeff * v)
-            for o in node.outcomes
+            for o in pending.pop(cur.code)
             for D, v in _RESULTS[o.child.code]._terms.items()
         ))
 
 
 # ---------------------------------------------------------------------------
 # The three surgeries
-
-
-def _match_edges(raw: PlanarMap, target: PlanarMap) -> dict:
-    if canonical_form(raw) != canonical_form(target):
-        raise RuntimeError("edge matching requires identical codes")
-    return dict(zip(canonical_edge_order(raw), canonical_edge_order(target)))
 
 
 def _rebuild(
@@ -273,18 +240,16 @@ def _finish(
     branch: Optional[int],
     loops_created: int,
 ) -> Outcome:
-    child = Web.from_map(raw)
-    match = _match_edges(raw, child.pmap)
     coeff = base_coeff * qint(3) ** loops_created
     chains = tuple(
-        Chain(es, cs, match[new_ids[i]]) for i, (es, cs) in enumerate(chains_raw)
+        Chain(es, cs, new_ids[i]) for i, (es, cs) in enumerate(chains_raw)
     )
     closed = tuple(Chain(es, cs, -1) for es, cs in closed_raw)
     return Outcome(
         coeff=coeff,
-        child=child,
+        child=Web.from_map(raw),
         kind=kind,
-        edge_map={old: match[mid] for old, mid in emap.items()},
+        edge_map=emap,
         chains=chains,
         closed_chains=closed,
         face_edges=face_edges,
@@ -293,23 +258,13 @@ def _finish(
     )
 
 
-def _strip_drawn_loops(w: Web) -> Outcome:
+def _strip_loops(w: Web) -> Outcome:
     m = w.pmap
-    raw = PlanarMap(
-        m.n,
-        m.roles,
-        [[(d >> 1, d & 1) for d in m.rot[v]] for v in range(len(m.roles))],
-        m.edges,
-        loops=0,
-    )
-    child = Web.from_map(raw)
-    match = _match_edges(raw, child.pmap)
     return Outcome(
         coeff=qint(3) ** m.loops,
-        child=child,
+        child=Web.from_map(m.without_loops()),
         kind="loops",
-        edge_map={e: match[e] for e in range(len(m.edges))},
-        dropped_drawn_loops=m.loops,
+        edge_map={e: e for e in range(len(m.edges))},
     )
 
 

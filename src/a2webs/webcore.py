@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 RIGHT = "R"
 LEFT = "L"
@@ -298,6 +298,11 @@ class PlanarMap:
                 raise WebError("edge head must sit at a sink-side vertex")
 
     # -- basic structure ------------------------------------------------
+
+    def without_loops(self) -> "PlanarMap":
+        """The same map, edge ids included, with its loop count at zero."""
+        rot_refs = [[(d >> 1, d & 1) for d in r] for r in self.rot]
+        return PlanarMap(self.n, self.roles, rot_refs, self.edges, loops=0)
 
     def internal_vertices(self) -> list[int]:
         return [v for v in range(len(self.roles)) if self.roles[v][0] in (ROLE_SINK, ROLE_SOURCE)]
@@ -976,11 +981,7 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     cols: list[Column] = []
     if not dfs(tuple(frontier), frozenset(), cols):
         raise WebError("map admits no slice drawing with the prescribed boundary")
-    diagram = SliceDiagram(m.n, tuple(cols))
-    m2, _ = to_map(diagram)
-    if canonical_form(m2) != canonical_form(m):
-        raise RuntimeError("drawing round-trip produced a different map")
-    return diagram
+    return SliceDiagram(m.n, tuple(cols))
 
 
 def _cyclic_eq(rot: Sequence[int], want: Sequence[int]) -> bool:
@@ -998,31 +999,68 @@ def _cyclic_eq(rot: Sequence[int], want: Sequence[int]) -> bool:
 
 
 class Web:
-    """A web as (drawing, map, geometry, code); identity is the code."""
+    """A web as (map, code); identity is the code.  The drawing is made
+    on the first read of diagram or geom, and geom is numbered by the
+    edge and vertex ids of pmap."""
 
-    __slots__ = ("diagram", "pmap", "geom", "code")
+    __slots__ = ("pmap", "code", "_drawing")
 
-    def __init__(self, diagram: SliceDiagram, pmap: PlanarMap, geom: DrawingGeometry, code: tuple[int, ...]):
-        self.diagram = diagram
+    def __init__(self, pmap: PlanarMap, code: tuple[int, ...], drawing=None):
         self.pmap = pmap
-        self.geom = geom
         self.code = code
+        self._drawing: Optional[tuple[SliceDiagram, DrawingGeometry]] = drawing
 
     @classmethod
     def from_slice(cls, diagram: SliceDiagram) -> "Web":
         pmap, geom = to_map(diagram)
-        return cls(diagram, pmap, geom, canonical_form(pmap))
+        return cls(pmap, canonical_form(pmap), (diagram, geom))
 
     @classmethod
     def from_map(cls, pmap: PlanarMap, salt: int = 0) -> "Web":
-        return cls.from_slice(render(pmap, salt=salt))
+        """Keep pmap as the web's map.  A nonzero salt draws at once,
+        with that salt; otherwise drawing waits for the first read."""
+        w = cls(pmap, canonical_form(pmap))
+        if salt:
+            w._draw(salt)
+        return w
 
     @classmethod
     def from_code(cls, code: Sequence[int]) -> "Web":
         m = decode_code(code)
         if m.loops:
             raise WebError("codes with loop components have no canonical drawing")
-        return cls.from_map(m)
+        w = cls.from_map(m)
+        w._draw()  # a code read from input must be drawable: refuse it here
+        return w
+
+    @property
+    def diagram(self) -> SliceDiagram:
+        return self._draw()[0]
+
+    @property
+    def geom(self) -> DrawingGeometry:
+        return self._draw()[1]
+
+    def _draw(self, salt: int = 0) -> tuple[SliceDiagram, DrawingGeometry]:
+        """Draw the map without its loops, add one cup/cap pair below the
+        strands per loop, and carry the geometry over to pmap's ids."""
+        if self._drawing is None:
+            m = self.pmap
+            drawing = render(m.without_loops() if m.loops else m, salt=salt)
+            loop = (Column(m.n + 1, "cup", (RIGHT, LEFT)), Column(m.n + 1, "cap", (RIGHT, LEFT)))
+            diagram = SliceDiagram(m.n, drawing.columns + loop * m.loops)
+            drawn, geom = to_map(diagram)
+            if canonical_form(drawn) != self.code:
+                raise RuntimeError("drawing round-trip produced a different map")
+            eid = dict(zip(canonical_edge_order(drawn), canonical_edge_order(m)))
+            vid = {drawn.edges[a][k]: m.edges[b][k] for a, b in eid.items() for k in (0, 1)}
+            sides = {
+                vid[v]: tuple(tuple(eid[e] for e in side) for side in lr)
+                for v, lr in geom.vertex_sides.items()
+            }
+            turns = {eid[e]: t for e, t in geom.edge_turns.items()}
+            self._drawing = (diagram, DrawingGeometry(sides, turns, geom.loop_turns))
+        return self._drawing
 
     @property
     def n(self) -> int:

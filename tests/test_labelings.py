@@ -437,6 +437,23 @@ class TestDrawingIndependence:
                     checked += 1
         assert checked >= 20
 
+    def test_each_weight_survives_a_redraw(self):
+        # a web built from a map keeps that map's edge ids, so a labeling
+        # of one drawing is a labeling of every redrawing, with one weight
+        rng = random.Random(SEED + 9)
+        pairs = 0
+        for _ in range(15):
+            n = rng.randint(2, 4)
+            word = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 4)))
+            w = product_web(n, word)
+            fs = enumerate_labelings(w)
+            for salt in range(4):
+                w2 = Web.from_map(w.pmap, salt=salt)
+                for f in fs:
+                    assert labeling_weight(w2, f) == labeling_weight(w, f), (word, salt, f)
+                    pairs += 1
+        assert pairs > 1000
+
     def test_rerendered_square_still_balances(self):
         base = product_web(3, (1, 2, 1))
         prof = boundary_profile(base)

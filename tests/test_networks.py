@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from a2webs import webcore
 from a2webs.immanants import evaluate_immanant, irreducible_webs
-from a2webs.labelings import enumerate_labelings
+from a2webs.labelings import boundary_profile, enumerate_labelings
 from a2webs.minors import all_triples, boundary_from_triple, decompose_triple, triple_product
 from a2webs.networks import (
     MarkedSubnetwork,
@@ -25,8 +26,8 @@ from a2webs.networks import (
     random_tnn_matrix,
     uncross,
 )
-from a2webs.spider import reduce_web, second_generator
-from a2webs.webcore import Web, WebError, generator_web, identity_web
+from a2webs.spider import apply_rule, reduce_web, second_generator
+from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, identity_web
 
 SEED = 20260816
 
@@ -390,6 +391,33 @@ class TestUncross:
             w = uncross(MarkedSubnetwork(net, marks))
             by_loops[w.pmap.loops] += 1
         assert by_loops == Counter({0: 2, 1: 2})
+
+    def test_loops_are_drawn_below_the_strands(self):
+        net = eye_net()
+        loop_webs = [
+            w for w in (uncross(MarkedSubnetwork(net, marks)) for marks in covering_markings(net))
+            if w.pmap.loops
+        ]
+        assert loop_webs
+        for w in loop_webs:
+            assert len(w.geom.loop_turns) == w.pmap.loops
+            # the drawing uncross used to make: the loop-free web's
+            # drawing with one cup/cap pair below the strands per loop
+            (stripped,) = apply_rule(w, ("loop",))
+            pair = (Column(net.n + 1, "cup", ("R", "L")), Column(net.n + 1, "cap", ("R", "L")))
+            cols = stripped.child.diagram.columns + pair * w.pmap.loops
+            assert boundary_profile(w) == boundary_profile(Web.from_slice(SliceDiagram(net.n, cols)))
+
+    def test_uncross_never_draws(self, monkeypatch):
+        net = eye_net()
+        markings = covering_markings(net)
+        want = [uncross(MarkedSubnetwork(net, marks)).code for marks in markings]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("uncross drew a web")
+
+        monkeypatch.setattr(webcore, "render", refuse)
+        assert [uncross(MarkedSubnetwork(net, marks)).code for marks in markings] == want
 
     def test_rejects_unbalanced_marking(self):
         net = diamond_net()

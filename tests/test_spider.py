@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from a2webs import spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.spider import (
     WebCombo,
@@ -13,7 +14,6 @@ from a2webs.spider import (
     is_irreducible,
     product_web,
     reduce_web,
-    reduce_with_trace,
     relation_suite,
     second_generator,
     second_generator_combo,
@@ -93,15 +93,15 @@ class TestTripleProduct:
 
     def test_trace_is_one_square_step(self):
         w = product_web(3, (1, 2, 1))
-        combo, trace = reduce_with_trace(w)
-        node = trace.node(w.code)
-        assert node.feature[0] == "square"
-        assert len(node.outcomes) == 2
-        children = {o.child for o in node.outcomes}
+        feature = find_reducible_face(w)
+        assert feature[0] == "square"
+        outcomes = apply_rule(w, feature)
+        assert len(outcomes) == 2
+        children = {o.child for o in outcomes}
         assert children == {gweb(3, 1), second_generator(3, 1)}
-        for o in node.outcomes:
+        for o in outcomes:
             assert o.coeff == LaurentPoly.one()
-            assert trace.node(o.child.code).feature is None
+            assert find_reducible_face(o.child) is None
 
     def test_second_generator_shape(self):
         d2 = second_generator(3, 1)
@@ -120,13 +120,12 @@ class TestThetaCollapse:
     def test_second_generator_squared(self):
         d2 = second_generator(3, 1)
         prod = Web.from_slice(concatenate(d2.diagram, d2.diagram))
-        combo, trace = reduce_with_trace(prod)
-        [(w, coeff)] = combo.terms()
+        [(w, coeff)] = reduce_web(prod).terms()
         assert w == d2
         assert coeff == qint(2) * qint(3)
-        node = trace.node(prod.code)
-        assert node.feature[0] == "bigon"
-        (outcome,) = node.outcomes
+        feature = find_reducible_face(prod)
+        assert feature[0] == "bigon"
+        (outcome,) = apply_rule(prod, feature)
         assert len(outcome.closed_chains) == 1
 
     def test_second_generator_combo_square(self):
@@ -152,6 +151,20 @@ class TestFourStrandExample:
         assert coeff == LaurentPoly.one()
         assert is_irreducible(other)
         assert other.n == 4 and other != second_generator(4, 1)
+
+
+class TestNoDrawing:
+    def test_reduction_never_draws(self, monkeypatch):
+        w = product_web(4, (1, 2, 3, 2, 1))
+        want = reduce_web(w)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rewrite engine drew a web")
+
+        monkeypatch.setattr(spider, "_RESULTS", {})
+        monkeypatch.setattr(webcore, "render", refuse)
+        assert reduce_web(w) == want
+        assert len(spider._RESULTS) > 1
 
 
 class TestClosure:

@@ -251,3 +251,11 @@ class TestCodes:
     def test_from_code(self):
         w = web(concatenate(generator_web(3, 2), generator_web(3, 1)))
         assert Web.from_code(w.code) == w
+
+    def test_from_code_refuses_a_code_with_no_drawing(self):
+        # two strands that cross: the code decodes, but no drawing exists
+        roles = [("src", 1), ("src", 2), ("snk", 1), ("snk", 2)]
+        m = PlanarMap(2, roles, [[(0, 0)], [(1, 0)], [(1, 1)], [(0, 1)]], [(0, 3), (1, 2)])
+        decode_code(canonical_form(m))
+        with pytest.raises(WebError):
+            Web.from_code(canonical_form(m))
