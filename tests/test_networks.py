@@ -406,7 +406,9 @@ class TestUncross:
             (stripped,) = apply_rule(w, ("loop",))
             pair = (Column(net.n + 1, "cup", ("R", "L")), Column(net.n + 1, "cap", ("R", "L")))
             cols = stripped.child.diagram.columns + pair * w.pmap.loops
-            assert boundary_profile(w) == boundary_profile(Web.from_slice(SliceDiagram(net.n, cols)))
+            drawn = Web.from_slice(SliceDiagram(net.n, cols))
+            assert w.diagram == drawn.diagram
+            assert boundary_profile(w) == boundary_profile(drawn)
 
     def test_uncross_never_draws(self, monkeypatch):
         net = eye_net()

@@ -6,6 +6,7 @@ from a2webs import spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.spider import (
     WebCombo,
+    all_reducible_features,
     apply_rule,
     find_reducible_face,
     generator_combo,
@@ -114,6 +115,36 @@ class TestTripleProduct:
         lo = reduce_web(product_web(4, (2, 3, 2))) - generator_combo(4, 2)
         hi = reduce_web(product_web(4, (3, 2, 3))) - generator_combo(4, 3)
         assert lo == hi
+
+
+class TestRewriteChildren:
+    # rewriting never draws, so draw every child here: reading geom
+    # renders the child's map and runs the drawing round-trip check
+    def test_every_child_is_valid_and_drawable(self):
+        rng = random.Random(SEED)
+        circle = SliceDiagram(2, (
+            Column(2, "cup", ("R", "L")),
+            Column(2, "cap", ("R", "L")),
+        ))
+        starts = [Web.from_slice(concatenate(circle, generator_web(2, 1)))]
+        for n in (4, 5):
+            for _ in range(6):
+                word = [rng.randrange(1, n) for _ in range(rng.randint(4, 8))]
+                starts.append(product_web(n, word))
+        kinds = set()
+        seen = set()
+        work = list(starts)
+        while work:
+            w = work.pop()
+            for feature in all_reducible_features(w):
+                for o in apply_rule(w, feature):
+                    kinds.add(o.kind)
+                    o.child.pmap.validate()
+                    assert set(o.child.geom.vertex_sides) == set(o.child.pmap.internal_vertices())
+                    if o.child.code not in seen:
+                        seen.add(o.child.code)
+                        work.append(o.child)
+        assert kinds == {"loops", "bigon", "square"}
 
 
 class TestThetaCollapse:
