@@ -569,6 +569,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
         raise WebError(f"suites need n >= 2, got {cfg.n}")
     if cfg.n < 1:
         raise WebError(f"need n >= 1, got {cfg.n}")
+    if cfg.samples is not None and cfg.samples < 1:
+        raise WebError(f"need samples >= 1, got {cfg.samples}")
     if cfg.suite == "all":
         tasks = [
             (name, min(cfg.n, STRAND_BOUNDS[name]), cfg.samples, cfg.seed * 1009 + i)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -177,15 +178,6 @@ class ImmanantTable:
             raise WebError("not an irreducible web of this table")
         return dict(self._rows[D])
 
-    def combo_at_q1(self, w: Perm) -> dict:
-        """code -> f_D(w), reconstructed column of the table."""
-        out = {}
-        for D, row in self._rows.items():
-            v = row.get(w, 0)
-            if v:
-                out[D.code] = v
-        return out
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -200,21 +192,17 @@ class ImmanantTable:
         }
 
 
-_TABLES: dict[int, ImmanantTable] = {}
-
-
+@cache
 def immanant_table(n: int) -> ImmanantTable:
     """The one expansion over S_n: f_D(w) for every web D it hits."""
     bound = STRAND_BOUNDS["webs"]
     if not 1 <= n <= bound:
         raise WebError(f"web enumeration is bounded at n = {bound}, got {n}")
-    if n not in _TABLES:
-        rows: dict = {}
-        for w in all_perms(n):
-            for D, v in _q1_row(theta_image(w)).items():
-                rows.setdefault(D, {})[w] = v
-        _TABLES[n] = ImmanantTable(n, rows)
-    return _TABLES[n]
+    rows: dict = {}
+    for w in all_perms(n):
+        for D, v in _q1_row(theta_image(w)).items():
+            rows.setdefault(D, {})[w] = v
+    return ImmanantTable(n, rows)
 
 
 def evaluate_immanant(D: Web, X: ExactMatrix) -> Fraction:

@@ -22,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .exactmath import rank
@@ -96,17 +97,12 @@ def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
 # n -> boundary word -> {irreducible web: labeling count}, webs in
 # irreducible_webs order.  Bounded: irreducible_webs refuses n above
 # its strand bound.
-_DECOMPOSITIONS: dict[int, dict[BoundaryLabeling, dict[Web, int]]] = {}
-
-
+@cache
 def _decompositions(n: int) -> dict[BoundaryLabeling, dict[Web, int]]:
-    table = _DECOMPOSITIONS.get(n)
-    if table is None:
-        table = {}
-        for D in irreducible_webs(n):
-            for g, c in boundary_counts(D).items():
-                table.setdefault(g, {})[D] = c
-        _DECOMPOSITIONS[n] = table
+    table = {}
+    for D in irreducible_webs(n):
+        for g, c in boundary_counts(D).items():
+            table.setdefault(g, {})[D] = c
     return table
 
 

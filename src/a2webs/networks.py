@@ -236,13 +236,15 @@ class PlanarNetwork:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "PlanarNetwork":
         try:
-            n = int(obj["n"])
+            n = obj["n"]
             vertices = [(v["id"], v["x"], v["y"]) for v in obj["vertices"]]
             edges = [(e["from"], e["to"], e["weight"]) for e in obj["edges"]]
             sources = list(obj["sources"])
             sinks = list(obj["sinks"])
         except (KeyError, TypeError) as exc:
             raise WebError(f"malformed network JSON: {exc}") from exc
+        if type(n) is not int:
+            raise WebError(f"network 'n' must be an integer, got {n!r}")
         return cls(n, vertices, edges, sources, sinks)
 
     # -- paths ------------------------------------------------------------
@@ -616,13 +618,6 @@ def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:
                 raise WebError("reduction left the basis catalogue")
             totals[D] += eval_q1(c) * w
     return totals
-
-
-def network_immanant(net: PlanarNetwork, D: Web) -> Fraction:
-    vals = network_immanants(net)
-    if D not in vals:
-        raise WebError("web is not a basis element of this boundary size")
-    return vals[D]
 
 
 def corollary_check(net: PlanarNetwork) -> dict:

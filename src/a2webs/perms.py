@@ -7,7 +7,7 @@ Generator indices are 1-based: s_i swaps the values in positions i, i+1.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -111,7 +111,7 @@ def count_avoiding(n: int, pattern: Perm) -> int:
     return sum(1 for w in all_perms(n) if avoids(w, pattern))
 
 
-@lru_cache(maxsize=None)
+@cache
 def catalan(n: int) -> int:
     if n == 0:
         return 1

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .exactmath import LaurentPoly, qint
+from .exactmath import LaurentPoly, _coerce, qint
 from .webcore import (
     Combo,
     PlanarMap,
@@ -67,7 +67,6 @@ class Outcome:
     closed_chains: tuple[Chain, ...] = ()
     face_edges: tuple[int, ...] = ()
     corners: tuple[int, ...] = ()
-    branch: Optional[int] = None
 
 
 # deterministic rewriting makes this safe to share
@@ -237,7 +236,6 @@ def _finish(
     kind: str,
     face_edges: tuple[int, ...],
     corners: tuple[int, ...],
-    branch: Optional[int],
     loops_created: int,
 ) -> Outcome:
     coeff = base_coeff * qint(3) ** loops_created
@@ -254,7 +252,6 @@ def _finish(
         closed_chains=closed,
         face_edges=face_edges,
         corners=corners,
-        branch=branch,
     )
 
 
@@ -286,7 +283,7 @@ def _collapse_bigon(w: Web, orbit: tuple[int, ...]) -> Outcome:
         raw, emap, _ = _rebuild(m, {u, v}, {p, q, s}, [], {})
         return _finish(
             raw, emap, [], [], [((s,), ())],
-            qint(2), "bigon", (p, q), (v, u), None, 1,
+            qint(2), "bigon", (p, q), (v, u), 1,
         )
     su = m.edges[s][1]  # s runs u -> su
     tv = m.edges[t][0]  # t runs tv -> v
@@ -297,7 +294,7 @@ def _collapse_bigon(w: Web, orbit: tuple[int, ...]) -> Outcome:
     )
     return _finish(
         raw, emap, new_ids, [((t, s), (v, u))], [],
-        qint(2), "bigon", (p, q), (v, u), None, 0,
+        qint(2), "bigon", (p, q), (v, u), 0,
     )
 
 
@@ -331,7 +328,7 @@ def _smooth_square(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
                 raw, emap, new_ids,
                 chains_raw, closed_raw,
                 LaurentPoly.one(), "square", tuple(fe), tuple(corners),
-                branch, len(closed_raw),
+                len(closed_raw),
             )
         )
     return tuple(outcomes)
@@ -411,14 +408,6 @@ def _route_chains(m, corners, externals, pair_of):
 # Linear combinations
 
 
-def _as_poly(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
-
-
 class WebCombo(Combo):
     """A finite Laurent-coefficient combination of webs on n strands."""
 
@@ -431,7 +420,7 @@ class WebCombo(Combo):
 
     @classmethod
     def from_web(cls, w: Web, coeff=1) -> "WebCombo":
-        return cls(w.n, {w: _as_poly(coeff)})
+        return cls(w.n, {w: _coerce(coeff)})
 
     @classmethod
     def unit(cls, n: int) -> "WebCombo":
@@ -470,18 +459,13 @@ def product_web(n: int, indices: Iterable[int]) -> Web:
     return Web.from_slice(d)
 
 
-_SECOND: dict = {}
-
-
+@cache
 def second_generator(n: int, i: int) -> Web:
     """The extra irreducible web on strands i..i+2: both triple products
     of neighbouring generators exceed their own generator by this one
     web, and the function checks the two routes agree."""
     if not 1 <= i <= n - 2:
         raise WebError(f"second generator position {i} out of range for n={n}")
-    key = (n, i)
-    if key in _SECOND:
-        return _SECOND[key]
     lo = reduce_web(product_web(n, (i, i + 1, i))) - generator_combo(n, i)
     hi = reduce_web(product_web(n, (i + 1, i, i + 1))) - generator_combo(n, i + 1)
     if lo != hi:
@@ -489,7 +473,6 @@ def second_generator(n: int, i: int) -> Web:
     [(web_, coeff)] = lo.terms()
     if not coeff.is_one():
         raise RuntimeError("defining combination is not a single bare web")
-    _SECOND[key] = web_
     return web_
 
 
@@ -502,20 +485,15 @@ def hecke_generator(n: int, i: int) -> WebCombo:
     return generator_combo(n, i).scale(LaurentPoly.t_power(2)) - WebCombo.unit(n)
 
 
-_HECKE: dict = {}
-
-
-def hecke_image(n: int, word: Sequence[int]) -> WebCombo:
+@cache
+def hecke_image(n: int, word: tuple[int, ...]) -> WebCombo:
     """Product of braid generator images along a word.  The result only
     depends on the permutation the word presents (checked by tests);
-    the cache keys on the word itself."""
-    key = (n, tuple(word))
-    if key not in _HECKE:
-        acc = WebCombo.unit(n)
-        for i in word:
-            acc = acc * hecke_generator(n, i)
-        _HECKE[key] = acc
-    return _HECKE[key]
+    the cache keys on the word itself, and each word is one product on
+    top of its prefix's cached image."""
+    if not word:
+        return WebCombo.unit(n)
+    return hecke_image(n, word[:-1]) * hecke_generator(n, word[-1])
 
 
 def relation_suite(n: int) -> list[tuple[str, bool]]:

@@ -22,7 +22,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Optional, Sequence
 
 from .immanants import ExactMatrix, irreducible_webs
@@ -96,7 +96,7 @@ def tl_generator(n: int, i: int) -> A1Web:
     return A1Web(n, tuple(arcs))
 
 
-@lru_cache(maxsize=None)
+@cache
 def all_a1_webs(n: int) -> tuple[A1Web, ...]:
     """Every noncrossing matching; Catalan many (tested)."""
     walk = list(range(n)) + list(range(2 * n - 1, n - 1, -1))
@@ -197,29 +197,24 @@ def tl_generator_combo(n: int, i: int) -> TLCombo:
     return TLCombo.from_matching(tl_generator(n, i))
 
 
-_E_BASIS: dict = {}
-_THETA: dict = {}
-
-
+@cache
 def matching_of_perm(w: Perm) -> A1Web:
     """Basis matching of a 321-avoiding permutation: the concatenation
     of uncrossings along a reduced word.  The word is taken reversed,
     the same orientation the trivalent layer uses for its generator
     products; reduced words never produce loops, which is checked."""
-    if w not in _E_BASIS:
-        if not avoids(w, (3, 2, 1)):
-            raise WebError(f"{w} contains a 321 pattern")
-        n = len(w)
-        m = identity_matching(n)
-        for i in reversed(first_reduced_word(w)):
-            m, loops = tl_concat(m, tl_generator(n, i))
-            if loops:
-                raise RuntimeError("a reduced word produced a loop")
-        _E_BASIS[w] = m
-    return _E_BASIS[w]
+    if not avoids(w, (3, 2, 1)):
+        raise WebError(f"{w} contains a 321 pattern")
+    n = len(w)
+    m = identity_matching(n)
+    for i in reversed(first_reduced_word(w)):
+        m, loops = tl_concat(m, tl_generator(n, i))
+        if loops:
+            raise RuntimeError("a reduced word produced a loop")
+    return m
 
 
-@lru_cache(maxsize=None)
+@cache
 def _perm_by_matching(n: int) -> dict:
     return {
         matching_of_perm(w): w for w in all_perms(n) if avoids(w, (3, 2, 1))
@@ -233,18 +228,17 @@ def perm_of_matching(m: A1Web) -> Perm:
     return table[m]
 
 
+@cache
 def theta_two(v: Perm) -> TLCombo:
     """Image of a permutation under s_i -> (uncrossing i) - 1 at q = 1,
     multiplied along the reversed reduced word as in matching_of_perm."""
-    if v not in _THETA:
-        if not is_perm(v):
-            raise WebError(f"{v} is not a permutation")
-        n = len(v)
-        acc = TLCombo.unit(n)
-        for i in reversed(first_reduced_word(v)):
-            acc = acc * (tl_generator_combo(n, i) - TLCombo.unit(n))
-        _THETA[v] = acc
-    return _THETA[v]
+    if not is_perm(v):
+        raise WebError(f"{v} is not a permutation")
+    n = len(v)
+    acc = TLCombo.unit(n)
+    for i in reversed(first_reduced_word(v)):
+        acc = acc * (tl_generator_combo(n, i) - TLCombo.unit(n))
+    return acc
 
 
 def tl_immanant(w: Perm, Xp: ExactMatrix) -> Fraction:

@@ -1003,11 +1003,12 @@ class Web:
     on the first read of diagram or geom, and geom is numbered by the
     edge and vertex ids of pmap."""
 
-    __slots__ = ("pmap", "code", "_drawing")
+    __slots__ = ("pmap", "code", "_hash", "_drawing")
 
     def __init__(self, pmap: PlanarMap, code: tuple[int, ...], drawing=None):
         self.pmap = pmap
         self.code = code
+        self._hash = hash(code)  # webs key every cache: hash the code once
         self._drawing: Optional[tuple[SliceDiagram, DrawingGeometry]] = drawing
 
     @classmethod
@@ -1070,7 +1071,7 @@ class Web:
         return isinstance(other, Web) and self.code == other.code
 
     def __hash__(self) -> int:
-        return hash(self.code)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<Web n={self.n} v={self.pmap.internal_vertex_count} e={len(self.pmap.edges)}>"

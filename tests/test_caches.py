@@ -1,0 +1,46 @@
+"""The package's memos: one clear_caches() empties them all, and the
+tables built through them are pinned."""
+
+import hashlib
+import importlib
+import json
+import pkgutil
+
+import a2webs
+from a2webs import clear_caches, spider
+from a2webs.immanants import immanant_table
+
+# sha256 of json.dumps(immanant_table(5).to_json_obj(), sort_keys=True),
+# recorded before the Hecke images were built on their cached prefixes
+TABLE_5_SHA256 = "59944adb43ae65827b461e65efdd437f7810e654371cea8610d19eb38a44c449"
+
+
+def table_json(n):
+    return json.dumps(immanant_table(n).to_json_obj(), sort_keys=True)
+
+
+def package_caches():
+    """Every cache_clear-bearing object in a module of the package."""
+    found = {}
+    for info in pkgutil.iter_modules(a2webs.__path__):
+        module = importlib.import_module(f"a2webs.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear"):
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def test_table_5_digest_is_pinned():
+    assert hashlib.sha256(table_json(5).encode()).hexdigest() == TABLE_5_SHA256
+
+
+def test_clear_caches_empties_every_memo():
+    before = table_json(4)
+    caches = package_caches()
+    assert {"spider.hecke_image", "immanants.immanant_table", "minors._decompositions"} <= set(caches)
+    assert caches["spider.hecke_image"].cache_info().currsize > 0
+    assert spider._RESULTS
+    clear_caches()
+    assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}
+    assert spider._RESULTS == {}
+    assert table_json(4) == before

@@ -287,6 +287,28 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "broken.json" in err and "line 1" in err
 
+    @pytest.mark.parametrize("n", ["x", 2.7, True])
+    def test_network_refuses_non_integer_n(self, capsys, tmp_path, n):
+        import random
+
+        obj = random_planar_network(2, random.Random(3), steps=3).to_json_obj()
+        obj["n"] = n
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["network", "--file", str(path), "--matrix"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_verify_refuses_nonpositive_samples(self, capsys, samples):
+        rc = main(["verify", "--suite", "minors", "--n", "2", "--samples", samples])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: need samples >= 1, got {samples}\n"
+
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--suite", "relations", "--n", "2"]) == 0
         capsys.readouterr()

@@ -162,7 +162,7 @@ class TestImmanantTable:
     def test_columns_rebuild_theta(self):
         t = immanant_table(3)
         for w in all_perms(3):
-            col = t.combo_at_q1(w)
+            col = {D.code: t.coefficient(D, w) for D in t.webs if t.coefficient(D, w)}
             combo = theta_image(w)
             direct = {
                 web.code: int(eval_q1(c))

@@ -19,7 +19,6 @@ from a2webs.networks import (
     disjoint_union,
     identity_network,
     lindstrom_check,
-    network_immanant,
     network_immanants,
     path_matrix,
     random_planar_network,
@@ -247,6 +246,13 @@ class TestConstruction:
         obj = identity_network(1).to_json_obj()
         del obj["sinks"]
         with pytest.raises(WebError):
+            PlanarNetwork.from_json_obj(obj)
+
+    @pytest.mark.parametrize("n", ["x", "1", 2.7, 1.0, True, None])
+    def test_json_rejects_non_integer_n(self, n):
+        obj = identity_network(1).to_json_obj()
+        obj["n"] = n
+        with pytest.raises(WebError, match="must be an integer"):
             PlanarNetwork.from_json_obj(obj)
 
     def test_json_accepts_fraction_strings(self):
@@ -491,14 +497,14 @@ class TestImmanantCorollary:
     def test_single_immanant_lookup(self):
         net = diamond_net()
         D = Web.from_slice(generator_web(2, 1))
-        assert network_immanant(net, D) == evaluate_immanant(D, path_matrix(net))
+        assert network_immanants(net)[D] == evaluate_immanant(D, path_matrix(net))
 
     def test_single_immanant_rejects_non_basis_web(self):
         net = identity_network(2)
         stacked = Web.from_slice(generator_web(2, 1))
-        with pytest.raises(WebError):
-            network_immanant(net, Web.from_slice(identity_web(3)))
-        assert network_immanant(net, stacked) == 0
+        vals = network_immanants(net)
+        assert Web.from_slice(identity_web(3)) not in vals
+        assert vals[stacked] == 0
 
     def test_additive_over_disjoint_union(self):
         a = random_planar_network(1, random.Random(SEED + 5), steps=2)

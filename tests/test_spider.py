@@ -228,6 +228,18 @@ class TestRelations:
     def test_braid(self):
         assert hecke_image(3, (1, 2, 1)) == hecke_image(3, (2, 1, 2))
 
+    def test_image_is_the_left_fold(self):
+        """The cached prefix build gives the product taken factor by
+        factor from the unit, on words that need not be reduced."""
+        rng = random.Random(SEED)
+        for n in (2, 3, 4):
+            for _ in range(6):
+                word = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 6)))
+                acc = WebCombo.unit(n)
+                for i in word:
+                    acc = acc * hecke_generator(n, i)
+                assert hecke_image(n, word) == acc, (n, word)
+
     def test_hecke_quadratic(self):
         g = hecke_generator(2, 1)
         q = LaurentPoly.t_power(4)
