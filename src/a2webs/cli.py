@@ -238,10 +238,8 @@ def cmd_labelings(args) -> int:
         else:
             out["count"] = len(enumerate_labelings(w, g))
     else:
-        out["boundaries"] = {
-            g.to_text(): weighted_count(w, g).to_json_obj() if args.q else c
-            for g, c in sorted(boundary_counts(w).items())
-        }
+        table = boundary_profile(w).entries() if args.q else sorted(boundary_counts(w).items())
+        out["boundaries"] = {g.to_text(): c.to_json_obj() if args.q else c for g, c in table}
     _emit(out)
     return 0
 
@@ -399,7 +397,7 @@ def _suite_kappa(n: int, samples: Optional[int], rng: random.Random) -> tuple[bo
     r = rank([eval_q1(v.entry(g)) for g in cols] for v in vectors)
     if r != len(vectors):
         bad.append({"rank": r, "webs": len(vectors)})
-    return not bad, {"pairs": pairs, "rank": r, "webs": len(vectors), "failed": bad}
+    return not bad, {"pairs": pairs, "pairs_max_n": nn, "rank": r, "webs": len(vectors), "failed": bad}
 
 
 def _suite_ci(n: int, samples: Optional[int], rng: random.Random) -> tuple[bool, dict]:

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactmath import eval_q1, parse_rational, rational_to_str
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from .perms import Perm, all_perms
+from .perms import Perm, all_perms, identity_perm
 from .spider import reduce_web
 from .webcore import (
     ROLE_SINK,
@@ -58,41 +58,47 @@ def _frac(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact plane geometry for the embedding checks
+# The drawing check
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _check_drawing(pos: Mapping[str, Point], edges: Sequence[NetEdge],
+                   at: Mapping[Fraction, Mapping[Fraction, str]]) -> None:
+    """Refuse a drawing in which two edges cross or overlap, or a vertex
+    sits on an edge it does not end.  `at` maps each vertex abscissa to
+    its column, height -> vertex id.  Every edge advances strictly in
+    x, so one sweep over the abscissae sees every meeting: at an
+    abscissa as two equal heights, inside the strip up to the next one
+    as two edges whose height order inverts or that coincide."""
+    xs = sorted(at)
+    rank = {x: k for k, x in enumerate(xs)}
+    spans = [(rank[pos[e.tail][0]], rank[pos[e.head][0]]) for e in edges]
 
+    def clash(i: int, j: int) -> WebError:
+        a, b = edges[min(i, j)], edges[max(i, j)]
+        return WebError(f"edges {a.tail!r}->{a.head!r} and {b.tail!r}->{b.head!r} "
+                        "cross or overlap in the drawing")
 
-def _in_box(a: Point, b: Point, p: Point) -> bool:
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _segments_clash(p1: Point, q1: Point, p2: Point, q2: Point) -> bool:
-    """Whether two closed segments meet anywhere besides a single
-    endpoint common to both."""
-    d1 = _cross(p2, q2, p1)
-    d2 = _cross(p2, q2, q1)
-    d3 = _cross(p1, q1, p2)
-    d4 = _cross(p1, q1, q2)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
-        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
-    ):
-        return True
-    contacts = set()
-    for p, seg, d in ((p1, (p2, q2), d1), (q1, (p2, q2), d2), (p2, (p1, q1), d3), (q2, (p1, q1), d4)):
-        if d == 0 and _in_box(seg[0], seg[1], p):
-            contacts.add(p)
-    if not contacts:
-        return False
-    if len(contacts) > 1:
-        return True
-    (c,) = contacts
-    return not (c in (p1, q1) and c in (p2, q2))
+    prev: dict[int, Fraction] = {}
+    for k, x in enumerate(xs):
+        cur = {}
+        for i, (lo, hi) in enumerate(spans):
+            if lo <= k <= hi:
+                (tx, ty), (hx, hy) = pos[edges[i].tail], pos[edges[i].head]
+                cur[i] = ty + (hy - ty) * (x - tx) / (hx - tx)
+        strip = sorted((prev[i], y, i) for i, y in cur.items() if spans[i][0] < k)
+        for (l1, r1, i), (l2, r2, j) in zip(strip, strip[1:]):
+            if r1 > r2 or (l1, r1) == (l2, r2):
+                raise clash(i, j)
+        column, met = at[x], {}
+        for i, y in cur.items():
+            e = edges[i]
+            vid = column.get(y)
+            if vid is not None and vid not in (e.tail, e.head):
+                raise WebError(f"vertex {vid!r} lies on edge {e.tail!r}->{e.head!r}")
+            if vid is None and y in met:
+                raise clash(met[y], i)
+            met[y] = i
+        prev = cur
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +148,13 @@ class PlanarNetwork:
             order.append(key)
         self.ids = tuple(order)
         self.pos = pos
-        seen_pts = {}
+        at: dict[Fraction, dict[Fraction, str]] = {}
         for vid in order:
-            p = pos[vid]
-            if p in seen_pts:
-                raise WebError(f"vertices {seen_pts[p]!r} and {vid!r} share a position")
-            seen_pts[p] = vid
+            x, y = pos[vid]
+            column = at.setdefault(x, {})
+            if y in column:
+                raise WebError(f"vertices {column[y]!r} and {vid!r} share a position")
+            column[y] = vid
         self.sources = tuple(str(s) for s in sources)
         self.sinks = tuple(str(t) for t in sinks)
         if len(self.sources) != n or len(self.sinks) != n:
@@ -187,20 +194,7 @@ class PlanarNetwork:
         for t in self.sinks:
             if self.out_edges[t]:
                 raise WebError(f"exit {t!r} has an outgoing edge")
-        for i, a in enumerate(self.edges):
-            pa, qa = pos[a.tail], pos[a.head]
-            for b in self.edges[i + 1:]:
-                if _segments_clash(pa, qa, pos[b.tail], pos[b.head]):
-                    raise WebError(
-                        f"edges {a.tail!r}->{a.head!r} and {b.tail!r}->{b.head!r} "
-                        "cross or overlap in the drawing"
-                    )
-            for vid in order:
-                if vid in (a.tail, a.head):
-                    continue
-                p = pos[vid]
-                if _cross(pa, qa, p) == 0 and _in_box(pa, qa, p):
-                    raise WebError(f"vertex {vid!r} lies on edge {a.tail!r}->{a.head!r}")
+        _check_drawing(pos, self.edges, at)
         self._paths = None
 
     def edge(self, eid: int) -> NetEdge:
@@ -309,24 +303,14 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
     connections cancel in a planar picture, so the two must agree."""
     X = path_matrix(net)
     det = X.det()
-    pools = [net.paths_between(i, i) for i in range(net.n)]
     total = Fraction(0)
     count = 0
-    for combo in itertools.product(*pools):
-        used: set[str] = set()
-        ok = True
+    for combo in _families(net, identity_perm(net.n), 1):
+        count += 1
+        w = Fraction(1)
         for p in combo:
-            vs = net.path_vertices(p)
-            if used.intersection(vs):
-                ok = False
-                break
-            used.update(vs)
-        if ok:
-            count += 1
-            w = Fraction(1)
-            for p in combo:
-                w *= net.path_weight(p)
-            total += w
+            w *= net.path_weight(p)
+        total += w
     return {
         "n": net.n,
         "det": rational_to_str(det),
@@ -580,19 +564,21 @@ def uncross(sub: MarkedSubnetwork) -> Web:
 # Families, markings, immanants
 
 
+def _families(net: PlanarNetwork, w: Perm, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All families of paths joining entry i to exit w(i), no vertex on
+    more than cap of them."""
+    pools = [net.paths_between(i, w[i] - 1) for i in range(net.n)]
+    for combo in itertools.product(*pools):
+        counts = Counter(v for p in combo for v in net.path_vertices(p))
+        if max(counts.values()) <= cap:
+            yield combo
+
+
 def covering_families(net: PlanarNetwork) -> Iterator[tuple[Perm, tuple[tuple[int, ...], ...]]]:
     """All families of n paths, one per entry, exits hit once each, no
     vertex on four paths.  Yields (connection, paths)."""
     for w in all_perms(net.n):
-        pools = [net.paths_between(i, w[i] - 1) for i in range(net.n)]
-        if any(not p for p in pools):
-            continue
-        for combo in itertools.product(*pools):
-            counts: Counter = Counter()
-            for p in combo:
-                counts.update(net.path_vertices(p))
-            if counts and counts.most_common(1)[0][1] > 3:
-                continue
+        for combo in _families(net, w, 3):
             yield w, combo
 
 

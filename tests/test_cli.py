@@ -104,6 +104,11 @@ class TestRunSuite:
             rep = run_suite(SuiteConfig(suite=name, n=cap, seed=SEED, samples=2))
             assert rep["passed"], name
 
+    def test_kappa_names_the_strand_count_of_its_pairs(self):
+        for n, drawn in ((2, 2), (3, 3), (4, 3)):
+            rep = run_suite(SuiteConfig(suite="kappa", n=n, seed=SEED, samples=2))
+            assert rep["checks"][0]["details"]["pairs_max_n"] == drawn
+
     def test_single_suite_refuses_over_cap(self):
         with pytest.raises(WebError, match="documented up to n=3"):
             run_suite(SuiteConfig(suite="bridge", n=4))
@@ -279,6 +284,23 @@ class TestSubcommands:
         )
         assert rc == 0
         assert got["passed"]
+
+    def test_network_refuses_crossing_edges(self, capsys, tmp_path):
+        obj = {
+            "n": 2,
+            "vertices": [{"id": v, "x": x, "y": y}
+                         for v, x, y in (("a", 0, 2), ("b", 0, 1), ("c", 1, 2), ("d", 1, 1))],
+            "edges": [{"from": "a", "to": "d", "weight": 1}, {"from": "b", "to": "c", "weight": 1}],
+            "sources": ["a", "b"],
+            "sinks": ["c", "d"],
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["network", "--file", str(path), "--check-corollary"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: edges 'a'->'d' and 'b'->'c' cross or overlap in the drawing\n"
 
     def test_network_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,9 @@ from a2webs.labelings import boundary_profile, enumerate_labelings
 from a2webs.minors import all_triples, boundary_from_triple, decompose_triple, triple_product
 from a2webs.networks import (
     MarkedSubnetwork,
+    NetEdge,
     PlanarNetwork,
+    _check_drawing,
     corollary_check,
     covering_families,
     covering_markings,
@@ -235,6 +238,32 @@ class TestConstruction:
         net = diamond_net()
         assert len(net.edges) == 4
 
+    def test_rejects_identical_parallel_edges(self):
+        with pytest.raises(WebError, match="edges 'a'->'b' and 'a'->'b' cross or overlap"):
+            PlanarNetwork(1, [("a", 0, 1), ("b", 1, 1)], [("a", "b", 2), ("a", "b", 2)], ["a"], ["b"])
+
+    def test_rejects_crossing_at_another_vertex_abscissa(self):
+        # a->d and b->c cross at (1, 1); v shares the abscissa 1, not the point
+        with pytest.raises(WebError, match="edges 'a'->'d' and 'b'->'c' cross or overlap"):
+            PlanarNetwork(
+                2,
+                [("a", 0, 2), ("b", 0, 0), ("v", 1, 3), ("c", 2, 2), ("d", 2, 0)],
+                [("a", "d", 1), ("b", "c", 1), ("a", "v", 1), ("v", "c", 1)],
+                ["a", "b"],
+                ["c", "d"],
+            )
+
+    def test_rejects_vertex_on_edge_at_strip_boundary(self):
+        # v splits a->c into two strips and touches no other edge
+        with pytest.raises(WebError, match="vertex 'v' lies on edge 'a'->'c'"):
+            PlanarNetwork(
+                2,
+                [("a", 0, 2), ("b", 0, 1), ("v", 1, 2), ("c", 2, 2), ("d", 2, 1)],
+                [("a", "c", 1), ("b", "d", 1)],
+                ["a", "b"],
+                ["c", "d"],
+            )
+
     def test_json_roundtrip(self):
         net = funnel2_net()
         blob = json.dumps(net.to_json_obj())
@@ -268,6 +297,114 @@ class TestConstruction:
         }
         X = path_matrix(PlanarNetwork.from_json_obj(obj))
         assert X.entry(0, 0) == Fraction(7, 11)
+
+
+# The pairwise predicate that _check_drawing replaced, kept as its oracle.
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_box(a, b, p):
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _segments_clash(p1, q1, p2, q2):
+    """Whether two closed segments meet anywhere besides a single
+    endpoint common to both."""
+    d1 = _cross(p2, q2, p1)
+    d2 = _cross(p2, q2, q1)
+    d3 = _cross(p1, q1, p2)
+    d4 = _cross(p1, q1, q2)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
+        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
+    ):
+        return True
+    contacts = set()
+    for p, seg, d in ((p1, (p2, q2), d1), (q1, (p2, q2), d2), (p2, (p1, q1), d3), (q2, (p1, q1), d4)):
+        if d == 0 and _in_box(seg[0], seg[1], p):
+            contacts.add(p)
+    if not contacts:
+        return False
+    if len(contacts) > 1:
+        return True
+    (c,) = contacts
+    return not (c in (p1, q1) and c in (p2, q2))
+
+
+def oracle_faults(pos, edges):
+    """Every refusal message the pairwise check could give."""
+    out = set()
+    for i, a in enumerate(edges):
+        pa, qa = pos[a.tail], pos[a.head]
+        for b in edges[i + 1:]:
+            if _segments_clash(pa, qa, pos[b.tail], pos[b.head]):
+                out.add(f"edges {a.tail!r}->{a.head!r} and {b.tail!r}->{b.head!r} "
+                        "cross or overlap in the drawing")
+        for vid, p in pos.items():
+            if vid not in (a.tail, a.head) and _cross(pa, qa, p) == 0 and _in_box(pa, qa, p):
+                out.add(f"vertex {vid!r} lies on edge {a.tail!r}->{a.head!r}")
+    return out
+
+
+def sweep_fault(pos, edges):
+    """The refusal message of _check_drawing, or None."""
+    at = {}
+    for vid, (x, y) in pos.items():
+        at.setdefault(x, {})[y] = vid
+    try:
+        _check_drawing(pos, edges, at)
+    except WebError as exc:
+        return str(exc)
+    return None
+
+
+def mutations(net, rng):
+    """Drawings near net: a moved vertex, an added or doubled edge, a
+    vertex on an edge at an abscissa it spans and one just off it."""
+    pos, edges = dict(net.pos), list(net.edges)
+    ids = list(pos)
+    ys = sorted({y for _, y in pos.values()})
+    xs = sorted({x for x, _ in pos.values()})
+    moved = dict(pos)
+    v = rng.choice(ids)
+    moved[v] = (pos[v][0], rng.choice(ys) + rng.choice((0, 0, Fraction(1, 2), Fraction(-1, 3))))
+    yield moved, edges
+    u, w = rng.sample(ids, 2)
+    if pos[u][0] > pos[w][0]:
+        u, w = w, u
+    if pos[u][0] < pos[w][0]:
+        yield pos, edges + [NetEdge(u, w, Fraction(1))]
+    yield pos, edges + [rng.choice(edges)]
+    e = rng.choice(edges)
+    (tx, ty), (hx, hy) = pos[e.tail], pos[e.head]
+    x = rng.choice([x for x in xs if tx < x < hx] or [(tx + hx) / 2])
+    y = ty + (hy - ty) * (x - tx) / (hx - tx)
+    yield {**pos, "on": (x, y)}, edges
+    yield {**pos, "off": (x, y + Fraction(1, 7))}, edges
+
+
+class TestDrawingSweep:
+    def test_sweep_agrees_with_pairwise_oracle(self):
+        rng = random.Random(SEED)
+        lines = (Path(__file__).parents[1] / "perfbench" / "networks.jsonl").read_text().splitlines()
+        nets = [PlanarNetwork.from_json_obj(json.loads(line)) for line in lines[::10]]
+        nets += [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 4)) for _ in range(40)]
+        verdicts = Counter()
+        for net in nets:
+            assert oracle_faults(net.pos, net.edges) == set()
+            for pos, edges in mutations(net, rng):
+                if len(set(pos.values())) < len(pos):
+                    continue  # the constructor refuses a shared position first
+                got = sweep_fault(pos, edges)
+                faults = oracle_faults(pos, edges)
+                assert got in faults if faults else got is None
+                verdicts[got is None] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 class TestPathMatrix:
