@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1, rank, rational_to_str
+from .exactmath import eval_q1, rank
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -138,7 +138,7 @@ def _parse_perm(text: str) -> tuple[int, ...]:
 def _combo_json(combo: WebCombo, laurent: bool) -> dict:
     out = {}
     for D, c in sorted(combo.terms(), key=lambda t: t[0].code):
-        out[_webkey(D.code)] = c.to_json_obj() if laurent else rational_to_str(eval_q1(c))
+        out[_webkey(D.code)] = c.to_json_obj() if laurent else str(eval_q1(c))
     return out
 
 
@@ -257,7 +257,7 @@ def cmd_immanants(args) -> int:
     _check_bound("immanants", args.n, "immanant evaluation is")
     out = {}
     for D in irreducible_webs(args.n):
-        out[_webkey(D.code)] = rational_to_str(evaluate_immanant(D, X))
+        out[_webkey(D.code)] = str(evaluate_immanant(D, X))
     _emit(out)
     return 0
 
@@ -303,7 +303,7 @@ def cmd_network(args) -> int:
         vals = network_immanants(net)
         _emit(
             {
-                _webkey(D.code): rational_to_str(v)
+                _webkey(D.code): str(v)
                 for D, v in sorted(vals.items(), key=lambda t: t[0].code)
             }
         )

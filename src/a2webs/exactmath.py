@@ -2,31 +2,24 @@
 
 Every coefficient in the package (loop and bigon factors, edge-statistic
 monomials, weighted labeling counts, reduction coefficients) lives in
-Z[t, t^-1] or Q[t, t^-1].  The base variable is the quarter power of q
+Z[t, t^-1].  The base variable is the quarter power of q
 because the edge statistic contributes quarter powers; whole powers of q
 are exponents divisible by 4.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
-
-Rational = Fraction
-
-Coeffable = Union[int, Fraction]
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class InexactDivisionError(ArithmeticError):
     """A quotient of Laurent polynomials left a nonzero remainder."""
 
 
-def rational_to_str(r: Rational) -> str:
-    return str(r)
-
-
-def parse_rational(x) -> Rational:
+def parse_rational(x) -> Fraction:
     """The one reader of rational input: an int, a Fraction, a string
     such as "-22/7" or "0.1", or a float read through its decimal form,
     so 0.1 is 1/10.  Anything else, bool included, raises ValueError."""
@@ -41,22 +34,23 @@ def parse_rational(x) -> Rational:
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial with exact rational coefficients.
+    """Immutable Laurent polynomial with integer coefficients.
 
-    Stored as a map from integer exponent (of t) to nonzero Fraction.
+    Stored as a map from integer exponent (of t) to nonzero int; any
+    other coefficient, a Fraction or a float, raises TypeError.
     Supports +, -, *, ** and exact division; equality and hashing are
     structural.
     """
 
     __slots__ = ("_c", "_hash")
 
-    def __init__(self, coeffs: Mapping[int, Coeffable] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        clean: dict[int, int] = {}
         if coeffs:
             for e, c in coeffs.items():
-                f = Fraction(c)
-                if f:
-                    clean[int(e)] = f
+                c = operator.index(c)
+                if c:
+                    clean[int(e)] = c
         self._c = clean
         self._hash: int | None = None
 
@@ -71,26 +65,26 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def const(cls, c: Coeffable) -> "LaurentPoly":
+    def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
     @classmethod
-    def t_power(cls, k: int, coeff: Coeffable = 1) -> "LaurentPoly":
-        return cls({k: coeff})
+    def t_power(cls, k: int) -> "LaurentPoly":
+        return cls({k: 1})
 
     # -- inspection ----------------------------------------------------
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
+    def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))
 
-    def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+    def coeff(self, e: int) -> int:
+        return self._c.get(e, 0)
 
     def is_zero(self) -> bool:
         return not self._c
 
     def is_one(self) -> bool:
-        return self._c == {0: Fraction(1)}
+        return self._c == {0: 1}
 
     @property
     def min_exp(self) -> int:
@@ -106,11 +100,11 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other: "LaurentPoly | Coeffable") -> "LaurentPoly":
+    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
         out = dict(self._c)
         for e, c in other._c.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -118,19 +112,19 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._c.items()})
 
-    def __sub__(self, other: "LaurentPoly | Coeffable") -> "LaurentPoly":
+    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: Coeffable) -> "LaurentPoly":
+    def __rsub__(self, other: int) -> "LaurentPoly":
         return _coerce(other) - self
 
-    def __mul__(self, other: "LaurentPoly | Coeffable") -> "LaurentPoly":
+    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -148,7 +142,7 @@ class LaurentPoly:
         return LaurentPoly({e + k: c for e, c in self._c.items()})
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = _coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -200,20 +194,22 @@ class LaurentPoly:
     # -- JSON ------------------------------------------------------------
 
     def to_json_obj(self) -> dict[str, str]:
-        return {str(e): rational_to_str(c) for e, c in sorted(self._c.items())}
+        return {str(e): str(c) for e, c in sorted(self._c.items())}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, str]) -> "LaurentPoly":
+        """Read what to_json_obj writes, integer strings such as "-2";
+        int(str(c)) refuses 2.7 and true, which int(c) would take."""
         try:
-            return cls({int(e): parse_rational(c) for e, c in obj.items()})
+            return cls({int(e): int(str(c)) for e, c in obj.items()})
         except (ValueError, TypeError) as exc:
             raise ValueError(f"not a polynomial object: {obj!r}") from exc
 
 
-def _coerce(x: "LaurentPoly | Coeffable") -> LaurentPoly:
+def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return LaurentPoly.const(x)
     raise TypeError(f"cannot mix LaurentPoly with {type(x).__name__}")
 
@@ -240,7 +236,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a.is_zero():
         return LaurentPoly.zero()
     # t is a unit, so shift both operands to ordinary polynomials and do
-    # long division over the rationals.
+    # long division over the integers.
     sa, sb = a.min_exp, b.min_exp
     da = a.max_exp - sa
     db = b.max_exp - sb
@@ -248,9 +244,11 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     den = [b.coeff(sb + i) for i in range(db + 1)]
     if da < db:
         raise InexactDivisionError(f"({a}) is not divisible by ({b})")
-    quot = [Fraction(0)] * (da - db + 1)
+    quot = [0] * (da - db + 1)
     for i in range(da - db, -1, -1):
-        c = num[i + db] / den[db]
+        c, r = divmod(num[i + db], den[db])
+        if r:
+            raise InexactDivisionError(f"({a}) is not divisible by ({b})")
         quot[i] = c
         if c:
             for j in range(db + 1):
@@ -260,13 +258,13 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({i: c for i, c in enumerate(quot)}).shift(sa - sb)
 
 
-def eval_q1(a: LaurentPoly) -> Rational:
-    """Evaluate at q = 1 (t = 1); a ring homomorphism onto the rationals."""
-    return sum((c for _, c in a.items()), Fraction(0))
+def eval_q1(a: LaurentPoly) -> int:
+    """Evaluate at q = 1 (t = 1); a ring homomorphism onto the integers."""
+    return sum(a._c.values())
 
 
 def echelon(
-    rows: Iterable[Sequence[Coeffable]],
+    rows: Iterable[Sequence[int | Fraction]],
 ) -> Iterator[Optional[tuple[int, list[int], Fraction]]]:
     """Fraction-free elimination over Q (Bareiss, Math. Comp. 1968), one
     row at a time.  Each row (all of one length) is cleared of
@@ -295,6 +293,6 @@ def echelon(
         yield None if lead is None else (lead, vec, scale)
 
 
-def rank(rows: Iterable[Sequence[Coeffable]]) -> int:
+def rank(rows: Iterable[Sequence[int | Fraction]]) -> int:
     """Rank over Q of a matrix given as an iterable of rational rows."""
     return sum(step is not None for step in echelon(rows))

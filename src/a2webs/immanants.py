@@ -24,7 +24,7 @@ from functools import cache
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .exactmath import LaurentPoly, echelon, eval_q1, parse_rational, rational_to_str
+from .exactmath import LaurentPoly, echelon, eval_q1, parse_rational
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError
@@ -99,7 +99,7 @@ class ExactMatrix:
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "rows": [[rational_to_str(x) for x in r] for r in self.rows],
+            "rows": [[str(x) for x in r] for r in self.rows],
         }
 
     @classmethod
@@ -144,9 +144,7 @@ def _q1_row(combo: WebCombo) -> dict:
     for web, coeff in combo.terms():
         v = eval_q1(coeff)
         if v:
-            if v.denominator != 1:
-                raise WebError(f"non-integer coefficient {v} at q = 1")
-            out[web] = int(v)
+            out[web] = v
     return out
 
 
@@ -256,7 +254,7 @@ def tnn_check(n: int, samples: int = 100, seed: int = 0) -> dict:
                     {
                         "web": list(D.code),
                         "matrix": X.to_json_obj(),
-                        "value": rational_to_str(v),
+                        "value": str(v),
                         "seed": seed + k,
                     }
                 )
@@ -265,7 +263,7 @@ def tnn_check(n: int, samples: int = 100, seed: int = 0) -> dict:
         "samples": samples,
         "seed": seed,
         "immanants": len(webs),
-        "min_value": rational_to_str(least) if least is not None else None,
+        "min_value": str(least) if least is not None else None,
         "violations": violations,
         "passed": not violations,
     }

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactmath import eval_q1, parse_rational, rational_to_str
+from .exactmath import eval_q1, parse_rational
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .perms import Perm, all_perms, identity_perm
 from .spider import reduce_web
@@ -197,9 +197,6 @@ class PlanarNetwork:
         _check_drawing(pos, self.edges, at)
         self._paths = None
 
-    def edge(self, eid: int) -> NetEdge:
-        return self.edges[eid]
-
     def source_rank(self, vid: str) -> int:
         return self.sources.index(vid)
 
@@ -214,13 +211,13 @@ class PlanarNetwork:
             "vertices": [
                 {
                     "id": v,
-                    "x": rational_to_str(self.pos[v][0]),
-                    "y": rational_to_str(self.pos[v][1]),
+                    "x": str(self.pos[v][0]),
+                    "y": str(self.pos[v][1]),
                 }
                 for v in self.ids
             ],
             "edges": [
-                {"from": e.tail, "to": e.head, "weight": rational_to_str(e.weight)}
+                {"from": e.tail, "to": e.head, "weight": str(e.weight)}
                 for e in self.edges
             ],
             "sources": list(self.sources),
@@ -313,9 +310,9 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
         total += w
     return {
         "n": net.n,
-        "det": rational_to_str(det),
+        "det": str(det),
         "disjoint_families": count,
-        "family_sum": rational_to_str(total),
+        "family_sum": str(total),
         "passed": det == total,
     }
 
@@ -619,8 +616,8 @@ def corollary_check(net: PlanarNetwork) -> dict:
         rows.append(
             {
                 "web": list(D.code),
-                "from_network": rational_to_str(a),
-                "from_matrix": rational_to_str(b),
+                "from_network": str(a),
+                "from_matrix": str(b),
                 "match": a == b,
             }
         )

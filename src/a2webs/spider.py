@@ -480,6 +480,7 @@ def second_generator_combo(n: int, i: int) -> WebCombo:
     return WebCombo.from_web(second_generator(n, i))
 
 
+@cache
 def hecke_generator(n: int, i: int) -> WebCombo:
     """Image of the i-th braid generator: t^2 * (generator web) - 1."""
     return generator_combo(n, i).scale(LaurentPoly.t_power(2)) - WebCombo.unit(n)

@@ -43,7 +43,7 @@ class WebError(ValueError):
 
 class Combo:
     """A finite combination of basis elements on n strands: a dict from
-    basis element to nonzero coefficient (int, Fraction or LaurentPoly).
+    basis element to nonzero coefficient (int or LaurentPoly).
 
     The constructor takes a dict or (element, coefficient) pairs;
     repeated elements are summed and zero sums dropped.  Combinations
@@ -310,9 +310,6 @@ class PlanarMap:
     @property
     def internal_vertex_count(self) -> int:
         return len(self.roles) - 2 * self.n
-
-    def twin(self, d: int) -> int:
-        return d ^ 1
 
     def face_next(self, d: int) -> int:
         t = d ^ 1
@@ -752,7 +749,8 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
     """Rebuild a PlanarMap from a canonical code; rejects junk input by
     re-encoding and comparing."""
     code = tuple(int(x) for x in code)
-    if len(code) < 3:
+    # the header, then a record of at least 3 ints per boundary vertex
+    if len(code) < 3 or len(code) < 3 + 6 * code[0]:
         raise WebError("code too short")
     n, loops, ncomp = code[0], code[1], code[2]
     if n < 1 or loops < 0 or ncomp < 0:
@@ -783,7 +781,10 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
             deg = 1 if rc in (1, 2) else 3
             if i + 2 + deg > len(block):
                 raise WebError("truncated vertex record")
-            recs.append((rc, param, tuple(block[i + 2 : i + 2 + deg])))
+            elist = tuple(block[i + 2 : i + 2 + deg])
+            if min(elist) < 0:
+                raise WebError(f"negative edge number {min(elist)}")
+            recs.append((rc, param, elist))
             i += 2 + deg
         # local vertex -> global id
         gids = []

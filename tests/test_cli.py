@@ -7,7 +7,7 @@ import time
 import pytest
 
 from a2webs.cli import SuiteConfig, _ExprParser, build_parser, main, run_suite
-from a2webs.exactmath import eval_q1, rational_to_str
+from a2webs.exactmath import eval_q1
 from a2webs.minors import decompose_triple, MinorTriple
 from a2webs.networks import random_planar_network
 from a2webs.spider import (
@@ -160,7 +160,7 @@ class TestSubcommands:
         assert rc == 0
         combo = reduce_web(product_web(2, (1, 1)))
         want = {
-            ",".join(map(str, D.code)): rational_to_str(eval_q1(c))
+            ",".join(map(str, D.code)): str(eval_q1(c))
             for D, c in combo.terms()
         }
         assert got == want
@@ -200,6 +200,13 @@ class TestSubcommands:
         )
         assert rc == 0
         assert got["qsize"] == {"2": "1"}
+
+    def test_labelings_refuses_malformed_code(self, capsys):
+        rc = main(["labelings", "--web", "4,3,4,6,2,4,-2,1,2,-2"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_immanants_table(self, capsys):
         rc, got = run_json(capsys, ["immanants", "--table", "--n", "2"])

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -272,3 +273,44 @@ class TestCodes:
         decode_code(canonical_form(m))
         with pytest.raises(WebError):
             Web.from_code(canonical_form(m))
+
+    def test_decode_refuses_negative_edge_numbers(self):
+        with pytest.raises(WebError, match="negative edge number"):
+            decode_code((1, 0, 1, 6, 1, 1, -1, 2, 1, -1))
+
+    def test_decode_refuses_a_short_code_before_building(self):
+        # 2n boundary vertices need a record of at least 3 ints each
+        with pytest.raises(WebError, match="too short"):
+            decode_code((10**6, 0, 0))
+
+    def test_decode_fuzz(self):
+        """Random short codes, and real codes with one entry changed or
+        one value renamed past the header, entries in -2..6: each one
+        decodes to a map whose code it is, or raises WebError."""
+        rng = random.Random(2)
+        diagrams = [
+            identity_web(1),
+            identity_web(3),
+            generator_web(2, 1),
+            generator_web(4, 2),
+            concatenate(generator_web(3, 1), generator_web(3, 2)),
+        ]
+        real = [web(d).code for d in diagrams]
+        decoded = 0
+        for _ in range(20000):
+            if rng.random() < 0.5:
+                code = [rng.randint(-2, 6) for _ in range(rng.randint(0, 24))]
+            else:
+                code = list(rng.choice(real))
+                i, x = rng.randrange(len(code)), rng.randint(-2, 6)
+                if rng.random() < 0.5:
+                    code[i] = x
+                else:
+                    code = code[:3] + [x if v == code[i] else v for v in code[3:]]
+            try:
+                m = decode_code(code)
+            except WebError:
+                continue
+            assert canonical_form(m) == tuple(code), code
+            decoded += 1
+        assert decoded > 1000
