@@ -13,12 +13,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package: the reduction results in
-    spider._RESULTS and each functools.cache of a loaded module.  Their
-    hits, misses and sizes are read with cache_info()."""
-    from . import spider
-
-    spider._RESULTS.clear()
+    """Empty every memo of the package: each functools.cache of a
+    loaded module.  Their hits, misses and sizes are read with
+    cache_info()."""
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(module).values():

@@ -169,12 +169,15 @@ class ImmanantTable:
         self._rows = rows  # web -> {perm: int}, zeros omitted
 
     def coefficient(self, D: Web, w: Perm) -> int:
-        return self.row(D).get(w, 0)
+        return self._row(D).get(w, 0)
 
     def row(self, D: Web) -> dict:
+        return dict(self._row(D))
+
+    def _row(self, D: Web) -> dict:
         if D not in self._rows:
             raise WebError("not an irreducible web of this table")
-        return dict(self._rows[D])
+        return self._rows[D]
 
     def to_json_obj(self) -> dict:
         return {
@@ -209,7 +212,7 @@ def evaluate_immanant(D: Web, X: ExactMatrix) -> Fraction:
         raise WebError(f"web on {D.n} strands against a {X.n} by {X.n} matrix")
     table = immanant_table(X.n)
     total = Fraction(0)
-    for w, f in table.row(D).items():
+    for w, f in table._row(D).items():
         prod = Fraction(f)
         for i in range(X.n):
             prod *= X.entry(i, w[i] - 1)

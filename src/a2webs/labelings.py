@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div
-from .spider import Outcome, apply_rule, find_reducible_face
+from .spider import Outcome, rewrite_step
 from .webcore import (
     ROLE_SINK,
     Combo,
@@ -269,12 +269,11 @@ def boundary_profile(w: Web) -> KappaVector:
 # ---------------------------------------------------------------------------
 # Transport through the rewrite steps
 #
-# Transport replays the same rewrite steps the reduction engine takes,
-# re-derived on the exact web object at hand: the engine keeps no trace,
-# and an equal-code web reached by another path may have a different
-# map (hence a different edge numbering).  When two walks meet at
-# equal-code children the labeling is re-indexed through the canonical
-# edge matching instead.
+# Transport walks the engine's own cached steps (spider.rewrite_step),
+# one per web code.  An equal-code web reached by another path may have
+# a different map (hence a different edge numbering) from the host web
+# the step was made on, so before each step the labeling is re-indexed
+# onto the host through the canonical edge matching.
 
 
 def _reindex(f: Labeling, src: Web, dst: Web) -> Labeling:
@@ -392,34 +391,20 @@ def _transport_step(w: Web, outcomes, f: Labeling) -> tuple[Outcome, Labeling]:
     return oc, _carry(f, oc, chain_labels)
 
 
-def transport_and_type(
-    w: Web, f: Labeling, steps: Optional[dict] = None
-) -> tuple[Web, Labeling]:
+def transport_and_type(w: Web, f: Labeling) -> tuple[Web, Labeling]:
     """Carry a labeling of w down the rewrite steps to an irreducible
     web, its type.  Loop labels are forgotten, a collapsing two-sided
     face hands its forced outside label to the fused edge, and a
     four-sided face picks the resolution that carries the labeling.
-
-    steps, if given, caches one rewrite step per web code across calls;
-    reuse it when transporting many labelings of the same web.
-    """
-    if steps is None:
-        steps = {}
+    An irreducible w is its own type, in its own edge numbering."""
     cur_w, cur_f = w, f
     while True:
-        entry = steps.get(cur_w.code)
-        if entry is None:
-            feature = find_reducible_face(cur_w)
-            outcomes = apply_rule(cur_w, feature) if feature else ()
-            entry = (cur_w, outcomes)
-            steps[cur_w.code] = entry
-        host, outcomes = entry
-        if host is not cur_w:
-            cur_f = _reindex(cur_f, cur_w, host)
-            cur_w = host
+        host, outcomes = rewrite_step(cur_w)
         if not outcomes:
             return cur_w, cur_f
-        oc, cur_f = _transport_step(cur_w, outcomes, cur_f)
+        if host is not cur_w:
+            cur_f = _reindex(cur_f, cur_w, host)
+        oc, cur_f = _transport_step(host, outcomes, cur_f)
         cur_w = oc.child
 
 
@@ -433,10 +418,9 @@ def coefficient_via_labelings(
     den = weighted_count(target, g)
     if eval_q1(den) == 0:
         return LaurentPoly.zero()
-    steps: dict = {}
     num = LaurentPoly.zero()
     for f in enumerate_labelings(w, g):
-        ty, _ = transport_and_type(w, f, steps)
+        ty, _ = transport_and_type(w, f)
         if ty.code == target.code:
             num = num + labeling_weight(w, f)
     try:

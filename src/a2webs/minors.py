@@ -31,10 +31,15 @@ from .labelings import BoundaryLabeling, boundary_counts
 from .webcore import Web, WebError
 
 
-def _block(xs: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(xs)))
-    if len(out) != len(tuple(xs)):
+def index_set(xs: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]:
+    """xs sorted, refusing a repeat and, when n is given, an index
+    outside 1..n."""
+    out = tuple(sorted(int(x) for x in xs))
+    if len(set(out)) != len(out):
         raise WebError(f"repeated index in {tuple(xs)}")
+    for x in out:
+        if n is not None and not 1 <= x <= n:
+            raise WebError(f"index {x} out of range 1..{n}")
     return out
 
 
@@ -59,8 +64,8 @@ class MinorTriple:
     @classmethod
     def from_sets(cls, I1, I2, I3, J1, J2, J3) -> "MinorTriple":
         return cls(
-            (_block(I1), _block(I2), _block(I3)),
-            (_block(J1), _block(J2), _block(J3)),
+            (index_set(I1), index_set(I2), index_set(I3)),
+            (index_set(J1), index_set(J2), index_set(J3)),
         )
 
     @property
@@ -85,12 +90,9 @@ def boundary_from_triple(T: MinorTriple) -> BoundaryLabeling:
 
 def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
     """Determinant of the (I, J) submatrix, 1-indexed; empty gives 1."""
-    I, J = _block(I), _block(J)
+    I, J = index_set(I, X.n), index_set(J, X.n)
     if len(I) != len(J):
         raise WebError(f"minor needs equal index sets, got {I} and {J}")
-    for m in I + J:
-        if not 1 <= m <= X.n:
-            raise WebError(f"index {m} outside 1..{X.n}")
     return X.submatrix([i - 1 for i in I], [j - 1 for j in J]).det()
 
 

@@ -69,9 +69,6 @@ class Outcome:
     corners: tuple[int, ...] = ()
 
 
-# deterministic rewriting makes this safe to share
-_RESULTS: dict = {}  # code -> reduced WebCombo
-
 _RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
 
 
@@ -134,43 +131,32 @@ def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
     raise WebError(f"unknown feature {feature[0]!r}")
 
 
+@cache
+def rewrite_step(w: Web) -> tuple[Web, tuple[Outcome, ...]]:
+    """The first web seen with w's code, whose edge numbering the
+    outcomes use, and the outcomes of rewriting its next feature; no
+    outcomes when w is irreducible.  Reduction and label transport
+    share these steps, so each web code is rewritten once."""
+    feature = find_reducible_face(w)
+    return w, apply_rule(w, feature) if feature else ()
+
+
+@cache
 def reduce_web(w: Web) -> "WebCombo":
-    _reduce_into_cache(w)
-    return _RESULTS[w.code]
+    host, outcomes = rewrite_step(w)
+    if not outcomes:
+        return WebCombo.from_web(host)
+    terms: list = []
+    for o in outcomes:
+        # recurse in this frame, not in a comprehension's: one frame per step
+        terms += ((D, o.coeff * v) for D, v in reduce_web(o.child)._terms.items())
+    return WebCombo(host.n, terms)
 
 
 def reduce_combo(c: "WebCombo") -> "WebCombo":
     return WebCombo(c.n, (
         (w, coeff * v) for web_, coeff in c.terms() for w, v in reduce_web(web_).terms()
     ))
-
-
-def _reduce_into_cache(w: Web) -> None:
-    if w.code in _RESULTS:
-        return
-    pending: dict = {}  # code -> outcomes of a web whose children are not all reduced
-    stack = [w]
-    while stack:
-        cur = stack.pop()
-        if cur.code in _RESULTS:
-            continue
-        if cur.code not in pending:
-            feature = find_reducible_face(cur)
-            if feature is None:
-                _RESULTS[cur.code] = WebCombo.from_web(cur)
-                continue
-            pending[cur.code] = apply_rule(cur, feature)
-        outcomes = pending[cur.code]
-        missing = [o.child for o in outcomes if o.child.code not in _RESULTS]
-        if missing:
-            stack.append(cur)
-            stack.extend(missing)
-            continue
-        _RESULTS[cur.code] = WebCombo(cur.n, (
-            (D, o.coeff * v)
-            for o in pending.pop(cur.code)
-            for D, v in _RESULTS[o.child.code]._terms.items()
-        ))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from .immanants import ExactMatrix, irreducible_webs
 from .labelings import BoundaryLabeling, Labeling, enumerate_labelings
+from .minors import index_set
 from .perms import Perm, all_perms, avoids, first_reduced_word, is_perm
 from .webcore import Combo, Web, WebError
 
@@ -324,22 +325,12 @@ def matching_labeling(
     return A1Labeling(m, tuple(ends))
 
 
-def _index_set(xs: Sequence[int], n: int) -> tuple[int, ...]:
-    out = tuple(sorted(int(x) for x in xs))
-    if len(set(out)) != len(out):
-        raise WebError(f"repeated index in {tuple(xs)}")
-    for x in out:
-        if not 1 <= x <= n:
-            raise WebError(f"index {x} out of range 1..{n}")
-    return out
-
-
 def pair_boundary(
     n: int, rows1: Sequence[int], cols1: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Boundary values for a complementary pair of minors: 1 at the
     named rows and columns, 2 elsewhere."""
-    rows1, cols1 = _index_set(rows1, n), _index_set(cols1, n)
+    rows1, cols1 = index_set(rows1, n), index_set(cols1, n)
     if len(rows1) != len(cols1):
         raise WebError("row and column sets must have equal size")
     src = tuple(1 if p in rows1 else 2 for p in range(1, n + 1))
@@ -415,7 +406,7 @@ def lifted_boundaries(
     """Full web boundaries with 3s exactly at the given rows and
     columns and the rest showing some consistent labeling of w's
     matching.  Any of these certifies the same bridge coefficient."""
-    rows3, cols3 = _index_set(rows3, n), _index_set(cols3, n)
+    rows3, cols3 = index_set(rows3, n), index_set(cols3, n)
     if len(rows3) != len(cols3):
         raise WebError("deleted row and column sets must have equal size")
     k = n - len(rows3)

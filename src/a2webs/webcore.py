@@ -174,27 +174,6 @@ class SliceDiagram:
         if self.n < 1:
             raise WebError(f"strand count must be positive, got {self.n}")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "columns": [
-                {"pos": c.pos, "tile": c.tile, "dirs": list(c.dirs)}
-                for c in self.columns
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "SliceDiagram":
-        try:
-            n = int(obj["n"])
-            cols = tuple(
-                Column(int(c["pos"]), str(c["tile"]), tuple(c["dirs"]))
-                for c in obj.get("columns", [])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WebError(f"malformed web JSON: {exc}") from exc
-        return cls(n, cols)
-
 
 def identity_web(n: int) -> SliceDiagram:
     """n parallel strands, no internal vertices."""

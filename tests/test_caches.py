@@ -37,10 +37,12 @@ def test_table_5_digest_is_pinned():
 def test_clear_caches_empties_every_memo():
     before = table_json(4)
     caches = package_caches()
-    assert {"spider.hecke_image", "immanants.immanant_table", "minors._decompositions"} <= set(caches)
+    assert {
+        "spider.hecke_image", "spider.reduce_web", "spider.rewrite_step",
+        "immanants.immanant_table", "minors._decompositions",
+    } <= set(caches)
     assert caches["spider.hecke_image"].cache_info().currsize > 0
-    assert spider._RESULTS
+    assert spider.reduce_web.cache_info().currsize > 0
     clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}
-    assert spider._RESULTS == {}
     assert table_json(4) == before

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from a2webs import clear_caches
 from a2webs.exactmath import LaurentPoly, eval_q1, qint
 from a2webs.labelings import (
     BoundaryLabeling,
@@ -348,9 +349,8 @@ class TestTransport:
                 )
                 w = product_web(n, word)
                 support = {child.code for child, _ in reduce_web(w).terms()}
-                steps = {}
                 for f in enumerate_labelings(w):
-                    ty, tf = transport_and_type(w, f, steps)
+                    ty, tf = transport_and_type(w, f)
                     assert ty.code in support, (n, word)
                     assert boundary_restriction(w, f) == boundary_restriction(ty, tf)
 
@@ -390,6 +390,32 @@ class TestCoefficients:
             for child, coeff in reduce_web(w).terms():
                 g = first_boundary(child)
                 assert coefficient_via_labelings(w, child, g) == coeff, (n, word)
+
+
+class TestTwinTransport:
+    def test_equal_code_twin_transports_alike(self):
+        # the shared rewrite steps keep the first web seen with a code;
+        # a twin decoded from the same code may number its edges
+        # differently, and transport must not care which came first
+        rng = random.Random(SEED + 6)
+        pairs = []
+        for _ in range(4):
+            n = rng.choice((3, 4))
+            word = tuple(rng.choice(range(1, n)) for _ in range(rng.randint(3, 5)))
+            w = product_web(n, word)
+            pairs.append((w, Web.from_code(w.code)))
+        assert any(w.pmap.edges != w2.pmap.edges for w, w2 in pairs)
+        for twin_first in (False, True):
+            clear_caches()
+            for w, w2 in pairs:
+                for web in (w2, w) if twin_first else (w, w2):
+                    for f in enumerate_labelings(web):
+                        ty, tf = transport_and_type(web, f)
+                        assert boundary_restriction(ty, tf) == boundary_restriction(web, f)
+                for child, coeff in reduce_web(w).terms():
+                    g = first_boundary(child)
+                    got = coefficient_via_labelings(w2, child, g)
+                    assert got == coefficient_via_labelings(w, child, g) == coeff
 
 
 def _assert_conservation(w, g, seen):

@@ -192,10 +192,11 @@ class TestNoDrawing:
         def refuse(*args, **kwargs):
             raise AssertionError("the rewrite engine drew a web")
 
-        monkeypatch.setattr(spider, "_RESULTS", {})
+        spider.reduce_web.cache_clear()
+        spider.rewrite_step.cache_clear()
         monkeypatch.setattr(webcore, "render", refuse)
         assert reduce_web(w) == want
-        assert len(spider._RESULTS) > 1
+        assert reduce_web.cache_info().currsize > 1
 
 
 class TestClosure:

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -233,18 +232,6 @@ class TestValidation:
         code[3] += 1
         with pytest.raises(WebError):
             decode_code(code)
-
-
-class TestSliceJson:
-    def test_roundtrip(self):
-        d = concatenate(generator_web(3, 1), generator_web(3, 2))
-        blob = json.dumps(d.to_json_obj())
-        d2 = SliceDiagram.from_json_obj(json.loads(blob))
-        assert d2 == d
-
-    def test_malformed(self):
-        with pytest.raises(WebError):
-            SliceDiagram.from_json_obj({"columns": []})
 
 
 class TestCodes:
