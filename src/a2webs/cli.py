@@ -147,6 +147,7 @@ def _combo_json(combo: WebCombo, laurent: bool) -> dict:
 
 
 _TOKEN = re.compile(r"E\d+|D2_?\d+|Id|\d+|[()+*-]|\S")
+_MAX_NESTING = 100  # keeps the recursive descent well inside the interpreter's stack
 
 
 class _ExprParser:
@@ -155,6 +156,7 @@ class _ExprParser:
         self.n = n
         self.toks = [(m.group(0), m.start()) for m in _TOKEN.finditer(text)]
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> Optional[str]:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -187,23 +189,25 @@ class _ExprParser:
         return acc
 
     def _factor(self) -> WebCombo:
-        if self._peek() == "-":
-            self._take()
-            return -self._factor()
-        if self._peek() == "+":
-            self._take()
-            return self._factor()
-        return self._atom()
+        negate = False
+        while self._peek() in ("+", "-"):
+            negate ^= self._take()[0] == "-"
+        atom = self._atom()
+        return -atom if negate else atom
 
     def _atom(self) -> WebCombo:
         if self.pos >= len(self.toks):
             raise WebError(f"expression ends early: {self.text!r}")
         tok, at = self._take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise WebError(f"parentheses nest deeper than {_MAX_NESTING} at column {at + 1}")
             inner = self._sum()
             if self._peek() != ")":
                 raise WebError(f"missing ')' at column {at + 1} of {self.text!r}")
             self._take()
+            self.depth -= 1
             return inner
         if tok == "Id":
             return WebCombo.unit(self.n)
@@ -317,7 +321,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise WebError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise WebError(f"cannot read {path}: {exc}") from exc

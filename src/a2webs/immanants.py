@@ -108,10 +108,14 @@ class ExactMatrix:
             rows = obj["rows"]
         except (TypeError, KeyError) as exc:
             raise WebError("matrix object needs a 'rows' field") from exc
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise WebError("matrix 'rows' must be a JSON list of lists")
         try:
             m = cls.from_rows(rows)
         except (ValueError, TypeError) as exc:
             raise WebError(f"bad matrix entry: {exc}") from exc
+        if "n" in obj and type(obj["n"]) is not int:
+            raise WebError(f"matrix 'n' must be an integer, got {obj['n']!r}")
         if "n" in obj and obj["n"] != m.n:
             raise WebError(f"matrix says n={obj['n']} but has {m.n} rows")
         return m
@@ -197,7 +201,9 @@ class ImmanantTable:
 def immanant_table(n: int) -> ImmanantTable:
     """The one expansion over S_n: f_D(w) for every web D it hits."""
     bound = STRAND_BOUNDS["webs"]
-    if not 1 <= n <= bound:
+    if n < 1:
+        raise WebError(f"need n >= 1, got {n}")
+    if n > bound:
         raise WebError(f"web enumeration is bounded at n = {bound}, got {n}")
     rows: dict = {}
     for w in all_perms(n):

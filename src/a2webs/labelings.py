@@ -347,20 +347,8 @@ def _carry(f: Labeling, oc: Outcome, chain_labels: dict) -> Labeling:
 
 
 def _transport_step(w: Web, outcomes, f: Labeling) -> tuple[Outcome, Labeling]:
-    kind = outcomes[0].kind
-    if kind == "loops":
-        oc = outcomes[0]
-        return oc, _carry(f, oc, {})
-    if kind == "bigon":
-        oc = outcomes[0]
-        chain_labels = {}
-        for ch in oc.chains:
-            a, b = f.edge_labels[ch.edges[0]], f.edge_labels[ch.edges[1]]
-            if a != b:
-                raise RuntimeError("two-sided face has mismatched outside labels")
-            chain_labels[ch] = a
-        return oc, _carry(f, oc, chain_labels)
-
+    # an outcome carries f when each fused run meets one label on its
+    # outside edges and, if it is one of two, its local weight balances
     admissible = []
     for oc in outcomes:
         chain_labels = {}
@@ -371,7 +359,7 @@ def _transport_step(w: Web, outcomes, f: Labeling) -> tuple[Outcome, Labeling]:
             if ch.child_eid >= 0:
                 chain_labels[ch] = lbl
         else:
-            if _square_balance(w, f, oc) == 0:
+            if len(outcomes) == 1 or _square_balance(w, f, oc) == 0:
                 admissible.append((oc, chain_labels))
     if len(admissible) == 1:
         oc, chain_labels = admissible[0]
@@ -385,7 +373,7 @@ def _transport_step(w: Web, outcomes, f: Labeling) -> tuple[Outcome, Labeling]:
         oc, chain_labels = admissible[0] if tup < swapped else admissible[1]
     else:
         raise RuntimeError(
-            "no resolution of a four-sided face carries the labeling; "
+            "no outcome of a rewrite step carries the labeling; "
             "the counting identity would fail here"
         )
     return oc, _carry(f, oc, chain_labels)

@@ -236,6 +236,9 @@ class PlanarNetwork:
             raise WebError(f"malformed network JSON: {exc}") from exc
         if type(n) is not int:
             raise WebError(f"network 'n' must be an integer, got {n!r}")
+        for key in ("vertices", "edges", "sources", "sinks"):
+            if type(obj[key]) is not list:
+                raise WebError(f"network {key!r} must be a JSON list")
         return cls(n, vertices, edges, sources, sinks)
 
     # -- paths ------------------------------------------------------------
@@ -389,14 +392,14 @@ def _ccw_slots(slots: list[tuple[tuple[int, int], Point]]) -> list[tuple[int, in
 def uncross(sub: MarkedSubnetwork) -> Web:
     """The web of a marked subnetwork.
 
-    Each vertex is resolved by the multiplicity profile of its marked
-    edges: strands passing singly are spliced through, two strands
-    meeting at a point become a sink/source pair joined by one edge
-    aimed against the flow, three strands meeting at a point become a
-    sink and a source with no connecting edge, and entering or
-    leaving a multiple run attaches strands to the run's opposing
-    edge.  Strand ends that close up on themselves become closed
-    loops.  The resulting rotation system is validated here, so a
+    Each vertex is resolved by one rule.  A doubled run is one curve
+    aimed against the flow and a tripled run carries nothing.  On each
+    side of the vertex, a single strand next to a doubled run turns
+    back into it.  Of the curve ends left over, one arriving and one
+    leaving pass through, three meet at a sink or a source, and two and
+    two meet at a sink and a source joined by a middle edge aimed
+    against the flow.  Strand ends that close up on themselves become
+    closed loops.  The resulting rotation system is validated here, so a
     marking whose entries and exits are not laid out along the outer
     face is rejected rather than mis-drawn when the web is drawn.
     """
@@ -418,7 +421,6 @@ def uncross(sub: MarkedSubnetwork) -> Web:
     joins: dict[tuple[int, int], tuple[int, int]] = {}
     bnd_attach: dict[tuple[int, int], int] = {}
     gadgets: list[tuple[str, list[tuple[tuple[int, int], Point]]]] = []
-    mid_next = len(net.edges)
     mid_ids: list[int] = []
 
     def direction(eid: int, v: str) -> Point:
@@ -448,57 +450,41 @@ def uncross(sub: MarkedSubnetwork) -> Web:
             continue
         if k_in > 3:
             raise WebError(f"four or more strands pass through vertex {v!r}")
-        in1 = [e for e in ins if mult[e] == 1]
-        in2 = [e for e in ins if mult[e] == 2]
-        out1 = [e for e in outs if mult[e] == 1]
-        out2 = [e for e in outs if mult[e] == 2]
-        prof = (tuple(sorted(mult[e] for e in ins)), tuple(sorted(mult[e] for e in outs)))
 
         def slot(eid: int) -> tuple[tuple[int, int], Point]:
             return (seg_end_at(eid, v), direction(eid, v))
 
-        if prof == ((1,), (1,)):
-            joins[(in1[0], 1)] = (out1[0], 0)
-        elif prof == ((2,), (2,)):
-            joins[(out2[0], 1)] = (in2[0], 0)
-        elif prof == ((1, 2), (1, 2)):
-            joins[(in1[0], 1)] = (in2[0], 0)
-            joins[(out2[0], 1)] = (out1[0], 0)
-        elif prof == ((1, 2), (3,)):
-            joins[(in1[0], 1)] = (in2[0], 0)
-        elif prof == ((3,), (1, 2)):
-            joins[(out2[0], 1)] = (out1[0], 0)
-        elif prof == ((3,), (3,)):
-            pass
-        elif prof == ((1, 1), (2,)):
-            gadgets.append((ROLE_SINK, [slot(in1[0]), slot(in1[1]), slot(out2[0])]))
-        elif prof == ((2,), (1, 1)):
-            gadgets.append((ROLE_SOURCE, [slot(in2[0]), slot(out1[0]), slot(out1[1])]))
-        elif prof == ((1, 1), (1, 1)):
-            mid = mid_next
-            mid_next += 1
+        # curves that end at v and curves that start there: a single
+        # strand's curve runs with its edge, a doubled run's against it,
+        # and a tripled run carries none
+        arrive, depart = [], []
+        for side, singles_arrive in ((ins, True), (outs, False)):
+            ones = [e for e in side if mult[e] == 1]
+            twos = [e for e in side if mult[e] == 2]
+            a, d = (ones, twos) if singles_arrive else (twos, ones)
+            if ones and twos:
+                # a single strand next to a doubled run turns back into it
+                joins[(a[0], 1)] = (d[0], 0)
+            else:
+                arrive += a
+                depart += d
+        if len(arrive) == len(depart) == 1:
+            joins[(arrive[0], 1)] = (depart[0], 0)
+        elif len(arrive) == len(depart) == 2:
+            mid = len(net.edges) + len(mid_ids)
             mid_ids.append(mid)
             gadgets.append(
-                (ROLE_SINK, [slot(in1[0]), slot(in1[1]), ((mid, 1), (Fraction(1), Fraction(0)))])
+                (ROLE_SINK, [slot(e) for e in arrive] + [((mid, 1), (Fraction(1), Fraction(0)))])
             )
             gadgets.append(
-                (ROLE_SOURCE, [slot(out1[0]), slot(out1[1]), ((mid, 0), (Fraction(-1), Fraction(0)))])
+                (ROLE_SOURCE, [slot(e) for e in depart] + [((mid, 0), (Fraction(-1), Fraction(0)))])
             )
-        elif prof == ((1, 1, 1), (1, 1, 1)):
-            gadgets.append((ROLE_SINK, [slot(e) for e in in1]))
-            gadgets.append((ROLE_SOURCE, [slot(e) for e in out1]))
-        elif prof == ((1, 1, 1), (1, 2)):
-            gadgets.append((ROLE_SINK, [slot(e) for e in in1]))
-            joins[(out2[0], 1)] = (out1[0], 0)
-        elif prof == ((1, 2), (1, 1, 1)):
-            gadgets.append((ROLE_SOURCE, [slot(e) for e in out1]))
-            joins[(in1[0], 1)] = (in2[0], 0)
-        elif prof == ((1, 1, 1), (3,)):
-            gadgets.append((ROLE_SINK, [slot(e) for e in in1]))
-        elif prof == ((3,), (1, 1, 1)):
-            gadgets.append((ROLE_SOURCE, [slot(e) for e in out1]))
         else:
-            raise WebError(f"unsupported strand profile {prof} at vertex {v!r}")
+            # three ends meet at a sink or a source, on either side or both
+            if arrive:
+                gadgets.append((ROLE_SINK, [slot(e) for e in arrive]))
+            if depart:
+                gadgets.append((ROLE_SOURCE, [slot(e) for e in depart]))
 
     # stitch the spliced curves into web edges and closed loops
     slot_vertex: dict[tuple[int, int], int] = dict(bnd_attach)

@@ -1,13 +1,15 @@
 """Diagrammatic reduction: rewrite webs to combinations of irreducible ones.
 
-Three local rules, applied with a fixed priority (closed loops first,
+Two local rules, applied with a fixed priority (closed loops first,
 then two-sided faces, then four-sided ones, smallest face first):
 
 - a closed loop is erased and contributes the factor t^-4 + 1 + t^4;
-- a two-sided internal face collapses, its two vertices vanish and the
-  two outside edges fuse, contributing the factor t^-2 + t^2;
-- a four-sided internal face is replaced by the sum of its two planar
-  smoothings, each with coefficient 1.
+- a two- or four-sided internal face is replaced by the sum over the
+  ways of pairing its corners along the face: each corner's outside
+  edge fuses with its partner's, and the face and its vertices vanish.
+  A four-sided face has two pairings, each with coefficient 1.  A
+  two-sided face is the one-pairing case: it collapses, its two
+  outside edges fuse, and it contributes the factor t^-2 + t^2.
 
 The rewriting is confluent, so any application order yields the same
 combination; the fixed order just makes runs reproducible.  Every
@@ -45,9 +47,7 @@ class Chain:
     edges against it); corners lists the erased vertices passed
     between consecutive edges.  child_eid is the fused edge's id in
     the child web, or -1 when the run closed up into a loop, in which
-    case corners[k] follows edges[k] cyclically.  A loop made by a
-    two-sided face closing over its own outside edge carries no corner
-    data.
+    case corners[k] follows edges[k] cyclically.
     """
 
     edges: tuple[int, ...]
@@ -124,10 +124,8 @@ def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
     into a single outcome)."""
     if feature[0] == "loop":
         return (_strip_loops(w),)
-    if feature[0] == "bigon":
-        return (_collapse_bigon(w, feature[1]),)
-    if feature[0] == "square":
-        return _smooth_square(w, feature[1])
+    if feature[0] in ("bigon", "square"):
+        return _resolve_face(w, feature[1])
     raise WebError(f"unknown feature {feature[0]!r}")
 
 
@@ -160,7 +158,7 @@ def reduce_combo(c: "WebCombo") -> "WebCombo":
 
 
 # ---------------------------------------------------------------------------
-# The three surgeries
+# The surgeries: loops and faces
 
 
 def _rebuild(
@@ -212,35 +210,6 @@ def _rebuild(
     return child, emap, new_ids
 
 
-def _finish(
-    raw: PlanarMap,
-    emap: dict,
-    new_ids: list[int],
-    chains_raw: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    closed_raw: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    base_coeff: LaurentPoly,
-    kind: str,
-    face_edges: tuple[int, ...],
-    corners: tuple[int, ...],
-    loops_created: int,
-) -> Outcome:
-    coeff = base_coeff * qint(3) ** loops_created
-    chains = tuple(
-        Chain(es, cs, new_ids[i]) for i, (es, cs) in enumerate(chains_raw)
-    )
-    closed = tuple(Chain(es, cs, -1) for es, cs in closed_raw)
-    return Outcome(
-        coeff=coeff,
-        child=Web.from_map(raw),
-        kind=kind,
-        edge_map=emap,
-        chains=chains,
-        closed_chains=closed,
-        face_edges=face_edges,
-        corners=corners,
-    )
-
-
 def _strip_loops(w: Web) -> Outcome:
     m = w.pmap
     return Outcome(
@@ -258,71 +227,51 @@ def _third_edge(m: PlanarMap, v: int, exclude: set) -> int:
     return es[0]
 
 
-def _collapse_bigon(w: Web, orbit: tuple[int, ...]) -> Outcome:
+def _resolve_face(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
+    """One outcome per pairing of the face's corners: a two-sided face
+    has one pairing, worth [2], a four-sided face two, worth 1 each.
+    Each paired corner fuses its outside edge with its partner's through
+    the face edge between them; a run that closes up is a loop, worth [3]."""
     m = w.pmap
-    p, q = orbit[0] >> 1, orbit[1] >> 1
-    u, v = m.edges[p]  # u the internal source, v the internal sink
-    s = _third_edge(m, u, {p, q})
-    t = _third_edge(m, v, {p, q})
-    if s == t:
-        # the outside edge connects the two corners: it closes into a loop
-        raw, emap, _ = _rebuild(m, {u, v}, {p, q, s}, [], {})
-        return _finish(
-            raw, emap, [], [], [((s,), ())],
-            qint(2), "bigon", (p, q), (v, u), 1,
-        )
-    su = m.edges[s][1]  # s runs u -> su
-    tv = m.edges[t][0]  # t runs tv -> v
-    # fused edge runs tv -> su, traversing t then s, passing v then u
-    raw, emap, new_ids = _rebuild(
-        m, {u, v}, {p, q, s, t}, [(tv, su)],
-        {(su, s): 0, (tv, t): 0},
-    )
-    return _finish(
-        raw, emap, new_ids, [((t, s), (v, u))], [],
-        qint(2), "bigon", (p, q), (v, u), 0,
-    )
-
-
-def _smooth_square(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
-    m = w.pmap
+    size = len(orbit)
     fe = [d >> 1 for d in orbit]
     corners = [m.dart_vertex[d ^ 1] for d in orbit]
-    # corners[k] sits between face edges fe[k] and fe[(k+1) % 4]
+    # corners[k] sits between face edges fe[k] and fe[(k+1) % size]
     externals = [
-        _third_edge(m, corners[k], {fe[k], fe[(k + 1) % 4]}) for k in range(4)
+        _third_edge(m, corners[k], {fe[k], fe[(k + 1) % size]}) for k in range(size)
     ]
+    kind, coeff = ("bigon", qint(2)) if size == 2 else ("square", LaurentPoly.one())
     outcomes = []
-    for branch in (0, 1):
-        # branch 0 fuses corner pairs (0,1) and (2,3); branch 1 the
-        # other two; pair (k, k+1) passes through face edge fe[k+1]
+    for branch in range(size // 2):
+        # branch b fuses corner pairs (k, k+1) for k = b, b+2, ...;
+        # pair (k, k+1) passes through face edge fe[k+1]
         pair_of = {}
-        for k in (branch, branch + 2):
-            a, b = corners[k % 4], corners[(k + 1) % 4]
-            via = fe[(k + 1) % 4]
+        for k in range(branch, size, 2):
+            a, b = corners[k], corners[(k + 1) % size]
+            via = fe[(k + 1) % size]
             pair_of[a] = (b, via)
             pair_of[b] = (a, via)
         chains_raw, closed_raw, replaced, new_edges = _route_chains(
             m, corners, externals, pair_of
         )
-        dead_e = set(fe) | {e for es, _ in chains_raw for e in es} | {
-            e for es, _ in closed_raw for e in es
-        }
+        dead_e = set(fe) | {e for es, _ in chains_raw + closed_raw for e in es}
         raw, emap, new_ids = _rebuild(m, set(corners), dead_e, new_edges, replaced)
-        outcomes.append(
-            _finish(
-                raw, emap, new_ids,
-                chains_raw, closed_raw,
-                LaurentPoly.one(), "square", tuple(fe), tuple(corners),
-                len(closed_raw),
-            )
-        )
+        outcomes.append(Outcome(
+            coeff=coeff * qint(3) ** len(closed_raw),
+            child=Web.from_map(raw),
+            kind=kind,
+            edge_map=emap,
+            chains=tuple(Chain(es, cs, new_ids[i]) for i, (es, cs) in enumerate(chains_raw)),
+            closed_chains=tuple(Chain(es, cs, -1) for es, cs in closed_raw),
+            face_edges=tuple(fe),
+            corners=tuple(corners),
+        ))
     return tuple(outcomes)
 
 
 def _route_chains(m, corners, externals, pair_of):
     corner_set = set(corners)
-    ext_of = {corners[k]: externals[k] for k in range(4)}
+    ext_of = dict(zip(corners, externals))
 
     def far_end(e, v):
         t, h = m.edges[e]
@@ -334,11 +283,9 @@ def _route_chains(m, corners, externals, pair_of):
     new_edges = []
     # open runs start at an external whose far end survives and is the
     # edge's tail (or, failing that, whose far end is a source vertex)
-    for k in range(4):
-        x = externals[k]
+    for c, x in zip(corners, externals):
         if x in done:
             continue
-        c = corners[k]
         start = far_end(x, c)
         if start in corner_set:
             continue
@@ -365,8 +312,7 @@ def _route_chains(m, corners, externals, pair_of):
                 break
             c = nxt
     closed_raw = []
-    for k in range(4):
-        x = externals[k]
+    for x in externals:
         if x in done:
             continue
         # both ends of x are corners: the run closes up; traverse x

@@ -763,6 +763,9 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
             elist = tuple(block[i + 2 : i + 2 + deg])
             if min(elist) < 0:
                 raise WebError(f"negative edge number {min(elist)}")
+            if max(elist) >= blen:
+                # a block numbers its edges below its own length
+                raise WebError(f"edge number {max(elist)} out of range")
             recs.append((rc, param, elist))
             i += 2 + deg
         # local vertex -> global id

@@ -398,3 +398,59 @@ class TestExitPaths:
         assert rc == 3
         assert captured.out == ""
         assert captured.err == "error: internal: transport left a child edge unlabeled\n"
+
+
+def one_error_line(capsys, argv):
+    """Run argv and return its one stderr line, checking exit code 2
+    and an empty stdout."""
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["immanants", "--n", "2", "--matrix"],
+        ["network", "--matrix", "--file"],
+    ])
+    def test_non_utf8_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        line = one_error_line(capsys, argv + [str(path)])
+        assert "bad.json" in line and "utf-8" in line
+
+    @pytest.mark.parametrize("n", ["true", "1.0"])
+    def test_matrix_n_must_be_an_integer(self, capsys, tmp_path, n):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": %s, "rows": [["1"]]}' % n)
+        line = one_error_line(capsys, ["immanants", "--n", "1", "--matrix", str(path)])
+        assert line == f"error: matrix 'n' must be an integer, got {json.loads(n)!r}"
+
+    def test_network_sources_must_be_a_list(self, capsys, tmp_path):
+        import random
+
+        obj = random_planar_network(2, random.Random(3), steps=3).to_json_obj()
+        obj["sources"] = "".join(obj["sources"])
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(obj))
+        line = one_error_line(capsys, ["network", "--file", str(path), "--matrix"])
+        assert line == "error: network 'sources' must be a JSON list"
+
+    @pytest.mark.parametrize("argv", [
+        ["immanants", "--n", "0", "--table"],
+        ["decompose", "--n", "0"],
+    ])
+    def test_zero_strands(self, capsys, argv):
+        assert one_error_line(capsys, argv) == "error: need n >= 1, got 0"
+
+    @pytest.mark.parametrize("expr", ["(" * 101 + "E1" + ")" * 101, "(" * 5000], ids=["101", "5000"])
+    def test_deep_parentheses(self, capsys, expr):
+        line = one_error_line(capsys, ["reduce", "--n", "2", "--", expr])
+        assert line == "error: parentheses nest deeper than 100 at column 101"
+
+    def test_signs_fold(self):
+        assert _ExprParser("-" * 5001 + "E1", 3).parse() == -generator_combo(3, 1)
+        assert _ExprParser("(" * 100 + "E1" + ")" * 100, 3).parse() == generator_combo(3, 1)

@@ -94,6 +94,17 @@ class TestExactMatrix:
         with pytest.raises(WebError):
             ExactMatrix.from_json_obj({"rows": [[True]]})
 
+    @pytest.mark.parametrize("n", [True, 1.0, "1", None])
+    def test_json_rejects_non_integer_n(self, n):
+        with pytest.raises(WebError, match="must be an integer"):
+            ExactMatrix.from_json_obj({"n": n, "rows": [["1"]]})
+
+    @pytest.mark.parametrize("rows", ["1", ["1"], {"0": ["1"]}])
+    def test_json_rejects_rows_that_are_not_lists(self, rows):
+        # a string row would otherwise be read character by character
+        with pytest.raises(WebError, match="list of lists"):
+            ExactMatrix.from_json_obj({"rows": rows})
+
 
 class TestThetaImage:
     def test_transposition_image(self):
@@ -150,6 +161,11 @@ class TestIrreducibleWebs:
 
 
 class TestImmanantTable:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_positive_strand_count(self, n):
+        with pytest.raises(WebError, match=f"need n >= 1, got {n}"):
+            immanant_table(n)
+
     def test_two_strand_table(self):
         t = immanant_table(2)
         e, s1 = (1, 2), (2, 1)

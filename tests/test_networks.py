@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -282,6 +283,15 @@ class TestConstruction:
         obj = identity_network(1).to_json_obj()
         obj["n"] = n
         with pytest.raises(WebError, match="must be an integer"):
+            PlanarNetwork.from_json_obj(obj)
+
+    @pytest.mark.parametrize("key, value", [
+        ("sources", "s1"), ("sinks", "t1"), ("sources", {"s1": 0}), ("edges", {}), ("vertices", {}),
+    ])
+    def test_json_requires_lists(self, key, value):
+        obj = identity_network(1).to_json_obj()
+        obj[key] = value
+        with pytest.raises(WebError, match=f"network '{key}' must be a JSON list"):
             PlanarNetwork.from_json_obj(obj)
 
     def test_json_accepts_fraction_strings(self):
@@ -740,3 +750,41 @@ class TestRandomMatrices:
     def test_identity_network_matrix(self):
         X = path_matrix(identity_network(3))
         assert all(X.entry(i, j) == (1 if i == j else 0) for i in range(3) for j in range(3))
+
+
+def _vertex_profiles(net, marks):
+    """The (in, out) multiplicity profile of each interior vertex a
+    marking passes through."""
+    mult = dict(marks)
+    found = set()
+    for v in net.ids:
+        if v in net.sources or v in net.sinks:
+            continue
+        ins = tuple(sorted(mult[e] for e in net.in_edges[v] if e in mult))
+        outs = tuple(sorted(mult[e] for e in net.out_edges[v] if e in mult))
+        if ins or outs:
+            found.add((ins, outs))
+    return found
+
+
+class TestUncrossDigest:
+    # sha256 over the uncrossed code of every covering marking, recorded
+    # before uncross applied one rule per vertex in place of a table of
+    # multiplicity profiles
+    DIGEST = "11a8aa4622d2e98f8b07de89008596425034450460f8f883af338d2efd820b52"
+
+    def test_uncrossed_codes_are_pinned(self):
+        rng = random.Random(SEED + 12)
+        lines = (Path(__file__).parents[1] / "perfbench" / "networks.jsonl").read_text().splitlines()
+        nets = [PlanarNetwork.from_json_obj(json.loads(line)) for line in lines[::5]]
+        nets += [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 5)) for _ in range(40)]
+        digest = hashlib.sha256()
+        profiles = set()
+        for net in nets:
+            for marks in covering_markings(net):
+                digest.update(repr(uncross(MarkedSubnetwork(net, marks)).code).encode())
+                profiles |= _vertex_profiles(net, marks)
+        sides = ((1,), (2,), (1, 1), (3,), (1, 2), (1, 1, 1))
+        assert profiles == {(a, b) for a in sides for b in sides if sum(a) == sum(b)}
+        assert len(profiles) == 14
+        assert digest.hexdigest() == self.DIGEST

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from a2webs import spider, webcore
+from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.spider import (
     WebCombo,
@@ -276,3 +277,44 @@ class TestComboAlgebra:
         e = generator_combo(3, 2)
         one = WebCombo.unit(3)
         assert one * e == e * one == e
+
+
+class TestRewriteDigest:
+    # sha256 over every outcome at every rewrite site reachable from the
+    # starting webs, recorded before the two-sided face became the
+    # one-pairing case of the face rule
+    DIGEST = "c9eebe0f8b353bed5e2b4f499d3254071e33e6c06616a0ba8a6884fbe34b7cfd"
+
+    def test_outcomes_are_pinned(self):
+        clear_caches()  # second_generator keeps the first web reduced to it
+        rng = random.Random(SEED + 5)
+        circle = SliceDiagram(1, (
+            Column(2, "cup", ("R", "L")),
+            Column(2, "cap", ("R", "L")),
+        ))
+        d2 = second_generator(3, 1)
+        starts = [Web.from_slice(circle), Web.from_slice(concatenate(d2.diagram, d2.diagram))]
+        for n in (2, 3, 4, 5):
+            for _ in range(6):
+                starts.append(product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(3, 8))]))
+        digest = hashlib.sha256()
+        kinds = set()
+        closing_bigons = 0
+        seen = set()
+        work = starts
+        while work:
+            w = work.pop()
+            for feature in all_reducible_features(w):
+                for o in apply_rule(w, feature):
+                    kinds.add(o.kind)
+                    closing_bigons += o.kind == "bigon" and bool(o.closed_chains)
+                    digest.update(repr((
+                        o.kind, o.coeff.to_json_obj(), o.child.code, sorted(o.edge_map.items()),
+                        [ch.child_eid for ch in o.chains], len(o.closed_chains),
+                    )).encode())
+                    if o.child.code not in seen:
+                        seen.add(o.child.code)
+                        work.append(o.child)
+        assert kinds == {"loops", "bigon", "square"}
+        assert closing_bigons > 0
+        assert digest.hexdigest() == self.DIGEST

@@ -270,6 +270,11 @@ class TestCodes:
         with pytest.raises(WebError, match="too short"):
             decode_code((10**6, 0, 0))
 
+    def test_huge_edge_number_is_refused_before_allocating(self):
+        # one edge list slot per edge number: 10**12 would exhaust memory
+        with pytest.raises(WebError, match="edge number 1000000000000 out of range"):
+            decode_code((1, 0, 1, 6, 1, 1, 0, 2, 1, 10**12))
+
     def test_decode_fuzz(self):
         """Random short codes, and real codes with one entry changed or
         one value renamed past the header, entries in -2..6: each one
