@@ -302,7 +302,9 @@ def cmd_network(args) -> int:
     if args.matrix:
         _emit(path_matrix(net).to_json_obj())
         return 0
-    _check_bound("networks", net.n, "network immanants are")
+    # one given network costs what its immanant table costs; the lower
+    # "networks" bound caps the suite, which samples random networks
+    _check_bound("immanants", net.n, "network immanants are")
     if args.immanants:
         vals = network_immanants(net)
         _emit(

@@ -10,6 +10,7 @@ are exponents divisible by 4.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -19,12 +20,29 @@ class InexactDivisionError(ArithmeticError):
     """A quotient of Laurent polynomials left a nonzero remainder."""
 
 
+# Bounds on a rational read from a string, checked before Fraction
+# builds it: "1e1000000" alone would make a 3.3-million-bit numerator.
+# Every float's decimal form fits them.
+MAX_RATIONAL_CHARS = 1000
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+
+
 def parse_rational(x) -> Fraction:
     """The one reader of rational input: an int, a Fraction, a string
     such as "-22/7" or "0.1", or a float read through its decimal form,
-    so 0.1 is 1/10.  Anything else, bool included, raises ValueError."""
+    so 0.1 is 1/10.  Anything else, bool included, raises ValueError,
+    as does a string longer than MAX_RATIONAL_CHARS or with a decimal
+    exponent beyond MAX_DECIMAL_EXPONENT."""
     if isinstance(x, float):
         x = str(x)
+    if isinstance(x, str):
+        if len(x) > MAX_RATIONAL_CHARS:
+            raise ValueError(f"rational longer than {MAX_RATIONAL_CHARS} characters")
+        m = _EXPONENT.search(x)
+        if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {x!r}")
     if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
@@ -159,37 +177,23 @@ class LaurentPoly:
     # -- rendering -----------------------------------------------------
 
     def __str__(self) -> str:
-        return self._render("t", 1)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
-
-    def q_renderable(self) -> bool:
-        return all(e % 4 == 0 for e in self._c)
-
-    def pretty(self) -> str:
-        """q-expression when every exponent is a whole power of q,
-        otherwise the t-expression."""
-        if self._c and self.q_renderable():
-            return self._render("q", 4)
-        return self._render("t", 1)
-
-    def _render(self, var: str, unit: int) -> str:
         if not self._c:
             return "0"
         parts = []
         for e, c in sorted(self._c.items()):
-            k = e // unit
-            if k == 0:
+            if e == 0:
                 body = str(abs(c))
             else:
-                pw = var if k == 1 else f"{var}^{k}"
+                pw = "t" if e == 1 else f"t^{e}"
                 body = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self})"
 
     # -- JSON ------------------------------------------------------------
 

@@ -21,6 +21,17 @@ sum, over marked subnetworks, of the edge-weight product times the
 coefficient of the basis web in the reduction of the uncrossed web.
 The equality of the two computations is the main consistency check on
 this module and is exercised heavily by the tests.
+
+Uncrossing reads the network's own drawing.  One sweep in x order
+(`PlanarNetwork.order`, with out-edges in slope order) keeps the marked
+edges crossing the sweep line, top to bottom, and writes the slice
+diagram of their curves, one vertex rule at a time; `webcore.to_map`
+then builds the web's map.  Entries start as placeholder wires from
+the left and exits run on to the right, so the drawing must leave them
+room: an entry must lie between the nearest marked edges above and
+below its placeholder, the marked edges into a vertex must be adjacent
+on the sweep line, and the exits must be reached in order.  A marking
+that breaks this contract is refused.
 """
 
 from __future__ import annotations
@@ -30,22 +41,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactmath import eval_q1, parse_rational
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .perms import Perm, all_perms, identity_perm
 from .spider import reduce_web
-from .webcore import (
-    ROLE_SINK,
-    ROLE_SOURCE,
-    ROLE_SNK,
-    ROLE_SRC,
-    PlanarMap,
-    Web,
-    WebError,
-)
+from .webcore import LEFT, RIGHT, Column, SliceDiagram, Web, WebError, to_map
 
 Point = tuple[Fraction, Fraction]
 
@@ -59,6 +61,12 @@ def _frac(x) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # The drawing check
+
+
+def _height(pos: Mapping[str, Point], e: NetEdge, x: Fraction) -> Fraction:
+    """Where edge e crosses the vertical line at abscissa x."""
+    (tx, ty), (hx, hy) = pos[e.tail], pos[e.head]
+    return ty + (hy - ty) * (x - tx) / (hx - tx)
 
 
 def _check_drawing(pos: Mapping[str, Point], edges: Sequence[NetEdge],
@@ -83,8 +91,7 @@ def _check_drawing(pos: Mapping[str, Point], edges: Sequence[NetEdge],
         cur = {}
         for i, (lo, hi) in enumerate(spans):
             if lo <= k <= hi:
-                (tx, ty), (hx, hy) = pos[edges[i].tail], pos[edges[i].head]
-                cur[i] = ty + (hy - ty) * (x - tx) / (hx - tx)
+                cur[i] = _height(pos, edges[i], x)
         strip = sorted((prev[i], y, i) for i, y in cur.items() if spans[i][0] < k)
         for (l1, r1, i), (l2, r2, j) in zip(strip, strip[1:]):
             if r1 > r2 or (l1, r1) == (l2, r2):
@@ -121,11 +128,14 @@ class PlanarNetwork:
     Entries are listed top to bottom and may not receive edges; exits
     are listed top to bottom and may not emit any.  The drawing itself
     is validated: no two edges may cross or overlap, and no vertex may
-    sit in the interior of an edge.
+    sit in the interior of an edge.  `order` lists the vertices in
+    sweep order, by x and top to bottom within a column; `out_edges`
+    lists each vertex's out-edges top to bottom as they leave it, by
+    slope.
     """
 
     __slots__ = ("n", "ids", "pos", "edges", "sources", "sinks",
-                 "out_edges", "in_edges", "_paths")
+                 "order", "out_edges", "in_edges", "_paths")
 
     def __init__(
         self,
@@ -139,17 +149,17 @@ class PlanarNetwork:
             raise WebError(f"strand count must be positive, got {n}")
         self.n = n
         pos: dict[str, Point] = {}
-        order = []
+        ids = []
         for vid, x, y in vertices:
             key = str(vid)
             if key in pos:
                 raise WebError(f"vertex id {key!r} repeated")
             pos[key] = (_frac(x), _frac(y))
-            order.append(key)
-        self.ids = tuple(order)
+            ids.append(key)
+        self.ids = tuple(ids)
         self.pos = pos
         at: dict[Fraction, dict[Fraction, str]] = {}
-        for vid in order:
+        for vid in ids:
             x, y = pos[vid]
             column = at.setdefault(x, {})
             if y in column:
@@ -178,16 +188,17 @@ class PlanarNetwork:
                 raise WebError(f"edge {t!r}->{h!r} must advance left to right")
             es.append(NetEdge(t, h, _frac(w)))
         self.edges = tuple(es)
-        out: dict[str, list[int]] = {v: [] for v in order}
-        inc: dict[str, list[int]] = {v: [] for v in order}
+        out: dict[str, list[int]] = {v: [] for v in ids}
+        inc: dict[str, list[int]] = {v: [] for v in ids}
         for eid, e in enumerate(self.edges):
             out[e.tail].append(eid)
             inc[e.head].append(eid)
-        def leg_key(eid: int) -> tuple:
-            e = self.edges[eid]
-            return (-pos[e.head][1], pos[e.head][0], e.head, eid)
-        self.out_edges = {v: tuple(sorted(out[v], key=leg_key)) for v in order}
-        self.in_edges = {v: tuple(inc[v]) for v in order}
+        def slope(eid: int) -> Fraction:
+            (tx, ty), (hx, hy) = pos[self.edges[eid].tail], pos[self.edges[eid].head]
+            return (hy - ty) / (hx - tx)
+        self.order = tuple(sorted(ids, key=lambda v: (pos[v][0], -pos[v][1], v)))
+        self.out_edges = {v: tuple(sorted(out[v], key=lambda e: -slope(e))) for v in ids}
+        self.in_edges = {v: tuple(inc[v]) for v in ids}
         for s in self.sources:
             if self.in_edges[s]:
                 raise WebError(f"entry {s!r} has an incoming edge")
@@ -196,12 +207,6 @@ class PlanarNetwork:
                 raise WebError(f"exit {t!r} has an outgoing edge")
         _check_drawing(pos, self.edges, at)
         self._paths = None
-
-    def source_rank(self, vid: str) -> int:
-        return self.sources.index(vid)
-
-    def sink_rank(self, vid: str) -> int:
-        return self.sinks.index(vid)
 
     # -- serialization ----------------------------------------------------
 
@@ -283,12 +288,11 @@ def path_matrix(net: PlanarNetwork) -> ExactMatrix:
     """Total path weight from each entry to each exit.  A plain
     forward sweep in x order; the monotone drawing is what guarantees
     this order is topological."""
-    order = sorted(net.ids, key=lambda v: (net.pos[v][0], net.pos[v][1], v))
     rows = []
     for s in net.sources:
         acc = {v: Fraction(0) for v in net.ids}
         acc[s] = Fraction(1)
-        for v in order:
+        for v in net.order:
             if acc[v]:
                 for eid in net.out_edges[v]:
                     e = net.edges[eid]
@@ -354,12 +358,6 @@ class MarkedSubnetwork:
             raise WebError(f"edge {bad[0]} is used by four paths")
         return cls(network, tuple(counts.items()))
 
-    def multiplicity(self, eid: int) -> int:
-        for e, m in self.marks:
-            if e == eid:
-                return m
-        return 0
-
     def weight(self) -> Fraction:
         w = Fraction(1)
         for eid, m in self.marks:
@@ -367,179 +365,85 @@ class MarkedSubnetwork:
         return w
 
 
-def _ccw_slots(slots: list[tuple[tuple[int, int], Point]]) -> list[tuple[int, int]]:
-    """Order vertex slots counterclockwise from the positive x axis by
-    the exact direction each strand leaves in."""
-
-    def half(v: Point) -> int:
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(a, b) -> int:
-        va, vb = a[1], b[1]
-        ha, hb = half(va), half(vb)
-        if ha != hb:
-            return ha - hb
-        cr = va[0] * vb[1] - va[1] * vb[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        raise WebError("two strands leave a crossing in the same direction")
-
-    return [end for end, _ in sorted(slots, key=cmp_to_key(cmp))]
-
-
 def uncross(sub: MarkedSubnetwork) -> Web:
-    """The web of a marked subnetwork.
+    """The web of a marked subnetwork, read off the network's drawing.
 
-    Each vertex is resolved by one rule.  A doubled run is one curve
-    aimed against the flow and a tripled run carries nothing.  On each
-    side of the vertex, a single strand next to a doubled run turns
-    back into it.  Of the curve ends left over, one arriving and one
-    leaving pass through, three meet at a sink or a source, and two and
-    two meet at a sink and a source joined by a middle edge aimed
-    against the flow.  Strand ends that close up on themselves become
-    closed loops.  The resulting rotation system is validated here, so a
-    marking whose entries and exits are not laid out along the outer
-    face is rejected rather than mis-drawn when the web is drawn.
+    One sweep from left to right turns the drawing into a slice diagram.
+    It keeps the marked edges that cross the sweep line, top to bottom.
+    A single strand is one curve running with its edge (flag R), a
+    doubled run one curve against it (flag L), and a tripled run stays
+    in the list as a ghost with no curve.  Each entry starts as a
+    placeholder wire from the left, which its strand takes over; each
+    exit's strand runs on to the right.  At a vertex the curves of its
+    incoming block end and those of its out-edges begin, by one rule:
+    on a mixed side a single strand turns back into the doubled run (a
+    cap on the left, a cup on the right); two or three curves on the
+    left meet in a merge, the third capped onto the merged wire; two or
+    three curves on the right leave a split, the first cupped off it;
+    one curve on each side passes straight through.  `to_map` then
+    builds the web's map.
+
+    The marking is refused with WebError unless the drawing leaves room
+    for the boundary: at each entry the nearest marked edges above and
+    below its placeholder must pass above and below the entry, the
+    marked edges into a vertex must be adjacent on the sweep line, and
+    the exits must be reached in order, top to bottom.
     """
     net = sub.network
-    n = net.n
     mult = dict(sub.marks)
-
-    # one curve per marked edge of multiplicity 1 or 2; a doubled run
-    # is drawn against the arrow of the network edge
-    rev = {eid: m == 2 for eid, m in mult.items() if m != 3}
-
-    def seg_end_at(eid: int, v: str) -> tuple[int, int]:
-        e = net.edges[eid]
-        at_head = v == e.head
-        if rev[eid]:
-            return (eid, 0 if at_head else 1)
-        return (eid, 1 if at_head else 0)
-
-    joins: dict[tuple[int, int], tuple[int, int]] = {}
-    bnd_attach: dict[tuple[int, int], int] = {}
-    gadgets: list[tuple[str, list[tuple[tuple[int, int], Point]]]] = []
-    mid_ids: list[int] = []
-
-    def direction(eid: int, v: str) -> Point:
-        e = net.edges[eid]
-        o = net.pos[e.head if v == e.tail else e.tail]
-        p = net.pos[v]
-        return (o[0] - p[0], o[1] - p[1])
-
-    for v in sorted(net.ids, key=lambda u: (net.pos[u][0], -net.pos[u][1], u)):
-        ins = [eid for eid in net.in_edges[v] if eid in mult]
-        outs = [eid for eid in net.out_edges[v] if eid in mult]
-        k_in = sum(mult[e] for e in ins)
-        k_out = sum(mult[e] for e in outs)
+    # marked edge ids, unreached entries and reached exits, top to bottom
+    line: list = list(net.sources)
+    cols: list[Column] = []
+    for v in net.order:
+        ins = [e for e in net.in_edges[v] if e in mult]
+        outs = [e for e in net.out_edges[v] if e in mult]
+        k_in, k_out = sum(mult[e] for e in ins), sum(mult[e] for e in outs)
         if v in net.sources:
             if k_in or k_out != 1:
                 raise WebError(f"entry {v!r} must start exactly one strand")
-            bnd_attach[(outs[0], 0)] = net.source_rank(v)
+            i = line.index(v)
+            x, y = net.pos[v]
+            above = next((e for e in reversed(line[:i]) if type(e) is int), None)
+            below = next((e for e in line[i + 1:] if type(e) is int), None)
+            if ((above is not None and _height(net.pos, net.edges[above], x) <= y)
+                    or (below is not None and _height(net.pos, net.edges[below], x) >= y)):
+                raise WebError(f"entry {v!r} lies outside the gap its strand enters")
+            line[i] = outs[0]
             continue
         if v in net.sinks:
             if k_out or k_in != 1:
                 raise WebError(f"exit {v!r} must end exactly one strand")
-            bnd_attach[(ins[0], 1)] = n + net.sink_rank(v)
+            line[line.index(ins[0])] = v
             continue
         if k_in != k_out:
             raise WebError(f"marking is unbalanced at vertex {v!r}")
-        if k_in == 0:
-            continue
         if k_in > 3:
             raise WebError(f"four or more strands pass through vertex {v!r}")
-
-        def slot(eid: int) -> tuple[tuple[int, int], Point]:
-            return (seg_end_at(eid, v), direction(eid, v))
-
-        # curves that end at v and curves that start there: a single
-        # strand's curve runs with its edge, a doubled run's against it,
-        # and a tripled run carries none
-        arrive, depart = [], []
-        for side, singles_arrive in ((ins, True), (outs, False)):
-            ones = [e for e in side if mult[e] == 1]
-            twos = [e for e in side if mult[e] == 2]
-            a, d = (ones, twos) if singles_arrive else (twos, ones)
-            if ones and twos:
-                # a single strand next to a doubled run turns back into it
-                joins[(a[0], 1)] = (d[0], 0)
-            else:
-                arrive += a
-                depart += d
-        if len(arrive) == len(depart) == 1:
-            joins[(arrive[0], 1)] = (depart[0], 0)
-        elif len(arrive) == len(depart) == 2:
-            mid = len(net.edges) + len(mid_ids)
-            mid_ids.append(mid)
-            gadgets.append(
-                (ROLE_SINK, [slot(e) for e in arrive] + [((mid, 1), (Fraction(1), Fraction(0)))])
-            )
-            gadgets.append(
-                (ROLE_SOURCE, [slot(e) for e in depart] + [((mid, 0), (Fraction(-1), Fraction(0)))])
-            )
-        else:
-            # three ends meet at a sink or a source, on either side or both
-            if arrive:
-                gadgets.append((ROLE_SINK, [slot(e) for e in arrive]))
-            if depart:
-                gadgets.append((ROLE_SOURCE, [slot(e) for e in depart]))
-
-    # stitch the spliced curves into web edges and closed loops
-    slot_vertex: dict[tuple[int, int], int] = dict(bnd_attach)
-    for gi, (_, slots) in enumerate(gadgets):
-        for end, _ in slots:
-            slot_vertex[end] = 2 * n + gi
-    all_sids = sorted(set(rev) | set(mid_ids))
-    consumed = set()
-    chains: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for start in sorted(e for e in slot_vertex if e[1] == 0):
-        sid = start[0]
-        consumed.add(sid)
-        while (sid, 1) in joins:
-            sid = joins[(sid, 1)][0]
-            consumed.add(sid)
-        stop = (sid, 1)
-        if stop not in slot_vertex:
-            raise WebError("a strand end dangles after uncrossing")
-        chains.append((start, stop))
-    loops = 0
-    left = set(all_sids) - consumed
-    while left:
-        s0 = min(left)
-        s = s0
-        while True:
-            left.discard(s)
-            nxt = joins.get((s, 1))
-            if nxt is None:
-                raise WebError("a strand end dangles after uncrossing")
-            s = nxt[0]
-            if s == s0:
-                break
-        loops += 1
-
-    chain_ref: dict[tuple[int, int], tuple[int, int]] = {}
-    edges = []
-    for ci, (start, stop) in enumerate(chains):
-        edges.append((slot_vertex[start], slot_vertex[stop]))
-        chain_ref[start] = (ci, 0)
-        chain_ref[stop] = (ci, 1)
-
-    roles: list[tuple] = [(ROLE_SRC, i + 1) for i in range(n)]
-    roles += [(ROLE_SNK, j + 1) for j in range(n)]
-    roles += [(role,) for role, _ in gadgets]
-    rot_refs: list[list[tuple[int, int]]] = []
-    for b in range(2 * n):
-        owner = [end for end, vid in bnd_attach.items() if vid == b]
-        if len(owner) != 1:
-            raise WebError("marking must touch every entry and exit once")
-        rot_refs.append([chain_ref[owner[0]]])
-    for _, slots in gadgets:
-        rot_refs.append([chain_ref[end] for end in _ccw_slots(slots)])
-
-    pmap = PlanarMap(n, roles, rot_refs, edges, loops=loops)
-    pmap.validate()
+        if not ins:
+            continue
+        at = sorted(line.index(e) for e in ins)
+        i, j = at[0], at[-1] + 1
+        if j - i != len(at):
+            raise WebError(f"the strands into vertex {v!r} enclose a boundary strand")
+        p = 1 + sum(mult.get(e) != 3 for e in line[:i])
+        left = [RIGHT if mult[e] == 1 else LEFT for e in line[i:j] if mult[e] != 3]
+        right = [RIGHT if mult[e] == 1 else LEFT for e in outs if mult[e] != 3]
+        if len(set(left)) == 2:
+            cols.append(Column(p, "cap", tuple(left)))
+        elif len(left) > 1:
+            cols.append(Column(p, "merge", (RIGHT, RIGHT, LEFT)))
+            if len(left) == 3:
+                cols.append(Column(p, "cap", (LEFT, RIGHT)))
+        if len(set(right)) == 2:
+            cols.append(Column(p, "cup", tuple(right)))
+        elif len(right) > 1:
+            if len(right) == 3:
+                cols.append(Column(p, "cup", (RIGHT, LEFT)))
+            cols.append(Column(p + len(right) - 2, "split", (LEFT, RIGHT, RIGHT)))
+        line[i:j] = outs
+    if line != list(net.sinks):
+        raise WebError("the exits are not reached in order, top to bottom")
+    pmap, _ = to_map(SliceDiagram(net.n, tuple(cols)))
     return Web.from_map(pmap)
 
 

@@ -21,18 +21,6 @@ def is_perm(w: Sequence[int]) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
 
 
-def compose(u: Perm, v: Perm) -> Perm:
-    """(u v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
-def inverse(w: Perm) -> Perm:
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
 def times_s(w: Perm, i: int) -> Perm:
     """w * s_i (swap positions i, i+1; 1-based i < n)."""
     if not 1 <= i < len(w):

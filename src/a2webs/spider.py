@@ -144,11 +144,33 @@ def reduce_web(w: Web) -> "WebCombo":
     host, outcomes = rewrite_step(w)
     if not outcomes:
         return WebCombo.from_web(host)
-    terms: list = []
-    for o in outcomes:
-        # recurse in this frame, not in a comprehension's: one frame per step
-        terms += ((D, o.coeff * v) for D, v in reduce_web(o.child)._terms.items())
-    return WebCombo(host.n, terms)
+    _reduce_new_children(outcomes)
+    return WebCombo(host.n, (
+        (D, o.coeff * v) for o in outcomes for D, v in reduce_web(o.child)._terms.items()
+    ))
+
+
+def _reduce_new_children(outcomes: Sequence[Outcome]) -> None:
+    """Reduce the webs below these outcomes with an explicit stack, so
+    that reduce_web recurses a bounded number of frames however long
+    the chain of rewrite steps.  A web no rewrite step has met yet has
+    no cached reduction: its own new children are reduced first.  Any
+    other web is reduced where it is met, which is a cache hit unless
+    only label transport has stepped it.  Webs are met in the order the
+    plain recursion meets them, so each code keeps the same host."""
+    stack = [(o.child, False) for o in reversed(outcomes)]
+    while stack:
+        w, ready = stack.pop()
+        if ready:
+            reduce_web(w)
+            continue
+        misses = rewrite_step.cache_info().misses
+        below = rewrite_step(w)[1]
+        if rewrite_step.cache_info().misses == misses:
+            reduce_web(w)
+        else:
+            stack.append((w, True))
+            stack += ((o.child, False) for o in reversed(below))
 
 
 def reduce_combo(c: "WebCombo") -> "WebCombo":

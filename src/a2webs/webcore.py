@@ -85,9 +85,6 @@ class Combo:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def support_size(self) -> int:
-        return len(self._terms)
-
     def scale(self, c):
         if not c:
             return self.zero(self.n)

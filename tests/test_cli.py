@@ -292,6 +292,20 @@ class TestSubcommands:
         assert rc == 0
         assert got["passed"]
 
+    def test_network_strand_bound_is_the_immanant_bound(self, capsys, tmp_path):
+        from pathlib import Path
+
+        from a2webs.networks import identity_network
+
+        path = tmp_path / "net.json"
+        bench = Path(__file__).parents[1] / "perfbench" / "networks.jsonl"
+        path.write_text(bench.read_text().splitlines()[0])
+        rc, got = run_json(capsys, ["network", "--file", str(path), "--check-corollary"])
+        assert (rc, got["n"], got["passed"]) == (0, 4, True)
+        path.write_text(json.dumps(identity_network(5).to_json_obj()))
+        assert main(["network", "--file", str(path), "--immanants"]) == 2
+        assert "documented up to n=4" in capsys.readouterr().err
+
     def test_network_refuses_crossing_edges(self, capsys, tmp_path):
         obj = {
             "n": 2,

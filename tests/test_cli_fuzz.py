@@ -28,6 +28,7 @@ def assert_refused(capsys, argv):
     assert (rc, out) == (2, ""), (argv, out[:200])
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+    return lines[0]
 
 
 def random_expr(rng, n, depth=0):
@@ -163,6 +164,26 @@ def test_matrix_files(capsys, tmp_path):
         X = ExactMatrix.from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
         path = malformed_file(rng, tmp_path, X.to_json_obj())
         assert_refused(capsys, ["immanants", "--n", str(n), "--matrix", path])
+
+
+def test_oversized_rationals(capsys, tmp_path):
+    # a huge decimal exponent or digit string, refused before it is built
+    rng = random.Random(SEED + 6)
+    path = tmp_path / "input.json"
+    for _ in range(20):
+        big = rng.choice(["1e1000000000", "-3.5E+99999", "1e-1000001", "7" * 5000, "1/" + "3" * 5000])
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        rows[rng.randrange(n)][rng.randrange(n)] = big
+        path.write_text(json.dumps({"n": n, "rows": rows}))
+        line = assert_refused(capsys, ["immanants", "--n", str(n), "--matrix", str(path)])
+        assert "exponent" in line or "characters" in line
+        obj = random_planar_network(n, rng, steps=2).to_json_obj()
+        item = rng.choice(obj["vertices"] + obj["edges"])
+        item[rng.choice([k for k in item if k in ("x", "y", "weight")])] = big
+        path.write_text(json.dumps(obj))
+        line = assert_refused(capsys, ["network", "--file", str(path), "--check-corollary"])
+        assert "exponent" in line or "characters" in line
 
 
 def test_network_files(capsys, tmp_path):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from a2webs.exactmath import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_RATIONAL_CHARS,
     InexactDivisionError,
     LaurentPoly,
     echelon,
@@ -140,14 +142,6 @@ class TestRendering:
         assert str(qint(2)) == "t^-2 + t^2"
         assert str(LaurentPoly.zero()) == "0"
 
-    def test_q_form(self):
-        assert qint(3).pretty() == "q^-1 + 1 + q"
-        assert (qint(3) * LaurentPoly.t_power(4)).pretty() == "1 + q + q^2"
-
-    def test_q_form_unavailable(self):
-        assert qint(2).pretty() == "t^-2 + t^2"
-        assert not qint(2).q_renderable()
-
     def test_signs_and_coefficients(self):
         p = P({-2: -1, 0: 2, 3: -3, 1: 1})
         assert str(p) == "-t^-2 + 2 + t - 3*t^3"
@@ -192,6 +186,18 @@ class TestRationalCodec:
         with pytest.raises(ValueError):
             parse_rational("1/0")
         for bad in (True, False, None, [1], float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
+
+    def test_size_bounds(self):
+        # refused before Fraction builds a huge power of ten
+        e = MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"1e{e}") == 10 ** e
+        assert parse_rational(f"-2.5E-{e}") == Fraction(-25, 10 ** (e + 1))
+        assert parse_rational("9" * MAX_RATIONAL_CHARS) == 10 ** MAX_RATIONAL_CHARS - 1
+        assert parse_rational(5e-324) == Fraction("5e-324")
+        for bad in (f"1e{e + 1}", f"1E-{e + 1}", "1e1000000000", "1e1_000_000",
+                    "9" * (MAX_RATIONAL_CHARS + 1), " " * MAX_RATIONAL_CHARS + "1"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 

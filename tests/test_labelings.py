@@ -250,7 +250,7 @@ def _rank_at_q1(vectors):
 class TestKappaVector:
     def test_identity_strand_profile(self):
         prof = boundary_profile(idweb(1))
-        assert prof.support_size() == 3
+        assert len(prof.terms()) == 3
         for g, c in prof.entries():
             assert g.sources == g.sinks
             assert c == LaurentPoly.one()

@@ -498,7 +498,7 @@ class TestMarkedSubnetwork:
         net = funnel3_net()
         (w, combo) = next(iter(covering_families(net)))
         sub = MarkedSubnetwork.from_family(net, combo)
-        assert sub.multiplicity(3) == 3
+        assert dict(sub.marks)[3] == 3
         assert sub.weight() == net.path_weight(combo[0]) * net.path_weight(
             combo[1]
         ) * net.path_weight(combo[2])
@@ -782,9 +782,126 @@ class TestUncrossDigest:
         profiles = set()
         for net in nets:
             for marks in covering_markings(net):
-                digest.update(repr(uncross(MarkedSubnetwork(net, marks)).code).encode())
+                w = uncross(MarkedSubnetwork(net, marks))
+                w.pmap.validate()
+                digest.update(repr(w.code).encode())
                 profiles |= _vertex_profiles(net, marks)
         sides = ((1,), (2,), (1, 1), (3,), (1, 2), (1, 1, 1))
         assert profiles == {(a, b) for a in sides for b in sides if sum(a) == sum(b)}
         assert len(profiles) == 14
         assert digest.hexdigest() == self.DIGEST
+
+
+def displaced(net, rng):
+    """net with each entry moved right and each exit moved left, by a
+    random fraction of the way to its nearest neighbour; None when the
+    moved drawing is refused."""
+    obj = net.to_json_obj()
+    where = {v["id"]: v for v in obj["vertices"]}
+    for v in net.sources:
+        x = net.pos[v][0]
+        reach = min(net.pos[net.edges[e].head][0] for e in net.out_edges[v])
+        where[v]["x"] = str(x + (reach - x) * Fraction(rng.randint(1, 9), 10))
+    for v in net.sinks:
+        x = net.pos[v][0]
+        reach = max(net.pos[net.edges[e].tail][0] for e in net.in_edges[v])
+        where[v]["x"] = str(x + (reach - x) * Fraction(rng.randint(1, 9), 10))
+    try:
+        return PlanarNetwork.from_json_obj(obj)
+    except WebError:
+        return None
+
+
+class TestDisplacedBoundaryDigest:
+    # sha256 over the outcome (code, or "refused") of every covering
+    # marking of 300 random networks whose entries and exits sit inside
+    # the drawing, recorded when uncross still built its map by hand
+    DIGEST = "a2891a29d494f8bb2f251e03aae39b9abfdc593b02575ce84333f14a5357ea64"
+
+    def test_outcomes_are_pinned(self):
+        rng = random.Random(SEED + 13)
+        nets = []
+        while len(nets) < 300:
+            net = displaced(random_planar_network(rng.randint(2, 3), rng, steps=rng.randint(1, 3)), rng)
+            if net is not None:
+                nets.append(net)
+        digest = hashlib.sha256()
+        for net in nets:
+            for marks in covering_markings(net):
+                try:
+                    outcome = repr(uncross(MarkedSubnetwork(net, marks)).code)
+                except WebError:
+                    outcome = "refused"
+                digest.update(outcome.encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+def _outcomes(net):
+    """Each covering marking's uncrossed code, or None when refused."""
+    out = []
+    for marks in covering_markings(net):
+        try:
+            out.append(uncross(MarkedSubnetwork(net, marks)).code)
+        except WebError:
+            out.append(None)
+    return out
+
+
+class TestBoundaryContract:
+    """Uncrossing refuses a marking whose drawing leaves no room to run
+    the entries out to the left and the exits out to the right."""
+
+    def test_entry_inside_a_diamond_that_joins_it(self):
+        # the strand from s1 runs round the diamond above or below s2;
+        # below it, s2 could reach the left only across that strand
+        net = PlanarNetwork(
+            2,
+            [("s1", 0, 1), ("a", 1, 0), ("b", 2, 1), ("c", 2, -1), ("s2", 2, 0),
+             ("d", 3, 0), ("t1", 4, 1), ("t2", 4, -1)],
+            [("s1", "a", 1), ("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1),
+             ("s2", "d", 1), ("d", "t1", 1), ("d", "t2", 1)],
+            ["s1", "s2"],
+            ["t1", "t2"],
+        )
+        assert _outcomes(net) == [Web.from_slice(generator_web(2, 1)).code, None]
+
+    def test_exit_whose_ray_a_later_edge_crosses(self):
+        # s2's strand climbs past t1's rightward ray to the upper exit
+        net = PlanarNetwork(
+            2,
+            [("s1", 0, 2), ("t1", 1, 1), ("s2", 0, 0), ("u", 2, 0), ("t2", 3, 3)],
+            [("s1", "t1", 1), ("s2", "u", 1), ("u", "t2", 1)],
+            ["s1", "s2"],
+            ["t2", "t1"],
+        )
+        assert _outcomes(net) == [None]
+
+    def test_strands_into_a_vertex_around_a_later_entry(self):
+        net = PlanarNetwork(
+            3,
+            [("s1", 0, 2), ("s3", 0, -2), ("v", 1, 0), ("t1", 3, 1), ("t3", 3, -1),
+             ("s2", 2, 0), ("t2", Fraction(5, 2), 0)],
+            [("s1", "v", 1), ("s3", "v", 1), ("v", "t1", 1), ("v", "t3", 1), ("s2", "t2", 1)],
+            ["s1", "s2", "s3"],
+            ["t1", "t2", "t3"],
+        )
+        assert _outcomes(net) == [None]
+
+    def test_pair_enclosed_in_a_diamond(self):
+        # s2 -> t2 is its own component inside the diamond.  Above the
+        # diamond's lower curve s2 could reach the left only across the
+        # strand from s1, so that marking is refused; the map alone,
+        # two disjoint strands, would pass validate().
+        net = PlanarNetwork(
+            2,
+            [("s1", 0, 1), ("a", 1, 0), ("b", 2, 2), ("c", 2, -2), ("d", 4, 0),
+             ("t1", 5, 1), ("s2", 2, 0), ("t2", 3, 0)],
+            [("s1", "a", 1), ("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1),
+             ("d", "t1", 1), ("s2", "t2", 1)],
+            ["s1", "s2"],
+            ["t1", "t2"],
+        )
+        upper, lower = covering_markings(net)
+        assert (net.edges[1].head, net.edges[2].head) == ("b", "c")
+        assert 1 in dict(upper) and 2 in dict(lower)
+        assert _outcomes(net) == [Web.from_slice(identity_web(2)).code, None]

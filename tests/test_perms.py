@@ -5,12 +5,10 @@ from a2webs.perms import (
     all_reduced_words,
     avoids,
     catalan,
-    compose,
     count_avoiding,
     descents,
     first_reduced_word,
     identity_perm,
-    inverse,
     kostka_three_column,
     perm_from_word,
     perm_length,
@@ -19,11 +17,6 @@ from a2webs.perms import (
 
 
 class TestBasics:
-    def test_compose_and_inverse(self):
-        w = (3, 1, 4, 2)
-        assert compose(w, inverse(w)) == identity_perm(4)
-        assert compose(inverse(w), w) == identity_perm(4)
-
     def test_times_s(self):
         assert times_s((1, 2, 3), 1) == (2, 1, 3)
         assert times_s((1, 2, 3), 2) == (1, 3, 2)
