@@ -588,9 +588,14 @@ def run_suite(cfg: SuiteConfig) -> dict:
                 "larger strand counts are out of the exhaustive range"
             )
         tasks = [(cfg.suite, cfg.n, cfg.samples, cfg.seed)]
-    workers = int(os.environ.get("A2WEBS_WORKERS", "1"))
+    raw = os.environ.get("A2WEBS_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise WebError(f"A2WEBS_WORKERS must be an integer, got {raw!r}") from None
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at once: one per task at most
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             checks = list(pool.map(_run_named, tasks))
     else:
         checks = [_run_named(t) for t in tasks]

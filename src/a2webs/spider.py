@@ -141,7 +141,7 @@ def rewrite_step(w: Web) -> tuple[Web, tuple[Outcome, ...]]:
 
 @cache
 def reduce_web(w: Web) -> "WebCombo":
-    host, outcomes = rewrite_step(w)
+    host, outcomes = _reduction_step(w)
     if not outcomes:
         return WebCombo.from_web(host)
     _reduce_new_children(outcomes)
@@ -150,23 +150,31 @@ def reduce_web(w: Web) -> "WebCombo":
     ))
 
 
+@cache
+def _reduction_step(w: Web) -> tuple[Web, tuple[Outcome, ...]]:
+    """rewrite_step(w), called by reduction only: a web this cache has
+    met is reduced, or is being reduced further up.  Label transport
+    steps webs through rewrite_step without reducing them."""
+    return rewrite_step(w)
+
+
 def _reduce_new_children(outcomes: Sequence[Outcome]) -> None:
     """Reduce the webs below these outcomes with an explicit stack, so
     that reduce_web recurses a bounded number of frames however long
-    the chain of rewrite steps.  A web no rewrite step has met yet has
-    no cached reduction: its own new children are reduced first.  Any
-    other web is reduced where it is met, which is a cache hit unless
-    only label transport has stepped it.  Webs are met in the order the
-    plain recursion meets them, so each code keeps the same host."""
+    the chain of rewrite steps.  A web reduction has not stepped yet
+    has no cached reduction: its own new children are reduced first.
+    Any other web is reduced already, so reducing it is a cache hit.
+    Webs are met in the order the plain recursion meets them, so each
+    code keeps the same host."""
     stack = [(o.child, False) for o in reversed(outcomes)]
     while stack:
         w, ready = stack.pop()
         if ready:
             reduce_web(w)
             continue
-        misses = rewrite_step.cache_info().misses
-        below = rewrite_step(w)[1]
-        if rewrite_step.cache_info().misses == misses:
+        misses = _reduction_step.cache_info().misses
+        below = _reduction_step(w)[1]
+        if _reduction_step.cache_info().misses == misses:
             reduce_web(w)
         else:
             stack.append((w, True))
@@ -445,10 +453,13 @@ def hecke_image(n: int, word: tuple[int, ...]) -> WebCombo:
     """Product of braid generator images along a word.  The result only
     depends on the permutation the word presents (checked by tests);
     the cache keys on the word itself, and each word is one product on
-    top of its prefix's cached image."""
+    top of its prefix's cached image.  The product folds as
+    prefix * (t^2 E_i - 1) = t^2 (prefix * E_i) - prefix, so only the
+    generator web is multiplied, not the identity."""
     if not word:
         return WebCombo.unit(n)
-    return hecke_image(n, word[:-1]) * hecke_generator(n, word[-1])
+    prefix = hecke_image(n, word[:-1])
+    return (prefix * generator_combo(n, word[-1])).scale(LaurentPoly.t_power(2)) - prefix
 
 
 def relation_suite(n: int) -> list[tuple[str, bool]]:

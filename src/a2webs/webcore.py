@@ -36,6 +36,15 @@ ROLE_SNK = "snk"
 ROLE_SINK = "sink"      # internal, all edges point in
 ROLE_SOURCE = "source"  # internal, all edges point out
 
+# (tile, internal vertex role) -> the direction flags of its legs
+VERTEX_DIRS = {
+    ("merge", ROLE_SINK): (RIGHT, RIGHT, LEFT),
+    ("merge", ROLE_SOURCE): (LEFT, LEFT, RIGHT),
+    ("split", ROLE_SINK): (RIGHT, LEFT, LEFT),
+    ("split", ROLE_SOURCE): (LEFT, RIGHT, RIGHT),
+}
+_DIRS_ROLE = {(tile, dirs): role for (tile, role), dirs in VERTEX_DIRS.items()}
+
 
 class WebError(ValueError):
     """Structurally invalid web data."""
@@ -458,183 +467,99 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
         seg_dir.append(d)
         return len(seg_dir) - 1
 
+    # a segment end is (segment, 0 for its left end or 1 for its right);
+    # a cup or cap joins two ends, a vertex holds one end per slot
     joins: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    terms: dict[tuple[int, int], tuple] = {}
-    vroles: list[str] = []
-
-    wires: list[int] = []
-    for i in range(n):
-        s = new_seg(RIGHT)
-        terms[(s, 0)] = (ROLE_SRC, i + 1)
-        wires.append(s)
+    # legs[v][k]: the end at slot k of vertex v; sources, then sinks,
+    # then internal vertices in column order, each slot list holding
+    # the left legs, then the right legs, top to bottom
+    wires = [new_seg(RIGHT) for _ in range(n)]
+    legs: list[list[tuple[int, int]]] = [[(s, 0)] for s in wires] + [[] for _ in range(n)]
+    roles: list[tuple] = [(ROLE_SRC, i + 1) for i in range(n)]
+    roles += [(ROLE_SNK, j + 1) for j in range(n)]
+    lefts: dict[int, int] = {}  # internal vertex -> number of left legs
 
     for ci, col in enumerate(diagram.columns):
         p = col.pos
-        used, made = TILE_ARITY[col.tile]
-        top = len(wires) + 1 if col.tile == "cup" else len(wires) - used + 1
-        if not 1 <= p <= top:
+        used = TILE_ARITY[col.tile][0]
+        if not 1 <= p <= len(wires) - used + 1:
             raise WebError(f"column {ci}: position {p} out of range")
-        if col.tile == "merge":
-            a, b, c = col.dirs
-            w1, w2 = wires[p - 1], wires[p]
-            if (seg_dir[w1], seg_dir[w2]) != (a, b):
-                raise WebError(f"column {ci}: leg directions disagree with incoming wires")
-            if (a, b, c) == (RIGHT, RIGHT, LEFT):
-                role = ROLE_SINK
-            elif (a, b, c) == (LEFT, LEFT, RIGHT):
-                role = ROLE_SOURCE
-            else:
+        incoming = wires[p - 1 : p - 1 + used]
+        if tuple(seg_dir[w] for w in incoming) != col.dirs[:used]:
+            raise WebError(f"column {ci}: leg directions disagree with incoming wires")
+        made = [new_seg(d) for d in col.dirs[used:]]
+        ends = [(w, 1) for w in incoming] + [(s, 0) for s in made]
+        if col.tile in ("cup", "cap"):
+            if col.dirs[0] == col.dirs[1]:
+                raise WebError(f"column {ci}: {col.tile} legs must run in opposite senses")
+            sg = 1 if col.dirs[0] == RIGHT else -1
+            joins[ends[0]] = (ends[1], sg)
+            joins[ends[1]] = (ends[0], sg)
+        else:
+            role = _DIRS_ROLE.get((col.tile, col.dirs))
+            if role is None:
                 raise WebError(f"column {ci}: vertex is neither all-in nor all-out")
-            vid = len(vroles)
-            vroles.append(role)
-            terms[(w1, 1)] = ("v", vid, 0, 0)
-            terms[(w2, 1)] = ("v", vid, 0, 1)
-            s3 = new_seg(c)
-            terms[(s3, 0)] = ("v", vid, 1, 0)
-            wires[p - 1 : p + 1] = [s3]
-        elif col.tile == "split":
-            a, b, c = col.dirs
-            w = wires[p - 1]
-            if seg_dir[w] != a:
-                raise WebError(f"column {ci}: leg directions disagree with incoming wires")
-            if (a, b, c) == (RIGHT, LEFT, LEFT):
-                role = ROLE_SINK
-            elif (a, b, c) == (LEFT, RIGHT, RIGHT):
-                role = ROLE_SOURCE
-            else:
-                raise WebError(f"column {ci}: vertex is neither all-in nor all-out")
-            vid = len(vroles)
-            vroles.append(role)
-            terms[(w, 1)] = ("v", vid, 0, 0)
-            s1, s2 = new_seg(b), new_seg(c)
-            terms[(s1, 0)] = ("v", vid, 1, 0)
-            terms[(s2, 0)] = ("v", vid, 1, 1)
-            wires[p - 1 : p] = [s1, s2]
-        elif col.tile == "cup":
-            a, b = col.dirs
-            if {a, b} != {RIGHT, LEFT}:
-                raise WebError(f"column {ci}: cup legs must run in opposite senses")
-            sg = 1 if a == RIGHT else -1
-            s1, s2 = new_seg(a), new_seg(b)
-            joins[(s1, 0)] = ((s2, 0), sg)
-            joins[(s2, 0)] = ((s1, 0), sg)
-            wires[p - 1 : p - 1] = [s1, s2]
-        else:  # cap
-            a, b = col.dirs
-            w1, w2 = wires[p - 1], wires[p]
-            if (seg_dir[w1], seg_dir[w2]) != (a, b):
-                raise WebError(f"column {ci}: leg directions disagree with incoming wires")
-            if {a, b} != {RIGHT, LEFT}:
-                raise WebError(f"column {ci}: cap legs must run in opposite senses")
-            sg = 1 if a == RIGHT else -1
-            joins[(w1, 1)] = ((w2, 1), sg)
-            joins[(w2, 1)] = ((w1, 1), sg)
-            del wires[p - 1 : p + 1]
+            lefts[len(roles)] = used
+            roles.append((role,))
+            legs.append(ends)
+        wires[p - 1 : p - 1 + used] = made
 
     if len(wires) != n:
         raise WebError(f"diagram ends with {len(wires)} wires, expected {n}")
     for j, s in enumerate(wires):
         if seg_dir[s] != RIGHT:
             raise WebError(f"sink strand {j + 1} arrives oriented leftward")
-        terms[(s, 1)] = (ROLE_SNK, j + 1)
+        legs[n + j].append((s, 1))
 
-    # stitch segments into edges and loops
-    def term_key(end):
-        t = terms[end]
-        if t[0] == ROLE_SRC:
-            return (0, t[1])
-        if t[0] == ROLE_SNK:
-            return (1, t[1])
-        return (2, t[1], t[2], t[3])
+    walked: set[int] = set()
 
-    edges_raw = []
-    seen_ends = set()
-    for end in sorted(terms, key=term_key):
-        if end in seen_ends:
-            continue
-        seen_ends.add(end)
-        t1 = terms[end]
+    def walk(end: tuple[int, int]) -> tuple[list[int], tuple[int, int]]:
+        # cross segments through cups and caps from end, until an end
+        # held by a vertex or, round a closed loop, end itself
         turns = []
-        cur = (end[0], 1 - end[1])
+        cur = end
         while cur in joins:
-            nxt, sg = joins[cur]
+            (s, side), sg = joins[cur]
             turns.append(sg)
-            seen_ends.add(nxt)
-            cur = (nxt[0], 1 - nxt[1])
-        seen_ends.add(cur)
-        edges_raw.append((t1, terms[cur], tuple(turns)))
+            walked.add(s)
+            cur = (s, 1 - side)
+            if cur == end:
+                break
+        return turns, cur
+
+    # walk each edge once, from its first slot; its tail is the end at
+    # a source-side vertex
+    slot_of = {end: (v, k) for v, ends in enumerate(legs) for k, end in enumerate(ends)}
+    ref: dict[tuple[int, int], tuple[int, int]] = {}  # slot -> (edge id, end)
+    edges = []
+    edge_turns: dict[int, tuple[int, ...]] = {}
+    for v, ends in enumerate(legs):
+        for k, (s, side) in enumerate(ends):
+            if (v, k) in ref:
+                continue
+            walked.add(s)
+            turns, last = walk((s, 1 - side))
+            other, eid = slot_of[last], len(edges)
+            head = int(roles[v][0] in (ROLE_SNK, ROLE_SINK))  # end of the edge at v
+            edges.append((other[0], v) if head else (v, other[0]))
+            edge_turns[eid] = tuple(turns)
+            ref[(v, k)], ref[other] = (eid, head), (eid, 1 - head)
 
     loop_turns = []
-    visited_segs = {e[0] for e in seen_ends}
     for s in range(len(seg_dir)):
-        if s in visited_segs:
-            continue
-        turns = []
-        cur = (s, 0)
-        while True:
-            nxt, sg = joins[cur]
-            turns.append(sg)
-            visited_segs.add(nxt[0])
-            cur = (nxt[0], 1 - nxt[1])
-            if cur == (s, 0):
-                break
-        loop_turns.append(tuple(turns))
+        if s not in walked:
+            loop_turns.append(tuple(walk((s, 0))[0]))
 
-    # terminals to global vertex ids
-    def vertex_of(t) -> int:
-        if t[0] == ROLE_SRC:
-            return t[1] - 1
-        if t[0] == ROLE_SNK:
-            return n + t[1] - 1
-        return 2 * n + t[1]
-
-    def is_tail(t) -> bool:
-        if t[0] == ROLE_SRC:
-            return True
-        if t[0] == ROLE_SNK:
-            return False
-        return vroles[t[1]] == ROLE_SOURCE
-
-    edges = []
-    slot_edge: dict[tuple[int, int, int], tuple[int, int]] = {}
-    edge_turns: dict[int, tuple[int, ...]] = {}
-    bnd_edge = {}
-    for t1, t2, turns in edges_raw:
-        if is_tail(t1) == is_tail(t2):
-            raise WebError("an edge must run from a source-side end to a sink-side end")
-        tail, head = (t1, t2) if is_tail(t1) else (t2, t1)
-        eid = len(edges)
-        edges.append((vertex_of(tail), vertex_of(head)))
-        edge_turns[eid] = turns
-        for t, endflag in ((tail, 0), (head, 1)):
-            if t[0] == "v":
-                slot_edge[(t[1], t[2], t[3])] = (eid, endflag)
-            else:
-                bnd_edge[vertex_of(t)] = (eid, endflag)
-
-    roles: list[tuple] = [(ROLE_SRC, i + 1) for i in range(n)]
-    roles += [(ROLE_SNK, j + 1) for j in range(n)]
-    roles += [(r,) for r in vroles]
-
-    rot_refs: list[list[tuple[int, int]]] = []
-    for v in range(2 * n):
-        if v not in bnd_edge:
-            raise WebError("a boundary vertex ended up with no edge")
-        rot_refs.append([bnd_edge[v]])
+    # CCW from the top right leg: it, the left legs top to bottom, then
+    # the other right leg; a merge reads right, left-top, left-bottom and
+    # a split right-top, left, right-bottom
+    rot_refs = [[ref[(v, 0)]] for v in range(2 * n)]
     vertex_sides = {}
-    for vid in range(len(vroles)):
-        left = [slot_edge[k] for k in ((vid, 0, 0), (vid, 0, 1)) if k in slot_edge]
-        right = [slot_edge[k] for k in ((vid, 1, 0), (vid, 1, 1)) if k in slot_edge]
-        if len(left) + len(right) != 3:
-            raise WebError("internal vertex is not trivalent")
-        if len(left) == 2:  # merge: CCW order right, left-top, left-bottom
-            rot_refs.append([right[0], left[0], left[1]])
-        else:  # split: CCW order right-top, left, right-bottom
-            rot_refs.append([right[0], left[0], right[1]])
-        gv = 2 * n + vid
-        vertex_sides[gv] = (
-            tuple(e for e, _ in left),
-            tuple(e for e, _ in right),
+    for v, nl in lefts.items():
+        rot_refs.append([ref[(v, k)] for k in (nl, *range(nl), *range(nl + 1, 3))])
+        vertex_sides[v] = (
+            tuple(ref[(v, k)][0] for k in range(nl)),
+            tuple(ref[(v, k)][0] for k in range(nl, 3)),
         )
 
     m = PlanarMap(n, roles, rot_refs, edges, loops=len(loop_turns))
@@ -839,10 +764,7 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         if any(m.roles[v][0] == ROLE_SRC for v in comp)
     }
     # initial frontier: the far ends of all source edges, top to bottom
-    frontier = []
-    for i in range(m.n):
-        d = m.rot[i][0]
-        frontier.append(d ^ 1)
+    frontier = tuple(m.rot[i][0] ^ 1 for i in range(m.n))
     target = tuple(m.rot[m.n + j][0] for j in range(m.n))
     internal = m.internal_vertices()
     rng = random.Random(salt) if salt else None
@@ -851,7 +773,15 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         # wire runs rightward when its pending end is the edge's head
         return RIGHT if d & 1 else LEFT
 
+    # A move replaces the k frontier darts at position p by new ones and
+    # adds tiles at p: (p, k, new darts, (tile, dirs) pairs, vertex placed
+    # or None).
+
     def vertex_moves(F: tuple[int, ...], placed: frozenset[int]):
+        """Place a vertex whose k frontier darts sit one after another in
+        its rotation: k = 1 splits, 2 merges, 3 merges and caps.  Its
+        other darts, taken on in rotation order, become the frontier
+        from the bottom up."""
         pos_of: dict[int, list[int]] = {}
         for p, d in enumerate(F):
             v = m.dart_vertex[d]
@@ -859,22 +789,19 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
                 pos_of.setdefault(v, []).append(p)
         moves = []
         for v, ps in pos_of.items():
-            if ps != list(range(ps[0], ps[0] + len(ps))):
-                continue
-            p = ps[0]
-            ds = [F[q] for q in ps]
+            p, k = ps[0], len(ps)
             rot = m.rot[v]
-            if len(ds) == 1:
-                moves.append(("split", v, p, ds))
-            elif len(ds) == 2:
-                eps = [d for d in rot if d not in ds]
-                if _cyclic_eq(rot, (eps[0], ds[0], ds[1])):
-                    moves.append(("merge", v, p, ds))
-            else:
-                if _cyclic_eq(rot, (ds[2], ds[0], ds[1])):
-                    moves.append(("close", v, p, ds))
-        moves.sort(key=lambda mv: (mv[2], mv[0]))
-        return moves
+            i = rot.index(F[p])
+            darts = tuple(rot[(i + j) % 3] for j in range(3))
+            if F[p : p + k] != darts[:k]:
+                continue
+            tile = "split" if k == 1 else "merge"
+            dirs = VERTEX_DIRS[(tile, m.roles[v][0])]
+            tiles = [(tile, dirs)]
+            if k == 3:  # the merged wire and the third leg's wire meet in a cap
+                tiles.append(("cap", (dirs[2], dirs[0])))
+            moves.append((p, k, tuple(d ^ 1 for d in reversed(darts[k:])), tiles, v))
+        return moves  # in position order: pos_of meets each vertex at its first dart
 
     def seed_moves(F: tuple[int, ...], placed: frozenset[int]):
         started_comps = {comp_of[m.dart_vertex[d]] for d in F}
@@ -890,12 +817,12 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         eids = sorted(
             e for e, (t, h) in enumerate(m.edges) if comp_of[t] == ci
         )
-        moves = []
-        for e in eids:
-            for p in range(len(F) + 1):
-                for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1)):
-                    moves.append(("seed", e, p, order))
-        return moves
+        return [
+            (p, 0, order, [("cup", (flag(order[0]), flag(order[1])))], None)
+            for e in eids
+            for p in range(len(F) + 1)
+            for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1))
+        ]
 
     visited = set()
 
@@ -909,69 +836,17 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         moves = vertex_moves(F, placed) + seed_moves(F, placed)
         if rng is not None:
             rng.shuffle(moves)
-        for mv in moves:
-            kind = mv[0]
-            if kind == "split":
-                _, v, p, ds = mv
-                d = ds[0]
-                rot = m.rot[v]
-                i = rot.index(d)
-                bot, top = rot[(i + 1) % 3], rot[(i + 2) % 3]
-                role = m.roles[v][0]
-                dirs = (RIGHT, LEFT, LEFT) if role == ROLE_SINK else (LEFT, RIGHT, RIGHT)
-                F2 = F[:p] + (top ^ 1, bot ^ 1) + F[p + 1 :]
-                cols.append(Column(p + 1, "split", dirs))
-                if dfs(F2, placed | {v}, cols):
-                    return True
-                cols.pop()
-            elif kind == "merge":
-                _, v, p, ds = mv
-                rot = m.rot[v]
-                eps = [d for d in rot if d not in ds][0]
-                role = m.roles[v][0]
-                dirs = (RIGHT, RIGHT, LEFT) if role == ROLE_SINK else (LEFT, LEFT, RIGHT)
-                F2 = F[:p] + (eps ^ 1,) + F[p + 2 :]
-                cols.append(Column(p + 1, "merge", dirs))
-                if dfs(F2, placed | {v}, cols):
-                    return True
-                cols.pop()
-            elif kind == "close":
-                _, v, p, ds = mv
-                role = m.roles[v][0]
-                dirs = (RIGHT, RIGHT, LEFT) if role == ROLE_SINK else (LEFT, LEFT, RIGHT)
-                out_dir = LEFT if role == ROLE_SINK else RIGHT
-                cap_dirs = (out_dir, flag(ds[2]))
-                F2 = F[:p] + F[p + 3 :]
-                cols.append(Column(p + 1, "merge", dirs))
-                cols.append(Column(p + 1, "cap", cap_dirs))
-                if dfs(F2, placed | {v}, cols):
-                    return True
-                cols.pop()
-                cols.pop()
-            else:
-                _, e, p, order = mv
-                dirs = (flag(order[0]), flag(order[1]))
-                F2 = F[:p] + order + F[p:]
-                cols.append(Column(p + 1, "cup", dirs))
-                if dfs(F2, placed, cols):
-                    return True
-                cols.pop()
+        for p, k, new, tiles, v in moves:
+            cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
+            if dfs(F[:p] + new + F[p + k :], placed if v is None else placed | {v}, cols):
+                return True
+            del cols[len(cols) - len(tiles) :]
         return False
 
     cols: list[Column] = []
-    if not dfs(tuple(frontier), frozenset(), cols):
+    if not dfs(frontier, frozenset(), cols):
         raise WebError("map admits no slice drawing with the prescribed boundary")
     return SliceDiagram(m.n, tuple(cols))
-
-
-def _cyclic_eq(rot: Sequence[int], want: Sequence[int]) -> bool:
-    k = len(rot)
-    if len(want) != k:
-        return False
-    for s in range(k):
-        if all(rot[(s + i) % k] == want[i] for i in range(k)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

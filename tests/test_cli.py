@@ -460,6 +460,34 @@ class TestMalformedInput:
     def test_zero_strands(self, capsys, argv):
         assert one_error_line(capsys, argv) == "error: need n >= 1, got 0"
 
+    def test_workers_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("A2WEBS_WORKERS", "x")
+        line = one_error_line(capsys, ["verify", "--n", "2"])
+        assert line == "error: A2WEBS_WORKERS must be an integer, got 'x'"
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # a stand-in pool that runs the tasks here: no process starts
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("a2webs.cli.ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("A2WEBS_WORKERS", str(10**6))
+        rep = run_suite(SuiteConfig(suite="all", n=2, seed=SEED))
+        assert rep["passed"]
+        assert sizes == [len(rep["checks"])] == [9]
+
     @pytest.mark.parametrize("expr", ["(" * 101 + "E1" + ")" * 101, "(" * 5000], ids=["101", "5000"])
     def test_deep_parentheses(self, capsys, expr):
         line = one_error_line(capsys, ["reduce", "--n", "2", "--", expr])

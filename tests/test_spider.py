@@ -6,6 +6,7 @@ import pytest
 
 from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
+from a2webs.labelings import Labeling, transport_and_type
 from a2webs.spider import (
     WebCombo,
     all_reducible_features,
@@ -86,20 +87,38 @@ class TestBigonRule:
         assert e * e == e.scale(qint(2))
 
 
+def reduce_with_lowered_limit(w):
+    """reduce_web(w) with the recursion limit 50 frames above the caller."""
+    frame, here = sys._getframe(), 0
+    while frame:
+        frame, here = frame.f_back, here + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(here + 50)
+    try:
+        return reduce_web(w)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestReductionDepth:
     def test_a_long_product_reduces_in_bounded_depth(self):
         # 99 bigon steps; one frame per step would overrun the lowered limit
         clear_caches()
+        combo = reduce_with_lowered_limit(product_web(2, (1,) * 100))
+        assert combo == generator_combo(2, 1).scale(qint(2) ** 99)
+
+    def test_a_transported_product_reduces_in_bounded_depth(self):
+        # label transport steps all 99 bigons first, without reducing
+        clear_caches()
         w = product_web(2, (1,) * 100)
-        frame, here = sys._getframe(), 0
-        while frame:
-            frame, here = frame.f_back, here + 1
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(here + 50)
-        try:
-            combo = reduce_web(w)
-        finally:
-            sys.setrecursionlimit(limit)
+        # each vertex: its two strand legs take 1 (top) and 2, its middle edge 3
+        lab = [0] * len(w.pmap.edges)
+        for left, right in w.geom.vertex_sides.values():
+            (middle,), pair = (right, left) if len(left) == 2 else (left, right)
+            lab[pair[0]], lab[pair[1]], lab[middle] = 1, 2, 3
+        ty, _ = transport_and_type(w, Labeling(tuple(lab)))
+        assert ty == gweb(2, 1)
+        combo = reduce_with_lowered_limit(w)
         assert combo == generator_combo(2, 1).scale(qint(2) ** 99)
 
 

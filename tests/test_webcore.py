@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -306,3 +307,127 @@ class TestCodes:
             assert canonical_form(m) == tuple(code), code
             decoded += 1
         assert decoded > 1000
+
+
+def drawing_record(d):
+    """Everything to_map reads off one drawing, as text."""
+    m, g = to_map(d)
+    return repr((
+        d.columns, m.roles, m.rot, m.edges, m.loops,
+        sorted(g.vertex_sides.items()), sorted(g.edge_turns.items()), g.loop_turns,
+    ))
+
+
+class TestDrawingDigest:
+    # sha256 over the drawings render makes at salts 0-3 and over what
+    # to_map reads off each of them, recorded while to_map still stitched
+    # tagged terminals and render kept one branch per kind of move
+    DIGEST = "5b2bf659266698f8e996d2b50c03fd21ea63e607a965036506029391a0d1b346"
+
+    def test_drawings_are_pinned(self):
+        from a2webs.networks import MarkedSubnetwork, covering_markings, random_planar_network, uncross
+        from a2webs.spider import all_reducible_features, apply_rule, product_web
+
+        rng = random.Random(20261018)
+        starts = [
+            product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(2, 7))])
+            for n in (2, 3, 4, 5)
+            for _ in range(8)
+        ]
+        webs, seen, work = [], set(), list(starts)
+        while work:
+            w = work.pop()
+            webs.append(w)
+            for feature in all_reducible_features(w):
+                for o in apply_rule(w, feature):
+                    if o.child.code not in seen:
+                        seen.add(o.child.code)
+                        work.append(o.child)
+        for _ in range(80):
+            net = random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 4))
+            webs += [uncross(MarkedSubnetwork(net, marks)) for marks in covering_markings(net)]
+        digest = hashlib.sha256()
+        for w in webs:
+            m = w.pmap.without_loops()
+            for salt in range(4):
+                digest.update(drawing_record(render(m, salt)).encode())
+            digest.update(drawing_record(w.diagram).encode())
+        assert len(webs) > 300
+        assert any(w.pmap.loops for w in webs)
+        assert digest.hexdigest() == self.DIGEST
+
+
+def random_slice_diagram(n, rng, steps):
+    """A random drawing on n strands: steps random tiles, each one that
+    fits the wires it meets, then tiles that close the wires down to n
+    rightward strands."""
+    wires = [R] * n
+    cols = []
+
+    def put(p, tile, dirs):
+        used = {"merge": 2, "split": 1, "cup": 0, "cap": 2}[tile]
+        cols.append(Column(p + 1, tile, dirs))
+        wires[p : p + used] = dirs[used:]
+
+    def vertex(p, tile):
+        # the one vertex whose legs agree with the wires at p
+        sink = {"merge": (R, R, L), "split": (R, L, L)}[tile]
+        source = {"merge": (L, L, R), "split": (L, R, R)}[tile]
+        used = 2 if tile == "merge" else 1
+        put(p, tile, sink if tuple(wires[p : p + used]) == sink[:used] else source)
+
+    for _ in range(steps):
+        k = len(wires)
+        moves = [("cup", p) for p in range(k + 1)] if k < n + 4 else []
+        moves += [("split", p) for p in range(k)] if k < n + 4 else []
+        moves += [("merge", p) for p in range(k - 1) if wires[p] == wires[p + 1]]
+        moves += [("cap", p) for p in range(k - 1) if wires[p] != wires[p + 1]]
+        tile, p = rng.choice(moves)
+        if tile == "cup":
+            put(p, "cup", rng.choice([(R, L), (L, R)]))
+        elif tile == "cap":
+            put(p, "cap", (wires[p], wires[p + 1]))
+        else:
+            vertex(p, tile)
+    # close: an L wire meets its neighbour in a cap or a source; then
+    # surplus R wires merge into an L, and missing ones come from a cup
+    # whose L leg splits into two R wires
+    while len(wires) != n or L in wires:
+        if L in wires:
+            if len(wires) == 1:
+                vertex(0, "split")
+                continue
+            p = rng.choice([p for p in range(len(wires) - 1) if L in wires[p : p + 2]])
+            if wires[p] == wires[p + 1]:
+                vertex(p, "merge")
+            else:
+                put(p, "cap", (wires[p], wires[p + 1]))
+        elif len(wires) > n:
+            vertex(rng.randrange(len(wires) - 1), "merge")
+        else:
+            p = rng.randrange(len(wires) + 1)
+            put(p, "cup", (R, L))
+            vertex(p + 1, "split")
+    return SliceDiagram(n, tuple(cols))
+
+
+class TestRandomDrawings:
+    def test_to_map_code_draw_to_map(self):
+        # a random drawing's code survives decoding and drawing again,
+        # at every salt, and the drawn geometry sits on the map's own ids
+        rng = random.Random(20261019)
+        shapes = set()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            d = random_slice_diagram(n, rng, rng.randint(0, 8))
+            m, _ = to_map(d)
+            m.validate()
+            code = canonical_form(m)
+            w = Web.from_map(decode_code(code))
+            assert canonical_form(to_map(w.diagram)[0]) == code
+            assert_geometry_on_own_ids(w)
+            bare = canonical_form(m.without_loops())
+            for salt in (1, 2, 3):
+                assert canonical_form(to_map(render(m.without_loops(), salt))[0]) == bare
+            shapes.add((m.loops > 0, len(m.components()) > n))
+        assert shapes == {(False, False), (False, True), (True, False), (True, True)}
