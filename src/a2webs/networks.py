@@ -36,7 +36,8 @@ that breaks this contract is refused.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -50,6 +51,12 @@ from .spider import reduce_web
 from .webcore import LEFT, RIGHT, Column, SliceDiagram, Web, WebError, to_map
 
 Point = tuple[Fraction, Fraction]
+
+# The most entry-to-exit paths, and the most candidate path families
+# (one path from each entry, the exits in any order), of a network whose
+# paths are listed; the networks of perfbench/networks.jsonl have at
+# most 159 paths and 19,440 candidate families.
+MAX_PATH_FAMILIES = 1_000_000
 
 
 def _frac(x) -> Fraction:
@@ -248,26 +255,44 @@ class PlanarNetwork:
 
     # -- paths ------------------------------------------------------------
 
-    def _path_table(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
-        """All directed paths entry i -> exit j, as edge id tuples."""
+    def _path_table(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, ...], int, int], ...]]:
+        """All directed paths entry i -> exit j, each as (edge ids,
+        vertex mask, edge mask): the masks carry one bit per index in
+        `ids` and one per edge id.  The paths are counted first, and a
+        network with more than MAX_PATH_FAMILIES paths or candidate
+        families is refused before any path is listed."""
         if self._paths is None:
-            table: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+            counts = _path_sums(self, [1] * len(self.edges), 1)
+            paths = sum(map(sum, counts))
+            if paths > MAX_PATH_FAMILIES or _permanent(counts) > MAX_PATH_FAMILIES:
+                raise WebError(f"network has more than {MAX_PATH_FAMILIES:,} entry-to-exit paths "
+                               "or candidate path families")
+            bit = {v: 1 << k for k, v in enumerate(self.ids)}
+            # the vertices an exit is reached from: the walk below enters no
+            # other, so every prefix it lists is part of a path
+            live = set(self.sinks)
+            for v in reversed(self.order):
+                if any(self.edges[eid].head in live for eid in self.out_edges[v]):
+                    live.add(v)
+            table: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int]]] = {}
             snk_rank = {t: j for j, t in enumerate(self.sinks)}
             for i, s in enumerate(self.sources):
-                stack = [(s, ())]
+                stack = [(s, (), bit[s], 0)]
                 while stack:
-                    v, acc = stack.pop()
+                    v, acc, vmask, emask = stack.pop()
                     j = snk_rank.get(v)
                     if j is not None:
-                        table.setdefault((i, j), []).append(acc)
+                        table.setdefault((i, j), []).append((acc, vmask, emask))
                         continue
                     for eid in reversed(self.out_edges[v]):
-                        stack.append((self.edges[eid].head, acc + (eid,)))
+                        h = self.edges[eid].head
+                        if h in live:
+                            stack.append((h, acc + (eid,), vmask | bit[h], emask | 1 << eid))
             self._paths = {k: tuple(v) for k, v in table.items()}
         return self._paths
 
     def paths_between(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
-        return self._path_table().get((i, j), ())
+        return tuple(path for path, _, _ in self._path_table().get((i, j), ()))
 
     def path_vertices(self, path: Sequence[int]) -> tuple[str, ...]:
         if not path:
@@ -284,21 +309,40 @@ class PlanarNetwork:
         return w
 
 
-def path_matrix(net: PlanarNetwork) -> ExactMatrix:
-    """Total path weight from each entry to each exit.  A plain
-    forward sweep in x order; the monotone drawing is what guarantees
-    this order is topological."""
+def _path_sums(net: PlanarNetwork, weights: Sequence, one) -> list[list]:
+    """Row i: for each exit, the summed weight of the paths from entry
+    i, a path weighing the product of weights[eid] over its edges.  A
+    plain forward sweep in x order; the monotone drawing is what
+    guarantees this order is topological."""
     rows = []
     for s in net.sources:
-        acc = {v: Fraction(0) for v in net.ids}
-        acc[s] = Fraction(1)
+        acc = dict.fromkeys(net.ids, one - one)
+        acc[s] = one
         for v in net.order:
             if acc[v]:
                 for eid in net.out_edges[v]:
-                    e = net.edges[eid]
-                    acc[e.head] += acc[v] * e.weight
+                    acc[net.edges[eid].head] += acc[v] * weights[eid]
         rows.append([acc[t] for t in net.sinks])
-    return ExactMatrix.from_rows(rows)
+    return rows
+
+
+def _permanent(rows: Sequence[Sequence[int]]) -> int:
+    """Sum over permutations w of the products rows[i][w(i)], summed
+    row by row over the sets of columns already used."""
+    acc = {0: 1}
+    for row in rows:
+        nxt: dict[int, int] = {}
+        for used, v in acc.items():
+            for j, c in enumerate(row):
+                if c and not used >> j & 1:
+                    nxt[used | 1 << j] = nxt.get(used | 1 << j, 0) + v * c
+        acc = nxt
+    return sum(acc.values())
+
+
+def path_matrix(net: PlanarNetwork) -> ExactMatrix:
+    """Total path weight from each entry to each exit."""
+    return ExactMatrix.from_rows(_path_sums(net, [e.weight for e in net.edges], Fraction(1)))
 
 
 def lindstrom_check(net: PlanarNetwork) -> dict:
@@ -453,12 +497,35 @@ def uncross(sub: MarkedSubnetwork) -> Web:
 
 def _families(net: PlanarNetwork, w: Perm, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All families of paths joining entry i to exit w(i), no vertex on
-    more than cap of them."""
-    pools = [net.paths_between(i, w[i] - 1) for i in range(net.n)]
-    for combo in itertools.product(*pools):
-        counts = Counter(v for p in combo for v in net.path_vertices(p))
-        if max(counts.values()) <= cap:
-            yield combo
+    more than cap of them, in `itertools.product` order over the path
+    pools.  The pools are walked depth first with the load on each
+    vertex kept as cap.bit_length() bit planes over the vertex masks.
+    Adding a path is a ripple-carry add of its mask, and a path that
+    meets a vertex set in every plane would carry out of the top plane:
+    that vertex is already on cap paths, and the branch is pruned.  The
+    test is exact for cap = 2^k - 1, the only caps accepted."""
+    k = cap.bit_length()
+    if cap < 1 or cap != (1 << k) - 1:
+        raise ValueError(f"vertex cap must be 2^k - 1 for some k >= 1, got {cap}")
+    table = net._path_table()
+    pools = [table.get((i, w[i] - 1), ()) for i in range(net.n)]
+    last = net.n - 1
+
+    def extend(i: int, planes: list[int], acc: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
+        full = functools.reduce(operator.and_, planes)
+        for path, vmask, _ in pools[i]:
+            if vmask & full:
+                continue
+            if i == last:
+                yield acc + (path,)
+                continue
+            carry, nxt = vmask, []
+            for p in planes:
+                nxt.append(p ^ carry)
+                carry &= p
+            yield from extend(i + 1, nxt, acc + (path,))
+
+    return extend(0, [0] * k, ())
 
 
 def covering_families(net: PlanarNetwork) -> Iterator[tuple[Perm, tuple[tuple[int, ...], ...]]]:
@@ -469,13 +536,34 @@ def covering_families(net: PlanarNetwork) -> Iterator[tuple[Perm, tuple[tuple[in
             yield w, combo
 
 
+def _marks(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (eid, multiplicity) pairs of bit-sliced edge counts."""
+    out = []
+    used = lo | hi
+    while used:
+        eid = (used & -used).bit_length() - 1
+        out.append((eid, (lo >> eid & 1) | (hi >> eid & 1) << 1))
+        used &= used - 1
+    return tuple(out)
+
+
 def covering_markings(net: PlanarNetwork) -> list[tuple[tuple[int, int], ...]]:
-    """Distinct marked subnetworks over all covering families."""
-    found = set()
+    """Distinct marked subnetworks over all covering families.  Each
+    family is keyed by its edge multiplicities, held as two bit-sliced
+    ints (lo, hi) summed from its paths' edge masks: bit e of lo and of
+    hi are the low and high bits of edge e's count.  No count passes 3,
+    since no vertex is on four paths.  Only the distinct keys are
+    decoded into sorted (eid, multiplicity) tuples."""
+    edge_mask = {path: e for recs in net._path_table().values() for path, _, e in recs}
+    keys = set()
     for _, combo in covering_families(net):
-        counts = Counter(eid for p in combo for eid in p)
-        found.add(tuple(sorted(counts.items())))
-    return sorted(found)
+        lo = hi = 0
+        for path in combo:
+            e = edge_mask[path]
+            hi ^= lo & e
+            lo ^= e
+        keys.add((lo, hi))
+    return sorted(_marks(lo, hi) for lo, hi in keys)
 
 
 def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:

@@ -410,6 +410,7 @@ class WebCombo(Combo):
 # Named elements and defining relations
 
 
+@cache
 def generator_combo(n: int, i: int) -> WebCombo:
     return WebCombo.from_web(Web.from_slice(generator_web(n, i)))
 

@@ -38,7 +38,7 @@ def test_clear_caches_empties_every_memo():
     before = table_json(4)
     caches = package_caches()
     assert {
-        "spider.hecke_image", "spider.reduce_web", "spider.rewrite_step",
+        "spider.hecke_image", "spider.generator_combo", "spider.reduce_web", "spider.rewrite_step",
         "immanants.immanant_table", "minors._decompositions",
     } <= set(caches)
     assert caches["spider.hecke_image"].cache_info().currsize > 0

@@ -323,6 +323,25 @@ class TestSubcommands:
         assert out == ""
         assert err == "error: edges 'a'->'d' and 'b'->'c' cross or overlap in the drawing\n"
 
+    def test_network_with_too_many_paths_is_refused_quickly(self, capsys, tmp_path):
+        # one strand through 30 diamonds in series: 2^30 paths
+        vertices, edges = [{"id": "v0", "x": 0, "y": 0}], []
+        for i in range(1, 31):
+            vertices += [{"id": f"{c}{i}", "x": 2 * i - (c != "v"), "y": y}
+                         for c, y in (("u", 1), ("d", -1), ("v", 0))]
+            edges += [{"from": a, "to": b, "weight": 1}
+                      for a, b in ((f"v{i - 1}", f"u{i}"), (f"v{i - 1}", f"d{i}"),
+                                   (f"u{i}", f"v{i}"), (f"d{i}", f"v{i}"))]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"n": 1, "vertices": vertices, "edges": edges,
+                                    "sources": ["v0"], "sinks": ["v30"]}))
+        t0 = time.perf_counter()
+        rc = main(["network", "--file", str(path), "--check-corollary"])
+        assert time.perf_counter() - t0 < 1.0
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: network has more than") and err.count("\n") == 1
+
     def test_network_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"bad json')

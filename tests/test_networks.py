@@ -13,10 +13,12 @@ from a2webs.immanants import evaluate_immanant, irreducible_webs
 from a2webs.labelings import boundary_profile, enumerate_labelings
 from a2webs.minors import all_triples, boundary_from_triple, decompose_triple, triple_product
 from a2webs.networks import (
+    MAX_PATH_FAMILIES,
     MarkedSubnetwork,
     NetEdge,
     PlanarNetwork,
     _check_drawing,
+    _families,
     corollary_check,
     covering_families,
     covering_markings,
@@ -29,10 +31,12 @@ from a2webs.networks import (
     random_tnn_matrix,
     uncross,
 )
+from a2webs.perms import all_perms
 from a2webs.spider import apply_rule, reduce_web, second_generator
 from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, identity_web
 
 SEED = 20260816
+BENCH_NETWORKS = Path(__file__).parents[1] / "perfbench" / "networks.jsonl"
 
 
 def diamond_net():
@@ -476,6 +480,86 @@ class TestLindstrom:
             for _ in range(4):
                 net = random_planar_network(n, rng, steps=rng.randint(2, 4))
                 assert lindstrom_check(net)["passed"]
+
+
+def oracle_families(net, w):
+    """Every family of the product of the path pools, with the largest
+    number of its paths on one vertex: the enumeration by
+    `itertools.product` and a `Counter` of vertices, kept as the oracle
+    for the masks."""
+    pools = [net.paths_between(i, w[i] - 1) for i in range(net.n)]
+    for combo in itertools.product(*pools):
+        counts = Counter(v for p in combo for v in net.path_vertices(p))
+        yield combo, max(counts.values())
+
+
+def diamond_chain(k):
+    """The vertices and edges of k diamonds in series, from v0 at the
+    origin to vk: 2^k paths from v0 to vk."""
+    vertices, edges = [("v0", 0, 0)], []
+    for i in range(1, k + 1):
+        vertices += [(f"u{i}", 2 * i - 1, 1), (f"d{i}", 2 * i - 1, -1), (f"v{i}", 2 * i, 0)]
+        edges += [(f"v{i - 1}", f"u{i}", 1), (f"v{i - 1}", f"d{i}", 1),
+                  (f"u{i}", f"v{i}", 1), (f"d{i}", f"v{i}", 1)]
+    return vertices, edges
+
+
+def fanned_chain(k):
+    """Two entries joined into k diamonds in series, which fan out to
+    two exits: 4 * 2^k paths and 2 * 4^k candidate families."""
+    vertices, edges = diamond_chain(k)
+    vertices += [("a", -1, 1), ("b", -1, -1), ("c", 2 * k + 1, 1), ("d", 2 * k + 1, -1)]
+    edges += [("a", "v0", 1), ("b", "v0", 1), (f"v{k}", "c", 1), (f"v{k}", "d", 1)]
+    return PlanarNetwork(2, vertices, edges, ["a", "b"], ["c", "d"])
+
+
+class TestFamilyOracle:
+    def test_families_and_markings_match_the_product_oracle(self):
+        nets = [PlanarNetwork.from_json_obj(json.loads(line))
+                for line in BENCH_NETWORKS.read_text().splitlines()]
+        rng = random.Random(SEED + 13)
+        nets += [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 5)) for _ in range(200)]
+        rejected = at_three = 0
+        for net in nets:
+            markings = set()
+            for w in all_perms(net.n):
+                fams = list(oracle_families(net, w))
+                for cap in (1, 3):
+                    assert list(_families(net, w, cap)) == [c for c, load in fams if load <= cap]
+                for combo, load in fams:
+                    if load <= 3:
+                        markings.add(tuple(sorted(Counter(e for p in combo for e in p).items())))
+                rejected += sum(load > 3 for _, load in fams)
+                at_three += sum(load == 3 for _, load in fams)
+            assert covering_markings(net) == sorted(markings)
+        assert rejected and at_three
+
+    @pytest.mark.parametrize("cap", [0, 2, 4, 5, 6])
+    def test_other_caps_are_refused(self, cap):
+        with pytest.raises(ValueError):
+            _families(funnel3_net(), (1, 2, 3), cap)
+
+    def test_paths_are_counted_before_they_are_listed(self):
+        assert len(PlanarNetwork(1, *diamond_chain(4), ["v0"], ["v4"]).paths_between(0, 0)) == 16
+        for k in (20, 30):  # 2^20 and 2^30 paths, both past the bound
+            net = PlanarNetwork(1, *diamond_chain(k), ["v0"], [f"v{k}"])
+            with pytest.raises(WebError, match="candidate path families"):
+                net.paths_between(0, 0)
+        assert 2 ** 19 < MAX_PATH_FAMILIES < 2 ** 20
+
+    def test_candidate_families_are_bounded(self):
+        # 4 * 512 paths and 2 * 512^2 families pass; 4 * 1024 paths
+        # pass the path bound, but not 2 * 1024^2 families
+        assert 2 * 4 ** 9 <= MAX_PATH_FAMILIES < 2 * 4 ** 10
+        assert len(fanned_chain(9).paths_between(0, 1)) == 512
+        with pytest.raises(WebError, match="candidate path families"):
+            fanned_chain(10).paths_between(0, 1)
+
+    def test_dead_ends_are_not_walked(self):
+        # 2^30 prefixes run into the chain's end, which is not an exit
+        vertices, edges = diamond_chain(30)
+        net = PlanarNetwork(1, vertices + [("t", 1, 5)], edges + [("v0", "t", 1)], ["v0"], ["t"])
+        assert net.paths_between(0, 0) == ((len(edges),),)
 
 
 class TestMarkedSubnetwork:
