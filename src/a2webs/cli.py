@@ -514,7 +514,7 @@ def _suite_networks(n: int, samples: Optional[int], rng: random.Random) -> tuple
 
 def _suite_tnn(n: int, samples: Optional[int], rng: random.Random) -> tuple[bool, dict]:
     count = samples or 25
-    sizes = [k for k in (3, 4) if k <= n] or [n]
+    sizes = list(range(3, n + 1)) or [n]
     rows = []
     ok = True
     for k in sizes:

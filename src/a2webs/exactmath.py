@@ -277,9 +277,14 @@ def echelon(
     Yields None for a row in the span of the rows before it, otherwise
     (lead, vec, scale): vec = scale * (row + a combination of earlier
     rows) is zero at every earlier lead, lead is its first nonzero
-    column, and vec is kept as a pivot, so it must not be modified."""
+    column, and vec is kept as a pivot, so it must not be modified.
+    Once the pivots' leads cover every column they span Q^k, so each
+    later row is still read but yields None without arithmetic."""
     pivots: list[tuple[int, list[int]]] = []
     for row in rows:
+        if len(pivots) == len(row):
+            yield None
+            continue
         d = lcm(*(x.denominator for x in row))
         vec = [x.numerator * (d // x.denominator) for x in row]
         scale = Fraction(d)

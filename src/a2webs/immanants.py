@@ -31,16 +31,16 @@ from .webcore import Web, WebError
 
 # documented strand bounds, the one table of them.  "webs" bounds web
 # enumeration: expansions run over all of S_n, so the cost is factorial
-# and n = 5 is the last size that finishes in reasonable time.  The
+# and n = 6 is the last size that finishes in reasonable time.  The
 # others bound the CLI's coefficient tables and immanant evaluation and
 # each verification suite; exhaustive checks stop being desk-scale above
 # them, so single suites refuse above these and the "all" runner clamps.
 STRAND_BOUNDS = {
-    "webs": 5,
+    "webs": 6,
     "immanants": 4,
     "relations": 4,
     "confluence": 4,
-    "dimensions": 5,
+    "dimensions": 6,
     "kappa": 4,
     "ci": 4,
     "minors": 4,

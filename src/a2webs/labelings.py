@@ -156,29 +156,31 @@ def enumerate_labelings(
                     seen.add(e2)
                     queue.append(e2)
 
+    # each edge in visiting order, its allowed labels, and the other
+    # edges at its internal ends: a label is consistent when none of
+    # those carries it already (unlabeled edges hold 0)
+    steps = [
+        (
+            e,
+            (pinned[e],) if e in pinned else LABELS,
+            tuple(e2 for v in m.edges[e] for e2 in at_vertex.get(v, ()) if e2 != e),
+        )
+        for e in order
+    ]
     labels = [0] * ne
     out: list[tuple[int, ...]] = []
-
-    def ok(e: int) -> bool:
-        for v in m.edges[e]:
-            if v not in internal:
-                continue
-            got = [labels[e2] for e2 in at_vertex[v] if labels[e2]]
-            if len(got) != len(set(got)):
-                return False
-        return True
 
     def go(k: int) -> None:
         if k == ne:
             out.append(tuple(labels))
             return
-        e = order[k]
-        choices = (pinned[e],) if e in pinned else LABELS
+        e, choices, nbrs = steps[k]
+        used = {labels[e2] for e2 in nbrs}
         for lbl in choices:
-            labels[e] = lbl
-            if ok(e):
+            if lbl not in used:
+                labels[e] = lbl
                 go(k + 1)
-            labels[e] = 0
+        labels[e] = 0
 
     go(0)
     result = [
@@ -190,13 +192,18 @@ def enumerate_labelings(
     return result
 
 
-def boundary_counts(w: Web) -> dict[BoundaryLabeling, int]:
-    """Plain labeling count of w per boundary word, from one
-    unrestricted enumeration; words without a labeling are absent.
-    boundary_counts(w).get(g, 0) == len(enumerate_labelings(w, g))."""
+def word_counts(w: Web) -> Counter:
+    """Plain labeling count of w per boundary word, the word a plain
+    tuple of the source labels then the sink labels, from one
+    unrestricted enumeration; words without a labeling are absent."""
     be = _boundary_edges(w)
-    words = Counter(tuple(f.edge_labels[e] for e in be) for f in enumerate_labelings(w))
-    return {BoundaryLabeling(g[: w.n], g[w.n :]): c for g, c in words.items()}
+    return Counter(tuple(f.edge_labels[e] for e in be) for f in enumerate_labelings(w))
+
+
+def boundary_counts(w: Web) -> dict[BoundaryLabeling, int]:
+    """word_counts keyed by BoundaryLabeling.
+    boundary_counts(w).get(g, 0) == len(enumerate_labelings(w, g))."""
+    return {BoundaryLabeling(g[: w.n], g[w.n :]): c for g, c in word_counts(w).items()}
 
 
 # ---------------------------------------------------------------------------

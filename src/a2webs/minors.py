@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .exactmath import rank
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from .labelings import BoundaryLabeling, boundary_counts
+from .labelings import BoundaryLabeling, word_counts
 from .webcore import Web, WebError
 
 
@@ -96,14 +96,14 @@ def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
     return X.submatrix([i - 1 for i in I], [j - 1 for j in J]).det()
 
 
-# n -> boundary word -> {irreducible web: labeling count}, webs in
-# irreducible_webs order.  Bounded: irreducible_webs refuses n above
-# its strand bound.
+# n -> boundary word (source labels then sink labels, a plain tuple)
+# -> {irreducible web: labeling count}, webs in irreducible_webs order.
+# Bounded: irreducible_webs refuses n above its strand bound.
 @cache
-def _decompositions(n: int) -> dict[BoundaryLabeling, dict[Web, int]]:
+def _decompositions(n: int) -> dict[tuple[int, ...], dict[Web, int]]:
     table = {}
     for D in irreducible_webs(n):
-        for g, c in boundary_counts(D).items():
+        for g, c in word_counts(D).items():
             table.setdefault(g, {})[D] = c
     return table
 
@@ -112,7 +112,8 @@ def decompose_triple(T: MinorTriple) -> dict[Web, int]:
     """Webs with nonzero coefficient in the expansion of T's product,
     each coefficient a plain labeling count.  The counts of every web
     on T.n strands are enumerated once, on the first call for that n."""
-    return dict(_decompositions(T.n).get(boundary_from_triple(T), {}))
+    g = boundary_from_triple(T)
+    return dict(_decompositions(T.n).get(g.sources + g.sinks, {}))
 
 
 def triple_product(T: MinorTriple, X: ExactMatrix) -> Fraction:
@@ -194,11 +195,14 @@ def rank_check(n: int) -> dict:
     max_coeff = 0
     max_at = None
 
+    column = {D: k for k, D in enumerate(webs)}
+
     def coefficient_rows():
         nonlocal max_coeff, max_at
         for T in triples:
-            counts = decompose_triple(T)
-            row = [counts.get(D, 0) for D in webs]
+            row = [0] * len(webs)
+            for D, c in decompose_triple(T).items():
+                row[column[D]] = c
             if max(row) > max_coeff:
                 max_coeff, max_at = max(row), T
             yield row

@@ -111,33 +111,21 @@ def kostka_three_column(n: int) -> int:
     uses each of the letters 1..n once and each of n+1..2n twice.
 
     Semistandard: rows weakly increase left to right, columns strictly
-    increase top to bottom.  Enumerated by row-major backtracking.
+    increase top to bottom.  Counted by the Pieri rule (Stanley, EC2
+    7.10): the cells holding one letter form a horizontal strip, so
+    filling letter by letter adds at most one cell to each column.  A
+    shape is its three column lengths, at most n each, and the count
+    walks all of them once per letter.
     """
-    remaining = [0] * (2 * n + 1)
-    for x in range(1, n + 1):
-        remaining[x] = 1
-    for x in range(n + 1, 2 * n + 1):
-        remaining[x] = 2
-    grid = [[0] * 3 for _ in range(n)]
-    count = 0
-
-    def fill(pos: int) -> None:
-        nonlocal count
-        if pos == 3 * n:
-            count += 1
-            return
-        r, c = divmod(pos, 3)
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for x in range(lo, 2 * n + 1):
-            if remaining[x]:
-                remaining[x] -= 1
-                grid[r][c] = x
-                fill(pos + 1)
-                remaining[x] += 1
-
-    fill(0)
-    return count
+    ways = {(0, 0, 0): 1}
+    for size in [1] * n + [2] * n:
+        grown: dict[tuple[int, int, int], int] = {}
+        for (a, b, c), k in ways.items():
+            for step in itertools.product((0, 1), repeat=3):
+                if sum(step) != size:
+                    continue
+                shape = (a + step[0], b + step[1], c + step[2])
+                if n >= shape[0] >= shape[1] >= shape[2]:
+                    grown[shape] = grown.get(shape, 0) + k
+        ways = grown
+    return ways.get((n, n, n), 0)

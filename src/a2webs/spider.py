@@ -181,6 +181,14 @@ def _reduce_new_children(outcomes: Sequence[Outcome]) -> None:
             stack += ((o.child, False) for o in reversed(below))
 
 
+@cache
+def web_product(a: Web, b: Web) -> tuple[tuple[Web, LaurentPoly], ...]:
+    """Concatenate the drawings of a and b, then rewrite to irreducibles.
+    Keyed by the two codes, with the drawings of the first pair met:
+    sound because reduction does not depend on the drawing."""
+    return tuple(reduce_web(Web.from_slice(concatenate(a.diagram, b.diagram)))._terms.items())
+
+
 def reduce_combo(c: "WebCombo") -> "WebCombo":
     return WebCombo(c.n, (
         (w, coeff * v) for web_, coeff in c.terms() for w, v in reduce_web(web_).terms()
@@ -394,8 +402,7 @@ class WebCombo(Combo):
 
     @staticmethod
     def _product(a: Web, b: Web) -> Iterable[tuple[Web, LaurentPoly]]:
-        """Concatenate, then rewrite to irreducibles."""
-        return reduce_web(Web.from_slice(concatenate(a.diagram, b.diagram)))._terms.items()
+        return web_product(a, b)
 
     def __pow__(self, k: int) -> "WebCombo":
         if k < 0:

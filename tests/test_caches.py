@@ -6,6 +6,8 @@ import importlib
 import json
 import pkgutil
 
+import pytest
+
 import a2webs
 from a2webs import clear_caches, spider
 from a2webs.immanants import immanant_table
@@ -13,6 +15,8 @@ from a2webs.immanants import immanant_table
 # sha256 of json.dumps(immanant_table(5).to_json_obj(), sort_keys=True),
 # recorded before the Hecke images were built on their cached prefixes
 TABLE_5_SHA256 = "59944adb43ae65827b461e65efdd437f7810e654371cea8610d19eb38a44c449"
+# the same at n = 6, recorded from products that were not memoized
+TABLE_6_SHA256 = "af881f72bced8074aba52c641eba3a0117b7420a44ab3f65e7615c13105a3224"
 
 
 def table_json(n):
@@ -34,15 +38,22 @@ def test_table_5_digest_is_pinned():
     assert hashlib.sha256(table_json(5).encode()).hexdigest() == TABLE_5_SHA256
 
 
+@pytest.mark.slow
+def test_table_6_digest_is_pinned():
+    assert hashlib.sha256(table_json(6).encode()).hexdigest() == TABLE_6_SHA256
+
+
 def test_clear_caches_empties_every_memo():
     before = table_json(4)
     caches = package_caches()
     assert {
         "spider.hecke_image", "spider.generator_combo", "spider.reduce_web", "spider.rewrite_step",
+        "spider.web_product",
         "immanants.immanant_table", "minors._decompositions",
     } <= set(caches)
     assert caches["spider.hecke_image"].cache_info().currsize > 0
     assert spider.reduce_web.cache_info().currsize > 0
+    assert spider.web_product.cache_info().currsize > 0
     clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}
     assert table_json(4) == before

@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from a2webs.cli import SuiteConfig, _ExprParser, build_parser, main, run_suite
+from a2webs.cli import SuiteConfig, _ExprParser, _suite_tnn, build_parser, main, run_suite
 from a2webs.exactmath import eval_q1
 from a2webs.minors import decompose_triple, MinorTriple
 from a2webs.networks import random_planar_network
@@ -93,6 +94,11 @@ class TestRunSuite:
         rows = rep["checks"][0]["details"]["rows"]
         assert rows[-1] == {"n": 4, "webs": 23, "avoiding": 23, "tableaux": 23}
 
+    def test_tnn_checks_every_size_from_three(self):
+        ok, details = _suite_tnn(5, 1, random.Random(SEED))
+        assert ok
+        assert [row["n"] for row in details["rows"]] == [3, 4, 5]
+
     def test_relations_n3_passes(self):
         rep = run_suite(SuiteConfig(suite="relations", n=3, seed=SEED))
         assert rep["passed"]
@@ -100,7 +106,7 @@ class TestRunSuite:
 
     def test_every_suite_passes_at_its_cap(self):
         for name, cap in (("kappa", 4), ("ci", 4), ("minors", 4), ("bridge", 3),
-                          ("networks", 3), ("tnn", 4)):
+                          ("networks", 3), ("tnn", 4), ("dimensions", 6)):
             rep = run_suite(SuiteConfig(suite=name, n=cap, seed=SEED, samples=2))
             assert rep["passed"], name
 

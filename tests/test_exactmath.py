@@ -278,6 +278,31 @@ class TestElimination:
             assert list(echelon(iter(rows))) == list(echelon(rows))
             assert rank(list(r) for r in rows) == rank(rows)
 
+    def test_full_rank_stops_the_arithmetic_but_reads_every_row(self):
+        # a zero column never holds a lead, so with one appended the
+        # pivots never cover every column and every row is reduced
+        rng = random.Random(19)
+        stopped = 0
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(n, 4 * n))]
+            full = [
+                None if step is None else (step[0], step[1][:-1], step[2])
+                for step in echelon([row + [0] for row in rows])
+            ]
+            pulled = 0
+
+            def counted():
+                nonlocal pulled
+                for row in rows:
+                    pulled += 1
+                    yield row
+
+            assert list(echelon(counted())) == full
+            assert pulled == len(rows)
+            stopped += rank(rows) == n and full[-1] is None
+        assert stopped > 10
+
     def test_pivot_rows_are_scaled_reductions(self):
         rng = random.Random(17)
         for _ in range(20):

@@ -157,7 +157,7 @@ class TestIrreducibleWebs:
 
     def test_bound_enforced(self):
         with pytest.raises(WebError):
-            irreducible_webs(6)
+            irreducible_webs(7)
 
 
 class TestImmanantTable:

@@ -197,6 +197,21 @@ class TestRank:
             "passed": True,
         }
 
+    @pytest.mark.slow
+    def test_rank_five_strands(self):
+        assert rank_check(5) == {
+            "n": 5,
+            "triples": 4653,
+            "webs": 103,
+            "rank": 103,
+            "max_coefficient": 3,
+            "max_coefficient_triple": {
+                "rows": [[2], [1, 4], [3, 5]],
+                "cols": [[3], [1, 4], [2, 5]],
+            },
+            "passed": True,
+        }
+
     def test_multiplicity_is_recorded(self):
         # the expansion need not be multiplicity free; the report
         # tracks the largest coefficient so the claim stays observable

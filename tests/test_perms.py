@@ -82,3 +82,35 @@ class TestOracleAgreement:
 
     def test_kostka_n5(self):
         assert kostka_three_column(5) == 103
+
+    @pytest.mark.slow
+    def test_pieri_count_matches_backtracking(self):
+        assert [kostka_three_column(n) for n in range(7)] == [
+            _kostka_by_backtracking(n) for n in range(7)
+        ]
+
+    def test_pieri_count_at_seven(self):
+        assert kostka_three_column(7) == count_avoiding(7, (4, 3, 2, 1)) == 2761
+
+
+def _kostka_by_backtracking(n):
+    """The same tableaux filled cell by cell in row-major order: the
+    oracle for the strip-by-strip count."""
+    remaining = [0] + [1] * n + [2] * n
+    grid = [[0] * 3 for _ in range(n)]
+
+    def fill(pos):
+        if pos == 3 * n:
+            return 1
+        r, c = divmod(pos, 3)
+        lo = max(1, grid[r][c - 1] if c else 1, grid[r - 1][c] + 1 if r else 1)
+        count = 0
+        for x in range(lo, 2 * n + 1):
+            if remaining[x]:
+                remaining[x] -= 1
+                grid[r][c] = x
+                count += fill(pos + 1)
+                remaining[x] += 1
+        return count
+
+    return fill(0)

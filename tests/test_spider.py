@@ -6,6 +6,7 @@ import pytest
 
 from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
+from a2webs.immanants import irreducible_webs
 from a2webs.labelings import Labeling, transport_and_type
 from a2webs.spider import (
     WebCombo,
@@ -21,6 +22,7 @@ from a2webs.spider import (
     relation_suite,
     second_generator,
     second_generator_combo,
+    web_product,
 )
 from a2webs.webcore import (
     Column,
@@ -314,6 +316,28 @@ class TestComboAlgebra:
         e = generator_combo(3, 2)
         one = WebCombo.unit(3)
         assert one * e == e * one == e
+
+
+class TestProductMemo:
+    def test_memoized_products_equal_direct_ones(self):
+        # the direct product concatenates other drawings of the same two
+        # webs, so it agrees with the memo only because reduction does
+        # not depend on the drawing
+        rng = random.Random(SEED + 9)
+        redrawn = 0
+        for n in range(2, 6):
+            webs = irreducible_webs(n)
+            for _ in range(25):
+                a, b = rng.choice(webs), rng.choice(webs)
+                salt = rng.randrange(1, 4)
+                a2, b2 = Web.from_map(a.pmap, salt), Web.from_map(b.pmap, salt)
+                redrawn += a2.diagram != a.diagram or b2.diagram != b.diagram
+                direct = reduce_web(Web.from_slice(concatenate(a2.diagram, b2.diagram)))
+                hits = web_product.cache_info().hits
+                assert WebCombo.from_web(a) * WebCombo.from_web(b) == direct
+                assert WebCombo.from_web(a2) * WebCombo.from_web(b2) == direct
+                assert web_product.cache_info().hits > hits
+        assert redrawn > 0
 
 
 class TestRewriteDigest:
