@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations
+from math import lcm
 from typing import Optional, Sequence
 
 from .exactmath import LaurentPoly, echelon, eval_q1, parse_rational
@@ -77,6 +78,32 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
+
+    @cached_property
+    def monomials(self) -> tuple[int, dict[Perm, int]]:
+        """Every nonzero x_{1,w(1)} ... x_{n,w(n)} over one common
+        denominator, as (den, {w: numerator}).  Row i is scaled to
+        integers by the lcm of its denominators, and den is the product
+        of those lcms.  One depth-first walk over the rows forms each
+        prefix product once and drops a prefix at its first zero entry;
+        the permutations come out in lexicographic order."""
+        den, scaled = 1, []
+        for row in self.rows:
+            d = lcm(*(x.denominator for x in row))
+            den *= d
+            scaled.append([x.numerator * (d // x.denominator) for x in row])
+        out: dict[Perm, int] = {}
+
+        def extend(i: int, prefix: Perm, acc: int) -> None:
+            if i == len(scaled):
+                out[prefix] = acc
+                return
+            for j, x in enumerate(scaled[i], 1):
+                if x and j not in prefix:
+                    extend(i + 1, prefix + (j,), acc * x)
+
+        extend(0, (), 1)
+        return den, out
 
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix(
@@ -216,14 +243,8 @@ def evaluate_immanant(D: Web, X: ExactMatrix) -> Fraction:
     """Exact value of Imm_D on a rational matrix."""
     if D.n != X.n:
         raise WebError(f"web on {D.n} strands against a {X.n} by {X.n} matrix")
-    table = immanant_table(X.n)
-    total = Fraction(0)
-    for w, f in table._row(D).items():
-        prod = Fraction(f)
-        for i in range(X.n):
-            prod *= X.entry(i, w[i] - 1)
-        total += prod
-    return total
+    den, mono = X.monomials
+    return Fraction(sum(f * mono.get(w, 0) for w, f in immanant_table(X.n)._row(D).items()), den)
 
 
 def parabolic_image(n: int, i: int, j: int) -> WebCombo:

@@ -403,10 +403,14 @@ class MarkedSubnetwork:
         return cls(network, tuple(counts.items()))
 
     def weight(self) -> Fraction:
-        w = Fraction(1)
+        """The product of weight ** multiplicity over the marked edges,
+        taken over integer numerators and denominators."""
+        num = den = 1
         for eid, m in self.marks:
-            w *= self.network.edges[eid].weight ** m
-        return w
+            w = self.network.edges[eid].weight
+            num *= w.numerator ** m
+            den *= w.denominator ** m
+        return Fraction(num, den)
 
 
 def uncross(sub: MarkedSubnetwork) -> Web:
@@ -425,7 +429,7 @@ def uncross(sub: MarkedSubnetwork) -> Web:
     left meet in a merge, the third capped onto the merged wire; two or
     three curves on the right leave a split, the first cupped off it;
     one curve on each side passes straight through.  `to_map` then
-    builds the web's map.
+    builds the web's map, once per distinct diagram (`_sliced_web`).
 
     The marking is refused with WebError unless the drawing leaves room
     for the boundary: at each entry the nearest marked edges above and
@@ -437,7 +441,7 @@ def uncross(sub: MarkedSubnetwork) -> Web:
     mult = dict(sub.marks)
     # marked edge ids, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
-    cols: list[Column] = []
+    cols: list[tuple] = []  # (pos, tile, dirs) of each Column
     for v in net.order:
         ins = [e for e in net.in_edges[v] if e in mult]
         outs = [e for e in net.out_edges[v] if e in mult]
@@ -473,21 +477,30 @@ def uncross(sub: MarkedSubnetwork) -> Web:
         left = [RIGHT if mult[e] == 1 else LEFT for e in line[i:j] if mult[e] != 3]
         right = [RIGHT if mult[e] == 1 else LEFT for e in outs if mult[e] != 3]
         if len(set(left)) == 2:
-            cols.append(Column(p, "cap", tuple(left)))
+            cols.append((p, "cap", tuple(left)))
         elif len(left) > 1:
-            cols.append(Column(p, "merge", (RIGHT, RIGHT, LEFT)))
+            cols.append((p, "merge", (RIGHT, RIGHT, LEFT)))
             if len(left) == 3:
-                cols.append(Column(p, "cap", (LEFT, RIGHT)))
+                cols.append((p, "cap", (LEFT, RIGHT)))
         if len(set(right)) == 2:
-            cols.append(Column(p, "cup", tuple(right)))
+            cols.append((p, "cup", tuple(right)))
         elif len(right) > 1:
             if len(right) == 3:
-                cols.append(Column(p, "cup", (RIGHT, LEFT)))
-            cols.append(Column(p + len(right) - 2, "split", (LEFT, RIGHT, RIGHT)))
+                cols.append((p, "cup", (RIGHT, LEFT)))
+            cols.append((p + len(right) - 2, "split", (LEFT, RIGHT, RIGHT)))
         line[i:j] = outs
     if line != list(net.sinks):
         raise WebError("the exits are not reached in order, top to bottom")
-    pmap, _ = to_map(SliceDiagram(net.n, tuple(cols)))
+    return _sliced_web(net.n, tuple(cols))
+
+
+@functools.cache
+def _sliced_web(n: int, cols: tuple[tuple[int, str, tuple[str, ...]], ...]) -> Web:
+    """The web of the slice diagram whose columns are the (pos, tile,
+    dirs) triples cols.  Many markings of one network sweep into the
+    same diagram, so each diagram is mapped and put in canonical form
+    once."""
+    pmap, _ = to_map(SliceDiagram(n, tuple(Column(*c) for c in cols)))
     return Web.from_map(pmap)
 
 
@@ -568,13 +581,16 @@ def covering_markings(net: PlanarNetwork) -> list[tuple[tuple[int, int], ...]]:
 
 def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:
     """Every basis web immanant of the path matrix, computed from the
-    network by uncrossing marked subnetworks."""
-    totals = {D: Fraction(0) for D in irreducible_webs(net.n)}
+    network by uncrossing marked subnetworks.  The markings' weights are
+    summed per uncrossed web, and each distinct web is reduced once."""
+    weights: dict[Web, Fraction] = {}
     for marks in covering_markings(net):
         sub = MarkedSubnetwork(net, marks)
-        combo = reduce_web(uncross(sub))
-        w = sub.weight()
-        for D, c in combo.terms():
+        web = uncross(sub)
+        weights[web] = weights.get(web, 0) + sub.weight()
+    totals = {D: Fraction(0) for D in irreducible_webs(net.n)}
+    for web, w in weights.items():
+        for D, c in reduce_web(web).terms():
             if D not in totals:
                 raise WebError("reduction left the basis catalogue")
             totals[D] += eval_q1(c) * w

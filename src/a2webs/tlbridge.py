@@ -245,22 +245,15 @@ def theta_two(v: Perm) -> TLCombo:
 def tl_immanant(w: Perm, Xp: ExactMatrix) -> Fraction:
     """Matrix function of a 321-avoiding permutation: sum over all v of
     the coefficient of w's matching in theta_two(v) times the entry
-    product of v."""
+    product of v, read from the matrix's cached monomials."""
     if not avoids(w, (3, 2, 1)):
         raise WebError(f"{w} contains a 321 pattern")
     n = len(w)
     if Xp.n != n:
         raise WebError(f"permutation of {n} against a {Xp.n} by {Xp.n} matrix")
     target = matching_of_perm(w)
-    total = Fraction(0)
-    for v in all_perms(n):
-        c = theta_two(v).coeff(target)
-        if c:
-            prod = Fraction(c)
-            for i in range(n):
-                prod *= Xp.entry(i, v[i] - 1)
-            total += prod
-    return total
+    den, mono = Xp.monomials
+    return Fraction(sum(theta_two(v).coeff(target) * m for v, m in mono.items()), den)
 
 
 # -- labelings of matchings -------------------------------------------

@@ -32,6 +32,11 @@ CALLS = {
     "verify_all_4": ["verify", "--suite", "all", "--n", "4", "--seed", "0"],
     "labelings_4": ["labelings", "--web", WEB_4],
     "labelings_4_q": ["labelings", "--web", WEB_4, "--q"],
+    # a zero entry, negative entries and mixed denominators
+    "immanants_matrix_4": ["immanants", "--n", "4", "--matrix", str(GOLDEN / "matrix_4.json")],
+    # the first network of the benchmark's network file
+    "network_corollary": ["network", "--file", str(GOLDEN / "network_bench_0.json"), "--check-corollary"],
+    "network_immanants": ["network", "--file", str(GOLDEN / "network_bench_0.json"), "--immanants"],
 }
 
 _SECONDS = re.compile(r'"seconds": [0-9.eE+-]+')

@@ -233,6 +233,42 @@ class TestEvaluateImmanant:
         values = [evaluate_immanant(D, X) for D in irreducible_webs(4)]
         assert min(values) < 0
 
+    def test_monomials_match_the_fraction_loop(self):
+        # the per-permutation Fraction product the monomials replaced
+        def oracle(D, X):
+            total = Fraction(0)
+            for w, f in immanant_table(X.n).row(D).items():
+                prod = Fraction(f)
+                for i in range(X.n):
+                    prod *= X.entry(i, w[i] - 1)
+                total += prod
+            return total
+
+        rng = random.Random(SEED + 11)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                X = ExactMatrix.from_rows(
+                    [
+                        [0 if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                         for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                )
+                den, mono = X.monomials
+                assert all(mono.values())
+                assert den % max(x.denominator for r in X.rows for x in r) == 0
+                for D in irreducible_webs(n):
+                    assert evaluate_immanant(D, X) == oracle(D, X), (n, X)
+
+    def test_monomials_prune_zero_factors(self):
+        X = ExactMatrix.from_rows([[Fraction(1, 2), 0, 3], [0, 5, Fraction(-2, 3)], [1, 1, 0]])
+        den, mono = X.monomials
+        assert den == 6
+        assert {w: Fraction(v, den) for w, v in mono.items()} == {
+            (1, 3, 2): Fraction(-1, 3),
+            (3, 2, 1): Fraction(15),
+        }
+
     def test_determinant_identity(self):
         rng = random.Random(SEED + 5)
         for n in (2, 3, 4):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from a2webs import webcore
+from a2webs import clear_caches, networks, webcore
 from a2webs.immanants import evaluate_immanant, irreducible_webs
 from a2webs.labelings import boundary_profile, enumerate_labelings
 from a2webs.minors import all_triples, boundary_from_triple, decompose_triple, triple_product
@@ -19,6 +19,7 @@ from a2webs.networks import (
     PlanarNetwork,
     _check_drawing,
     _families,
+    _sliced_web,
     corollary_check,
     covering_families,
     covering_markings,
@@ -592,6 +593,21 @@ class TestMarkedSubnetwork:
         with pytest.raises(WebError):
             MarkedSubnetwork.from_family(net, [(0,), (0,), (0,), (0,)])
 
+    def test_weight_is_the_product_of_powers(self):
+        # weights redrawn with zeros, negatives and mixed denominators
+        rng = random.Random(SEED + 14)
+        for _ in range(60):
+            obj = random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 4)).to_json_obj()
+            for e in obj["edges"]:
+                e["weight"] = str(Fraction(rng.randint(-6, 6), rng.randint(1, 7)))
+            net = PlanarNetwork.from_json_obj(obj)
+            eids = rng.sample(range(len(net.edges)), rng.randint(0, len(net.edges)))
+            sub = MarkedSubnetwork(net, tuple((e, rng.randint(1, 3)) for e in eids))
+            want = Fraction(1)
+            for eid, m in sub.marks:
+                want *= net.edges[eid].weight ** m
+            assert sub.weight() == want
+
 
 class TestUncross:
     def test_identity_marks_give_identity_web(self):
@@ -657,6 +673,48 @@ class TestUncross:
 
         monkeypatch.setattr(webcore, "render", refuse)
         assert [uncross(MarkedSubnetwork(net, marks)).code for marks in markings] == want
+
+    def test_one_diagram_is_mapped_once(self, monkeypatch):
+        # one strand through 6 diamonds in series: its 64 markings all
+        # sweep into the same slice diagram
+        net = PlanarNetwork(1, *diamond_chain(6), ["v0"], ["v6"])
+        markings = covering_markings(net)
+        assert len(markings) == 64
+        clear_caches()
+        drawn = []
+        to_map = networks.to_map
+        monkeypatch.setattr(networks, "to_map", lambda d: drawn.append(d) or to_map(d))
+        codes = {uncross(MarkedSubnetwork(net, marks)).code for marks in markings}
+        assert len(codes) == 1
+        assert len(drawn) == 1
+
+    def test_memo_gives_the_outcomes_of_fresh_sweeps(self):
+        rng = random.Random(SEED + 15)
+        lines = BENCH_NETWORKS.read_text().splitlines()
+        nets = [joined_diamond_net()]
+        nets += [PlanarNetwork.from_json_obj(json.loads(line)) for line in lines[::6]]
+        while len(nets) < 60:
+            net = displaced(random_planar_network(rng.randint(2, 3), rng, steps=rng.randint(1, 3)), rng)
+            if net is not None:
+                nets.append(net)
+
+        def outcome(net, marks):
+            try:
+                return uncross(MarkedSubnetwork(net, marks)).code
+            except WebError as exc:
+                return str(exc)
+
+        refused = 0
+        for net in nets:
+            markings = covering_markings(net)
+            memo = [outcome(net, marks) for marks in markings]
+            fresh = []
+            for marks in markings:
+                _sliced_web.cache_clear()
+                fresh.append(outcome(net, marks))
+            assert memo == fresh
+            refused += sum(type(o) is str for o in memo)
+        assert refused
 
     def test_rejects_unbalanced_marking(self):
         net = diamond_net()
@@ -920,6 +978,21 @@ class TestDisplacedBoundaryDigest:
         assert digest.hexdigest() == self.DIGEST
 
 
+def joined_diamond_net():
+    """The strand from s1 runs round a diamond above or below the entry
+    s2; below it, s2 could reach the left only across that strand, so
+    that marking is refused."""
+    return PlanarNetwork(
+        2,
+        [("s1", 0, 1), ("a", 1, 0), ("b", 2, 1), ("c", 2, -1), ("s2", 2, 0),
+         ("d", 3, 0), ("t1", 4, 1), ("t2", 4, -1)],
+        [("s1", "a", 1), ("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1),
+         ("s2", "d", 1), ("d", "t1", 1), ("d", "t2", 1)],
+        ["s1", "s2"],
+        ["t1", "t2"],
+    )
+
+
 def _outcomes(net):
     """Each covering marking's uncrossed code, or None when refused."""
     out = []
@@ -936,18 +1009,7 @@ class TestBoundaryContract:
     the entries out to the left and the exits out to the right."""
 
     def test_entry_inside_a_diamond_that_joins_it(self):
-        # the strand from s1 runs round the diamond above or below s2;
-        # below it, s2 could reach the left only across that strand
-        net = PlanarNetwork(
-            2,
-            [("s1", 0, 1), ("a", 1, 0), ("b", 2, 1), ("c", 2, -1), ("s2", 2, 0),
-             ("d", 3, 0), ("t1", 4, 1), ("t2", 4, -1)],
-            [("s1", "a", 1), ("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1),
-             ("s2", "d", 1), ("d", "t1", 1), ("d", "t2", 1)],
-            ["s1", "s2"],
-            ["t1", "t2"],
-        )
-        assert _outcomes(net) == [Web.from_slice(generator_web(2, 1)).code, None]
+        assert _outcomes(joined_diamond_net()) == [Web.from_slice(generator_web(2, 1)).code, None]
 
     def test_exit_whose_ray_a_later_edge_crosses(self):
         # s2's strand climbs past t1's rightward ray to the upper exit
