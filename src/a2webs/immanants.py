@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import permutations
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import LaurentPoly, echelon, eval_q1, parse_rational
+from .exactmath import echelon, eval_q1, parse_rational
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError
@@ -245,22 +244,6 @@ def evaluate_immanant(D: Web, X: ExactMatrix) -> Fraction:
         raise WebError(f"web on {D.n} strands against a {X.n} by {X.n} matrix")
     den, mono = X.monomials
     return Fraction(sum(f * mono.get(w, 0) for w, f in immanant_table(X.n)._row(D).items()), den)
-
-
-def parabolic_image(n: int, i: int, j: int) -> WebCombo:
-    """Sum of theta images at q = 1 over the subgroup permuting the
-    letters i..j only.  Width 2 gives E_i, width 3 gives D2_i, and
-    anything wider dies."""
-    if not 1 <= i < j <= n:
-        raise WebError(f"need 1 <= i < j <= n, got ({i}, {j}) at n = {n}")
-    window = range(i, j + 1)
-    terms = []
-    for block in permutations(window):
-        w = list(range(1, n + 1))
-        for pos, val in zip(window, block):
-            w[pos - 1] = val
-        terms.extend(_q1_row(theta_image(tuple(w))).items())
-    return WebCombo(n, ((D, LaurentPoly.const(v)) for D, v in terms))
 
 
 def tnn_check(n: int, samples: int = 100, seed: int = 0) -> dict:

@@ -64,13 +64,6 @@ class BoundaryLabeling:
     def n(self) -> int:
         return len(self.sources)
 
-    def is_balanced(self) -> bool:
-        """Whether each label occurs equally often on both sides.
-        Restrictions of consistent labelings always are."""
-        return all(
-            self.sources.count(i) == self.sinks.count(i) for i in LABELS
-        )
-
     def to_text(self) -> str:
         return "%s:%s" % (
             ",".join(map(str, self.sources)),

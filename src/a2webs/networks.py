@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -369,52 +368,23 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Marked subnetworks and their uncrossing
+# Markings and their uncrossing
 
 
-@dataclass(frozen=True, eq=False)
-class MarkedSubnetwork:
-    """Edge multiset of a covering path family: each used edge with
-    its multiplicity 1, 2 or 3."""
-
-    network: PlanarNetwork
-    marks: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        norm = []
-        for eid, m in self.marks:
-            if not 0 <= eid < len(self.network.edges):
-                raise WebError(f"marked edge {eid} does not exist")
-            if eid in seen:
-                raise WebError(f"edge {eid} marked twice")
-            seen.add(eid)
-            if m not in (1, 2, 3):
-                raise WebError(f"edge {eid} carries multiplicity {m}, want 1..3")
-            norm.append((eid, m))
-        object.__setattr__(self, "marks", tuple(sorted(norm)))
-
-    @classmethod
-    def from_family(cls, network: PlanarNetwork, paths: Sequence[Sequence[int]]) -> "MarkedSubnetwork":
-        counts = Counter(eid for p in paths for eid in p)
-        bad = [eid for eid, m in counts.items() if m > 3]
-        if bad:
-            raise WebError(f"edge {bad[0]} is used by four paths")
-        return cls(network, tuple(counts.items()))
-
-    def weight(self) -> Fraction:
-        """The product of weight ** multiplicity over the marked edges,
-        taken over integer numerators and denominators."""
-        num = den = 1
-        for eid, m in self.marks:
-            w = self.network.edges[eid].weight
-            num *= w.numerator ** m
-            den *= w.denominator ** m
-        return Fraction(num, den)
+def marking_weight(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Fraction:
+    """The product of weight ** multiplicity over the marked edges,
+    taken over integer numerators and denominators."""
+    num = den = 1
+    for eid, m in marks:
+        w = net.edges[eid].weight
+        num *= w.numerator ** m
+        den *= w.denominator ** m
+    return Fraction(num, den)
 
 
-def uncross(sub: MarkedSubnetwork) -> Web:
-    """The web of a marked subnetwork, read off the network's drawing.
+def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
+    """The web of a marking, read off the network's drawing.  A marking
+    is the (edge id, multiplicity) pairs that `covering_markings` lists.
 
     One sweep from left to right turns the drawing into a slice diagram.
     It keeps the marked edges that cross the sweep line, top to bottom.
@@ -431,14 +401,15 @@ def uncross(sub: MarkedSubnetwork) -> Web:
     one curve on each side passes straight through.  `to_map` then
     builds the web's map, once per distinct diagram (`_sliced_web`).
 
-    The marking is refused with WebError unless the drawing leaves room
-    for the boundary: at each entry the nearest marked edges above and
-    below its placeholder must pass above and below the entry, the
-    marked edges into a vertex must be adjacent on the sweep line, and
-    the exits must be reached in order, top to bottom.
+    The marking is refused with WebError unless each entry starts one
+    strand, each exit ends one, each other vertex passes as many strands
+    out as in and at most three, and the drawing leaves room for the
+    boundary: at each entry the nearest marked edges above and below
+    its placeholder must pass above and below the entry, the marked
+    edges into a vertex must be adjacent on the sweep line, and the
+    exits must be reached in order, top to bottom.
     """
-    net = sub.network
-    mult = dict(sub.marks)
+    mult = dict(marks)
     # marked edge ids, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column
@@ -585,9 +556,8 @@ def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:
     summed per uncrossed web, and each distinct web is reduced once."""
     weights: dict[Web, Fraction] = {}
     for marks in covering_markings(net):
-        sub = MarkedSubnetwork(net, marks)
-        web = uncross(sub)
-        weights[web] = weights.get(web, 0) + sub.weight()
+        web = uncross(net, marks)
+        weights[web] = weights.get(web, 0) + marking_weight(net, marks)
     totals = {D: Fraction(0) for D in irreducible_webs(net.n)}
     for web, w in weights.items():
         for D, c in reduce_web(web).terms():
@@ -641,22 +611,6 @@ def identity_network(n: int, weights: Optional[Sequence] = None) -> PlanarNetwor
         edges,
         [f"s{i + 1}" for i in range(n)],
         [f"t{i + 1}" for i in range(n)],
-    )
-
-
-def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:
-    """Stack a above b; entries and exits concatenate in order."""
-    drop = min(p[1] for p in a.pos.values()) - max(p[1] for p in b.pos.values()) - 1
-    vertices = [(f"u.{v}", a.pos[v][0], a.pos[v][1]) for v in a.ids]
-    vertices += [(f"l.{v}", b.pos[v][0], b.pos[v][1] + drop) for v in b.ids]
-    edges = [(f"u.{e.tail}", f"u.{e.head}", e.weight) for e in a.edges]
-    edges += [(f"l.{e.tail}", f"l.{e.head}", e.weight) for e in b.edges]
-    return PlanarNetwork(
-        a.n + b.n,
-        vertices,
-        edges,
-        [f"u.{s}" for s in a.sources] + [f"l.{s}" for s in b.sources],
-        [f"u.{t}" for t in a.sinks] + [f"l.{t}" for t in b.sinks],
     )
 
 

@@ -824,29 +824,38 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
             for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1))
         ]
 
+    # A depth-first search with an explicit stack, so a long web needs
+    # no frame per placed vertex: one entry per state on the current
+    # path, holding its frontier, its placed vertices, its untried moves
+    # and the length of cols before the move into it.
     visited = set()
-
-    def dfs(F: tuple[int, ...], placed: frozenset[int], cols: list[Column]) -> bool:
-        if len(placed) == len(internal) and F == target:
-            return True
-        key = (F, placed)
-        if key in visited:
-            return False
-        visited.add(key)
-        moves = vertex_moves(F, placed) + seed_moves(F, placed)
-        if rng is not None:
-            rng.shuffle(moves)
-        for p, k, new, tiles, v in moves:
-            cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
-            if dfs(F[:p] + new + F[p + k :], placed if v is None else placed | {v}, cols):
-                return True
-            del cols[len(cols) - len(tiles) :]
-        return False
-
     cols: list[Column] = []
-    if not dfs(frontier, frozenset(), cols):
-        raise WebError("map admits no slice drawing with the prescribed boundary")
-    return SliceDiagram(m.n, tuple(cols))
+    stack = []
+    F, placed, start = frontier, frozenset(), 0
+    while True:
+        if len(placed) == len(internal) and F == target:
+            return SliceDiagram(m.n, tuple(cols))
+        if (F, placed) in visited:
+            del cols[start:]
+        else:
+            visited.add((F, placed))
+            moves = vertex_moves(F, placed) + seed_moves(F, placed)
+            if rng is not None:
+                rng.shuffle(moves)
+            stack.append((F, placed, iter(moves), start))
+        while stack:
+            F, placed, untried, start = stack[-1]
+            move = next(untried, None)
+            if move is not None:
+                break
+            del cols[start:]
+            stack.pop()
+        else:
+            raise WebError("map admits no slice drawing with the prescribed boundary")
+        p, k, new, tiles, v = move
+        start = len(cols)
+        cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
+        F, placed = F[:p] + new + F[p + k :], placed if v is None else placed | {v}
 
 
 # ---------------------------------------------------------------------------

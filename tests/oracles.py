@@ -1,0 +1,49 @@
+"""Independent routes the tests check the library against.  No program
+path calls these."""
+
+from itertools import permutations
+
+from a2webs.exactmath import LaurentPoly, eval_q1
+from a2webs.immanants import theta_image
+from a2webs.labelings import LABELS, BoundaryLabeling
+from a2webs.networks import PlanarNetwork
+from a2webs.spider import WebCombo
+from a2webs.webcore import WebError
+
+
+def parabolic_image(n: int, i: int, j: int) -> WebCombo:
+    """Sum of theta images at q = 1 over the subgroup permuting the
+    letters i..j only.  Width 2 gives E_i, width 3 gives D2_i, and
+    anything wider dies."""
+    if not 1 <= i < j <= n:
+        raise WebError(f"need 1 <= i < j <= n, got ({i}, {j}) at n = {n}")
+    window = range(i, j + 1)
+    terms = []
+    for block in permutations(window):
+        w = list(range(1, n + 1))
+        for pos, val in zip(window, block):
+            w[pos - 1] = val
+        terms += [(D, LaurentPoly.const(eval_q1(c))) for D, c in theta_image(tuple(w)).terms()]
+    return WebCombo(n, terms)
+
+
+def is_balanced(g: BoundaryLabeling) -> bool:
+    """Whether each label occurs equally often on both sides of g.
+    Restrictions of consistent labelings always are."""
+    return all(g.sources.count(i) == g.sinks.count(i) for i in LABELS)
+
+
+def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:
+    """Stack a above b; entries and exits concatenate in order."""
+    drop = min(p[1] for p in a.pos.values()) - max(p[1] for p in b.pos.values()) - 1
+    vertices = [(f"u.{v}", a.pos[v][0], a.pos[v][1]) for v in a.ids]
+    vertices += [(f"l.{v}", b.pos[v][0], b.pos[v][1] + drop) for v in b.ids]
+    edges = [(f"u.{e.tail}", f"u.{e.head}", e.weight) for e in a.edges]
+    edges += [(f"l.{e.tail}", f"l.{e.head}", e.weight) for e in b.edges]
+    return PlanarNetwork(
+        a.n + b.n,
+        vertices,
+        edges,
+        [f"u.{s}" for s in a.sources] + [f"l.{s}" for s in b.sources],
+        [f"u.{t}" for t in a.sinks] + [f"l.{t}" for t in b.sinks],
+    )

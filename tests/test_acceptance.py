@@ -13,7 +13,6 @@ from a2webs.exactmath import eval_q1
 from a2webs.immanants import (
     evaluate_immanant,
     irreducible_webs,
-    parabolic_image,
     theta_image,
     tnn_check,
 )
@@ -63,6 +62,7 @@ from a2webs.tlbridge import (
     tl_immanant,
 )
 from a2webs.webcore import Web
+from oracles import parabolic_image
 
 SEED = 20260816
 

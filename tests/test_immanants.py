@@ -9,7 +9,6 @@ from a2webs.immanants import (
     evaluate_immanant,
     immanant_table,
     irreducible_webs,
-    parabolic_image,
     theta_image,
 )
 from a2webs.labelings import BoundaryLabeling, enumerate_labelings
@@ -29,6 +28,7 @@ from a2webs.spider import (
     second_generator_combo,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
+from oracles import parabolic_image
 
 SEED = 20260816
 

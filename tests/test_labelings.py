@@ -36,6 +36,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
+from oracles import is_balanced
 
 SEED = 20260816
 
@@ -95,8 +96,8 @@ class TestBoundaryLabeling:
             bl("1,x:1,2")
 
     def test_is_balanced(self):
-        assert bl("1,2:2,1").is_balanced()
-        assert not bl("1,1:1,2").is_balanced()
+        assert is_balanced(bl("1,2:2,1"))
+        assert not is_balanced(bl("1,1:1,2"))
 
     def test_orderable(self):
         assert bl("1,1:1,1") < bl("1,2:1,1")
@@ -144,7 +145,7 @@ class TestEnumeration:
     def test_restrictions_are_balanced(self):
         for w in [gweb(2, 1), product_web(3, (1, 2, 1)), second_generator(3, 1)]:
             for f in enumerate_labelings(w):
-                assert boundary_restriction(w, f).is_balanced()
+                assert is_balanced(boundary_restriction(w, f))
 
 
 def random_web_with_loops(rng):
@@ -173,7 +174,7 @@ class TestBoundaryCounts:
             loops += w.pmap.loops
             counts = boundary_counts(w)
             assert sum(counts.values()) == len(enumerate_labelings(w))
-            assert all(g.is_balanced() for g in counts)
+            assert all(is_balanced(g) for g in counts)
         assert loops > 0
 
     def test_each_count_is_the_restricted_enumeration(self):

@@ -14,18 +14,16 @@ from a2webs.labelings import boundary_profile, enumerate_labelings
 from a2webs.minors import all_triples, boundary_from_triple, decompose_triple, triple_product
 from a2webs.networks import (
     MAX_PATH_FAMILIES,
-    MarkedSubnetwork,
     NetEdge,
     PlanarNetwork,
     _check_drawing,
     _families,
     _sliced_web,
     corollary_check,
-    covering_families,
     covering_markings,
-    disjoint_union,
     identity_network,
     lindstrom_check,
+    marking_weight,
     network_immanants,
     path_matrix,
     random_planar_network,
@@ -35,6 +33,7 @@ from a2webs.networks import (
 from a2webs.perms import all_perms
 from a2webs.spider import apply_rule, reduce_web, second_generator
 from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, identity_web
+from oracles import disjoint_union
 
 SEED = 20260816
 BENCH_NETWORKS = Path(__file__).parents[1] / "perfbench" / "networks.jsonl"
@@ -563,35 +562,21 @@ class TestFamilyOracle:
         assert net.paths_between(0, 0) == ((len(edges),),)
 
 
-class TestMarkedSubnetwork:
+class TestMarking:
     def test_rejects_multiplicity_four(self):
         net = identity_network(1)
         with pytest.raises(WebError):
-            MarkedSubnetwork(net, ((0, 4),))
+            uncross(net, ((0, 4),))
 
     def test_rejects_unknown_edge(self):
         net = identity_network(1)
         with pytest.raises(WebError):
-            MarkedSubnetwork(net, ((3, 1),))
+            uncross(net, ((3, 1),))
 
     def test_rejects_repeated_edge(self):
         net = identity_network(2)
         with pytest.raises(WebError):
-            MarkedSubnetwork(net, ((0, 1), (0, 2)))
-
-    def test_from_family_counts_uses(self):
-        net = funnel3_net()
-        (w, combo) = next(iter(covering_families(net)))
-        sub = MarkedSubnetwork.from_family(net, combo)
-        assert dict(sub.marks)[3] == 3
-        assert sub.weight() == net.path_weight(combo[0]) * net.path_weight(
-            combo[1]
-        ) * net.path_weight(combo[2])
-
-    def test_from_family_rejects_four_paths_on_an_edge(self):
-        net = identity_network(1)
-        with pytest.raises(WebError):
-            MarkedSubnetwork.from_family(net, [(0,), (0,), (0,), (0,)])
+            uncross(net, ((0, 1), (0, 2)))
 
     def test_weight_is_the_product_of_powers(self):
         # weights redrawn with zeros, negatives and mixed denominators
@@ -602,38 +587,38 @@ class TestMarkedSubnetwork:
                 e["weight"] = str(Fraction(rng.randint(-6, 6), rng.randint(1, 7)))
             net = PlanarNetwork.from_json_obj(obj)
             eids = rng.sample(range(len(net.edges)), rng.randint(0, len(net.edges)))
-            sub = MarkedSubnetwork(net, tuple((e, rng.randint(1, 3)) for e in eids))
+            marks = tuple((e, rng.randint(1, 3)) for e in eids)
             want = Fraction(1)
-            for eid, m in sub.marks:
+            for eid, m in marks:
                 want *= net.edges[eid].weight ** m
-            assert sub.weight() == want
+            assert marking_weight(net, marks) == want
 
 
 class TestUncross:
     def test_identity_marks_give_identity_web(self):
         net = identity_network(2)
         (marks,) = covering_markings(net)
-        assert uncross(MarkedSubnetwork(net, marks)) == Web.from_slice(identity_web(2))
+        assert uncross(net, marks) == Web.from_slice(identity_web(2))
 
     def test_diamond_gives_crossing_web(self):
         net = diamond_net()
         (marks,) = covering_markings(net)
-        assert uncross(MarkedSubnetwork(net, marks)) == Web.from_slice(generator_web(2, 1))
+        assert uncross(net, marks) == Web.from_slice(generator_web(2, 1))
 
     def test_doubled_corridor_gives_crossing_web(self):
         net = funnel2_net()
         (marks,) = covering_markings(net)
-        assert uncross(MarkedSubnetwork(net, marks)) == Web.from_slice(generator_web(2, 1))
+        assert uncross(net, marks) == Web.from_slice(generator_web(2, 1))
 
     def test_tripled_corridor_gives_claw_pair(self):
         net = funnel3_net()
         (marks,) = covering_markings(net)
-        assert uncross(MarkedSubnetwork(net, marks)) == second_generator(3, 1)
+        assert uncross(net, marks) == second_generator(3, 1)
 
     def test_junction_web_reduces_like_its_matrix(self):
         net = hub_net()
         (marks,) = covering_markings(net)
-        w = uncross(MarkedSubnetwork(net, marks))
+        w = uncross(net, marks)
         assert w.pmap.internal_vertex_count == 2
         assert len(w.pmap.edges) == 6
 
@@ -641,14 +626,14 @@ class TestUncross:
         net = eye_net()
         by_loops = Counter()
         for marks in covering_markings(net):
-            w = uncross(MarkedSubnetwork(net, marks))
+            w = uncross(net, marks)
             by_loops[w.pmap.loops] += 1
         assert by_loops == Counter({0: 2, 1: 2})
 
     def test_loops_are_drawn_below_the_strands(self):
         net = eye_net()
         loop_webs = [
-            w for w in (uncross(MarkedSubnetwork(net, marks)) for marks in covering_markings(net))
+            w for w in (uncross(net, marks) for marks in covering_markings(net))
             if w.pmap.loops
         ]
         assert loop_webs
@@ -666,13 +651,13 @@ class TestUncross:
     def test_uncross_never_draws(self, monkeypatch):
         net = eye_net()
         markings = covering_markings(net)
-        want = [uncross(MarkedSubnetwork(net, marks)).code for marks in markings]
+        want = [uncross(net, marks).code for marks in markings]
 
         def refuse(*args, **kwargs):
             raise AssertionError("uncross drew a web")
 
         monkeypatch.setattr(webcore, "render", refuse)
-        assert [uncross(MarkedSubnetwork(net, marks)).code for marks in markings] == want
+        assert [uncross(net, marks).code for marks in markings] == want
 
     def test_one_diagram_is_mapped_once(self, monkeypatch):
         # one strand through 6 diamonds in series: its 64 markings all
@@ -684,7 +669,7 @@ class TestUncross:
         drawn = []
         to_map = networks.to_map
         monkeypatch.setattr(networks, "to_map", lambda d: drawn.append(d) or to_map(d))
-        codes = {uncross(MarkedSubnetwork(net, marks)).code for marks in markings}
+        codes = {uncross(net, marks).code for marks in markings}
         assert len(codes) == 1
         assert len(drawn) == 1
 
@@ -700,7 +685,7 @@ class TestUncross:
 
         def outcome(net, marks):
             try:
-                return uncross(MarkedSubnetwork(net, marks)).code
+                return uncross(net, marks).code
             except WebError as exc:
                 return str(exc)
 
@@ -719,12 +704,12 @@ class TestUncross:
     def test_rejects_unbalanced_marking(self):
         net = diamond_net()
         with pytest.raises(WebError):
-            uncross(MarkedSubnetwork(net, ((0, 1), (2, 1), (3, 1))))
+            uncross(net, ((0, 1), (2, 1), (3, 1)))
 
     def test_rejects_marking_missing_an_entry(self):
         net = identity_network(2)
         with pytest.raises(WebError):
-            uncross(MarkedSubnetwork(net, ((0, 1),)))
+            uncross(net, ((0, 1),))
 
     def test_rejects_four_strands_through_a_vertex(self):
         net = PlanarNetwork(
@@ -735,7 +720,7 @@ class TestUncross:
             ["c", "d"],
         )
         with pytest.raises(WebError):
-            uncross(MarkedSubnetwork(net, ((0, 2), (1, 2), (2, 2), (3, 2))))
+            uncross(net, ((0, 2), (1, 2), (2, 2), (3, 2)))
 
     def test_gadget_profile_coverage(self):
         # the random corpus must exercise every legal multiplicity
@@ -847,10 +832,10 @@ class TestFamilyLabelingBijection:
                 marks = tuple(sorted(Counter(e for p in fam for e in p).items()))
                 per[marks] += 1
             for marks, cnt in per.items():
-                w = uncross(MarkedSubnetwork(net, marks))
+                w = uncross(net, marks)
                 assert len(enumerate_labelings(w, g)) == cnt
             total = sum(
-                len(enumerate_labelings(uncross(MarkedSubnetwork(net, m)), g))
+                len(enumerate_labelings(uncross(net, m), g))
                 for m in covering_markings(net)
             )
             assert total == len(fams)
@@ -924,7 +909,7 @@ class TestUncrossDigest:
         profiles = set()
         for net in nets:
             for marks in covering_markings(net):
-                w = uncross(MarkedSubnetwork(net, marks))
+                w = uncross(net, marks)
                 w.pmap.validate()
                 digest.update(repr(w.code).encode())
                 profiles |= _vertex_profiles(net, marks)
@@ -971,7 +956,7 @@ class TestDisplacedBoundaryDigest:
         for net in nets:
             for marks in covering_markings(net):
                 try:
-                    outcome = repr(uncross(MarkedSubnetwork(net, marks)).code)
+                    outcome = repr(uncross(net, marks).code)
                 except WebError:
                     outcome = "refused"
                 digest.update(outcome.encode())
@@ -998,7 +983,7 @@ def _outcomes(net):
     out = []
     for marks in covering_markings(net):
         try:
-            out.append(uncross(MarkedSubnetwork(net, marks)).code)
+            out.append(uncross(net, marks).code)
         except WebError:
             out.append(None)
     return out

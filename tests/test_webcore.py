@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -170,6 +171,20 @@ class TestRender:
         with pytest.raises(WebError):
             render(m)
 
+    def test_a_long_product_draws_in_bounded_depth(self):
+        # 300 vertices to place; one frame per vertex would overrun the limit
+        from a2webs.spider import product_web
+
+        code = product_web(2, (1,) * 150).code
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            w = Web.from_code(code)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert w.code == code
+        assert len(w.diagram.columns) == 300
+
 
 def circle_diagram():
     # one strand plus a free circle below it
@@ -325,7 +340,7 @@ class TestDrawingDigest:
     DIGEST = "5b2bf659266698f8e996d2b50c03fd21ea63e607a965036506029391a0d1b346"
 
     def test_drawings_are_pinned(self):
-        from a2webs.networks import MarkedSubnetwork, covering_markings, random_planar_network, uncross
+        from a2webs.networks import covering_markings, random_planar_network, uncross
         from a2webs.spider import all_reducible_features, apply_rule, product_web
 
         rng = random.Random(20261018)
@@ -345,7 +360,7 @@ class TestDrawingDigest:
                         work.append(o.child)
         for _ in range(80):
             net = random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 4))
-            webs += [uncross(MarkedSubnetwork(net, marks)) for marks in covering_markings(net)]
+            webs += [uncross(net, marks) for marks in covering_markings(net)]
         digest = hashlib.sha256()
         for w in webs:
             m = w.pmap.without_loops()
