@@ -141,44 +141,24 @@ def rewrite_step(w: Web) -> tuple[Web, tuple[Outcome, ...]]:
 
 @cache
 def reduce_web(w: Web) -> "WebCombo":
-    host, outcomes = _reduction_step(w)
-    if not outcomes:
-        return WebCombo.from_web(host)
-    _reduce_new_children(outcomes)
-    return WebCombo(host.n, (
-        (D, o.coeff * v) for o in outcomes for D, v in reduce_web(o.child)._terms.items()
-    ))
-
-
-@cache
-def _reduction_step(w: Web) -> tuple[Web, tuple[Outcome, ...]]:
-    """rewrite_step(w), called by reduction only: a web this cache has
-    met is reduced, or is being reduced further up.  Label transport
-    steps webs through rewrite_step without reducing them."""
-    return rewrite_step(w)
-
-
-def _reduce_new_children(outcomes: Sequence[Outcome]) -> None:
-    """Reduce the webs below these outcomes with an explicit stack, so
-    that reduce_web recurses a bounded number of frames however long
-    the chain of rewrite steps.  A web reduction has not stepped yet
-    has no cached reduction: its own new children are reduced first.
-    Any other web is reduced already, so reducing it is a cache hit.
-    Webs are met in the order the plain recursion meets them, so each
-    code keeps the same host."""
-    stack = [(o.child, False) for o in reversed(outcomes)]
-    while stack:
-        w, ready = stack.pop()
-        if ready:
-            reduce_web(w)
-            continue
-        misses = _reduction_step.cache_info().misses
-        below = _reduction_step(w)[1]
-        if _reduction_step.cache_info().misses == misses:
-            reduce_web(w)
-        else:
-            stack.append((w, True))
-            stack += ((o.child, False) for o in reversed(below))
+    """Rewrite w to irreducibles through one worklist, largest web first.
+    Every step lowers (internal vertices, loops): a bigon erases two
+    vertices, a square four, a loop step every loop.  So all parents of
+    a web are stepped before it, each web is stepped once with its
+    coefficients summed, and nothing recurses.  Only w's reduction is
+    kept here; the steps themselves are kept by rewrite_step."""
+    pending = {w: LaurentPoly.one()}
+    done = []
+    while pending:
+        x = max(pending, key=lambda y: (y.pmap.internal_vertex_count, y.pmap.loops))
+        c = pending.pop(x)
+        host, outcomes = rewrite_step(x)
+        if not outcomes:
+            done.append((host, c))
+        for o in outcomes:
+            v = c * o.coeff
+            pending[o.child] = pending[o.child] + v if o.child in pending else v
+    return WebCombo(w.n, done)
 
 
 @cache

@@ -30,6 +30,8 @@ CALLS = {
                     "--I2", "3", "--J2", "2", "--I3", "4", "--J3", "4"],
     "bridge_231": ["bridge", "--n", "3", "--w", "231"],
     "verify_all_4": ["verify", "--suite", "all", "--n", "4", "--seed", "0"],
+    # the report the benchmark's verify workload produces
+    "verify_all_5": ["verify", "--suite", "all", "--n", "5", "--seed", "0"],
     "labelings_4": ["labelings", "--web", WEB_4],
     "labelings_4_q": ["labelings", "--web", WEB_4, "--q"],
     # a zero entry, negative entries and mixed denominators

@@ -124,6 +124,32 @@ class TestReductionDepth:
         assert combo == generator_combo(2, 1).scale(qint(2) ** 99)
 
 
+class TestWorklist:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_each_web_is_stepped_once(self, n, monkeypatch):
+        rng = random.Random(n)
+        step = spider.rewrite_step
+        calls = []
+        monkeypatch.setattr(spider, "rewrite_step", lambda w: calls.append(w) or step(w))
+        shared = False
+        for _ in range(3):
+            w = product_web(n, [rng.randrange(1, n) for _ in range(3 * n)])
+            clear_caches()
+            step.cache_clear()  # patched out of spider, where clear_caches looks
+            calls.clear()
+            reduce_web(w)
+            assert len(calls) == step.cache_info().misses
+            assert reduce_web.cache_info().currsize == 1
+
+            # only a square branches, so more paths than webs below w
+            # means the two resolutions of some square meet again
+            paths = {}
+            for x in reversed(calls):
+                paths[x] = 1 + sum(paths[o.child] for o in step(x)[1])
+            shared |= paths[w] > len(calls)
+        assert shared or n == 2
+
+
 class TestTripleProduct:
     def test_reduction_support(self):
         combo = reduce_web(product_web(3, (1, 2, 1)))
@@ -236,7 +262,7 @@ class TestNoDrawing:
         spider.rewrite_step.cache_clear()
         monkeypatch.setattr(webcore, "render", refuse)
         assert reduce_web(w) == want
-        assert reduce_web.cache_info().currsize > 1
+        assert spider.rewrite_step.cache_info().currsize > 1
 
 
 class TestClosure:
