@@ -45,13 +45,14 @@ from .immanants import (
     tnn_check,
 )
 from .labelings import (
-    BoundaryLabeling,
-    boundary_counts,
     boundary_profile,
     boundary_restriction,
     coefficient_via_labelings,
     enumerate_labelings,
     weighted_count,
+    word_counts,
+    word_from_text,
+    word_to_text,
 )
 from .minors import (
     MinorTriple,
@@ -222,15 +223,15 @@ def cmd_labelings(args) -> int:
     w = Web.from_code(_parse_ints(args.web))
     out: dict = {"web": _webkey(w.code), "n": w.n}
     if args.boundary is not None:
-        g = BoundaryLabeling.from_text(args.boundary)
-        out["boundary"] = g.to_text()
+        g = word_from_text(args.boundary)
+        out["boundary"] = word_to_text(g)
         if args.q:
             out["qsize"] = weighted_count(w, g).to_json_obj()
         else:
             out["count"] = len(enumerate_labelings(w, g))
     else:
-        table = boundary_profile(w).entries() if args.q else sorted(boundary_counts(w).items())
-        out["boundaries"] = {g.to_text(): c.to_json_obj() if args.q else c for g, c in table}
+        table = boundary_profile(w).terms() if args.q else sorted(word_counts(w).items())
+        out["boundaries"] = {word_to_text(g): c.to_json_obj() if args.q else c for g, c in table}
     _emit(out)
     return 0
 

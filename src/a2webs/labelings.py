@@ -11,6 +11,12 @@ recoverable by counting: the coefficient of an irreducible child
 equals the weighted count of parent labelings that transport onto it,
 divided by the child's own weighted count.
 
+A labeling is a plain tuple: the label of each edge by edge id, then
+one label per closed loop in drawing order.  A boundary word is the
+tuple of the 2n labels read along the boundary, sources then sinks;
+sink labels are stored unprimed, since the primed reading only changes
+comparison order inside the weight statistic.
+
 Weight bookkeeping, in t-exponents:
 
 - an internal vertex contributes +1 or -1 according to how the labels
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div
@@ -42,54 +47,23 @@ from .webcore import (
 LABELS = (1, 2, 3)
 
 
-@dataclass(frozen=True, order=True)
-class BoundaryLabeling:
-    """Words read along the boundary: source labels, then sink labels.
-
-    Sink labels are stored unprimed; the primed reading only changes
-    comparison order inside the weight statistic, not the data.
-    """
-
-    sources: tuple[int, ...]
-    sinks: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.sources) != len(self.sinks):
-            raise WebError("source and sink words must have equal length")
-        for x in self.sources + self.sinks:
-            if x not in LABELS:
-                raise WebError(f"boundary label {x!r} out of range")
-
-    @property
-    def n(self) -> int:
-        return len(self.sources)
-
-    def to_text(self) -> str:
-        return "%s:%s" % (
-            ",".join(map(str, self.sources)),
-            ",".join(map(str, self.sinks)),
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "BoundaryLabeling":
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise WebError(f"boundary {text!r} must look like 1,2:1,2")
-        try:
-            src = tuple(int(x) for x in parts[0].split(","))
-            snk = tuple(int(x) for x in parts[1].split(","))
-        except ValueError as exc:
-            raise WebError(f"boundary {text!r} has a non-integer entry") from exc
-        return cls(src, snk)
+def word_from_text(text: str) -> tuple[int, ...]:
+    """The boundary word written like 1,2:1,2, sources then sinks."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise WebError(f"boundary {text!r} must look like 1,2:1,2")
+    try:
+        src, snk = ([int(x) for x in part.split(",")] for part in parts)
+    except ValueError as exc:
+        raise WebError(f"boundary {text!r} has a non-integer entry") from exc
+    if len(src) != len(snk):
+        raise WebError("source and sink words must have equal length")
+    return tuple(src + snk)
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """edge_labels[eid] is the label of edge eid; loop_labels holds one
-    free label per closed loop, in drawing order."""
-
-    edge_labels: tuple[int, ...]
-    loop_labels: tuple[int, ...] = ()
+def word_to_text(g: tuple[int, ...]) -> str:
+    n = len(g) // 2
+    return ",".join(map(str, g[:n])) + ":" + ",".join(map(str, g[n:]))
 
 
 def _boundary_edges(w: Web) -> list[int]:
@@ -97,19 +71,25 @@ def _boundary_edges(w: Web) -> list[int]:
     return [m.rot[v][0] >> 1 for v in range(2 * m.n)]
 
 
-def boundary_restriction(w: Web, f: Labeling) -> BoundaryLabeling:
-    be = _boundary_edges(w)
-    n = w.n
-    return BoundaryLabeling(
-        tuple(f.edge_labels[e] for e in be[:n]),
-        tuple(f.edge_labels[e] for e in be[n:]),
-    )
+def boundary_restriction(w: Web, f: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(f[e] for e in _boundary_edges(w))
+
+
+def _check_word(g: tuple[int, ...], n: int) -> None:
+    if len(g) % 2:
+        raise WebError("source and sink words must have equal length")
+    for x in g:
+        if x not in LABELS:
+            raise WebError(f"boundary label {x!r} out of range")
+    if len(g) != 2 * n:
+        raise WebError(f"boundary has {len(g) // 2} strands, web has {n}")
 
 
 def enumerate_labelings(
-    w: Web, g: Optional[BoundaryLabeling] = None
-) -> list[Labeling]:
-    """All consistent labelings of w, restricted to boundary g if given.
+    w: Web, g: Optional[tuple[int, ...]] = None
+) -> list[tuple[int, ...]]:
+    """All consistent labelings of w, sorted, restricted to boundary
+    word g if given.
 
     Backtracks over edges in a breadth-first order seeded by the pinned
     boundary edges, so the distinctness constraint prunes early.
@@ -118,10 +98,8 @@ def enumerate_labelings(
     ne = len(m.edges)
     pinned: dict[int, int] = {}
     if g is not None:
-        if g.n != m.n:
-            raise WebError(f"boundary has {g.n} strands, web has {m.n}")
-        be = _boundary_edges(w)
-        for e, lbl in zip(be, g.sources + g.sinks):
+        _check_word(g, m.n)
+        for e, lbl in zip(_boundary_edges(w), g):
             if pinned.setdefault(e, lbl) != lbl:
                 return []
 
@@ -176,27 +154,18 @@ def enumerate_labelings(
         labels[e] = 0
 
     go(0)
-    result = [
-        Labeling(edge_labels, loop_labels)
-        for edge_labels in out
-        for loop_labels in itertools.product(LABELS, repeat=m.loops)
-    ]
-    result.sort(key=lambda f: (f.edge_labels, f.loop_labels))
-    return result
+    if m.loops:
+        out = [f + free for f in out for free in itertools.product(LABELS, repeat=m.loops)]
+    out.sort()
+    return out
 
 
 def word_counts(w: Web) -> Counter:
-    """Plain labeling count of w per boundary word, the word a plain
-    tuple of the source labels then the sink labels, from one
-    unrestricted enumeration; words without a labeling are absent."""
+    """Plain labeling count of w per boundary word, from one
+    unrestricted enumeration; words without a labeling are absent.
+    word_counts(w)[g] == len(enumerate_labelings(w, g))."""
     be = _boundary_edges(w)
-    return Counter(tuple(f.edge_labels[e] for e in be) for f in enumerate_labelings(w))
-
-
-def boundary_counts(w: Web) -> dict[BoundaryLabeling, int]:
-    """word_counts keyed by BoundaryLabeling.
-    boundary_counts(w).get(g, 0) == len(enumerate_labelings(w, g))."""
-    return {BoundaryLabeling(g[: w.n], g[w.n :]): c for g, c in word_counts(w).items()}
+    return Counter(tuple(f[e] for e in be) for f in enumerate_labelings(w))
 
 
 # ---------------------------------------------------------------------------
@@ -213,25 +182,25 @@ def _vertex_sign(role: str, left, right, lab) -> int:
     return 1 if upper_bigger else -1
 
 
-def labeling_weight(w: Web, f: Labeling) -> LaurentPoly:
+def labeling_weight(w: Web, f: tuple[int, ...]) -> LaurentPoly:
     """The monomial t^k of one labeling, read off w's drawing.  The
     value does not depend on which drawing of the map is used."""
     m, geom = w.pmap, w.geom
-    lab = f.edge_labels
-    if len(lab) != len(m.edges) or len(f.loop_labels) != m.loops:
+    ne = len(m.edges)
+    if len(f) != ne + m.loops:
         raise WebError("labeling does not match the web's edge and loop counts")
     total = 0
     for v, (left, right) in geom.vertex_sides.items():
-        total += _vertex_sign(m.roles[v][0], left, right, lab)
+        total += _vertex_sign(m.roles[v][0], left, right, f)
     for e, turns in geom.edge_turns.items():
         if turns:
-            total += (4 - 2 * lab[e]) * sum(turns)
-    for turns, lbl in zip(geom.loop_turns, f.loop_labels):
+            total += (4 - 2 * f[e]) * sum(turns)
+    for turns, lbl in zip(geom.loop_turns, f[ne:]):
         total += (4 - 2 * lbl) * sum(turns)
     return LaurentPoly.t_power(total)
 
 
-def weighted_count(w: Web, g: BoundaryLabeling) -> LaurentPoly:
+def weighted_count(w: Web, g: tuple[int, ...]) -> LaurentPoly:
     """Sum of labeling weights over the labelings with boundary g.
     At t = 1 this is the plain count."""
     acc = LaurentPoly.zero()
@@ -248,21 +217,20 @@ class KappaVector(Combo):
     __slots__ = ()
     ZERO = LaurentPoly.zero()
 
-    entry = Combo.coeff
-    entries = Combo.terms
-
     @staticmethod
-    def _product(g1: BoundaryLabeling, g2: BoundaryLabeling) -> tuple:
-        if g1.sinks != g2.sources:
+    def _product(g1: tuple, g2: tuple) -> tuple:
+        n = len(g1) // 2
+        if g1[n:] != g2[:n]:
             return ()
-        return ((BoundaryLabeling(g1.sources, g2.sinks), 1),)
+        return ((g1[:n] + g2[n:], 1),)
 
 
 def boundary_profile(w: Web) -> KappaVector:
     """The full vector of weighted counts of w, one entry per boundary
     word that admits a labeling."""
+    be = _boundary_edges(w)
     return KappaVector(w.n, (
-        (boundary_restriction(w, f), labeling_weight(w, f)) for f in enumerate_labelings(w)
+        (tuple(f[e] for e in be), labeling_weight(w, f)) for f in enumerate_labelings(w)
     ))
 
 
@@ -276,13 +244,13 @@ def boundary_profile(w: Web) -> KappaVector:
 # onto the host through the canonical edge matching.
 
 
-def _reindex(f: Labeling, src: Web, dst: Web) -> Labeling:
+def _reindex(f: tuple[int, ...], src: Web, dst: Web) -> tuple[int, ...]:
     if src.code != dst.code:
         raise RuntimeError("reindexing requires equal canonical codes")
     arr = [0] * len(dst.pmap.edges)
     for a, b in zip(canonical_edge_order(src.pmap), canonical_edge_order(dst.pmap)):
-        arr[b] = f.edge_labels[a]
-    return Labeling(tuple(arr), f.loop_labels)
+        arr[b] = f[a]
+    return tuple(arr) + f[len(src.pmap.edges):]
 
 
 def _ghost_sign(geom, c: int, arrive: int, depart: int) -> int:
@@ -296,7 +264,7 @@ def _ghost_sign(geom, c: int, arrive: int, depart: int) -> int:
     return 0
 
 
-def _square_balance(w: Web, f: Labeling, oc: Outcome) -> int:
+def _square_balance(w: Web, f: tuple[int, ...], oc: Outcome) -> int:
     """Exponent surplus of the labeling's local weight over the branch's
     rerouted strands; the matching branch balances to zero.
 
@@ -307,16 +275,15 @@ def _square_balance(w: Web, f: Labeling, oc: Outcome) -> int:
     identically on both sides and are omitted.
     """
     m, geom = w.pmap, w.geom
-    lab = f.edge_labels
     lhs = 0
     for c in oc.corners:
         left, right = geom.vertex_sides[c]
-        lhs += _vertex_sign(m.roles[c][0], left, right, lab)
+        lhs += _vertex_sign(m.roles[c][0], left, right, f)
     for e in oc.face_edges:
-        lhs += (4 - 2 * lab[e]) * sum(geom.edge_turns[e])
+        lhs += (4 - 2 * f[e]) * sum(geom.edge_turns[e])
     rhs = 0
     for ch in oc.chains + oc.closed_chains:
-        wgt = 4 - 2 * lab[ch.edges[0]]
+        wgt = 4 - 2 * f[ch.edges[0]]
         for j in range(1, len(ch.edges), 2):
             rhs -= wgt * sum(geom.edge_turns[ch.edges[j]])
         k = len(ch.edges)
@@ -328,25 +295,25 @@ def _square_balance(w: Web, f: Labeling, oc: Outcome) -> int:
     return lhs - rhs
 
 
-def _chain_label(f: Labeling, ch) -> Optional[int]:
+def _chain_label(f: tuple[int, ...], ch) -> Optional[int]:
     # externals sit at even positions; a transportable strand carries
     # one label across all of them
-    labs = {f.edge_labels[ch.edges[j]] for j in range(0, len(ch.edges), 2)}
+    labs = {f[ch.edges[j]] for j in range(0, len(ch.edges), 2)}
     return labs.pop() if len(labs) == 1 else None
 
 
-def _carry(f: Labeling, oc: Outcome, chain_labels: dict) -> Labeling:
+def _carry(f: tuple[int, ...], oc: Outcome, chain_labels: dict) -> tuple[int, ...]:
     arr = [0] * len(oc.child.pmap.edges)
     for old, new in oc.edge_map.items():
-        arr[new] = f.edge_labels[old]
+        arr[new] = f[old]
     for ch, lbl in chain_labels.items():
         arr[ch.child_eid] = lbl
     if 0 in arr:
         raise RuntimeError("transport left a child edge unlabeled")
-    return Labeling(tuple(arr))
+    return tuple(arr)
 
 
-def _transport_step(w: Web, outcomes, f: Labeling) -> tuple[Outcome, Labeling]:
+def _transport_step(w: Web, outcomes, f: tuple[int, ...]) -> tuple[Outcome, tuple[int, ...]]:
     # an outcome carries f when each fused run meets one label on its
     # outside edges and, if it is one of two, its local weight balances
     admissible = []
@@ -367,7 +334,7 @@ def _transport_step(w: Web, outcomes, f: Labeling) -> tuple[Outcome, Labeling]:
         # both resolutions carry the labeling with the same weight; pair
         # the two parent labelings (they differ by swapping the two
         # face-edge labels) with the two branches deterministically
-        tup = tuple(f.edge_labels[e] for e in outcomes[0].face_edges)
+        tup = tuple(f[e] for e in outcomes[0].face_edges)
         a, b = sorted(set(tup))
         swapped = tuple(a if x == b else b for x in tup)
         oc, chain_labels = admissible[0] if tup < swapped else admissible[1]
@@ -379,7 +346,7 @@ def _transport_step(w: Web, outcomes, f: Labeling) -> tuple[Outcome, Labeling]:
     return oc, _carry(f, oc, chain_labels)
 
 
-def transport_and_type(w: Web, f: Labeling) -> tuple[Web, Labeling]:
+def transport_and_type(w: Web, f: tuple[int, ...]) -> tuple[Web, tuple[int, ...]]:
     """Carry a labeling of w down the rewrite steps to an irreducible
     web, its type.  Loop labels are forgotten, a collapsing two-sided
     face hands its forced outside label to the fused edge, and a
@@ -397,7 +364,7 @@ def transport_and_type(w: Web, f: Labeling) -> tuple[Web, Labeling]:
 
 
 def coefficient_via_labelings(
-    w: Web, target: Web, g: BoundaryLabeling
+    w: Web, target: Web, g: tuple[int, ...]
 ) -> LaurentPoly:
     """The coefficient of the irreducible web target in the reduction
     of w, extracted by counting: the weighted count of labelings of w
@@ -416,5 +383,5 @@ def coefficient_via_labelings(
     except InexactDivisionError as exc:
         raise RuntimeError(
             "weighted labeling counts fail the exact-ratio identity "
-            f"for boundary {g.to_text()}: {exc}"
+            f"for boundary {word_to_text(g)}: {exc}"
         ) from exc

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .exactmath import rank
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from .labelings import BoundaryLabeling, word_counts
+from .labelings import word_counts
 from .webcore import Web, WebError
 
 
@@ -73,9 +73,9 @@ class MinorTriple:
         return sum(len(b) for b in self.rows)
 
 
-def boundary_from_triple(T: MinorTriple) -> BoundaryLabeling:
-    """Source m gets the number of the row block holding m; sinks read
-    the column blocks the same way."""
+def boundary_from_triple(T: MinorTriple) -> tuple[int, ...]:
+    """The boundary word of T: source m gets the number of the row
+    block holding m, and sinks read the column blocks the same way."""
     n = T.n
     src = [0] * n
     snk = [0] * n
@@ -85,7 +85,7 @@ def boundary_from_triple(T: MinorTriple) -> BoundaryLabeling:
     for k, blk in enumerate(T.cols, start=1):
         for m in blk:
             snk[m - 1] = k
-    return BoundaryLabeling(tuple(src), tuple(snk))
+    return tuple(src + snk)
 
 
 def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
@@ -112,8 +112,7 @@ def decompose_triple(T: MinorTriple) -> dict[Web, int]:
     """Webs with nonzero coefficient in the expansion of T's product,
     each coefficient a plain labeling count.  The counts of every web
     on T.n strands are enumerated once, on the first call for that n."""
-    g = boundary_from_triple(T)
-    return dict(_decompositions(T.n).get(g.sources + g.sinks, {}))
+    return dict(_decompositions(T.n).get(boundary_from_triple(T), {}))
 
 
 def triple_product(T: MinorTriple, X: ExactMatrix) -> Fraction:
@@ -171,17 +170,10 @@ def random_triple(n: int, rng: random.Random) -> MinorTriple:
     return MinorTriple(rows, cols)
 
 
-def random_rational_matrix(
-    n: int, rng: random.Random, num_bound: int = 9, den_bound: int = 5
-) -> ExactMatrix:
+def random_rational_matrix(n: int, rng: random.Random) -> ExactMatrix:
+    """Entries p/q with |p| <= 9 and 1 <= q <= 5, drawn row by row."""
     return ExactMatrix.from_rows(
-        [
-            [
-                Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
     )
 
 

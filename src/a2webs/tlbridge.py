@@ -19,14 +19,13 @@ bridge_coefficient returns.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
 
 from .immanants import ExactMatrix, irreducible_webs
-from .labelings import BoundaryLabeling, Labeling, enumerate_labelings
+from .labelings import enumerate_labelings
 from .minors import index_set
 from .perms import Perm, all_perms, avoids, first_reduced_word, is_perm
 from .webcore import Combo, Web, WebError
@@ -348,7 +347,7 @@ def pair_expansion(
 # -- the forgetful map and bridge coefficients ------------------------
 
 
-def forgetful(w: Web, f: Labeling) -> tuple[A1Web, A1Labeling]:
+def forgetful(w: Web, f: tuple[int, ...]) -> tuple[A1Web, A1Labeling]:
     """Delete the 3-labeled edges of a labeled web and read off what is
     left.  Internal vertices drop to degree two, so the surviving edges
     concatenate into arcs between the surviving boundary points; closed
@@ -356,7 +355,7 @@ def forgetful(w: Web, f: Labeling) -> tuple[A1Web, A1Labeling]:
     m = w.pmap
     nb = 2 * m.n
     bedge = [m.rot[v][0] >> 1 for v in range(nb)]
-    keep = [lbl != 3 for lbl in f.edge_labels]
+    keep = [lbl != 3 for lbl in f[: len(m.edges)]]
     srcs = [v for v in range(m.n) if keep[bedge[v]]]
     snks = [v for v in range(m.n, nb) if keep[bedge[v]]]
     if len(srcs) != len(snks):
@@ -370,7 +369,7 @@ def forgetful(w: Web, f: Labeling) -> tuple[A1Web, A1Labeling]:
         if v0 in visited:
             continue
         d = m.rot[v0][0]
-        first = f.edge_labels[d >> 1]
+        first = f[d >> 1]
         while True:
             e = d >> 1
             u = m.dart_vertex[d ^ 1]
@@ -384,10 +383,10 @@ def forgetful(w: Web, f: Labeling) -> tuple[A1Web, A1Labeling]:
         p, q = newid[v0], newid[u]
         if p < q:
             arcs.append((p, q))
-            ends.append((first, f.edge_labels[d >> 1]))
+            ends.append((first, f[d >> 1]))
         else:
             arcs.append((q, p))
-            ends.append((f.edge_labels[d >> 1], first))
+            ends.append((f[d >> 1], first))
     order = sorted(range(k), key=lambda t: arcs[t])
     aweb = A1Web(k, tuple(arcs[t] for t in order))
     return aweb, A1Labeling(aweb, tuple(ends[t] for t in order))
@@ -395,10 +394,11 @@ def forgetful(w: Web, f: Labeling) -> tuple[A1Web, A1Labeling]:
 
 def lifted_boundaries(
     n: int, w: Perm, rows3: Sequence[int] = (), cols3: Sequence[int] = ()
-) -> list[BoundaryLabeling]:
-    """Full web boundaries with 3s exactly at the given rows and
+) -> list[tuple[int, ...]]:
+    """Full web boundary words with 3s exactly at the given rows and
     columns and the rest showing some consistent labeling of w's
-    matching.  Any of these certifies the same bridge coefficient."""
+    matching.  Any of these certifies the same bridge coefficient.
+    Each arc offers two labelings, so the list is never empty."""
     rows3, cols3 = index_set(rows3, n), index_set(cols3, n)
     if len(rows3) != len(cols3):
         raise WebError("deleted row and column sets must have equal size")
@@ -415,11 +415,11 @@ def lifted_boundaries(
     out = []
     for lab in matching_labelings(matching_of_perm(w)):
         src, snk = lab.boundary()
-        out.append(BoundaryLabeling(lift(src, rows3), lift(snk, cols3)))
+        out.append(lift(src, rows3) + lift(snk, cols3))
     return out
 
 
-def _count_onto(D: Web, boundary: BoundaryLabeling, target: A1Web) -> int:
+def _count_onto(D: Web, boundary: tuple[int, ...], target: A1Web) -> int:
     """Labelings of D with the given boundary that forget onto target."""
     return sum(1 for f in enumerate_labelings(D, boundary) if forgetful(D, f)[0] == target)
 
@@ -429,7 +429,7 @@ def bridge_coefficient(
     w: Perm,
     rows3: Sequence[int] = (),
     cols3: Sequence[int] = (),
-    boundary: Optional[BoundaryLabeling] = None,
+    boundary: Optional[tuple[int, ...]] = None,
 ) -> int:
     """Number of consistent labelings of D showing an admissible full
     boundary whose surviving part, after the 3-labeled edges are
@@ -442,9 +442,6 @@ def bridge_coefficient(
     first in enumeration order, and passing one pins the choice."""
     cands = lifted_boundaries(D.n, w, rows3, cols3)
     if boundary is None:
-        if not cands:
-            warnings.warn("no admissible boundary; returning an empty count")
-            return 0
         boundary = cands[0]
     elif boundary not in cands:
         raise WebError("boundary does not fit the deleted sets and the matching")
@@ -456,14 +453,11 @@ def bridge_expansion(
 ) -> dict[Web, int]:
     """Bridge coefficient of every irreducible web, nonzero entries
     only, all counted against one shared admissible boundary."""
-    cands = lifted_boundaries(n, w, rows3, cols3)
-    if not cands:
-        warnings.warn("no admissible boundary; returning an empty expansion")
-        return {}
+    boundary = lifted_boundaries(n, w, rows3, cols3)[0]
     target = matching_of_perm(w)
     out = {}
     for D in irreducible_webs(n):
-        c = _count_onto(D, cands[0], target)
+        c = _count_onto(D, boundary, target)
         if c:
             out[D] = c
     return out

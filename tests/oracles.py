@@ -1,14 +1,14 @@
 """Independent routes the tests check the library against.  No program
 path calls these."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import theta_image
-from a2webs.labelings import LABELS, BoundaryLabeling
+from a2webs.labelings import LABELS
 from a2webs.networks import PlanarNetwork
 from a2webs.spider import WebCombo
-from a2webs.webcore import WebError
+from a2webs.webcore import Web, WebError
 
 
 def parabolic_image(n: int, i: int, j: int) -> WebCombo:
@@ -27,10 +27,30 @@ def parabolic_image(n: int, i: int, j: int) -> WebCombo:
     return WebCombo(n, terms)
 
 
-def is_balanced(g: BoundaryLabeling) -> bool:
-    """Whether each label occurs equally often on both sides of g.
-    Restrictions of consistent labelings always are."""
-    return all(g.sources.count(i) == g.sinks.count(i) for i in LABELS)
+def is_balanced(g: tuple[int, ...]) -> bool:
+    """Whether each label occurs equally often on both sides of the
+    boundary word g.  Restrictions of consistent labelings always are."""
+    n = len(g) // 2
+    return all(g[:n].count(i) == g[n:].count(i) for i in LABELS)
+
+
+def brute_force_labelings(w: Web, g=None) -> list[tuple[int, ...]]:
+    """Every assignment of LABELS to the edges and loops of w that puts
+    three distinct labels at each internal vertex and shows the
+    boundary word g, if given, sorted.  Exponential in the edge count:
+    for small webs only."""
+    m = w.pmap
+    at_vertex = {v: [] for v in m.internal_vertices()}
+    for e, ends in enumerate(m.edges):
+        for v in ends:
+            if v in at_vertex:
+                at_vertex[v].append(e)
+    boundary = [m.rot[v][0] >> 1 for v in range(2 * m.n)]
+    return sorted(
+        f for f in product(LABELS, repeat=len(m.edges) + m.loops)
+        if all(len({f[e] for e in es}) == 3 for es in at_vertex.values())
+        and (g is None or all(f[e] == x for e, x in zip(boundary, g)))
+    )
 
 
 def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:

@@ -122,8 +122,8 @@ def test_c04_boundary_profile_is_multiplicative_and_faithful():
     for n in (1, 2, 3, 4):
         webs = irreducible_webs(n)
         vectors = [boundary_profile(w) for w in webs]
-        cols = sorted({g for vec in vectors for g, _ in vec.entries()})
-        rows = [[Fraction(eval_q1(vec.entry(g))) for g in cols] for vec in vectors]
+        cols = sorted({g for vec in vectors for g, _ in vec.terms()})
+        rows = [[Fraction(eval_q1(vec.coeff(g))) for g in cols] for vec in vectors]
         assert _rank(rows) == len(webs), n
 
 

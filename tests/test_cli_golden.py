@@ -34,6 +34,9 @@ CALLS = {
     "verify_all_5": ["verify", "--suite", "all", "--n", "5", "--seed", "0"],
     "labelings_4": ["labelings", "--web", WEB_4],
     "labelings_4_q": ["labelings", "--web", WEB_4, "--q"],
+    # a pinned word with two labelings of different weights
+    "labelings_4_boundary": ["labelings", "--web", WEB_4, "--boundary", "1,2,3,1:1,2,3,1"],
+    "labelings_4_boundary_q": ["labelings", "--web", WEB_4, "--boundary", "1,2,3,1:1,2,3,1", "--q"],
     # a zero entry, negative entries and mixed denominators
     "immanants_matrix_4": ["immanants", "--n", "4", "--matrix", str(GOLDEN / "matrix_4.json")],
     # the first network of the benchmark's network file

@@ -41,15 +41,15 @@ class TestMinorTriple:
 
     def test_boundary_simple(self):
         T = MinorTriple.from_sets((1,), (2,), (), (1,), (2,), ())
-        assert boundary_from_triple(T).to_text() == "1,2:1,2"
+        assert boundary_from_triple(T) == (1, 2, 1, 2)
 
     def test_boundary_all_first_block(self):
         T = MinorTriple.from_sets((1, 2), (), (), (1, 2), (), ())
-        assert boundary_from_triple(T).to_text() == "1,1:1,1"
+        assert boundary_from_triple(T) == (1, 1, 1, 1)
 
     def test_boundary_worked_example(self):
         T = MinorTriple.from_sets((1, 4), (2,), (3,), (1, 3), (2,), (4,))
-        assert boundary_from_triple(T).to_text() == "1,2,3,1:1,2,1,3"
+        assert boundary_from_triple(T) == (1, 2, 3, 1, 1, 2, 1, 3)
 
 
 class TestMinor:

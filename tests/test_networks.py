@@ -10,7 +10,7 @@ import pytest
 
 from a2webs import clear_caches, networks, webcore
 from a2webs.immanants import evaluate_immanant, irreducible_webs
-from a2webs.labelings import boundary_profile, enumerate_labelings
+from a2webs.labelings import boundary_profile, boundary_restriction, enumerate_labelings
 from a2webs.minors import all_triples, boundary_from_triple, decompose_triple, triple_product
 from a2webs.networks import (
     MAX_PATH_FAMILIES,
@@ -33,7 +33,7 @@ from a2webs.networks import (
 from a2webs.perms import all_perms
 from a2webs.spider import apply_rule, reduce_web, second_generator
 from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, identity_web
-from oracles import disjoint_union
+from oracles import brute_force_labelings, disjoint_union
 
 SEED = 20260816
 BENCH_NETWORKS = Path(__file__).parents[1] / "perfbench" / "networks.jsonl"
@@ -647,6 +647,19 @@ class TestUncross:
             drawn = Web.from_slice(SliceDiagram(net.n, cols))
             assert w.diagram == drawn.diagram
             assert boundary_profile(w) == boundary_profile(drawn)
+
+    def test_loop_webs_label_like_the_brute_force(self):
+        net = eye_net()
+        loop_webs = [
+            w for w in (uncross(net, marks) for marks in covering_markings(net))
+            if w.pmap.loops
+        ]
+        assert loop_webs
+        for w in loop_webs:
+            fs = enumerate_labelings(w)
+            assert fs == brute_force_labelings(w)
+            for g in {boundary_restriction(w, f) for f in fs}:
+                assert enumerate_labelings(w, g) == brute_force_labelings(w, g)
 
     def test_uncross_never_draws(self, monkeypatch):
         net = eye_net()

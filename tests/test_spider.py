@@ -7,7 +7,7 @@ import pytest
 from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.immanants import irreducible_webs
-from a2webs.labelings import Labeling, transport_and_type
+from a2webs.labelings import transport_and_type
 from a2webs.spider import (
     WebCombo,
     all_reducible_features,
@@ -118,7 +118,7 @@ class TestReductionDepth:
         for left, right in w.geom.vertex_sides.values():
             (middle,), pair = (right, left) if len(left) == 2 else (left, right)
             lab[pair[0]], lab[pair[1]], lab[middle] = 1, 2, 3
-        ty, _ = transport_and_type(w, Labeling(tuple(lab)))
+        ty, _ = transport_and_type(w, tuple(lab))
         assert ty == gweb(2, 1)
         combo = reduce_with_lowered_limit(w)
         assert combo == generator_combo(2, 1).scale(qint(2) ** 99)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from a2webs.immanants import evaluate_immanant, irreducible_webs
-from a2webs.labelings import BoundaryLabeling, enumerate_labelings
+from a2webs.labelings import enumerate_labelings
 from a2webs.minors import minor, random_rational_matrix
 from a2webs.perms import all_perms, all_reduced_words, avoids, catalan
 from a2webs.spider import product_web, second_generator
@@ -229,14 +229,14 @@ class TestPairOfMinors:
 class TestForgetful:
     def test_identity_web_keeps_its_labels(self):
         w = idweb(2)
-        f = enumerate_labelings(w, BoundaryLabeling((1, 2), (1, 2)))[0]
+        f = enumerate_labelings(w, (1, 2, 1, 2))[0]
         aweb, alab = forgetful(w, f)
         assert aweb == identity_matching(2)
         assert alab.boundary() == ((1, 2), (1, 2))
 
     def test_identity_web_drops_the_3_strand(self):
         w = idweb(3)
-        f = enumerate_labelings(w, BoundaryLabeling((1, 3, 2), (1, 3, 2)))[0]
+        f = enumerate_labelings(w, (1, 3, 2, 1, 3, 2))[0]
         aweb, alab = forgetful(w, f)
         assert aweb == identity_matching(2)
         assert alab.boundary() == ((1, 2), (1, 2))
@@ -250,7 +250,7 @@ class TestForgetful:
         )
         hit = 0
         for f in enumerate_labelings(w):
-            if f.edge_labels[mid] == 3:
+            if f[mid] == 3:
                 hit += 1
                 aweb, _ = forgetful(w, f)
                 assert aweb == tl_generator(2, 1)
@@ -282,7 +282,7 @@ class TestForgetful:
 
     def test_closed_loops_are_discarded(self):
         w = product_web(2, (1, 1))
-        labs = enumerate_labelings(w, BoundaryLabeling((1, 2), (1, 2)))
+        labs = enumerate_labelings(w, (1, 2, 1, 2))
         # the two inner strands form a closed curve labeled 1 and 2
         assert len(labs) == 2
         for f in labs:
@@ -353,13 +353,10 @@ class TestBridge:
         rng = random.Random(SEED)
         for D in irreducible_webs(3):
             for _ in range(40):
-                g = BoundaryLabeling(
-                    tuple(rng.choice((1, 2, 3)) for _ in range(3)),
-                    tuple(rng.choice((1, 2, 3)) for _ in range(3)),
-                )
+                g = tuple(rng.choice((1, 2, 3)) for _ in range(6))
                 labs = enumerate_labelings(D, g)
-                src12 = tuple(x for x in g.sources if x != 3)
-                snk12 = tuple(x for x in g.sinks if x != 3)
+                src12 = tuple(x for x in g[:3] if x != 3)
+                snk12 = tuple(x for x in g[3:] if x != 3)
                 if len(src12) != len(snk12):
                     assert not labs
                     continue
@@ -379,8 +376,9 @@ class TestBridge:
         bds = lifted_boundaries(3, (2, 1), (2,), (3,))
         assert len(bds) == 4
         for b in bds:
-            assert b.sources[1] == 3 and b.sinks[2] == 3
-            assert 3 not in (b.sources[0], b.sources[2], b.sinks[0], b.sinks[1])
+            # sources b[0:3], sinks b[3:6]
+            assert b[1] == 3 and b[5] == 3
+            assert 3 not in (b[0], b[2], b[3], b[4])
 
     def test_uneven_deletion_rejected(self):
         with pytest.raises(WebError):
@@ -394,5 +392,5 @@ class TestBridge:
         D = irreducible_webs(3)[0]
         with pytest.raises(WebError):
             bridge_coefficient(
-                D, (2, 1), (2,), (3,), boundary=BoundaryLabeling((3, 3, 3), (3, 3, 3))
+                D, (2, 1), (2,), (3,), boundary=(3, 3, 3, 3, 3, 3)
             )
