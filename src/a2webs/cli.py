@@ -425,7 +425,7 @@ def _suite_minors(n: int, samples: Optional[int], rng: random.Random) -> tuple[b
         for T in triples:
             if not check_triple(T, X, cache):
                 bad.append({"rows": [list(b) for b in T.rows], "cols": [list(b) for b in T.cols]})
-    return not bad, {"matrices": mats, "triples": len(triples), "failed": bad}
+    return not bad, {"matrices": mats, "triples": len(triples), "sampled": n > 3, "failed": bad}
 
 
 def _suite_bridge(n: int, samples: Optional[int], rng: random.Random) -> tuple[bool, dict]:

@@ -75,13 +75,6 @@ class A1Web:
     def to_json_obj(self) -> list:
         return [list(a) for a in self.arcs]
 
-    @classmethod
-    def from_json_obj(cls, obj, n: Optional[int] = None) -> "A1Web":
-        arcs = tuple((int(a), int(b)) for a, b in obj)
-        if n is None:
-            n = len(arcs)
-        return cls(n, arcs)
-
 
 def identity_matching(n: int) -> A1Web:
     return A1Web(n, tuple((p, n + p) for p in range(n)))
@@ -94,25 +87,6 @@ def tl_generator(n: int, i: int) -> A1Web:
     arcs = [(i - 1, i), (n + i - 1, n + i)]
     arcs += [(p, n + p) for p in range(n) if p not in (i - 1, i)]
     return A1Web(n, tuple(arcs))
-
-
-@cache
-def all_a1_webs(n: int) -> tuple[A1Web, ...]:
-    """Every noncrossing matching; Catalan many (tested)."""
-    walk = list(range(n)) + list(range(2 * n - 1, n - 1, -1))
-
-    def go(seq):
-        if not seq:
-            return [[]]
-        out = []
-        for k in range(1, len(seq), 2):
-            for inner in go(seq[1:k]):
-                for outer in go(seq[k + 1 :]):
-                    out.append([(seq[0], seq[k])] + inner + outer)
-        return out
-
-    webs = [A1Web(n, tuple(arcs)) for arcs in go(tuple(walk))]
-    return tuple(sorted(webs, key=lambda w: w.arcs))
 
 
 def tl_concat(a: A1Web, b: A1Web) -> tuple[A1Web, int]:
@@ -215,20 +189,6 @@ def matching_of_perm(w: Perm) -> A1Web:
 
 
 @cache
-def _perm_by_matching(n: int) -> dict:
-    return {
-        matching_of_perm(w): w for w in all_perms(n) if avoids(w, (3, 2, 1))
-    }
-
-
-def perm_of_matching(m: A1Web) -> Perm:
-    table = _perm_by_matching(m.n)
-    if m not in table:
-        raise WebError("matching is not a generator product")
-    return table[m]
-
-
-@cache
 def theta_two(v: Perm) -> TLCombo:
     """Image of a permutation under s_i -> (uncrossing i) - 1 at q = 1,
     multiplied along the reversed reduced word as in matching_of_perm."""
@@ -256,78 +216,42 @@ def tl_immanant(w: Perm, Xp: ExactMatrix) -> Fraction:
 
 
 # -- labelings of matchings -------------------------------------------
+#
+# A labeling assigns 1 or 2 to both ends of every arc.  Every arc end is
+# a boundary point, so a labeling is its boundary word: 2n values, the
+# left side then the right side.
 
 
-@dataclass(frozen=True)
-class A1Labeling:
-    """Labels in {1, 2} at both ends of every arc, aligned with
-    web.arcs.  Arcs joining the two sides keep one value; one-sided
-    arcs switch value at their marked interior point."""
-
-    web: A1Web
-    ends: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.ends) != len(self.web.arcs):
-            raise WebError("one end pair per arc required")
-        for arc, (x, y) in zip(self.web.arcs, self.ends):
-            if x not in (1, 2) or y not in (1, 2):
-                raise WebError("matching labels live in {1, 2}")
-            if self.web.is_cross(arc):
-                if x != y:
-                    raise WebError("an arc joining the two sides keeps one value")
-            elif x == y:
-                raise WebError("a one-sided arc must switch value")
-
-    def boundary(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n = self.web.n
-        lab = [0] * (2 * n)
-        for arc, e in zip(self.web.arcs, self.ends):
-            lab[arc[0]], lab[arc[1]] = e
-        return tuple(lab[:n]), tuple(lab[n:])
+def matching_labelings(m: A1Web) -> list[tuple[int, ...]]:
+    """All consistent labelings: one binary choice per arc, in product
+    order over the arcs."""
+    out = []
+    for xs in itertools.product((1, 2), repeat=len(m.arcs)):
+        g = [0] * (2 * m.n)
+        for (a, b), x in zip(m.arcs, xs):
+            g[a], g[b] = x, x if m.is_cross((a, b)) else 3 - x
+        out.append(tuple(g))
+    return out
 
 
-def matching_labelings(m: A1Web) -> list[A1Labeling]:
-    """All consistent labelings: one binary choice per arc."""
-    opts = [
-        ((1, 1), (2, 2)) if m.is_cross(arc) else ((1, 2), (2, 1))
-        for arc in m.arcs
-    ]
-    return [A1Labeling(m, ends) for ends in itertools.product(*opts)]
-
-
-def matching_labeling(
-    m: A1Web, sources: Sequence[int], sinks: Sequence[int]
-) -> Optional[A1Labeling]:
-    """The unique consistent labeling showing the given boundary, or
-    None.  A boundary either pins every arc or contradicts one, so
-    there is never more than a single labeling."""
-    n = m.n
-    if len(sources) != n or len(sinks) != n:
-        raise WebError(f"boundary must list {n} values per side")
-    lab = list(sources) + list(sinks)
-    if any(x not in (1, 2) for x in lab):
+def admits(m: A1Web, g: Sequence[int]) -> bool:
+    """Whether the boundary word g is a consistent labeling of m: arcs
+    joining the two sides keep one value, one-sided arcs switch value
+    at their marked interior point."""
+    if len(g) != 2 * m.n:
+        raise WebError(f"boundary must list {m.n} values per side")
+    if any(x not in (1, 2) for x in g):
         raise WebError("matching boundaries live in {1, 2}")
-    ends = []
-    for arc in m.arcs:
-        x, y = lab[arc[0]], lab[arc[1]]
-        if (x == y) != m.is_cross(arc):
-            return None
-        ends.append((x, y))
-    return A1Labeling(m, tuple(ends))
+    return all((g[a] == g[b]) == m.is_cross((a, b)) for a, b in m.arcs)
 
 
-def pair_boundary(
-    n: int, rows1: Sequence[int], cols1: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Boundary values for a complementary pair of minors: 1 at the
-    named rows and columns, 2 elsewhere."""
+def pair_boundary(n: int, rows1: Sequence[int], cols1: Sequence[int]) -> tuple[int, ...]:
+    """Boundary word for a complementary pair of minors: 1 at the named
+    rows and columns, 2 elsewhere."""
     rows1, cols1 = index_set(rows1, n), index_set(cols1, n)
     if len(rows1) != len(cols1):
         raise WebError("row and column sets must have equal size")
-    src = tuple(1 if p in rows1 else 2 for p in range(1, n + 1))
-    snk = tuple(1 if p in cols1 else 2 for p in range(1, n + 1))
-    return src, snk
+    return tuple(1 if p in side else 2 for side in (rows1, cols1) for p in range(1, n + 1))
 
 
 def pair_expansion(
@@ -336,22 +260,23 @@ def pair_expansion(
     """The 321-avoiding permutations whose matching admits the pair
     boundary; each carries coefficient one.  Their immanants sum to the
     product of the two complementary minors (tested)."""
-    src, snk = pair_boundary(n, rows1, cols1)
-    out = {}
-    for m in all_a1_webs(n):
-        if matching_labeling(m, src, snk) is not None:
-            out[perm_of_matching(m)] = 1
-    return out
+    g = pair_boundary(n, rows1, cols1)
+    return {
+        w: 1
+        for w in all_perms(n)
+        if avoids(w, (3, 2, 1)) and admits(matching_of_perm(w), g)
+    }
 
 
 # -- the forgetful map and bridge coefficients ------------------------
 
 
-def forgetful(w: Web, f: tuple[int, ...]) -> tuple[A1Web, A1Labeling]:
+def forgetful(w: Web, f: tuple[int, ...]) -> A1Web:
     """Delete the 3-labeled edges of a labeled web and read off what is
     left.  Internal vertices drop to degree two, so the surviving edges
     concatenate into arcs between the surviving boundary points; closed
-    curves and drawn loops are discarded without any factor."""
+    curves and drawn loops are discarded without any factor.  The
+    matching's labeling is f's boundary word with its 3s removed."""
     m = w.pmap
     nb = 2 * m.n
     bedge = [m.rot[v][0] >> 1 for v in range(nb)]
@@ -364,7 +289,7 @@ def forgetful(w: Web, f: tuple[int, ...]) -> tuple[A1Web, A1Labeling]:
     newid = {v: i for i, v in enumerate(srcs)}
     newid.update({v: k + i for i, v in enumerate(snks)})
 
-    arcs, ends, visited = [], [], set()
+    arcs, visited = [], set()
     for v0 in srcs + snks:
         if v0 in visited:
             continue
@@ -380,16 +305,11 @@ def forgetful(w: Web, f: tuple[int, ...]) -> tuple[A1Web, A1Labeling]:
                 raise WebError("labeling is not consistent at an internal vertex")
             d = nxt[0]
         visited.update((v0, u))
-        p, q = newid[v0], newid[u]
-        if p < q:
-            arcs.append((p, q))
-            ends.append((first, f[d >> 1]))
-        else:
-            arcs.append((q, p))
-            ends.append((f[d >> 1], first))
-    order = sorted(range(k), key=lambda t: arcs[t])
-    aweb = A1Web(k, tuple(arcs[t] for t in order))
-    return aweb, A1Labeling(aweb, tuple(ends[t] for t in order))
+        cross = (v0 < m.n) != (u < m.n)
+        if (first == f[d >> 1]) != cross:
+            raise RuntimeError("a forgotten arc breaks the matching labeling rule")
+        arcs.append((newid[v0], newid[u]))
+    return A1Web(k, tuple(arcs))
 
 
 def lifted_boundaries(
@@ -412,16 +332,15 @@ def lifted_boundaries(
         it = iter(vals)
         return tuple(3 if p in threes else next(it) for p in range(1, n + 1))
 
-    out = []
-    for lab in matching_labelings(matching_of_perm(w)):
-        src, snk = lab.boundary()
-        out.append(lift(src, rows3) + lift(snk, cols3))
-    return out
+    return [
+        lift(g[:k], rows3) + lift(g[k:], cols3)
+        for g in matching_labelings(matching_of_perm(w))
+    ]
 
 
 def _count_onto(D: Web, boundary: tuple[int, ...], target: A1Web) -> int:
     """Labelings of D with the given boundary that forget onto target."""
-    return sum(1 for f in enumerate_labelings(D, boundary) if forgetful(D, f)[0] == target)
+    return sum(1 for f in enumerate_labelings(D, boundary) if forgetful(D, f) == target)
 
 
 def bridge_coefficient(
@@ -452,11 +371,14 @@ def bridge_expansion(
     n: int, w: Perm, rows3: Sequence[int] = (), cols3: Sequence[int] = ()
 ) -> dict[Web, int]:
     """Bridge coefficient of every irreducible web, nonzero entries
-    only, all counted against one shared admissible boundary."""
+    only, all counted against one shared admissible boundary.  The
+    strand bound is checked first: the boundary list is exponential
+    in n."""
+    webs = irreducible_webs(n)
     boundary = lifted_boundaries(n, w, rows3, cols3)[0]
     target = matching_of_perm(w)
     out = {}
-    for D in irreducible_webs(n):
+    for D in webs:
         c = _count_onto(D, boundary, target)
         if c:
             out[D] = c

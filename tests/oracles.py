@@ -1,6 +1,7 @@
 """Independent routes the tests check the library against.  No program
 path calls these."""
 
+from functools import cache
 from itertools import permutations, product
 
 from a2webs.exactmath import LaurentPoly, eval_q1
@@ -8,6 +9,7 @@ from a2webs.immanants import theta_image
 from a2webs.labelings import LABELS
 from a2webs.networks import PlanarNetwork
 from a2webs.spider import WebCombo
+from a2webs.tlbridge import A1Web
 from a2webs.webcore import Web, WebError
 
 
@@ -25,6 +27,27 @@ def parabolic_image(n: int, i: int, j: int) -> WebCombo:
             w[pos - 1] = val
         terms += [(D, LaurentPoly.const(eval_q1(c))) for D, c in theta_image(tuple(w)).terms()]
     return WebCombo(n, terms)
+
+
+@cache
+def all_a1_webs(n: int) -> tuple[A1Web, ...]:
+    """Every noncrossing matching on n left and n right points, by
+    recursion on the partner of the first point along the boundary
+    walk; Catalan many (tested)."""
+    walk = list(range(n)) + list(range(2 * n - 1, n - 1, -1))
+
+    def go(seq):
+        if not seq:
+            return [[]]
+        out = []
+        for k in range(1, len(seq), 2):
+            for inner in go(seq[1:k]):
+                for outer in go(seq[k + 1 :]):
+                    out.append([(seq[0], seq[k])] + inner + outer)
+        return out
+
+    webs = [A1Web(n, tuple(arcs)) for arcs in go(tuple(walk))]
+    return tuple(sorted(webs, key=lambda w: w.arcs))
 
 
 def is_balanced(g: tuple[int, ...]) -> bool:

@@ -280,6 +280,16 @@ class TestSubcommands:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_bridge_refuses_large_n_at_once(self):
+        n = 200
+        w = ",".join(map(str, range(1, n)))
+        cmd = [sys.executable, "-m", "a2webs.cli", "bridge", "--n", str(n),
+               "--w", w, "--I3", "1", "--J3", "1"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
     def test_network_matrix_and_corollary(self, capsys, tmp_path):
         import random
 

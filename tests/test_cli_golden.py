@@ -29,6 +29,8 @@ CALLS = {
     "decompose_4": ["decompose", "--n", "4", "--I1", "1,2", "--J1", "1,3",
                     "--I2", "3", "--J2", "2", "--I3", "4", "--J3", "4"],
     "bridge_231": ["bridge", "--n", "3", "--w", "231"],
+    # deleted rows and columns with nonzero coefficients
+    "bridge_4_deleted": ["bridge", "--n", "4", "--w", "21", "--I3", "1,3", "--J3", "2,4"],
     "verify_all_4": ["verify", "--suite", "all", "--n", "4", "--seed", "0"],
     # the report the benchmark's verify workload produces
     "verify_all_5": ["verify", "--suite", "all", "--n", "5", "--seed", "0"],
