@@ -177,6 +177,18 @@ class TestMatchingLabelings:
         assert admits(m, (1, 2, 2, 1))
         assert not admits(m, (1, 1, 1, 2))
 
+    def test_cross_arc_keeps_value(self):
+        m = identity_matching(1)
+        assert admits(m, (1, 1)) and admits(m, (2, 2))
+        assert not admits(m, (1, 2))
+        assert not admits(m, (2, 1))
+
+    def test_one_sided_arc_switches(self):
+        m = tl_generator(2, 1)
+        assert admits(m, (2, 1, 1, 2))
+        assert not admits(m, (1, 1, 2, 1))
+        assert not admits(m, (2, 1, 2, 2))
+
     def test_admits_exactly_the_labelings(self):
         # cross arcs keep one value, one-sided arcs switch: of all
         # 4^n words in {1, 2}^(2n), exactly the 2^n labelings pass
