@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1, rank
+from .exactmath import eval_q1
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -59,6 +59,7 @@ from .minors import (
     _decompositions,
     all_triples,
     check_triple,
+    column_rank,
     decompose_triple,
     minor,
     random_rational_matrix,
@@ -74,7 +75,7 @@ from .networks import (
     path_matrix,
     random_planar_network,
 )
-from .perms import all_perms, all_reduced_words, avoids, count_avoiding, is_perm, kostka_three_column
+from .perms import all_reduced_words, count_avoiding, is_perm, kostka_three_column
 from .spider import (
     WebCombo,
     generator_combo,
@@ -85,7 +86,7 @@ from .spider import (
     relation_suite,
     second_generator_combo,
 )
-from .tlbridge import bridge_expansion, matching_of_perm, pair_expansion, tl_immanant
+from .tlbridge import avoiding_321, bridge_expansion, matching_of_perm, pair_expansion, tl_immanant
 from .webcore import Web, WebError
 
 def _check_bound(name: str, n: int, what: str) -> None:
@@ -388,7 +389,7 @@ def _suite_kappa(n: int, samples: Optional[int], rng: random.Random) -> tuple[bo
             bad.append({"n": k, "left": list(u), "right": list(v)})
     # at q = 1 each weighted count is the plain count rank_check tabulates
     webs = irreducible_webs(n)
-    r = rank([counts.get(D, 0) for D in webs] for counts in _decompositions(n).values())
+    r, _ = column_rank(_decompositions(n).values, webs)
     if r != len(webs):
         bad.append({"rank": r, "webs": len(webs)})
     return not bad, {"pairs": pairs, "pairs_max_n": nn, "rank": r, "webs": len(webs), "failed": bad}
@@ -447,7 +448,7 @@ def _suite_bridge(n: int, samples: Optional[int], rng: random.Random) -> tuple[b
                         bad.append({"pair": [list(rows1), list(cols1)]})
     bridge_checks = 0
     for s in range(1, n):
-        perms = [w for w in all_perms(n - s) if avoids(w, (3, 2, 1))]
+        perms = avoiding_321(n - s)
         for rows3 in itertools.combinations(everyone, s):
             for cols3 in itertools.combinations(everyone, s):
                 keep_r = [p - 1 for p in everyone if p not in rows3]

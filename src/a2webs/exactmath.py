@@ -305,3 +305,32 @@ def echelon(
 def rank(rows: Iterable[Sequence[int | Fraction]]) -> int:
     """Rank over Q of a matrix given as an iterable of rational rows."""
     return sum(step is not None for step in echelon(rows))
+
+
+def rank_mod2(rows: Iterable[Iterable[tuple[int, int]]], width: int) -> int:
+    """Rank over F_2 of an integer matrix with width columns, each row
+    given as (column, entry) pairs, so a dense row r is enumerate(r).
+    A row becomes the bitset of its odd entries and is reduced by XOR
+    against the pivots so far, each keyed by its top bit.  Entries must
+    be ints (operator.index).  Once the rank reaches width each later
+    row is still read but not looked into, as in echelon.
+
+    The rank over Q is at least this one, and equal to width when this
+    one is: full rank over F_2 means some maximal minor is odd, so it is
+    not zero."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        if len(pivots) == width:
+            continue
+        bits = 0
+        for k, x in row:
+            if operator.index(x) & 1:
+                bits |= 1 << k
+        while bits:
+            top = bits.bit_length() - 1
+            piv = pivots.get(top)
+            if piv is None:
+                pivots[top] = bits
+                break
+            bits ^= piv
+    return len(pivots)

@@ -31,6 +31,7 @@ Weight bookkeeping, in t-exponents:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, deque
 from typing import Optional
 
@@ -164,8 +165,7 @@ def word_counts(w: Web) -> Counter:
     """Plain labeling count of w per boundary word, from one
     unrestricted enumeration; words without a labeling are absent.
     word_counts(w)[g] == len(enumerate_labelings(w, g))."""
-    be = _boundary_edges(w)
-    return Counter(tuple(f[e] for e in be) for f in enumerate_labelings(w))
+    return Counter(map(operator.itemgetter(*_boundary_edges(w)), enumerate_labelings(w)))
 
 
 # ---------------------------------------------------------------------------

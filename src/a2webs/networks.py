@@ -141,7 +141,7 @@ class PlanarNetwork:
     """
 
     __slots__ = ("n", "ids", "pos", "edges", "sources", "sinks",
-                 "order", "out_edges", "in_edges", "_paths")
+                 "order", "out_edges", "in_edges", "_paths", "_sweep", "_gaps")
 
     def __init__(
         self,
@@ -213,6 +213,8 @@ class PlanarNetwork:
                 raise WebError(f"exit {t!r} has an outgoing edge")
         _check_drawing(pos, self.edges, at)
         self._paths = None
+        self._sweep = None
+        self._gaps: dict[tuple[str, int], int] = {}
 
     # -- serialization ----------------------------------------------------
 
@@ -289,6 +291,28 @@ class PlanarNetwork:
                             stack.append((h, acc + (eid,), vmask | bit[h], emask | 1 << eid))
             self._paths = {k: tuple(v) for k, v in table.items()}
         return self._paths
+
+    # -- the sweep of uncross ---------------------------------------------
+
+    def _sweep_table(self) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
+        """The positions in `order` of each edge's tail and head, and
+        of every entry and exit."""
+        if self._sweep is None:
+            at = {v: k for k, v in enumerate(self.order)}
+            ends = {eid: (at[e.tail], at[e.head]) for eid, e in enumerate(self.edges)}
+            self._sweep = (ends, tuple(at[v] for v in self.sources + self.sinks))
+        return self._sweep
+
+    def _gap(self, entry: str, eid: int) -> int:
+        """The sign of edge eid's height above entry, at the entry's
+        abscissa: 1 above, 0 level, -1 below."""
+        key = (entry, eid)
+        side = self._gaps.get(key)
+        if side is None:
+            x, y = self.pos[entry]
+            h = _height(self.pos, self.edges[eid], x)
+            side = self._gaps[key] = (h > y) - (h < y)
+        return side
 
     def paths_between(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
         return tuple(path for path, _, _ in self._path_table().get((i, j), ()))
@@ -410,10 +434,17 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     exits must be reached in order, top to bottom.
     """
     mult = dict(marks)
+    # the sweep stops only at the marked edges' ends, the entries and
+    # the exits: at any other vertex no strand passes and nothing is
+    # checked
+    ends, stops = net._sweep_table()
+    at = set(stops)
+    for eid in mult:
+        at.update(ends.get(eid, ()))
     # marked edge ids, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column
-    for v in net.order:
+    for v in [net.order[k] for k in sorted(at)]:
         ins = [e for e in net.in_edges[v] if e in mult]
         outs = [e for e in net.out_edges[v] if e in mult]
         k_in, k_out = sum(mult[e] for e in ins), sum(mult[e] for e in outs)
@@ -421,11 +452,10 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
             if k_in or k_out != 1:
                 raise WebError(f"entry {v!r} must start exactly one strand")
             i = line.index(v)
-            x, y = net.pos[v]
             above = next((e for e in reversed(line[:i]) if type(e) is int), None)
             below = next((e for e in line[i + 1:] if type(e) is int), None)
-            if ((above is not None and _height(net.pos, net.edges[above], x) <= y)
-                    or (below is not None and _height(net.pos, net.edges[below], x) >= y)):
+            if ((above is not None and net._gap(v, above) <= 0)
+                    or (below is not None and net._gap(v, below) >= 0)):
                 raise WebError(f"entry {v!r} lies outside the gap its strand enters")
             line[i] = outs[0]
             continue

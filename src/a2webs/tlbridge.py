@@ -245,6 +245,12 @@ def admits(m: A1Web, g: Sequence[int]) -> bool:
     return all((g[a] == g[b]) == m.is_cross((a, b)) for a, b in m.arcs)
 
 
+@cache
+def avoiding_321(n: int) -> tuple[Perm, ...]:
+    """The 321-avoiding permutations of 1..n, in all_perms order."""
+    return tuple(w for w in all_perms(n) if avoids(w, (3, 2, 1)))
+
+
 def pair_boundary(n: int, rows1: Sequence[int], cols1: Sequence[int]) -> tuple[int, ...]:
     """Boundary word for a complementary pair of minors: 1 at the named
     rows and columns, 2 elsewhere."""
@@ -261,11 +267,7 @@ def pair_expansion(
     boundary; each carries coefficient one.  Their immanants sum to the
     product of the two complementary minors (tested)."""
     g = pair_boundary(n, rows1, cols1)
-    return {
-        w: 1
-        for w in all_perms(n)
-        if avoids(w, (3, 2, 1)) and admits(matching_of_perm(w), g)
-    }
+    return {w: 1 for w in avoiding_321(n) if admits(matching_of_perm(w), g)}
 
 
 # -- the forgetful map and bridge coefficients ------------------------

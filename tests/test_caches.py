@@ -50,6 +50,7 @@ def test_clear_caches_empties_every_memo():
         "spider.hecke_image", "spider.generator_combo", "spider.reduce_web", "spider.rewrite_step",
         "spider.web_product",
         "immanants.immanant_table", "minors._decompositions", "networks._sliced_web",
+        "tlbridge.avoiding_321",
     } <= set(caches)
     assert caches["spider.hecke_image"].cache_info().currsize > 0
     assert spider.reduce_web.cache_info().currsize > 0

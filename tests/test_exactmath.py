@@ -15,6 +15,7 @@ from a2webs.exactmath import (
     parse_rational,
     qint,
     rank,
+    rank_mod2,
 )
 from a2webs.immanants import ExactMatrix
 from a2webs.perms import all_perms, perm_length
@@ -320,3 +321,65 @@ class TestElimination:
                 # vec / scale - row must lie in the span of the rows before it
                 diff = [x / scale - y for x, y in zip(vec, rows[k])]
                 assert rank(rows[:k] + [diff]) == rank(rows[:k])
+
+
+def _rank_mod2_by_minors(rows):
+    """Largest k with an odd k by k minor, each minor a Leibniz sum."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(m, n), 0, -1):
+        for I in itertools.combinations(range(m), k):
+            for J in itertools.combinations(range(n), k):
+                if _leibniz([[rows[i][j] for j in J] for i in I]) % 2:
+                    return k
+    return 0
+
+
+def _mod2(rows, width):
+    return rank_mod2(map(enumerate, rows), width)
+
+
+class TestRankMod2:
+    def test_matches_odd_minors_and_bounds_the_exact_rank(self):
+        rng = random.Random(23)
+        full = 0
+        for _ in range(80):
+            m, n = rng.randint(0, 5), rng.randint(1, 4)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            r2, r = _mod2(rows, n), rank(rows)
+            assert r2 == _rank_mod2_by_minors(rows) <= r, rows
+            if r2 == n:
+                full += 1
+                assert r == n
+        assert full > 10
+
+    def test_short_of_the_exact_rank(self):
+        assert (_mod2([[1, 1], [1, -1]], 2), rank([[1, 1], [1, -1]])) == (1, 2)
+        assert (_mod2([[2, 2, 2]], 3), rank([[2, 2, 2]])) == (0, 1)
+        rng = random.Random(29)
+        for _ in range(20):
+            rows = [[2 * rng.randint(-4, 4) for _ in range(3)] for _ in range(4)]
+            assert _mod2(rows, 3) == 0
+
+    def test_sparse_rows_match_dense_rows(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(6)]
+            sparse = [[(k, x) for k, x in enumerate(row) if x][::-1] for row in rows]
+            assert rank_mod2(sparse, 5) == _mod2(rows, 5)
+
+    def test_full_rank_stops_the_arithmetic_but_reads_every_row(self):
+        pulled = 0
+
+        def counted():
+            nonlocal pulled
+            for row in ([1, 0], [3, 1], [Fraction(1, 2), 1.5], "not a row"):
+                pulled += 1
+                yield enumerate(row)
+
+        assert rank_mod2(counted(), 2) == 2
+        assert pulled == 4
+
+    def test_refuses_entries_that_are_not_ints(self):
+        for bad in (Fraction(1, 2), Fraction(2), 1.0, "1"):
+            with pytest.raises(TypeError):
+                _mod2([[1, bad]], 2)

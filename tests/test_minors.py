@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from a2webs import minors
+from a2webs.exactmath import rank
 from a2webs.immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from a2webs.labelings import enumerate_labelings
 from a2webs.minors import (
@@ -10,7 +12,9 @@ from a2webs.minors import (
     all_triples,
     boundary_from_triple,
     check_triple,
+    column_rank,
     decompose_triple,
+    iter_triples,
     minor,
     random_rational_matrix,
     random_triple,
@@ -130,6 +134,7 @@ class TestTripleIdentity:
         rng = random.Random(SEED + 2)
         triples = all_triples(3)
         assert len(triples) == 93
+        assert list(iter_triples(3)) == triples
         for _ in range(5):
             X = random_rational_matrix(3, rng)
             cache = {}
@@ -189,6 +194,7 @@ class TestRank:
             "triples": 639,
             "webs": 23,
             "rank": 23,
+            "rank_route": "mod 2",
             "max_coefficient": 2,
             "max_coefficient_triple": {
                 "rows": [[2], [3], [1, 4]],
@@ -204,6 +210,7 @@ class TestRank:
             "triples": 4653,
             "webs": 103,
             "rank": 103,
+            "rank_route": "mod 2",
             "max_coefficient": 3,
             "max_coefficient_triple": {
                 "rows": [[2], [1, 4], [3, 5]],
@@ -211,6 +218,34 @@ class TestRank:
             },
             "passed": True,
         }
+
+    def test_both_routes_agree_at_four_strands(self, monkeypatch):
+        fast = rank_check(4)
+        # a certificate that never finds full rank forces the exact route
+        monkeypatch.setattr(minors, "rank_mod2", lambda rows, width: 0)
+        exact = rank_check(4)
+        assert (fast["rank_route"], exact["rank_route"]) == ("mod 2", "exact")
+        for key in ("triples", "rank", "max_coefficient", "max_coefficient_triple", "passed"):
+            assert fast[key] == exact[key], key
+
+    def test_column_rank_falls_back_when_the_certificate_is_short(self):
+        def route(rows):
+            return column_rank(lambda: [dict(enumerate(r)) for r in rows], range(len(rows[0])))
+
+        assert route([[1, 1], [1, -1]]) == (2, "exact")
+        assert route([[2, 2, 2]]) == (1, "exact")
+        assert route([[1, 0, 3], [2, 2, 2], [0, 1, 1]]) == (3, "exact")
+        assert route([[1, 0], [1, 1]]) == (2, "mod 2")
+        rng = random.Random(SEED + 6)
+        routes = set()
+        for _ in range(60):
+            width = rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rng.randint(1, 8))]
+            got = route(rows)
+            assert got[0] == rank(rows), rows
+            assert route([[2 * x for x in row] for row in rows]) == (got[0], "exact")
+            routes.add(got[1])
+        assert routes == {"mod 2", "exact"}
 
     def test_multiplicity_is_recorded(self):
         # the expansion need not be multiplicity free; the report

@@ -13,6 +13,7 @@ from a2webs.tlbridge import (
     A1Web,
     TLCombo,
     admits,
+    avoiding_321,
     bridge_coefficient,
     bridge_expansion,
     forgetful,
@@ -229,6 +230,19 @@ class TestPairOfMinors:
                         lhs = minor(X, rows1, cols1) * minor(X, rows2, cols2)
                         rhs = sum(tl_immanant(w, X) for w in exp)
                         assert lhs == rhs
+
+    def test_expansion_matches_a_walk_over_all_permutations(self):
+        for n in range(1, 6):
+            want = tuple(w for w in all_perms(n) if avoids(w, (3, 2, 1)))
+            assert avoiding_321(n) == want and len(want) == catalan(n)
+            for k in range(n + 1):
+                for rows1 in itertools.combinations(range(1, n + 1), k):
+                    for cols1 in itertools.combinations(range(1, n + 1), k):
+                        g = pair_boundary(n, rows1, cols1)
+                        exp = pair_expansion(n, rows1, cols1)
+                        assert list(exp.items()) == [
+                            (w, 1) for w in want if admits(matching_of_perm(w), g)
+                        ]
 
     def test_boundary_values(self):
         assert pair_boundary(3, (1, 3), (2, 3)) == (1, 2, 1, 2, 1, 1)
