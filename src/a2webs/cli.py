@@ -55,7 +55,6 @@ from .labelings import (
     word_to_text,
 )
 from .minors import (
-    MinorTriple,
     _decompositions,
     all_triples,
     check_triple,
@@ -64,7 +63,9 @@ from .minors import (
     minor,
     random_rational_matrix,
     random_triple,
+    triple_blocks,
     triple_product,
+    triple_word,
 )
 from .networks import (
     PlanarNetwork,
@@ -256,17 +257,13 @@ def cmd_immanants(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    T = MinorTriple.from_sets(
-        _parse_ints(args.I1),
-        _parse_ints(args.I2),
-        _parse_ints(args.I3),
-        _parse_ints(args.J1),
-        _parse_ints(args.J2),
-        _parse_ints(args.J3),
+    g = triple_word(
+        [_parse_ints(args.I1), _parse_ints(args.I2), _parse_ints(args.I3)],
+        [_parse_ints(args.J1), _parse_ints(args.J2), _parse_ints(args.J3)],
     )
-    if T.n != args.n:
-        raise WebError(f"blocks cover 1..{T.n} but --n is {args.n}")
-    counts = decompose_triple(T)
+    if len(g) != 2 * args.n:
+        raise WebError(f"blocks cover 1..{len(g) // 2} but --n is {args.n}")
+    counts = decompose_triple(g)
     _emit({_webkey(D.code): c for D, c in sorted(counts.items(), key=lambda t: t[0].code)})
     return 0
 
@@ -417,15 +414,15 @@ def _suite_minors(n: int, samples: Optional[int], rng: random.Random) -> tuple[b
         triples = all_triples(n)
     else:
         triples = [random_triple(n, rng) for _ in range(50)]
-        full = tuple(range(1, n + 1))
-        triples.append(MinorTriple.from_sets(full, (), (), full, (), ()))
+        triples.append((1,) * (2 * n))  # the determinant
     bad = []
     for _ in range(mats):
         X = random_rational_matrix(n, rng)
         cache: dict = {}
-        for T in triples:
-            if not check_triple(T, X, cache):
-                bad.append({"rows": [list(b) for b in T.rows], "cols": [list(b) for b in T.cols]})
+        for g in triples:
+            if not check_triple(g, X, cache):
+                rows, cols = triple_blocks(g)
+                bad.append({"rows": [list(b) for b in rows], "cols": [list(b) for b in cols]})
     return not bad, {"matrices": mats, "triples": len(triples), "sampled": n > 3, "failed": bad}
 
 
@@ -490,13 +487,13 @@ def _suite_networks(n: int, samples: Optional[int], rng: random.Random) -> tuple
         net = random_planar_network(3, rng, steps=3)
         X = path_matrix(net)
         vals = network_immanants(net)
-        for T in all_triples(3):
+        for g in all_triples(3):
             rhs = sum(
-                (Fraction(c) * vals[D] for D, c in decompose_triple(T).items()),
+                (Fraction(c) * vals[D] for D, c in decompose_triple(g).items()),
                 Fraction(0),
             )
             triple_checks += 1
-            if triple_product(T, X) != rhs:
+            if triple_product(g, X) != rhs:
                 bad.append({"n": 3, "check": "triple-minor"})
     return not bad, {"networks": nets_checked, "triple_checks": triple_checks, "failed": bad}
 

@@ -9,6 +9,9 @@ Such a product of minors expands exactly as
 where g is the boundary word that marks each source position with the
 number of the row block containing it (likewise sinks and column
 blocks), and |L_{D,g}| is the plain count of consistent labelings.
+So a triple is its boundary word (`triple_word` makes it from blocks,
+`triple_blocks` reads them back): 2n labels in {1, 2, 3}, each as
+often among the sources as among the sinks.
 The coefficients are therefore nonnegative integers computable with
 no linear algebra at all; the identity itself is checked numerically
 on random rational matrices, and the coefficient matrix over all
@@ -19,8 +22,8 @@ of these products.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -43,49 +46,50 @@ def index_set(xs: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class MinorTriple:
-    """Row blocks (I1, I2, I3) and column blocks (J1, J2, J3)."""
-
-    rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    cols: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def __post_init__(self):
-        flat_r = [m for blk in self.rows for m in blk]
-        flat_c = [m for blk in self.cols for m in blk]
-        n = len(flat_r)
-        if sorted(flat_r) != list(range(1, n + 1)):
-            raise WebError("row blocks must partition 1..n")
-        if sorted(flat_c) != list(range(1, n + 1)):
-            raise WebError("column blocks must partition 1..n")
-        if any(len(i) != len(j) for i, j in zip(self.rows, self.cols)):
-            raise WebError("paired blocks must have equal sizes")
-
-    @classmethod
-    def from_sets(cls, I1, I2, I3, J1, J2, J3) -> "MinorTriple":
-        return cls(
-            (index_set(I1), index_set(I2), index_set(I3)),
-            (index_set(J1), index_set(J2), index_set(J3)),
-        )
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.rows)
+def triple_word(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The boundary word of the triple with row blocks (I1, I2, I3) and
+    column blocks (J1, J2, J3): source m gets the number of the row
+    block holding m, and sinks read the column blocks the same way.
+    Refuses blocks that are not a complementary triple's."""
+    rows = [index_set(b) for b in rows]
+    cols = [index_set(b) for b in cols]
+    n = sum(len(b) for b in rows)
+    for blocks, what in ((rows, "row"), (cols, "column")):
+        if sorted(m for b in blocks for m in b) != list(range(1, n + 1)):
+            raise WebError(f"{what} blocks must partition 1..n")
+    if any(len(i) != len(j) for i, j in zip(rows, cols)):
+        raise WebError("paired blocks must have equal sizes")
+    g = [0] * (2 * n)
+    for k, (I, J) in enumerate(zip(rows, cols), start=1):
+        for m in I:
+            g[m - 1] = k
+        for m in J:
+            g[n + m - 1] = k
+    return tuple(g)
 
 
-def boundary_from_triple(T: MinorTriple) -> tuple[int, ...]:
-    """The boundary word of T: source m gets the number of the row
-    block holding m, and sinks read the column blocks the same way."""
-    n = T.n
-    src = [0] * n
-    snk = [0] * n
-    for k, blk in enumerate(T.rows, start=1):
-        for m in blk:
-            src[m - 1] = k
-    for k, blk in enumerate(T.cols, start=1):
-        for m in blk:
-            snk[m - 1] = k
-    return tuple(src + snk)
+def _checked_word(g: Sequence[int]) -> tuple[int, ...]:
+    """g as a tuple, refusing a word that is no triple's."""
+    g = tuple(g)
+    n, odd = divmod(len(g), 2)
+    if odd:
+        raise WebError(f"a triple's word has an even length, got {len(g)} labels")
+    if not set(g) <= {1, 2, 3}:
+        raise WebError(f"a triple's labels lie in 1..3, got {g}")
+    if any(g[:n].count(k) != g[n:].count(k) for k in (1, 2, 3)):
+        raise WebError(f"each label of {g} must mark as many sources as sinks")
+    return g
+
+
+def triple_blocks(g: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The row blocks and the column blocks of the triple whose boundary
+    word is g; refuses a word that is no triple's."""
+    g = _checked_word(g)
+    n = len(g) // 2
+    return tuple(
+        tuple(tuple(m for m, b in enumerate(half, start=1) if b == k) for k in (1, 2, 3))
+        for half in (g[:n], g[n:])
+    )
 
 
 def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
@@ -108,70 +112,59 @@ def _decompositions(n: int) -> dict[tuple[int, ...], dict[Web, int]]:
     return table
 
 
-def decompose_triple(T: MinorTriple) -> dict[Web, int]:
-    """Webs with nonzero coefficient in the expansion of T's product,
-    each coefficient a plain labeling count.  The counts of every web
-    on T.n strands are enumerated once, on the first call for that n."""
-    return dict(_decompositions(T.n).get(boundary_from_triple(T), {}))
+def decompose_triple(g: Sequence[int]) -> dict[Web, int]:
+    """Webs with nonzero coefficient in the expansion of the product of
+    the triple with boundary word g, each coefficient a plain labeling
+    count.  The counts of every web on n strands are enumerated once,
+    on the first call for that n."""
+    g = _checked_word(g)
+    return dict(_decompositions(len(g) // 2).get(g, {}))
 
 
-def triple_product(T: MinorTriple, X: ExactMatrix) -> Fraction:
-    return (
-        minor(X, T.rows[0], T.cols[0])
-        * minor(X, T.rows[1], T.cols[1])
-        * minor(X, T.rows[2], T.cols[2])
-    )
+def triple_product(g: Sequence[int], X: ExactMatrix) -> Fraction:
+    return math.prod(minor(X, I, J) for I, J in zip(*triple_blocks(g)))
 
 
-def check_triple(T: MinorTriple, X: ExactMatrix, imm_cache: Optional[dict] = None) -> bool:
+def check_triple(g: Sequence[int], X: ExactMatrix, imm_cache: Optional[dict] = None) -> bool:
     """Numeric verification of the expansion on one matrix.  Pass a
     dict when checking many triples against the same matrix; immanant
     values are reused through it."""
     if imm_cache is None:
         imm_cache = {}
     rhs = Fraction(0)
-    for D, c in decompose_triple(T).items():
+    for D, c in decompose_triple(g).items():
         if D.code not in imm_cache:
             imm_cache[D.code] = evaluate_immanant(D, X)
         rhs += c * imm_cache[D.code]
-    return triple_product(T, X) == rhs
+    return triple_product(g, X) == rhs
 
 
-def iter_triples(n: int) -> Iterator[MinorTriple]:
-    """Every complementary triple on 1..n, rows and columns both
-    running over all 3-block ordered set partitions of matching sizes,
-    made one at a time."""
+def iter_triples(n: int) -> Iterator[tuple[int, ...]]:
+    """The boundary word of every complementary triple on 1..n, made
+    one at a time: by block sizes, then the sources' labels, then the
+    sinks', each half in itertools.product order."""
     by_sizes: dict = {}
-    assignments = list(itertools.product((1, 2, 3), repeat=n))
-    for assign in assignments:
-        blocks = tuple(
-            tuple(m for m in range(1, n + 1) if assign[m - 1] == k)
-            for k in (1, 2, 3)
-        )
-        sizes = tuple(len(b) for b in blocks)
-        by_sizes.setdefault(sizes, []).append(blocks)
-    for sizes, row_choices in sorted(by_sizes.items()):
-        for rows in row_choices:
-            for cols in by_sizes[sizes]:
-                yield MinorTriple(rows, cols)
+    for half in itertools.product((1, 2, 3), repeat=n):
+        by_sizes.setdefault(tuple(map(half.count, (1, 2, 3))), []).append(half)
+    for sizes in sorted(by_sizes):
+        halves = by_sizes[sizes]
+        for src in halves:
+            for snk in halves:
+                yield src + snk
 
 
-def all_triples(n: int) -> list[MinorTriple]:
-    """The triples of iter_triples(n), in its order."""
+def all_triples(n: int) -> list[tuple[int, ...]]:
+    """The words of iter_triples(n), in its order."""
     return list(iter_triples(n))
 
 
-def random_triple(n: int, rng: random.Random) -> MinorTriple:
-    assign = [rng.randint(1, 3) for _ in range(n)]
-    rows = tuple(
-        tuple(m for m in range(1, n + 1) if assign[m - 1] == k) for k in (1, 2, 3)
-    )
-    labels = [k for k, blk in enumerate(rows, start=1) for _ in blk]
-    rng.shuffle(labels)
-    cols = tuple(
-        tuple(m for m in range(1, n + 1) if labels[m - 1] == k) for k in (1, 2, 3)
-    )
-    return MinorTriple(rows, cols)
+def random_triple(n: int, rng: random.Random) -> tuple[int, ...]:
+    """The word of a random triple: each source's label drawn from
+    1..3, the sinks a shuffle of the same labels."""
+    src = [rng.randint(1, 3) for _ in range(n)]
+    snk = sorted(src)
+    rng.shuffle(snk)
+    return tuple(src + snk)
 
 
 def random_rational_matrix(n: int, rng: random.Random) -> ExactMatrix:
@@ -208,12 +201,12 @@ def rank_check(n: int) -> dict:
     def coefficient_rows():
         nonlocal triples, max_coeff, max_at
         triples = 0
-        for T in iter_triples(n):
+        for g in iter_triples(n):
             triples += 1
-            row = decompose_triple(T)
+            row = decompose_triple(g)
             top = max(row.values(), default=0)
             if top > max_coeff:
-                max_coeff, max_at = top, T
+                max_coeff, max_at = top, g
             yield row
 
     r, route = column_rank(coefficient_rows, webs)
@@ -228,8 +221,9 @@ def rank_check(n: int) -> dict:
         "passed": r == len(webs),
     }
     if max_at is not None:
+        rows, cols = triple_blocks(max_at)
         report["max_coefficient_triple"] = {
-            "rows": [list(b) for b in max_at.rows],
-            "cols": [list(b) for b in max_at.cols],
+            "rows": [list(b) for b in rows],
+            "cols": [list(b) for b in cols],
         }
     return report

@@ -395,12 +395,19 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
 # Markings and their uncrossing
 
 
+def _known_edge(net: PlanarNetwork, eid: int) -> int:
+    """eid, refused with WebError unless the network has that edge."""
+    if not 0 <= eid < len(net.edges):
+        raise WebError(f"marking names edge {eid}, but the edge ids run 0..{len(net.edges) - 1}")
+    return eid
+
+
 def marking_weight(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Fraction:
     """The product of weight ** multiplicity over the marked edges,
     taken over integer numerators and denominators."""
     num = den = 1
     for eid, m in marks:
-        w = net.edges[eid].weight
+        w = net.edges[_known_edge(net, eid)].weight
         num *= w.numerator ** m
         den *= w.denominator ** m
     return Fraction(num, den)
@@ -425,13 +432,14 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     one curve on each side passes straight through.  `to_map` then
     builds the web's map, once per distinct diagram (`_sliced_web`).
 
-    The marking is refused with WebError unless each entry starts one
-    strand, each exit ends one, each other vertex passes as many strands
-    out as in and at most three, and the drawing leaves room for the
-    boundary: at each entry the nearest marked edges above and below
-    its placeholder must pass above and below the entry, the marked
-    edges into a vertex must be adjacent on the sweep line, and the
-    exits must be reached in order, top to bottom.
+    The marking is refused with WebError unless it names only edges of
+    the network, each entry starts one strand, each exit ends one, each
+    other vertex passes as many strands out as in and at most three,
+    and the drawing leaves room for the boundary: at each entry the
+    nearest marked edges above and below its placeholder must pass
+    above and below the entry, the marked edges into a vertex must be
+    adjacent on the sweep line, and the exits must be reached in order,
+    top to bottom.
     """
     mult = dict(marks)
     # the sweep stops only at the marked edges' ends, the entries and
@@ -440,7 +448,7 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     ends, stops = net._sweep_table()
     at = set(stops)
     for eid in mult:
-        at.update(ends.get(eid, ()))
+        at.update(ends[_known_edge(net, eid)])
     # marked edge ids, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column

@@ -9,7 +9,7 @@ import pytest
 
 from a2webs.cli import SuiteConfig, _ExprParser, _suite_tnn, build_parser, main, run_suite
 from a2webs.exactmath import eval_q1
-from a2webs.minors import decompose_triple, MinorTriple
+from a2webs.minors import decompose_triple, triple_word
 from a2webs.networks import random_planar_network
 from a2webs.spider import (
     WebCombo,
@@ -257,9 +257,9 @@ class TestSubcommands:
              "--I2", "2", "--J2", "2", "--I3", "3", "--J3", "4"],
         )
         assert rc == 0
-        T = MinorTriple.from_sets((1, 4), (2,), (3,), (1, 3), (2,), (4,))
+        g = triple_word([(1, 4), (2,), (3,)], [(1, 3), (2,), (4,)])
         want = {
-            ",".join(map(str, D.code)): c for D, c in decompose_triple(T).items()
+            ",".join(map(str, D.code)): c for D, c in decompose_triple(g).items()
         }
         assert got == want
 

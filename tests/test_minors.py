@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,9 +9,7 @@ from a2webs.exactmath import rank
 from a2webs.immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from a2webs.labelings import enumerate_labelings
 from a2webs.minors import (
-    MinorTriple,
     all_triples,
-    boundary_from_triple,
     check_triple,
     column_rank,
     decompose_triple,
@@ -19,41 +18,81 @@ from a2webs.minors import (
     random_rational_matrix,
     random_triple,
     rank_check,
+    triple_blocks,
     triple_product,
+    triple_word,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
 
 SEED = 20260816
+
+# the worked example: rows (1, 4), (2,), (3,) and columns (1, 3), (2,), (4,)
+WORKED = (1, 2, 3, 1, 1, 2, 1, 3)
+
+# sha256 of the words of iter_triples(n) for n = 1..5, one line of
+# digits per word, joined by newlines
+TRIPLE_ORDER_SHA256 = "26318ee7e3f743417eee92dd48e6077703c5927b83e5782120c75749a383a36a"
 
 
 def idweb(n):
     return Web.from_slice(identity_web(n))
 
 
-class TestMinorTriple:
+class TestTripleWord:
+    def test_rejects_repeated_index(self):
+        with pytest.raises(WebError, match="repeated index"):
+            triple_word([(1, 1), (2,), ()], [(1,), (2,), (3,)])
+
     def test_rejects_overlapping_rows(self):
-        with pytest.raises(WebError):
-            MinorTriple.from_sets((1, 2), (2,), (), (1,), (2,), (3,))
+        with pytest.raises(WebError, match="row blocks must partition"):
+            triple_word([(1, 2), (2,), ()], [(1,), (2,), (3,)])
 
     def test_rejects_size_mismatch(self):
-        with pytest.raises(WebError):
-            MinorTriple.from_sets((1, 2), (3,), (), (1,), (2, 3), ())
+        with pytest.raises(WebError, match="paired blocks must have equal sizes"):
+            triple_word([(1, 2), (3,), ()], [(1,), (2, 3), ()])
 
     def test_rejects_gaps(self):
-        with pytest.raises(WebError):
-            MinorTriple.from_sets((1,), (3,), (), (1,), (2,), ())
+        with pytest.raises(WebError, match="row blocks must partition"):
+            triple_word([(1,), (3,), ()], [(1,), (2,), ()])
+        with pytest.raises(WebError, match="column blocks must partition"):
+            triple_word([(1,), (2,), ()], [(1,), (3,), ()])
 
     def test_boundary_simple(self):
-        T = MinorTriple.from_sets((1,), (2,), (), (1,), (2,), ())
-        assert boundary_from_triple(T) == (1, 2, 1, 2)
+        assert triple_word([(1,), (2,), ()], [(1,), (2,), ()]) == (1, 2, 1, 2)
 
     def test_boundary_all_first_block(self):
-        T = MinorTriple.from_sets((1, 2), (), (), (1, 2), (), ())
-        assert boundary_from_triple(T) == (1, 1, 1, 1)
+        assert triple_word([(1, 2), (), ()], [(1, 2), (), ()]) == (1, 1, 1, 1)
 
     def test_boundary_worked_example(self):
-        T = MinorTriple.from_sets((1, 4), (2,), (3,), (1, 3), (2,), (4,))
-        assert boundary_from_triple(T) == (1, 2, 3, 1, 1, 2, 1, 3)
+        assert triple_word([(1, 4), (2,), (3,)], [(1, 3), (2,), (4,)]) == WORKED
+        assert triple_blocks(WORKED) == (((1, 4), (2,), (3,)), ((1, 3), (2,), (4,)))
+
+    @pytest.mark.parametrize("g", [(1, 2, 1), (1, 4), (1, 2, 4, 1, 2, 4), (1, 1, 1, 2), (0, 0)])
+    def test_word_api_refuses_words_of_no_triple(self, g):
+        for fn in (triple_blocks, decompose_triple):
+            with pytest.raises(WebError):
+                fn(g)
+        with pytest.raises(WebError):
+            triple_product(g, ExactMatrix.identity(2))
+
+    def test_triple_order_is_pinned(self):
+        words = [g for n in range(1, 6) for g in iter_triples(n)]
+        text = "\n".join("".join(map(str, g)) for g in words)
+        assert hashlib.sha256(text.encode()).hexdigest() == TRIPLE_ORDER_SHA256
+        assert [sum(1 for _ in iter_triples(n)) for n in (3, 4, 5)] == [93, 639, 4653]
+        for g in words:
+            assert triple_word(*triple_blocks(g)) == g
+
+    def test_random_triple_draws_are_pinned(self):
+        rng = random.Random(SEED)
+        assert [random_triple(4, rng) for _ in range(6)] == [
+            (3, 2, 2, 2, 3, 2, 2, 2),
+            (3, 2, 1, 3, 1, 3, 2, 3),
+            (2, 2, 1, 1, 2, 2, 1, 1),
+            (1, 3, 3, 2, 1, 2, 3, 3),
+            (1, 1, 1, 2, 1, 1, 2, 1),
+            (3, 3, 1, 2, 2, 3, 3, 1),
+        ]
 
 
 class TestMinor:
@@ -81,28 +120,24 @@ class TestMinor:
 
 class TestDecompose:
     def test_diagonal_product_two_strands(self):
-        T = MinorTriple.from_sets((1,), (2,), (), (1,), (2,), ())
-        counts = {D.code: c for D, c in decompose_triple(T).items()}
+        counts = {D.code: c for D, c in decompose_triple((1, 2, 1, 2)).items()}
         E1 = Web.from_slice(generator_web(2, 1))
         assert counts == {idweb(2).code: 1, E1.code: 1}
 
     def test_determinant_triple_two_strands(self):
-        T = MinorTriple.from_sets((1, 2), (), (), (1, 2), (), ())
-        counts = {D.code: c for D, c in decompose_triple(T).items()}
+        counts = {D.code: c for D, c in decompose_triple((1, 1, 1, 1)).items()}
         assert counts == {idweb(2).code: 1}
 
     def test_antidiagonal_product_two_strands(self):
-        T = MinorTriple.from_sets((1,), (2,), (), (2,), (1,), ())
-        counts = {D.code: c for D, c in decompose_triple(T).items()}
+        counts = {D.code: c for D, c in decompose_triple((1, 2, 2, 1)).items()}
         E1 = Web.from_slice(generator_web(2, 1))
         assert counts == {E1.code: 1}
 
     def test_coefficients_are_labeling_counts(self):
         rng = random.Random(SEED + 1)
         for _ in range(5):
-            T = random_triple(3, rng)
-            g = boundary_from_triple(T)
-            for D, c in decompose_triple(T).items():
+            g = random_triple(3, rng)
+            for D, c in decompose_triple(g).items():
                 assert c == len(enumerate_labelings(D, g)) > 0
 
 
@@ -110,23 +145,21 @@ class TestDecompositionTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_triple_matches_restricted_enumeration(self, n):
         webs = irreducible_webs(n)
-        for T in all_triples(n):
-            g = boundary_from_triple(T)
-            counts = decompose_triple(T)
+        for g in all_triples(n):
+            counts = decompose_triple(g)
             for D in webs:
-                assert counts.get(D, 0) == len(enumerate_labelings(D, g)), (T.rows, T.cols)
+                assert counts.get(D, 0) == len(enumerate_labelings(D, g)), g
 
     def test_support_follows_web_order(self):
         order = {D: k for k, D in enumerate(irreducible_webs(4))}
-        for T in all_triples(4)[::37]:
-            ks = [order[D] for D in decompose_triple(T)]
+        for g in all_triples(4)[::37]:
+            ks = [order[D] for D in decompose_triple(g)]
             assert ks == sorted(ks)
 
     def test_result_is_a_copy(self):
-        T = MinorTriple.from_sets((1, 4), (2,), (3,), (1, 3), (2,), (4,))
-        first = decompose_triple(T)
+        first = decompose_triple(WORKED)
         first.clear()
-        assert len(decompose_triple(T)) == 15
+        assert len(decompose_triple(WORKED)) == 15
 
 
 class TestTripleIdentity:
@@ -138,8 +171,8 @@ class TestTripleIdentity:
         for _ in range(5):
             X = random_rational_matrix(3, rng)
             cache = {}
-            for T in triples:
-                assert check_triple(T, X, cache), (T.rows, T.cols)
+            for g in triples:
+                assert check_triple(g, X, cache), g
 
     def test_random_triples_four_strands(self):
         rng = random.Random(SEED + 3)
@@ -147,12 +180,11 @@ class TestTripleIdentity:
         for _ in range(5):
             X = random_rational_matrix(4, rng)
             cache = {}
-            for T in triples:
-                assert check_triple(T, X, cache), (T.rows, T.cols)
+            for g in triples:
+                assert check_triple(g, X, cache), g
 
     def test_worked_example_identity(self):
-        T = MinorTriple.from_sets((1, 4), (2,), (3,), (1, 3), (2,), (4,))
-        counts = decompose_triple(T)
+        counts = decompose_triple(WORKED)
         # every coefficient for this boundary is 1; the support is the
         # derived fact under test, its exact webs are pinned by count
         assert set(counts.values()) == {1}
@@ -160,21 +192,18 @@ class TestTripleIdentity:
         rng = random.Random(SEED + 4)
         for _ in range(3):
             X = random_rational_matrix(4, rng)
-            assert check_triple(T, X)
+            assert check_triple(WORKED, X)
 
     def test_role_swap_symmetry(self):
         # swapping the first two (rows, cols) pairs keeps the product,
         # so the expansion in the immanant basis cannot move either
         rng = random.Random(SEED + 5)
         for _ in range(8):
-            T = random_triple(3, rng)
-            S = MinorTriple(
-                (T.rows[1], T.rows[0], T.rows[2]),
-                (T.cols[1], T.cols[0], T.cols[2]),
-            )
-            ct = {D.code: c for D, c in decompose_triple(T).items()}
-            cs = {D.code: c for D, c in decompose_triple(S).items()}
-            assert ct == cs, (T.rows, T.cols)
+            g = random_triple(3, rng)
+            s = tuple({1: 2, 2: 1}.get(k, k) for k in g)
+            ct = {D.code: c for D, c in decompose_triple(g).items()}
+            cs = {D.code: c for D, c in decompose_triple(s).items()}
+            assert ct == cs, g
 
 
 class TestRank:

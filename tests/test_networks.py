@@ -11,7 +11,7 @@ import pytest
 from a2webs import clear_caches, networks, webcore
 from a2webs.immanants import evaluate_immanant, irreducible_webs
 from a2webs.labelings import boundary_profile, boundary_restriction, enumerate_labelings
-from a2webs.minors import all_triples, boundary_from_triple, decompose_triple, triple_product
+from a2webs.minors import all_triples, decompose_triple, triple_blocks, triple_product
 from a2webs.networks import (
     MAX_PATH_FAMILIES,
     NetEdge,
@@ -106,11 +106,12 @@ def eye_net():
     )
 
 
-def block_families(net, T):
-    """Path families refining a block triple: within each block the
-    paths are vertex-disjoint, across blocks they may share freely."""
+def block_families(net, g):
+    """Path families refining the block triple with boundary word g:
+    within each block the paths are vertex-disjoint, across blocks
+    they may share freely."""
     out = [[]]
-    for I, J in zip(T.rows, T.cols):
+    for I, J in zip(*triple_blocks(g)):
         block_opts = []
         for perm in itertools.permutations(J):
             pools = [net.paths_between(i - 1, j - 1) for i, j in zip(I, perm)]
@@ -572,6 +573,17 @@ class TestMarking:
         net = identity_network(1)
         with pytest.raises(WebError):
             uncross(net, ((3, 1),))
+        # beside a marking that covers the network on its own, an id
+        # past either end of the edge list is refused, not skipped or
+        # read from the other end
+        net = identity_network(2, [2, 3])
+        marks = ((0, 1), (1, 1))
+        assert uncross(net, marks) == uncross(identity_network(2), marks)
+        assert marking_weight(net, marks) == 6
+        for eid in (99, -1):
+            for fn in (uncross, marking_weight):
+                with pytest.raises(WebError, match=f"edge {eid}"):
+                    fn(net, marks + ((eid, 1),))
 
     def test_rejects_repeated_edge(self):
         net = identity_network(2)
@@ -814,12 +826,12 @@ class TestTripleMinorsOnNetworks:
         for net in (funnel3_net(), hub_net()):
             X = path_matrix(net)
             vals = network_immanants(net)
-            for T in all_triples(3):
+            for g in all_triples(3):
                 rhs = sum(
-                    (Fraction(c) * vals[D] for D, c in decompose_triple(T).items()),
+                    (Fraction(c) * vals[D] for D, c in decompose_triple(g).items()),
                     Fraction(0),
                 )
-                assert triple_product(T, X) == rhs
+                assert triple_product(g, X) == rhs
 
     def test_all_triples_on_random_networks(self):
         rng = random.Random(SEED)
@@ -827,19 +839,18 @@ class TestTripleMinorsOnNetworks:
             net = random_planar_network(3, rng, steps=rng.randint(2, 4))
             X = path_matrix(net)
             vals = network_immanants(net)
-            for T in all_triples(3):
+            for g in all_triples(3):
                 rhs = sum(
-                    (Fraction(c) * vals[D] for D, c in decompose_triple(T).items()),
+                    (Fraction(c) * vals[D] for D, c in decompose_triple(g).items()),
                     Fraction(0),
                 )
-                assert triple_product(T, X) == rhs
+                assert triple_product(g, X) == rhs
 
 
 class TestFamilyLabelingBijection:
     def check_net(self, net, triples):
-        for T in triples:
-            fams = block_families(net, T)
-            g = boundary_from_triple(T)
+        for g in triples:
+            fams = block_families(net, g)
             per = Counter()
             for fam in fams:
                 marks = tuple(sorted(Counter(e for p in fam for e in p).items()))
@@ -863,16 +874,13 @@ class TestFamilyLabelingBijection:
         # one marking of this network is reached by twelve distinct
         # families, so the labeling count must also be twelve
         net = random_planar_network(3, random.Random(2), steps=3)
-        T = next(
-            t for t in all_triples(3)
-            if t.rows == ((1,), (2,), (3,)) and t.cols == ((1,), (2,), (3,))
-        )
-        fams = block_families(net, T)
+        g = (1, 2, 3, 1, 2, 3)
+        fams = block_families(net, g)
         per = Counter()
         for fam in fams:
             per[tuple(sorted(Counter(e for p in fam for e in p).items()))] += 1
         assert max(per.values()) == 12
-        self.check_net(net, [T])
+        self.check_net(net, [g])
 
 
 class TestRandomMatrices:
