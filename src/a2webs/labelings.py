@@ -182,13 +182,18 @@ def _vertex_sign(role: str, left, right, lab) -> int:
     return 1 if upper_bigger else -1
 
 
+def _check_counts(w: Web, f: tuple[int, ...]) -> None:
+    # a labeling has one label per edge, then one per closed loop
+    if len(f) != len(w.pmap.edges) + w.pmap.loops:
+        raise WebError("labeling does not match the web's edge and loop counts")
+
+
 def labeling_weight(w: Web, f: tuple[int, ...]) -> LaurentPoly:
     """The monomial t^k of one labeling, read off w's drawing.  The
     value does not depend on which drawing of the map is used."""
+    _check_counts(w, f)
     m, geom = w.pmap, w.geom
     ne = len(m.edges)
-    if len(f) != ne + m.loops:
-        raise WebError("labeling does not match the web's edge and loop counts")
     total = 0
     for v, (left, right) in geom.vertex_sides.items():
         total += _vertex_sign(m.roles[v][0], left, right, f)
@@ -282,7 +287,7 @@ def _square_balance(w: Web, f: tuple[int, ...], oc: Outcome) -> int:
     for e in oc.face_edges:
         lhs += (4 - 2 * f[e]) * sum(geom.edge_turns[e])
     rhs = 0
-    for ch in oc.chains + oc.closed_chains:
+    for ch in oc.chains:
         wgt = 4 - 2 * f[ch.edges[0]]
         for j in range(1, len(ch.edges), 2):
             rhs -= wgt * sum(geom.edge_turns[ch.edges[j]])
@@ -319,7 +324,7 @@ def _transport_step(w: Web, outcomes, f: tuple[int, ...]) -> tuple[Outcome, tupl
     admissible = []
     for oc in outcomes:
         chain_labels = {}
-        for ch in oc.chains + oc.closed_chains:
+        for ch in oc.chains:
             lbl = _chain_label(f, ch)
             if lbl is None:
                 break
@@ -352,6 +357,7 @@ def transport_and_type(w: Web, f: tuple[int, ...]) -> tuple[Web, tuple[int, ...]
     face hands its forced outside label to the fused edge, and a
     four-sided face picks the resolution that carries the labeling.
     An irreducible w is its own type, in its own edge numbering."""
+    _check_counts(w, f)
     cur_w, cur_f = w, f
     while True:
         host, outcomes = rewrite_step(cur_w)

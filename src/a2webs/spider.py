@@ -57,14 +57,15 @@ class Chain:
 
 @dataclass(frozen=True)
 class Outcome:
-    """One branch of a rewrite step, with its transport metadata."""
+    """One branch of a rewrite step, with its transport metadata.
+    chains holds every fused run of the step: the open runs, then the
+    closed ones (child_eid -1)."""
 
     coeff: LaurentPoly
     child: Web
     kind: str  # "loops" | "bigon" | "square"
     edge_map: dict  # surviving parent eid -> child eid
     chains: tuple[Chain, ...] = ()
-    closed_chains: tuple[Chain, ...] = ()
     face_edges: tuple[int, ...] = ()
     corners: tuple[int, ...] = ()
 
@@ -269,18 +270,15 @@ def _resolve_face(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
             via = fe[(k + 1) % size]
             pair_of[a] = (b, via)
             pair_of[b] = (a, via)
-        chains_raw, closed_raw, replaced, new_edges = _route_chains(
-            m, corners, externals, pair_of
-        )
-        dead_e = set(fe) | {e for es, _ in chains_raw + closed_raw for e in es}
+        runs, replaced, new_edges = _route_chains(m, corners, externals, pair_of)
+        dead_e = set(fe).union(*(es for es, _, _ in runs))
         raw, emap, new_ids = _rebuild(m, set(corners), dead_e, new_edges, replaced)
         outcomes.append(Outcome(
-            coeff=coeff * qint(3) ** len(closed_raw),
+            coeff=coeff * qint(3) ** sum(slot < 0 for _, _, slot in runs),
             child=Web.from_map(raw),
             kind=kind,
             edge_map=emap,
-            chains=tuple(Chain(es, cs, new_ids[i]) for i, (es, cs) in enumerate(chains_raw)),
-            closed_chains=tuple(Chain(es, cs, -1) for es, cs in closed_raw),
+            chains=tuple(Chain(es, cs, new_ids[slot] if slot >= 0 else -1) for es, cs, slot in runs),
             face_edges=tuple(fe),
             corners=tuple(corners),
         ))
@@ -288,70 +286,43 @@ def _resolve_face(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
 
 
 def _route_chains(m, corners, externals, pair_of):
-    corner_set = set(corners)
+    """Walk every fused run once: open runs first, each from the outside
+    edge whose tail survives, then closed runs, each from an outside
+    edge's head.  A step passes the corner's partner and leaves along
+    its outside edge, until a surviving vertex ends the run or the first
+    edge comes round again, closing it (then corners[j] follows edges[j]
+    cyclically).  Returns (edges, corners, slot) per run, slot indexing
+    new_edges or -1 when closed, with the replaced rotation slots and
+    the new edges."""
     ext_of = dict(zip(corners, externals))
-
-    def far_end(e, v):
-        t, h = m.edges[e]
-        return t if h == v else h
-
     done = set()
-    chains_raw = []
+    runs = []
     replaced = {}
     new_edges = []
-    # open runs start at an external whose far end survives and is the
-    # edge's tail (or, failing that, whose far end is a source vertex)
-    for c, x in zip(corners, externals):
+    for x in [x for x in externals if m.edges[x][0] not in ext_of] + externals:
         if x in done:
             continue
-        start = far_end(x, c)
-        if start in corner_set:
-            continue
-        if m.edges[x][0] != start:
-            continue  # walk each open run from its tail end only
-        edges_run = [x]
-        corners_run = []
-        done.add(x)
-        while True:
-            partner, via = pair_of[c]
-            corners_run.append(c)
-            edges_run.append(via)
-            corners_run.append(partner)
-            x2 = ext_of[partner]
-            edges_run.append(x2)
-            done.add(x2)
-            nxt = far_end(x2, partner)
-            if nxt not in corner_set:
-                idx = len(new_edges)
-                new_edges.append((start, nxt))
-                replaced[(start, edges_run[0])] = idx
-                replaced[(nxt, x2)] = idx
-                chains_raw.append((tuple(edges_run), tuple(corners_run)))
-                break
-            c = nxt
-    closed_raw = []
-    for x in externals:
-        if x in done:
-            continue
-        # both ends of x are corners: the run closes up; traverse x
-        # forward, so corners_run[j] follows edges_run[j] cyclically
-        done.add(x)
-        edges_run = [x]
-        corners_run = []
+        edges_run, corners_run, slot = [x], [], -1
         c = m.edges[x][1]
         while True:
             partner, via = pair_of[c]
-            corners_run.append(c)
+            corners_run += (c, partner)
             edges_run.append(via)
-            corners_run.append(partner)
             x2 = ext_of[partner]
             if x2 == x:
                 break
             edges_run.append(x2)
-            done.add(x2)
-            c = far_end(x2, partner)
-        closed_raw.append((tuple(edges_run), tuple(corners_run)))
-    return chains_raw, closed_raw, replaced, new_edges
+            t, h = m.edges[x2]
+            c = t if h == partner else h
+            if c not in ext_of:
+                start = m.edges[x][0]
+                slot = len(new_edges)
+                new_edges.append((start, c))
+                replaced[(start, x)] = replaced[(c, x2)] = slot
+                break
+        done.update(edges_run[::2])
+        runs.append((tuple(edges_run), tuple(corners_run), slot))
+    return runs, replaced, new_edges
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +354,6 @@ class WebCombo(Combo):
     @staticmethod
     def _product(a: Web, b: Web) -> Iterable[tuple[Web, LaurentPoly]]:
         return web_product(a, b)
-
-    def __pow__(self, k: int) -> "WebCombo":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        acc = WebCombo.unit(self.n)
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .immanants import ExactMatrix, irreducible_webs
-from .labelings import enumerate_labelings
+from .labelings import _check_counts, enumerate_labelings
 from .minors import index_set
 from .perms import Perm, all_perms, avoids, first_reduced_word, is_perm
 from .webcore import Combo, Web, WebError
@@ -65,13 +65,6 @@ class A1Web:
         a, b = arc
         return a < self.n <= b
 
-    def partners(self) -> dict:
-        out: dict[int, int] = {}
-        for a, b in self.arcs:
-            out[a] = b
-            out[b] = a
-        return out
-
     def to_json_obj(self) -> list:
         return [list(a) for a in self.arcs]
 
@@ -93,53 +86,37 @@ def tl_concat(a: A1Web, b: A1Web) -> tuple[A1Web, int]:
     """Glue a's right side to b's left side.
 
     Returns the resulting matching and the number of closed loops
-    erased.  Junction j means a's point n+j fused with b's point j.
+    erased.  b's point p is numbered 2n + p, so junction j joins a's
+    point n + j to b's point 2n + j, and the outer points are 0..n-1
+    and 3n..4n-1.  One walk runs from each outer point, then from each
+    junction point, not yet reached: along an arc, across the junction
+    it meets, and on until it reaches an outer point or comes back
+    round, closing a loop.
     """
     if a.n != b.n:
         raise WebError(f"cannot concatenate matchings on {a.n} and {b.n} strands")
     n = a.n
-    pa, pb = a.partners(), b.partners()
-
-    seen: set[int] = set()
-
-    def trace(diag: str, pt: int) -> tuple[str, int]:
-        while True:
-            q = (pa if diag == "a" else pb)[pt]
-            if diag == "a":
-                if q < n:
-                    return ("a", q)
-                seen.add(q - n)
-                diag, pt = "b", q - n
-            else:
-                if q >= n:
-                    return ("b", q)
-                seen.add(q)
-                diag, pt = "a", n + q
-
-    arcs = []
-    done: set[tuple[str, int]] = set()
-    for start in [("a", p) for p in range(n)] + [("b", p) for p in range(n, 2 * n)]:
-        if start in done:
+    mate = [0] * (4 * n)
+    for off, m in ((0, a), (2 * n, b)):
+        for p, q in m.arcs:
+            mate[off + p], mate[off + q] = off + q, off + p
+    seen = [False] * (4 * n)
+    arcs, loops = [], 0
+    for start in [*range(n), *range(3 * n, 4 * n), *range(n, 3 * n)]:
+        if seen[start]:
             continue
-        end = trace(*start)
-        done.add(start)
-        done.add(end)
-        arcs.append((start[1], end[1]))
-
-    loops = 0
-    left = set(range(n)) - seen
-    while left:
-        start = left.pop()
-        loops += 1
-        j = start
+        p = start
         while True:
-            j1 = pa[n + j] - n
-            if j1 != start:
-                left.remove(j1)
-            j = pb[j1]
-            if j == start:
+            seen[p] = True
+            p = mate[p]
+            seen[p] = True
+            if not n <= p < 3 * n:
+                arcs.append((start % (2 * n), p % (2 * n)))
                 break
-            left.remove(j)
+            p += n if p < 2 * n else -n
+            if p == start:
+                loops += 1
+                break
     return A1Web(n, tuple(arcs)), loops
 
 
@@ -279,6 +256,7 @@ def forgetful(w: Web, f: tuple[int, ...]) -> A1Web:
     concatenate into arcs between the surviving boundary points; closed
     curves and drawn loops are discarded without any factor.  The
     matching's labeling is f's boundary word with its 3s removed."""
+    _check_counts(w, f)
     m = w.pmap
     nb = 2 * m.n
     bedge = [m.rot[v][0] >> 1 for v in range(nb)]

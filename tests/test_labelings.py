@@ -407,6 +407,14 @@ class TestTransport:
                     assert boundary_restriction(w, f) == boundary_restriction(ty, tf)
 
 
+    def test_rejects_labeling_of_wrong_length(self):
+        w = product_web(3, [1, 2, 1])
+        f = enumerate_labelings(w)[0]
+        for bad in (f[:-1], f + (1,), ()):
+            with pytest.raises(WebError, match="edge and loop counts"):
+                transport_and_type(w, bad)
+
+
 class TestCoefficients:
     def test_bigon_coefficient(self):
         got = coefficient_via_labelings(

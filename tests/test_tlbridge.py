@@ -119,6 +119,22 @@ class TestDiagramAlgebra:
         with pytest.raises(WebError):
             tl_concat(tl_generator(2, 1), tl_generator(3, 1))
 
+    # sha256 of the glued matching and loop count of every ordered pair
+    # of matchings on 1..5 strands
+    GLUED = "69b3915af3baa43d9f54c07e383fba8e45a72682547cf8b3750febdfc16dd602"
+
+    def test_gluing_is_pinned(self):
+        h = hashlib.sha256()
+        pairs = 0
+        for n in range(1, 6):
+            webs = all_a1_webs(n)
+            for a, b in itertools.product(webs, repeat=2):
+                prod, loops = tl_concat(a, b)
+                h.update(repr((a.arcs, b.arcs, prod.arcs, loops)).encode())
+                pairs += 1
+        assert pairs == 1990
+        assert h.hexdigest() == self.GLUED
+
 
 class TestThetaTwo:
     def test_identity_is_unit(self):
@@ -313,6 +329,13 @@ class TestForgetful:
         assert seen <= set(all_a1_webs(3))
         assert identity_matching(3) in seen
         assert tl_generator(3, 1) in seen and tl_generator(3, 2) in seen
+
+    def test_rejects_labeling_of_wrong_length(self):
+        w = product_web(2, [1])
+        f = enumerate_labelings(w)[0]
+        for bad in (f[:-1], f + (1,), ()):
+            with pytest.raises(WebError, match="edge and loop counts"):
+                forgetful(w, bad)
 
     def test_closed_loops_are_discarded(self):
         w = product_web(2, (1, 1))
