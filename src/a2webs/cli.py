@@ -29,12 +29,10 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1
+from .exactmath import MAX_RATIONAL_CHARS, eval_q1
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -202,13 +200,20 @@ class _ExprParser:
         if tok == "Id":
             return WebCombo.unit(self.n)
         if tok.startswith("E") and tok[1:].isdigit():
-            return generator_combo(self.n, int(tok[1:]))
+            return generator_combo(self.n, _number(tok[1:], at))
         if tok.startswith("D2"):
-            idx = tok[2:].lstrip("_")
-            return second_generator_combo(self.n, int(idx))
+            return second_generator_combo(self.n, _number(tok[2:].lstrip("_"), at))
         if tok.isdigit():
-            return WebCombo.unit(self.n).scale(int(tok))
+            return WebCombo.unit(self.n).scale(_number(tok, at))
         raise WebError(f"unexpected {tok!r} at column {at + 1} of {self.text!r}")
+
+
+def _number(text: str, at: Optional[int] = None) -> int:
+    # parse_rational's bound on rational strings, checked before int() reads the digits
+    if len(text.lstrip("-")) > MAX_RATIONAL_CHARS:
+        where = "" if at is None else f" at column {at + 1}"
+        raise WebError(f"number longer than {MAX_RATIONAL_CHARS} digits{where}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +313,8 @@ def cmd_network(args) -> int:
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return json.load(fh, parse_int=_number)
+    except ValueError as exc:  # bad JSON or UTF-8, or an overlong integer
         raise WebError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise WebError(f"cannot read {path}: {exc}") from exc
@@ -317,14 +322,6 @@ def _load_json(path: str):
 
 # ---------------------------------------------------------------------------
 # Verification suites
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    suite: str
-    n: int
-    samples: Optional[int] = None
-    seed: int = 0
 
 
 def _suite_relations(n: int, samples: Optional[int], rng: random.Random) -> tuple[bool, dict]:
@@ -545,59 +542,49 @@ def _run_named(task: tuple[str, int, Optional[int], int]) -> dict:
     }
 
 
-def run_suite(cfg: SuiteConfig) -> dict:
-    """Execute one named suite (or all of them) and assemble a report.
+def run_suite(suite: str, n: int, samples: Optional[int] = None, seed: int = 0) -> dict:
+    """Execute one named suite (or all of them, one after another) and
+    assemble a report.
 
     Single suites refuse strand counts beyond their documented bound;
     the combined run clamps each suite to its own bound instead.  The
     seed fixes every random choice, so reports are identical across
     runs except for the timing fields.
     """
-    if cfg.suite not in SUITES:
-        raise WebError(f"unknown suite {cfg.suite!r}; pick from {', '.join(SUITES)}")
-    if cfg.n < 2 and cfg.suite != "dimensions":
-        raise WebError(f"suites need n >= 2, got {cfg.n}")
-    if cfg.n < 1:
-        raise WebError(f"need n >= 1, got {cfg.n}")
-    if cfg.samples is not None and cfg.samples < 1:
-        raise WebError(f"need samples >= 1, got {cfg.samples}")
-    if cfg.suite == "all":
+    if suite not in SUITES:
+        raise WebError(f"unknown suite {suite!r}; pick from {', '.join(SUITES)}")
+    if n < 2 and suite != "dimensions":
+        raise WebError(f"suites need n >= 2, got {n}")
+    if n < 1:
+        raise WebError(f"need n >= 1, got {n}")
+    if samples is not None and samples < 1:
+        raise WebError(f"need samples >= 1, got {samples}")
+    if suite == "all":
         tasks = [
-            (name, min(cfg.n, STRAND_BOUNDS[name]), cfg.samples, cfg.seed * 1009 + i)
+            (name, min(n, STRAND_BOUNDS[name]), samples, seed * 1009 + i)
             for i, name in enumerate(_SUITE_FNS)
         ]
     else:
-        cap = STRAND_BOUNDS[cfg.suite]
-        if cfg.n > cap:
+        cap = STRAND_BOUNDS[suite]
+        if n > cap:
             raise WebError(
-                f"suite {cfg.suite!r} is documented up to n={cap}, got n={cfg.n}; "
+                f"suite {suite!r} is documented up to n={cap}, got n={n}; "
                 "larger strand counts are out of the exhaustive range"
             )
-        tasks = [(cfg.suite, cfg.n, cfg.samples, cfg.seed)]
-    raw = os.environ.get("A2WEBS_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise WebError(f"A2WEBS_WORKERS must be an integer, got {raw!r}") from None
-    if workers > 1 and len(tasks) > 1:
-        # the pool starts all its processes at once: one per task at most
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            checks = list(pool.map(_run_named, tasks))
-    else:
-        checks = [_run_named(t) for t in tasks]
+        tasks = [(suite, n, samples, seed)]
+    checks = [_run_named(t) for t in tasks]
     return {
-        "suite": cfg.suite,
-        "n": cfg.n,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
+        "suite": suite,
+        "n": n,
+        "samples": samples,
+        "seed": seed,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
 
 
 def cmd_verify(args) -> int:
-    cfg = SuiteConfig(suite=args.suite, n=args.n, samples=args.samples, seed=args.seed)
-    report = run_suite(cfg)
+    report = run_suite(args.suite, args.n, args.samples, args.seed)
     _emit(report)
     return 0 if report["passed"] else 1
 
@@ -675,6 +662,12 @@ def _silence_stdout() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact values print in full, past the interpreter's default cap on
+    # int/str conversion; the cap is restored so in-process callers keep
+    # their own.  Numbers read from input are bounded where they are read.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         rc = args.fn(args)
         sys.stdout.flush()
@@ -688,6 +681,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         _silence_stdout()
         return 141
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

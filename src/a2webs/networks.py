@@ -690,33 +690,19 @@ def random_planar_network(n: int, rng: random.Random, steps: int = 4) -> PlanarN
                 edges.append((heads[lo], col[lo + 1], _rnd_weight(rng)))
             elif kind == "rise":
                 edges.append((heads[lo + 1], col[lo], _rnd_weight(rng)))
-        elif kind == "funnel2":
-            ym = (ys[lo] + ys[lo + 1]) / 2
+        elif kind in ("funnel2", "funnel3"):
+            span = range(lo, lo + (2 if kind == "funnel2" else 3))
+            ym = (ys[span[0]] + ys[span[-1]]) / 2
             m, s = f"m{t}", f"w{t}"
             vertices += newv
             vertices += [(m, x - Fraction(2, 3), ym), (s, x - Fraction(1, 3), ym)]
-            edges.append((heads[lo], m, _rnd_weight(rng)))
-            edges.append((heads[lo + 1], m, _rnd_weight(rng)))
-            edges.append((m, s, _rnd_weight(rng)))
-            edges.append((s, col[lo], Fraction(1)))
-            edges.append((s, col[lo + 1], Fraction(1)))
-            for i in range(n):
-                if i not in (lo, lo + 1):
-                    edges.append((heads[i], col[i], Fraction(1)))
-        elif kind == "funnel3":
-            m, s = f"m{t}", f"w{t}"
-            vertices += newv
-            vertices += [
-                (m, x - Fraction(2, 3), ys[lo + 1]),
-                (s, x - Fraction(1, 3), ys[lo + 1]),
-            ]
-            for i in (lo, lo + 1, lo + 2):
+            for i in span:
                 edges.append((heads[i], m, _rnd_weight(rng)))
             edges.append((m, s, _rnd_weight(rng)))
-            for i in (lo, lo + 1, lo + 2):
+            for i in span:
                 edges.append((s, col[i], Fraction(1)))
             for i in range(n):
-                if i not in (lo, lo + 1, lo + 2):
+                if i not in span:
                     edges.append((heads[i], col[i], Fraction(1)))
         else:  # hub
             h = f"h{t}"

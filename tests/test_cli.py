@@ -4,10 +4,11 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from a2webs.cli import SuiteConfig, _ExprParser, _suite_tnn, build_parser, main, run_suite
+from a2webs.cli import _ExprParser, _suite_tnn, build_parser, main, run_suite
 from a2webs.exactmath import eval_q1
 from a2webs.minors import decompose_triple, triple_word
 from a2webs.networks import random_planar_network
@@ -28,6 +29,18 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def digits_of(value: int) -> str:
+    """str(value) past the interpreter's cap on int/str conversion."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestExpressionParser:
@@ -82,14 +95,14 @@ class TestExpressionParser:
 class TestRunSuite:
     def test_all_n2_passes_fast(self):
         t0 = time.perf_counter()
-        rep = run_suite(SuiteConfig(suite="all", n=2, seed=SEED))
+        rep = run_suite("all", 2, seed=SEED)
         took = time.perf_counter() - t0
         assert rep["passed"]
         assert took < 1.0
         assert len(rep["checks"]) == 9
 
     def test_dimensions_n4_reports_23(self):
-        rep = run_suite(SuiteConfig(suite="dimensions", n=4, seed=SEED))
+        rep = run_suite("dimensions", 4, seed=SEED)
         assert rep["passed"]
         rows = rep["checks"][0]["details"]["rows"]
         assert rows[-1] == {"n": 4, "webs": 23, "avoiding": 23, "tableaux": 23}
@@ -100,27 +113,27 @@ class TestRunSuite:
         assert [row["n"] for row in details["rows"]] == [3, 4, 5]
 
     def test_relations_n3_passes(self):
-        rep = run_suite(SuiteConfig(suite="relations", n=3, seed=SEED))
+        rep = run_suite("relations", 3, seed=SEED)
         assert rep["passed"]
         assert rep["checks"][0]["details"]["relations"] > 0
 
     def test_every_suite_passes_at_its_cap(self):
         for name, cap in (("kappa", 4), ("ci", 4), ("minors", 4), ("bridge", 3),
                           ("networks", 3), ("tnn", 4), ("dimensions", 6)):
-            rep = run_suite(SuiteConfig(suite=name, n=cap, seed=SEED, samples=2))
+            rep = run_suite(name, cap, seed=SEED, samples=2)
             assert rep["passed"], name
 
     def test_kappa_names_the_strand_count_of_its_pairs(self):
         for n, drawn in ((2, 2), (3, 3), (4, 3)):
-            rep = run_suite(SuiteConfig(suite="kappa", n=n, seed=SEED, samples=2))
+            rep = run_suite("kappa", n, seed=SEED, samples=2)
             assert rep["checks"][0]["details"]["pairs_max_n"] == drawn
 
     def test_single_suite_refuses_over_cap(self):
         with pytest.raises(WebError, match="documented up to n=3"):
-            run_suite(SuiteConfig(suite="bridge", n=4))
+            run_suite("bridge", 4)
 
     def test_all_clamps_instead_of_refusing(self):
-        rep = run_suite(SuiteConfig(suite="all", n=5, seed=SEED, samples=2))
+        rep = run_suite("all", 5, seed=SEED, samples=2)
         assert rep["passed"]
         by_name = {c["name"]: c["n"] for c in rep["checks"]}
         assert by_name["dimensions"] == 5
@@ -128,12 +141,12 @@ class TestRunSuite:
 
     def test_unknown_suite(self):
         with pytest.raises(WebError, match="unknown suite"):
-            run_suite(SuiteConfig(suite="nope", n=2))
+            run_suite("nope", 2)
 
     def test_too_small_n(self):
         with pytest.raises(WebError, match="n >= 2"):
-            run_suite(SuiteConfig(suite="kappa", n=1))
-        rep = run_suite(SuiteConfig(suite="dimensions", n=1))
+            run_suite("kappa", 1)
+        rep = run_suite("dimensions", 1)
         assert rep["passed"]
 
     def test_same_seed_same_report(self):
@@ -142,22 +155,9 @@ class TestRunSuite:
                 c.pop("seconds")
             return rep
 
-        a = strip(run_suite(SuiteConfig(suite="all", n=3, seed=7)))
-        b = strip(run_suite(SuiteConfig(suite="all", n=3, seed=7)))
+        a = strip(run_suite("all", 3, seed=7))
+        b = strip(run_suite("all", 3, seed=7))
         assert a == b
-
-    def test_parallel_run_matches_serial(self):
-        env = dict(os.environ, A2WEBS_WORKERS="4")
-        cmd = [sys.executable, "-m", "a2webs.cli", "verify", "--n", "2", "--seed", "7"]
-        par = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        assert par.returncode == 0, par.stderr
-        got = json.loads(par.stdout)
-        for c in got["checks"]:
-            c.pop("seconds")
-        want = run_suite(SuiteConfig(suite="all", n=2, seed=7))
-        for c in want["checks"]:
-            c.pop("seconds")
-        assert got == want
 
 
 class TestSubcommands:
@@ -309,8 +309,6 @@ class TestSubcommands:
         assert got["passed"]
 
     def test_network_strand_bound_is_the_immanant_bound(self, capsys, tmp_path):
-        from pathlib import Path
-
         from a2webs.networks import identity_network
 
         path = tmp_path / "net.json"
@@ -357,6 +355,30 @@ class TestSubcommands:
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "")
         assert err.startswith("error: network has more than") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--immanants", "--check-corollary"])
+    def test_network_prints_exact_values_of_any_length(self, capsys, flag):
+        # one strand through 6 edges, each weighted 10^999 - 1: 5,994 digits
+        path = Path(__file__).parent / "golden" / "heavy_chain_6.json"
+        rc, got = run_json(capsys, ["network", "--file", str(path), flag])
+        assert rc == 0
+        want = digits_of((10**999 - 1) ** 6)
+        if flag == "--matrix":
+            assert got["rows"] == [[want]]
+        elif flag == "--immanants":
+            assert list(got.values()) == [want]
+        else:
+            assert got["passed"] is True
+            (imm,) = got["immanants"]
+            assert imm["from_network"] == imm["from_matrix"] == want
+
+    def test_reduce_prints_exact_values_of_any_length(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        nines = "9" * 1000
+        rc, got = run_json(capsys, ["reduce", "--n", "2", "*".join([nines] * 5)])
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert rc == 0
+        assert list(got.values()) == [digits_of((10**1000 - 1) ** 5)]
 
     def test_network_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -495,33 +517,21 @@ class TestMalformedInput:
     def test_zero_strands(self, capsys, argv):
         assert one_error_line(capsys, argv) == "error: need n >= 1, got 0"
 
-    def test_workers_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("A2WEBS_WORKERS", "x")
-        line = one_error_line(capsys, ["verify", "--n", "2"])
-        assert line == "error: A2WEBS_WORKERS must be an integer, got 'x'"
+    @pytest.mark.parametrize("digits", [1001, 5000])
+    @pytest.mark.parametrize("head", ["", "E", "D2_"], ids=["scalar", "E", "D2_"])
+    def test_long_numbers_in_expressions(self, capsys, head, digits):
+        expr = "Id+" + head + "1" * digits
+        line = one_error_line(capsys, ["reduce", "--n", "2", expr])
+        assert line == "error: number longer than 1000 digits at column 4"
 
-    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
-        # a stand-in pool that runs the tasks here: no process starts
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("a2webs.cli.ProcessPoolExecutor", Pool)
-        monkeypatch.setenv("A2WEBS_WORKERS", str(10**6))
-        rep = run_suite(SuiteConfig(suite="all", n=2, seed=SEED))
-        assert rep["passed"]
-        assert sizes == [len(rep["checks"])] == [9]
+    def test_long_integers_in_json(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "rows": [[%s]]}' % ("9" * 1000))
+        rc, got = run_json(capsys, ["immanants", "--n", "1", "--matrix", str(path)])
+        assert (rc, list(got.values())) == (0, ["9" * 1000])
+        path.write_text('{"n": 1, "rows": [[-%s]]}' % ("9" * 1001))
+        line = one_error_line(capsys, ["immanants", "--n", "1", "--matrix", str(path)])
+        assert line == f"error: {path}: number longer than 1000 digits"
 
     @pytest.mark.parametrize("expr", ["(" * 101 + "E1" + ")" * 101, "(" * 5000], ids=["101", "5000"])
     def test_deep_parentheses(self, capsys, expr):
@@ -531,3 +541,10 @@ class TestMalformedInput:
     def test_signs_fold(self):
         assert _ExprParser("-" * 5001 + "E1", 3).parse() == -generator_combo(3, 1)
         assert _ExprParser("(" * 100 + "E1" + ")" * 100, 3).parse() == generator_combo(3, 1)
+
+
+def test_cli_import_starts_no_process_machinery():
+    code = ("import sys, a2webs.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
