@@ -32,7 +32,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import MAX_RATIONAL_CHARS, eval_q1
+from .exactmath import eval_q1, parse_int, quoted
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -106,9 +106,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise WebError(f"bad integer list {text!r}: {exc}") from exc
+        return tuple(map(_number, text.split(",")))
+    except ValueError as exc:  # not an integer, or overlong
+        raise WebError(f"bad integer list {quoted(text)}: {exc}") from exc
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:
@@ -117,9 +117,9 @@ def _parse_perm(text: str) -> tuple[int, ...]:
     elif text.isdigit():
         w = tuple(int(ch) for ch in text)
     else:
-        raise WebError(f"bad permutation {text!r}: use digits like 231")
+        raise WebError(f"bad permutation {quoted(text)}: use digits like 231")
     if not is_perm(w):
-        raise WebError(f"{text!r} is not a permutation of 1..{len(w)}")
+        raise WebError(f"{quoted(text)} is not a permutation of 1..{len(w)}")
     return w
 
 
@@ -158,7 +158,7 @@ class _ExprParser:
         combo = self._sum()
         if self.pos < len(self.toks):
             tok, at = self.toks[self.pos]
-            raise WebError(f"unexpected {tok!r} at column {at + 1} of {self.text!r}")
+            raise WebError(f"unexpected {quoted(tok)} at column {at + 1} of {quoted(self.text)}")
         return combo
 
     def _sum(self) -> WebCombo:
@@ -185,7 +185,7 @@ class _ExprParser:
 
     def _atom(self) -> WebCombo:
         if self.pos >= len(self.toks):
-            raise WebError(f"expression ends early: {self.text!r}")
+            raise WebError(f"expression ends early: {quoted(self.text)}")
         tok, at = self._take()
         if tok == "(":
             self.depth += 1
@@ -193,7 +193,7 @@ class _ExprParser:
                 raise WebError(f"parentheses nest deeper than {_MAX_NESTING} at column {at + 1}")
             inner = self._sum()
             if self._peek() != ")":
-                raise WebError(f"missing ')' at column {at + 1} of {self.text!r}")
+                raise WebError(f"missing ')' at column {at + 1} of {quoted(self.text)}")
             self._take()
             self.depth -= 1
             return inner
@@ -205,15 +205,17 @@ class _ExprParser:
             return second_generator_combo(self.n, _number(tok[2:].lstrip("_"), at))
         if tok.isdigit():
             return WebCombo.unit(self.n).scale(_number(tok, at))
-        raise WebError(f"unexpected {tok!r} at column {at + 1} of {self.text!r}")
+        raise WebError(f"unexpected {quoted(tok)} at column {at + 1} of {quoted(self.text)}")
 
 
 def _number(text: str, at: Optional[int] = None) -> int:
-    # parse_rational's bound on rational strings, checked before int() reads the digits
-    if len(text.lstrip("-")) > MAX_RATIONAL_CHARS:
+    """An integer of the input, refused past MAX_RATIONAL_CHARS digits
+    (see exactmath.parse_int)."""
+    try:
+        return parse_int(text)
+    except OverflowError as exc:
         where = "" if at is None else f" at column {at + 1}"
-        raise WebError(f"number longer than {MAX_RATIONAL_CHARS} digits{where}")
-    return int(text)
+        raise WebError(f"{exc}{where}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ class InexactDivisionError(ArithmeticError):
 # Every float's decimal form fits them.
 MAX_RATIONAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
+# The most characters of a user's text that an error message quotes.
+MAX_QUOTED_CHARS = 80
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
 
@@ -49,6 +51,27 @@ def parse_rational(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"not a rational: {x!r}")
+
+
+def quoted(text: str) -> str:
+    """repr(text) for an error message, cut after MAX_QUOTED_CHARS
+    characters and then followed by the length of the whole text."""
+    if len(text) <= MAX_QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:MAX_QUOTED_CHARS]!r}... ({len(text):,} characters)"
+
+
+def parse_int(text: str) -> int:
+    """int(text) under parse_rational's bound: a text with more than
+    MAX_RATIONAL_CHARS characters besides its sign and surrounding
+    space raises OverflowError before int() reads it.  Any other bad
+    text raises int()'s ValueError, quoting the text through `quoted`."""
+    if len(text.strip().lstrip("+-")) > MAX_RATIONAL_CHARS:
+        raise OverflowError(f"number longer than {MAX_RATIONAL_CHARS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid literal for int() with base 10: {quoted(text)}") from None
 
 
 class LaurentPoly:

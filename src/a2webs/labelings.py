@@ -35,7 +35,7 @@ import operator
 from collections import Counter, deque
 from typing import Optional
 
-from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div
+from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
 from .webcore import (
     ROLE_SINK,
@@ -52,11 +52,13 @@ def word_from_text(text: str) -> tuple[int, ...]:
     """The boundary word written like 1,2:1,2, sources then sinks."""
     parts = text.split(":")
     if len(parts) != 2:
-        raise WebError(f"boundary {text!r} must look like 1,2:1,2")
+        raise WebError(f"boundary {quoted(text)} must look like 1,2:1,2")
     try:
-        src, snk = ([int(x) for x in part.split(",")] for part in parts)
+        src, snk = ([parse_int(x) for x in part.split(",")] for part in parts)
     except ValueError as exc:
-        raise WebError(f"boundary {text!r} has a non-integer entry") from exc
+        raise WebError(f"boundary {quoted(text)} has a non-integer entry") from exc
+    except OverflowError as exc:
+        raise WebError(f"boundary {quoted(text)}: {exc}") from exc
     if len(src) != len(snk):
         raise WebError("source and sink words must have equal length")
     return tuple(src + snk)

@@ -37,7 +37,6 @@ that breaks this contract is refused.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,11 +136,12 @@ class PlanarNetwork:
     sit in the interior of an edge.  `order` lists the vertices in
     sweep order, by x and top to bottom within a column; `out_edges`
     lists each vertex's out-edges top to bottom as they leave it, by
-    slope.
+    slope.  The path table, the sweep table and the path matrix are
+    built on first use and kept on the network.
     """
 
-    __slots__ = ("n", "ids", "pos", "edges", "sources", "sinks",
-                 "order", "out_edges", "in_edges", "_paths", "_sweep", "_gaps")
+    __slots__ = ("n", "ids", "pos", "edges", "sources", "sinks", "order",
+                 "out_edges", "in_edges", "_paths", "_sweep", "_matrix", "_gaps")
 
     def __init__(
         self,
@@ -212,8 +212,7 @@ class PlanarNetwork:
             if self.out_edges[t]:
                 raise WebError(f"exit {t!r} has an outgoing edge")
         _check_drawing(pos, self.edges, at)
-        self._paths = None
-        self._sweep = None
+        self._paths = self._sweep = self._matrix = None
         self._gaps: dict[tuple[str, int], int] = {}
 
     # -- serialization ----------------------------------------------------
@@ -294,13 +293,17 @@ class PlanarNetwork:
 
     # -- the sweep of uncross ---------------------------------------------
 
-    def _sweep_table(self) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
-        """The positions in `order` of each edge's tail and head, and
-        of every entry and exit."""
+    def _sweep_table(self) -> tuple[tuple[tuple[int, int], ...], tuple, tuple[int, ...]]:
+        """The positions in `order` of each edge's tail and head; at
+        each position its vertex, its role ("entry", "exit" or None) and
+        its in- and out-edges; and the positions of the entries and
+        exits."""
         if self._sweep is None:
             at = {v: k for k, v in enumerate(self.order)}
-            ends = {eid: (at[e.tail], at[e.head]) for eid, e in enumerate(self.edges)}
-            self._sweep = (ends, tuple(at[v] for v in self.sources + self.sinks))
+            role = dict.fromkeys(self.sources, "entry") | dict.fromkeys(self.sinks, "exit")
+            self._sweep = (tuple((at[e.tail], at[e.head]) for e in self.edges),
+                           tuple((v, role.get(v), self.in_edges[v], self.out_edges[v]) for v in self.order),
+                           tuple(at[v] for v in self.sources + self.sinks))
         return self._sweep
 
     def _gap(self, entry: str, eid: int) -> int:
@@ -364,8 +367,11 @@ def _permanent(rows: Sequence[Sequence[int]]) -> int:
 
 
 def path_matrix(net: PlanarNetwork) -> ExactMatrix:
-    """Total path weight from each entry to each exit."""
-    return ExactMatrix.from_rows(_path_sums(net, [e.weight for e in net.edges], Fraction(1)))
+    """Total path weight from each entry to each exit, summed once per
+    network: the matrix, and the monomials it caches, are kept on it."""
+    if net._matrix is None:
+        net._matrix = ExactMatrix.from_rows(_path_sums(net, [e.weight for e in net.edges], Fraction(1)))
+    return net._matrix
 
 
 def lindstrom_check(net: PlanarNetwork) -> dict:
@@ -374,14 +380,10 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
     connections cancel in a planar picture, so the two must agree."""
     X = path_matrix(net)
     det = X.det()
-    total = Fraction(0)
-    count = 0
+    total, count = Fraction(0), 0
     for combo in _families(net, identity_perm(net.n), 1):
         count += 1
-        w = Fraction(1)
-        for p in combo:
-            w *= net.path_weight(p)
-        total += w
+        total += net.path_weight(sum(combo, ()))
     return {
         "n": net.n,
         "det": str(det),
@@ -445,18 +447,19 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     # the sweep stops only at the marked edges' ends, the entries and
     # the exits: at any other vertex no strand passes and nothing is
     # checked
-    ends, stops = net._sweep_table()
+    ends, sweep, stops = net._sweep_table()
     at = set(stops)
     for eid in mult:
         at.update(ends[_known_edge(net, eid)])
     # marked edge ids, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column
-    for v in [net.order[k] for k in sorted(at)]:
-        ins = [e for e in net.in_edges[v] if e in mult]
-        outs = [e for e in net.out_edges[v] if e in mult]
-        k_in, k_out = sum(mult[e] for e in ins), sum(mult[e] for e in outs)
-        if v in net.sources:
+    for k in sorted(at):
+        v, role, into, out = sweep[k]
+        ins = [e for e in into if e in mult]
+        outs = [e for e in out if e in mult]
+        k_in, k_out = sum(map(mult.__getitem__, ins)), sum(map(mult.__getitem__, outs))
+        if role == "entry":
             if k_in or k_out != 1:
                 raise WebError(f"entry {v!r} must start exactly one strand")
             i = line.index(v)
@@ -467,7 +470,7 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
                 raise WebError(f"entry {v!r} lies outside the gap its strand enters")
             line[i] = outs[0]
             continue
-        if v in net.sinks:
+        if role == "exit":
             if k_out or k_in != 1:
                 raise WebError(f"exit {v!r} must end exactly one strand")
             line[line.index(ins[0])] = v
@@ -478,9 +481,12 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
             raise WebError(f"four or more strands pass through vertex {v!r}")
         if not ins:
             continue
-        at = sorted(line.index(e) for e in ins)
-        i, j = at[0], at[-1] + 1
-        if j - i != len(at):
+        if len(ins) == 1 == len(outs):  # one run passes straight through
+            line[line.index(ins[0])] = outs[0]
+            continue
+        idx = sorted(map(line.index, ins))
+        i, j = idx[0], idx[-1] + 1
+        if j - i != len(idx):
             raise WebError(f"the strands into vertex {v!r} enclose a boundary strand")
         p = 1 + sum(mult.get(e) != 3 for e in line[:i])
         left = [RIGHT if mult[e] == 1 else LEFT for e in line[i:j] if mult[e] != 3]
@@ -521,33 +527,29 @@ def _families(net: PlanarNetwork, w: Perm, cap: int) -> Iterator[tuple[tuple[int
     """All families of paths joining entry i to exit w(i), no vertex on
     more than cap of them, in `itertools.product` order over the path
     pools.  The pools are walked depth first with the load on each
-    vertex kept as cap.bit_length() bit planes over the vertex masks.
-    Adding a path is a ripple-carry add of its mask, and a path that
-    meets a vertex set in every plane would carry out of the top plane:
-    that vertex is already on cap paths, and the branch is pruned.  The
-    test is exact for cap = 2^k - 1, the only caps accepted."""
-    k = cap.bit_length()
-    if cap < 1 or cap != (1 << k) - 1:
-        raise ValueError(f"vertex cap must be 2^k - 1 for some k >= 1, got {cap}")
+    vertex kept as two bit planes over the vertex masks, lo and hi.
+    Adding a path is a two-bit add of its mask, and a path that meets a
+    vertex set in both planes would carry out of hi: that vertex is
+    already on three paths, and the branch is pruned.  For cap 1 hi
+    starts as all ones, so lo & hi is lo and a vertex on one path
+    blocks every later one; 1 and 3 are the only caps accepted."""
+    if cap not in (1, 3):
+        raise ValueError(f"vertex cap must be 1 or 3, got {cap}")
     table = net._path_table()
     pools = [table.get((i, w[i] - 1), ()) for i in range(net.n)]
     last = net.n - 1
 
-    def extend(i: int, planes: list[int], acc: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
-        full = functools.reduce(operator.and_, planes)
+    def extend(i: int, lo: int, hi: int, acc: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
+        full = lo & hi
         for path, vmask, _ in pools[i]:
             if vmask & full:
                 continue
             if i == last:
                 yield acc + (path,)
-                continue
-            carry, nxt = vmask, []
-            for p in planes:
-                nxt.append(p ^ carry)
-                carry &= p
-            yield from extend(i + 1, nxt, acc + (path,))
+            else:
+                yield from extend(i + 1, lo ^ vmask, hi ^ lo & vmask, acc + (path,))
 
-    return extend(0, [0] * k, ())
+    return extend(0, 0, 0 if cap == 3 else -1, ())
 
 
 def covering_families(net: PlanarNetwork) -> Iterator[tuple[Perm, tuple[tuple[int, ...], ...]]]:
@@ -574,17 +576,23 @@ def covering_markings(net: PlanarNetwork) -> list[tuple[tuple[int, int], ...]]:
     family is keyed by its edge multiplicities, held as two bit-sliced
     ints (lo, hi) summed from its paths' edge masks: bit e of lo and of
     hi are the low and high bits of edge e's count.  No count passes 3,
-    since no vertex is on four paths.  Only the distinct keys are
-    decoded into sorted (eid, multiplicity) tuples."""
+    since no vertex is on four paths.  Consecutive families often share
+    their first n - 1 paths, whose counts are summed again only when
+    that prefix changes.  Only the distinct keys are decoded into sorted
+    (eid, multiplicity) tuples."""
     edge_mask = {path: e for recs in net._path_table().values() for path, _, e in recs}
     keys = set()
+    head = None
     for _, combo in covering_families(net):
-        lo = hi = 0
-        for path in combo:
-            e = edge_mask[path]
-            hi ^= lo & e
-            lo ^= e
-        keys.add((lo, hi))
+        if combo[:-1] != head:
+            head = combo[:-1]
+            lo = hi = 0
+            for path in head:
+                e = edge_mask[path]
+                hi ^= lo & e
+                lo ^= e
+        e = edge_mask[combo[-1]]
+        keys.add((lo ^ e, hi ^ lo & e))
     return sorted(_marks(lo, hi) for lo, hi in keys)
 
 
@@ -615,14 +623,7 @@ def corollary_check(net: PlanarNetwork) -> dict:
     for D in irreducible_webs(net.n):
         a = vals[D]
         b = evaluate_immanant(D, X)
-        rows.append(
-            {
-                "web": list(D.code),
-                "from_network": str(a),
-                "from_matrix": str(b),
-                "match": a == b,
-            }
-        )
+        rows.append({"web": list(D.code), "from_network": str(a), "from_matrix": str(b), "match": a == b})
         ok = ok and a == b
     return {"n": net.n, "passed": ok, "immanants": rows}
 
@@ -643,13 +644,7 @@ def identity_network(n: int, weights: Optional[Sequence] = None) -> PlanarNetwor
         vertices.append((f"s{i + 1}", 0, y))
         vertices.append((f"t{i + 1}", 1, y))
         edges.append((f"s{i + 1}", f"t{i + 1}", ws[i]))
-    return PlanarNetwork(
-        n,
-        vertices,
-        edges,
-        [f"s{i + 1}" for i in range(n)],
-        [f"t{i + 1}" for i in range(n)],
-    )
+    return PlanarNetwork(n, vertices, edges, [f"s{i + 1}" for i in range(n)], [f"t{i + 1}" for i in range(n)])
 
 
 def _rnd_weight(rng: random.Random) -> Fraction:

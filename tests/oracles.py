@@ -7,10 +7,10 @@ from itertools import permutations, product
 from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import theta_image
 from a2webs.labelings import LABELS
-from a2webs.networks import PlanarNetwork
+from a2webs.networks import PlanarNetwork, _known_edge, _sliced_web
 from a2webs.spider import WebCombo
 from a2webs.tlbridge import A1Web
-from a2webs.webcore import Web, WebError
+from a2webs.webcore import LEFT, RIGHT, Web, WebError
 
 
 def parabolic_image(n: int, i: int, j: int) -> WebCombo:
@@ -90,3 +90,73 @@ def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:
         [f"u.{s}" for s in a.sources] + [f"l.{s}" for s in b.sources],
         [f"u.{t}" for t in a.sinks] + [f"l.{t}" for t in b.sinks],
     )
+
+
+def oracle_uncross(net: PlanarNetwork, marks) -> Web:
+    """`networks.uncross` as it was before it read the network's sweep
+    table: it finds each stop's vertex, role and marked edges from the
+    network itself, and works out every vertex's columns.  Only the
+    positions of edge ends, entries and exits are computed here, as the
+    network's old sweep table gave them."""
+    mult = dict(marks)
+    # the sweep stops only at the marked edges' ends, the entries and
+    # the exits: at any other vertex no strand passes and nothing is
+    # checked
+    where = {v: k for k, v in enumerate(net.order)}
+    ends = {eid: (where[e.tail], where[e.head]) for eid, e in enumerate(net.edges)}
+    stops = tuple(where[v] for v in net.sources + net.sinks)
+    at = set(stops)
+    for eid in mult:
+        at.update(ends[_known_edge(net, eid)])
+    # marked edge ids, unreached entries and reached exits, top to bottom
+    line: list = list(net.sources)
+    cols: list[tuple] = []  # (pos, tile, dirs) of each Column
+    for v in [net.order[k] for k in sorted(at)]:
+        ins = [e for e in net.in_edges[v] if e in mult]
+        outs = [e for e in net.out_edges[v] if e in mult]
+        k_in, k_out = sum(mult[e] for e in ins), sum(mult[e] for e in outs)
+        if v in net.sources:
+            if k_in or k_out != 1:
+                raise WebError(f"entry {v!r} must start exactly one strand")
+            i = line.index(v)
+            above = next((e for e in reversed(line[:i]) if type(e) is int), None)
+            below = next((e for e in line[i + 1:] if type(e) is int), None)
+            if ((above is not None and net._gap(v, above) <= 0)
+                    or (below is not None and net._gap(v, below) >= 0)):
+                raise WebError(f"entry {v!r} lies outside the gap its strand enters")
+            line[i] = outs[0]
+            continue
+        if v in net.sinks:
+            if k_out or k_in != 1:
+                raise WebError(f"exit {v!r} must end exactly one strand")
+            line[line.index(ins[0])] = v
+            continue
+        if k_in != k_out:
+            raise WebError(f"marking is unbalanced at vertex {v!r}")
+        if k_in > 3:
+            raise WebError(f"four or more strands pass through vertex {v!r}")
+        if not ins:
+            continue
+        at = sorted(line.index(e) for e in ins)
+        i, j = at[0], at[-1] + 1
+        if j - i != len(at):
+            raise WebError(f"the strands into vertex {v!r} enclose a boundary strand")
+        p = 1 + sum(mult.get(e) != 3 for e in line[:i])
+        left = [RIGHT if mult[e] == 1 else LEFT for e in line[i:j] if mult[e] != 3]
+        right = [RIGHT if mult[e] == 1 else LEFT for e in outs if mult[e] != 3]
+        if len(set(left)) == 2:
+            cols.append((p, "cap", tuple(left)))
+        elif len(left) > 1:
+            cols.append((p, "merge", (RIGHT, RIGHT, LEFT)))
+            if len(left) == 3:
+                cols.append((p, "cap", (LEFT, RIGHT)))
+        if len(set(right)) == 2:
+            cols.append((p, "cup", tuple(right)))
+        elif len(right) > 1:
+            if len(right) == 3:
+                cols.append((p, "cup", (RIGHT, LEFT)))
+            cols.append((p + len(right) - 2, "split", (LEFT, RIGHT, RIGHT)))
+        line[i:j] = outs
+    if line != list(net.sinks):
+        raise WebError("the exits are not reached in order, top to bottom")
+    return _sliced_web(net.n, tuple(cols))

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from a2webs.cli import _ExprParser, _suite_tnn, build_parser, main, run_suite
-from a2webs.exactmath import eval_q1
+from a2webs.cli import _ExprParser, _parse_ints, _suite_tnn, build_parser, main, run_suite
+from a2webs.exactmath import eval_q1, quoted
+from a2webs.labelings import word_from_text
 from a2webs.minors import decompose_triple, triple_word
 from a2webs.networks import random_planar_network
 from a2webs.spider import (
@@ -23,6 +24,7 @@ from a2webs.spider import (
 from a2webs.webcore import WebError
 
 SEED = 20260816
+GEN = ",".join(map(str, product_web(2, [1]).code))  # one generator on 2 strands
 
 
 def run_json(capsys, argv):
@@ -532,6 +534,48 @@ class TestMalformedInput:
         path.write_text('{"n": 1, "rows": [[-%s]]}' % ("9" * 1001))
         line = one_error_line(capsys, ["immanants", "--n", "1", "--matrix", str(path)])
         assert line == f"error: {path}: number longer than 1000 digits"
+
+    @pytest.mark.parametrize("argv", [
+        ["bridge", "--n", "3", "--w", "12", "--I3", "9" * 200_000, "--J3", "1"],
+        ["bridge", "--n", "3", "--w", "1,2," + "9" * 1001],
+        ["decompose", "--n", "3", "--I1", "1," + "9" * 1001],
+        ["labelings", "--web", "9" * 5000],
+        ["labelings", "--web", GEN, "--boundary", "1,-" + "9" * 5000 + ":1,2"],
+    ], ids=["I3", "w", "I1", "web", "boundary"])
+    def test_long_integers_in_lists(self, capsys, argv):
+        line = one_error_line(capsys, argv)
+        assert line.endswith(": number longer than 1000 digits") and len(line) < 300
+
+    def test_integers_of_1000_digits_are_read(self):
+        assert _parse_ints("1,-" + "9" * 1000) == (1, -int("9" * 1000))
+        assert word_from_text("1," + "0" * 999 + "3:1,3") == (1, 3, 1, 3)
+
+    @pytest.mark.parametrize("argv, head", [
+        (["bridge", "--n", "3", "--w", "12", "--I3", "x" + "9" * 100_000, "--J3", "1"],
+         "error: bad integer list 'x999"),
+        (["bridge", "--n", "3", "--w", "12", "--I3", "1,x" + "9" * 900, "--J3", "1"],
+         "error: bad integer list '1,x999"),
+        (["bridge", "--n", "3", "--w", "x" * 5000], "error: bad permutation 'xxx"),
+        (["bridge", "--n", "3", "--w", "9" * 5000], "error: '999"),
+        (["reduce", "--n", "2", "--", "E1 " + "x" * 5000], "error: unexpected 'x' at column 4 of 'E1 xxx"),
+        (["reduce", "--n", "2", "--", "E1 " + "2" * 900], "error: unexpected '222"),
+        (["reduce", "--n", "2", "--", "(E1" + " " * 5000], "error: missing ')' at column 1 of '(E1 "),
+        (["reduce", "--n", "2", "--", "E1*" + " " * 5000], "error: expression ends early: 'E1* "),
+        (["labelings", "--web", GEN, "--boundary", "1" * 5000], "error: boundary '111"),
+        (["labelings", "--web", GEN, "--boundary", "x" * 5000 + ":1"], "error: boundary 'xxx"),
+    ], ids=["list", "entry", "perm", "not-perm", "token", "long-token", "paren", "early",
+            "boundary", "boundary-entry"])
+    def test_long_text_is_quoted_by_a_prefix(self, capsys, argv, head):
+        line = one_error_line(capsys, argv)
+        assert line.startswith(head) and "characters)" in line and len(line) < 300, line
+
+    def test_short_text_is_quoted_whole(self, capsys):
+        assert quoted("E1 x") == "'E1 x'"
+        assert quoted("x" * 81) == "'" + "x" * 80 + "'... (81 characters)"
+        line = one_error_line(capsys, ["bridge", "--n", "3", "--w", "12", "--I3", "1,x", "--J3", "1"])
+        assert line == "error: bad integer list '1,x': invalid literal for int() with base 10: 'x'"
+        line = one_error_line(capsys, ["reduce", "--n", "2", "--", "E1 x"])
+        assert line == "error: unexpected 'x' at column 4 of 'E1 x'"
 
     @pytest.mark.parametrize("expr", ["(" * 101 + "E1" + ")" * 101, "(" * 5000], ids=["101", "5000"])
     def test_deep_parentheses(self, capsys, expr):

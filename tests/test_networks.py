@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from a2webs.networks import (
 from a2webs.perms import all_perms
 from a2webs.spider import apply_rule, reduce_web, second_generator
 from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, identity_web
-from oracles import brute_force_labelings, disjoint_union
+from oracles import brute_force_labelings, disjoint_union, oracle_uncross
 
 SEED = 20260816
 BENCH_NETWORKS = Path(__file__).parents[1] / "perfbench" / "networks.jsonl"
@@ -461,6 +462,19 @@ class TestPathMatrix:
                     )
                     assert total == X.entry(i, j)
 
+    def test_one_matrix_per_network(self, monkeypatch):
+        net = funnel3_net()
+        X = path_matrix(net)
+        assert path_matrix(net) is X
+        read = []
+        monkeypatch.setattr(networks, "path_matrix", lambda net: read.append(path_matrix(net)) or read[-1])
+        assert corollary_check(net)["passed"] and lindstrom_check(net)["passed"]
+        assert len(read) == 2 and all(Y is X for Y in read)
+        assert "monomials" in vars(X)  # the corollary's evaluations filled X's own cache
+        # a round trip through JSON builds a new network and a new matrix
+        back = PlanarNetwork.from_json_obj(net.to_json_obj())
+        assert path_matrix(back) == X and path_matrix(back) is not X
+
 
 class TestLindstrom:
     def test_identity_determinant(self):
@@ -561,6 +575,66 @@ class TestFamilyOracle:
         vertices, edges = diamond_chain(30)
         net = PlanarNetwork(1, vertices + [("t", 1, 5)], edges + [("v0", "t", 1)], ["v0"], ["t"])
         assert net.paths_between(0, 0) == ((len(edges),),)
+
+
+def mutated_markings(net, marks, rng):
+    """Four damaged copies of a marking, each refused or uncrossed: one
+    edge dropped, one multiplicity raised, an edge id the network lacks
+    added, and one unit moved onto a sibling out-edge (None when no
+    marked edge has a sibling)."""
+    marks = list(marks)
+    k = rng.randrange(len(marks))
+    raised = marks[:k] + [(marks[k][0], marks[k][1] + 1)] + marks[k + 1:]
+    unknown = marks + [(rng.choice([-1, len(net.edges), len(net.edges) + 7]), 1)]
+    rng.shuffle(unknown)
+    moved = None
+    movable = [e for e, _ in marks if len(net.out_edges[net.edges[e].tail]) > 1]
+    if movable:
+        e = rng.choice(movable)
+        f = rng.choice([x for x in net.out_edges[net.edges[e].tail] if x != e])
+        mult = dict(marks)
+        mult[e] -= 1
+        mult[f] = mult.get(f, 0) + 1
+        moved = sorted((x, c) for x, c in mult.items() if c)
+    return [marks[:k] + marks[k + 1:], raised, unknown, moved]
+
+
+class TestUncrossOracle:
+    def test_uncross_matches_the_oracle_on_damaged_markings(self):
+        nets = [PlanarNetwork.from_json_obj(json.loads(line))
+                for line in BENCH_NETWORKS.read_text().splitlines()]
+        rng = random.Random(SEED + 13)
+        nets += [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 5)) for _ in range(200)]
+        nets.append(joined_diamond_net())  # one covering marking is refused
+        # the strand from s2 rises above s1 before s1 starts, so the
+        # edge below s1's placeholder passes above s1: refused
+        nets.append(PlanarNetwork(2, [("s1", 2, 0), ("s2", 0, -1), ("a", 1, 1), ("t1", 3, 1), ("t2", 3, -1)],
+                                  [("s2", "a", 1), ("a", "t1", 1), ("s1", "t2", 1)], ["s1", "s2"], ["t1", "t2"]))
+        rng = random.Random(SEED + 29)
+
+        def outcome(fn, net, marks):
+            try:
+                return fn(net, marks)
+            except WebError as exc:
+                return str(exc)
+
+        seen = Counter()
+        for net in nets:
+            for marks in covering_markings(net):
+                for kind, mutant in enumerate([marks, *mutated_markings(net, marks, rng)]):
+                    if mutant is None:
+                        continue
+                    got = outcome(uncross, net, mutant)
+                    assert got == outcome(oracle_uncross, net, mutant), (net.to_json_obj(), mutant)
+                    seen[kind, "web" if type(got) is Web else re.sub(r"'[^']*'|-?\d+", "_", got)] += 1
+        assert seen[0, "web"] and all(any(k == kind and m != "web" for k, m in seen) for kind in range(1, 5))
+        assert {m for _, m in seen} >= {
+            "entry _ lies outside the gap its strand enters",
+            "entry _ must start exactly one strand",
+            "exit _ must end exactly one strand",
+            "marking is unbalanced at vertex _",
+            "marking names edge _, but the edge ids run _.._",
+        }
 
 
 class TestMarking:
