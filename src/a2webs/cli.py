@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="rewrite a product expression into the basis")
     p.add_argument("expr", help="e.g. 'E1*E2*E1' or '(E1-1)*(E2-1)'")
-    p.add_argument("--n", type=int, required=True, help="strand count")
+    p.add_argument("--n", required=True, help="strand count")
     p.add_argument("--q", action="store_true", help="emit Laurent coefficients")
     p.set_defaults(fn=cmd_reduce)
 
@@ -614,19 +614,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_labelings)
 
     p = sub.add_parser("immanants", help="evaluate web immanants of a matrix")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--matrix", help="JSON matrix file")
     p.add_argument("--table", action="store_true", help="dump the coefficient table")
     p.set_defaults(fn=cmd_immanants)
 
     p = sub.add_parser("decompose", help="expand a product of three complementary minors")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     for blk in ("I1", "J1", "I2", "J2", "I3", "J3"):
         p.add_argument(f"--{blk}", default="", help=f"block {blk}, e.g. 1,4")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("bridge", help="expand a two-label immanant times a minor")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--w", required=True, help="permutation, digits like 231")
     p.add_argument("--I3", default="", help="deleted rows")
     p.add_argument("--J3", default="", help="deleted columns")
@@ -643,9 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity suites; exit 0 iff all pass")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=None, help="per-check sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", default=3)
+    p.add_argument("--samples", default=None, help="per-check sample count")
+    p.add_argument("--seed", default=0)
     p.set_defaults(fn=cmd_verify)
     return ap
 
@@ -662,6 +662,19 @@ def _silence_stdout() -> None:
     os.close(devnull)
 
 
+def _read_int_options(args) -> None:
+    """Read --n, --samples and --seed, which argparse hands over as
+    text, through exactmath.parse_int: a bad or overlong value ends in
+    one error line, like any other bad integer of the input."""
+    for name in ("n", "samples", "seed"):
+        text = getattr(args, name, None)
+        if isinstance(text, str):
+            try:
+                setattr(args, name, parse_int(text))
+            except (OverflowError, ValueError) as exc:
+                raise WebError(f"--{name}: {exc}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact values print in full, past the interpreter's default cap on
@@ -671,6 +684,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
+        _read_int_options(args)
         rc = args.fn(args)
         sys.stdout.flush()
         return rc

@@ -44,21 +44,27 @@ def parse_rational(x) -> Fraction:
             raise ValueError(f"rational longer than {MAX_RATIONAL_CHARS} characters")
         m = _EXPONENT.search(x)
         if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {x!r}")
+            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {quoted(x)}")
     if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"not a rational: {x!r}")
+    raise ValueError(f"not a rational: {quoted(x)}")
 
 
-def quoted(text: str) -> str:
-    """repr(text) for an error message, cut after MAX_QUOTED_CHARS
-    characters and then followed by the length of the whole text."""
+def quoted(value) -> str:
+    """repr(value) for an error message.  A string longer than
+    MAX_QUOTED_CHARS characters is cut to that many and followed by its
+    length; so is the repr of any other value, when that repr is longer."""
+    if isinstance(value, str):
+        if len(value) <= MAX_QUOTED_CHARS:
+            return repr(value)
+        return f"{value[:MAX_QUOTED_CHARS]!r}... ({len(value):,} characters)"
+    text = repr(value)
     if len(text) <= MAX_QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:MAX_QUOTED_CHARS]!r}... ({len(text):,} characters)"
+        return text
+    return f"{text[:MAX_QUOTED_CHARS]}... ({len(text):,} characters)"
 
 
 def parse_int(text: str) -> int:

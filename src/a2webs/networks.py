@@ -37,12 +37,13 @@ that breaks this contract is refused.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactmath import eval_q1, parse_rational
+from .exactmath import eval_q1, parse_rational, quoted
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .perms import Perm, all_perms, identity_perm
 from .spider import reduce_web
@@ -68,49 +69,84 @@ def _frac(x) -> Fraction:
 # The drawing check
 
 
-def _height(pos: Mapping[str, Point], e: NetEdge, x: Fraction) -> Fraction:
-    """Where edge e crosses the vertical line at abscissa x."""
-    (tx, ty), (hx, hy) = pos[e.tail], pos[e.head]
-    return ty + (hy - ty) * (x - tx) / (hx - tx)
+def _grid(pos: Mapping[str, Point]) -> dict[str, tuple[int, int]]:
+    """pos scaled to integers: each x times the lcm of the x
+    denominators, each y times the lcm of the y denominators.  Both
+    factors are positive, so the scaled drawing keeps every order,
+    slope order and coincidence of the original."""
+    dx = math.lcm(*{x.denominator for x, _ in pos.values()})
+    dy = math.lcm(*{y.denominator for _, y in pos.values()})
+    return {v: (x.numerator * (dx // x.denominator), y.numerator * (dy // y.denominator))
+            for v, (x, y) in pos.items()}
 
 
-def _check_drawing(pos: Mapping[str, Point], edges: Sequence[NetEdge],
-                   at: Mapping[Fraction, Mapping[Fraction, str]]) -> None:
+def _check_drawing(grid: Mapping[str, tuple[int, int]], edges: Sequence[NetEdge]) -> None:
     """Refuse a drawing in which two edges cross or overlap, or a vertex
-    sits on an edge it does not end.  `at` maps each vertex abscissa to
-    its column, height -> vertex id.  Every edge advances strictly in
-    x, so one sweep over the abscissae sees every meeting: at an
-    abscissa as two equal heights, inside the strip up to the next one
-    as two edges whose height order inverts or that coincide."""
+    sits on an edge it does not end; grid holds the integer coordinates
+    of `_grid`.  Every edge advances strictly in x, so one sweep over
+    the vertex abscissae sees every meeting: at an abscissa as two equal
+    heights, inside the strip up to the next one as two edges whose
+    height order inverts or that coincide.  An edge is live from its
+    tail's abscissa to its head's, and only the live edges are visited.
+    At each abscissa their heights are integers over the lcm of their
+    x-spans, so heights at one abscissa compare exactly."""
+    at: dict[int, dict[int, str]] = {}
+    for vid, (x, y) in grid.items():
+        at.setdefault(x, {})[y] = vid
     xs = sorted(at)
     rank = {x: k for k, x in enumerate(xs)}
-    spans = [(rank[pos[e.tail][0]], rank[pos[e.head][0]]) for e in edges]
+    joins: list[list[int]] = [[] for _ in xs]
+    leaves: list[list[int]] = [[] for _ in xs]
+    lines = []  # per edge: height * run at abscissa 0, rise, run
+    for i, e in enumerate(edges):
+        (tx, ty), (hx, hy) = grid[e.tail], grid[e.head]
+        joins[rank[tx]].append(i)
+        leaves[rank[hx]].append(i)
+        lines.append((ty * (hx - tx) - (hy - ty) * tx, hy - ty, hx - tx))
 
     def clash(i: int, j: int) -> WebError:
         a, b = edges[min(i, j)], edges[max(i, j)]
-        return WebError(f"edges {a.tail!r}->{a.head!r} and {b.tail!r}->{b.head!r} "
+        return WebError(f"edges {quoted(a.tail)}->{quoted(a.head)} and {quoted(b.tail)}->{quoted(b.head)} "
                         "cross or overlap in the drawing")
 
-    prev: dict[int, Fraction] = {}
+    live: set[int] = set()
+    prev: dict[int, int] = {}
     for k, x in enumerate(xs):
+        live.update(joins[k])
+        ids = sorted(live)
+        den = math.lcm(*{lines[i][2] for i in ids})
         cur = {}
-        for i, (lo, hi) in enumerate(spans):
-            if lo <= k <= hi:
-                cur[i] = _height(pos, edges[i], x)
-        strip = sorted((prev[i], y, i) for i, y in cur.items() if spans[i][0] < k)
+        for i in ids:
+            base, rise, run = lines[i]
+            cur[i] = (base + rise * x) * (den // run)
+        strip = sorted((prev[i], y, i) for i, y in cur.items() if i in prev)
         for (l1, r1, i), (l2, r2, j) in zip(strip, strip[1:]):
             if r1 > r2 or (l1, r1) == (l2, r2):
                 raise clash(i, j)
         column, met = at[x], {}
         for i, y in cur.items():
             e = edges[i]
-            vid = column.get(y)
+            q, r = divmod(y, den)
+            vid = None if r else column.get(q)
             if vid is not None and vid not in (e.tail, e.head):
-                raise WebError(f"vertex {vid!r} lies on edge {e.tail!r}->{e.head!r}")
+                raise WebError(f"vertex {quoted(vid)} lies on edge {quoted(e.tail)}->{quoted(e.head)}")
             if vid is None and y in met:
                 raise clash(met[y], i)
             met[y] = i
         prev = cur
+        live.difference_update(leaves[k])
+
+
+def _by_slope(grid: Mapping[str, tuple[int, int]], edges: Sequence[NetEdge],
+              eids: Sequence[int]) -> tuple[int, ...]:
+    """Out-edges of one vertex top to bottom as they leave it: by slope,
+    steepest rise first, each slope an integer over the lcm of their
+    x-spans."""
+    runs = [grid[edges[e].head][0] - grid[edges[e].tail][0] for e in eids]
+    den = math.lcm(*runs)
+    rises = [grid[edges[e].head][1] - grid[edges[e].tail][1] for e in eids]
+    key = {e: -rise * (den // run) for e, rise, run in zip(eids, rises, runs)}
+    return tuple(sorted(eids, key=key.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +172,14 @@ class PlanarNetwork:
     sit in the interior of an edge.  `order` lists the vertices in
     sweep order, by x and top to bottom within a column; `out_edges`
     lists each vertex's out-edges top to bottom as they leave it, by
-    slope.  The path table, the sweep table and the path matrix are
-    built on first use and kept on the network.
+    slope.  Both orders, the drawing check and uncross's entry-side test
+    read the coordinates scaled to integers once (`_grid`); `pos` keeps
+    the exact rationals.  The path table, the sweep table and the path
+    matrix are built on first use and kept on the network.
     """
 
     __slots__ = ("n", "ids", "pos", "edges", "sources", "sinks", "order",
-                 "out_edges", "in_edges", "_paths", "_sweep", "_matrix", "_gaps")
+                 "out_edges", "in_edges", "_grid", "_paths", "_sweep", "_matrix", "_gaps")
 
     def __init__(
         self,
@@ -152,46 +190,45 @@ class PlanarNetwork:
         sinks: Sequence,
     ):
         if n < 1:
-            raise WebError(f"strand count must be positive, got {n}")
+            raise WebError(f"strand count must be positive, got {quoted(n)}")
         self.n = n
         pos: dict[str, Point] = {}
         ids = []
         for vid, x, y in vertices:
             key = str(vid)
             if key in pos:
-                raise WebError(f"vertex id {key!r} repeated")
+                raise WebError(f"vertex id {quoted(key)} repeated")
             pos[key] = (_frac(x), _frac(y))
             ids.append(key)
         self.ids = tuple(ids)
         self.pos = pos
-        at: dict[Fraction, dict[Fraction, str]] = {}
+        self._grid = grid = _grid(pos)
+        seen: dict[tuple[int, int], str] = {}
         for vid in ids:
-            x, y = pos[vid]
-            column = at.setdefault(x, {})
-            if y in column:
-                raise WebError(f"vertices {column[y]!r} and {vid!r} share a position")
-            column[y] = vid
+            first = seen.setdefault(grid[vid], vid)
+            if first != vid:
+                raise WebError(f"vertices {quoted(first)} and {quoted(vid)} share a position")
         self.sources = tuple(str(s) for s in sources)
         self.sinks = tuple(str(t) for t in sinks)
         if len(self.sources) != n or len(self.sinks) != n:
-            raise WebError(f"expected {n} entries and {n} exits")
+            raise WebError(f"expected {quoted(n)} entries and {quoted(n)} exits")
         named = list(self.sources) + list(self.sinks)
         if len(set(named)) != len(named):
             raise WebError("entries and exits must be distinct vertices")
         for vid in named:
             if vid not in pos:
-                raise WebError(f"boundary vertex {vid!r} is not in the vertex list")
+                raise WebError(f"boundary vertex {quoted(vid)} is not in the vertex list")
         for role, vids in (("entries", self.sources), ("exits", self.sinks)):
-            ys = [pos[v][1] for v in vids]
+            ys = [grid[v][1] for v in vids]
             if any(a <= b for a, b in zip(ys, ys[1:])):
                 raise WebError(f"{role} must be listed top to bottom")
         es = []
         for t, h, w in edges:
             t, h = str(t), str(h)
             if t not in pos or h not in pos:
-                raise WebError(f"edge {t!r}->{h!r} references a missing vertex")
-            if pos[t][0] >= pos[h][0]:
-                raise WebError(f"edge {t!r}->{h!r} must advance left to right")
+                raise WebError(f"edge {quoted(t)}->{quoted(h)} references a missing vertex")
+            if grid[t][0] >= grid[h][0]:
+                raise WebError(f"edge {quoted(t)}->{quoted(h)} must advance left to right")
             es.append(NetEdge(t, h, _frac(w)))
         self.edges = tuple(es)
         out: dict[str, list[int]] = {v: [] for v in ids}
@@ -199,19 +236,16 @@ class PlanarNetwork:
         for eid, e in enumerate(self.edges):
             out[e.tail].append(eid)
             inc[e.head].append(eid)
-        def slope(eid: int) -> Fraction:
-            (tx, ty), (hx, hy) = pos[self.edges[eid].tail], pos[self.edges[eid].head]
-            return (hy - ty) / (hx - tx)
-        self.order = tuple(sorted(ids, key=lambda v: (pos[v][0], -pos[v][1], v)))
-        self.out_edges = {v: tuple(sorted(out[v], key=lambda e: -slope(e))) for v in ids}
+        self.order = tuple(sorted(ids, key=lambda v: (grid[v][0], -grid[v][1], v)))
+        self.out_edges = {v: _by_slope(grid, self.edges, out[v]) for v in ids}
         self.in_edges = {v: tuple(inc[v]) for v in ids}
         for s in self.sources:
             if self.in_edges[s]:
-                raise WebError(f"entry {s!r} has an incoming edge")
+                raise WebError(f"entry {quoted(s)} has an incoming edge")
         for t in self.sinks:
             if self.out_edges[t]:
-                raise WebError(f"exit {t!r} has an outgoing edge")
-        _check_drawing(pos, self.edges, at)
+                raise WebError(f"exit {quoted(t)} has an outgoing edge")
+        _check_drawing(grid, self.edges)
         self._paths = self._sweep = self._matrix = None
         self._gaps: dict[tuple[str, int], int] = {}
 
@@ -247,7 +281,7 @@ class PlanarNetwork:
         except (KeyError, TypeError) as exc:
             raise WebError(f"malformed network JSON: {exc}") from exc
         if type(n) is not int:
-            raise WebError(f"network 'n' must be an integer, got {n!r}")
+            raise WebError(f"network 'n' must be an integer, got {quoted(n)}")
         for key in ("vertices", "edges", "sources", "sinks"):
             if type(obj[key]) is not list:
                 raise WebError(f"network {key!r} must be a JSON list")
@@ -312,9 +346,10 @@ class PlanarNetwork:
         key = (entry, eid)
         side = self._gaps.get(key)
         if side is None:
-            x, y = self.pos[entry]
-            h = _height(self.pos, self.edges[eid], x)
-            side = self._gaps[key] = (h > y) - (h < y)
+            e = self.edges[eid]
+            (x, y), (tx, ty), (hx, hy) = self._grid[entry], self._grid[e.tail], self._grid[e.head]
+            gap = (ty - y) * (hx - tx) + (hy - ty) * (x - tx)
+            side = self._gaps[key] = (gap > 0) - (gap < 0)
         return side
 
     def paths_between(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
@@ -461,24 +496,24 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
         k_in, k_out = sum(map(mult.__getitem__, ins)), sum(map(mult.__getitem__, outs))
         if role == "entry":
             if k_in or k_out != 1:
-                raise WebError(f"entry {v!r} must start exactly one strand")
+                raise WebError(f"entry {quoted(v)} must start exactly one strand")
             i = line.index(v)
             above = next((e for e in reversed(line[:i]) if type(e) is int), None)
             below = next((e for e in line[i + 1:] if type(e) is int), None)
             if ((above is not None and net._gap(v, above) <= 0)
                     or (below is not None and net._gap(v, below) >= 0)):
-                raise WebError(f"entry {v!r} lies outside the gap its strand enters")
+                raise WebError(f"entry {quoted(v)} lies outside the gap its strand enters")
             line[i] = outs[0]
             continue
         if role == "exit":
             if k_out or k_in != 1:
-                raise WebError(f"exit {v!r} must end exactly one strand")
+                raise WebError(f"exit {quoted(v)} must end exactly one strand")
             line[line.index(ins[0])] = v
             continue
         if k_in != k_out:
-            raise WebError(f"marking is unbalanced at vertex {v!r}")
+            raise WebError(f"marking is unbalanced at vertex {quoted(v)}")
         if k_in > 3:
-            raise WebError(f"four or more strands pass through vertex {v!r}")
+            raise WebError(f"four or more strands pass through vertex {quoted(v)}")
         if not ins:
             continue
         if len(ins) == 1 == len(outs):  # one run passes straight through
@@ -487,7 +522,7 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
         idx = sorted(map(line.index, ins))
         i, j = idx[0], idx[-1] + 1
         if j - i != len(idx):
-            raise WebError(f"the strands into vertex {v!r} enclose a boundary strand")
+            raise WebError(f"the strands into vertex {quoted(v)} enclose a boundary strand")
         p = 1 + sum(mult.get(e) != 3 for e in line[:i])
         left = [RIGHT if mult[e] == 1 else LEFT for e in line[i:j] if mult[e] != 3]
         right = [RIGHT if mult[e] == 1 else LEFT for e in outs if mult[e] != 3]

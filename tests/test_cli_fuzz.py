@@ -9,6 +9,7 @@ UTF-8, a junk token, an out-of-range index."""
 
 import json
 import random
+from fractions import Fraction
 
 from a2webs.cli import main
 from a2webs.immanants import ExactMatrix
@@ -193,3 +194,53 @@ def test_network_files(capsys, tmp_path):
         path = malformed_file(rng, tmp_path, net.to_json_obj())
         mode = rng.choice(["--matrix", "--immanants", "--check-corollary"])
         assert_refused(capsys, ["network", "--file", path, mode])
+
+
+def test_integer_options(capsys):
+    # an option integer is read under the bound of every other integer
+    # of the input: overlong or malformed, it gets one quoted error line
+    rng = random.Random(SEED + 7)
+    nines = "9" * 5000
+    for _ in range(30):
+        name = rng.choice(["--n", "--samples", "--seed"])
+        value = rng.choice([nines, "-" + nines, "x", "1.5", "3e2", "", "9" * 200 + "x"])
+        line = assert_refused(capsys, ["verify", name, value])
+        assert line.startswith(f"error: {name}: ") and len(line) < 300
+        cmd = rng.choice([["reduce", "E1"], ["immanants", "--table"], ["decompose"], ["bridge", "--w", "1"]])
+        line = assert_refused(capsys, [*cmd, "--n", value])
+        assert line.startswith("error: --n: ") and len(line) < 300
+
+
+def test_long_network_values(capsys, tmp_path):
+    # a 100,000-character vertex id, or a 20,000-element list in place
+    # of a number, is quoted by a prefix in the one error line
+    rng = random.Random(SEED + 8)
+    path = tmp_path / "input.json"
+    long_id, long_list = "v" * 100_000, list(range(20_000))
+    for _ in range(30):
+        obj = random_planar_network(rng.randint(1, 3), rng, steps=2).to_json_obj()
+        vs, es = obj["vertices"], obj["edges"]
+        kind = rng.randrange(8)
+        if kind == 0:  # a repeated id
+            vs += [{**vs[0], "id": long_id}, {**vs[1], "id": long_id}]
+        elif kind == 1:  # a shared position
+            vs.append({**rng.choice(vs), "id": long_id})
+        elif kind == 2:  # an edge from a missing vertex
+            es.append({"from": long_id, "to": vs[0]["id"], "weight": "1"})
+        elif kind == 3:  # an exit missing from the vertex list
+            obj["sinks"][-1] = long_id
+        elif kind == 4:  # a vertex on an edge
+            e = rng.choice(es)
+            where = {v["id"]: (Fraction(v["x"]), Fraction(v["y"])) for v in vs}
+            (tx, ty), (hx, hy) = where[e["from"]], where[e["to"]]
+            vs.append({"id": long_id, "x": str((tx + hx) / 2), "y": str((ty + hy) / 2)})
+        elif kind == 5:  # an edge that runs backwards
+            vs.append({"id": long_id, "x": "-1", "y": "0"})
+            es.append({"from": vs[0]["id"], "to": long_id, "weight": "1"})
+        elif kind == 6:
+            rng.choice(es)["weight"] = long_list
+        else:
+            obj["n"] = long_list
+        path.write_text(json.dumps(obj))
+        line = assert_refused(capsys, ["network", "--file", str(path), rng.choice(["--matrix", "--check-corollary"])])
+        assert len(line) < 300, line[:400]

@@ -19,6 +19,7 @@ from a2webs.networks import (
     PlanarNetwork,
     _check_drawing,
     _families,
+    _grid,
     _sliced_web,
     corollary_check,
     covering_markings,
@@ -369,11 +370,8 @@ def oracle_faults(pos, edges):
 
 def sweep_fault(pos, edges):
     """The refusal message of _check_drawing, or None."""
-    at = {}
-    for vid, (x, y) in pos.items():
-        at.setdefault(x, {})[y] = vid
     try:
-        _check_drawing(pos, edges, at)
+        _check_drawing(_grid(pos), edges)
     except WebError as exc:
         return str(exc)
     return None
@@ -421,6 +419,127 @@ class TestDrawingSweep:
                 assert got in faults if faults else got is None
                 verdicts[got is None] += 1
         assert verdicts[True] > 50 and verdicts[False] > 50
+
+    def test_sweep_agrees_with_pairwise_oracle_on_mixed_denominators(self):
+        # each coordinate nudged by -1, 0 or 1 over 60 times 7, 11 or 13,
+        # then the drawing under a positive affine map of 1,000-digit numbers
+        rng = random.Random(SEED + 15)
+        big = 10 ** 999
+        verdicts = Counter()
+        for _ in range(40):
+            net = random_planar_network(rng.randint(1, 3), rng, steps=rng.randint(1, 3))
+            a, c = Fraction(big + rng.randrange(big), 7), Fraction(big + rng.randrange(big), 11)
+            b, d = Fraction(rng.randrange(-big, big), 13), Fraction(rng.randrange(-big, big), 7 * 11)
+            for pos, edges in mutations(net, rng):
+                if len(set(pos.values())) < len(pos):
+                    continue
+                nudged = {v: (x + Fraction(rng.randint(-1, 1), 60 * rng.choice((7, 11, 13))),
+                              y + Fraction(rng.randint(-1, 1), 60 * rng.choice((7, 11, 13))))
+                          for v, (x, y) in pos.items()}
+                for drawn in (nudged, {v: (a * x + b, c * y + d) for v, (x, y) in nudged.items()}):
+                    if len(set(drawn.values())) < len(drawn):
+                        continue
+                    got = sweep_fault(drawn, edges)
+                    faults = oracle_faults(drawn, edges)
+                    assert got in faults if faults else got is None
+                    verdicts[got is None] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20
+
+
+# Coordinates moved by a positive affine map of about 200 digits still
+# read within parse_rational's 1,000 characters, and so do points on
+# the edges between them.
+FAR = 10 ** 200
+
+
+def _drawn(obj, pos, edges=None):
+    """obj with its vertices at pos, and with edges if given."""
+    return {**obj, "vertices": [{"id": v, "x": str(x), "y": str(y)} for v, (x, y) in pos.items()],
+            "edges": obj["edges"] if edges is None else edges}
+
+
+def redrawn(obj, rng):
+    """Network JSON objects near obj: a vertex moved up or down, or
+    sideways by a half, a seventh, an eleventh or a thirteenth; an added
+    or doubled edge; a vertex on an edge at an abscissa it spans and one
+    just off it; the whole drawing under a positive affine map with
+    denominators 7, 11 and 13 and 200-digit coefficients, alone and with
+    one of the changes above."""
+    pos = {v["id"]: (Fraction(v["x"]), Fraction(v["y"])) for v in obj["vertices"]}
+    ids, edges = list(pos), obj["edges"]
+
+    def moved(pos):
+        v = rng.choice(ids)
+        x, y = pos[v]
+        if rng.random() < 0.5:
+            y = rng.choice([q for _, q in pos.values()]) + rng.choice(
+                (0, 0, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7), Fraction(-2, 11), Fraction(3, 13)))
+        else:
+            x += Fraction(rng.choice((-1, 1)), rng.choice((2, 7, 11, 13)))
+        return {**pos, v: (x, y)}
+
+    def on_edge(pos, lift):
+        e = rng.choice(edges)
+        (tx, ty), (hx, hy) = pos[e["from"]], pos[e["to"]]
+        x = rng.choice([x for x, _ in pos.values() if tx < x < hx] or [(tx + hx) / 2])
+        return {**pos, "on": (x, ty + (hy - ty) * (x - tx) / (hx - tx) + lift)}
+
+    a, c = Fraction(FAR + rng.randrange(FAR), 7), Fraction(FAR + rng.randrange(FAR), 13)
+    b, d = Fraction(rng.randrange(-FAR, FAR), 11), Fraction(rng.randrange(-FAR, FAR), 7 * 11 * 13)
+    far = {v: (a * x + b, c * y + d) for v, (x, y) in pos.items()}
+    u, w = rng.sample(ids, 2)
+    yield _drawn(obj, moved(pos))
+    yield _drawn(obj, moved(pos))
+    yield _drawn(obj, pos, edges + [{"from": u, "to": w, "weight": "1"}])
+    yield _drawn(obj, pos, edges + [rng.choice(edges)])
+    yield _drawn(obj, on_edge(pos, 0))
+    yield _drawn(obj, on_edge(pos, Fraction(1, 7)))
+    yield _drawn(obj, far)
+    yield _drawn(obj, moved(far))
+    yield _drawn(obj, far, edges + [{"from": u, "to": w, "weight": "1"}])
+    yield _drawn(obj, on_edge(far, 0))
+    yield _drawn(obj, on_edge(far, Fraction(1, 7)))
+
+
+def drawing_outcome(obj):
+    """The refusal message of a network JSON object, or its sweep
+    order and out-edge lists."""
+    try:
+        net = PlanarNetwork.from_json_obj(obj)
+    except WebError as exc:
+        return str(exc)
+    return repr((net.order, net.out_edges))
+
+
+class TestDrawingPins:
+    # sha256 over the sweep order and out-edge lists of the benchmark
+    # networks, and over the outcome of each of their redrawings,
+    # recorded while the drawing was checked in Fraction heights
+    ORDER_DIGEST = "a759c32384cb644d6c8d369afa5641d7d85c14e324cf5aa0b7bda62f1f2ededd"
+    OUTCOME_DIGEST = "cf4ffbe182b83a2b7abe2e98a9af7bda2697127f6971e31f3caa38a4e0410a83"
+
+    def test_benchmark_orders_are_pinned(self):
+        digest = hashlib.sha256()
+        for line in BENCH_NETWORKS.read_text().splitlines():
+            digest.update(drawing_outcome(json.loads(line)).encode())
+        assert digest.hexdigest() == self.ORDER_DIGEST
+
+    def test_redrawn_outcomes_are_pinned(self):
+        rng = random.Random(SEED + 14)
+        digest = hashlib.sha256()
+        verdicts = Counter()
+        for line in BENCH_NETWORKS.read_text().splitlines():
+            obj = json.loads(line)
+            base = drawing_outcome(obj)
+            for k, moved in enumerate(redrawn(obj, rng)):
+                got = drawing_outcome(moved)
+                if k == 6:  # the affine image keeps every order
+                    assert got == base
+                digest.update(got.encode())
+                verdicts[next((kind for kind in ("cross or overlap", "lies on edge", "((") if kind in got),
+                              "other")] += 1
+        assert digest.hexdigest() == self.OUTCOME_DIGEST
+        assert verdicts == {"((": 326, "lies on edge": 124, "cross or overlap": 119, "other": 91}
 
 
 class TestPathMatrix:
