@@ -114,7 +114,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _parse_perm(text: str) -> tuple[int, ...]:
     if "," in text:
         w = _parse_ints(text)
-    elif text.isdigit():
+    elif text.isdecimal():
         w = tuple(int(ch) for ch in text)
     else:
         raise WebError(f"bad permutation {quoted(text)}: use digits like 231")
@@ -199,11 +199,11 @@ class _ExprParser:
             return inner
         if tok == "Id":
             return WebCombo.unit(self.n)
-        if tok.startswith("E") and tok[1:].isdigit():
+        if tok.startswith("E") and tok[1:].isdecimal():
             return generator_combo(self.n, _number(tok[1:], at))
         if tok.startswith("D2"):
             return second_generator_combo(self.n, _number(tok[2:].lstrip("_"), at))
-        if tok.isdigit():
+        if tok.isdecimal():
             return WebCombo.unit(self.n).scale(_number(tok, at))
         raise WebError(f"unexpected {quoted(tok)} at column {at + 1} of {quoted(self.text)}")
 

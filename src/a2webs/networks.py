@@ -289,12 +289,12 @@ class PlanarNetwork:
 
     # -- paths ------------------------------------------------------------
 
-    def _path_table(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, ...], int, int], ...]]:
-        """All directed paths entry i -> exit j, each as (edge ids,
-        vertex mask, edge mask): the masks carry one bit per index in
-        `ids` and one per edge id.  The paths are counted first, and a
-        network with more than MAX_PATH_FAMILIES paths or candidate
-        families is refused before any path is listed."""
+    def _path_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """All directed paths entry i -> exit j, each as its (vertex
+        mask, edge mask): one bit per index in `ids` and one per edge
+        id.  The paths are counted first, and a network with more than
+        MAX_PATH_FAMILIES paths or candidate families is refused before
+        any path is listed."""
         if self._paths is None:
             counts = _path_sums(self, [1] * len(self.edges), 1)
             paths = sum(map(sum, counts))
@@ -308,20 +308,20 @@ class PlanarNetwork:
             for v in reversed(self.order):
                 if any(self.edges[eid].head in live for eid in self.out_edges[v]):
                     live.add(v)
-            table: dict[tuple[int, int], list[tuple[tuple[int, ...], int, int]]] = {}
+            table: dict[tuple[int, int], list[tuple[int, int]]] = {}
             snk_rank = {t: j for j, t in enumerate(self.sinks)}
             for i, s in enumerate(self.sources):
-                stack = [(s, (), bit[s], 0)]
+                stack = [(s, bit[s], 0)]
                 while stack:
-                    v, acc, vmask, emask = stack.pop()
+                    v, vmask, emask = stack.pop()
                     j = snk_rank.get(v)
                     if j is not None:
-                        table.setdefault((i, j), []).append((acc, vmask, emask))
+                        table.setdefault((i, j), []).append((vmask, emask))
                         continue
                     for eid in reversed(self.out_edges[v]):
                         h = self.edges[eid].head
                         if h in live:
-                            stack.append((h, acc + (eid,), vmask | bit[h], emask | 1 << eid))
+                            stack.append((h, vmask | bit[h], emask | 1 << eid))
             self._paths = {k: tuple(v) for k, v in table.items()}
         return self._paths
 
@@ -351,23 +351,6 @@ class PlanarNetwork:
             gap = (ty - y) * (hx - tx) + (hy - ty) * (x - tx)
             side = self._gaps[key] = (gap > 0) - (gap < 0)
         return side
-
-    def paths_between(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(path for path, _, _ in self._path_table().get((i, j), ()))
-
-    def path_vertices(self, path: Sequence[int]) -> tuple[str, ...]:
-        if not path:
-            return ()
-        out = [self.edges[path[0]].tail]
-        for eid in path:
-            out.append(self.edges[eid].head)
-        return tuple(out)
-
-    def path_weight(self, path: Sequence[int]) -> Fraction:
-        w = Fraction(1)
-        for eid in path:
-            w *= self.edges[eid].weight
-        return w
 
 
 def _path_sums(net: PlanarNetwork, weights: Sequence, one) -> list[list]:
@@ -416,9 +399,9 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
     X = path_matrix(net)
     det = X.det()
     total, count = Fraction(0), 0
-    for combo in _families(net, identity_perm(net.n), 1):
+    for lo, hi in _families(net, identity_perm(net.n), 1):
         count += 1
-        total += net.path_weight(sum(combo, ()))
+        total += marking_weight(net, _marks(lo, hi))
     return {
         "n": net.n,
         "det": str(det),
@@ -558,45 +541,48 @@ def _sliced_web(n: int, cols: tuple[tuple[int, str, tuple[str, ...]], ...]) -> W
 # Families, markings, immanants
 
 
-def _families(net: PlanarNetwork, w: Perm, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _families(net: PlanarNetwork, w: Perm, cap: int) -> Iterator[tuple[int, int]]:
     """All families of paths joining entry i to exit w(i), no vertex on
     more than cap of them, in `itertools.product` order over the path
-    pools.  The pools are walked depth first with the load on each
-    vertex kept as two bit planes over the vertex masks, lo and hi.
-    Adding a path is a two-bit add of its mask, and a path that meets a
-    vertex set in both planes would carry out of hi: that vertex is
-    already on three paths, and the branch is pruned.  For cap 1 hi
-    starts as all ones, so lo & hi is lo and a vertex on one path
-    blocks every later one; 1 and 3 are the only caps accepted."""
+    pools.  A family is its edge planes (lo, hi): bit e of lo and of hi
+    are the low and high bits of how many of its paths use edge e.  The
+    pools are walked depth first, and each path is added as a two-bit
+    count: its edge mask into the edge planes, its vertex mask into two
+    vertex planes.  A path that meets a vertex set in both vertex
+    planes would carry out of them: that vertex is already on three
+    paths, and the branch is pruned.  So no edge count passes 3 either.
+    For cap 1 the high vertex plane starts as all ones, so a vertex on
+    one path blocks every later one; 1 and 3 are the only caps
+    accepted."""
     if cap not in (1, 3):
         raise ValueError(f"vertex cap must be 1 or 3, got {cap}")
     table = net._path_table()
     pools = [table.get((i, w[i] - 1), ()) for i in range(net.n)]
     last = net.n - 1
 
-    def extend(i: int, lo: int, hi: int, acc: tuple) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def extend(i: int, lo: int, hi: int, elo: int, ehi: int) -> Iterator[tuple[int, int]]:
         full = lo & hi
-        for path, vmask, _ in pools[i]:
+        for vmask, emask in pools[i]:
             if vmask & full:
                 continue
             if i == last:
-                yield acc + (path,)
+                yield elo ^ emask, ehi ^ elo & emask
             else:
-                yield from extend(i + 1, lo ^ vmask, hi ^ lo & vmask, acc + (path,))
+                yield from extend(i + 1, lo ^ vmask, hi ^ lo & vmask, elo ^ emask, ehi ^ elo & emask)
 
-    return extend(0, 0, 0 if cap == 3 else -1, ())
+    return extend(0, 0, 0 if cap == 3 else -1, 0, 0)
 
 
-def covering_families(net: PlanarNetwork) -> Iterator[tuple[Perm, tuple[tuple[int, ...], ...]]]:
+def covering_families(net: PlanarNetwork) -> Iterator[tuple[Perm, tuple[int, int]]]:
     """All families of n paths, one per entry, exits hit once each, no
-    vertex on four paths.  Yields (connection, paths)."""
+    vertex on four paths.  Yields (connection, edge planes)."""
     for w in all_perms(net.n):
-        for combo in _families(net, w, 3):
-            yield w, combo
+        for planes in _families(net, w, 3):
+            yield w, planes
 
 
 def _marks(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
-    """The sorted (eid, multiplicity) pairs of bit-sliced edge counts."""
+    """The sorted (eid, multiplicity) pairs of a family's edge planes."""
     out = []
     used = lo | hi
     while used:
@@ -607,28 +593,10 @@ def _marks(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
 
 
 def covering_markings(net: PlanarNetwork) -> list[tuple[tuple[int, int], ...]]:
-    """Distinct marked subnetworks over all covering families.  Each
-    family is keyed by its edge multiplicities, held as two bit-sliced
-    ints (lo, hi) summed from its paths' edge masks: bit e of lo and of
-    hi are the low and high bits of edge e's count.  No count passes 3,
-    since no vertex is on four paths.  Consecutive families often share
-    their first n - 1 paths, whose counts are summed again only when
-    that prefix changes.  Only the distinct keys are decoded into sorted
-    (eid, multiplicity) tuples."""
-    edge_mask = {path: e for recs in net._path_table().values() for path, _, e in recs}
-    keys = set()
-    head = None
-    for _, combo in covering_families(net):
-        if combo[:-1] != head:
-            head = combo[:-1]
-            lo = hi = 0
-            for path in head:
-                e = edge_mask[path]
-                hi ^= lo & e
-                lo ^= e
-        e = edge_mask[combo[-1]]
-        keys.add((lo ^ e, hi ^ lo & e))
-    return sorted(_marks(lo, hi) for lo, hi in keys)
+    """Distinct marked subnetworks over all covering families: the
+    distinct edge planes, each decoded once into sorted (eid,
+    multiplicity) pairs."""
+    return sorted(_marks(lo, hi) for lo, hi in {planes for _, planes in covering_families(net)})
 
 
 def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:

@@ -210,8 +210,6 @@ def concatenate(a: SliceDiagram, b: SliceDiagram) -> SliceDiagram:
 # ---------------------------------------------------------------------------
 # Planar maps
 
-_ROLE_RANK = {ROLE_SRC: 0, ROLE_SNK: 1}
-
 
 class PlanarMap:
     """Rotation system of a web.

@@ -92,6 +92,22 @@ def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:
     )
 
 
+def oracle_paths(net: PlanarNetwork, i: int, j: int) -> list[tuple[int, ...]]:
+    """Every path from entry i to exit j as its edge ids, by a plain
+    depth-first walk over `net.edges` that takes each vertex's
+    out-edges top to bottom and walks every dead end: the order in
+    which the network lists its paths, found without its path table."""
+    out = []
+    stack = [(net.sources[i], ())]
+    while stack:
+        v, path = stack.pop()
+        if v == net.sinks[j]:
+            out.append(path)
+        for eid in reversed(net.out_edges[v]):
+            stack.append((net.edges[eid].head, path + (eid,)))
+    return out
+
+
 def oracle_uncross(net: PlanarNetwork, marks) -> Web:
     """`networks.uncross` as it was before it read the network's sweep
     table: it finds each stop's vertex, role and marked edges from the

@@ -577,6 +577,15 @@ class TestMalformedInput:
         line = one_error_line(capsys, ["reduce", "--n", "2", "--", "E1 x"])
         assert line == "error: unexpected 'x' at column 4 of 'E1 x'"
 
+    @pytest.mark.parametrize("argv, want", [
+        (["bridge", "--n", "3", "--w", "²1"], "error: bad permutation '²1': use digits like 231"),
+        (["reduce", "--n", "2", "--", "2*³"], "error: unexpected '³' at column 3 of '2*³'"),
+        (["reduce", "--n", "2", "--", "E1+²"], "error: unexpected '²' at column 4 of 'E1+²'"),
+    ], ids=["perm", "scalar", "scalar-after-generator"])
+    def test_superscript_digits(self, capsys, argv, want):
+        # str.isdigit accepts superscripts, which int() refuses
+        assert one_error_line(capsys, argv) == want
+
     @pytest.mark.parametrize("expr", ["(" * 101 + "E1" + ")" * 101, "(" * 5000], ids=["101", "5000"])
     def test_deep_parentheses(self, capsys, expr):
         line = one_error_line(capsys, ["reduce", "--n", "2", "--", expr])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -35,7 +36,7 @@ from a2webs.networks import (
 from a2webs.perms import all_perms
 from a2webs.spider import apply_rule, reduce_web, second_generator
 from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, identity_web
-from oracles import brute_force_labelings, disjoint_union, oracle_uncross
+from oracles import brute_force_labelings, disjoint_union, oracle_paths, oracle_uncross
 
 SEED = 20260816
 BENCH_NETWORKS = Path(__file__).parents[1] / "perfbench" / "networks.jsonl"
@@ -108,6 +109,18 @@ def eye_net():
     )
 
 
+def path_vertices(net, path):
+    """The vertices of a path given by its edge ids."""
+    return {net.edges[path[0]].tail} | {net.edges[e].head for e in path}
+
+
+def edge_planes(counts):
+    """The edge planes (lo, hi) of edge counts: bits e of lo and hi are
+    the low and high bits of counts[e]."""
+    return (sum(1 << e for e, c in counts.items() if c & 1),
+            sum(1 << e for e, c in counts.items() if c & 2))
+
+
 def block_families(net, g):
     """Path families refining the block triple with boundary word g:
     within each block the paths are vertex-disjoint, across blocks
@@ -116,14 +129,14 @@ def block_families(net, g):
     for I, J in zip(*triple_blocks(g)):
         block_opts = []
         for perm in itertools.permutations(J):
-            pools = [net.paths_between(i - 1, j - 1) for i, j in zip(I, perm)]
+            pools = [oracle_paths(net, i - 1, j - 1) for i, j in zip(I, perm)]
             if any(not p for p in pools):
                 continue
             for combo in itertools.product(*pools):
                 used = set()
                 ok = True
                 for p in combo:
-                    vs = net.path_vertices(p)
+                    vs = path_vertices(net, p)
                     if used.intersection(vs):
                         ok = False
                         break
@@ -576,7 +589,8 @@ class TestPathMatrix:
             for i in range(2):
                 for j in range(2):
                     total = sum(
-                        (net.path_weight(p) for p in net.paths_between(i, j)),
+                        (math.prod((net.edges[e].weight for e in p), start=Fraction(1))
+                         for p in oracle_paths(net, i, j)),
                         Fraction(0),
                     )
                     assert total == X.entry(i, j)
@@ -621,9 +635,10 @@ def oracle_families(net, w):
     number of its paths on one vertex: the enumeration by
     `itertools.product` and a `Counter` of vertices, kept as the oracle
     for the masks."""
-    pools = [net.paths_between(i, w[i] - 1) for i in range(net.n)]
+    pools = [oracle_paths(net, i, w[i] - 1) for i in range(net.n)]
+    vertices = {p: path_vertices(net, p) for pool in pools for p in pool}
     for combo in itertools.product(*pools):
-        counts = Counter(v for p in combo for v in net.path_vertices(p))
+        counts = Counter(itertools.chain.from_iterable(map(vertices.__getitem__, combo)))
         yield combo, max(counts.values())
 
 
@@ -647,22 +662,40 @@ def fanned_chain(k):
     return PlanarNetwork(2, vertices, edges, ["a", "b"], ["c", "d"])
 
 
+def oracle_nets():
+    """The benchmark networks and 200 seeded random ones."""
+    nets = [PlanarNetwork.from_json_obj(json.loads(line))
+            for line in BENCH_NETWORKS.read_text().splitlines()]
+    rng = random.Random(SEED + 13)
+    return nets + [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 5)) for _ in range(200)]
+
+
 class TestFamilyOracle:
+    def test_path_table_matches_the_path_oracle(self):
+        for net in oracle_nets():
+            bit = {v: 1 << k for k, v in enumerate(net.ids)}
+            want = {}
+            for i in range(net.n):
+                for j in range(net.n):
+                    paths = oracle_paths(net, i, j)
+                    if paths:
+                        want[i, j] = tuple((sum(bit[v] for v in path_vertices(net, p)), sum(1 << e for e in p))
+                                           for p in paths)
+            assert net._path_table() == want
+
     def test_families_and_markings_match_the_product_oracle(self):
-        nets = [PlanarNetwork.from_json_obj(json.loads(line))
-                for line in BENCH_NETWORKS.read_text().splitlines()]
-        rng = random.Random(SEED + 13)
-        nets += [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 5)) for _ in range(200)]
         rejected = at_three = 0
-        for net in nets:
+        for net in oracle_nets():
             markings = set()
             for w in all_perms(net.n):
-                fams = list(oracle_families(net, w))
-                for cap in (1, 3):
-                    assert list(_families(net, w, cap)) == [c for c, load in fams if load <= cap]
-                for combo, load in fams:
+                fams = []
+                for combo, load in oracle_families(net, w):
+                    counts = Counter(itertools.chain.from_iterable(combo))
+                    fams.append((edge_planes(counts), load))
                     if load <= 3:
-                        markings.add(tuple(sorted(Counter(e for p in combo for e in p).items())))
+                        markings.add(tuple(sorted(counts.items())))
+                for cap in (1, 3):
+                    assert list(_families(net, w, cap)) == [planes for planes, load in fams if load <= cap]
                 rejected += sum(load > 3 for _, load in fams)
                 at_three += sum(load == 3 for _, load in fams)
             assert covering_markings(net) == sorted(markings)
@@ -674,26 +707,27 @@ class TestFamilyOracle:
             _families(funnel3_net(), (1, 2, 3), cap)
 
     def test_paths_are_counted_before_they_are_listed(self):
-        assert len(PlanarNetwork(1, *diamond_chain(4), ["v0"], ["v4"]).paths_between(0, 0)) == 16
+        assert len(PlanarNetwork(1, *diamond_chain(4), ["v0"], ["v4"])._path_table()[0, 0]) == 16
         for k in (20, 30):  # 2^20 and 2^30 paths, both past the bound
             net = PlanarNetwork(1, *diamond_chain(k), ["v0"], [f"v{k}"])
             with pytest.raises(WebError, match="candidate path families"):
-                net.paths_between(0, 0)
+                net._path_table()
         assert 2 ** 19 < MAX_PATH_FAMILIES < 2 ** 20
 
     def test_candidate_families_are_bounded(self):
         # 4 * 512 paths and 2 * 512^2 families pass; 4 * 1024 paths
         # pass the path bound, but not 2 * 1024^2 families
         assert 2 * 4 ** 9 <= MAX_PATH_FAMILIES < 2 * 4 ** 10
-        assert len(fanned_chain(9).paths_between(0, 1)) == 512
+        assert len(fanned_chain(9)._path_table()[0, 1]) == 512
         with pytest.raises(WebError, match="candidate path families"):
-            fanned_chain(10).paths_between(0, 1)
+            fanned_chain(10)._path_table()
 
     def test_dead_ends_are_not_walked(self):
         # 2^30 prefixes run into the chain's end, which is not an exit
         vertices, edges = diamond_chain(30)
         net = PlanarNetwork(1, vertices + [("t", 1, 5)], edges + [("v0", "t", 1)], ["v0"], ["t"])
-        assert net.paths_between(0, 0) == ((len(edges),),)
+        # the one path v0 -> t, as its (vertex mask, edge mask)
+        assert net._path_table() == {(0, 0): ((1 | 1 << len(vertices), 1 << len(edges)),)}
 
 
 def mutated_markings(net, marks, rng):
