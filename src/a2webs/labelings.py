@@ -88,75 +88,112 @@ def _check_word(g: tuple[int, ...], n: int) -> None:
         raise WebError(f"boundary has {len(g) // 2} strands, web has {n}")
 
 
+# The most partial labelings advanced as one list: the pending chunks,
+# not a whole level of the search, hold its memory besides the output.
+CHUNK = 256
+_PERMS = tuple(itertools.permutations(LABELS))
+# _OTHERS[a]: the two orders of the two labels other than a
+_OTHERS = (None,) + tuple(tuple(itertools.permutations(x for x in LABELS if x != a)) for a in LABELS)
+_FREE = tuple((a,) for a in LABELS)
+
+
+def _plan(w: Web, pinned: dict[int, int]) -> tuple[tuple, list[tuple], list[int]]:
+    """The start partial (the pinned labels), the steps, and each edge's
+    position in a partial.  The internal vertices are visited breadth
+    first from the pinned edges, then each unpinned through-strand.  A
+    step holds the positions of the legs labeled before it, and the
+    labels its new legs may take when there are none: _PERMS at a
+    vertex, _FREE on a through-strand."""
+    m = w.pmap
+    internal = m.internal_vertices()
+    at_vertex: dict[int, list[int]] = {v: [] for v in internal}
+    for e, (t, h) in enumerate(m.edges):
+        for v in (t, h):
+            if v in at_vertex:
+                at_vertex[v].append(e)
+    pins = sorted(pinned)
+    where = [-1] * len(m.edges)
+    for k, e in enumerate(pins):
+        where[e] = k
+    filled = len(pins)
+    queue = deque(v for e in pins for v in m.edges[e] if v in at_vertex)
+    queued = set(queue)
+    unreached = (v for v in internal if v not in queued)
+    steps: list[tuple] = []
+    while True:
+        if not queue:  # start a component no pinned edge reaches
+            v = next(unreached, None)
+            if v is None:
+                break
+            queued.add(v)
+            queue.append(v)
+        legs = at_vertex[queue.popleft()]
+        steps.append((tuple(where[e] for e in legs if where[e] >= 0), _PERMS))
+        for e in legs:
+            if where[e] < 0:
+                where[e] = filled
+                filled += 1
+                for u in m.edges[e]:
+                    if u in at_vertex and u not in queued:
+                        queued.add(u)
+                        queue.append(u)
+    for e, k in enumerate(where):
+        if k < 0:
+            where[e] = filled
+            filled += 1
+            steps.append(((), _FREE))
+    return tuple(pinned[e] for e in pins), steps, where
+
+
 def enumerate_labelings(
     w: Web, g: Optional[tuple[int, ...]] = None
 ) -> list[tuple[int, ...]]:
     """All consistent labelings of w, sorted, restricted to boundary
     word g if given.
 
-    Backtracks over edges in a breadth-first order seeded by the pinned
-    boundary edges, so the distinctness constraint prunes early.
+    Labels a vertex at a time, with no recursion.  A partial labeling
+    is a tuple in visit order: the pinned boundary edges first, then
+    the legs of each internal vertex breadth first from them, then the
+    unpinned through-strands.  Each step extends a whole list of
+    partials by what it has already labeled: no leg, the six
+    permutations; one leg labeled a, the two orders of the other two
+    labels; two legs a != b, the forced 6 - a - b; all three, a check
+    that they differ.  Lists are taken depth first from an explicit
+    stack in chunks of at most CHUNK partials, and one itemgetter puts
+    each finished labeling in edge-id order.
     """
     m = w.pmap
-    ne = len(m.edges)
     pinned: dict[int, int] = {}
     if g is not None:
         _check_word(g, m.n)
         for e, lbl in zip(_boundary_edges(w), g):
             if pinned.setdefault(e, lbl) != lbl:
                 return []
-
-    internal = set(m.internal_vertices())
-    at_vertex: dict[int, list[int]] = {v: [] for v in internal}
-    for e, (t, h) in enumerate(m.edges):
-        for v in (t, h):
-            if v in internal:
-                at_vertex[v].append(e)
-
-    order: list[int] = []
-    seen: set[int] = set()
-    queue: deque[int] = deque(sorted(pinned))
-    seen.update(queue)
-    while len(order) < ne:
-        if not queue:
-            e0 = min(e for e in range(ne) if e not in seen)
-            seen.add(e0)
-            queue.append(e0)
-        e = queue.popleft()
-        order.append(e)
-        for v in m.edges[e]:
-            for e2 in at_vertex.get(v, ()):
-                if e2 not in seen:
-                    seen.add(e2)
-                    queue.append(e2)
-
-    # each edge in visiting order, its allowed labels, and the other
-    # edges at its internal ends: a label is consistent when none of
-    # those carries it already (unlabeled edges hold 0)
-    steps = [
-        (
-            e,
-            (pinned[e],) if e in pinned else LABELS,
-            tuple(e2 for v in m.edges[e] for e2 in at_vertex.get(v, ()) if e2 != e),
-        )
-        for e in order
-    ]
-    labels = [0] * ne
+    start, steps, where = _plan(w, pinned)
+    last = len(steps)
+    in_edge_order = operator.itemgetter(*where) if where != list(range(len(where))) else None
     out: list[tuple[int, ...]] = []
-
-    def go(k: int) -> None:
-        if k == ne:
-            out.append(tuple(labels))
-            return
-        e, choices, nbrs = steps[k]
-        used = {labels[e2] for e2 in nbrs}
-        for lbl in choices:
-            if lbl not in used:
-                labels[e] = lbl
-                go(k + 1)
-        labels[e] = 0
-
-    go(0)
+    stack = [(0, [start])]
+    while stack:
+        k, parts = stack.pop()
+        while k < last and parts and len(parts) <= CHUNK:
+            known, choices = steps[k]
+            k += 1
+            if not known:
+                parts = [p + q for p in parts for q in choices]
+            elif len(known) == 1:
+                i, = known
+                parts = [p + q for p in parts for q in _OTHERS[p[i]]]
+            elif len(known) == 2:
+                i, j = known
+                parts = [p + (6 - p[i] - p[j],) for p in parts if p[i] != p[j]]
+            else:
+                i, j, h = known
+                parts = [p for p in parts if p[i] != p[j] and p[i] + p[j] + p[h] == 6]
+        if k < last and parts:
+            stack.extend((k, parts[s:s + CHUNK]) for s in range(0, len(parts), CHUNK))
+        else:
+            out += map(in_edge_order, parts) if in_edge_order else parts
     if m.loops:
         out = [f + free for f in out for free in itertools.product(LABELS, repeat=m.loops)]
     out.sort()

@@ -57,6 +57,14 @@ Point = tuple[Fraction, Fraction]
 # most 159 paths and 19,440 candidate families.
 MAX_PATH_FAMILIES = 1_000_000
 
+# The most decimal digits of the lcm of the x (or the y) denominators,
+# ten times the 1,000 characters one coordinate may have.  `_grid`
+# scales every coordinate by that lcm, so the bound is checked before
+# any coordinate is scaled.  The benchmark networks' denominators are
+# 1, 2 and 3.
+MAX_GRID_DIGITS = 10_000
+_GRID_BOUND = 10 ** MAX_GRID_DIGITS
+
 
 def _frac(x) -> Fraction:
     try:
@@ -69,13 +77,25 @@ def _frac(x) -> Fraction:
 # The drawing check
 
 
+def _common_denominator(axis: str, dens: Iterable[int]) -> int:
+    """The lcm of dens, refused once it has more than MAX_GRID_DIGITS
+    digits."""
+    d = 1
+    for den in dens:
+        d = math.lcm(d, den)
+        if d >= _GRID_BOUND:
+            raise WebError(f"the {axis} coordinates' common denominator has more than "
+                           f"{MAX_GRID_DIGITS:,} digits")
+    return d
+
+
 def _grid(pos: Mapping[str, Point]) -> dict[str, tuple[int, int]]:
     """pos scaled to integers: each x times the lcm of the x
     denominators, each y times the lcm of the y denominators.  Both
     factors are positive, so the scaled drawing keeps every order,
     slope order and coincidence of the original."""
-    dx = math.lcm(*{x.denominator for x, _ in pos.values()})
-    dy = math.lcm(*{y.denominator for _, y in pos.values()})
+    dx = _common_denominator("x", {x.denominator for x, _ in pos.values()})
+    dy = _common_denominator("y", {y.denominator for _, y in pos.values()})
     return {v: (x.numerator * (dx // x.denominator), y.numerator * (dy // y.denominator))
             for v, (x, y) in pos.items()}
 

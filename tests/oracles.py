@@ -1,12 +1,14 @@
 """Independent routes the tests check the library against.  No program
 path calls these."""
 
+from collections import deque
 from functools import cache
 from itertools import permutations, product
+from typing import Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import theta_image
-from a2webs.labelings import LABELS
+from a2webs.labelings import LABELS, _boundary_edges, _check_word
 from a2webs.networks import PlanarNetwork, _known_edge, _sliced_web
 from a2webs.spider import WebCombo
 from a2webs.tlbridge import A1Web
@@ -74,6 +76,83 @@ def brute_force_labelings(w: Web, g=None) -> list[tuple[int, ...]]:
         if all(len({f[e] for e in es}) == 3 for es in at_vertex.values())
         and (g is None or all(f[e] == x for e, x in zip(boundary, g)))
     )
+
+
+def oracle_labelings(
+    w: Web, g: Optional[tuple[int, ...]] = None
+) -> list[tuple[int, ...]]:
+    """All consistent labelings of w, sorted, restricted to boundary
+    word g if given: the library's edge-at-a-time search, kept as the
+    reference for `enumerate_labelings`.
+
+    Backtracks over edges in a breadth-first order seeded by the pinned
+    boundary edges, so the distinctness constraint prunes early.
+    Recurses once per edge, so only for webs of a few hundred edges.
+    """
+    m = w.pmap
+    ne = len(m.edges)
+    pinned: dict[int, int] = {}
+    if g is not None:
+        _check_word(g, m.n)
+        for e, lbl in zip(_boundary_edges(w), g):
+            if pinned.setdefault(e, lbl) != lbl:
+                return []
+
+    internal = set(m.internal_vertices())
+    at_vertex: dict[int, list[int]] = {v: [] for v in internal}
+    for e, (t, h) in enumerate(m.edges):
+        for v in (t, h):
+            if v in internal:
+                at_vertex[v].append(e)
+
+    order: list[int] = []
+    seen: set[int] = set()
+    queue: deque[int] = deque(sorted(pinned))
+    seen.update(queue)
+    while len(order) < ne:
+        if not queue:
+            e0 = min(e for e in range(ne) if e not in seen)
+            seen.add(e0)
+            queue.append(e0)
+        e = queue.popleft()
+        order.append(e)
+        for v in m.edges[e]:
+            for e2 in at_vertex.get(v, ()):
+                if e2 not in seen:
+                    seen.add(e2)
+                    queue.append(e2)
+
+    # each edge in visiting order, its allowed labels, and the other
+    # edges at its internal ends: a label is consistent when none of
+    # those carries it already (unlabeled edges hold 0)
+    steps = [
+        (
+            e,
+            (pinned[e],) if e in pinned else LABELS,
+            tuple(e2 for v in m.edges[e] for e2 in at_vertex.get(v, ()) if e2 != e),
+        )
+        for e in order
+    ]
+    labels = [0] * ne
+    out: list[tuple[int, ...]] = []
+
+    def go(k: int) -> None:
+        if k == ne:
+            out.append(tuple(labels))
+            return
+        e, choices, nbrs = steps[k]
+        used = {labels[e2] for e2 in nbrs}
+        for lbl in choices:
+            if lbl not in used:
+                labels[e] = lbl
+                go(k + 1)
+        labels[e] = 0
+
+    go(0)
+    if m.loops:
+        out = [f + free for f in out for free in product(LABELS, repeat=m.loops)]
+    out.sort()
+    return out
 
 
 def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:

@@ -21,7 +21,7 @@ from a2webs.spider import (
     reduce_web,
     second_generator_combo,
 )
-from a2webs.webcore import WebError
+from a2webs.webcore import Web, WebError, identity_web
 
 SEED = 20260816
 GEN = ",".join(map(str, product_web(2, [1]).code))  # one generator on 2 strands
@@ -190,6 +190,15 @@ class TestSubcommands:
         rc, got = run_json(
             capsys, ["labelings", "--web", code, "--boundary", "1,2,3:1,2,3"]
         )
+        assert rc == 0
+        assert got["count"] == 1
+
+    def test_labelings_on_a_long_identity_web(self, capsys):
+        # 1,500 through-strands pinned one after another: the search
+        # does not recurse, so it needs no deeper stack
+        code = ",".join(map(str, Web.from_slice(identity_web(1500)).code))
+        ones = ",".join(["1"] * 1500)
+        rc, got = run_json(capsys, ["labelings", "--web", code, "--boundary", f"{ones}:{ones}"])
         assert rc == 0
         assert got["count"] == 1
 

@@ -244,3 +244,22 @@ def test_long_network_values(capsys, tmp_path):
         path.write_text(json.dumps(obj))
         line = assert_refused(capsys, ["network", "--file", str(path), rng.choice(["--matrix", "--check-corollary"])])
         assert len(line) < 300, line[:400]
+
+
+def test_long_common_denominator(capsys, tmp_path):
+    # one strand through 6,000 vertices at x = i + 1/p_i, p_i the i-th
+    # prime: the lcm of the x denominators passes MAX_GRID_DIGITS, so
+    # the network is refused before any coordinate is scaled by it
+    k, sieve, primes = 6000, bytearray([1]) * 60_000, []
+    for p in range(2, len(sieve)):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    vertices = [{"id": "v0", "x": 0, "y": 0}, {"id": "t", "x": k + 1, "y": 0}]
+    vertices += [{"id": f"v{i}", "x": f"{i * p + 1}/{p}", "y": 0} for i, p in enumerate(primes[:k], 1)]
+    edges = [{"from": f"v{i}", "to": f"v{i + 1}", "weight": 1} for i in range(k)]
+    edges.append({"from": f"v{k}", "to": "t", "weight": 1})
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": 1, "vertices": vertices, "edges": edges, "sources": ["v0"], "sinks": ["t"]}))
+    line = assert_refused(capsys, ["network", "--file", str(path), "--matrix"])
+    assert line == "error: the x coordinates' common denominator has more than 10,000 digits"

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from a2webs import clear_caches
+from a2webs import clear_caches, labelings
 from a2webs.exactmath import LaurentPoly, eval_q1, qint
+from a2webs.immanants import irreducible_webs
 from a2webs.labelings import (
     KappaVector,
     boundary_profile,
@@ -28,6 +29,8 @@ from a2webs.spider import (
     second_generator,
 )
 from a2webs.webcore import (
+    LEFT,
+    RIGHT,
     Column,
     SliceDiagram,
     Web,
@@ -36,7 +39,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
-from oracles import brute_force_labelings, is_balanced
+from oracles import brute_force_labelings, is_balanced, oracle_labelings
 
 SEED = 20260816
 
@@ -213,6 +216,102 @@ def random_web_with_loops(rng):
                 Column(p, "cap", ("R", "L")),
             )))
     return Web.from_slice(d)
+
+
+def closed_parts_below(n, loops, thetas):
+    """Columns that draw closed parts below n strands at wire n + 1:
+    each loop a cup and cap pair, as Web._draw adds, and each theta two
+    vertices joined by three edges."""
+    p, R, L = n + 1, RIGHT, LEFT
+    loop = (Column(p, "cup", (R, L)), Column(p, "cap", (R, L)))
+    theta = (Column(p, "cup", (R, L)), Column(p, "split", (R, L, L)),
+             Column(p + 1, "merge", (L, L, R)), Column(p, "cap", (L, R)))
+    return SliceDiagram(n, loop * loops + theta * thetas)
+
+
+def assert_matches_oracle(w, g):
+    assert enumerate_labelings(w, g) == oracle_labelings(w, g), (w.code, g)
+
+
+class TestLabelingOracle:
+    # the vertex-at-a-time search returns the same sorted list as the
+    # edge-at-a-time one it replaced, pinned or not
+    def test_irreducible_webs(self):
+        for n in range(1, 6):
+            for D in irreducible_webs(n):
+                fs = enumerate_labelings(D)
+                assert fs == oracle_labelings(D), D.code
+                words = sorted({boundary_restriction(D, f) for f in fs})
+                for g in words:
+                    assert_matches_oracle(D, g)
+                # a word no labeling shows: its two sides are unbalanced
+                assert_matches_oracle(D, (1,) * n + (2,) * n)
+
+    def test_random_product_webs(self):
+        rng = random.Random(SEED + 27)
+        through = 0
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            word = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))] if n > 1 else []
+            w = product_web(n, word)
+            assert_matches_oracle(w, None)
+            for _ in range(3):
+                assert_matches_oracle(w, tuple(rng.choice((1, 2, 3)) for _ in range(2 * n)))
+            # a through-strand pinned to two labels at its two ends
+            for t, h in w.pmap.edges:
+                if t < 2 * n and h < 2 * n:
+                    g = [1] * (2 * n)
+                    g[t], g[h] = 1, 2
+                    assert enumerate_labelings(w, tuple(g)) == [] == oracle_labelings(w, tuple(g))
+                    through += 1
+        assert through > 50
+
+    def test_closed_parts(self):
+        rng = random.Random(SEED + 28)
+        for loops, thetas in [(1, 0), (0, 1), (2, 1), (1, 2)]:
+            for n in (1, 2, 3):
+                word = [rng.randint(1, n - 1) for _ in range(2)] if n > 1 else []
+                d = concatenate(product_web(n, word).diagram, closed_parts_below(n, loops, thetas))
+                w = Web.from_slice(d)
+                assert (w.pmap.loops, w.pmap.internal_vertex_count) == (loops, 2 * (len(word) + thetas))
+                assert_matches_oracle(w, None)
+                for f in enumerate_labelings(w)[::7]:
+                    assert_matches_oracle(w, boundary_restriction(w, f))
+        for _ in range(20):
+            assert_matches_oracle(random_web_with_loops(rng), None)
+        w = Web.from_slice(closed_parts_below(1, 0, 1))
+        assert len(enumerate_labelings(w)) == 3 * 6 == len(brute_force_labelings(w))
+
+    def test_chunk_size_does_not_change_the_list(self, monkeypatch):
+        # chunks of 1 give the same list as one chunk of everything
+        rng = random.Random(SEED + 29)
+        w = product_web(4, [rng.randint(1, 3) for _ in range(6)])
+        g = first_boundary(w)
+        want = enumerate_labelings(w), enumerate_labelings(w, g)
+        for size in (1, 5, 10**9):
+            monkeypatch.setattr(labelings, "CHUNK", size)
+            assert (enumerate_labelings(w), enumerate_labelings(w, g)) == want
+
+
+class TestWordCountPins:
+    # recorded with the edge-at-a-time search, before the search took a
+    # vertex at a time: a sha256 over each irreducible web's sorted word
+    # counts at n = 5, in irreducible_webs order, and the labeling total
+    # over the 513 irreducible webs at n = 6
+    DIGEST_5 = "167fe8337d2dc59f529e3e9590ab61928b69bd10f761d0d9b9840786576ec826"
+
+    def test_word_counts_at_5(self):
+        digest = hashlib.sha256()
+        webs = irreducible_webs(5)
+        for D in webs:
+            digest.update(repr(sorted(word_counts(D).items())).encode())
+        assert len(webs) == 103
+        assert digest.hexdigest() == self.DIGEST_5
+
+    def test_labeling_total_at_6(self):
+        webs = irreducible_webs(6)
+        assert len(webs) == 513
+        assert sum(len(enumerate_labelings(D)) for D in webs) == 1_197_741
 
 
 class TestBoundaryCounts:

@@ -15,10 +15,12 @@ from a2webs.immanants import evaluate_immanant, irreducible_webs
 from a2webs.labelings import boundary_profile, boundary_restriction, enumerate_labelings
 from a2webs.minors import all_triples, decompose_triple, triple_blocks, triple_product
 from a2webs.networks import (
+    MAX_GRID_DIGITS,
     MAX_PATH_FAMILIES,
     NetEdge,
     PlanarNetwork,
     _check_drawing,
+    _common_denominator,
     _families,
     _grid,
     _sliced_web,
@@ -705,6 +707,15 @@ class TestFamilyOracle:
     def test_other_caps_are_refused(self, cap):
         with pytest.raises(ValueError):
             _families(funnel3_net(), (1, 2, 3), cap)
+
+    def test_common_denominator_is_bounded(self):
+        assert MAX_GRID_DIGITS == 10_000
+        assert _common_denominator("x", [1, 2, 3, 4]) == 12
+        widest = 9 * 10 ** 9_999  # 10,000 digits
+        assert _common_denominator("y", [widest, 3]) == widest
+        for dens in ([10 ** 10_000], [2 ** 20_000, 5 ** 20_000], [widest, 7]):
+            with pytest.raises(WebError, match="common denominator has more than 10,000 digits"):
+                _common_denominator("y", dens)
 
     def test_paths_are_counted_before_they_are_listed(self):
         assert len(PlanarNetwork(1, *diamond_chain(4), ["v0"], ["v4"])._path_table()[0, 0]) == 16
