@@ -223,6 +223,7 @@ def _number(text: str, at: Optional[int] = None) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _check_bound("reduce", args.n, "reduction is")
     combo = reduce_combo(_ExprParser(args.expr, args.n).parse())
     _emit(_combo_json(combo, args.q))
     return 0
@@ -318,6 +319,8 @@ def _load_json(path: str):
             return json.load(fh, parse_int=_number)
     except ValueError as exc:  # bad JSON or UTF-8, or an overlong integer
         raise WebError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise WebError(f"{path}: JSON nested too deeply") from exc
     except OSError as exc:
         raise WebError(f"cannot read {path}: {exc}") from exc
 

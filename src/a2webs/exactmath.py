@@ -229,15 +229,6 @@ class LaurentPoly:
     def to_json_obj(self) -> dict[str, str]:
         return {str(e): str(c) for e, c in sorted(self._c.items())}
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, str]) -> "LaurentPoly":
-        """Read what to_json_obj writes, integer strings such as "-2";
-        int(str(c)) refuses 2.7 and true, which int(c) would take."""
-        try:
-            return cls({int(e): int(str(c)) for e, c in obj.items()})
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"not a polynomial object: {obj!r}") from exc
-
 
 def _coerce(x: "LaurentPoly | int") -> LaurentPoly:
     if isinstance(x, LaurentPoly):

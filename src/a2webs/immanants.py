@@ -32,9 +32,10 @@ from .webcore import Web, WebError
 # documented strand bounds, the one table of them.  "webs" bounds web
 # enumeration: expansions run over all of S_n, so the cost is factorial
 # and n = 6 is the last size that finishes in reasonable time.  The
-# others bound the CLI's coefficient tables and immanant evaluation and
-# each verification suite; exhaustive checks stop being desk-scale above
-# them, so single suites refuse above these and the "all" runner clamps.
+# others bound the CLI's coefficient tables, immanant evaluation and
+# reduction, and each verification suite; exhaustive checks stop being
+# desk-scale above them, so single suites refuse above these and the
+# "all" runner clamps.
 STRAND_BOUNDS = {
     "webs": 6,
     "immanants": 4,
@@ -47,6 +48,7 @@ STRAND_BOUNDS = {
     "bridge": 3,
     "networks": 3,
     "tnn": 4,
+    "reduce": 10_000,
 }
 
 

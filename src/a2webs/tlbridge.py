@@ -12,8 +12,8 @@ Deleting the 3-labeled edges from a consistently labeled web leaves
 each internal vertex with degree two, so the surviving edges join up
 into such a matching.  Counting the web labelings that land on a fixed
 matching turns products "matching immanant times a single minor" into
-integer combinations of web immanants; those counts are what
-bridge_coefficient returns.
+integer combinations of web immanants; bridge_expansion returns
+those counts for every irreducible web.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .immanants import ExactMatrix, irreducible_webs
 from .labelings import _check_counts, enumerate_labelings
@@ -318,35 +318,6 @@ def lifted_boundaries(
     ]
 
 
-def _count_onto(D: Web, boundary: tuple[int, ...], target: A1Web) -> int:
-    """Labelings of D with the given boundary that forget onto target."""
-    return sum(1 for f in enumerate_labelings(D, boundary) if forgetful(D, f) == target)
-
-
-def bridge_coefficient(
-    D: Web,
-    w: Perm,
-    rows3: Sequence[int] = (),
-    cols3: Sequence[int] = (),
-    boundary: Optional[tuple[int, ...]] = None,
-) -> int:
-    """Number of consistent labelings of D showing an admissible full
-    boundary whose surviving part, after the 3-labeled edges are
-    deleted, is exactly w's matching.
-
-    This is the coefficient of D's immanant in the product of w's
-    matching immanant (on the matrix with the given rows and columns
-    removed) with the minor on those rows and columns.  Every
-    admissible boundary gives the same count; the default takes the
-    first in enumeration order, and passing one pins the choice."""
-    cands = lifted_boundaries(D.n, w, rows3, cols3)
-    if boundary is None:
-        boundary = cands[0]
-    elif boundary not in cands:
-        raise WebError("boundary does not fit the deleted sets and the matching")
-    return _count_onto(D, boundary, matching_of_perm(w))
-
-
 def bridge_expansion(
     n: int, w: Perm, rows3: Sequence[int] = (), cols3: Sequence[int] = ()
 ) -> dict[Web, int]:
@@ -359,7 +330,8 @@ def bridge_expansion(
     target = matching_of_perm(w)
     out = {}
     for D in webs:
-        c = _count_onto(D, boundary, target)
+        # labelings of D with that boundary that forget onto w's matching
+        c = sum(1 for f in enumerate_labelings(D, boundary) if forgetful(D, f) == target)
         if c:
             out[D] = c
     return out

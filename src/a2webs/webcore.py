@@ -372,65 +372,6 @@ class PlanarMap:
                 out.add(where[d])
         return out
 
-    # -- validation -----------------------------------------------------
-
-    def validate(self) -> None:
-        """Planarity and boundary-order checks via Euler counts and the
-        outer face walk; raises WebError on the first violation."""
-        faces = self.faces()
-        where = {}
-        for fi, orbit in enumerate(faces):
-            for d in orbit:
-                where[d] = fi
-        comps = self.components()
-        intervals = []
-        for comp in comps:
-            ecount = sum(1 for t, h in self.edges if t in comp)
-            darts = {d for v in comp for d in self.rot[v]}
-            fcount = len({where[d] for d in darts})
-            if len(comp) - ecount + fcount != 2:
-                raise WebError("component fails the Euler planarity count")
-            bnd = [v for v in comp if self.roles[v][0] in (ROLE_SRC, ROLE_SNK)]
-            if not bnd:
-                continue
-            root = min(bnd, key=self.boundary_rank)
-            orbit = faces[where[self.rot[root][0]]]
-            walk_ranks = [
-                self.boundary_rank(self.dart_vertex[d])
-                for d in orbit
-                if self.roles[self.dart_vertex[d]][0] in (ROLE_SRC, ROLE_SNK)
-            ]
-            if sorted(walk_ranks) != sorted(self.boundary_rank(v) for v in bnd):
-                raise WebError("a boundary vertex is not on its component's outer face")
-            lo = walk_ranks.index(min(walk_ranks))
-            rotated = walk_ranks[lo:] + walk_ranks[:lo]
-            if rotated != sorted(rotated):
-                raise WebError("boundary order violated along the outer face")
-            intervals.append(sorted(walk_ranks))
-        for i in range(len(intervals)):
-            for j in range(i + 1, len(intervals)):
-                if _cyclically_crossing(intervals[i], intervals[j]):
-                    raise WebError("two components interleave along the boundary")
-
-
-def _cyclically_crossing(a: list[int], b: list[int]) -> bool:
-    # a, b: sorted rank lists of two components; crossing iff b is not
-    # contained in a single cyclic gap of a (and vice versa is implied)
-    if len(a) < 2 or len(b) < 2:
-        return False
-    for k in range(len(a)):
-        lo = a[k]
-        hi = a[(k + 1) % len(a)]
-        if all(_cyc_between(lo, x, hi) for x in b):
-            return False
-    return True
-
-
-def _cyc_between(lo: int, x: int, hi: int) -> bool:
-    if lo < hi:
-        return lo < x < hi
-    return x > lo or x < hi
-
 
 # ---------------------------------------------------------------------------
 # Drawing geometry for the weight statistic
@@ -748,7 +689,9 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
 def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     """Produce some drawing of m.  Any embedding is acceptable; the
     weight statistic is drawing-independent.  Different salts may give
-    different embeddings.  Loop components must be removed first."""
+    different embeddings.  Loop components must be removed first.  A
+    map with no drawing, both boundary sides in order, is refused: with
+    the round trip in Web._draw, this is the one check of a web."""
     if m.loops:
         raise WebError("cannot draw a map with abstract loop components")
     comp_sets = m.components()
@@ -760,6 +703,13 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         ci
         for ci, comp in enumerate(comp_sets)
         if any(m.roles[v][0] == ROLE_SRC for v in comp)
+    }
+    # codes record no nesting, so a component with no boundary vertex may
+    # sit anywhere: it is seeded only at the top, where it parts no wires
+    closed = {
+        ci
+        for ci, comp in enumerate(comp_sets)
+        if all(m.roles[v][0] in (ROLE_SINK, ROLE_SOURCE) for v in comp)
     }
     # initial frontier: the far ends of all source edges, top to bottom
     frontier = tuple(m.rot[i][0] ^ 1 for i in range(m.n))
@@ -815,10 +765,11 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         eids = sorted(
             e for e, (t, h) in enumerate(m.edges) if comp_of[t] == ci
         )
+        spots = range(1) if ci in closed else range(len(F) + 1)
         return [
             (p, 0, order, [("cup", (flag(order[0]), flag(order[1])))], None)
             for e in eids
-            for p in range(len(F) + 1)
+            for p in spots
             for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1))
         ]
 

@@ -54,9 +54,10 @@ from a2webs.spider import (
     second_generator_combo,
 )
 from a2webs.tlbridge import (
-    bridge_coefficient,
     bridge_expansion,
+    forgetful,
     lifted_boundaries,
+    matching_of_perm,
     pair_expansion,
     tl_immanant,
 )
@@ -234,9 +235,10 @@ def test_c09_minor_pair_and_bridge_expansions():
                         rhs = sum(c * evaluate_immanant(D, X) for D, c in exp.items())
                         assert lhs == rhs, (w, rows3, cols3)
                     # the certifying boundary is a free choice
+                    target = matching_of_perm(w)
                     for D in irreducible_webs(n):
                         counts = {
-                            bridge_coefficient(D, w, rows3, cols3, boundary=b)
+                            sum(1 for f in enumerate_labelings(D, b) if forgetful(D, f) == target)
                             for b in lifted_boundaries(n, w, rows3, cols3)
                         }
                         assert len(counts) == 1, (w, rows3, cols3)

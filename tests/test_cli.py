@@ -504,6 +504,24 @@ class TestMalformedInput:
         line = one_error_line(capsys, argv + [str(path)])
         assert "bad.json" in line and "utf-8" in line
 
+    @pytest.mark.parametrize("argv", [
+        ["immanants", "--n", "2", "--matrix"],
+        ["network", "--matrix", "--file"],
+    ])
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        # json.load recurses once per bracket
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        line = one_error_line(capsys, argv + [str(path)])
+        assert line == f"error: {path}: JSON nested too deeply"
+
+    @pytest.mark.parametrize("n", ["10001", "10000000"])
+    def test_reduce_strands_are_bounded(self, capsys, n):
+        start = time.perf_counter()
+        line = one_error_line(capsys, ["reduce", "--n", n, "Id"])
+        assert line == f"error: reduction is documented up to n=10000, got {n}"
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize("n", ["true", "1.0"])
     def test_matrix_n_must_be_an_integer(self, capsys, tmp_path, n):
         path = tmp_path / "m.json"

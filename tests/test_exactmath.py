@@ -149,24 +149,9 @@ class TestRendering:
 
 
 class TestJson:
-    def test_roundtrip(self):
-        p = P({-4: 1, 0: 5, 2: -2})
-        assert LaurentPoly.from_json_obj(p.to_json_obj()) == p
-
     def test_key_order_deterministic(self):
         p = P({4: 1, -4: 1, 0: 1})
         assert list(p.to_json_obj()) == ["-4", "0", "4"]
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.from_json_obj({"x": "1"})
-        with pytest.raises(ValueError):
-            LaurentPoly.from_json_obj({"0": "one"})
-
-    @pytest.mark.parametrize("c", ["1/2", "0.5", 2.7, True])
-    def test_refuses_non_integer_coefficient(self, c):
-        with pytest.raises(ValueError):
-            LaurentPoly.from_json_obj({"0": c})
 
 
 class TestRationalCodec:

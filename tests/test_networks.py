@@ -1169,7 +1169,7 @@ class TestUncrossDigest:
         for net in nets:
             for marks in covering_markings(net):
                 w = uncross(net, marks)
-                w.pmap.validate()
+                w.diagram
                 digest.update(repr(w.code).encode())
                 profiles |= _vertex_profiles(net, marks)
         sides = ((1,), (2,), (1, 1), (3,), (1, 2), (1, 1, 1))
@@ -1281,7 +1281,7 @@ class TestBoundaryContract:
         # s2 -> t2 is its own component inside the diamond.  Above the
         # diamond's lower curve s2 could reach the left only across the
         # strand from s1, so that marking is refused; the map alone,
-        # two disjoint strands, would pass validate().
+        # two disjoint strands, draws as a web.
         net = PlanarNetwork(
             2,
             [("s1", 0, 1), ("a", 1, 0), ("b", 2, 2), ("c", 2, -2), ("d", 4, 0),
