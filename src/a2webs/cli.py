@@ -318,11 +318,11 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=_number)
     except ValueError as exc:  # bad JSON or UTF-8, or an overlong integer
-        raise WebError(f"{path}: {exc}") from exc
+        raise WebError(f"{quoted(path)}: {exc}") from exc
     except RecursionError as exc:
-        raise WebError(f"{path}: JSON nested too deeply") from exc
-    except OSError as exc:
-        raise WebError(f"cannot read {path}: {exc}") from exc
+        raise WebError(f"{quoted(path)}: JSON nested too deeply") from exc
+    except OSError as exc:  # its str() names the path a second time
+        raise WebError(f"cannot read {quoted(path)}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

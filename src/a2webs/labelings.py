@@ -37,13 +37,7 @@ from typing import Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
-from .webcore import (
-    ROLE_SINK,
-    Combo,
-    Web,
-    WebError,
-    canonical_edge_order,
-)
+from .webcore import Combo, Web, WebError, canonical_edge_order
 
 LABELS = (1, 2, 3)
 
@@ -211,12 +205,12 @@ def word_counts(w: Web) -> Counter:
 # The weight statistic
 
 
-def _vertex_sign(role: str, left, right, lab) -> int:
+def _vertex_sign(sink: bool, left, right, lab) -> int:
     if len(left) == 2:
         upper_bigger = lab[left[0]] > lab[left[1]]
     else:
         upper_bigger = lab[right[1]] > lab[right[0]]  # mirrored side
-    if role == ROLE_SINK:
+    if sink:
         upper_bigger = not upper_bigger  # heads read the primed order
     return 1 if upper_bigger else -1
 
@@ -235,7 +229,7 @@ def labeling_weight(w: Web, f: tuple[int, ...]) -> LaurentPoly:
     ne = len(m.edges)
     total = 0
     for v, (left, right) in geom.vertex_sides.items():
-        total += _vertex_sign(m.roles[v][0], left, right, f)
+        total += _vertex_sign(m.is_sink(v), left, right, f)
     for e, turns in geom.edge_turns.items():
         if turns:
             total += (4 - 2 * f[e]) * sum(turns)
@@ -322,7 +316,7 @@ def _square_balance(w: Web, f: tuple[int, ...], oc: Outcome) -> int:
     lhs = 0
     for c in oc.corners:
         left, right = geom.vertex_sides[c]
-        lhs += _vertex_sign(m.roles[c][0], left, right, f)
+        lhs += _vertex_sign(m.is_sink(c), left, right, f)
     for e in oc.face_edges:
         lhs += (4 - 2 * f[e]) * sum(geom.edge_turns[e])
     rhs = 0

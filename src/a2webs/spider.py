@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .exactmath import LaurentPoly, _coerce, qint
 from .webcore import (
@@ -184,48 +184,36 @@ def _rebuild(
     m: PlanarMap,
     dead_vertices: set,
     dead_edges: set,
-    new_edges: Sequence[tuple[int, int]],
+    new_count: int,
     replaced_slots: dict,
 ) -> tuple[PlanarMap, dict, list[int]]:
-    """Remove vertices and edges, add fused edges, renumber densely.
+    """Remove vertices and edges, add new_count fused edges, renumber
+    densely.  Every surviving dart keeps its end, tail or head.
 
-    replaced_slots maps (vertex, old eid) to an index into new_edges.
-    Returns (map, old eid -> raw child eid for survivors, raw ids of
-    the new edges)."""
-    vmap = {}
-    roles = []
-    for v in range(len(m.roles)):
-        if v in dead_vertices:
-            continue
-        vmap[v] = len(roles)
-        roles.append(m.roles[v])
+    replaced_slots maps (vertex, old eid) to the index of the fused edge
+    that takes over that slot.  Returns (map, old eid -> raw child eid
+    for survivors, raw ids of the new edges)."""
     emap = {}
-    edges = []
-    for e, (t, h) in enumerate(m.edges):
-        if e in dead_edges:
-            continue
-        emap[e] = len(edges)
-        edges.append((vmap[t], vmap[h]))
-    new_ids = []
-    for t, h in new_edges:
-        new_ids.append(len(edges))
-        edges.append((vmap[t], vmap[h]))
-    rot_refs = []
-    for v in range(len(m.roles)):
+    for e in range(len(m.edges)):
+        if e not in dead_edges:
+            emap[e] = len(emap)
+    new_ids = list(range(len(emap), len(emap) + new_count))
+    rot = []
+    for v, darts in enumerate(m.rot):
         if v in dead_vertices:
             continue
-        refs = []
-        for d in m.rot[v]:
-            e, end = d >> 1, d & 1
+        kept = []
+        for d in darts:
+            e = d >> 1
             if (v, e) in replaced_slots:
-                ne = new_ids[replaced_slots[(v, e)]]
-                refs.append((ne, 0 if edges[ne][0] == vmap[v] else 1))
+                e = new_ids[replaced_slots[(v, e)]]
             elif e in emap:
-                refs.append((emap[e], end))
+                e = emap[e]
             else:
                 raise RuntimeError("surviving vertex references an erased edge")
-        rot_refs.append(refs)
-    child = PlanarMap(m.n, roles, rot_refs, edges, loops=0)
+            kept.append(2 * e + (d & 1))
+        rot.append(kept)
+    child = PlanarMap(m.n, rot, loops=0)
     return child, emap, new_ids
 
 
@@ -270,9 +258,9 @@ def _resolve_face(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
             via = fe[(k + 1) % size]
             pair_of[a] = (b, via)
             pair_of[b] = (a, via)
-        runs, replaced, new_edges = _route_chains(m, corners, externals, pair_of)
+        runs, replaced, new_count = _route_chains(m, corners, externals, pair_of)
         dead_e = set(fe).union(*(es for es, _, _ in runs))
-        raw, emap, new_ids = _rebuild(m, set(corners), dead_e, new_edges, replaced)
+        raw, emap, new_ids = _rebuild(m, set(corners), dead_e, new_count, replaced)
         outcomes.append(Outcome(
             coeff=coeff * qint(3) ** sum(slot < 0 for _, _, slot in runs),
             child=Web.from_map(raw),
@@ -291,14 +279,15 @@ def _route_chains(m, corners, externals, pair_of):
     edge's head.  A step passes the corner's partner and leaves along
     its outside edge, until a surviving vertex ends the run or the first
     edge comes round again, closing it (then corners[j] follows edges[j]
-    cyclically).  Returns (edges, corners, slot) per run, slot indexing
-    new_edges or -1 when closed, with the replaced rotation slots and
-    the new edges."""
+    cyclically).  An open run becomes one new edge, from the tail of its
+    first edge to the head of its last.  Returns (edges, corners, slot)
+    per run, slot numbering the new edges or -1 when closed, with the
+    replaced rotation slots and the number of new edges."""
     ext_of = dict(zip(corners, externals))
     done = set()
     runs = []
     replaced = {}
-    new_edges = []
+    new_count = 0
     for x in [x for x in externals if m.edges[x][0] not in ext_of] + externals:
         if x in done:
             continue
@@ -315,14 +304,13 @@ def _route_chains(m, corners, externals, pair_of):
             t, h = m.edges[x2]
             c = t if h == partner else h
             if c not in ext_of:
-                start = m.edges[x][0]
-                slot = len(new_edges)
-                new_edges.append((start, c))
-                replaced[(start, x)] = replaced[(c, x2)] = slot
+                slot = new_count
+                new_count += 1
+                replaced[(m.edges[x][0], x)] = replaced[(c, x2)] = slot
                 break
         done.update(edges_run[::2])
         runs.append((tuple(edges_run), tuple(corners_run), slot))
-    return runs, replaced, new_edges
+    return runs, replaced, new_count
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ Three representations cooperate:
 - SliceDiagram: a concrete drawing, one tile per vertical slice.  The
   drawing is what the weight statistic of module labelings reads.
 - PlanarMap: the embedding-free rotation system (darts, twins, cyclic
-  orders) plus a count of closed loops.  The algebra lives here.
+  orders) plus a count of closed loops.  The algebra lives here.  The
+  rotations are the whole map: a web is bipartite, so a dart's parity
+  (tail or head) gives each vertex's role, and edge ends are where
+  each edge's two darts sit.
 - canonical code: an integer tuple identifying a PlanarMap up to
   boundary-preserving isomorphism.  Webs hash and compare by code.
 
@@ -31,19 +34,13 @@ LEFT = "L"
 # tile -> (wires consumed, wires produced)
 TILE_ARITY = {"merge": (2, 1), "split": (1, 2), "cup": (0, 2), "cap": (2, 0)}
 
-ROLE_SRC = "src"
-ROLE_SNK = "snk"
-ROLE_SINK = "sink"      # internal, all edges point in
-ROLE_SOURCE = "source"  # internal, all edges point out
-
-# (tile, internal vertex role) -> the direction flags of its legs
+# (tile, internal vertex is a sink) -> the direction flags of its legs
 VERTEX_DIRS = {
-    ("merge", ROLE_SINK): (RIGHT, RIGHT, LEFT),
-    ("merge", ROLE_SOURCE): (LEFT, LEFT, RIGHT),
-    ("split", ROLE_SINK): (RIGHT, LEFT, LEFT),
-    ("split", ROLE_SOURCE): (LEFT, RIGHT, RIGHT),
+    ("merge", True): (RIGHT, RIGHT, LEFT),
+    ("merge", False): (LEFT, LEFT, RIGHT),
+    ("split", True): (RIGHT, LEFT, LEFT),
+    ("split", False): (LEFT, RIGHT, RIGHT),
 }
-_DIRS_ROLE = {(tile, dirs): role for (tile, role), dirs in VERTEX_DIRS.items()}
 
 
 class WebError(ValueError):
@@ -164,7 +161,7 @@ class Column:
     def __post_init__(self):
         if self.tile not in TILE_ARITY:
             raise WebError(f"unknown tile {self.tile!r}")
-        want = {"merge": 3, "split": 3, "cup": 2, "cap": 2}[self.tile]
+        want = sum(TILE_ARITY[self.tile])
         if len(self.dirs) != want or any(d not in (RIGHT, LEFT) for d in self.dirs):
             raise WebError(f"bad dirs {self.dirs!r} for {self.tile}")
         if self.pos < 1:
@@ -218,81 +215,66 @@ class PlanarMap:
     position) followed by internal vertices.  Edge k owns darts 2k (at
     its tail, the source side) and 2k+1 (at its head); twin(d) = d^1.
     rot[v] lists v's darts in counterclockwise order (x right, y up).
+    The rest is read off rot: dart_vertex, edges as (tail, head) pairs,
+    and each vertex's role.  A boundary vertex's role is its index; an
+    internal vertex is a sink exactly when its darts are heads.
     """
 
-    __slots__ = ("n", "roles", "rot", "edges", "loops", "dart_vertex", "_faces")
+    __slots__ = ("n", "rot", "edges", "loops", "dart_vertex", "_faces")
 
-    def __init__(
-        self,
-        n: int,
-        roles: Sequence[tuple],
-        rot_refs: Sequence[Sequence[tuple[int, int]]],
-        edges: Sequence[tuple[int, int]],
-        loops: int = 0,
-    ):
-        # rot_refs[v]: CCW list of (edge id, end) with end 0 = tail, 1 = head
+    def __init__(self, n: int, rot: Sequence[Sequence[int]], loops: int = 0):
         self.n = n
-        self.roles = tuple(tuple(r) for r in roles)
-        self.edges = tuple((t, h) for t, h in edges)
+        self.rot = tuple(tuple(r) for r in rot)
         self.loops = loops
         self._faces = None
         if loops < 0:
             raise WebError("negative loop count")
-        if len(self.roles) < 2 * n:
+        if len(self.rot) < 2 * n:
             raise WebError("boundary vertices missing")
-        for i in range(n):
-            if self.roles[i] != (ROLE_SRC, i + 1) or self.roles[n + i] != (ROLE_SNK, i + 1):
-                raise WebError("boundary vertices must come first, in order")
-        dv = [-1] * (2 * len(self.edges))
-        for eid, (t, h) in enumerate(self.edges):
-            if t == h:
-                raise WebError("edge with both ends at one vertex")
-            dv[2 * eid] = t
-            dv[2 * eid + 1] = h
+        nd = sum(map(len, self.rot))
+        dv = [-1] * (nd + nd % 2)
+        for v, darts in enumerate(self.rot):
+            for d in darts:
+                # a dart out of range leaves one in range missing
+                if 0 <= d < len(dv):
+                    if dv[d] >= 0:
+                        raise WebError(f"dart {d} listed twice")
+                    dv[d] = v
+        if -1 in dv:
+            raise WebError(f"dart {dv.index(-1)} missing from rotations")
         self.dart_vertex = tuple(dv)
-        rot = []
-        seen = set()
-        for v, refs in enumerate(rot_refs):
-            darts = []
-            for eid, end in refs:
-                d = 2 * eid + end
-                if not 0 <= eid < len(self.edges) or end not in (0, 1):
-                    raise WebError("rotation references a missing edge end")
-                if self.dart_vertex[d] != v:
-                    raise WebError(f"dart of edge {eid} listed at wrong vertex")
-                if d in seen:
-                    raise WebError(f"dart {d} listed twice")
-                seen.add(d)
-                darts.append(d)
-            rot.append(tuple(darts))
-        if len(rot) != len(self.roles):
-            raise WebError("rotation/role length mismatch")
-        if len(seen) != len(dv):
-            raise WebError("some edge ends missing from rotations")
-        self.rot = tuple(rot)
-        for v, role in enumerate(self.roles):
-            want = 1 if role[0] in (ROLE_SRC, ROLE_SNK) else 3
-            if len(self.rot[v]) != want:
-                raise WebError(f"vertex {v} has degree {len(self.rot[v])}, wants {want}")
+        self.edges = tuple(zip(dv[::2], dv[1::2]))
         for t, h in self.edges:
-            if self.roles[t][0] not in (ROLE_SRC, ROLE_SOURCE):
-                raise WebError("edge tail must sit at a source-side vertex")
-            if self.roles[h][0] not in (ROLE_SNK, ROLE_SINK):
-                raise WebError("edge head must sit at a sink-side vertex")
+            if t == h:
+                raise WebError(f"edge with both ends at vertex {t}")
+        for v, darts in enumerate(self.rot):
+            want = 1 if v < 2 * n else 3
+            if len(darts) != want:
+                raise WebError(f"vertex {v} has degree {len(darts)}, wants {want}")
+            sink = darts[0] & 1
+            if any(d & 1 != sink for d in darts):
+                raise WebError(f"vertex {v} mixes edge heads and tails")
+            if v < n and sink:
+                raise WebError(f"boundary source {v} holds an edge head")
+            if n <= v < 2 * n and not sink:
+                raise WebError(f"boundary sink {v} holds an edge tail")
 
     # -- basic structure ------------------------------------------------
 
     def without_loops(self) -> "PlanarMap":
         """The same map, edge ids included, with its loop count at zero."""
-        rot_refs = [[(d >> 1, d & 1) for d in r] for r in self.rot]
-        return PlanarMap(self.n, self.roles, rot_refs, self.edges, loops=0)
+        return PlanarMap(self.n, self.rot, loops=0)
+
+    def is_sink(self, v: int) -> bool:
+        """Whether v's edges all point into it: its darts are heads."""
+        return bool(self.rot[v][0] & 1)
 
     def internal_vertices(self) -> list[int]:
-        return [v for v in range(len(self.roles)) if self.roles[v][0] in (ROLE_SINK, ROLE_SOURCE)]
+        return list(range(2 * self.n, len(self.rot)))
 
     @property
     def internal_vertex_count(self) -> int:
-        return len(self.roles) - 2 * self.n
+        return len(self.rot) - 2 * self.n
 
     def face_next(self, d: int) -> int:
         t = d ^ 1
@@ -321,7 +303,7 @@ class PlanarMap:
 
     def components(self) -> list[set[int]]:
         """Vertex sets of connected components (loops not included)."""
-        parent = list(range(len(self.roles)))
+        parent = list(range(len(self.rot)))
 
         def find(x):
             while parent[x] != x:
@@ -334,17 +316,16 @@ class PlanarMap:
             if rt != rh:
                 parent[rt] = rh
         groups: dict[int, set[int]] = {}
-        for v in range(len(self.roles)):
+        for v in range(len(self.rot)):
             groups.setdefault(find(v), set()).add(v)
         return sorted(groups.values(), key=min)
 
     def boundary_rank(self, v: int) -> int:
         """Position in the boundary cycle src1..srcn, snkn..snk1."""
-        role = self.roles[v]
-        if role[0] == ROLE_SRC:
-            return role[1] - 1
-        if role[0] == ROLE_SNK:
-            return self.n + (self.n - role[1])
+        if v < self.n:
+            return v
+        if v < 2 * self.n:
+            return 3 * self.n - 1 - v
         raise WebError(f"vertex {v} is not on the boundary")
 
     def outer_face_indices(self) -> set[int]:
@@ -363,7 +344,7 @@ class PlanarMap:
                 where[d] = fi
         out = set()
         for comp in self.components():
-            bnd = [v for v in comp if self.roles[v][0] in (ROLE_SRC, ROLE_SNK)]
+            bnd = [v for v in comp if v < 2 * self.n]
             if bnd:
                 root = min(bnd, key=self.boundary_rank)
                 out.add(where[self.rot[root][0]])
@@ -414,8 +395,7 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
     # the left legs, then the right legs, top to bottom
     wires = [new_seg(RIGHT) for _ in range(n)]
     legs: list[list[tuple[int, int]]] = [[(s, 0)] for s in wires] + [[] for _ in range(n)]
-    roles: list[tuple] = [(ROLE_SRC, i + 1) for i in range(n)]
-    roles += [(ROLE_SNK, j + 1) for j in range(n)]
+    sinks = [False] * n + [True] * n  # per vertex: do its edges point in?
     lefts: dict[int, int] = {}  # internal vertex -> number of left legs
 
     for ci, col in enumerate(diagram.columns):
@@ -435,11 +415,11 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
             joins[ends[0]] = (ends[1], sg)
             joins[ends[1]] = (ends[0], sg)
         else:
-            role = _DIRS_ROLE.get((col.tile, col.dirs))
-            if role is None:
+            sink = col.dirs[0] == RIGHT  # its first leg runs into it
+            if col.dirs != VERTEX_DIRS[(col.tile, sink)]:
                 raise WebError(f"column {ci}: vertex is neither all-in nor all-out")
-            lefts[len(roles)] = used
-            roles.append((role,))
+            lefts[len(sinks)] = used
+            sinks.append(sink)
             legs.append(ends)
         wires[p - 1 : p - 1 + used] = made
 
@@ -466,23 +446,21 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
                 break
         return turns, cur
 
-    # walk each edge once, from its first slot; its tail is the end at
-    # a source-side vertex
+    # walk each edge once, from its first slot; its head is the end at
+    # a sink
     slot_of = {end: (v, k) for v, ends in enumerate(legs) for k, end in enumerate(ends)}
-    ref: dict[tuple[int, int], tuple[int, int]] = {}  # slot -> (edge id, end)
-    edges = []
+    dart: dict[tuple[int, int], int] = {}  # slot -> dart
     edge_turns: dict[int, tuple[int, ...]] = {}
     for v, ends in enumerate(legs):
         for k, (s, side) in enumerate(ends):
-            if (v, k) in ref:
+            if (v, k) in dart:
                 continue
             walked.add(s)
             turns, last = walk((s, 1 - side))
-            other, eid = slot_of[last], len(edges)
-            head = int(roles[v][0] in (ROLE_SNK, ROLE_SINK))  # end of the edge at v
-            edges.append((other[0], v) if head else (v, other[0]))
+            eid = len(edge_turns)
             edge_turns[eid] = tuple(turns)
-            ref[(v, k)], ref[other] = (eid, head), (eid, 1 - head)
+            dart[(v, k)] = 2 * eid + sinks[v]
+            dart[slot_of[last]] = dart[(v, k)] ^ 1
 
     loop_turns = []
     for s in range(len(seg_dir)):
@@ -492,26 +470,22 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
     # CCW from the top right leg: it, the left legs top to bottom, then
     # the other right leg; a merge reads right, left-top, left-bottom and
     # a split right-top, left, right-bottom
-    rot_refs = [[ref[(v, 0)]] for v in range(2 * n)]
+    rot = [[dart[(v, 0)]] for v in range(2 * n)]
     vertex_sides = {}
     for v, nl in lefts.items():
-        rot_refs.append([ref[(v, k)] for k in (nl, *range(nl), *range(nl + 1, 3))])
+        rot.append([dart[(v, k)] for k in (nl, *range(nl), *range(nl + 1, 3))])
         vertex_sides[v] = (
-            tuple(ref[(v, k)][0] for k in range(nl)),
-            tuple(ref[(v, k)][0] for k in range(nl, 3)),
+            tuple(dart[(v, k)] >> 1 for k in range(nl)),
+            tuple(dart[(v, k)] >> 1 for k in range(nl, 3)),
         )
 
-    m = PlanarMap(n, roles, rot_refs, edges, loops=len(loop_turns))
+    m = PlanarMap(n, rot, loops=len(loop_turns))
     geom = DrawingGeometry(vertex_sides, edge_turns, tuple(loop_turns))
     return m, geom
 
 
 # ---------------------------------------------------------------------------
 # Canonical codes
-
-_ROLE_CODE = {ROLE_SRC: 1, ROLE_SNK: 2, ROLE_SINK: 3, ROLE_SOURCE: 4}
-_CODE_ROLE = {v: k for k, v in _ROLE_CODE.items()}
-
 
 def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int]]:
     vnum: dict[int, int] = {}
@@ -520,13 +494,20 @@ def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int]]:
     out: list[int] = []
     v0 = m.dart_vertex[root_dart]
     vnum[v0] = 0
+    n = m.n
     queue = deque([(v0, root_dart)])
     while queue:
         v, entry = queue.popleft()
-        role = m.roles[v]
-        out.append(_ROLE_CODE[role[0]])
-        out.append(role[1] if len(role) > 1 else 0)
         r = m.rot[v]
+        # a vertex record opens with its kind and index: source i is
+        # (1, i), sink j is (2, j), then (3, 0) or (4, 0) for an internal
+        # sink or source
+        if v < n:
+            out += (1, v + 1)
+        elif v < 2 * n:
+            out += (2, v - n + 1)
+        else:
+            out += (4 - (r[0] & 1), 0)
         i = r.index(entry)
         for k in range(len(r)):
             d = r[(i + k) % len(r)]
@@ -545,7 +526,7 @@ def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int]]:
 def _keyed_blocks(m: PlanarMap) -> list[tuple[tuple, list[int], list[int]]]:
     keyed = []
     for comp in m.components():
-        bnd = [v for v in comp if m.roles[v][0] in (ROLE_SRC, ROLE_SNK)]
+        bnd = [v for v in comp if v < 2 * m.n]
         if bnd:
             root = min(bnd, key=m.boundary_rank)
             block, eorder = _encode_from(m, m.rot[root][0])
@@ -596,10 +577,8 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
     if n < 1 or loops < 0 or ncomp < 0:
         raise WebError("bad code header")
     pos = 3
-    roles: list[tuple] = [(ROLE_SRC, i + 1) for i in range(n)]
-    roles += [(ROLE_SNK, j + 1) for j in range(n)]
-    rot_refs: list[list] = [None] * (2 * n)
-    edges: list[list] = []
+    rot: list[Optional[list[int]]] = [None] * (2 * n)
+    base = 0  # edges numbered by earlier blocks
     for _ in range(ncomp):
         if pos >= len(code):
             raise WebError("truncated code")
@@ -609,74 +588,45 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
         if len(block) != blen:
             raise WebError("truncated code")
         pos += blen
-        # parse vertex records: role, param, then 1 or 3 edge numbers
-        recs = []
+        # parse vertex records: kind, index, then 1 or 3 edge numbers; a
+        # sink's darts are edge heads
         i = 0
+        top = -1
         while i < len(block):
             if i + 2 > len(block):
                 raise WebError("truncated vertex record")
-            rc, param = block[i], block[i + 1]
-            if rc not in _CODE_ROLE:
-                raise WebError(f"unknown role code {rc}")
-            deg = 1 if rc in (1, 2) else 3
+            kind, param = block[i], block[i + 1]
+            if kind not in (1, 2, 3, 4):
+                raise WebError(f"unknown vertex kind {kind}")
+            deg = 1 if kind in (1, 2) else 3
             if i + 2 + deg > len(block):
                 raise WebError("truncated vertex record")
-            elist = tuple(block[i + 2 : i + 2 + deg])
+            elist = block[i + 2 : i + 2 + deg]
             if min(elist) < 0:
                 raise WebError(f"negative edge number {min(elist)}")
             if max(elist) >= blen:
                 # a block numbers its edges below its own length
                 raise WebError(f"edge number {max(elist)} out of range")
-            recs.append((rc, param, elist))
             i += 2 + deg
-        # local vertex -> global id
-        gids = []
-        eends: dict[int, list[tuple[int, int]]] = {}
-        for rc, param, elist in recs:
-            if rc == 1:
-                if not 1 <= param <= n:
-                    raise WebError("source index out of range")
-                gid = param - 1
-            elif rc == 2:
-                if not 1 <= param <= n:
-                    raise WebError("sink index out of range")
-                gid = n + param - 1
+            if kind > 2:
+                v = len(rot)
+                rot.append(None)
+            elif not 1 <= param <= n:
+                raise WebError(f"{'source' if kind == 1 else 'sink'} index out of range")
             else:
-                gid = len(roles)
-                roles.append((_CODE_ROLE[rc],))
-                rot_refs.append(None)
-            if rot_refs[gid] is not None:
+                v = param - 1 + n * (kind - 1)
+            if rot[v] is not None:
                 raise WebError("vertex appears in two components")
-            rot_refs[gid] = []
-            gids.append(gid)
-        base = len(edges)
-        local_count = 1 + max((e for _, _, el in recs for e in el), default=-1)
-        for _ in range(local_count):
-            edges.append([None, None])
-        for (rc, param, elist), gid in zip(recs, gids):
-            for le in elist:
-                eends.setdefault(le, []).append(gid)
-        for le, vs in sorted(eends.items()):
-            if len(vs) != 2:
-                raise WebError(f"edge {le} does not have exactly two ends")
-            src_side = [v for v in vs if roles[v][0] in (ROLE_SRC, ROLE_SOURCE)]
-            snk_side = [v for v in vs if roles[v][0] in (ROLE_SNK, ROLE_SINK)]
-            if len(src_side) != 1 or len(snk_side) != 1:
-                raise WebError("edge does not join a source side to a sink side")
-            edges[base + le] = [src_side[0], snk_side[0]]
-        for (rc, param, elist), gid in zip(recs, gids):
-            refs = []
-            for le in elist:
-                eid = base + le
-                end = 0 if edges[eid][0] == gid else 1
-                refs.append((eid, end))
-            rot_refs[gid] = refs
+            sink = kind in (2, 3)
+            rot[v] = [2 * (base + e) + sink for e in elist]
+            top = max(top, *elist)
+        base += top + 1
     if pos != len(code):
         raise WebError("trailing data in code")
     for v in range(2 * n):
-        if rot_refs[v] is None:
+        if rot[v] is None:
             raise WebError(f"boundary vertex {v} missing from code")
-    m = PlanarMap(n, roles, rot_refs, [tuple(e) for e in edges], loops=loops)
+    m = PlanarMap(n, rot, loops=loops)
     if canonical_form(m) != code:
         raise WebError("code is not in canonical form")
     return m
@@ -702,14 +652,14 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     has_src = {
         ci
         for ci, comp in enumerate(comp_sets)
-        if any(m.roles[v][0] == ROLE_SRC for v in comp)
+        if any(v < m.n for v in comp)
     }
     # codes record no nesting, so a component with no boundary vertex may
     # sit anywhere: it is seeded only at the top, where it parts no wires
     closed = {
         ci
         for ci, comp in enumerate(comp_sets)
-        if all(m.roles[v][0] in (ROLE_SINK, ROLE_SOURCE) for v in comp)
+        if all(v >= 2 * m.n for v in comp)
     }
     # initial frontier: the far ends of all source edges, top to bottom
     frontier = tuple(m.rot[i][0] ^ 1 for i in range(m.n))
@@ -733,7 +683,7 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         pos_of: dict[int, list[int]] = {}
         for p, d in enumerate(F):
             v = m.dart_vertex[d]
-            if m.roles[v][0] in (ROLE_SINK, ROLE_SOURCE) and v not in placed:
+            if v >= 2 * m.n and v not in placed:
                 pos_of.setdefault(v, []).append(p)
         moves = []
         for v, ps in pos_of.items():
@@ -744,7 +694,7 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
             if F[p : p + k] != darts[:k]:
                 continue
             tile = "split" if k == 1 else "merge"
-            dirs = VERTEX_DIRS[(tile, m.roles[v][0])]
+            dirs = VERTEX_DIRS[(tile, m.is_sink(v))]
             tiles = [(tile, dirs)]
             if k == 3:  # the merged wire and the third leg's wire meet in a cap
                 tiles.append(("cap", (dirs[2], dirs[0])))

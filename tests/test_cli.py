@@ -513,7 +513,17 @@ class TestMalformedInput:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         line = one_error_line(capsys, argv + [str(path)])
-        assert line == f"error: {path}: JSON nested too deeply"
+        assert line == f"error: {quoted(str(path))}: JSON nested too deeply"
+
+    @pytest.mark.parametrize("argv", [
+        ["immanants", "--n", "2", "--matrix"],
+        ["network", "--matrix", "--file"],
+    ])
+    def test_long_paths_are_quoted_once(self, capsys, argv):
+        # the OSError's own text would repeat the whole path
+        line = one_error_line(capsys, argv + ["x" * 5000])
+        assert line.startswith(f"error: cannot read {quoted('x' * 5000)}: ")
+        assert len(line) < 300
 
     @pytest.mark.parametrize("n", ["10001", "10000000"])
     def test_reduce_strands_are_bounded(self, capsys, n):
@@ -560,7 +570,7 @@ class TestMalformedInput:
         assert (rc, list(got.values())) == (0, ["9" * 1000])
         path.write_text('{"n": 1, "rows": [[-%s]]}' % ("9" * 1001))
         line = one_error_line(capsys, ["immanants", "--n", "1", "--matrix", str(path)])
-        assert line == f"error: {path}: number longer than 1000 digits"
+        assert line == f"error: {quoted(str(path))}: number longer than 1000 digits"
 
     @pytest.mark.parametrize("argv", [
         ["bridge", "--n", "3", "--w", "12", "--I3", "9" * 200_000, "--J3", "1"],

@@ -7,6 +7,7 @@ import pytest
 from a2webs.webcore import (
     LEFT,
     RIGHT,
+    VERTEX_DIRS,
     Column,
     PlanarMap,
     SliceDiagram,
@@ -26,6 +27,17 @@ R, L = RIGHT, LEFT
 
 def web(diagram):
     return Web.from_slice(diagram)
+
+
+def role_tag(m, v):
+    """The tag of vertex v in the notation maps once stored beside their
+    rotations: ("src", i) and ("snk", j) on the boundary, numbered from
+    1, then ("sink",) or ("source",) inside."""
+    if v < m.n:
+        return ("src", v + 1)
+    if v < 2 * m.n:
+        return ("snk", v - m.n + 1)
+    return ("sink",) if m.is_sink(v) else ("source",)
 
 
 class TestIdentity:
@@ -60,8 +72,7 @@ class TestGeneratorWeb:
         assert len(m.edges) == 5
         Web.from_map(m).diagram
         u, v = m.internal_vertices()
-        roles = {m.roles[u][0], m.roles[v][0]}
-        assert roles == {"sink", "source"}
+        assert {m.is_sink(u), m.is_sink(v)} == {True, False}
         # middle edge runs from the internal source to the internal sink
         middle = [e for e, (t, h) in enumerate(m.edges) if t >= 4 and h >= 4]
         assert len(middle) == 1
@@ -75,15 +86,15 @@ class TestGeneratorWeb:
     def test_boundary_walk_order(self):
         m, _ = to_map(generator_web(2, 1))
         (orbit,) = m.faces()
-        bnd = [m.roles[m.dart_vertex[d]] for d in orbit
-               if m.roles[m.dart_vertex[d]][0] in ("src", "snk")]
+        bnd = [role_tag(m, m.dart_vertex[d]) for d in orbit
+               if m.dart_vertex[d] < 2 * m.n]
         k = bnd.index(("src", 1))
         bnd = bnd[k:] + bnd[:k]
         assert bnd == [("src", 1), ("src", 2), ("snk", 2), ("snk", 1)]
 
     def test_geometry_sides(self):
         m, geom = to_map(generator_web(2, 1))
-        u = next(v for v in m.internal_vertices() if m.roles[v][0] == "sink")
+        u = next(v for v in m.internal_vertices() if m.is_sink(v))
         left_edges, right_edges = geom.vertex_sides[u]
         assert len(left_edges) == 2 and len(right_edges) == 1
 
@@ -96,6 +107,36 @@ class TestGeneratorWeb:
             generator_web(2, 2)
         with pytest.raises(WebError):
             generator_web(3, 0)
+
+
+class TestSinkFlags:
+    """is_sink, read off dart parity, agrees with the leg directions
+    VERTEX_DIRS gives each tile."""
+
+    def test_drawn_vertices(self):
+        d = generator_web(3, 1)
+        m, _ = to_map(d)
+        cols = [c for c in d.columns if c.tile in ("merge", "split")]
+        assert len(cols) == m.internal_vertex_count == 2
+        for v, c in zip(m.internal_vertices(), cols):
+            assert VERTEX_DIRS[(c.tile, m.is_sink(v))] == c.dirs
+
+    def test_rewrite_children(self):
+        # a child's map is rebuilt from its parent's darts, not drawn; its
+        # geometry names each vertex's legs on the child's own ids
+        from a2webs.spider import all_reducible_features, apply_rule, product_web
+
+        w = product_web(3, (2, 1, 1, 2))
+        children = [o.child for f in all_reducible_features(w) for o in apply_rule(w, f)]
+        assert children
+        for child in children:
+            m, geom = child.pmap, child.geom
+            for v in m.internal_vertices():
+                left, right = geom.vertex_sides[v]
+                tile = "merge" if len(left) == 2 else "split"
+                for e, flag in zip(left + right, VERTEX_DIRS[(tile, m.is_sink(v))]):
+                    # R: the edge runs rightward, into v on its left side
+                    assert (m.edges[e][1] == v) == ((flag == RIGHT) == (e in left))
 
 
 class TestWiggle:
@@ -120,17 +161,9 @@ class TestWiggle:
 def double_tripod_map():
     # two internal vertices: a sink absorbing all three sources and a
     # source feeding all three sinks; the two halves are not connected
-    roles = [("src", 1), ("src", 2), ("src", 3),
-             ("snk", 1), ("snk", 2), ("snk", 3),
-             ("sink",), ("source",)]
-    edges = [(0, 6), (1, 6), (2, 6), (7, 3), (7, 4), (7, 5)]
-    rot_refs = [
-        [(0, 0)], [(1, 0)], [(2, 0)],
-        [(3, 1)], [(4, 1)], [(5, 1)],
-        [(0, 1), (1, 1), (2, 1)],
-        [(4, 0), (3, 0), (5, 0)],
-    ]
-    return PlanarMap(3, roles, rot_refs, edges)
+    # edges (0, 6), (1, 6), (2, 6), (7, 3), (7, 4), (7, 5): edge e has
+    # darts 2e at its tail and 2e + 1 at its head
+    return PlanarMap(3, [[0], [2], [4], [7], [9], [11], [1, 3, 5], [8, 6, 10]])
 
 
 def assert_geometry_on_own_ids(w):
@@ -209,17 +242,54 @@ class TestLoops:
 
 class TestValidation:
     def test_crossing_strands_rejected(self):
-        roles = [("src", 1), ("src", 2), ("snk", 1), ("snk", 2)]
-        edges = [(0, 3), (1, 2)]
-        rot_refs = [[(0, 0)], [(1, 0)], [(1, 1)], [(0, 1)]]
-        m = PlanarMap(2, roles, rot_refs, edges)
+        # edges (0, 3) and (1, 2)
+        m = PlanarMap(2, [[0], [2], [3], [1]])
         with pytest.raises(WebError, match="no slice drawing"):
             Web.from_map(m).diagram
 
+    @pytest.mark.parametrize("rot", [[[0], []], [[0], [3]], [[0], [-1]]])
+    def test_missing_dart(self, rot):
+        with pytest.raises(WebError, match="dart 1 missing from rotations"):
+            PlanarMap(1, rot)
+
+    def test_dart_listed_twice(self):
+        with pytest.raises(WebError, match="dart 0 listed twice"):
+            PlanarMap(1, [[0], [0]])
+
+    def test_edge_with_both_ends_at_one_vertex(self):
+        # edge 1 runs from vertex 2 round to itself
+        with pytest.raises(WebError, match="edge with both ends at vertex 2"):
+            PlanarMap(1, [[0], [1], [2, 3, 4], [5, 6, 7]])
+
+    def test_wrong_degree(self):
+        with pytest.raises(WebError, match="vertex 2 has degree 2, wants 3"):
+            PlanarMap(1, [[0], [3], [1, 2]])
+        with pytest.raises(WebError, match="vertex 1 has degree 2, wants 1"):
+            PlanarMap(1, [[0], [1, 3], [2]])
+
+    def test_vertex_mixing_heads_and_tails(self):
+        # a bigon whose two edges both run from vertex 2 to vertex 3, so
+        # the strand passes through: each vertex has one edge in and two
+        # out, or two in and one out
+        with pytest.raises(WebError, match="vertex 2 mixes edge heads and tails"):
+            PlanarMap(1, [[0], [7], [1, 2, 4], [3, 5, 6]])
+
+    def test_boundary_source_holding_a_head(self):
+        # the double tripod with its sources fed by an internal source
+        with pytest.raises(WebError, match="boundary source 0 holds an edge head"):
+            PlanarMap(3, [[1], [3], [5], [7], [9], [11], [0, 2, 4], [8, 6, 10]])
+
+    def test_boundary_sink_holding_a_tail(self):
+        # the double tripod with its sinks draining into an internal sink:
+        # while every source holds a tail, heads and tails balance only
+        # when the sinks holding tails number a multiple of three
+        with pytest.raises(WebError, match="boundary sink 3 holds an edge tail"):
+            PlanarMap(3, [[0], [2], [4], [6], [8], [10], [1, 3, 5], [9, 7, 11]])
+
     def test_edge_into_source_rejected(self):
-        roles = [("src", 1), ("src", 2), ("snk", 1), ("snk", 2)]
+        # one edge from source 1 into source 2
         with pytest.raises(WebError):
-            PlanarMap(2, roles, [[(0, 0)], [(0, 1)], [], []], [(0, 1)])
+            PlanarMap(2, [[0], [1], [], []])
 
     def test_merge_direction_mismatch(self):
         with pytest.raises(WebError):
@@ -250,6 +320,9 @@ class TestValidation:
 
 
 class TestCodes:
+    FUZZ_ACCEPTED = 1331
+    FUZZ_SHA256 = "2a4bc39eeefb5994ff7d503e6dfe21273fb4f5584cd00beef4dee0f58b0e3154"
+
     def test_decode_many(self):
         diagrams = [
             identity_web(1),
@@ -270,8 +343,7 @@ class TestCodes:
 
     def test_from_code_refuses_a_code_with_no_drawing(self):
         # two strands that cross: the code decodes, but no drawing exists
-        roles = [("src", 1), ("src", 2), ("snk", 1), ("snk", 2)]
-        m = PlanarMap(2, roles, [[(0, 0)], [(1, 0)], [(1, 1)], [(0, 1)]], [(0, 3), (1, 2)])
+        m = PlanarMap(2, [[0], [2], [3], [1]])
         decode_code(canonical_form(m))
         with pytest.raises(WebError):
             Web.from_code(canonical_form(m))
@@ -293,7 +365,10 @@ class TestCodes:
     def test_decode_fuzz(self):
         """Random short codes, and real codes with one entry changed or
         one value renamed past the header, entries in -2..6: each one
-        decodes to a map whose code it is, or raises WebError."""
+        decodes to a map whose code it is, or raises WebError.  The count
+        and sha256 of the accepted codes pin which codes the decoder
+        accepts; they were recorded while maps still stored vertex roles
+        and edge ends beside their rotations."""
         rng = random.Random(2)
         diagrams = [
             identity_web(1),
@@ -303,7 +378,7 @@ class TestCodes:
             concatenate(generator_web(3, 1), generator_web(3, 2)),
         ]
         real = [web(d).code for d in diagrams]
-        decoded = 0
+        decoded, digest = 0, hashlib.sha256()
         for _ in range(20000):
             if rng.random() < 0.5:
                 code = [rng.randint(-2, 6) for _ in range(rng.randint(0, 24))]
@@ -319,15 +394,17 @@ class TestCodes:
             except WebError:
                 continue
             assert canonical_form(m) == tuple(code), code
+            digest.update(repr(tuple(code)).encode())
             decoded += 1
-        assert decoded > 1000
+        assert decoded == self.FUZZ_ACCEPTED
+        assert digest.hexdigest() == self.FUZZ_SHA256
 
 
 def drawing_record(d):
     """Everything to_map reads off one drawing, as text."""
     m, g = to_map(d)
     return repr((
-        d.columns, m.roles, m.rot, m.edges, m.loops,
+        d.columns, tuple(role_tag(m, v) for v in range(len(m.rot))), m.rot, m.edges, m.loops,
         sorted(g.vertex_sides.items()), sorted(g.edge_turns.items()), g.loop_turns,
     ))
 
