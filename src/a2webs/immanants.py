@@ -200,12 +200,6 @@ class ImmanantTable:
         self.webs = tuple(sorted(rows, key=lambda D: D.code))
         self._rows = rows  # web -> {perm: int}, zeros omitted
 
-    def coefficient(self, D: Web, w: Perm) -> int:
-        return self._row(D).get(w, 0)
-
-    def row(self, D: Web) -> dict:
-        return dict(self._row(D))
-
     def _row(self, D: Web) -> dict:
         if D not in self._rows:
             raise WebError("not an irreducible web of this table")

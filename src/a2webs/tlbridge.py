@@ -25,7 +25,7 @@ from functools import cache
 from typing import Sequence
 
 from .immanants import ExactMatrix, irreducible_webs
-from .labelings import _check_counts, enumerate_labelings
+from .labelings import _boundary_edges, _check_counts, enumerate_labelings
 from .minors import index_set
 from .perms import Perm, all_perms, avoids, first_reduced_word, is_perm
 from .webcore import Combo, Web, WebError
@@ -259,7 +259,7 @@ def forgetful(w: Web, f: tuple[int, ...]) -> A1Web:
     _check_counts(w, f)
     m = w.pmap
     nb = 2 * m.n
-    bedge = [m.rot[v][0] >> 1 for v in range(nb)]
+    bedge = _boundary_edges(w)
     keep = [lbl != 3 for lbl in f[: len(m.edges)]]
     srcs = [v for v in range(m.n) if keep[bedge[v]]]
     snks = [v for v in range(m.n, nb) if keep[bedge[v]]]

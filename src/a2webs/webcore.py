@@ -301,57 +301,22 @@ class PlanarMap:
             self._faces = tuple(out)
         return self._faces
 
-    def components(self) -> list[set[int]]:
-        """Vertex sets of connected components (loops not included)."""
-        parent = list(range(len(self.rot)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, h in self.edges:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rt] = rh
-        groups: dict[int, set[int]] = {}
-        for v in range(len(self.rot)):
-            groups.setdefault(find(v), set()).add(v)
-        return sorted(groups.values(), key=min)
-
-    def boundary_rank(self, v: int) -> int:
-        """Position in the boundary cycle src1..srcn, snkn..snk1."""
-        if v < self.n:
-            return v
-        if v < 2 * self.n:
-            return 3 * self.n - 1 - v
-        raise WebError(f"vertex {v} is not on the boundary")
-
     def outer_face_indices(self) -> set[int]:
-        """Index (into faces()) of the unbounded face of each component.
+        """Index (into faces()) of the unbounded face of each component,
+        read off its walk (component_walks).
 
         For a component touching the boundary this is the face through
-        its first boundary dart.  A closed component has no intrinsic
-        outside; its face through the smallest dart stands in, which is
-        sound for reduction because rewriting is confluent on closed
-        webs wherever the outside is declared.
+        its root, its first boundary dart.  A closed component has no
+        intrinsic outside; its face through the smallest dart, the tail
+        of its least edge, stands in, which is sound for reduction
+        because rewriting is confluent on closed webs wherever the
+        outside is declared.
         """
-        faces = self.faces()
-        where = {}
-        for fi, orbit in enumerate(faces):
-            for d in orbit:
-                where[d] = fi
-        out = set()
-        for comp in self.components():
-            bnd = [v for v in comp if v < 2 * self.n]
-            if bnd:
-                root = min(bnd, key=self.boundary_rank)
-                out.add(where[self.rot[root][0]])
-            else:
-                d = min(d for v in comp for d in self.rot[v])
-                out.add(where[d])
-        return out
+        where = {d: fi for fi, orbit in enumerate(self.faces()) for d in orbit}
+        return {
+            where[root if self.dart_vertex[root] < 2 * self.n else 2 * min(eorder)]
+            for _, eorder, root, _ in component_walks(self)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +452,9 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
 # ---------------------------------------------------------------------------
 # Canonical codes
 
-def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int]]:
+def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int], list[int]]:
+    """The block of root_dart's component, walked breadth first from
+    it, with its edges and vertices in the order the walk meets them."""
     vnum: dict[int, int] = {}
     enum: dict[int, int] = {}
     eorder: list[int] = []
@@ -520,37 +487,51 @@ def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int]]:
                     vnum[w] = len(vnum)
                     queue.append((w, d ^ 1))
             out.append(enum[e])
-    return out, eorder
+    return out, eorder, list(vnum)
 
 
-def _keyed_blocks(m: PlanarMap) -> list[tuple[tuple, list[int], list[int]]]:
-    keyed = []
-    for comp in m.components():
-        bnd = [v for v in comp if v < 2 * m.n]
-        if bnd:
-            root = min(bnd, key=m.boundary_rank)
-            block, eorder = _encode_from(m, m.rot[root][0])
-            keyed.append(((0, m.boundary_rank(root)), block, eorder))
+def component_walks(m: PlanarMap) -> list[tuple[list[int], list[int], int, list[int]]]:
+    """One walk per component of m (loops aside), in code order: its
+    block, edge order, root dart and vertices.
+
+    The boundary cycle src1..srcn, snkn..snk1 is read in order, and
+    each boundary vertex not yet met roots its component at its dart.
+    Each internal vertex not yet met then starts a closed component,
+    rooted at the dart that minimizes its block; closed components
+    follow in order of block.
+    """
+    n = m.n
+    seen: set[int] = set()
+    walks, closed = [], []
+    for v in (*range(n), *range(2 * n - 1, n - 1, -1), *range(2 * n, len(m.rot))):
+        if v in seen:
+            continue
+        root = m.rot[v][0]
+        block, eorder, verts = _encode_from(m, root)
+        seen.update(verts)
+        if v < 2 * n:
+            walks.append((block, eorder, root, verts))
         else:
-            block, eorder = min(
-                (_encode_from(m, d) for v in comp for d in m.rot[v]),
-                key=lambda be: be[0],
-            )
-            keyed.append(((1, tuple(block)), block, eorder))
-    keyed.sort(key=lambda kbe: kbe[0])
-    return keyed
+            # equal blocks come from a symmetry; the tie goes to the first
+            # dart met iterating a set of the vertices built in increasing
+            # order, the rule every edge order was chosen by
+            closed.append(min(
+                ((*_encode_from(m, d)[:2], d, verts) for u in set(sorted(verts)) for d in m.rot[u]),
+                key=lambda walk: walk[0],
+            ))
+    closed.sort(key=lambda walk: walk[0])
+    return walks + closed
 
 
 def canonical_form(m: PlanarMap) -> tuple[int, ...]:
-    """Deterministic, isomorphism-complete code of a map.
-
-    Components touching the boundary are rooted at their first boundary
-    vertex; closed components are rooted to minimize their own code.
-    Loop components contribute only their count.
+    """Deterministic, isomorphism-complete code of a map: the header
+    (n, loops, number of components), then each component's block in
+    the order of component_walks.  Loop components contribute only
+    their count.
     """
-    keyed = _keyed_blocks(m)
-    code = [m.n, m.loops, len(keyed)]
-    for _, block, _ in keyed:
+    walks = component_walks(m)
+    code = [m.n, m.loops, len(walks)]
+    for block, _, _, _ in walks:
         code.append(len(block))
         code.extend(block)
     return tuple(code)
@@ -560,10 +541,7 @@ def canonical_edge_order(m: PlanarMap) -> tuple[int, ...]:
     """Edge ids of m listed in the order canonical encoding meets them.
     Two maps with equal codes are matched edge-for-edge by zipping
     their orders."""
-    out: list[int] = []
-    for _, _, eorder in _keyed_blocks(m):
-        out.extend(eorder)
-    return tuple(out)
+    return tuple(e for _, eorder, _, _ in component_walks(m) for e in eorder)
 
 
 def decode_code(code: Sequence[int]) -> PlanarMap:
@@ -644,27 +622,14 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     the round trip in Web._draw, this is the one check of a web."""
     if m.loops:
         raise WebError("cannot draw a map with abstract loop components")
-    comp_sets = m.components()
-    comp_of = {}
-    for ci, comp in enumerate(comp_sets):
-        for v in comp:
-            comp_of[v] = ci
-    has_src = {
-        ci
-        for ci, comp in enumerate(comp_sets)
-        if any(v < m.n for v in comp)
-    }
-    # codes record no nesting, so a component with no boundary vertex may
-    # sit anywhere: it is seeded only at the top, where it parts no wires
-    closed = {
-        ci
-        for ci, comp in enumerate(comp_sets)
-        if all(v >= 2 * m.n for v in comp)
-    }
+    # components numbered by their least vertex, each with its edges
+    comps = sorted(
+        (min(verts), sorted(eorder), verts) for _, eorder, _, verts in component_walks(m)
+    )
+    comp_of = {v: ci for ci, (_, _, verts) in enumerate(comps) for v in verts}
     # initial frontier: the far ends of all source edges, top to bottom
     frontier = tuple(m.rot[i][0] ^ 1 for i in range(m.n))
     target = tuple(m.rot[m.n + j][0] for j in range(m.n))
-    internal = m.internal_vertices()
     rng = random.Random(salt) if salt else None
 
     def flag(d: int) -> str:
@@ -702,26 +667,21 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         return moves  # in position order: pos_of meets each vertex at its first dart
 
     def seed_moves(F: tuple[int, ...], placed: frozenset[int]):
-        started_comps = {comp_of[m.dart_vertex[d]] for d in F}
-        started_comps |= {comp_of[v] for v in placed}
-        pending = sorted(
-            ci
-            for ci in range(len(comp_sets))
-            if ci not in started_comps and ci not in has_src
-        )
-        if not pending:
-            return []
-        ci = pending[0]
-        eids = sorted(
-            e for e, (t, h) in enumerate(m.edges) if comp_of[t] == ci
-        )
-        spots = range(1) if ci in closed else range(len(F) + 1)
-        return [
-            (p, 0, order, [("cup", (flag(order[0]), flag(order[1])))], None)
-            for e in eids
-            for p in spots
-            for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1))
-        ]
+        # the first component not yet started that has no source starts
+        # from a cup on one of its edges; codes record no nesting, so a
+        # closed one may sit anywhere and is seeded only at the top, where
+        # it parts no wires
+        started = {comp_of[m.dart_vertex[d]] for d in F} | {comp_of[v] for v in placed}
+        for ci, (low, eids, _) in enumerate(comps):
+            if low >= m.n and ci not in started:
+                spots = range(1) if low >= 2 * m.n else range(len(F) + 1)
+                return [
+                    (p, 0, order, [("cup", (flag(order[0]), flag(order[1])))], None)
+                    for e in eids
+                    for p in spots
+                    for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1))
+                ]
+        return []
 
     # A depth-first search with an explicit stack, so a long web needs
     # no frame per placed vertex: one entry per state on the current
@@ -732,7 +692,7 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     stack = []
     F, placed, start = frontier, frozenset(), 0
     while True:
-        if len(placed) == len(internal) and F == target:
+        if len(placed) == m.internal_vertex_count and F == target:
             return SliceDiagram(m.n, tuple(cols))
         if (F, placed) in visited:
             del cols[start:]

@@ -12,7 +12,7 @@ from a2webs.labelings import LABELS, _boundary_edges, _check_word
 from a2webs.networks import PlanarNetwork, _known_edge, _sliced_web
 from a2webs.spider import WebCombo
 from a2webs.tlbridge import A1Web
-from a2webs.webcore import LEFT, RIGHT, Web, WebError
+from a2webs.webcore import LEFT, RIGHT, PlanarMap, Web, WebError, _encode_from
 
 
 def parabolic_image(n: int, i: int, j: int) -> WebCombo:
@@ -153,6 +153,57 @@ def oracle_labelings(
         out = [f + free for f in out for free in product(LABELS, repeat=m.loops)]
     out.sort()
     return out
+
+
+def oracle_components(m: PlanarMap) -> list[set[int]]:
+    """Vertex sets of m's components by a union-find over its edges,
+    sorted by least vertex (loops not included): the library's route
+    before one walk per component found them, kept as the reference."""
+    parent = list(range(len(m.rot)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for t, h in m.edges:
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            parent[rt] = rh
+    groups: dict[int, set[int]] = {}
+    for v in range(len(m.rot)):
+        groups.setdefault(find(v), set()).add(v)
+    return sorted(groups.values(), key=min)
+
+
+def _boundary_rank(m: PlanarMap, v: int) -> int:
+    """Position of boundary vertex v in the cycle src1..srcn, snkn..snk1."""
+    return v if v < m.n else 3 * m.n - 1 - v
+
+
+def oracle_roots(m: PlanarMap) -> list[tuple[list[int], int]]:
+    """(edge order, outer dart) per component of oracle_components, in
+    code order.  A component touching the boundary is rooted at its
+    vertex of least boundary rank, and its outer dart is that vertex's
+    dart.  A closed component is rooted at the first dart, in its
+    vertex set's iteration order, whose block is least; its outer dart
+    is its smallest dart."""
+    keyed = []
+    for comp in oracle_components(m):
+        bnd = [v for v in comp if v < 2 * m.n]
+        if bnd:
+            root = min(bnd, key=lambda v: _boundary_rank(m, v))
+            _, eorder, _ = _encode_from(m, m.rot[root][0])
+            keyed.append(((0, _boundary_rank(m, root)), eorder, m.rot[root][0]))
+        else:
+            block, eorder, _ = min(
+                (_encode_from(m, d) for v in comp for d in m.rot[v]),
+                key=lambda walk: walk[0],
+            )
+            keyed.append(((1, tuple(block)), eorder, min(d for v in comp for d in m.rot[v])))
+    keyed.sort(key=lambda k: k[0])
+    return [(eorder, dart) for _, eorder, dart in keyed]
 
 
 def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:

@@ -13,7 +13,9 @@ from a2webs.webcore import (
     SliceDiagram,
     Web,
     WebError,
+    canonical_edge_order,
     canonical_form,
+    component_walks,
     concatenate,
     decode_code,
     generator_web,
@@ -21,8 +23,10 @@ from a2webs.webcore import (
     render,
     to_map,
 )
+from oracles import oracle_components, oracle_roots
 
 R, L = RIGHT, LEFT
+SEED = 20260816
 
 
 def web(diagram):
@@ -49,7 +53,7 @@ class TestIdentity:
         assert m.loops == 0
         Web.from_map(m).diagram
         # three strand components, each bounded by a single face
-        assert len(m.components()) == 3
+        assert len(component_walks(m)) == 3
         assert all(len(f) == 2 for f in m.faces())
 
     def test_code_roundtrip(self):
@@ -216,6 +220,46 @@ class TestRender:
             sys.setrecursionlimit(limit)
         assert w.code == code
         assert len(w.diagram.columns) == 300
+
+
+class TestComponentWalks:
+    # every rewrite descendant of seeded products on 3-5 strands and of
+    # E1 E2 E1 E1 E1 E2 E1, the shortest product on 3 strands with a
+    # closed component of four vertices among its descendants.  Two of
+    # that component's darts give equal blocks; numbered backwards, as
+    # each map also is, they tie in the order the vertex set gives them
+    def test_walks_match_the_union_find(self):
+        from a2webs.spider import all_reducible_features, apply_rule, product_web
+
+        rng = random.Random(SEED + 30)
+        work = [product_web(3, (1, 2, 1, 1, 1, 2, 1))] + [
+            product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(2, 8))])
+            for n in (3, 4, 5)
+            for _ in range(15)
+        ]
+        webs = {}
+        while work:
+            w = work.pop()
+            for feature in all_reducible_features(w):
+                for o in apply_rule(w, feature):
+                    if o.child.code not in webs:
+                        webs[o.child.code] = o.child
+                        work.append(o.child)
+        closed = sink_only = 0
+        for w in webs.values():
+            m = w.pmap
+            lows = [min(c) for c in oracle_components(m)]
+            closed += any(low >= 2 * m.n for low in lows)
+            sink_only += any(m.n <= low < 2 * m.n for low in lows)
+            flipped = PlanarMap(m.n, m.rot[: 2 * m.n] + m.rot[: 2 * m.n - 1 : -1], m.loops)
+            for m in (m, flipped):
+                comps = sorted((set(verts) for *_, verts in component_walks(m)), key=min)
+                assert comps == oracle_components(m)
+                roots = oracle_roots(m)
+                where = {d: fi for fi, orbit in enumerate(m.faces()) for d in orbit}
+                assert m.outer_face_indices() == {where[d] for _, d in roots}
+                assert canonical_edge_order(m) == tuple(e for eorder, _ in roots for e in eorder)
+        assert (len(webs), closed, sink_only) == (309, 4, 97)
 
 
 def circle_diagram():
@@ -524,5 +568,5 @@ class TestRandomDrawings:
             bare = canonical_form(m.without_loops())
             for salt in (1, 2, 3):
                 assert canonical_form(to_map(render(m.without_loops(), salt))[0]) == bare
-            shapes.add((m.loops > 0, len(m.components()) > n))
+            shapes.add((m.loops > 0, len(component_walks(m)) > n))
         assert shapes == {(False, False), (False, True), (True, False), (True, True)}
