@@ -32,7 +32,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1, parse_int, quoted
+from .exactmath import MAX_QUOTED_CHARS, eval_q1, parse_int, quoted
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -346,9 +346,10 @@ def _suite_confluence(n: int, samples: Optional[int], rng: random.Random) -> tup
     for _ in range(products):
         nn = rng.randint(2, n)
         word = [rng.randrange(1, nn) for _ in range(rng.randint(1, 8))]
-        base = reduce_web(product_web(nn, word))
+        w = product_web(nn, word)
+        base = reduce_web(w)
         for _ in range(5):
-            if reduce_random_order(product_web(nn, word), rng) != base:
+            if reduce_random_order(w, rng) != base:
                 bad.append({"n": nn, "word": word})
                 break
     words_checked = 0
@@ -597,8 +598,22 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the package's refusal: exit 2 and one `error:` line,
+    no usage.  The message can hold the user's text, so past twice
+    MAX_QUOTED_CHARS it is cut and followed by its length, as
+    exactmath.quoted cuts a quoted value.  Subparsers are made of this
+    class too."""
+
+    def error(self, message: str):
+        cap = 2 * MAX_QUOTED_CHARS
+        if len(message) > cap:
+            message = f"{message[:cap]}... ({len(message):,} characters)"
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="a2webs",
         description="Exact web calculus: reduction, labelings, immanants, networks.",
     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter, deque
-from typing import Optional
+from typing import Callable, Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
@@ -221,30 +221,43 @@ def _check_counts(w: Web, f: tuple[int, ...]) -> None:
         raise WebError("labeling does not match the web's edge and loop counts")
 
 
+def _compile_weight(w: Web) -> Callable[[tuple[int, ...]], int]:
+    """The t-exponent of a labeling of w, as a function of the labeling,
+    from one read of w's drawing.  It keeps, per internal vertex, the
+    two legs _vertex_sign compares, with the sign it gives when the
+    first label is bigger (-1 at a sink, +1 at a source), and per
+    turning edge or loop its summed turn."""
+    m, geom = w.pmap, w.geom
+    legs = []
+    for v, (left, right) in geom.vertex_sides.items():
+        a, b = (left[0], left[1]) if len(left) == 2 else (right[1], right[0])
+        legs.append((a, b, -1 if m.is_sink(v) else 1))
+    ne = len(m.edges)
+    turns = [(e, sum(t)) for e, t in geom.edge_turns.items() if sum(t)]
+    turns += [(ne + k, sum(t)) for k, t in enumerate(geom.loop_turns) if sum(t)]
+
+    def exponent(f: tuple[int, ...]) -> int:
+        total = 0
+        for a, b, s in legs:
+            total += s if f[a] > f[b] else -s
+        for e, turn in turns:
+            total += (4 - 2 * f[e]) * turn
+        return total
+
+    return exponent
+
+
 def labeling_weight(w: Web, f: tuple[int, ...]) -> LaurentPoly:
     """The monomial t^k of one labeling, read off w's drawing.  The
     value does not depend on which drawing of the map is used."""
     _check_counts(w, f)
-    m, geom = w.pmap, w.geom
-    ne = len(m.edges)
-    total = 0
-    for v, (left, right) in geom.vertex_sides.items():
-        total += _vertex_sign(m.is_sink(v), left, right, f)
-    for e, turns in geom.edge_turns.items():
-        if turns:
-            total += (4 - 2 * f[e]) * sum(turns)
-    for turns, lbl in zip(geom.loop_turns, f[ne:]):
-        total += (4 - 2 * lbl) * sum(turns)
-    return LaurentPoly.t_power(total)
+    return LaurentPoly.t_power(_compile_weight(w)(f))
 
 
 def weighted_count(w: Web, g: tuple[int, ...]) -> LaurentPoly:
     """Sum of labeling weights over the labelings with boundary g.
     At t = 1 this is the plain count."""
-    acc = LaurentPoly.zero()
-    for f in enumerate_labelings(w, g):
-        acc = acc + labeling_weight(w, f)
-    return acc
+    return LaurentPoly(Counter(map(_compile_weight(w), enumerate_labelings(w, g))))
 
 
 class KappaVector(Combo):
@@ -266,10 +279,11 @@ class KappaVector(Combo):
 def boundary_profile(w: Web) -> KappaVector:
     """The full vector of weighted counts of w, one entry per boundary
     word that admits a labeling."""
-    be = _boundary_edges(w)
-    return KappaVector(w.n, (
-        (tuple(f[e] for e in be), labeling_weight(w, f)) for f in enumerate_labelings(w)
-    ))
+    exponent, word = _compile_weight(w), operator.itemgetter(*_boundary_edges(w))
+    per_word: dict[tuple[int, ...], Counter] = {}
+    for f in enumerate_labelings(w):
+        per_word.setdefault(word(f), Counter())[exponent(f)] += 1
+    return KappaVector(w.n, {g: LaurentPoly(c) for g, c in per_word.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +426,11 @@ def coefficient_via_labelings(
     den = weighted_count(target, g)
     if eval_q1(den) == 0:
         return LaurentPoly.zero()
-    num = LaurentPoly.zero()
-    for f in enumerate_labelings(w, g):
-        ty, _ = transport_and_type(w, f)
-        if ty.code == target.code:
-            num = num + labeling_weight(w, f)
+    exponent = _compile_weight(w)
+    num = LaurentPoly(Counter(
+        exponent(f) for f in enumerate_labelings(w, g)
+        if transport_and_type(w, f)[0].code == target.code
+    ))
     try:
         return exact_div(num, den)
     except InexactDivisionError as exc:

@@ -218,15 +218,18 @@ class PlanarMap:
     The rest is read off rot: dart_vertex, edges as (tail, head) pairs,
     and each vertex's role.  A boundary vertex's role is its index; an
     internal vertex is a sink exactly when its darts are heads.
+    component_walks(m) keeps each component's root dart and edge order
+    on the map, for the readers that need no block.
     """
 
-    __slots__ = ("n", "rot", "edges", "loops", "dart_vertex", "_faces")
+    __slots__ = ("n", "rot", "edges", "loops", "dart_vertex", "_faces", "_walks")
 
     def __init__(self, n: int, rot: Sequence[Sequence[int]], loops: int = 0):
         self.n = n
         self.rot = tuple(tuple(r) for r in rot)
         self.loops = loops
         self._faces = None
+        self._walks: Optional[tuple[tuple[int, ...], ...]] = None
         if loops < 0:
             raise WebError("negative loop count")
         if len(self.rot) < 2 * n:
@@ -263,7 +266,9 @@ class PlanarMap:
 
     def without_loops(self) -> "PlanarMap":
         """The same map, edge ids included, with its loop count at zero."""
-        return PlanarMap(self.n, self.rot, loops=0)
+        out = PlanarMap(self.n, self.rot, loops=0)
+        out._walks = self._walks  # loops take no part in the walks
+        return out
 
     def is_sink(self, v: int) -> bool:
         """Whether v's edges all point into it: its darts are heads."""
@@ -315,7 +320,7 @@ class PlanarMap:
         where = {d: fi for fi, orbit in enumerate(self.faces()) for d in orbit}
         return {
             where[root if self.dart_vertex[root] < 2 * self.n else 2 * min(eorder)]
-            for _, eorder, root, _ in component_walks(self)
+            for root, *eorder in _walk_memo(self)
         }
 
 
@@ -492,13 +497,16 @@ def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int], li
 
 def component_walks(m: PlanarMap) -> list[tuple[list[int], list[int], int, list[int]]]:
     """One walk per component of m (loops aside), in code order: its
-    block, edge order, root dart and vertices.
+    block, edge order, root dart and vertices.  Each component's root
+    dart and edge order are kept on m (see _walk_memo).
 
     The boundary cycle src1..srcn, snkn..snk1 is read in order, and
     each boundary vertex not yet met roots its component at its dart.
     Each internal vertex not yet met then starts a closed component,
     rooted at the dart that minimizes its block; closed components
-    follow in order of block.
+    follow in order of block.  A block opens with its root's record,
+    (3, 0) at an internal sink and (4, 0) at a source, so only a sink's
+    darts are tried.
     """
     n = m.n
     seen: set[int] = set()
@@ -516,11 +524,26 @@ def component_walks(m: PlanarMap) -> list[tuple[list[int], list[int], int, list[
             # dart met iterating a set of the vertices built in increasing
             # order, the rule every edge order was chosen by
             closed.append(min(
-                ((*_encode_from(m, d)[:2], d, verts) for u in set(sorted(verts)) for d in m.rot[u]),
+                (
+                    (*_encode_from(m, d)[:2], d, verts)
+                    for u in set(sorted(verts)) if m.is_sink(u)
+                    for d in m.rot[u]
+                ),
                 key=lambda walk: walk[0],
             ))
     closed.sort(key=lambda walk: walk[0])
-    return walks + closed
+    walks += closed
+    m._walks = tuple((root, *eorder) for _, eorder, root, _ in walks)
+    return walks
+
+
+def _walk_memo(m: PlanarMap) -> tuple[tuple[int, ...], ...]:
+    """Per component of m, in code order, its root dart followed by its
+    edge order: kept by component_walks(m), which is made here if need
+    be.  One flat tuple per component keeps the memo small."""
+    if m._walks is None:
+        component_walks(m)
+    return m._walks
 
 
 def canonical_form(m: PlanarMap) -> tuple[int, ...]:
@@ -541,7 +564,7 @@ def canonical_edge_order(m: PlanarMap) -> tuple[int, ...]:
     """Edge ids of m listed in the order canonical encoding meets them.
     Two maps with equal codes are matched edge-for-edge by zipping
     their orders."""
-    return tuple(e for _, eorder, _, _ in component_walks(m) for e in eorder)
+    return tuple(e for walk in _walk_memo(m) for e in walk[1:])
 
 
 def decode_code(code: Sequence[int]) -> PlanarMap:
@@ -624,9 +647,9 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         raise WebError("cannot draw a map with abstract loop components")
     # components numbered by their least vertex, each with its edges
     comps = sorted(
-        (min(verts), sorted(eorder), verts) for _, eorder, _, verts in component_walks(m)
+        (min(v for e in eorder for v in m.edges[e]), sorted(eorder)) for _, *eorder in _walk_memo(m)
     )
-    comp_of = {v: ci for ci, (_, _, verts) in enumerate(comps) for v in verts}
+    comp_of = {v: ci for ci, (_, eids) in enumerate(comps) for e in eids for v in m.edges[e]}
     # initial frontier: the far ends of all source edges, top to bottom
     frontier = tuple(m.rot[i][0] ^ 1 for i in range(m.n))
     target = tuple(m.rot[m.n + j][0] for j in range(m.n))
@@ -672,7 +695,7 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         # closed one may sit anywhere and is seeded only at the top, where
         # it parts no wires
         started = {comp_of[m.dart_vertex[d]] for d in F} | {comp_of[v] for v in placed}
-        for ci, (low, eids, _) in enumerate(comps):
+        for ci, (low, eids) in enumerate(comps):
             if low >= m.n and ci not in started:
                 spots = range(1) if low >= 2 * m.n else range(len(F) + 1)
                 return [

@@ -182,28 +182,61 @@ def _boundary_rank(m: PlanarMap, v: int) -> int:
     return v if v < m.n else 3 * m.n - 1 - v
 
 
-def oracle_roots(m: PlanarMap) -> list[tuple[list[int], int]]:
-    """(edge order, outer dart) per component of oracle_components, in
-    code order.  A component touching the boundary is rooted at its
-    vertex of least boundary rank, and its outer dart is that vertex's
-    dart.  A closed component is rooted at the first dart, in its
-    vertex set's iteration order, whose block is least; its outer dart
-    is its smallest dart."""
+def oracle_roots(m: PlanarMap) -> list[tuple[list[int], list[int], int, int]]:
+    """(block, edge order, root dart, outer dart) per component of
+    oracle_components, in code order.  A component touching the
+    boundary is rooted at its vertex of least boundary rank, and its
+    outer dart is that vertex's dart.  A closed component is rooted at
+    the first dart, in its vertex set's iteration order, whose block is
+    least, every dart of the component tried; its outer dart is its
+    smallest dart."""
     keyed = []
     for comp in oracle_components(m):
         bnd = [v for v in comp if v < 2 * m.n]
         if bnd:
-            root = min(bnd, key=lambda v: _boundary_rank(m, v))
-            _, eorder, _ = _encode_from(m, m.rot[root][0])
-            keyed.append(((0, _boundary_rank(m, root)), eorder, m.rot[root][0]))
+            first = min(bnd, key=lambda v: _boundary_rank(m, v))
+            root = m.rot[first][0]
+            block, eorder, _ = _encode_from(m, root)
+            keyed.append(((0, _boundary_rank(m, first)), block, eorder, root, root))
         else:
-            block, eorder, _ = min(
-                (_encode_from(m, d) for v in comp for d in m.rot[v]),
-                key=lambda walk: walk[0],
+            (block, eorder, _), root = min(
+                ((_encode_from(m, d), d) for v in comp for d in m.rot[v]),
+                key=lambda walk: walk[0][0],
             )
-            keyed.append(((1, tuple(block)), eorder, min(d for v in comp for d in m.rot[v])))
+            outer = min(d for v in comp for d in m.rot[v])
+            keyed.append(((1, tuple(block)), block, eorder, root, outer))
     keyed.sort(key=lambda k: k[0])
-    return [(eorder, dart) for _, eorder, dart in keyed]
+    return [walk for _, *walk in keyed]
+
+
+def oracle_code(m: PlanarMap) -> tuple[int, ...]:
+    """The canonical code assembled from the blocks of oracle_roots."""
+    roots = oracle_roots(m)
+    code = [m.n, m.loops, len(roots)]
+    for block, *_ in roots:
+        code += [len(block), *block]
+    return tuple(code)
+
+
+def oracle_weight(w: Web, f: tuple[int, ...]) -> int:
+    """The t-exponent of labeling f of w, read off w's drawing vertex by
+    vertex and edge by edge: the library's loop before it compiled the
+    weight once per web, kept as the reference."""
+    m, geom = w.pmap, w.geom
+    total = 0
+    for v, (left, right) in geom.vertex_sides.items():
+        if len(left) == 2:
+            upper_bigger = f[left[0]] > f[left[1]]
+        else:
+            upper_bigger = f[right[1]] > f[right[0]]  # mirrored side
+        if m.is_sink(v):
+            upper_bigger = not upper_bigger  # heads read the primed order
+        total += 1 if upper_bigger else -1
+    for e, turns in geom.edge_turns.items():
+        total += (4 - 2 * f[e]) * sum(turns)
+    for turns, lbl in zip(geom.loop_turns, f[len(m.edges):]):
+        total += (4 - 2 * lbl) * sum(turns)
+    return total
 
 
 def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:

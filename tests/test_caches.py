@@ -1,6 +1,7 @@
 """The package's memos: one clear_caches() empties them all, and the
 tables built through them are pinned."""
 
+import gc
 import hashlib
 import importlib
 import json
@@ -11,6 +12,7 @@ import pytest
 import a2webs
 from a2webs import clear_caches, spider
 from a2webs.immanants import immanant_table
+from a2webs.webcore import PlanarMap
 
 # sha256 of json.dumps(immanant_table(5).to_json_obj(), sort_keys=True),
 # recorded before the Hecke images were built on their cached prefixes
@@ -58,3 +60,20 @@ def test_clear_caches_empties_every_memo():
     clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}
     assert table_json(4) == before
+
+
+def test_clear_caches_frees_every_map():
+    # a map keeps its walks' edge orders and roots, plain ints, so the
+    # maps the memos held are freed with them
+    def maps():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, PlanarMap)]
+
+    clear_caches()
+    before = len(maps())
+    table_json(4)
+    filled = maps()
+    assert sum(m._walks is not None for m in filled) > 50
+    del filled
+    clear_caches()
+    assert len(maps()) == before

@@ -11,6 +11,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from a2webs.cli import main
 from a2webs.immanants import ExactMatrix
 from a2webs.networks import random_planar_network
@@ -263,3 +265,22 @@ def test_long_common_denominator(capsys, tmp_path):
     path.write_text(json.dumps({"n": 1, "vertices": vertices, "edges": edges, "sources": ["v0"], "sinks": ["t"]}))
     line = assert_refused(capsys, ["network", "--file", str(path), "--matrix"])
     assert line == "error: the x coordinates' common denominator has more than 10,000 digits"
+
+
+def test_argument_refusals(capsys):
+    # argparse's own refusals (a bad choice, a missing value, command or
+    # required option, an unknown option) exit 2 with one line and no
+    # usage, and the user's text in that line is cut
+    rng = random.Random(SEED + 9)
+    nines = "9" * 5000
+    cases = [["verify", "--suite", "nope"], ["verify", "--n"], [], ["labelings"], ["verify", "--suite", nines]]
+    for _ in range(20):
+        cmd = rng.choice([["verify"], ["reduce", "E1"], ["immanants"], ["network"], ["bridge", "--n", "3"]])
+        cases.append(cmd + rng.choice([["--n"], [f"--bogus{rng.randrange(10)}"], ["--" + nines], [nines, nines]]))
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv[:4]
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 300, err[:400]

@@ -39,7 +39,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
-from oracles import brute_force_labelings, is_balanced, oracle_labelings
+from oracles import brute_force_labelings, is_balanced, oracle_labelings, oracle_weight
 
 SEED = 20260816
 
@@ -377,6 +377,44 @@ class TestWeight:
 
     def test_empty_fiber_counts_zero(self):
         assert weighted_count(gweb(2, 1), bl("1,1:1,1")).is_zero()
+
+
+# a rewrite descendant of E1 E2 E1 E1 E2 E1 on 3 strands with two
+# boundary components and a closed theta
+CLOSED_THETA = (
+    3, 0, 3, 14, 1, 1, 0, 3, 0, 0, 1, 2, 1, 2, 1, 1, 3, 2, 14, 2, 3, 0, 4, 0, 0, 1, 2, 2, 2, 1,
+    2, 1, 2, 10, 3, 0, 0, 1, 2, 4, 0, 0, 2, 1,
+)
+
+
+class TestCompiledWeight:
+    # the exponent compiled once per web against the per-vertex loop it
+    # replaced, on every labeling, and the profile summed from it
+    def test_exponents_match_the_oracle(self):
+        rng = random.Random(SEED + 11)
+        webs = [w for n in range(1, 5) for w in irreducible_webs(n)]
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            base = product_web(n, [rng.randint(1, n - 1) for _ in range(rng.randint(1, 5))])
+            webs += [base] + [Web.from_map(base.pmap, salt=salt) for salt in (1, 2, 3)]
+        webs += [random_web_with_loops(rng) for _ in range(4)]
+        webs.append(Web.from_code(CLOSED_THETA))
+        labelings_seen = turning = loops = 0
+        for w in webs:
+            exponent = labelings._compile_weight(w)
+            profile = {}
+            for f in enumerate_labelings(w):
+                k = oracle_weight(w, f)
+                assert exponent(f) == k, (w.code, f)
+                assert labeling_weight(w, f) == LaurentPoly.t_power(k)
+                g = boundary_restriction(w, f)
+                profile[g] = profile.get(g, LaurentPoly.zero()) + LaurentPoly.t_power(k)
+                labelings_seen += 1
+            assert boundary_profile(w) == KappaVector(w.n, profile), w.code
+            turning += any(map(sum, w.geom.edge_turns.values()))
+            loops += w.pmap.loops
+        assert len(w.pmap.edges) == 9  # the closed theta's 3 with two boundary components'
+        assert (labelings_seen, turning, loops) == (10245, 17, 4)
 
 
 def _rank_at_q1(vectors):

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +25,7 @@ from a2webs.webcore import (
     render,
     to_map,
 )
-from oracles import oracle_components, oracle_roots
+from oracles import oracle_code, oracle_components, oracle_roots
 
 R, L = RIGHT, LEFT
 SEED = 20260816
@@ -222,6 +224,22 @@ class TestRender:
         assert len(w.diagram.columns) == 300
 
 
+def rewrite_children(starts):
+    """Every web that some sequence of rewrites reaches from starts, by
+    code, each as the child Web the first rewrite to reach it made."""
+    from a2webs.spider import all_reducible_features, apply_rule
+
+    webs, work = {}, list(starts)
+    while work:
+        w = work.pop()
+        for feature in all_reducible_features(w):
+            for o in apply_rule(w, feature):
+                if o.child.code not in webs:
+                    webs[o.child.code] = o.child
+                    work.append(o.child)
+    return webs
+
+
 class TestComponentWalks:
     # every rewrite descendant of seeded products on 3-5 strands and of
     # E1 E2 E1 E1 E1 E2 E1, the shortest product on 3 strands with a
@@ -229,22 +247,14 @@ class TestComponentWalks:
     # that component's darts give equal blocks; numbered backwards, as
     # each map also is, they tie in the order the vertex set gives them
     def test_walks_match_the_union_find(self):
-        from a2webs.spider import all_reducible_features, apply_rule, product_web
+        from a2webs.spider import product_web
 
         rng = random.Random(SEED + 30)
-        work = [product_web(3, (1, 2, 1, 1, 1, 2, 1))] + [
+        webs = rewrite_children([product_web(3, (1, 2, 1, 1, 1, 2, 1))] + [
             product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(2, 8))])
             for n in (3, 4, 5)
             for _ in range(15)
-        ]
-        webs = {}
-        while work:
-            w = work.pop()
-            for feature in all_reducible_features(w):
-                for o in apply_rule(w, feature):
-                    if o.child.code not in webs:
-                        webs[o.child.code] = o.child
-                        work.append(o.child)
+        ])
         closed = sink_only = 0
         for w in webs.values():
             m = w.pmap
@@ -257,9 +267,43 @@ class TestComponentWalks:
                 assert comps == oracle_components(m)
                 roots = oracle_roots(m)
                 where = {d: fi for fi, orbit in enumerate(m.faces()) for d in orbit}
-                assert m.outer_face_indices() == {where[d] for _, d in roots}
-                assert canonical_edge_order(m) == tuple(e for eorder, _ in roots for e in eorder)
+                assert m.outer_face_indices() == {where[outer] for *_, outer in roots}
+                assert canonical_edge_order(m) == tuple(e for _, eorder, _, _ in roots for e in eorder)
         assert (len(webs), closed, sink_only) == (309, 4, 97)
+
+    # the edge orders and roots a map keeps from its first walk, read by
+    # the outer faces, the edge order and render, against a fresh map
+    # of the same rotations and against the oracle, which tries every
+    # dart of a closed component where the library tries only sinks'
+    def test_kept_walks_match_a_fresh_map(self):
+        from a2webs.networks import PlanarNetwork, covering_markings, uncross
+        from a2webs.spider import product_web
+
+        rng = random.Random(SEED + 31)
+        webs = list(rewrite_children(
+            product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(2, 8))])
+            for n in (3, 4, 5)
+            for _ in range(15)
+        ).values())
+        lines = (Path(__file__).parents[1] / "perfbench" / "networks.jsonl").read_text().splitlines()
+        for line in lines:
+            net = PlanarNetwork.from_json_obj(json.loads(line))
+            webs += [uncross(net, marks) for marks in covering_markings(net)]
+        closed = 0
+        for w in webs:
+            m = w.pmap
+            kept = m._walks
+            fresh = PlanarMap(m.n, m.rot, m.loops)
+            walks = component_walks(fresh)
+            roots = oracle_roots(m)
+            assert kept == tuple((root, *eorder) for _, eorder, root, _ in walks)
+            assert kept == tuple((root, *eorder) for _, eorder, root, _ in roots)
+            where = {d: fi for fi, orbit in enumerate(m.faces()) for d in orbit}
+            outer = {where[d] for *_, d in roots}
+            assert m.outer_face_indices() == PlanarMap(m.n, m.rot, m.loops).outer_face_indices() == outer
+            assert w.code == canonical_form(fresh) == oracle_code(m)
+            closed += any(m.dart_vertex[root] >= 2 * m.n for root, *_ in kept)
+        assert (len(webs), closed) == (1917, 225)
 
 
 def circle_diagram():
