@@ -558,7 +558,7 @@ def run_suite(suite: str, n: int, samples: Optional[int] = None, seed: int = 0) 
     runs except for the timing fields.
     """
     if suite not in SUITES:
-        raise WebError(f"unknown suite {suite!r}; pick from {', '.join(SUITES)}")
+        raise WebError(f"unknown suite {quoted(suite)}; pick from {', '.join(SUITES)}")
     if n < 2 and suite != "dimensions":
         raise WebError(f"suites need n >= 2, got {n}")
     if n < 1:

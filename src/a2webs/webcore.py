@@ -506,7 +506,7 @@ def component_walks(m: PlanarMap) -> list[tuple[list[int], list[int], int, list[
     rooted at the dart that minimizes its block; closed components
     follow in order of block.  A block opens with its root's record,
     (3, 0) at an internal sink and (4, 0) at a source, so only a sink's
-    darts are tried.
+    darts are tried, the first walk's among them.
     """
     n = m.n
     seen: set[int] = set()
@@ -514,19 +514,21 @@ def component_walks(m: PlanarMap) -> list[tuple[list[int], list[int], int, list[
     for v in (*range(n), *range(2 * n - 1, n - 1, -1), *range(2 * n, len(m.rot))):
         if v in seen:
             continue
-        root = m.rot[v][0]
-        block, eorder, verts = _encode_from(m, root)
+        # a closed component's first walk starts at a sink: v, or the
+        # far end of v's first edge
+        root = m.rot[v][0] if v < 2 * n or m.is_sink(v) else m.rot[v][0] ^ 1
+        first = _encode_from(m, root)
+        block, eorder, verts = first
         seen.update(verts)
         if v < 2 * n:
             walks.append((block, eorder, root, verts))
         else:
             # equal blocks come from a symmetry; the tie goes to the first
-            # dart met iterating a set of the vertices built in increasing
-            # order, the rule every edge order was chosen by
+            # dart in vertex order
             closed.append(min(
                 (
-                    (*_encode_from(m, d)[:2], d, verts)
-                    for u in set(sorted(verts)) if m.is_sink(u)
+                    (*(first if d == root else _encode_from(m, d))[:2], d, verts)
+                    for u in sorted(verts) if m.is_sink(u)
                     for d in m.rot[u]
                 ),
                 key=lambda walk: walk[0],
@@ -642,36 +644,37 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     weight statistic is drawing-independent.  Different salts may give
     different embeddings.  Loop components must be removed first.  A
     map with no drawing, both boundary sides in order, is refused: with
-    the round trip in Web._draw, this is the one check of a web."""
+    the round trip in Web._draw, this is the one check of a web.
+
+    One left-to-right sweep that never backtracks: each step places a
+    vertex (the first placeable one, or the first after a salted
+    shuffle), and only when none is placeable does the next component
+    without a source start, from one cup."""
     if m.loops:
         raise WebError("cannot draw a map with abstract loop components")
-    # components numbered by their least vertex, each with its edges
-    comps = sorted(
-        (min(v for e in eorder for v in m.edges[e]), sorted(eorder)) for _, *eorder in _walk_memo(m)
-    )
-    comp_of = {v: ci for ci, (_, eids) in enumerate(comps) for e in eids for v in m.edges[e]}
+    n = m.n
+    # each component as its least vertex and its edges; those without a
+    # source start from a cup, least vertex first
+    comps = sorted((min(v for e in eorder for v in m.edges[e]), eorder) for _, *eorder in _walk_memo(m))
+    seeds = [c for c in comps if c[0] >= n][::-1]
     # initial frontier: the far ends of all source edges, top to bottom
-    frontier = tuple(m.rot[i][0] ^ 1 for i in range(m.n))
-    target = tuple(m.rot[m.n + j][0] for j in range(m.n))
+    F = tuple(m.rot[i][0] ^ 1 for i in range(n))
+    target = tuple(m.rot[n + j][0] for j in range(n))
     rng = random.Random(salt) if salt else None
 
-    def flag(d: int) -> str:
-        # wire runs rightward when its pending end is the edge's head
-        return RIGHT if d & 1 else LEFT
-
     # A move replaces the k frontier darts at position p by new ones and
-    # adds tiles at p: (p, k, new darts, (tile, dirs) pairs, vertex placed
-    # or None).
+    # adds tiles at p: (p, k, new darts, (tile, dirs) pairs).
 
-    def vertex_moves(F: tuple[int, ...], placed: frozenset[int]):
+    def vertex_moves():
         """Place a vertex whose k frontier darts sit one after another in
         its rotation: k = 1 splits, 2 merges, 3 merges and caps.  Its
         other darts, taken on in rotation order, become the frontier
-        from the bottom up."""
+        from the bottom up.  Placing a vertex takes all its frontier
+        darts, so no frontier dart is at a placed vertex."""
         pos_of: dict[int, list[int]] = {}
         for p, d in enumerate(F):
             v = m.dart_vertex[d]
-            if v >= 2 * m.n and v not in placed:
+            if v >= 2 * n:
                 pos_of.setdefault(v, []).append(p)
         moves = []
         for v, ps in pos_of.items():
@@ -686,58 +689,45 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
             tiles = [(tile, dirs)]
             if k == 3:  # the merged wire and the third leg's wire meet in a cap
                 tiles.append(("cap", (dirs[2], dirs[0])))
-            moves.append((p, k, tuple(d ^ 1 for d in reversed(darts[k:])), tiles, v))
+            moves.append((p, k, tuple(d ^ 1 for d in reversed(darts[k:])), tiles))
         return moves  # in position order: pos_of meets each vertex at its first dart
 
-    def seed_moves(F: tuple[int, ...], placed: frozenset[int]):
-        # the first component not yet started that has no source starts
-        # from a cup on one of its edges; codes record no nesting, so a
-        # closed one may sit anywhere and is seeded only at the top, where
-        # it parts no wires
-        started = {comp_of[m.dart_vertex[d]] for d in F} | {comp_of[v] for v in placed}
-        for ci, (low, eids) in enumerate(comps):
-            if low >= m.n and ci not in started:
-                spots = range(1) if low >= 2 * m.n else range(len(F) + 1)
-                return [
-                    (p, 0, order, [("cup", (flag(order[0]), flag(order[1])))], None)
-                    for e in eids
-                    for p in spots
-                    for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1))
-                ]
-        return []
+    def seed_move(low: int, eorder: list[int]):
+        """A cup on dart d's edge, d on top, that starts the component
+        with least vertex low.  Codes record no nesting, so a closed
+        component sits at the top, on the head of its least edge, where
+        it parts no wires.  A component with sinks starts just below the
+        wires of the sinks above its top sink, on the dart of least edge
+        on its face from that sink's dart to the first dart that reaches
+        the boundary."""
+        if low >= 2 * n:
+            p, d = 0, 2 * min(eorder) + 1
+        else:
+            walked = [m.rot[low][0]]
+            while m.dart_vertex[walked[-1] ^ 1] >= 2 * n:
+                walked.append(m.face_next(walked[-1]))
+            d = min(walked, key=lambda d: d >> 1)
+            p = max((p + 1 for p, x in enumerate(F) if n <= m.dart_vertex[x] < low), default=0)
+        # a wire runs rightward when its pending end is the edge's head
+        return p, 0, (d, d ^ 1), [("cup", (RIGHT, LEFT) if d & 1 else (LEFT, RIGHT))]
 
-    # A depth-first search with an explicit stack, so a long web needs
-    # no frame per placed vertex: one entry per state on the current
-    # path, holding its frontier, its placed vertices, its untried moves
-    # and the length of cols before the move into it.
-    visited = set()
     cols: list[Column] = []
-    stack = []
-    F, placed, start = frontier, frozenset(), 0
     while True:
-        if len(placed) == m.internal_vertex_count and F == target:
-            return SliceDiagram(m.n, tuple(cols))
-        if (F, placed) in visited:
-            del cols[start:]
-        else:
-            visited.add((F, placed))
-            moves = vertex_moves(F, placed) + seed_moves(F, placed)
-            if rng is not None:
-                rng.shuffle(moves)
-            stack.append((F, placed, iter(moves), start))
-        while stack:
-            F, placed, untried, start = stack[-1]
-            move = next(untried, None)
-            if move is not None:
-                break
-            del cols[start:]
-            stack.pop()
-        else:
-            raise WebError("map admits no slice drawing with the prescribed boundary")
-        p, k, new, tiles, v = move
-        start = len(cols)
+        moves = vertex_moves()
+        if rng is not None:
+            rng.shuffle(moves)
+        if not moves and seeds:
+            moves = [seed_move(*seeds.pop())]
+        if not moves:
+            break
+        p, k, new, tiles = moves[0]
         cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
-        F, placed = F[:p] + new + F[p + k :], placed if v is None else placed | {v}
+        F = F[:p] + new + F[p + k :]
+    # every component has started, so an unplaced vertex leaves a dart
+    # on the frontier
+    if F != target:
+        raise WebError("map admits no slice drawing with the prescribed boundary")
+    return SliceDiagram(n, tuple(cols))
 
 
 # ---------------------------------------------------------------------------

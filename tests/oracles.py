@@ -1,6 +1,7 @@
 """Independent routes the tests check the library against.  No program
 path calls these."""
 
+import random
 from collections import deque
 from functools import cache
 from itertools import permutations, product
@@ -12,7 +13,18 @@ from a2webs.labelings import LABELS, _boundary_edges, _check_word
 from a2webs.networks import PlanarNetwork, _known_edge, _sliced_web
 from a2webs.spider import WebCombo
 from a2webs.tlbridge import A1Web
-from a2webs.webcore import LEFT, RIGHT, PlanarMap, Web, WebError, _encode_from
+from a2webs.webcore import (
+    LEFT,
+    RIGHT,
+    VERTEX_DIRS,
+    Column,
+    PlanarMap,
+    SliceDiagram,
+    Web,
+    WebError,
+    _encode_from,
+    _walk_memo,
+)
 
 
 def parabolic_image(n: int, i: int, j: int) -> WebCombo:
@@ -187,9 +199,8 @@ def oracle_roots(m: PlanarMap) -> list[tuple[list[int], list[int], int, int]]:
     oracle_components, in code order.  A component touching the
     boundary is rooted at its vertex of least boundary rank, and its
     outer dart is that vertex's dart.  A closed component is rooted at
-    the first dart, in its vertex set's iteration order, whose block is
-    least, every dart of the component tried; its outer dart is its
-    smallest dart."""
+    the first dart, in vertex order, whose block is least, every dart
+    of the component tried; its outer dart is its smallest dart."""
     keyed = []
     for comp in oracle_components(m):
         bnd = [v for v in comp if v < 2 * m.n]
@@ -200,7 +211,7 @@ def oracle_roots(m: PlanarMap) -> list[tuple[list[int], list[int], int, int]]:
             keyed.append(((0, _boundary_rank(m, first)), block, eorder, root, root))
         else:
             (block, eorder, _), root = min(
-                ((_encode_from(m, d), d) for v in comp for d in m.rot[v]),
+                ((_encode_from(m, d), d) for v in sorted(comp) for d in m.rot[v]),
                 key=lambda walk: walk[0][0],
             )
             outer = min(d for v in comp for d in m.rot[v])
@@ -339,3 +350,111 @@ def oracle_uncross(net: PlanarNetwork, marks) -> Web:
     if line != list(net.sinks):
         raise WebError("the exits are not reached in order, top to bottom")
     return _sliced_web(net.n, tuple(cols))
+
+
+def oracle_render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
+    """`webcore.render` as it was before it drew in one sweep: a
+    depth-first search over (frontier, placed vertices) states, with an
+    explicit stack of each state's untried moves, kept as the reference.
+    It takes exponential time on some maps with no drawing.
+
+    Produce some drawing of m.  Any embedding is acceptable; the
+    weight statistic is drawing-independent.  Different salts may give
+    different embeddings.  Loop components must be removed first.  A
+    map with no drawing, both boundary sides in order, is refused: with
+    the round trip in Web._draw, this is the one check of a web."""
+    if m.loops:
+        raise WebError("cannot draw a map with abstract loop components")
+    # components numbered by their least vertex, each with its edges
+    comps = sorted(
+        (min(v for e in eorder for v in m.edges[e]), sorted(eorder)) for _, *eorder in _walk_memo(m)
+    )
+    comp_of = {v: ci for ci, (_, eids) in enumerate(comps) for e in eids for v in m.edges[e]}
+    # initial frontier: the far ends of all source edges, top to bottom
+    frontier = tuple(m.rot[i][0] ^ 1 for i in range(m.n))
+    target = tuple(m.rot[m.n + j][0] for j in range(m.n))
+    rng = random.Random(salt) if salt else None
+
+    def flag(d: int) -> str:
+        # wire runs rightward when its pending end is the edge's head
+        return RIGHT if d & 1 else LEFT
+
+    # A move replaces the k frontier darts at position p by new ones and
+    # adds tiles at p: (p, k, new darts, (tile, dirs) pairs, vertex placed
+    # or None).
+
+    def vertex_moves(F: tuple[int, ...], placed: frozenset[int]):
+        """Place a vertex whose k frontier darts sit one after another in
+        its rotation: k = 1 splits, 2 merges, 3 merges and caps.  Its
+        other darts, taken on in rotation order, become the frontier
+        from the bottom up."""
+        pos_of: dict[int, list[int]] = {}
+        for p, d in enumerate(F):
+            v = m.dart_vertex[d]
+            if v >= 2 * m.n and v not in placed:
+                pos_of.setdefault(v, []).append(p)
+        moves = []
+        for v, ps in pos_of.items():
+            p, k = ps[0], len(ps)
+            rot = m.rot[v]
+            i = rot.index(F[p])
+            darts = tuple(rot[(i + j) % 3] for j in range(3))
+            if F[p : p + k] != darts[:k]:
+                continue
+            tile = "split" if k == 1 else "merge"
+            dirs = VERTEX_DIRS[(tile, m.is_sink(v))]
+            tiles = [(tile, dirs)]
+            if k == 3:  # the merged wire and the third leg's wire meet in a cap
+                tiles.append(("cap", (dirs[2], dirs[0])))
+            moves.append((p, k, tuple(d ^ 1 for d in reversed(darts[k:])), tiles, v))
+        return moves  # in position order: pos_of meets each vertex at its first dart
+
+    def seed_moves(F: tuple[int, ...], placed: frozenset[int]):
+        # the first component not yet started that has no source starts
+        # from a cup on one of its edges; codes record no nesting, so a
+        # closed one may sit anywhere and is seeded only at the top, where
+        # it parts no wires
+        started = {comp_of[m.dart_vertex[d]] for d in F} | {comp_of[v] for v in placed}
+        for ci, (low, eids) in enumerate(comps):
+            if low >= m.n and ci not in started:
+                spots = range(1) if low >= 2 * m.n else range(len(F) + 1)
+                return [
+                    (p, 0, order, [("cup", (flag(order[0]), flag(order[1])))], None)
+                    for e in eids
+                    for p in spots
+                    for order in ((2 * e + 1, 2 * e), (2 * e, 2 * e + 1))
+                ]
+        return []
+
+    # A depth-first search with an explicit stack, so a long web needs
+    # no frame per placed vertex: one entry per state on the current
+    # path, holding its frontier, its placed vertices, its untried moves
+    # and the length of cols before the move into it.
+    visited = set()
+    cols: list[Column] = []
+    stack = []
+    F, placed, start = frontier, frozenset(), 0
+    while True:
+        if len(placed) == m.internal_vertex_count and F == target:
+            return SliceDiagram(m.n, tuple(cols))
+        if (F, placed) in visited:
+            del cols[start:]
+        else:
+            visited.add((F, placed))
+            moves = vertex_moves(F, placed) + seed_moves(F, placed)
+            if rng is not None:
+                rng.shuffle(moves)
+            stack.append((F, placed, iter(moves), start))
+        while stack:
+            F, placed, untried, start = stack[-1]
+            move = next(untried, None)
+            if move is not None:
+                break
+            del cols[start:]
+            stack.pop()
+        else:
+            raise WebError("map admits no slice drawing with the prescribed boundary")
+        p, k, new, tiles, v = move
+        start = len(cols)
+        cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
+        F, placed = F[:p] + new + F[p + k :], placed if v is None else placed | {v}

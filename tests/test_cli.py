@@ -145,6 +145,11 @@ class TestRunSuite:
         with pytest.raises(WebError, match="unknown suite"):
             run_suite("nope", 2)
 
+    def test_unknown_suite_is_quoted_by_a_prefix(self):
+        with pytest.raises(WebError, match="unknown suite") as exc:
+            run_suite("x" * 5000, 3)
+        assert "characters)" in str(exc.value) and len(str(exc.value)) < 300
+
     def test_too_small_n(self):
         with pytest.raises(WebError, match="n >= 2"):
             run_suite("kappa", 1)

@@ -25,7 +25,7 @@ from a2webs.webcore import (
     render,
     to_map,
 )
-from oracles import oracle_code, oracle_components, oracle_roots
+from oracles import oracle_code, oracle_components, oracle_render, oracle_roots
 
 R, L = RIGHT, LEFT
 SEED = 20260816
@@ -240,12 +240,119 @@ def rewrite_children(starts):
     return webs
 
 
+def sweep_corpus():
+    """Irreducible webs on 2-5 strands, the rewrite descendants of
+    seeded products on 2-6 strands, and the webs uncrossed from seeded
+    random networks, every other one with its entries and exits moved
+    inside the drawing: one web per code."""
+    from a2webs.immanants import irreducible_webs
+    from a2webs.networks import covering_markings, random_planar_network, uncross
+    from a2webs.spider import product_web
+    from test_networks import displaced
+
+    rng = random.Random(SEED + 32)
+    webs = {w.code: w for n in range(2, 6) for w in irreducible_webs(n)}
+    webs.update(rewrite_children([
+        product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(2, 7))])
+        for n in range(2, 7)
+        for _ in range(10)
+    ]))
+    for k in range(80):
+        net = random_planar_network(rng.randint(2, 4), rng, steps=rng.randint(1, 4))
+        if k % 2:
+            net = displaced(net, rng)
+        for marks in covering_markings(net) if net is not None else ():
+            try:
+                w = uncross(net, marks)
+            except WebError:  # a displaced entry or exit may leave no room
+                continue
+            webs.setdefault(w.code, w)
+    return list(webs.values())
+
+
+def sourceless(m):
+    """Whether some component of m has no boundary source."""
+    return any(min(verts) >= m.n for *_, verts in component_walks(m))
+
+
+class TestSweep:
+    # render draws in one sweep where it once searched; the search is
+    # kept as oracle_render.  At salt 0 the drawings agree byte for byte;
+    # a salted search could start a component with no source early, the
+    # sweep only once no vertex can be placed, so salted drawings agree
+    # where every component touches a source
+    def test_drawings_match_the_search(self):
+        corpus = sweep_corpus()
+        seeded = 0
+        for w in corpus:
+            m = w.pmap.without_loops()
+            bare = canonical_form(m)
+            seeds = sourceless(m)
+            for salt in range(4):
+                d = render(m, salt)
+                assert canonical_form(to_map(d)[0]) == bare
+                if not (salt and seeds):
+                    assert d == oracle_render(m, salt)
+            seeded += seeds
+        assert (len(corpus), seeded) == (231, 78)
+
+    # one rotation reversed, or two sinks swapped, in each web of the
+    # corpus with at most four internal vertices: the sweep refuses
+    # exactly the maps the search refused, and what it draws round-trips.
+    # The 3,118 such maps of up to 16 internal vertices agree too, but
+    # the search takes 30-50 s on them (2 cores)
+    def test_refusals_match_the_search(self):
+        def drawn(draw, m):
+            try:
+                d = draw(m)
+            except WebError:
+                return False
+            assert canonical_form(to_map(d)[0]) == canonical_form(m)
+            return True
+
+        counts = [0, 0]
+        for w in sweep_corpus():
+            m = w.pmap
+            if m.internal_vertex_count > 4:
+                continue
+            rots = []
+            for v in m.internal_vertices():
+                rot = list(m.rot)
+                rot[v] = rot[v][::-1]
+                rots.append(rot)
+            for i in range(m.n, 2 * m.n):
+                for j in range(i + 1, 2 * m.n):
+                    rot = list(m.rot)
+                    rot[i], rot[j] = rot[j], rot[i]
+                    rots.append(rot)
+            for rot in rots:
+                ok = drawn(render, PlanarMap(m.n, rot))
+                assert ok == drawn(oracle_render, PlanarMap(m.n, rot))
+                counts[ok] += 1
+        assert counts == [863, 45]
+
+    def test_a_long_code_with_no_drawing_is_refused(self):
+        # 60 internal vertices with one rotation reversed, past the
+        # oracle's reach: it runs for minutes on a third as many
+        from a2webs.spider import product_web
+
+        rng = random.Random(SEED + 33)
+        m = product_web(4, [rng.randrange(1, 4) for _ in range(30)]).pmap
+        mid = 2 * m.n + m.internal_vertex_count // 2
+        rot = list(m.rot)
+        rot[mid] = rot[mid][::-1]
+        code = canonical_form(PlanarMap(m.n, rot))
+        assert len(rot) - 2 * m.n == 60
+        with pytest.raises(WebError, match="no slice drawing"):
+            Web.from_code(code)
+
+
 class TestComponentWalks:
     # every rewrite descendant of seeded products on 3-5 strands and of
     # E1 E2 E1 E1 E1 E2 E1, the shortest product on 3 strands with a
     # closed component of four vertices among its descendants.  Two of
     # that component's darts give equal blocks; numbered backwards, as
-    # each map also is, they tie in the order the vertex set gives them
+    # each map also is, the tie goes to the first in vertex order
     def test_walks_match_the_union_find(self):
         from a2webs.spider import product_web
 
@@ -502,9 +609,10 @@ class TestDrawingDigest:
     # off each of them.  SALT0 covers salt 0 and each web's own drawing,
     # unchanged since to_map stitched tagged terminals and render kept one
     # branch per kind of move.  SALTED covers salts 1-3, recorded when
-    # render began to seed a closed component only at the top
+    # render began to draw in one sweep, starting a component with no
+    # source only once no vertex can be placed
     SALT0 = "df7d26d38f36da70c5eaed3db0e2dde28285c18dce0681273a2f7fc0adf476c8"
-    SALTED = "6216aa8ca19d8a997e5203fdf3d3eed7a2e79b3a90d6d4e43270046c9d70eda7"
+    SALTED = "605f8e5a1da9aebfcfa0ed0befe435dc8956c45375deb883186af0da732a88b9"
 
     def test_drawings_are_pinned(self):
         from a2webs.networks import covering_markings, random_planar_network, uncross
