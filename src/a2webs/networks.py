@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactmath import eval_q1, parse_rational, quoted
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from .perms import Perm, all_perms, identity_perm
+from .perms import Perm, identity_perm
 from .spider import reduce_web
 from .webcore import LEFT, RIGHT, Column, SliceDiagram, Web, WebError, to_map
 
@@ -435,19 +435,29 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
 # Markings and their uncrossing
 
 
-def _known_edge(net: PlanarNetwork, eid: int) -> int:
-    """eid, refused with WebError unless the network has that edge."""
-    if not 0 <= eid < len(net.edges):
-        raise WebError(f"marking names edge {eid}, but the edge ids run 0..{len(net.edges) - 1}")
-    return eid
+def _multiplicities(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """marks as a dict from edge id to multiplicity, refused with
+    WebError unless each edge id is one of the network's, listed once,
+    with an int multiplicity of at least 1.  A multiplicity past 3 is
+    left to `uncross`, which refuses it at the vertex it overloads."""
+    mult: dict[int, int] = {}
+    for eid, m in marks:
+        if type(eid) is not int or not 0 <= eid < len(net.edges):
+            raise WebError(f"marking names edge {quoted(eid)}, but the edge ids run 0..{len(net.edges) - 1}")
+        if eid in mult:
+            raise WebError(f"marking lists edge {eid} twice")
+        if type(m) is not int or m < 1:
+            raise WebError(f"marking gives edge {eid} multiplicity {quoted(m)}, not an integer of at least 1")
+        mult[eid] = m
+    return mult
 
 
 def marking_weight(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Fraction:
     """The product of weight ** multiplicity over the marked edges,
     taken over integer numerators and denominators."""
     num = den = 1
-    for eid, m in marks:
-        w = net.edges[_known_edge(net, eid)].weight
+    for eid, m in _multiplicities(net, marks).items():
+        w = net.edges[eid].weight
         num *= w.numerator ** m
         den *= w.denominator ** m
     return Fraction(num, den)
@@ -473,22 +483,23 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     builds the web's map, once per distinct diagram (`_sliced_web`).
 
     The marking is refused with WebError unless it names only edges of
-    the network, each entry starts one strand, each exit ends one, each
-    other vertex passes as many strands out as in and at most three,
-    and the drawing leaves room for the boundary: at each entry the
-    nearest marked edges above and below its placeholder must pass
-    above and below the entry, the marked edges into a vertex must be
-    adjacent on the sweep line, and the exits must be reached in order,
-    top to bottom.
+    the network, each once with an int multiplicity of at least 1
+    (`_multiplicities`, which `marking_weight` shares), each entry
+    starts one strand, each exit ends one, each other vertex passes as
+    many strands out as in and at most three, and the drawing leaves
+    room for the boundary: at each entry the nearest marked edges above
+    and below its placeholder must pass above and below the entry, the
+    marked edges into a vertex must be adjacent on the sweep line, and
+    the exits must be reached in order, top to bottom.
     """
-    mult = dict(marks)
+    mult = _multiplicities(net, marks)
     # the sweep stops only at the marked edges' ends, the entries and
     # the exits: at any other vertex no strand passes and nothing is
     # checked
     ends, sweep, stops = net._sweep_table()
     at = set(stops)
     for eid in mult:
-        at.update(ends[_known_edge(net, eid)])
+        at.update(ends[eid])
     # marked edge ids, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column
@@ -593,12 +604,39 @@ def _families(net: PlanarNetwork, w: Perm, cap: int) -> Iterator[tuple[int, int]
     return extend(0, 0, 0 if cap == 3 else -1, 0, 0)
 
 
-def covering_families(net: PlanarNetwork) -> Iterator[tuple[Perm, tuple[int, int]]]:
-    """All families of n paths, one per entry, exits hit once each, no
-    vertex on four paths.  Yields (connection, edge planes)."""
-    for w in all_perms(net.n):
-        for planes in _families(net, w, 3):
-            yield w, planes
+def covering_families(net: PlanarNetwork) -> Iterator[tuple[int, int]]:
+    """The distinct edge planes of the families of n paths, one per
+    entry, exits hit once each, no vertex on four paths; each planes
+    pair is yielded once, and the connection is not.
+
+    One walk over the entries: level i maps the edge planes (elo, ehi)
+    of a family of paths from entries 0..i-1 to its vertex planes (lo,
+    hi) and the bitmask of the exits it hit.  A state is extended by
+    each path from entry i to an exit not yet hit whose vertex mask
+    misses lo & hi, and only the first state of each new key is kept.
+    The merge is exact, since the edge planes fix the rest of the state:
+    entries have no in-edges and a path stops at the first exit it
+    reaches, so each vertex's load is the summed count of its in-edges
+    (1 at each of the first i entries), and an exit is hit exactly when
+    one of its in-edges is used.  Each level is dropped once the next
+    is built."""
+    table = net._path_table()
+    pools = [[(1 << j, vmask, emask) for j in range(net.n) for vmask, emask in table.get((i, j), ())]
+             for i in range(net.n)]
+    level = {(0, 0): (0, 0, 0)}
+    for i, pool in enumerate(pools, 1):
+        nxt: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
+        for (elo, ehi), (lo, hi, hit) in level.items():
+            full = lo & hi
+            for exit_bit, vmask, emask in pool:
+                if hit & exit_bit or vmask & full:
+                    continue
+                key = (elo ^ emask, ehi ^ elo & emask)
+                if key not in nxt:
+                    # the last level is read for its keys alone
+                    nxt[key] = (lo ^ vmask, hi ^ lo & vmask, hit | exit_bit) if i < net.n else None
+        level = nxt
+    yield from level
 
 
 def _marks(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
@@ -613,10 +651,10 @@ def _marks(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
 
 
 def covering_markings(net: PlanarNetwork) -> list[tuple[tuple[int, int], ...]]:
-    """Distinct marked subnetworks over all covering families: the
-    distinct edge planes, each decoded once into sorted (eid,
-    multiplicity) pairs."""
-    return sorted(_marks(lo, hi) for lo, hi in {planes for _, planes in covering_families(net)})
+    """Distinct marked subnetworks over all covering families, sorted:
+    each edge planes pair `covering_families` yields, decoded once into
+    sorted (eid, multiplicity) pairs."""
+    return sorted(_marks(lo, hi) for lo, hi in covering_families(net))
 
 
 def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:

@@ -10,7 +10,7 @@ from typing import Optional
 from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import theta_image
 from a2webs.labelings import LABELS, _boundary_edges, _check_word
-from a2webs.networks import PlanarNetwork, _known_edge, _sliced_web
+from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
 from a2webs.spider import WebCombo
 from a2webs.tlbridge import A1Web
 from a2webs.webcore import (
@@ -288,7 +288,7 @@ def oracle_uncross(net: PlanarNetwork, marks) -> Web:
     network itself, and works out every vertex's columns.  Only the
     positions of edge ends, entries and exits are computed here, as the
     network's old sweep table gave them."""
-    mult = dict(marks)
+    mult = _multiplicities(net, marks)
     # the sweep stops only at the marked edges' ends, the entries and
     # the exits: at any other vertex no strand passes and nothing is
     # checked
@@ -297,7 +297,7 @@ def oracle_uncross(net: PlanarNetwork, marks) -> Web:
     stops = tuple(where[v] for v in net.sources + net.sinks)
     at = set(stops)
     for eid in mult:
-        at.update(ends[_known_edge(net, eid)])
+        at.update(ends[eid])
     # marked edge ids, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from a2webs.immanants import (
     irreducible_webs,
     theta_image,
 )
-from a2webs.labelings import enumerate_labelings
+from a2webs.labelings import enumerate_labelings, word_counts
 from a2webs.perms import (
     all_perms,
     all_reduced_words,
@@ -199,6 +200,36 @@ class TestImmanantTable:
         t = immanant_table(2)
         with pytest.raises(WebError):
             t._row(product_web(2, (1, 1)))
+
+
+def cycle_count(w):
+    """The number of cycles of the permutation w of 1..n."""
+    seen, count = set(), 0
+    for i in range(1, len(w) + 1):
+        if i not in seen:
+            count += 1
+            while i not in seen:
+                seen.add(i)
+                i = w[i - 1]
+    return count
+
+
+class TestTraceIdentity:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_traced_rows_give_signed_cycle_powers(self, n):
+        # tr(D) counts the labelings of D whose sinks read its sources'
+        # word; summed against the rows of the table, the traces give
+        # sgn(w) 3^c(w), the signed trace of w permuting the factors of
+        # (C^3)^(tensor n), with c(w) its number of cycles
+        t = immanant_table(n)
+        words = list(itertools.product((1, 2, 3), repeat=n))
+        traces = {}
+        for D in t.webs:
+            counts = word_counts(D)
+            traces[D] = sum(counts[a + a] for a in words)
+        for w in all_perms(n):
+            got = sum(traces[D] * t._row(D).get(w, 0) for D in t.webs)
+            assert got == (-1) ** perm_length(w) * 3 ** cycle_count(w), (n, w)
 
 
 class TestEvaluateImmanant:

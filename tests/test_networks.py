@@ -25,6 +25,7 @@ from a2webs.networks import (
     _grid,
     _sliced_web,
     corollary_check,
+    covering_families,
     covering_markings,
     identity_network,
     lindstrom_check,
@@ -685,6 +686,19 @@ class TestFamilyOracle:
                                            for p in paths)
             assert net._path_table() == want
 
+    def test_the_walk_yields_each_planes_pair_once(self):
+        # the oracle: the planes of the families of every connection,
+        # cap 3, each connection listed on its own
+        for net in oracle_nets() + displaced_nets():
+            got = list(covering_families(net))
+            assert len(set(got)) == len(got)
+            assert set(got) == {planes for w in all_perms(net.n) for planes in _families(net, w, 3)}
+
+    def test_the_walk_merges_the_benchmark_families(self):
+        nets = oracle_nets()[:60]
+        assert sum(1 for net in nets for _ in covering_families(net)) == 1_636
+        assert sum(1 for net in nets for w in all_perms(4) for _ in _families(net, w, 3)) == 82_829
+
     def test_families_and_markings_match_the_product_oracle(self):
         rejected = at_three = 0
         for net in oracle_nets():
@@ -827,6 +841,37 @@ class TestMarking:
         net = identity_network(2)
         with pytest.raises(WebError):
             uncross(net, ((0, 1), (0, 2)))
+        # a repeat that keeps the marking balanced is refused too, and
+        # is not weighed twice
+        net = identity_network(2, [2, 3])
+        for marks in (((0, 1), (1, 1), (0, 1)), ((0, 2), (1, 1), (0, 1))):
+            for fn in (uncross, marking_weight):
+                with pytest.raises(WebError, match="marking lists edge 0 twice"):
+                    fn(net, marks)
+
+    @pytest.mark.parametrize("m", [0, -1, 1.0, True, "1", None])
+    def test_rejects_multiplicity_below_one_or_not_an_int(self, m):
+        # one strand through a diamond: the route through a marked, and
+        # edge 2, s->b, given multiplicity m
+        net = PlanarNetwork(1, [("s", 0, 0), ("a", 1, 0), ("t", 2, 0), ("b", 1, 1)],
+                            [("s", "a", 1), ("a", "t", 1), ("s", "b", 1), ("b", "t", 1)], ["s"], ["t"])
+        for fn in (uncross, marking_weight):
+            with pytest.raises(WebError, match="marking gives edge 2 multiplicity"):
+                fn(net, ((0, 1), (1, 1), (2, m)))
+
+    def test_unmarked_edges_at_multiplicity_zero_are_refused(self):
+        # each benchmark marking with one unmarked edge added at
+        # multiplicity 0: before the sweep, not as a strand it cannot find
+        refused = 0
+        for net in oracle_nets()[:60]:
+            for marks in covering_markings(net):
+                marked = dict(marks)
+                for eid in range(len(net.edges)):
+                    if eid not in marked:
+                        with pytest.raises(WebError, match=f"marking gives edge {eid} multiplicity 0"):
+                            uncross(net, marks + ((eid, 0),))
+                        refused += 1
+        assert refused == 10_592
 
     def test_weight_is_the_product_of_powers(self):
         # weights redrawn with zeros, negatives and mixed denominators
@@ -1198,6 +1243,18 @@ def displaced(net, rng):
         return None
 
 
+def displaced_nets():
+    """300 seeded random networks on 2 or 3 strands, each with its
+    boundary displaced into the drawing."""
+    rng = random.Random(SEED + 13)
+    nets = []
+    while len(nets) < 300:
+        net = displaced(random_planar_network(rng.randint(2, 3), rng, steps=rng.randint(1, 3)), rng)
+        if net is not None:
+            nets.append(net)
+    return nets
+
+
 class TestDisplacedBoundaryDigest:
     # sha256 over the outcome (code, or "refused") of every covering
     # marking of 300 random networks whose entries and exits sit inside
@@ -1205,14 +1262,8 @@ class TestDisplacedBoundaryDigest:
     DIGEST = "a2891a29d494f8bb2f251e03aae39b9abfdc593b02575ce84333f14a5357ea64"
 
     def test_outcomes_are_pinned(self):
-        rng = random.Random(SEED + 13)
-        nets = []
-        while len(nets) < 300:
-            net = displaced(random_planar_network(rng.randint(2, 3), rng, steps=rng.randint(1, 3)), rng)
-            if net is not None:
-                nets.append(net)
         digest = hashlib.sha256()
-        for net in nets:
+        for net in displaced_nets():
             for marks in covering_markings(net):
                 try:
                     outcome = repr(uncross(net, marks).code)
