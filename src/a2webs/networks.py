@@ -45,7 +45,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exactmath import eval_q1, parse_rational, quoted
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from .perms import Perm, identity_perm
 from .spider import reduce_web
 from .webcore import LEFT, RIGHT, Column, SliceDiagram, Web, WebError, to_map
 
@@ -414,12 +413,15 @@ def path_matrix(net: PlanarNetwork) -> ExactMatrix:
 
 def lindstrom_check(net: PlanarNetwork) -> dict:
     """Compare det(path matrix) against the weighted count of
-    vertex-disjoint families connecting entry i to exit i.  Crossing
-    connections cancel in a planar picture, so the two must agree."""
+    vertex-disjoint families connecting entry i to exit i, which `_walk`
+    lists from high vertex plane -1.  Crossing connections cancel in a
+    planar picture, so the two must agree."""
     X = path_matrix(net)
     det = X.det()
     total, count = Fraction(0), 0
-    for lo, hi in _families(net, identity_perm(net.n), 1):
+    table = net._path_table()
+    pools = [[(1 << i, vmask, emask) for vmask, emask in table.get((i, i), ())] for i in range(net.n)]
+    for lo, hi in _walk(pools, -1):
         count += 1
         total += marking_weight(net, _marks(lo, hi))
     return {
@@ -572,58 +574,26 @@ def _sliced_web(n: int, cols: tuple[tuple[int, str, tuple[str, ...]], ...]) -> W
 # Families, markings, immanants
 
 
-def _families(net: PlanarNetwork, w: Perm, cap: int) -> Iterator[tuple[int, int]]:
-    """All families of paths joining entry i to exit w(i), no vertex on
-    more than cap of them, in `itertools.product` order over the path
-    pools.  A family is its edge planes (lo, hi): bit e of lo and of hi
-    are the low and high bits of how many of its paths use edge e.  The
-    pools are walked depth first, and each path is added as a two-bit
-    count: its edge mask into the edge planes, its vertex mask into two
-    vertex planes.  A path that meets a vertex set in both vertex
-    planes would carry out of them: that vertex is already on three
-    paths, and the branch is pruned.  So no edge count passes 3 either.
-    For cap 1 the high vertex plane starts as all ones, so a vertex on
-    one path blocks every later one; 1 and 3 are the only caps
-    accepted."""
-    if cap not in (1, 3):
-        raise ValueError(f"vertex cap must be 1 or 3, got {cap}")
-    table = net._path_table()
-    pools = [table.get((i, w[i] - 1), ()) for i in range(net.n)]
-    last = net.n - 1
+def _walk(pools: Sequence[Sequence[tuple[int, int, int]]], high: int) -> Iterator[tuple[int, int]]:
+    """The distinct edge planes (lo, hi) of the families of one path
+    from each entry i, taken from pools[i] as (exit bit, vertex mask,
+    edge mask), that hit each exit once: bits e of lo and hi are the low
+    and high bits of how many paths use edge e.  Each pair is yielded once.
 
-    def extend(i: int, lo: int, hi: int, elo: int, ehi: int) -> Iterator[tuple[int, int]]:
-        full = lo & hi
-        for vmask, emask in pools[i]:
-            if vmask & full:
-                continue
-            if i == last:
-                yield elo ^ emask, ehi ^ elo & emask
-            else:
-                yield from extend(i + 1, lo ^ vmask, hi ^ lo & vmask, elo ^ emask, ehi ^ elo & emask)
-
-    return extend(0, 0, 0 if cap == 3 else -1, 0, 0)
-
-
-def covering_families(net: PlanarNetwork) -> Iterator[tuple[int, int]]:
-    """The distinct edge planes of the families of n paths, one per
-    entry, exits hit once each, no vertex on four paths; each planes
-    pair is yielded once, and the connection is not.
-
-    One walk over the entries: level i maps the edge planes (elo, ehi)
-    of a family of paths from entries 0..i-1 to its vertex planes (lo,
-    hi) and the bitmask of the exits it hit.  A state is extended by
-    each path from entry i to an exit not yet hit whose vertex mask
-    misses lo & hi, and only the first state of each new key is kept.
-    The merge is exact, since the edge planes fix the rest of the state:
-    entries have no in-edges and a path stops at the first exit it
-    reaches, so each vertex's load is the summed count of its in-edges
-    (1 at each of the first i entries), and an exit is hit exactly when
-    one of its in-edges is used.  Each level is dropped once the next
-    is built."""
-    table = net._path_table()
-    pools = [[(1 << j, vmask, emask) for j in range(net.n) for vmask, emask in table.get((i, j), ())]
-             for i in range(net.n)]
-    level = {(0, 0): (0, 0, 0)}
+    Level i maps the edge planes of a family of paths from entries
+    0..i-1 to its vertex planes (lo, hi) and the bitmask of the exits it
+    hit.  A state is extended, each path as a two-bit count, by every
+    path to an exit not yet hit whose vertex mask misses lo & hi: a
+    vertex set in both planes is on three paths already.  The high
+    vertex plane starts as high: 0 lets three paths meet at a vertex,
+    while -1, all ones, makes a vertex on one path block every later one.
+    Only the first state of each new key is kept.  The merge is exact,
+    since the edge planes fix the rest of the state: entries have no
+    in-edges and a path stops at the first exit it reaches, so each
+    vertex's load is the summed count of its in-edges (1 at each of the
+    first i entries), and an exit is hit exactly when one of its
+    in-edges is used."""
+    level = {(0, 0): (0, high, 0)}
     for i, pool in enumerate(pools, 1):
         nxt: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
         for (elo, ehi), (lo, hi, hit) in level.items():
@@ -634,9 +604,17 @@ def covering_families(net: PlanarNetwork) -> Iterator[tuple[int, int]]:
                 key = (elo ^ emask, ehi ^ elo & emask)
                 if key not in nxt:
                     # the last level is read for its keys alone
-                    nxt[key] = (lo ^ vmask, hi ^ lo & vmask, hit | exit_bit) if i < net.n else None
+                    nxt[key] = (lo ^ vmask, hi ^ lo & vmask, hit | exit_bit) if i < len(pools) else None
         level = nxt
     yield from level
+
+
+def covering_families(net: PlanarNetwork) -> Iterator[tuple[int, int]]:
+    """The distinct edge planes of the covering families: one path from
+    each entry, exits hit once each, no vertex on four paths."""
+    table = net._path_table()
+    yield from _walk([[(1 << j, vmask, emask) for j in range(net.n) for vmask, emask in table.get((i, j), ())]
+                      for i in range(net.n)], 0)
 
 
 def _marks(lo: int, hi: int) -> tuple[tuple[int, int], ...]:

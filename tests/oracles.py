@@ -2,9 +2,9 @@
 path calls these."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1
@@ -282,6 +282,23 @@ def oracle_paths(net: PlanarNetwork, i: int, j: int) -> list[tuple[int, ...]]:
     return out
 
 
+def path_vertices(net: PlanarNetwork, path: tuple[int, ...]) -> set[str]:
+    """The vertices of a path given by its edge ids."""
+    return {net.edges[path[0]].tail} | {net.edges[e].head for e in path}
+
+
+def oracle_families(net: PlanarNetwork, w):
+    """Every family of the product of the path pools of connection w
+    (entry i to exit w(i)), with the largest number of its paths on one
+    vertex: the enumeration by `itertools.product` and a `Counter` of
+    vertices, kept as the oracle for the library's family walk."""
+    pools = [oracle_paths(net, i, w[i] - 1) for i in range(net.n)]
+    vertices = {p: path_vertices(net, p) for pool in pools for p in pool}
+    for combo in product(*pools):
+        counts = Counter(chain.from_iterable(map(vertices.__getitem__, combo)))
+        yield combo, max(counts.values())
+
+
 def oracle_uncross(net: PlanarNetwork, marks) -> Web:
     """`networks.uncross` as it was before it read the network's sweep
     table: it finds each stop's vertex, role and marked edges from the
@@ -458,3 +475,66 @@ def oracle_render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         start = len(cols)
         cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
         F, placed = F[:p] + new + F[p + k :], placed if v is None else placed | {v}
+
+
+def _inversions(w: tuple[int, ...]) -> int:
+    return sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
+
+
+def bruhat_leq(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """x <= y in Bruhat order: for each k, the sorted first k values of
+    x lie below those of y, entry by entry (the tableau criterion)."""
+    return all(a <= b for k in range(1, len(x)) for a, b in zip(sorted(x[:k]), sorted(y[:k])))
+
+
+@cache
+def kl_polynomials(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
+    """The Kazhdan-Lusztig polynomials P_{x,y}(q) of S_n, for every x <=
+    y in Bruhat order, as coefficient tuples from q^0 up; P_{x,y} is 0
+    for any other pair.  Permutations are value tuples, and ys swaps
+    positions i and i+1 of y.
+
+    By the recursion of Kazhdan and Lusztig (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, ch. 5): for a right descent s of y
+    (ys < y), with c = 1 if xs < x and 0 otherwise,
+        P_{x,y} = q^(1-c) P_{xs,ys} + q^c P_{x,ys}
+                  - sum of mu(z, ys) q^((l(y)-l(z))/2) P_{x,z}
+    over z in [x, ys) with zs < z, where mu(z, u) is the coefficient of
+    q^((l(u)-l(z)-1)/2) in P_{z,u}.  The nonzero mu(z, u) are kept per
+    u, so the sum runs only over them."""
+    perms = sorted(permutations(range(1, n + 1)), key=_inversions)
+    length = {w: _inversions(w) for w in perms}
+    P: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    mu: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+
+    def swap(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+
+    for y in perms:
+        if not length[y]:
+            P[y, y] = (1,)
+        else:
+            i = next(k for k in range(n - 1) if y[k] > y[k + 1])
+            ys = swap(y, i)
+            for x in perms:
+                if length[x] > length[y] or not bruhat_leq(x, y):
+                    continue
+                c = int(x[i] > x[i + 1])
+                acc = [0] * (length[y] // 2 + 2)
+                for shift, poly in ((1 - c, P.get((swap(x, i), ys), ())), (c, P.get((x, ys), ()))):
+                    for k, a in enumerate(poly):
+                        acc[k + shift] += a
+                for z, m in mu[ys]:
+                    if z[i] > z[i + 1] and (x, z) in P:
+                        shift = (length[y] - length[z]) // 2
+                        for k, a in enumerate(P[x, z]):
+                            acc[k + shift] -= m * a
+                while acc and not acc[-1]:
+                    acc.pop()
+                P[x, y] = tuple(acc)
+        mu[y] = []
+        for x in perms:
+            gap, p = length[y] - length[x], P.get((x, y), ())
+            if gap > 0 and gap % 2 and len(p) > gap // 2 and p[gap // 2]:
+                mu[y].append((x, p[gap // 2]))
+    return P

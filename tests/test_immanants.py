@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from a2webs.exactmath import eval_q1
+from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import (
     ExactMatrix,
     evaluate_immanant,
@@ -16,6 +16,7 @@ from a2webs.labelings import enumerate_labelings, word_counts
 from a2webs.perms import (
     all_perms,
     all_reduced_words,
+    avoids,
     count_avoiding,
     kostka_three_column,
     perm_length,
@@ -29,7 +30,7 @@ from a2webs.spider import (
     second_generator_combo,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
-from oracles import parabolic_image
+from oracles import bruhat_leq, kl_polynomials, parabolic_image
 
 SEED = 20260816
 
@@ -134,6 +135,69 @@ class TestThetaImage:
             base = theta_image(w, word=words[0])
             for word in words[1:]:
                 assert theta_image(w, word=word) == base, (w, word)
+
+
+class TestKazhdanLusztig:
+    """The generic-q table against the Kazhdan-Lusztig polynomials of
+    `oracles.kl_polynomials`, a route that rewrites no web: each web D
+    has a unique shortest v whose image holds it, w(D), and the
+    coefficient of D in theta_image(v) is
+    (-1)^(l(v)-l(w)) t^(2 l(w)) P_{w0 v, w0 w}(t^4), w = w(D)."""
+
+    def test_polynomials_of_s4(self):
+        P = kl_polynomials(4)
+        assert len(P) == 213  # the Bruhat pairs of S_4
+        # the pairs below the two singular Schubert varieties' singular loci
+        assert {xy for xy, p in P.items() if p != (1,)} == {
+            (x, y) for y, sing in (((3, 4, 1, 2), (1, 3, 2, 4)), ((4, 2, 3, 1), (2, 1, 4, 3)))
+            for x in all_perms(4) if bruhat_leq(x, sing)}
+        assert set(P.values()) == {(1,), (1, 1)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_polynomials_are_normalized(self, n):
+        length = {w: perm_length(w) for w in all_perms(n)}
+        for (x, y), p in kl_polynomials(n).items():
+            assert p[0] == 1 and bruhat_leq(x, y)
+            assert x == y or 2 * (len(p) - 1) < length[y] - length[x]
+
+    # per n: the nonzero coefficients, those whose P is not 1, and the
+    # coefficients P_{w,v} would get wrong (none at n = 3, where every P
+    # of a Bruhat pair is 1 and both indexings pick the same pairs)
+    @pytest.mark.parametrize("n, nonzero, not_one, transposed", [(3, 19, 0, 0), (4, 212, 6, 8), (5, 3_684, 394, 478)])
+    def test_each_coefficient_is_a_kl_polynomial(self, n, nonzero, not_one, transposed):
+        perms = sorted(all_perms(n), key=perm_length)
+        images = {v: dict(theta_image(v).terms()) for v in perms}
+        shortest = {}  # web -> the shortest v whose image holds it
+        for v in perms:
+            for D in images[v]:
+                u = shortest.setdefault(D, v)
+                assert u == v or perm_length(u) < perm_length(v), (D, u, v)
+        assert set(shortest.values()) == {v for v in perms if avoids(v, (4, 3, 2, 1))}
+        assert len(shortest) == count_avoiding(n, (4, 3, 2, 1))
+
+        P = kl_polynomials(n)
+
+        def w0(v):
+            return tuple(n + 1 - a for a in v)
+
+        def predicted(v, w, p):
+            sign = (-1) ** (perm_length(v) - perm_length(w))
+            return LaurentPoly({2 * perm_length(w) + 4 * k: sign * a for k, a in enumerate(p)})
+
+        seen = {"pairs": 0, "nonzero": 0, "not_one": 0, "transposed": 0}
+        zero = LaurentPoly.zero()
+        for v in perms:
+            for D, w in shortest.items():
+                p = P.get((w0(v), w0(w)), ())
+                assert images[v].get(D, zero) == predicted(v, w, p), (v, D.code)
+                seen["pairs"] += 1
+                seen["nonzero"] += bool(p)
+                seen["not_one"] += bool(p) and p != (1,)
+                # the control: P_{w,v} in place of P_{w0 v, w0 w}
+                seen["transposed"] += images[v].get(D, zero) != predicted(v, w, P.get((w, v), ()))
+        assert seen["pairs"] == len(perms) * len(shortest)
+        assert (seen["nonzero"], seen["not_one"]) == (nonzero, not_one)
+        assert seen["transposed"] == transposed
 
 
 class TestIrreducibleWebs:

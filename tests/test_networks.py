@@ -21,7 +21,6 @@ from a2webs.networks import (
     PlanarNetwork,
     _check_drawing,
     _common_denominator,
-    _families,
     _grid,
     _sliced_web,
     corollary_check,
@@ -39,7 +38,14 @@ from a2webs.networks import (
 from a2webs.perms import all_perms
 from a2webs.spider import apply_rule, reduce_web, second_generator
 from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, identity_web
-from oracles import brute_force_labelings, disjoint_union, oracle_paths, oracle_uncross
+from oracles import (
+    brute_force_labelings,
+    disjoint_union,
+    oracle_families,
+    oracle_paths,
+    oracle_uncross,
+    path_vertices,
+)
 
 SEED = 20260816
 BENCH_NETWORKS = Path(__file__).parents[1] / "perfbench" / "networks.jsonl"
@@ -112,16 +118,18 @@ def eye_net():
     )
 
 
-def path_vertices(net, path):
-    """The vertices of a path given by its edge ids."""
-    return {net.edges[path[0]].tail} | {net.edges[e].head for e in path}
-
-
 def edge_planes(counts):
     """The edge planes (lo, hi) of edge counts: bits e of lo and hi are
     the low and high bits of counts[e]."""
     return (sum(1 << e for e, c in counts.items() if c & 1),
             sum(1 << e for e, c in counts.items() if c & 2))
+
+
+def oracle_planes(net, w, cap):
+    """The edge planes of the product families of connection w with no
+    vertex on more than cap paths."""
+    return [edge_planes(Counter(itertools.chain.from_iterable(combo)))
+            for combo, load in oracle_families(net, w) if load <= cap]
 
 
 def block_families(net, g):
@@ -633,18 +641,6 @@ class TestLindstrom:
                 assert lindstrom_check(net)["passed"]
 
 
-def oracle_families(net, w):
-    """Every family of the product of the path pools, with the largest
-    number of its paths on one vertex: the enumeration by
-    `itertools.product` and a `Counter` of vertices, kept as the oracle
-    for the masks."""
-    pools = [oracle_paths(net, i, w[i] - 1) for i in range(net.n)]
-    vertices = {p: path_vertices(net, p) for pool in pools for p in pool}
-    for combo in itertools.product(*pools):
-        counts = Counter(itertools.chain.from_iterable(map(vertices.__getitem__, combo)))
-        yield combo, max(counts.values())
-
-
 def diamond_chain(k):
     """The vertices and edges of k diamonds in series, from v0 at the
     origin to vk: 2^k paths from v0 to vk."""
@@ -687,40 +683,45 @@ class TestFamilyOracle:
             assert net._path_table() == want
 
     def test_the_walk_yields_each_planes_pair_once(self):
-        # the oracle: the planes of the families of every connection,
-        # cap 3, each connection listed on its own
+        # the oracle: the planes of the product families of every
+        # connection with no vertex on four paths
         for net in oracle_nets() + displaced_nets():
             got = list(covering_families(net))
             assert len(set(got)) == len(got)
-            assert set(got) == {planes for w in all_perms(net.n) for planes in _families(net, w, 3)}
+            assert set(got) == {planes for w in all_perms(net.n) for planes in oracle_planes(net, w, 3)}
 
     def test_the_walk_merges_the_benchmark_families(self):
         nets = oracle_nets()[:60]
         assert sum(1 for net in nets for _ in covering_families(net)) == 1_636
-        assert sum(1 for net in nets for w in all_perms(4) for _ in _families(net, w, 3)) == 82_829
+        assert sum(load <= 3 for net in nets for w in all_perms(4) for _, load in oracle_families(net, w)) == 82_829
 
-    def test_families_and_markings_match_the_product_oracle(self):
+    def test_families_and_markings_match_the_product_oracle(self, monkeypatch):
+        # the walks lindstrom_check runs, each with its high vertex
+        # plane and the planes pairs it yielded
+        walks = []
+
+        def recorded(pools, high):
+            walks.append((high, list(walk(pools, high))))
+            return iter(walks[-1][1])
+
+        walk = networks._walk
+        monkeypatch.setattr(networks, "_walk", recorded)
         rejected = at_three = 0
         for net in oracle_nets():
             markings = set()
             for w in all_perms(net.n):
-                fams = []
                 for combo, load in oracle_families(net, w):
-                    counts = Counter(itertools.chain.from_iterable(combo))
-                    fams.append((edge_planes(counts), load))
                     if load <= 3:
-                        markings.add(tuple(sorted(counts.items())))
-                for cap in (1, 3):
-                    assert list(_families(net, w, cap)) == [planes for planes, load in fams if load <= cap]
-                rejected += sum(load > 3 for _, load in fams)
-                at_three += sum(load == 3 for _, load in fams)
+                        markings.add(tuple(sorted(Counter(itertools.chain.from_iterable(combo)).items())))
+                    rejected += load > 3
+                    at_three += load == 3
             assert covering_markings(net) == sorted(markings)
+            del walks[:]
+            lindstrom_check(net)
+            [(high, got)] = walks
+            assert high == -1 and len(set(got)) == len(got)
+            assert sorted(got) == sorted(oracle_planes(net, tuple(range(1, net.n + 1)), 1))
         assert rejected and at_three
-
-    @pytest.mark.parametrize("cap", [0, 2, 4, 5, 6])
-    def test_other_caps_are_refused(self, cap):
-        with pytest.raises(ValueError):
-            _families(funnel3_net(), (1, 2, 3), cap)
 
     def test_common_denominator_is_bounded(self):
         assert MAX_GRID_DIGITS == 10_000
@@ -1270,6 +1271,25 @@ class TestDisplacedBoundaryDigest:
                 except WebError:
                     outcome = "refused"
                 digest.update(outcome.encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestLindstromDigest:
+    # sha256 over the JSON of every Lindstrom report on the oracle and
+    # displaced-boundary networks, recorded while the disjoint families
+    # were still listed by a depth-first walk over the product of the
+    # path pools
+    DIGEST = "785d7784a9bc8a5702f6d4868453588127bdea858e1aa717a3aca7e048cb35f4"
+
+    def test_reports_are_pinned(self):
+        nets = oracle_nets() + displaced_nets()
+        reports = [lindstrom_check(net) for net in nets]
+        digest = hashlib.sha256()
+        for rep in reports:
+            digest.update(json.dumps(rep, sort_keys=True).encode())
+        assert len(nets) == 560
+        assert sum(rep["disjoint_families"] for rep in reports) == 213
+        assert all(rep["passed"] for rep in reports)
         assert digest.hexdigest() == self.DIGEST
 
 
