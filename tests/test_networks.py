@@ -696,15 +696,14 @@ class TestFamilyOracle:
         assert sum(load <= 3 for net in nets for w in all_perms(4) for _, load in oracle_families(net, w)) == 82_829
 
     def test_families_and_markings_match_the_product_oracle(self, monkeypatch):
-        # the walks lindstrom_check runs, each with its high vertex
-        # plane and the planes pairs it yielded
-        walks = []
+        # each walk run, with its high vertex plane and the planes pairs
+        # it yielded
+        walk, walks = networks._walk, []
 
         def recorded(pools, high):
             walks.append((high, list(walk(pools, high))))
             return iter(walks[-1][1])
 
-        walk = networks._walk
         monkeypatch.setattr(networks, "_walk", recorded)
         rejected = at_three = 0
         for net in oracle_nets():
@@ -716,7 +715,7 @@ class TestFamilyOracle:
                     rejected += load > 3
                     at_three += load == 3
             assert covering_markings(net) == sorted(markings)
-            del walks[:]
+            walks.clear()
             lindstrom_check(net)
             [(high, got)] = walks
             assert high == -1 and len(set(got)) == len(got)
