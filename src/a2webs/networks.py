@@ -24,14 +24,16 @@ this module and is exercised heavily by the tests.
 
 Uncrossing reads the network's own drawing.  One sweep in x order
 (`PlanarNetwork.order`, with out-edges in slope order) keeps the marked
-edges crossing the sweep line, top to bottom, and writes the slice
-diagram of their curves, one vertex rule at a time; `webcore.to_map`
-then builds the web's map.  Entries start as placeholder wires from
-the left and exits run on to the right, so the drawing must leave them
-room: an entry must lie between the nearest marked edges above and
-below its placeholder, the marked edges into a vertex must be adjacent
-on the sweep line, and the exits must be reached in order.  A marking
-that breaks this contract is refused.
+runs crossing the sweep line, top to bottom, a run being a chain of
+edges through vertices with one in-edge and one out-edge, and writes
+the slice diagram of their curves, one vertex rule at each vertex where
+strands branch or meet; `webcore.to_map` then builds the web's map.
+Entries start as placeholder wires from the left and exits run on to
+the right, so the drawing must leave them room: an entry must lie
+between the nearest marked edges above and below its placeholder, the
+marked edges into a vertex must be adjacent on the sweep line, and the
+exits must be reached in order.  A marking that breaks this contract is
+refused.
 """
 
 from __future__ import annotations
@@ -346,27 +348,51 @@ class PlanarNetwork:
 
     # -- the sweep of uncross ---------------------------------------------
 
-    def _sweep_table(self) -> tuple[tuple[tuple[int, int], ...], tuple, tuple[int, ...]]:
-        """The positions in `order` of each edge's tail and head; at
-        each position its vertex, its role ("entry", "exit" or None) and
-        its in- and out-edges; and the positions of the entries and
-        exits."""
+    def _sweep_table(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...],
+                                    tuple, tuple[int, ...]]:
+        """The runs of the network and the stops of `uncross`'s sweep.
+
+        A vertex with one in-edge and one out-edge only passes a strand
+        on, so the edges chain through such vertices into runs, each
+        named by its first edge.  Per edge id: the first edge of its
+        run; the next edge of its run, or itself at the run's end; and,
+        for a run's first edge, the positions in `order` of the run's
+        tail and last head (for any other edge, ()).  Then, at each
+        position in `order`, its vertex, its role ("entry", "exit" or
+        None) and its in- and out-edges; and the positions of the
+        entries and exits."""
         if self._sweep is None:
             at = {v: k for k, v in enumerate(self.order)}
             role = dict.fromkeys(self.sources, "entry") | dict.fromkeys(self.sinks, "exit")
-            self._sweep = (tuple((at[e.tail], at[e.head]) for e in self.edges),
+            first, after = list(range(len(self.edges))), list(range(len(self.edges)))
+            for v in self.order:  # an edge's run is known before its head is reached
+                into, out = self.in_edges[v], self.out_edges[v]
+                if len(into) == 1 == len(out):
+                    first[out[0]], after[into[0]] = first[into[0]], out[0]
+            ends = {first[eid]: at[self.edges[eid].head] for eid, nxt in enumerate(after) if nxt == eid}
+            self._sweep = (tuple(first), tuple(after),
+                           tuple((at[e.tail], ends[eid]) if first[eid] == eid else ()
+                                 for eid, e in enumerate(self.edges)),
                            tuple((v, role.get(v), self.in_edges[v], self.out_edges[v]) for v in self.order),
                            tuple(at[v] for v in self.sources + self.sinks))
         return self._sweep
 
     def _gap(self, entry: str, eid: int) -> int:
-        """The sign of edge eid's height above entry, at the entry's
-        abscissa: 1 above, 0 level, -1 below."""
+        """The sign of the height above entry, at the entry's abscissa,
+        of the edge that the sweep line crosses there, on eid's run from
+        eid on: 1 above, 0 level, -1 below."""
         key = (entry, eid)
         side = self._gaps.get(key)
         if side is None:
+            after = self._sweep_table()[1]
+            x, y = self._grid[entry]
+            while after[eid] != eid:
+                hx, hy = self._grid[self.edges[eid].head]
+                if (hx, -hy) > (x, -y):  # the sweep reaches this head after the entry
+                    break
+                eid = after[eid]
             e = self.edges[eid]
-            (x, y), (tx, ty), (hx, hy) = self._grid[entry], self._grid[e.tail], self._grid[e.head]
+            (tx, ty), (hx, hy) = self._grid[e.tail], self._grid[e.head]
             gap = (ty - y) * (hx - tx) + (hy - ty) * (x - tx)
             side = self._gaps[key] = (gap > 0) - (gap < 0)
         return side
@@ -470,48 +496,64 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     is the (edge id, multiplicity) pairs that `covering_markings` lists.
 
     One sweep from left to right turns the drawing into a slice diagram.
-    It keeps the marked edges that cross the sweep line, top to bottom.
-    A single strand is one curve running with its edge (flag R), a
-    doubled run one curve against it (flag L), and a tripled run stays
-    in the list as a ghost with no curve.  Each entry starts as a
-    placeholder wire from the left, which its strand takes over; each
-    exit's strand runs on to the right.  At a vertex the curves of its
-    incoming block end and those of its out-edges begin, by one rule:
-    on a mixed side a single strand turns back into the doubled run (a
-    cap on the left, a cup on the right); two or three curves on the
-    left meet in a merge, the third capped onto the merged wire; two or
-    three curves on the right leave a split, the first cupped off it;
-    one curve on each side passes straight through.  `to_map` then
-    builds the web's map, once per distinct diagram (`_sliced_web`).
+    It keeps the marked runs that cross the sweep line, top to bottom: a
+    run is a chain of edges through vertices with one in-edge and one
+    out-edge, where a strand only passes straight on, so the sweep stops
+    only at the entries, the exits and the ends of the marked runs, the
+    vertices where strands branch or meet (`PlanarNetwork._sweep_table`
+    lists them once per network).  A single strand is one curve running
+    with its edges (flag R), a doubled run one curve against them (flag
+    L), and a tripled run stays in the list as a ghost with no curve.
+    Each entry starts as a placeholder wire from the left, which its
+    strand takes over; each exit's strand runs on to the right.  At a
+    vertex the curves of its incoming block end and those of its
+    out-edges begin, by one rule (`_vertex_columns`): on a mixed side a
+    single strand turns back into the doubled run (a cap on the left, a
+    cup on the right); two or three curves on the left meet in a merge,
+    the third capped onto the merged wire; two or three curves on the
+    right leave a split, the first cupped off it; one curve on each side
+    passes straight through.  `to_map` then builds the web's map, once
+    per distinct diagram (`_sliced_web`).
 
     The marking is refused with WebError unless it names only edges of
     the network, each once with an int multiplicity of at least 1
     (`_multiplicities`, which `marking_weight` shares), each entry
     starts one strand, each exit ends one, each other vertex passes as
     many strands out as in and at most three, and the drawing leaves
-    room for the boundary: at each entry the nearest marked edges above
-    and below its placeholder must pass above and below the entry, the
-    marked edges into a vertex must be adjacent on the sweep line, and
-    the exits must be reached in order, top to bottom.
+    room for the boundary: at each entry the nearest marked runs above
+    and below its placeholder must pass above and below the entry (each
+    by its edge that spans the entry's abscissa), the marked edges into
+    a vertex must be adjacent on the sweep line, and the exits must be
+    reached in order, top to bottom.  A run marked unevenly is refused
+    at the first vertex where its multiplicity changes, so the first
+    refusal in sweep order is the one raised, as at a stop per vertex.
     """
     mult = _multiplicities(net, marks)
-    # the sweep stops only at the marked edges' ends, the entries and
-    # the exits: at any other vertex no strand passes and nothing is
-    # checked
-    ends, sweep, stops = net._sweep_table()
-    at = set(stops)
-    for eid in mult:
-        at.update(ends[eid])
-    # marked edge ids, unreached entries and reached exits, top to bottom
+    # the sweep stops only at the entries, the exits and the ends of the
+    # marked runs: at any other vertex no strand passes, or one run
+    # passes straight on, and nothing is checked
+    first, after, halts, sweep, stops = net._sweep_table()
+    at = set(stops).union(*map(halts.__getitem__, mult))
+    ms = list(mult.values())
+    if (list(map(mult.get, map(first.__getitem__, mult))) != ms
+            or list(map(mult.get, map(after.__getitem__, mult))) != ms):
+        # a run is not marked alike from end to end: the sweep also
+        # stops where its multiplicity first changes, and refuses the
+        # marking there as unbalanced.  A multiplicity past 3 that runs
+        # on unchanged is refused at the run's tail, which comes first.
+        for eid in {first[e] for e in mult}:
+            while after[eid] != eid and mult.get(after[eid]) == mult.get(eid):
+                eid = after[eid]
+            if after[eid] != eid:
+                at.add(net.order.index(net.edges[eid].head))
+    # marked runs, unreached entries and reached exits, top to bottom
     line: list = list(net.sources)
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column
     for k in sorted(at):
         v, role, into, out = sweep[k]
-        ins = [e for e in into if e in mult]
-        outs = [e for e in out if e in mult]
-        k_in, k_out = sum(map(mult.__getitem__, ins)), sum(map(mult.__getitem__, outs))
-        if role == "entry":
-            if k_in or k_out != 1:
+        outs = list(filter(mult.__contains__, out))
+        if role == "entry":  # an entry has no in-edges
+            if len(outs) != 1 or mult[outs[0]] != 1:
                 raise WebError(f"entry {quoted(v)} must start exactly one strand")
             i = line.index(v)
             above = next((e for e in reversed(line[:i]) if type(e) is int), None)
@@ -521,43 +563,59 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
                 raise WebError(f"entry {quoted(v)} lies outside the gap its strand enters")
             line[i] = outs[0]
             continue
-        if role == "exit":
-            if k_out or k_in != 1:
+        ins = list(filter(mult.__contains__, into))
+        if role == "exit":  # an exit has no out-edges
+            if len(ins) != 1 or mult[ins[0]] != 1:
                 raise WebError(f"exit {quoted(v)} must end exactly one strand")
-            line[line.index(ins[0])] = v
+            line[line.index(first[ins[0]])] = v
             continue
-        if k_in != k_out:
+        k_in = sum(map(mult.__getitem__, ins))
+        if k_in != sum(map(mult.__getitem__, outs)):
             raise WebError(f"marking is unbalanced at vertex {quoted(v)}")
         if k_in > 3:
             raise WebError(f"four or more strands pass through vertex {quoted(v)}")
         if not ins:
             continue
         if len(ins) == 1 == len(outs):  # one run passes straight through
-            line[line.index(ins[0])] = outs[0]
+            line[line.index(first[ins[0]])] = outs[0]
             continue
-        idx = sorted(map(line.index, ins))
+        idx = sorted(map(line.index, map(first.__getitem__, ins)))
         i, j = idx[0], idx[-1] + 1
         if j - i != len(idx):
             raise WebError(f"the strands into vertex {quoted(v)} enclose a boundary strand")
-        p = 1 + sum(mult.get(e) != 3 for e in line[:i])
-        left = [RIGHT if mult[e] == 1 else LEFT for e in line[i:j] if mult[e] != 3]
-        right = [RIGHT if mult[e] == 1 else LEFT for e in outs if mult[e] != 3]
-        if len(set(left)) == 2:
-            cols.append((p, "cap", tuple(left)))
-        elif len(left) > 1:
-            cols.append((p, "merge", (RIGHT, RIGHT, LEFT)))
-            if len(left) == 3:
-                cols.append((p, "cap", (LEFT, RIGHT)))
-        if len(set(right)) == 2:
-            cols.append((p, "cup", tuple(right)))
-        elif len(right) > 1:
-            if len(right) == 3:
-                cols.append((p, "cup", (RIGHT, LEFT)))
-            cols.append((p + len(right) - 2, "split", (LEFT, RIGHT, RIGHT)))
+        p = 1 + i - list(map(mult.get, line[:i])).count(3)  # a tripled run draws no curve
+        for shift, tile, dirs in _vertex_columns(tuple(map(mult.__getitem__, line[i:j])),
+                                                 tuple(map(mult.__getitem__, outs))):
+            cols.append((p + shift, tile, dirs))
         line[i:j] = outs
     if line != list(net.sinks):
         raise WebError("the exits are not reached in order, top to bottom")
     return _sliced_web(net.n, tuple(cols))
+
+
+@functools.cache
+def _vertex_columns(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[int, str, tuple[str, ...]], ...]:
+    """The columns `uncross` writes at a vertex whose incoming runs carry
+    the multiplicities left and whose out-edges carry right, each top to
+    bottom, as (shift, tile, dirs): shift is the column's position past
+    the vertex's first curve.  Both sides sum to the same 1, 2 or 3, so
+    there are at most 21 such pairs."""
+    ins = [RIGHT if m == 1 else LEFT for m in left if m != 3]
+    outs = [RIGHT if m == 1 else LEFT for m in right if m != 3]
+    cols = []
+    if len(set(ins)) == 2:
+        cols.append((0, "cap", tuple(ins)))
+    elif len(ins) > 1:
+        cols.append((0, "merge", (RIGHT, RIGHT, LEFT)))
+        if len(ins) == 3:
+            cols.append((0, "cap", (LEFT, RIGHT)))
+    if len(set(outs)) == 2:
+        cols.append((0, "cup", tuple(outs)))
+    elif len(outs) > 1:
+        if len(outs) == 3:
+            cols.append((0, "cup", (RIGHT, LEFT)))
+        cols.append((len(outs) - 2, "split", (LEFT, RIGHT, RIGHT)))
+    return tuple(cols)
 
 
 @functools.cache
@@ -638,11 +696,20 @@ def covering_markings(net: PlanarNetwork) -> list[tuple[tuple[int, int], ...]]:
 def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:
     """Every basis web immanant of the path matrix, computed from the
     network by uncrossing marked subnetworks.  The markings' weights are
-    summed per uncrossed web, and each distinct web is reduced once."""
+    summed per uncrossed web, and each distinct web is reduced once.
+    `uncross` alone checks each marking; its weight is taken, as in
+    `marking_weight`, over the edge weights' integer numerators and
+    denominators, read once per network."""
+    ratios = [(e.weight.numerator, e.weight.denominator) for e in net.edges]
     weights: dict[Web, Fraction] = {}
     for marks in covering_markings(net):
         web = uncross(net, marks)
-        weights[web] = weights.get(web, 0) + marking_weight(net, marks)
+        num = den = 1
+        for eid, m in marks:
+            a, b = ratios[eid]
+            num *= a ** m
+            den *= b ** m
+        weights[web] = weights.get(web, 0) + Fraction(num, den)
     totals = {D: Fraction(0) for D in irreducible_webs(net.n)}
     for web, w in weights.items():
         for D, c in reduce_web(web).terms():

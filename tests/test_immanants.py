@@ -265,6 +265,25 @@ class TestImmanantTable:
         with pytest.raises(WebError):
             t._row(product_web(2, (1, 1)))
 
+    @pytest.mark.parametrize("n, by_inverse, by_w0", [(1, 1, 1), (2, 2, 2), (3, 4, 2), (4, 9, 7), (5, 21, 7)])
+    def test_rows_are_closed_under_the_two_symmetries(self, n, by_inverse, by_w0):
+        # w -> w^-1 and w -> w0 w w0 each send every row f_D to a row;
+        # the rows they fix are counted
+        t = immanant_table(n)
+        rows = [frozenset(t._row(D).items()) for D in t.webs]
+        assert len(set(rows)) == len(rows)
+
+        def inverse(w):
+            return tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
+
+        def conjugate(w):  # w0 w w0, w0 the longest permutation
+            return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
+
+        for move, fixed in ((inverse, by_inverse), (conjugate, by_w0)):
+            images = [frozenset((move(w), v) for w, v in row) for row in rows]
+            assert set(images) == set(rows)
+            assert sum(image == row for image, row in zip(images, rows)) == fixed
+
 
 def cycle_count(w):
     """The number of cycles of the permutation w of 1..n."""

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -123,13 +124,6 @@ def edge_planes(counts):
     the low and high bits of counts[e]."""
     return (sum(1 << e for e, c in counts.items() if c & 1),
             sum(1 << e for e, c in counts.items() if c & 2))
-
-
-def oracle_planes(net, w, cap):
-    """The edge planes of the product families of connection w with no
-    vertex on more than cap paths."""
-    return [edge_planes(Counter(itertools.chain.from_iterable(combo)))
-            for combo, load in oracle_families(net, w) if load <= cap]
 
 
 def block_families(net, g):
@@ -669,6 +663,24 @@ def oracle_nets():
     return nets + [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 5)) for _ in range(200)]
 
 
+@functools.cache
+def family_listings():
+    """For each network of oracle_nets() + displaced_nets(), the product
+    oracle's families of every connection as a list of (whether the
+    connection is the identity, the family's edge planes, its sorted
+    (edge, count) pairs, the most paths on one vertex, the number of
+    such families): listed once and read by every test that compares
+    against it."""
+    listings = []
+    for net in oracle_nets() + displaced_nets():
+        identity = tuple(range(1, net.n + 1))
+        families = Counter((w == identity, tuple(sorted(itertools.chain.from_iterable(combo))), load)
+                           for w in all_perms(net.n) for combo, load in oracle_families(net, w))
+        listings.append([(ident, edge_planes(counts), tuple(sorted(counts.items())), load, c)
+                         for (ident, edges, load), c in families.items() for counts in [Counter(edges)]])
+    return listings
+
+
 class TestFamilyOracle:
     def test_path_table_matches_the_path_oracle(self):
         for net in oracle_nets():
@@ -685,15 +697,18 @@ class TestFamilyOracle:
     def test_the_walk_yields_each_planes_pair_once(self):
         # the oracle: the planes of the product families of every
         # connection with no vertex on four paths
-        for net in oracle_nets() + displaced_nets():
+        nets = oracle_nets() + displaced_nets()
+        assert len(nets) == len(family_listings()) == 560
+        for net, listing in zip(nets, family_listings()):
             got = list(covering_families(net))
             assert len(set(got)) == len(got)
-            assert set(got) == {planes for w in all_perms(net.n) for planes in oracle_planes(net, w, 3)}
+            assert set(got) == {planes for _, planes, _, load, _ in listing if load <= 3}
 
     def test_the_walk_merges_the_benchmark_families(self):
         nets = oracle_nets()[:60]
         assert sum(1 for net in nets for _ in covering_families(net)) == 1_636
-        assert sum(load <= 3 for net in nets for w in all_perms(4) for _, load in oracle_families(net, w)) == 82_829
+        assert all(net.n == 4 for net in nets)
+        assert sum(c for listing in family_listings()[:60] for _, _, _, load, c in listing if load <= 3) == 82_829
 
     def test_families_and_markings_match_the_product_oracle(self, monkeypatch):
         # each walk run, with its high vertex plane and the planes pairs
@@ -706,20 +721,16 @@ class TestFamilyOracle:
 
         monkeypatch.setattr(networks, "_walk", recorded)
         rejected = at_three = 0
-        for net in oracle_nets():
-            markings = set()
-            for w in all_perms(net.n):
-                for combo, load in oracle_families(net, w):
-                    if load <= 3:
-                        markings.add(tuple(sorted(Counter(itertools.chain.from_iterable(combo)).items())))
-                    rejected += load > 3
-                    at_three += load == 3
-            assert covering_markings(net) == sorted(markings)
+        for net, listing in zip(oracle_nets(), family_listings()):
+            assert covering_markings(net) == sorted({counts for _, _, counts, load, _ in listing if load <= 3})
+            rejected += sum(c for _, _, _, load, c in listing if load > 3)
+            at_three += sum(c for _, _, _, load, c in listing if load == 3)
             walks.clear()
             lindstrom_check(net)
             [(high, got)] = walks
             assert high == -1 and len(set(got)) == len(got)
-            assert sorted(got) == sorted(oracle_planes(net, tuple(range(1, net.n + 1)), 1))
+            assert sorted(got) == sorted(planes for identity, planes, _, load, c in listing
+                                         if identity and load <= 1 for _ in range(c))
         assert rejected and at_three
 
     def test_common_denominator_is_bounded(self):
@@ -777,6 +788,55 @@ def mutated_markings(net, marks, rng):
     return [marks[:k] + marks[k + 1:], raised, unknown, moved]
 
 
+def uncross_outcome(fn, net, marks):
+    """What fn (`uncross` or its oracle) makes of a marking: the web, or
+    the message of its refusal."""
+    try:
+        return fn(net, marks)
+    except WebError as exc:
+        return str(exc)
+
+
+def runs_of(net):
+    """Each maximal chain of edges through vertices with one in-edge and
+    one out-edge, as its edge ids in order, found from the edge lists
+    alone."""
+    passing = {v for v in net.ids if len(net.in_edges[v]) == 1 == len(net.out_edges[v])}
+    runs = []
+    for eid, e in enumerate(net.edges):
+        if e.tail not in passing:
+            run = [eid]
+            while net.edges[run[-1]].head in passing:
+                run.append(net.out_edges[net.edges[run[-1]].head][0])
+            runs.append(run)
+    return runs
+
+
+def run_corridor_net():
+    """Two wires merged at m into a doubled run of three edges through
+    r1 and r2, split again at s."""
+    return PlanarNetwork(
+        2,
+        [("a", 0, 2), ("b", 0, 0), ("m", 1, 1), ("r1", 2, 1), ("r2", 3, 1), ("s", 4, 1), ("c", 5, 2), ("d", 5, 0)],
+        [("a", "m", 1), ("b", "m", 1), ("m", "r1", 2), ("r1", "r2", 3), ("r2", "s", 5), ("s", "c", 1), ("s", "d", 1)],
+        ["a", "b"],
+        ["c", "d"],
+    )
+
+
+def bent_run_net():
+    """The strand from s1 climbs to u and falls back through w, one run
+    of three edges; the entry s2 sits above its falling edge, though
+    below the line of its climbing one."""
+    return PlanarNetwork(
+        2,
+        [("s2", 2, Fraction(3, 2)), ("s1", 0, 0), ("u", 1, 2), ("w", 3, 0), ("t2", 4, 2), ("t1", 4, 0)],
+        [("s1", "u", 1), ("u", "w", 1), ("w", "t1", 1), ("s2", "t2", 1)],
+        ["s2", "s1"],
+        ["t2", "t1"],
+    )
+
+
 class TestUncrossOracle:
     def test_uncross_matches_the_oracle_on_damaged_markings(self):
         nets = [PlanarNetwork.from_json_obj(json.loads(line))
@@ -789,21 +849,14 @@ class TestUncrossOracle:
         nets.append(PlanarNetwork(2, [("s1", 2, 0), ("s2", 0, -1), ("a", 1, 1), ("t1", 3, 1), ("t2", 3, -1)],
                                   [("s2", "a", 1), ("a", "t1", 1), ("s1", "t2", 1)], ["s1", "s2"], ["t1", "t2"]))
         rng = random.Random(SEED + 29)
-
-        def outcome(fn, net, marks):
-            try:
-                return fn(net, marks)
-            except WebError as exc:
-                return str(exc)
-
         seen = Counter()
         for net in nets:
             for marks in covering_markings(net):
                 for kind, mutant in enumerate([marks, *mutated_markings(net, marks, rng)]):
                     if mutant is None:
                         continue
-                    got = outcome(uncross, net, mutant)
-                    assert got == outcome(oracle_uncross, net, mutant), (net.to_json_obj(), mutant)
+                    got = uncross_outcome(uncross, net, mutant)
+                    assert got == uncross_outcome(oracle_uncross, net, mutant), (net.to_json_obj(), mutant)
                     seen[kind, "web" if type(got) is Web else re.sub(r"'[^']*'|-?\d+", "_", got)] += 1
         assert seen[0, "web"] and all(any(k == kind and m != "web" for k, m in seen) for kind in range(1, 5))
         assert {m for _, m in seen} >= {
@@ -813,6 +866,50 @@ class TestUncrossOracle:
             "marking is unbalanced at vertex _",
             "marking names edge _, but the edge ids run _.._",
         }
+
+    def test_run_damage_matches_the_oracle(self):
+        # per covering marking, one run of at least three edges that it
+        # marks, damaged four ways: its middle edge dropped, its middle
+        # edge raised, the whole run at 4, and its first edge unmarked
+        nets = oracle_nets() + displaced_nets()[:100] + [run_corridor_net(), bent_run_net()]
+        rng = random.Random(SEED + 31)
+        seen = Counter()
+        for net in nets:
+            runs = [run for run in runs_of(net) if len(run) >= 3]
+            for marks in covering_markings(net):
+                mult = dict(marks)
+                marked = [run for run in runs if run[0] in mult]
+                assert uncross_outcome(uncross, net, marks) == uncross_outcome(oracle_uncross, net, marks)
+                if not marked:
+                    continue
+                run = rng.choice(marked)
+                mid = run[len(run) // 2]
+                for kind, changes in enumerate([{mid: 0}, {mid: mult[mid] + 1}, dict.fromkeys(run, 4), {run[0]: 0}]):
+                    mutant = sorted((e, c) for e, c in {**mult, **changes}.items() if c)
+                    got = uncross_outcome(uncross, net, mutant)
+                    assert got == uncross_outcome(oracle_uncross, net, mutant), (net.to_json_obj(), mutant)
+                    # a run's own vertex refuses damage in its middle; the
+                    # whole run at 4 or unmarked at its start is refused
+                    # where the run begins
+                    where = net.edges[mid if kind < 2 else run[0]].tail
+                    assert re.fullmatch(f"(entry {where!r} must start exactly one strand"
+                                        f"|marking is unbalanced at vertex {where!r})", got), (got, where)
+                    seen[kind, got.startswith("entry")] += 1
+        assert seen[0, False] == seen[1, False] == seen[2, False] + seen[2, True] == 2_898
+        assert seen[2, True] == seen[3, True] == 1_008 and not seen[0, True] and not seen[1, True]
+
+    def test_an_earlier_branching_vertex_is_refused_first(self):
+        net = run_corridor_net()
+        [marks] = covering_markings(net)
+        assert marks == ((0, 1), (1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1))
+        # the merge at m is unbalanced before the run's vertex r1 is
+        # reached, and r1 before the split at s
+        for mutant, vertex in [([(0, 1), (1, 1), (2, 3), (4, 2), (5, 1), (6, 1)], "m"),
+                               ([(0, 1), (1, 1), (2, 2), (4, 2), (5, 2), (6, 1)], "r1"),
+                               ([(0, 1), (1, 1), (2, 2), (3, 2), (4, 1), (5, 2), (6, 1)], "r2")]:
+            want = f"marking is unbalanced at vertex {vertex!r}"
+            assert uncross_outcome(uncross, net, mutant) == want
+            assert uncross_outcome(oracle_uncross, net, mutant) == want
 
 
 class TestMarking:
@@ -1346,6 +1443,12 @@ class TestBoundaryContract:
             ["t1", "t2", "t3"],
         )
         assert _outcomes(net) == [None]
+
+    def test_entry_beside_a_bent_run(self):
+        # the edge of s1's run that passes s2 is the falling one, below s2
+        net = bent_run_net()
+        assert _outcomes(net) == [Web.from_slice(identity_web(2)).code]
+        assert net._gap("s2", 0) == -1
 
     def test_pair_enclosed_in_a_diamond(self):
         # s2 -> t2 is its own component inside the diamond.  Above the
