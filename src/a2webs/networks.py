@@ -22,6 +22,15 @@ coefficient of the basis web in the reduction of the uncrossed web.
 The equality of the two computations is the main consistency check on
 this module and is exercised heavily by the tests.
 
+Both computations sum over integers.  Each vertex v has a scale S(v),
+the lcm of the denominators of the paths into it (`_scales`), and each
+edge an integer weight, its weight times S(head) / S(tail).  Along a
+path the scales telescope, so a path matrix entry is an integer sum
+over the exit's scale, and a marking, whose n paths end at the n exits,
+weighs an integer over the product of the exits' scales.  The path
+matrix and the immanants are then one Fraction per entry and per
+immanant.
+
 Uncrossing reads the network's own drawing.  One sweep in x order
 (`PlanarNetwork.order`, with out-edges in slope order) keeps the marked
 runs crossing the sweep line, top to bottom, a run being a chain of
@@ -39,6 +48,7 @@ refused.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -398,6 +408,25 @@ class PlanarNetwork:
         return side
 
 
+def _scales(net: PlanarNetwork) -> tuple[dict[str, int], list[int]]:
+    """A scale S(v) per vertex and an integer weight per edge.  Sweeping
+    in x order, an entry (or any vertex without in-edges) takes S = 1 and
+    every other vertex the lcm, over its in-edges e = t->v, of S(t) times
+    the denominator of e's weight.  So S(v) is the lcm, over the paths
+    into v from vertices without in-edges, of the product of their
+    edges' denominators; where numerators cancel denominators it can
+    exceed the denominator of any reduced path sum.  Edge e = t->h weighs
+    weight * S(h) / S(t), an integer, and along a path the scales
+    telescope: a path from an entry to v weighs its integer product over
+    S(v)."""
+    scale: dict[str, int] = {}
+    for v in net.order:
+        scale[v] = math.lcm(*(scale[net.edges[eid].tail] * net.edges[eid].weight.denominator
+                              for eid in net.in_edges[v]))
+    return scale, [e.weight.numerator * (scale[e.head] // (scale[e.tail] * e.weight.denominator))
+                   for e in net.edges]
+
+
 def _path_sums(net: PlanarNetwork, weights: Sequence, one) -> list[list]:
     """Row i: for each exit, the summed weight of the paths from entry
     i, a path weighing the product of weights[eid] over its edges.  A
@@ -431,9 +460,13 @@ def _permanent(rows: Sequence[Sequence[int]]) -> int:
 
 def path_matrix(net: PlanarNetwork) -> ExactMatrix:
     """Total path weight from each entry to each exit, summed once per
-    network: the matrix, and the monomials it caches, are kept on it."""
+    network: the matrix, and the monomials it caches, are kept on it.
+    The sweep sums the integer edge weights of `_scales`, so the entry
+    for exit t is one Fraction, its integer sum over S(t)."""
     if net._matrix is None:
-        net._matrix = ExactMatrix.from_rows(_path_sums(net, [e.weight for e in net.edges], Fraction(1)))
+        scale, ints = _scales(net)
+        net._matrix = ExactMatrix.from_rows([[Fraction(a, scale[t]) for a, t in zip(row, net.sinks)]
+                                             for row in _path_sums(net, ints, 1)])
     return net._matrix
 
 
@@ -675,15 +708,16 @@ def covering_families(net: PlanarNetwork) -> Iterator[tuple[int, int]]:
                       for i in range(net.n)], 0)
 
 
+_DIGITS = bytes.maketrans(b"0123", bytes(range(4)))
+
+
 def _marks(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
-    """The sorted (eid, multiplicity) pairs of a family's edge planes."""
-    out = []
-    used = lo | hi
-    while used:
-        eid = (used & -used).bit_length() - 1
-        out.append((eid, (lo >> eid & 1) | (hi >> eid & 1) << 1))
-        used &= used - 1
-    return tuple(out)
+    """The sorted (eid, multiplicity) pairs of a family's edge planes.
+    Read as hexadecimal, the binary digits of lo and hi put bit e in
+    digit e, so lo + 2 hi in hexadecimal spells every edge's
+    multiplicity, and the nonzero digits are picked out at C level."""
+    counts = format(int(format(lo, "b"), 16) + 2 * int(format(hi, "b"), 16), "x")[::-1].encode().translate(_DIGITS)
+    return tuple(zip(itertools.compress(itertools.count(), counts), filter(None, counts)))
 
 
 def covering_markings(net: PlanarNetwork) -> list[tuple[tuple[int, int], ...]]:
@@ -697,26 +731,27 @@ def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:
     """Every basis web immanant of the path matrix, computed from the
     network by uncrossing marked subnetworks.  The markings' weights are
     summed per uncrossed web, and each distinct web is reduced once.
-    `uncross` alone checks each marking; its weight is taken, as in
-    `marking_weight`, over the edge weights' integer numerators and
-    denominators, read once per network."""
-    ratios = [(e.weight.numerator, e.weight.denominator) for e in net.edges]
-    weights: dict[Web, Fraction] = {}
+    `uncross` alone checks each marking.  A marking weighs the product
+    of the integer edge weights of `_scales` over the product of the
+    exits' scales: its n paths end at distinct exits, so the scales
+    telescope to the same denominator for every marking.  So the sums
+    run over integers, and each immanant is one Fraction."""
+    scale, ints = _scales(net)
+    weights: dict[Web, int] = {}
     for marks in covering_markings(net):
         web = uncross(net, marks)
-        num = den = 1
+        num = 1
         for eid, m in marks:
-            a, b = ratios[eid]
-            num *= a ** m
-            den *= b ** m
-        weights[web] = weights.get(web, 0) + Fraction(num, den)
-    totals = {D: Fraction(0) for D in irreducible_webs(net.n)}
+            num *= ints[eid] ** m
+        weights[web] = weights.get(web, 0) + num
+    totals = dict.fromkeys(irreducible_webs(net.n), 0)
     for web, w in weights.items():
         for D, c in reduce_web(web).terms():
             if D not in totals:
                 raise WebError("reduction left the basis catalogue")
             totals[D] += eval_q1(c) * w
-    return totals
+    den = math.prod(scale[t] for t in net.sinks)
+    return {D: Fraction(total, den) for D, total in totals.items()}
 
 
 def corollary_check(net: PlanarNetwork) -> dict:

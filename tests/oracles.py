@@ -250,6 +250,34 @@ def oracle_weight(w: Web, f: tuple[int, ...]) -> int:
     return total
 
 
+def _relabeled(w: Web, boundary, darts) -> Web:
+    """w with boundary vertex v renumbered boundary(v) and each rotation
+    list darts(list), read back through `Web.from_map`."""
+    m = w.pmap
+    rot = list(m.rot)
+    for v, r in enumerate(m.rot):
+        rot[boundary(v) if v < 2 * m.n else v] = darts(r)
+    return Web.from_map(PlanarMap(m.n, rot, m.loops))
+
+
+def flip(w: Web) -> Web:
+    """w mirrored top to bottom: each rotation list reversed, source i
+    moved to source n-1-i and sink j to sink n-1-j, orientation kept.  It
+    sends E_i to E_(n-i) and the table row of w at v to the row of
+    flip(w) at w0 v w0."""
+    n = w.n
+    return _relabeled(w, lambda v: n - 1 - v if v < n else 3 * n - 1 - v, lambda r: r[::-1])
+
+
+def turn(w: Web) -> Web:
+    """w mirrored left to right: each rotation list reversed, each dart
+    swapped with its twin, so every edge is reversed, and source i
+    exchanged with sink i.  It reverses products of generators and sends
+    the table row of w at v to the row of turn(w) at v^-1."""
+    n = w.n
+    return _relabeled(w, lambda v: v + n if v < n else v - n, lambda r: tuple(d ^ 1 for d in reversed(r)))
+
+
 def disjoint_union(a: PlanarNetwork, b: PlanarNetwork) -> PlanarNetwork:
     """Stack a above b; entries and exits concatenate in order."""
     drop = min(p[1] for p in a.pos.values()) - max(p[1] for p in b.pos.values()) - 1

@@ -30,9 +30,22 @@ from a2webs.spider import (
     second_generator_combo,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
-from oracles import bruhat_leq, kl_polynomials, parabolic_image
+from oracles import bruhat_leq, flip, kl_polynomials, parabolic_image, turn
 
 SEED = 20260816
+
+# per n, the rows fixed by w -> w^-1 and by w -> w0 w w0
+SYMMETRY_FIXED = [(1, 1, 1), (2, 2, 2), (3, 4, 2), (4, 9, 7), (5, 21, 7)]
+
+
+def inverse(w):
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
+def conjugate(w):
+    """w0 w w0, w0 the longest permutation."""
+    n = len(w)
+    return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
 
 
 def idweb(n):
@@ -265,24 +278,30 @@ class TestImmanantTable:
         with pytest.raises(WebError):
             t._row(product_web(2, (1, 1)))
 
-    @pytest.mark.parametrize("n, by_inverse, by_w0", [(1, 1, 1), (2, 2, 2), (3, 4, 2), (4, 9, 7), (5, 21, 7)])
+    @pytest.mark.parametrize("n, by_inverse, by_w0", SYMMETRY_FIXED)
     def test_rows_are_closed_under_the_two_symmetries(self, n, by_inverse, by_w0):
         # w -> w^-1 and w -> w0 w w0 each send every row f_D to a row;
         # the rows they fix are counted
         t = immanant_table(n)
         rows = [frozenset(t._row(D).items()) for D in t.webs]
         assert len(set(rows)) == len(rows)
-
-        def inverse(w):
-            return tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
-
-        def conjugate(w):  # w0 w w0, w0 the longest permutation
-            return tuple(n + 1 - w[n - i] for i in range(1, n + 1))
-
         for move, fixed in ((inverse, by_inverse), (conjugate, by_w0)):
             images = [frozenset((move(w), v) for w, v in row) for row in rows]
             assert set(images) == set(rows)
             assert sum(image == row for image, row in zip(images, rows)) == fixed
+
+    @pytest.mark.parametrize("n, by_turn, by_flip", SYMMETRY_FIXED)
+    def test_flip_and_turn_carry_each_row(self, n, by_turn, by_flip):
+        # the maps on webs behind the two symmetries: f_flip(D)(w0 w w0)
+        # = f_D(w) and f_turn(D)(w^-1) = f_D(w), row by row; each map is
+        # an involution and fixes as many webs as its move fixes rows
+        t = immanant_table(n)
+        for sigma, move, fixed in ((turn, inverse, by_turn), (flip, conjugate, by_flip)):
+            images = [sigma(D) for D in t.webs]
+            for D, image in zip(t.webs, images):
+                assert t._row(image) == {move(w): v for w, v in t._row(D).items()}
+                assert sigma(image) == D
+            assert sum(image == D for D, image in zip(t.webs, images)) == fixed
 
 
 def cycle_count(w):

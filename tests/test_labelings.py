@@ -39,7 +39,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
-from oracles import brute_force_labelings, is_balanced, oracle_labelings, oracle_weight
+from oracles import brute_force_labelings, flip, is_balanced, oracle_labelings, oracle_weight, turn
 
 SEED = 20260816
 
@@ -337,6 +337,24 @@ class TestBoundaryCounts:
 
     def test_circle(self):
         assert word_counts(circle_web()) == {(i, i): 3 for i in (1, 2, 3)}
+
+
+class TestSymmetries:
+    def test_profiles_follow_flip_and_turn(self):
+        # flip (tests/oracles.py) mirrors a web top to bottom: its profile
+        # reads both boundary words reversed, with t -> t^-1, as a mirror
+        # reverses every turn; turn mirrors it left to right: its profile
+        # reads the source and sink words swapped, with t kept
+        rng = random.Random(SEED + 19)
+        webs = [D for n in range(1, 6) for D in irreducible_webs(n)]
+        webs += [random_web_with_loops(rng) for _ in range(40)]
+        for w in webs:
+            n = w.n
+            profile = boundary_profile(w).terms()
+            flipped = {g[:n][::-1] + g[n:][::-1]: LaurentPoly({-e: c for e, c in p.items()}) for g, p in profile}
+            assert dict(boundary_profile(flip(w)).terms()) == flipped
+            assert dict(boundary_profile(turn(w)).terms()) == {g[n:] + g[:n]: p for g, p in profile}
+        assert len(webs) == 175
 
 
 class TestWeight:

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from a2webs import clear_caches, networks, webcore
-from a2webs.immanants import evaluate_immanant, irreducible_webs
+from a2webs.exactmath import eval_q1
+from a2webs.immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from a2webs.labelings import boundary_profile, boundary_restriction, enumerate_labelings
 from a2webs.minors import all_triples, decompose_triple, triple_blocks, triple_product
 from a2webs.networks import (
@@ -23,6 +24,8 @@ from a2webs.networks import (
     _check_drawing,
     _common_denominator,
     _grid,
+    _path_sums,
+    _scales,
     _sliced_web,
     corollary_check,
     covering_families,
@@ -612,6 +615,80 @@ class TestPathMatrix:
         # a round trip through JSON builds a new network and a new matrix
         back = PlanarNetwork.from_json_obj(net.to_json_obj())
         assert path_matrix(back) == X and path_matrix(back) is not X
+
+
+def reweighted(net, rng, dens):
+    """net with every edge weight redrawn: a numerator from -4 to 4, zero
+    included, over a denominator drawn from dens."""
+    obj = net.to_json_obj()
+    for e in obj["edges"]:
+        e["weight"] = str(Fraction(rng.randint(-4, 4), rng.choice(dens)))
+    return PlanarNetwork.from_json_obj(obj)
+
+
+@functools.cache
+def scale_nets():
+    """The benchmark networks and seeded random ones as drawn, the same
+    with weights over each of the denominators 1, 2, 3, 7 and 10^9 + 7
+    and over all of them mixed, and one strand through six edges of
+    999-digit weight."""
+    rng = random.Random(SEED + 15)
+    drawn = [random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 4)) for _ in range(40)]
+    drawn += [PlanarNetwork.from_json_obj(json.loads(line)) for line in BENCH_NETWORKS.read_text().splitlines()]
+    dens = (1, 2, 3, 7, 10**9 + 7)
+    nets = drawn + [reweighted(net, rng, (d,)) for d in dens for net in drawn[:8]]
+    nets += [reweighted(net, rng, dens) for net in drawn]
+    golden = Path(__file__).parent / "golden" / "heavy_chain_6.json"
+    return nets + [PlanarNetwork.from_json_obj(json.loads(golden.read_text()))]
+
+
+def paths_into(net, v):
+    """Every path into v from a vertex without in-edges, as a tuple of
+    edge ids, listed backward edge by edge."""
+    if not net.in_edges[v]:
+        return [()]
+    return [p + (e,) for e in net.in_edges[v] for p in paths_into(net, net.edges[e].tail)]
+
+
+class TestScales:
+    # path_matrix and network_immanants sum integer edge weights over
+    # per-vertex scales; the corollary cannot catch a wrong scale, since
+    # its identity holds for any edge weights, so both are compared with
+    # the sums over the Fraction weights themselves
+
+    def test_the_nets_cover_signs_and_denominators(self):
+        weights = [e.weight for net in scale_nets() for e in net.edges]
+        assert {w.denominator for w in weights} >= {1, 2, 3, 7, 10**9 + 7}
+        assert min(weights) < 0 and 0 in weights
+        assert max(len(str(w)) for w in weights) == 999
+
+    def test_path_matrix_equals_the_fraction_sweep(self):
+        for net in scale_nets():
+            want = ExactMatrix.from_rows(_path_sums(net, [e.weight for e in net.edges], Fraction(1)))
+            assert path_matrix(net) == want
+
+    def test_network_immanants_equal_the_per_marking_sum(self):
+        for net in scale_nets():
+            want = {D: Fraction(0) for D in irreducible_webs(net.n)}
+            for marks in covering_markings(net):
+                w = marking_weight(net, marks)
+                for D, c in reduce_web(uncross(net, marks)).terms():
+                    want[D] += eval_q1(c) * w
+            assert network_immanants(net) == want
+
+    def test_scales_are_the_lcms_of_the_path_denominators(self):
+        listed = 0
+        for net in scale_nets():
+            scale, ints = _scales(net)
+            for v in net.ids:
+                paths = paths_into(net, v)
+                listed += len(paths)
+                assert scale[v] == math.lcm(*(math.prod(net.edges[e].weight.denominator for e in p)
+                                              for p in paths))
+            assert scale.keys() == set(net.ids) and all(scale[s] == 1 for s in net.sources)
+            for e, a in zip(net.edges, ints):
+                assert type(a) is int and a == e.weight * scale[e.head] / scale[e.tail]
+        assert len(scale_nets()) == 241 and listed == 18_212
 
 
 class TestLindstrom:

@@ -32,6 +32,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
+from oracles import flip, turn
 
 SEED = 20260816
 
@@ -428,3 +429,18 @@ class TestRewriteDigest:
             )).encode())
         assert closed > 0
         assert digest.hexdigest() == self.ROUTING
+
+
+class TestSymmetries:
+    def test_flip_and_turn_mirror_products_and_commute_with_reduction(self):
+        # flip mirrors a web top to bottom and turn left to right
+        # (tests/oracles.py)
+        rng = random.Random(SEED + 19)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            word = [rng.randint(1, n - 1) for _ in range(rng.randint(1, 7))]
+            w = product_web(n, word)
+            assert flip(w) == product_web(n, [n - i for i in word])
+            assert turn(w) == product_web(n, word[::-1])
+            for sigma in (flip, turn):
+                assert reduce_web(sigma(w)) == WebCombo(n, [(sigma(D), c) for D, c in reduce_web(w).terms()])
