@@ -205,16 +205,6 @@ def word_counts(w: Web) -> Counter:
 # The weight statistic
 
 
-def _vertex_sign(sink: bool, left, right, lab) -> int:
-    if len(left) == 2:
-        upper_bigger = lab[left[0]] > lab[left[1]]
-    else:
-        upper_bigger = lab[right[1]] > lab[right[0]]  # mirrored side
-    if sink:
-        upper_bigger = not upper_bigger  # heads read the primed order
-    return 1 if upper_bigger else -1
-
-
 def _check_counts(w: Web, f: tuple[int, ...]) -> None:
     # a labeling has one label per edge, then one per closed loop
     if len(f) != len(w.pmap.edges) + w.pmap.loops:
@@ -223,10 +213,11 @@ def _check_counts(w: Web, f: tuple[int, ...]) -> None:
 
 def _compile_weight(w: Web) -> Callable[[tuple[int, ...]], int]:
     """The t-exponent of a labeling of w, as a function of the labeling,
-    from one read of w's drawing.  It keeps, per internal vertex, the
-    two legs _vertex_sign compares, with the sign it gives when the
-    first label is bigger (-1 at a sink, +1 at a source), and per
-    turning edge or loop its summed turn."""
+    from one read of w's drawing.  It keeps, per internal vertex, its
+    same-side pair of legs, the left pair top first and the right pair
+    bottom first, with the sign the vertex gives when the first label
+    is bigger (+1 at a source, -1 at a sink, whose heads read the
+    primed order), and per turning edge or loop its summed turn."""
     m, geom = w.pmap, w.geom
     legs = []
     for v, (left, right) in geom.vertex_sides.items():
@@ -248,8 +239,12 @@ def _compile_weight(w: Web) -> Callable[[tuple[int, ...]], int]:
 
 
 def labeling_weight(w: Web, f: tuple[int, ...]) -> LaurentPoly:
-    """The monomial t^k of one labeling, read off w's drawing.  The
-    value does not depend on which drawing of the map is used."""
+    """The monomial t^k of one labeling, read off w's drawing.  When
+    every component of w touches the boundary, the value does not
+    depend on which drawing of the map is used.  A closed component can
+    be drawn turned against the rest, and then single weights change
+    (t^8 becomes t^-8 on a strand beside a closed component of four
+    vertices), though the weighted counts of boundary_profile do not."""
     _check_counts(w, f)
     return LaurentPoly.t_power(_compile_weight(w)(f))
 
@@ -293,7 +288,11 @@ def boundary_profile(w: Web) -> KappaVector:
 # one per web code.  An equal-code web reached by another path may have
 # a different map (hence a different edge numbering) from the host web
 # the step was made on, so before each step the labeling is re-indexed
-# onto the host through the canonical edge matching.
+# onto the host through the canonical edge matching.  A step is chosen
+# by the labels alone: a branch carries the labeling when each of its
+# fused runs meets one label outside the face, and of a square's two
+# branches that both do, the one fusing through the face edges labeled
+# 2, or 3 when the face edges are labeled 1 and 3.
 
 
 def _reindex(f: tuple[int, ...], src: Web, dst: Web) -> tuple[int, ...]:
@@ -303,48 +302,6 @@ def _reindex(f: tuple[int, ...], src: Web, dst: Web) -> tuple[int, ...]:
     for a, b in zip(canonical_edge_order(src.pmap), canonical_edge_order(dst.pmap)):
         arr[b] = f[a]
     return tuple(arr) + f[len(src.pmap.edges):]
-
-
-def _ghost_sign(geom, c: int, arrive: int, depart: int) -> int:
-    # tangency created where corner c is smoothed away; zero when the
-    # two strand legs leave c on opposite sides
-    left, right = geom.vertex_sides[c]
-    if arrive in left and depart in left:
-        return 1 if arrive == left[0] else -1
-    if arrive in right and depart in right:
-        return 1 if arrive == right[1] else -1
-    return 0
-
-
-def _square_balance(w: Web, f: tuple[int, ...], oc: Outcome) -> int:
-    """Exponent surplus of the labeling's local weight over the branch's
-    rerouted strands; the matching branch balances to zero.
-
-    Left side: corner vertex signs plus face-edge tangencies.  Right
-    side, per rerouted strand: tangencies at the smoothed corners,
-    minus the tangencies of the face edges it runs through, which are
-    traversed against their drawn flow.  External tangencies appear
-    identically on both sides and are omitted.
-    """
-    m, geom = w.pmap, w.geom
-    lhs = 0
-    for c in oc.corners:
-        left, right = geom.vertex_sides[c]
-        lhs += _vertex_sign(m.is_sink(c), left, right, f)
-    for e in oc.face_edges:
-        lhs += (4 - 2 * f[e]) * sum(geom.edge_turns[e])
-    rhs = 0
-    for ch in oc.chains:
-        wgt = 4 - 2 * f[ch.edges[0]]
-        for j in range(1, len(ch.edges), 2):
-            rhs -= wgt * sum(geom.edge_turns[ch.edges[j]])
-        k = len(ch.edges)
-        closed = ch.child_eid < 0
-        for i, c in enumerate(ch.corners):
-            arrive = ch.edges[i]
-            depart = ch.edges[(i + 1) % k] if closed else ch.edges[i + 1]
-            rhs += wgt * _ghost_sign(geom, c, arrive, depart)
-    return lhs - rhs
 
 
 def _chain_label(f: tuple[int, ...], ch) -> Optional[int]:
@@ -365,10 +322,9 @@ def _carry(f: tuple[int, ...], oc: Outcome, chain_labels: dict) -> tuple[int, ..
     return tuple(arr)
 
 
-def _transport_step(w: Web, outcomes, f: tuple[int, ...]) -> tuple[Outcome, tuple[int, ...]]:
-    # an outcome carries f when each fused run meets one label on its
-    # outside edges and, if it is one of two, its local weight balances
-    admissible = []
+def _transport_step(outcomes, f: tuple[int, ...]) -> tuple[Outcome, tuple[int, ...]]:
+    # the label rule of transport_and_type
+    carried = []
     for oc in outcomes:
         chain_labels = {}
         for ch in oc.chains:
@@ -378,23 +334,16 @@ def _transport_step(w: Web, outcomes, f: tuple[int, ...]) -> tuple[Outcome, tupl
             if ch.child_eid >= 0:
                 chain_labels[ch] = lbl
         else:
-            if len(outcomes) == 1 or _square_balance(w, f, oc) == 0:
-                admissible.append((oc, chain_labels))
-    if len(admissible) == 1:
-        oc, chain_labels = admissible[0]
-    elif len(admissible) == 2:
-        # both resolutions carry the labeling with the same weight; pair
-        # the two parent labelings (they differ by swapping the two
-        # face-edge labels) with the two branches deterministically
-        tup = tuple(f[e] for e in outcomes[0].face_edges)
-        a, b = sorted(set(tup))
-        swapped = tuple(a if x == b else b for x in tup)
-        oc, chain_labels = admissible[0] if tup < swapped else admissible[1]
-    else:
+            carried.append((oc, chain_labels))
+    if len(carried) == 2:
+        via = 2 if 2 in {f[e] for e in outcomes[0].face_edges} else 3
+        carried = [(oc, cl) for oc, cl in carried if f[oc.chains[0].edges[1]] == via]
+    if not carried:
         raise RuntimeError(
             "no outcome of a rewrite step carries the labeling; "
             "the counting identity would fail here"
         )
+    oc, chain_labels = carried[0]
     return oc, _carry(f, oc, chain_labels)
 
 
@@ -402,8 +351,13 @@ def transport_and_type(w: Web, f: tuple[int, ...]) -> tuple[Web, tuple[int, ...]
     """Carry a labeling of w down the rewrite steps to an irreducible
     web, its type.  Loop labels are forgotten, a collapsing two-sided
     face hands its forced outside label to the fused edge, and a
-    four-sided face picks the resolution that carries the labeling.
-    An irreducible w is its own type, in its own edge numbering."""
+    four-sided face picks the resolution whose fused runs each meet one
+    label outside the face.  When both do, the four outside edges share
+    one label and the face edges alternate the other two; the
+    resolution fusing through the face edges labeled 2 is taken, or
+    through those labeled 3 when the face edges are labeled 1 and 3.
+    The choice reads the labels alone, not the drawing.  An irreducible
+    w is its own type, in its own edge numbering."""
     _check_counts(w, f)
     cur_w, cur_f = w, f
     while True:
@@ -412,7 +366,7 @@ def transport_and_type(w: Web, f: tuple[int, ...]) -> tuple[Web, tuple[int, ...]
             return cur_w, cur_f
         if host is not cur_w:
             cur_f = _reindex(cur_f, cur_w, host)
-        oc, cur_f = _transport_step(host, outcomes, cur_f)
+        oc, cur_f = _transport_step(outcomes, cur_f)
         cur_w = oc.child
 
 

@@ -23,8 +23,8 @@ The equality of the two computations is the main consistency check on
 this module and is exercised heavily by the tests.
 
 Both computations sum over integers.  Each vertex v has a scale S(v),
-the lcm of the denominators of the paths into it (`_scales`), and each
-edge an integer weight, its weight times S(head) / S(tail).  Along a
+a common denominator of the paths into it (`_scales`), and each edge
+an integer weight, its weight times S(head) / S(tail).  Along a
 path the scales telescope, so a path matrix entry is an integer sum
 over the exit's scale, and a marking, whose n paths end at the n exits,
 weighs an integer over the product of the exits' scales.  The path
@@ -409,22 +409,29 @@ class PlanarNetwork:
 
 
 def _scales(net: PlanarNetwork) -> tuple[dict[str, int], list[int]]:
-    """A scale S(v) per vertex and an integer weight per edge.  Sweeping
-    in x order, an entry (or any vertex without in-edges) takes S = 1 and
-    every other vertex the lcm, over its in-edges e = t->v, of S(t) times
-    the denominator of e's weight.  So S(v) is the lcm, over the paths
-    into v from vertices without in-edges, of the product of their
-    edges' denominators; where numerators cancel denominators it can
-    exceed the denominator of any reduced path sum.  Edge e = t->h weighs
-    weight * S(h) / S(t), an integer, and along a path the scales
-    telescope: a path from an entry to v weighs its integer product over
-    S(v)."""
+    """A scale S(v) per vertex and an integer weight per edge, in one
+    sweep in x order.  An entry (or any vertex without in-edges) takes
+    S = 1.  An in-edge e = t->v of weight num/den needs S(v) to be a
+    multiple of need(e) = (S(t)/g)·den, g = gcd(num, S(t)), and S(v) is
+    the lcm of its in-edges' needs.  Edge e = t->h then weighs
+    (num/g)·(S(h)/need(e)) = weight·S(h)/S(t), an integer, and along a
+    path the scales telescope: a path from an entry to v weighs its
+    integer product over S(v).  Dividing out g keeps the scales small
+    where numerators cancel denominators: S(v) divides the lcm of the
+    paths' unreduced denominator products and is a multiple of the lcm
+    of their reduced weights' denominators."""
     scale: dict[str, int] = {}
+    ints = [0] * len(net.edges)
     for v in net.order:
-        scale[v] = math.lcm(*(scale[net.edges[eid].tail] * net.edges[eid].weight.denominator
-                              for eid in net.in_edges[v]))
-    return scale, [e.weight.numerator * (scale[e.head] // (scale[e.tail] * e.weight.denominator))
-                   for e in net.edges]
+        parts = []
+        for eid in net.in_edges[v]:
+            e = net.edges[eid]
+            g = math.gcd(e.weight.numerator, scale[e.tail])
+            parts.append((eid, e.weight.numerator // g, scale[e.tail] // g * e.weight.denominator))
+        scale[v] = math.lcm(*(need for _, _, need in parts))
+        for eid, num, need in parts:
+            ints[eid] = num * (scale[v] // need)
+    return scale, ints
 
 
 def _path_sums(net: PlanarNetwork, weights: Sequence, one) -> list[list]:

@@ -42,16 +42,14 @@ Feature = tuple
 class Chain:
     """One fused run of parent edges produced by a rewrite.
 
-    edges lists the parent edge ids along the run from its tail end
-    (externals are traversed with their orientation, interior face
-    edges against it); corners lists the erased vertices passed
-    between consecutive edges.  child_eid is the fused edge's id in
-    the child web, or -1 when the run closed up into a loop, in which
-    case corners[k] follows edges[k] cyclically.
+    edges lists the parent edge ids along the run from its tail end:
+    outside edges at even positions, traversed with their orientation,
+    and between them the face edges, traversed against it.  child_eid
+    is the fused edge's id in the child web, or -1 when the run closed
+    up into a loop.
     """
 
     edges: tuple[int, ...]
-    corners: tuple[int, ...]
     child_eid: int
 
 
@@ -67,7 +65,6 @@ class Outcome:
     edge_map: dict  # surviving parent eid -> child eid
     chains: tuple[Chain, ...] = ()
     face_edges: tuple[int, ...] = ()
-    corners: tuple[int, ...] = ()
 
 
 _RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
@@ -259,16 +256,15 @@ def _resolve_face(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
             pair_of[a] = (b, via)
             pair_of[b] = (a, via)
         runs, replaced, new_count = _route_chains(m, corners, externals, pair_of)
-        dead_e = set(fe).union(*(es for es, _, _ in runs))
+        dead_e = set(fe).union(*(es for es, _ in runs))
         raw, emap, new_ids = _rebuild(m, set(corners), dead_e, new_count, replaced)
         outcomes.append(Outcome(
-            coeff=coeff * qint(3) ** sum(slot < 0 for _, _, slot in runs),
+            coeff=coeff * qint(3) ** sum(slot < 0 for _, slot in runs),
             child=Web.from_map(raw),
             kind=kind,
             edge_map=emap,
-            chains=tuple(Chain(es, cs, new_ids[slot] if slot >= 0 else -1) for es, cs, slot in runs),
+            chains=tuple(Chain(es, new_ids[slot] if slot >= 0 else -1) for es, slot in runs),
             face_edges=tuple(fe),
-            corners=tuple(corners),
         ))
     return tuple(outcomes)
 
@@ -278,11 +274,11 @@ def _route_chains(m, corners, externals, pair_of):
     edge whose tail survives, then closed runs, each from an outside
     edge's head.  A step passes the corner's partner and leaves along
     its outside edge, until a surviving vertex ends the run or the first
-    edge comes round again, closing it (then corners[j] follows edges[j]
-    cyclically).  An open run becomes one new edge, from the tail of its
-    first edge to the head of its last.  Returns (edges, corners, slot)
-    per run, slot numbering the new edges or -1 when closed, with the
-    replaced rotation slots and the number of new edges."""
+    edge comes round again, closing it.  An open run becomes one new
+    edge, from the tail of its first edge to the head of its last.
+    Returns (edges, slot) per run, slot numbering the new edges or -1
+    when closed, with the replaced rotation slots and the number of new
+    edges."""
     ext_of = dict(zip(corners, externals))
     done = set()
     runs = []
@@ -291,11 +287,10 @@ def _route_chains(m, corners, externals, pair_of):
     for x in [x for x in externals if m.edges[x][0] not in ext_of] + externals:
         if x in done:
             continue
-        edges_run, corners_run, slot = [x], [], -1
+        edges_run, slot = [x], -1
         c = m.edges[x][1]
         while True:
             partner, via = pair_of[c]
-            corners_run += (c, partner)
             edges_run.append(via)
             x2 = ext_of[partner]
             if x2 == x:
@@ -309,7 +304,7 @@ def _route_chains(m, corners, externals, pair_of):
                 replaced[(m.edges[x][0], x)] = replaced[(c, x2)] = slot
                 break
         done.update(edges_run[::2])
-        runs.append((tuple(edges_run), tuple(corners_run), slot))
+        runs.append((tuple(edges_run), slot))
     return runs, replaced, new_count
 
 

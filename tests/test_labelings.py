@@ -32,9 +32,11 @@ from a2webs.webcore import (
     LEFT,
     RIGHT,
     Column,
+    PlanarMap,
     SliceDiagram,
     Web,
     WebError,
+    component_walks,
     concatenate,
     generator_web,
     identity_web,
@@ -633,6 +635,69 @@ class TestTwinTransport:
                     assert got == coefficient_via_labelings(w, child, g) == coeff
 
 
+# one strand beside a closed component of 4 and of 14 internal vertices
+CLOSED_4 = "1,0,2,6,1,1,0,2,1,0,20,3,0,0,1,2,4,0,0,2,3,4,0,1,4,5,3,0,3,5,4"
+CLOSED_14 = (
+    "1,0,2,6,1,1,0,2,1,0,70,3,0,0,1,2,4,0,0,2,3,4,0,1,4,5,3,0,3,6,4,3,0,5,7,8,4,0,6,9,7,4,0,8,"
+    "10,11,3,0,9,12,13,3,0,10,14,15,3,0,11,16,17,4,0,12,17,18,4,0,13,19,14,4,0,15,20,16,3,0,18,20,19"
+)
+
+
+def strand_with_closed_component(rng):
+    """One strand beside a random closed component: k sources wired to
+    k sinks by three shuffles, the sinks' rotations reversed.  None
+    unless the component is connected, planar (2 + k faces besides the
+    strand's one) and drawable."""
+    k = rng.randint(3, 7)
+    rot = [[0], [1]] + [[] for _ in range(2 * k)]
+    e = 1
+    for _ in range(3):
+        sinks = list(range(k))
+        rng.shuffle(sinks)
+        for i, j in enumerate(sinks):
+            rot[2 + i].append(2 * e)
+            rot[2 + k + j].insert(0, 2 * e + 1)
+            e += 1
+    m = PlanarMap(1, rot)
+    if len(component_walks(m)) != 2 or len(m.faces()) != 3 + k:
+        return None
+    try:
+        return Web.from_code(Web.from_map(m).code)
+    except WebError:
+        return None
+
+
+def assert_every_labeling_transports(w):
+    # a one-strand web reduces to the bare strand, which has one
+    # labeling per boundary word (1,1), (2,2) and (3,3)
+    [(D, coeff)] = reduce_web(w).terms()
+    for f in enumerate_labelings(w):
+        ty, tf = transport_and_type(w, f)
+        assert ty == D and boundary_restriction(ty, tf) == boundary_restriction(w, f)
+    for g in ((1, 1), (2, 2), (3, 3)):
+        assert coefficient_via_labelings(w, D, g) == coeff
+
+
+class TestClosedComponents:
+    # a square's branch is chosen by its labels, so transport needs no
+    # drawing, and a closed component, whose weights move with the
+    # drawing, transports like any other part of a web
+
+    def test_every_labeling_of_a_14_vertex_component_transports(self):
+        w = Web.from_code([int(x) for x in CLOSED_14.split(",")])
+        assert len(enumerate_labelings(w)) == 576
+        assert_every_labeling_transports(w)
+
+    def test_seeded_strands_with_a_closed_component(self):
+        rng = random.Random(SEED + 37)
+        kept = 0
+        while kept < 80:
+            w = strand_with_closed_component(rng)
+            if w is not None:
+                assert_every_labeling_transports(w)
+                kept += 1
+
+
 def _assert_conservation(w, g, seen):
     if w.code in seen:
         return
@@ -695,6 +760,20 @@ class TestDrawingIndependence:
                     pairs += 1
         assert pairs > 1000
 
+    def test_a_closed_component_moves_weights_but_not_profiles(self):
+        # one strand beside a closed component of four vertices: a
+        # redrawing may turn the component against the strand, so single
+        # weights change while the weighted counts per boundary word do not
+        w = Web.from_code([int(x) for x in CLOSED_4.split(",")])
+        fs = enumerate_labelings(w)
+        redrawn = [Web.from_map(w.pmap, salt=salt) for salt in (1, 2, 3)]
+        moved = [f for f in fs if any(labeling_weight(x, f) != labeling_weight(w, f) for x in redrawn)]
+        assert (len(fs), len(moved)) == (36, 18)
+        f = (1, 1, 2, 3, 2, 3, 1)
+        assert labeling_weight(w, f) == LaurentPoly.t_power(8)
+        assert {labeling_weight(x, f) for x in redrawn} == {LaurentPoly.t_power(-8)}
+        assert all(boundary_profile(x) == boundary_profile(w) for x in redrawn)
+
     def test_rerendered_square_still_balances(self):
         base = product_web(3, (1, 2, 1))
         prof = boundary_profile(base)
@@ -716,7 +795,19 @@ class TestTransportDigest:
     # path for loops, two-sided and four-sided faces alike
     DIGEST = "bbe82042d6d14ccbcf4ec41e2eb6273415ce4bf8244a909937895495bd2f6020"
 
-    def test_transports_are_pinned(self):
+    def test_transports_are_pinned(self, monkeypatch):
+        # the square steps where both branches carry the labeling: all four
+        # outside edges share a label, and the face labels decide (2 among
+        # them) or tie (1 and 3); the pin needs steps of both kinds
+        both = {"decided": 0, "tie": 0}
+        step = labelings._transport_step
+
+        def counting_step(outcomes, f):
+            if len(outcomes) == 2 and len({f[e] for ch in outcomes[0].chains for e in ch.edges[::2]}) == 1:
+                both["decided" if 2 in {f[e] for e in outcomes[0].face_edges} else "tie"] += 1
+            return step(outcomes, f)
+
+        monkeypatch.setattr(labelings, "_transport_step", counting_step)
         clear_caches()  # transport follows the first web seen with each code
         rng = random.Random(SEED + 10)
         digest = hashlib.sha256()
@@ -730,3 +821,4 @@ class TestTransportDigest:
                 count += 1
         assert count == 6108
         assert digest.hexdigest() == self.DIGEST
+        assert both["decided"] > 0 and both["tie"] > 0, both

@@ -676,19 +676,44 @@ class TestScales:
                     want[D] += eval_q1(c) * w
             assert network_immanants(net) == want
 
-    def test_scales_are_the_lcms_of_the_path_denominators(self):
-        listed = 0
+    def test_scales_lie_between_the_path_denominators(self):
+        # S(v) follows the one-sweep rule; it divides the lcm of the
+        # paths' unreduced denominator products, and is a multiple of the
+        # lcm of their reduced weights' denominators
+        listed = smaller = 0
         for net in scale_nets():
             scale, ints = _scales(net)
             for v in net.ids:
+                assert scale[v] == math.lcm(*(
+                    scale[e.tail] // math.gcd(e.weight.numerator, scale[e.tail]) * e.weight.denominator
+                    for e in (net.edges[eid] for eid in net.in_edges[v])))
                 paths = paths_into(net, v)
                 listed += len(paths)
-                assert scale[v] == math.lcm(*(math.prod(net.edges[e].weight.denominator for e in p)
-                                              for p in paths))
+                unreduced = math.lcm(*(math.prod(net.edges[e].weight.denominator for e in p) for p in paths))
+                reduced = math.lcm(*(math.prod((net.edges[e].weight for e in p), start=Fraction(1)).denominator
+                                     for p in paths))
+                assert unreduced % scale[v] == 0 and scale[v] % reduced == 0
+                smaller += scale[v] < unreduced
             assert scale.keys() == set(net.ids) and all(scale[s] == 1 for s in net.sources)
             for e, a in zip(net.edges, ints):
                 assert type(a) is int and a == e.weight * scale[e.head] / scale[e.tail]
-        assert len(scale_nets()) == 241 and listed == 18_212
+        assert len(scale_nets()) == 241 and listed == 18_212 and smaller == 1_376
+
+    def test_cancelling_numerators_keep_the_scales_small(self):
+        # one strand through 10,000 edges weighing 2/3 and 3/2 in turn:
+        # its path sums are 2/3 and 1, where the lcms of the unreduced
+        # denominators would reach about 3,900 digits
+        k = 10_000
+        net = PlanarNetwork.from_json_obj({
+            "n": 1,
+            "vertices": [{"id": f"v{i}", "x": i, "y": 0} for i in range(k + 1)],
+            "edges": [{"from": f"v{i}", "to": f"v{i + 1}", "weight": "3/2" if i % 2 else "2/3"} for i in range(k)],
+            "sources": ["v0"],
+            "sinks": [f"v{k}"],
+        })
+        scale, ints = _scales(net)
+        assert scale[f"v{k}"] == 2 and max(scale.values()) == 3
+        assert path_matrix(net) == ExactMatrix.from_rows([[Fraction(1)]])
 
 
 class TestLindstrom:

@@ -371,9 +371,9 @@ class TestRewriteDigest:
     # starting webs, recorded before the two-sided face became the
     # one-pairing case of the face rule
     DIGEST = "c9eebe0f8b353bed5e2b4f499d3254071e33e6c06616a0ba8a6884fbe34b7cfd"
-    # sha256 over the routing of the same outcomes: the face, its
-    # corners and every fused run, open runs then closed ones
-    ROUTING = "5236cce965aff10fd3c2cc32cecda3e55da99fe8a15c295ca9b9b2d9891fd55c"
+    # sha256 over the routing of the same outcomes: the face edges and
+    # every fused run, open runs then closed ones
+    ROUTING = "012f81936f342774e404ece779a59ac822f486d6a16a1094704a5a26db98f55d"
 
     @staticmethod
     def outcomes():
@@ -416,7 +416,7 @@ class TestRewriteDigest:
         assert digest.hexdigest() == self.DIGEST
 
     def test_routing_is_pinned(self):
-        # transport reads each run's edges and corners, not only its child edge
+        # transport reads each run's edges, not only its child edge
         digest = hashlib.sha256()
         closed = 0
         for o in self.outcomes():
@@ -425,7 +425,7 @@ class TestRewriteDigest:
             assert list(o.chains) == open_runs + closed_runs
             closed += len(closed_runs)
             digest.update(repr((
-                o.face_edges, o.corners, [(ch.edges, ch.corners, ch.child_eid) for ch in o.chains],
+                o.face_edges, [(ch.edges, ch.child_eid) for ch in o.chains],
             )).encode())
         assert closed > 0
         assert digest.hexdigest() == self.ROUTING
