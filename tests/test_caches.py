@@ -50,11 +50,12 @@ def test_clear_caches_empties_every_memo():
     caches = package_caches()
     assert {
         "spider.hecke_image", "spider.generator_combo", "spider.reduce_web", "spider.rewrite_step",
-        "spider.web_product",
+        "spider.web_product", "spider.shared_coefficient",
         "immanants.immanant_table", "minors._decompositions", "networks._sliced_web",
         "tlbridge.avoiding_321",
     } <= set(caches)
     assert caches["spider.hecke_image"].cache_info().currsize > 0
+    assert caches["spider.shared_coefficient"].cache_info().currsize > 0
     assert spider.reduce_web.cache_info().currsize > 0
     assert spider.web_product.cache_info().currsize > 0
     clear_caches()

@@ -85,6 +85,12 @@ class TestRingOps:
         with pytest.raises(TypeError):
             P({0: 1.0})
 
+    def test_exponents_are_integers(self):
+        with pytest.raises(TypeError):
+            P({1.5: 1})
+        with pytest.raises(TypeError):
+            P({"2": 1})
+
 
 class TestExactDiv:
     def test_multiply_then_divide(self):
@@ -363,6 +369,13 @@ class TestRankMod2:
 
         assert rank_mod2(counted(), 2) == 2
         assert pulled == 4
+
+    def test_a_repeated_column_adds(self):
+        # two odd entries of one column cancel, three count once
+        assert rank_mod2([[(0, 1), (0, 1)]], 1) == 0
+        assert rank_mod2([[(0, 1), (0, 3), (0, -1)]], 1) == 1
+        assert rank_mod2([[(1, 1), (0, 1), (1, 1)], [(0, 1)]], 2) == 1
+        assert rank_mod2([[(1, 1), (0, 1), (1, 2)], [(0, 1)]], 2) == 2
 
     def test_refuses_entries_that_are_not_ints(self):
         for bad in (Fraction(1, 2), Fraction(2), 1.0, "1"):

@@ -212,6 +212,42 @@ class TestKazhdanLusztig:
         assert (seen["nonzero"], seen["not_one"]) == (nonzero, not_one)
         assert seen["transposed"] == transposed
 
+    # per n: the w containing 4321, whose C'_w maps to 0, and the w at
+    # which the control, every P_{x,w} replaced by 1, gets C'_w wrong
+    # (at n = 4 the two w with a singular Schubert variety, 3412 and 4231)
+    @pytest.mark.parametrize("n, killed, control", [(1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 1, 2), (5, 17, 32)])
+    def test_each_kl_element_maps_to_one_web_or_zero(self, n, killed, control):
+        # fact 3: t^(-2 l(w)) sum over x <= w of P_{x,w}(t^4) theta_image(x)
+        # is the one web D with w(D) = w, with coefficient 1, when w
+        # avoids 4321, and 0 otherwise
+        perms = sorted(all_perms(n), key=perm_length)
+        images = {v: [(D, list(c.items())) for D, c in theta_image(v).terms()] for v in perms}
+        shortest = {}  # web -> the shortest v whose image holds it, w(D)
+        for v in perms:
+            for D, _ in images[v]:
+                shortest.setdefault(D, v)
+        web_of = {w: D for D, w in shortest.items()}
+        P = kl_polynomials(n)
+
+        def image(w, poly):
+            acc = {}  # (web, t exponent) -> coefficient
+            for x in perms:
+                if bruhat_leq(x, w):
+                    for k, a in enumerate(poly(x, w)):
+                        for D, coeff in images[x]:
+                            for e, b in coeff:
+                                key = D, e + 4 * k - 2 * perm_length(w)
+                                acc[key] = acc.get(key, 0) + a * b
+            return {key: c for key, c in acc.items() if c}
+
+        wrong = 0
+        for w in perms:
+            want = {(web_of[w], 0): 1} if w in web_of else {}
+            assert image(w, lambda x, y: P[x, y]) == want, w
+            wrong += image(w, lambda x, y: (1,)) != want
+        assert len(perms) - len(web_of) == killed
+        assert wrong == control
+
 
 class TestIrreducibleWebs:
     def test_counts_match_both_oracles(self):

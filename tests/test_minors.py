@@ -7,7 +7,7 @@ import pytest
 from a2webs import minors
 from a2webs.exactmath import rank
 from a2webs.immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from a2webs.labelings import enumerate_labelings
+from a2webs.labelings import enumerate_labelings, word_counts
 from a2webs.minors import (
     all_triples,
     check_triple,
@@ -155,6 +155,19 @@ class TestDecompositionTable:
         for g in all_triples(4)[::37]:
             ks = [order[D] for D in decompose_triple(g)]
             assert ks == sorted(ks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_are_web_positions_one_per_labeling(self, n):
+        table = minors._decompositions(n)
+        assert list(table) == list(iter_triples(n))
+        assert all(type(row) is tuple and all(type(k) is int for k in row) for row in table.values())
+        tally = {}
+        for D in irreducible_webs(n):
+            for g, c in word_counts(D).items():
+                tally.setdefault(g, {})[D] = c
+        assert tally.keys() == table.keys()
+        for g, counts in tally.items():
+            assert list(decompose_triple(g).items()) == list(counts.items()), g
 
     def test_result_is_a_copy(self):
         first = decompose_triple(WORKED)

@@ -8,6 +8,7 @@ from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.immanants import irreducible_webs
 from a2webs.labelings import transport_and_type
+from a2webs.perms import all_perms, first_reduced_word
 from a2webs.spider import (
     WebCombo,
     all_reducible_features,
@@ -364,6 +365,19 @@ class TestProductMemo:
                 assert WebCombo.from_web(a2) * WebCombo.from_web(b2) == direct
                 assert web_product.cache_info().hits > hits
         assert redrawn > 0
+
+
+class TestHeckeImages:
+    def test_cached_images_share_one_object_per_coefficient_value(self):
+        clear_caches()
+        coeffs = []
+        for n in range(1, 6):
+            for v in all_perms(n):
+                word = tuple(reversed(first_reduced_word(v)))
+                for k in range(len(word) + 1):
+                    coeffs += [c for _, c in hecke_image(n, word[:k]).terms()]
+        assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
+        assert spider.shared_coefficient.cache_info().currsize == len(set(coeffs))
 
 
 class TestRewriteDigest:
