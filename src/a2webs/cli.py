@@ -32,7 +32,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import MAX_QUOTED_CHARS, eval_q1, parse_int, quoted, rank_mod2
+from .exactmath import MAX_QUOTED_CHARS, eval_q1, parse_int, quoted
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -53,13 +53,13 @@ from .labelings import (
     word_to_text,
 )
 from .minors import (
-    _decompositions,
     all_triples,
     check_triple,
     decompose_triple,
     minor,
     random_rational_matrix,
     random_triple,
+    rank_check,
     triple_blocks,
     triple_product,
     triple_word,
@@ -378,12 +378,8 @@ def _suite_kappa(n: int, samples: Optional[int], rng: random.Random) -> tuple[bo
     """Weighted labeling counts are multiplicative on random product
     pairs of at most 3 strands, and their values at q = 1, the plain
     counts that rank_check tabulates, have full column rank at n.  The
-    rank is taken over F_2 from _decompositions(n): each row of web
-    positions goes straight to rank_mod2, one entry 1 per labeling, so
-    a web's count adds up mod 2.  Full rank over F_2 implies full rank
-    over Q, so the suite never passes a short rank; a short F_2 rank
-    fails it even where the rank over Q is full (up to n = 6 it is not
-    short)."""
+    rank and the web count are rank_check(n)'s, so the suite fails
+    where its F_2 certificate falls short (up to n = 6 it is full)."""
     pairs = samples or 15
     nn = min(n, 3)
     bad = []
@@ -395,11 +391,11 @@ def _suite_kappa(n: int, samples: Optional[int], rng: random.Random) -> tuple[bo
         rhs = boundary_profile(product_web(k, u)) * boundary_profile(product_web(k, v))
         if lhs != rhs:
             bad.append({"n": k, "left": list(u), "right": list(v)})
-    webs = irreducible_webs(n)
-    r = rank_mod2((((k, 1) for k in row) for row in _decompositions(n).values()), len(webs))
-    if r != len(webs):
-        bad.append({"rank": r, "webs": len(webs)})
-    return not bad, {"pairs": pairs, "pairs_max_n": nn, "rank": r, "webs": len(webs), "failed": bad}
+    report = rank_check(n)
+    r, webs = report["rank"], report["webs"]
+    if not report["passed"]:
+        bad.append({"rank": r, "webs": webs})
+    return not bad, {"pairs": pairs, "pairs_max_n": nn, "rank": r, "webs": webs, "failed": bad}
 
 
 def _suite_ci(n: int, samples: Optional[int], rng: random.Random) -> tuple[bool, dict]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping
 
 
 class InexactDivisionError(ArithmeticError):
@@ -288,46 +287,6 @@ def eval_q1(a: LaurentPoly) -> int:
     return sum(a._c.values())
 
 
-def echelon(
-    rows: Iterable[Sequence[int | Fraction]],
-) -> Iterator[Optional[tuple[int, list[int], Fraction]]]:
-    """Fraction-free elimination over Q (Bareiss, Math. Comp. 1968), one
-    row at a time.  Each row (all of one length) is cleared of
-    denominators and reduced against the pivots so far by integer
-    updates a*row - b*pivot, dividing out the content after each.
-    Yields None for a row in the span of the rows before it, otherwise
-    (lead, vec, scale): vec = scale * (row + a combination of earlier
-    rows) is zero at every earlier lead, lead is its first nonzero
-    column, and vec is kept as a pivot, so it must not be modified.
-    Once the pivots' leads cover every column they span Q^k, so each
-    later row is still read but yields None without arithmetic."""
-    pivots: list[tuple[int, list[int]]] = []
-    for row in rows:
-        if len(pivots) == len(row):
-            yield None
-            continue
-        d = lcm(*(x.denominator for x in row))
-        vec = [x.numerator * (d // x.denominator) for x in row]
-        scale = Fraction(d)
-        for lead, piv in pivots:
-            if vec[lead]:
-                g = gcd(piv[lead], vec[lead])
-                a, b = piv[lead] // g, vec[lead] // g
-                vec = [a * x - b * y for x, y in zip(vec, piv)]
-                c = gcd(*vec)
-                vec = [x // c for x in vec] if c > 1 else vec
-                scale *= Fraction(a, c or 1)
-        lead = next((k for k, x in enumerate(vec) if x), None)
-        if lead is not None:
-            pivots.append((lead, vec))
-        yield None if lead is None else (lead, vec, scale)
-
-
-def rank(rows: Iterable[Sequence[int | Fraction]]) -> int:
-    """Rank over Q of a matrix given as an iterable of rational rows."""
-    return sum(step is not None for step in echelon(rows))
-
-
 def rank_mod2(rows: Iterable[Iterable[tuple[int, int]]], width: int) -> int:
     """Rank over F_2 of an integer matrix with width columns, each row
     given as (column, entry) pairs, so a dense row r is enumerate(r).
@@ -335,8 +294,8 @@ def rank_mod2(rows: Iterable[Iterable[tuple[int, int]]], width: int) -> int:
     entries of a repeated column add: two odd ones cancel, three count
     once.  It is then reduced by XOR against the pivots so far, each
     keyed by its top bit.  Entries must be ints (operator.index).  Once
-    the rank reaches width each later row is still read but not looked
-    into, as in echelon.
+    the rank reaches width each later row is still read, so a generator
+    of rows runs to its end, but not looked into.
 
     The rank over Q is at least this one, and equal to width when this
     one is: full rank over F_2 means some maximal minor is odd, so it is

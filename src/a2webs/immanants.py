@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import echelon, eval_q1, parse_rational
+from .exactmath import eval_q1, parse_rational
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError
@@ -50,6 +50,17 @@ STRAND_BOUNDS = {
     "tnn": 4,
     "reduce": 10_000,
 }
+
+
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The rows scaled to integers, each by the lcm of its denominators,
+    and den, the product of those lcms."""
+    den, scaled = 1, []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        den *= d
+        scaled.append([x.numerator * (d // x.denominator) for x in row])
+    return den, scaled
 
 
 @dataclass(frozen=True)
@@ -83,16 +94,11 @@ class ExactMatrix:
     @cached_property
     def monomials(self) -> tuple[int, dict[Perm, int]]:
         """Every nonzero x_{1,w(1)} ... x_{n,w(n)} over one common
-        denominator, as (den, {w: numerator}).  Row i is scaled to
-        integers by the lcm of its denominators, and den is the product
-        of those lcms.  One depth-first walk over the rows forms each
+        denominator, as (den, {w: numerator}), with the rows of
+        `_cleared`.  One depth-first walk over the rows forms each
         prefix product once and drops a prefix at its first zero entry;
         the permutations come out in lexicographic order."""
-        den, scaled = 1, []
-        for row in self.rows:
-            d = lcm(*(x.denominator for x in row))
-            den *= d
-            scaled.append([x.numerator * (d // x.denominator) for x in row])
+        den, scaled = _cleared(self.rows)
         out: dict[Perm, int] = {}
 
         def extend(i: int, prefix: Perm, acc: int) -> None:
@@ -112,17 +118,26 @@ class ExactMatrix:
         )
 
     def det(self) -> Fraction:
-        out = Fraction(1)
-        leads = []
-        for step in echelon(self.rows):
-            if step is None:
+        """Fraction-free elimination (Bareiss, Math. Comp. 1968) over
+        the rows of `_cleared`: each step's integer updates divide
+        exactly by the previous pivot, and each row swap flips the sign.
+        The last pivot is the determinant of those integer rows, and one
+        Fraction divides it by their den."""
+        den, a = _cleared(self.rows)
+        n, sign, prev = len(a), 1, 1
+        for k in range(n):
+            i = next((i for i in range(k, n) if a[i][k]), None)
+            if i is None:
                 return Fraction(0)
-            lead, vec, scale = step
-            leads.append(lead)
-            out *= vec[lead] / scale
-        # row i of the reduced matrix vanishes at the leads of rows
-        # before it, so it is triangular up to the column order `leads`
-        return -out if perm_length(leads) % 2 else out
+            if i != k:
+                a[k], a[i], sign = a[i], a[k], -sign
+            pivot = a[k]
+            for row in a[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (pivot[k] * row[j] - f * pivot[j]) // prev
+            prev = pivot[k]
+        return Fraction(sign * prev, den)
 
     def to_json_obj(self) -> dict:
         return {
@@ -180,14 +195,15 @@ def _q1_row(combo: WebCombo) -> dict:
     return out
 
 
-def irreducible_webs(n: int) -> list[Web]:
-    """Every irreducible web hit by the S_n expansion, sorted by code.
+def irreducible_webs(n: int) -> tuple[Web, ...]:
+    """Every irreducible web hit by the S_n expansion, sorted by code:
+    the table's own tuple, not a copy.
 
     The count must equal the number of 4321-avoiding permutations of
     S_n (equivalently a Kostka number); callers are expected to keep
     that certification enforced, as the tests do.
     """
-    return list(immanant_table(n).webs)
+    return immanant_table(n).webs
 
 
 class ImmanantTable:

@@ -26,20 +26,21 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .exactmath import rank, rank_mod2
+from .exactmath import rank_mod2
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .labelings import word_counts
-from .webcore import Web, WebError
+from .webcore import Web, WebError, int_entries
 
 
 def index_set(xs: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]:
-    """xs sorted, refusing a repeat and, when n is given, an index
-    outside 1..n."""
-    out = tuple(sorted(int(x) for x in xs))
+    """xs sorted, refusing an entry that is no int (see int_entries), a
+    repeat and, when n is given, an index outside 1..n."""
+    xs = int_entries(xs)
+    out = tuple(sorted(xs))
     if len(set(out)) != len(out):
-        raise WebError(f"repeated index in {tuple(xs)}")
+        raise WebError(f"repeated index in {xs}")
     for x in out:
         if n is not None and not 1 <= x <= n:
             raise WebError(f"index {x} out of range 1..{n}")
@@ -191,48 +192,37 @@ def random_rational_matrix(n: int, rng: random.Random) -> ExactMatrix:
     )
 
 
-def column_rank(rows: Callable[[], Iterable[Mapping[Web, int]]], webs: Sequence[Web]) -> tuple[int, str]:
-    """Rank of the matrix whose rows are the {web: int} dicts that
-    rows() yields, one column per entry of webs, and the route that
-    found it.  The F_2 certificate (rank_mod2) runs first; when it falls
-    short of full column rank, rows() is called again and the exact
-    elimination gives the rank."""
-    column = {D: k for k, D in enumerate(webs)}
-    r = rank_mod2((((column[D], c) for D, c in row.items()) for row in rows()), len(webs))
-    if r == len(webs):
-        return r, "mod 2"
-    return rank([row.get(D, 0) for D in webs] for row in rows()), "exact"
-
-
 def rank_check(n: int) -> dict:
-    """Rank of the coefficient matrix (triples by webs).  Full column
-    rank means the immanants are a basis for the span of complementary
-    minor products.  The report also records the largest coefficient
-    seen, since the expansion is not multiplicity free in general, and
-    the route of column_rank that found the rank."""
+    """Rank of the coefficient matrix (triples by webs), taken over F_2
+    in one pass over iter_triples(n): each decompose_triple row goes
+    straight to rank_mod2 by web position, and its largest coefficient
+    is recorded on the way, since the expansion is not multiplicity free
+    in general.  Full rank over F_2 proves full column rank over Q, so
+    the immanants are a basis for the span of complementary minor
+    products.  A short F_2 rank fails the check even where the rank over
+    Q may be full; up to n = 6 it is not short."""
     webs = irreducible_webs(n)
+    column = {D: k for k, D in enumerate(webs)}
     triples, max_coeff, max_at = 0, 0, None
 
     # iter_triples, not all_triples: at n = 6 the list raised peak RSS
     # from 163 to 199 MiB
     def coefficient_rows():
         nonlocal triples, max_coeff, max_at
-        triples = 0
         for g in iter_triples(n):
             triples += 1
             row = decompose_triple(g)
             top = max(row.values(), default=0)
             if top > max_coeff:
                 max_coeff, max_at = top, g
-            yield row
+            yield ((column[D], c) for D, c in row.items())
 
-    r, route = column_rank(coefficient_rows, webs)
+    r = rank_mod2(coefficient_rows(), len(webs))
     report = {
         "n": n,
         "triples": triples,
         "webs": len(webs),
         "rank": r,
-        "rank_route": route,
         "max_coefficient": max_coeff,
         "max_coefficient_triple": None,
         "passed": r == len(webs),

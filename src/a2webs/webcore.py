@@ -23,10 +23,13 @@ package computes is invariant under both, so a bare count suffices.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from .exactmath import quoted
 
 RIGHT = "R"
 LEFT = "L"
@@ -45,6 +48,19 @@ VERTEX_DIRS = {
 
 class WebError(ValueError):
     """Structurally invalid web data."""
+
+
+def int_entries(xs: Iterable) -> tuple[int, ...]:
+    """xs as a tuple of ints, each read through operator.index: an entry
+    that is no integer, a float or a string among them, raises one
+    WebError that quotes it."""
+    out = []
+    for x in xs:
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise WebError(f"not an integer: {quoted(x)}") from None
+    return tuple(out)
 
 
 class Combo:
@@ -571,8 +587,8 @@ def canonical_edge_order(m: PlanarMap) -> tuple[int, ...]:
 
 def decode_code(code: Sequence[int]) -> PlanarMap:
     """Rebuild a PlanarMap from a canonical code; rejects junk input by
-    re-encoding and comparing."""
-    code = tuple(int(x) for x in code)
+    re-encoding and comparing; an entry that is no int is refused."""
+    code = int_entries(code)
     # the header, then a record of at least 3 ints per boundary vertex
     if len(code) < 3 or len(code) < 3 + 6 * code[0]:
         raise WebError("code too short")

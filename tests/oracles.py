@@ -3,6 +3,7 @@ path calls these."""
 
 import random
 from collections import Counter, deque
+from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product
 from typing import Optional
@@ -503,6 +504,25 @@ def oracle_render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         start = len(cols)
         cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
         F, placed = F[:p] + new + F[p + k :], placed if v is None else placed | {v}
+
+
+def rank_over_q(rows) -> int:
+    """Rank over Q of a matrix of rational rows, by Gauss-Jordan
+    elimination over Fraction."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / lead[c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
+        rank += 1
+    return rank
 
 
 def _inversions(w: tuple[int, ...]) -> int:

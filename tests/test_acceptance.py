@@ -62,7 +62,7 @@ from a2webs.tlbridge import (
     tl_immanant,
 )
 from a2webs.webcore import Web
-from oracles import parabolic_image
+from oracles import parabolic_image, rank_over_q
 
 SEED = 20260816
 
@@ -124,24 +124,7 @@ def test_c04_boundary_profile_is_multiplicative_and_faithful():
         vectors = [boundary_profile(w) for w in webs]
         cols = sorted({g for vec in vectors for g, _ in vec.terms()})
         rows = [[Fraction(eval_q1(vec.coeff(g))) for g in cols] for vec in vectors]
-        assert _rank(rows) == len(webs), n
-
-
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / lead[c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
-        rank += 1
-    return rank
+        assert rank_over_q(rows) == len(webs), n
 
 
 def test_c05_reduce_coefficients_recovered_by_counting():

@@ -248,6 +248,41 @@ class TestKazhdanLusztig:
         assert len(perms) - len(web_of) == killed
         assert wrong == control
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_are_unitriangular_in_bruhat_order(self, n):
+        # independence without elimination: each row f_D has one
+        # shortest v with f_D(v) != 0, w(D), with f_D(w(D)) = 1, every
+        # nonzero f_D(v) sits at a v >= w(D) in Bruhat order, and no two
+        # rows share their w(D); ordered by w(D), the rows are
+        # unitriangular, so they are linearly independent
+        t = immanant_table(n)
+        rows = [t._row(D) for D in t.webs]
+        assert len(unitriangular_leads(rows)) == len(rows)
+        if n > 1:
+            # the control: a second row with an entry at the identity
+            e = tuple(range(1, n + 1))
+            k = next(k for k, row in enumerate(rows) if e not in row)
+            rows[k] = {**rows[k], e: 1}
+            assert unitriangular_leads(rows) is None
+
+
+def unitriangular_leads(rows):
+    """The w(D) of rows {v: f_D(v)}, nonzero entries only, when each row
+    has a unique shortest v with f_D(v) != 0, w(D), with f_D(w(D)) = 1
+    and w(D) <= v in Bruhat order for every v of the row, and the w(D)
+    are distinct; None otherwise."""
+    leads = set()
+    for row in rows:
+        least = min(map(perm_length, row))
+        shortest = [v for v in row if perm_length(v) == least]
+        if len(shortest) > 1:
+            return None
+        w = shortest[0]
+        if row[w] != 1 or w in leads or not all(bruhat_leq(w, v) for v in row):
+            return None
+        leads.add(w)
+    return leads
+
 
 class TestIrreducibleWebs:
     def test_counts_match_both_oracles(self):

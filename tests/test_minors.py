@@ -1,17 +1,16 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from a2webs import minors
-from a2webs.exactmath import rank
 from a2webs.immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from a2webs.labelings import enumerate_labelings, word_counts
 from a2webs.minors import (
     all_triples,
     check_triple,
-    column_rank,
     decompose_triple,
     iter_triples,
     minor,
@@ -23,6 +22,7 @@ from a2webs.minors import (
     triple_word,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
+from oracles import rank_over_q
 
 SEED = 20260816
 
@@ -42,6 +42,9 @@ class TestTripleWord:
     def test_rejects_repeated_index(self):
         with pytest.raises(WebError, match="repeated index"):
             triple_word([(1, 1), (2,), ()], [(1,), (2,), (3,)])
+        # an iterator is quoted as read, not after it is spent
+        with pytest.raises(WebError, match=re.escape("repeated index in (2, 1, 2)")):
+            minors.index_set(iter([2, 1, 2]))
 
     def test_rejects_overlapping_rows(self):
         with pytest.raises(WebError, match="row blocks must partition"):
@@ -116,6 +119,16 @@ class TestMinor:
     def test_rejects_out_of_range(self):
         with pytest.raises(WebError):
             minor(ExactMatrix.identity(2), (3,), (1,))
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, "1", Fraction(1)])
+    def test_rejects_an_index_that_is_no_int(self, bad):
+        X = ExactMatrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(WebError, match=f"not an integer: {re.escape(repr(bad))}"):
+            minor(X, [bad], [2])
+        with pytest.raises(WebError, match="not an integer"):
+            minor(X, [1], [bad])
+        with pytest.raises(WebError, match="not an integer"):
+            triple_word([(bad,), (2,), ()], [(1,), (2,), ()])
 
 
 class TestDecompose:
@@ -236,7 +249,6 @@ class TestRank:
             "triples": 639,
             "webs": 23,
             "rank": 23,
-            "rank_route": "mod 2",
             "max_coefficient": 2,
             "max_coefficient_triple": {
                 "rows": [[2], [3], [1, 4]],
@@ -252,7 +264,6 @@ class TestRank:
             "triples": 4653,
             "webs": 103,
             "rank": 103,
-            "rank_route": "mod 2",
             "max_coefficient": 3,
             "max_coefficient_triple": {
                 "rows": [[2], [1, 4], [3, 5]],
@@ -261,33 +272,22 @@ class TestRank:
             "passed": True,
         }
 
-    def test_both_routes_agree_at_four_strands(self, monkeypatch):
-        fast = rank_check(4)
-        # a certificate that never finds full rank forces the exact route
-        monkeypatch.setattr(minors, "rank_mod2", lambda rows, width: 0)
-        exact = rank_check(4)
-        assert (fast["rank_route"], exact["rank_route"]) == ("mod 2", "exact")
-        for key in ("triples", "rank", "max_coefficient", "max_coefficient_triple", "passed"):
-            assert fast[key] == exact[key], key
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rank_over_q_of_the_dense_matrix(self, n):
+        webs = irreducible_webs(n)
+        rows = [[decompose_triple(g).get(D, 0) for D in webs] for g in iter_triples(n)]
+        assert rank_over_q(rows) == rank_check(n)["rank"] == len(webs)
 
-    def test_column_rank_falls_back_when_the_certificate_is_short(self):
-        def route(rows):
-            return column_rank(lambda: [dict(enumerate(r)) for r in rows], range(len(rows[0])))
+    def test_a_short_certificate_fails(self, monkeypatch):
+        full = rank_check(3)
 
-        assert route([[1, 1], [1, -1]]) == (2, "exact")
-        assert route([[2, 2, 2]]) == (1, "exact")
-        assert route([[1, 0, 3], [2, 2, 2], [0, 1, 1]]) == (3, "exact")
-        assert route([[1, 0], [1, 1]]) == (2, "mod 2")
-        rng = random.Random(SEED + 6)
-        routes = set()
-        for _ in range(60):
-            width = rng.randint(1, 5)
-            rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rng.randint(1, 8))]
-            got = route(rows)
-            assert got[0] == rank(rows), rows
-            assert route([[2 * x for x in row] for row in rows]) == (got[0], "exact")
-            routes.add(got[1])
-        assert routes == {"mod 2", "exact"}
+        def short(rows, width):
+            for _ in rows:
+                pass
+            return width - 1
+
+        monkeypatch.setattr(minors, "rank_mod2", short)
+        assert rank_check(3) == {**full, "rank": 5, "passed": False}
 
     def test_multiplicity_is_recorded(self):
         # the expansion need not be multiplicity free; the report

@@ -543,6 +543,16 @@ class TestCodes:
         with pytest.raises(WebError):
             Web.from_code(canonical_form(m))
 
+    @pytest.mark.parametrize("k, bad", [(0, 2.7), (0, "2"), (7, 3.0), (7, "3")])
+    def test_from_code_refuses_an_entry_that_is_no_int(self, k, bad):
+        # read through int(), 2.7 in place of the header's 2 gave E1
+        code = list(web(generator_web(2, 1)).code)
+        code[k] = bad
+        with pytest.raises(WebError, match=f"not an integer: {bad!r}"):
+            Web.from_code(code)
+        with pytest.raises(WebError, match="not an integer"):
+            decode_code(code)
+
     def test_decode_refuses_negative_edge_numbers(self):
         with pytest.raises(WebError, match="negative edge number"):
             decode_code((1, 0, 1, 6, 1, 1, -1, 2, 1, -1))
