@@ -36,6 +36,8 @@ def parse_rational(x) -> Fraction:
     so 0.1 is 1/10.  Anything else, bool included, raises ValueError,
     as does a string longer than MAX_RATIONAL_CHARS or with a decimal
     exponent beyond MAX_DECIMAL_EXPONENT."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         x = str(x)
     if isinstance(x, str):
@@ -151,13 +153,17 @@ class LaurentPoly:
         other = _coerce(other)
         out = dict(self._c)
         for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _unchecked(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._c.items()})
+        return _unchecked({e: -c for e, c in self._c.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-_coerce(other))
@@ -172,7 +178,9 @@ class LaurentPoly:
             for e2, c2 in other._c.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return _unchecked(out)
 
     __rmul__ = __mul__
 
@@ -228,6 +236,15 @@ class LaurentPoly:
 
     def to_json_obj(self) -> dict[str, str]:
         return {str(e): str(c) for e, c in sorted(self._c.items())}
+
+
+def _unchecked(c: dict[int, int]) -> LaurentPoly:
+    """A LaurentPoly on c as it is, for the ring operations' results:
+    c maps ints to nonzero ints, so nothing is checked."""
+    p = object.__new__(LaurentPoly)
+    p._c = c
+    p._hash = None
+    return p
 
 
 def _coerce(x: "LaurentPoly | int") -> LaurentPoly:

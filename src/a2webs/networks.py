@@ -509,8 +509,9 @@ def _multiplicities(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> dic
     with an int multiplicity of at least 1.  A multiplicity past 3 is
     left to `uncross`, which refuses it at the vertex it overloads."""
     mult: dict[int, int] = {}
+    ne = len(net.edges)
     for eid, m in marks:
-        if type(eid) is not int or not 0 <= eid < len(net.edges):
+        if type(eid) is not int or not 0 <= eid < ne:
             raise WebError(f"marking names edge {quoted(eid)}, but the edge ids run 0..{len(net.edges) - 1}")
         if eid in mult:
             raise WebError(f"marking lists edge {eid} twice")
@@ -573,10 +574,9 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     # marked runs: at any other vertex no strand passes, or one run
     # passes straight on, and nothing is checked
     first, after, halts, sweep, stops = net._sweep_table()
-    at = set(stops).union(*map(halts.__getitem__, mult))
+    at = set(stops).union(*[halts[e] for e in mult])
     ms = list(mult.values())
-    if (list(map(mult.get, map(first.__getitem__, mult))) != ms
-            or list(map(mult.get, map(after.__getitem__, mult))) != ms):
+    if [mult.get(first[e]) for e in mult] != ms or [mult.get(after[e]) for e in mult] != ms:
         # a run is not marked alike from end to end: the sweep also
         # stops where its multiplicity first changes, and refuses the
         # marking there as unbalanced.  A multiplicity past 3 that runs
@@ -591,26 +591,31 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
     cols: list[tuple] = []  # (pos, tile, dirs) of each Column
     for k in sorted(at):
         v, role, into, out = sweep[k]
-        outs = list(filter(mult.__contains__, out))
+        outs = [e for e in out if e in mult]
         if role == "entry":  # an entry has no in-edges
             if len(outs) != 1 or mult[outs[0]] != 1:
                 raise WebError(f"entry {quoted(v)} must start exactly one strand")
             i = line.index(v)
-            above = next((e for e in reversed(line[:i]) if type(e) is int), None)
-            below = next((e for e in line[i + 1:] if type(e) is int), None)
-            if ((above is not None and net._gap(v, above) <= 0)
-                    or (below is not None and net._gap(v, below) >= 0)):
+            # the nearest marked runs above and below the placeholder
+            a = i - 1
+            while a >= 0 and type(line[a]) is not int:
+                a -= 1
+            b, end = i + 1, len(line)
+            while b < end and type(line[b]) is not int:
+                b += 1
+            if ((a >= 0 and net._gap(v, line[a]) <= 0)
+                    or (b < end and net._gap(v, line[b]) >= 0)):
                 raise WebError(f"entry {quoted(v)} lies outside the gap its strand enters")
             line[i] = outs[0]
             continue
-        ins = list(filter(mult.__contains__, into))
+        ins = [e for e in into if e in mult]
         if role == "exit":  # an exit has no out-edges
             if len(ins) != 1 or mult[ins[0]] != 1:
                 raise WebError(f"exit {quoted(v)} must end exactly one strand")
             line[line.index(first[ins[0]])] = v
             continue
-        k_in = sum(map(mult.__getitem__, ins))
-        if k_in != sum(map(mult.__getitem__, outs)):
+        k_in = sum([mult[e] for e in ins])
+        if k_in != sum([mult[e] for e in outs]):
             raise WebError(f"marking is unbalanced at vertex {quoted(v)}")
         if k_in > 3:
             raise WebError(f"four or more strands pass through vertex {quoted(v)}")
@@ -619,13 +624,13 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
         if len(ins) == 1 == len(outs):  # one run passes straight through
             line[line.index(first[ins[0]])] = outs[0]
             continue
-        idx = sorted(map(line.index, map(first.__getitem__, ins)))
+        idx = sorted([line.index(first[e]) for e in ins])
         i, j = idx[0], idx[-1] + 1
         if j - i != len(idx):
             raise WebError(f"the strands into vertex {quoted(v)} enclose a boundary strand")
-        p = 1 + i - list(map(mult.get, line[:i])).count(3)  # a tripled run draws no curve
-        for shift, tile, dirs in _vertex_columns(tuple(map(mult.__getitem__, line[i:j])),
-                                                 tuple(map(mult.__getitem__, outs))):
+        p = 1 + i - [mult.get(e) for e in line[:i]].count(3)  # a tripled run draws no curve
+        for shift, tile, dirs in _vertex_columns(tuple([mult[e] for e in line[i:j]]),
+                                                 tuple([mult[e] for e in outs])):
             cols.append((p + shift, tile, dirs))
         line[i:j] = outs
     if line != list(net.sinks):

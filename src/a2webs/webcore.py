@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -79,9 +78,12 @@ class Combo:
     ZERO = 0
 
     def __init__(self, n: int, terms: Union[dict, Iterable[tuple]] = ()):
-        acc: dict = {}
-        for k, c in terms.items() if isinstance(terms, dict) else terms:
-            acc[k] = acc[k] + c if k in acc else c
+        if isinstance(terms, dict):  # its keys are distinct: nothing to sum
+            acc = terms
+        else:
+            acc = {}
+            for k, c in terms:
+                acc[k] = acc[k] + c if k in acc else c
         self.n = n
         self._terms = {k: c for k, c in acc.items() if c}
 
@@ -120,7 +122,10 @@ class Combo:
         if type(other) is not type(self):
             return NotImplemented
         self._check_n(other)
-        return type(self)(self.n, [*self._terms.items(), *other._terms.items()])
+        acc = dict(self._terms)
+        for k, c in other._terms.items():
+            acc[k] = acc[k] + c if k in acc else c
+        return type(self)(self.n, acc)
 
     def __neg__(self):
         return self.scale(-1)
@@ -135,12 +140,13 @@ class Combo:
         if type(other) is not type(self):
             return NotImplemented
         self._check_n(other)
-        return type(self)(self.n, (
-            (k, v * ca * cb)
-            for a, ca in self._terms.items()
-            for b, cb in other._terms.items()
-            for k, v in self._product(a, b)
-        ))
+        acc: dict = {}
+        for a, ca in self._terms.items():
+            for b, cb in other._terms.items():
+                for k, v in self._product(a, b):
+                    c = v * ca * cb
+                    acc[k] = acc[k] + c if k in acc else c
+        return type(self)(self.n, acc)
 
     def __rmul__(self, other):
         return self.scale(other) if isinstance(other, int) else NotImplemented
@@ -242,41 +248,46 @@ class PlanarMap:
 
     def __init__(self, n: int, rot: Sequence[Sequence[int]], loops: int = 0):
         self.n = n
-        self.rot = tuple(tuple(r) for r in rot)
+        self.rot = rot = tuple(map(tuple, rot))
         self.loops = loops
         self._faces = None
         self._walks: Optional[tuple[tuple[int, ...], ...]] = None
         if loops < 0:
             raise WebError("negative loop count")
-        if len(self.rot) < 2 * n:
+        if len(rot) < 2 * n:
             raise WebError("boundary vertices missing")
-        nd = sum(map(len, self.rot))
+        nd = sum(map(len, rot))
         dv = [-1] * (nd + nd % 2)
-        for v, darts in enumerate(self.rot):
+        top = len(dv)
+        for v, darts in enumerate(rot):
             for d in darts:
                 # a dart out of range leaves one in range missing
-                if 0 <= d < len(dv):
+                if 0 <= d < top:
                     if dv[d] >= 0:
                         raise WebError(f"dart {d} listed twice")
                     dv[d] = v
         if -1 in dv:
             raise WebError(f"dart {dv.index(-1)} missing from rotations")
         self.dart_vertex = tuple(dv)
-        self.edges = tuple(zip(dv[::2], dv[1::2]))
-        for t, h in self.edges:
+        self.edges = edges = tuple(zip(dv[::2], dv[1::2]))
+        for t, h in edges:
             if t == h:
                 raise WebError(f"edge with both ends at vertex {t}")
-        for v, darts in enumerate(self.rot):
-            want = 1 if v < 2 * n else 3
-            if len(darts) != want:
-                raise WebError(f"vertex {v} has degree {len(darts)}, wants {want}")
-            sink = darts[0] & 1
-            if any(d & 1 != sink for d in darts):
+        # vertex by vertex, boundary first: its degree, then its parity
+        for v in range(2 * n):
+            darts = rot[v]
+            if len(darts) != 1:
+                raise WebError(f"vertex {v} has degree {len(darts)}, wants 1")
+            if darts[0] & 1 != (v >= n):
+                raise WebError(f"boundary source {v} holds an edge head" if v < n
+                               else f"boundary sink {v} holds an edge tail")
+        for v in range(2 * n, len(rot)):
+            darts = rot[v]
+            if len(darts) != 3:
+                raise WebError(f"vertex {v} has degree {len(darts)}, wants 3")
+            a, b, c = darts
+            if (a ^ b | a ^ c) & 1:
                 raise WebError(f"vertex {v} mixes edge heads and tails")
-            if v < n and sink:
-                raise WebError(f"boundary source {v} holds an edge head")
-            if n <= v < 2 * n and not sink:
-                raise WebError(f"boundary sink {v} holds an edge tail")
 
     # -- basic structure ------------------------------------------------
 
@@ -297,27 +308,35 @@ class PlanarMap:
     def internal_vertex_count(self) -> int:
         return len(self.rot) - 2 * self.n
 
-    def face_next(self, d: int) -> int:
-        t = d ^ 1
-        r = self.rot[self.dart_vertex[t]]
-        return r[(r.index(t) + 1) % len(r)]
+    def face_successors(self) -> list[int]:
+        """The face-next permutation as a list: the dart after d round
+        its face is the one after d's twin, counterclockwise round the
+        twin's vertex."""
+        nxt = [0] * len(self.dart_vertex)
+        for r in self.rot:
+            prev = r[-1]
+            for d in r:
+                nxt[prev ^ 1] = d
+                prev = d
+        return nxt
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """All face walks, as dart orbits of the face-next permutation."""
+        """All face walks, as dart orbits of the face-next permutation,
+        each from its least dart."""
         if self._faces is None:
-            seen = set()
+            nxt = self.face_successors()
+            seen = bytearray(len(nxt))
             out = []
-            for d0 in range(len(self.dart_vertex)):
-                if d0 in seen:
+            for d0 in range(len(nxt)):
+                if seen[d0]:
                     continue
-                orbit = []
-                d = d0
-                while True:
+                orbit = [d0]
+                seen[d0] = 1
+                d = nxt[d0]
+                while d != d0:
                     orbit.append(d)
-                    seen.add(d)
-                    d = self.face_next(d)
-                    if d == d0:
-                        break
+                    seen[d] = 1
+                    d = nxt[d]
                 out.append(tuple(orbit))
             self._faces = tuple(out)
         return self._faces
@@ -367,46 +386,41 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
     wire segments); their turn signs are kept in the geometry.
     """
     n = diagram.n
-    seg_dir: list[str] = []
-
-    def new_seg(d: str) -> int:
-        seg_dir.append(d)
-        return len(seg_dir) - 1
-
-    # a segment end is (segment, 0 for its left end or 1 for its right);
-    # a cup or cap joins two ends, a vertex holds one end per slot
-    joins: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    # legs[v][k]: the end at slot k of vertex v; sources, then sinks,
-    # then internal vertices in column order, each slot list holding
-    # the left legs, then the right legs, top to bottom
-    wires = [new_seg(RIGHT) for _ in range(n)]
-    legs: list[list[tuple[int, int]]] = [[(s, 0)] for s in wires] + [[] for _ in range(n)]
+    # segment s has the ends 2s (left) and 2s + 1 (right); each end is
+    # held by a vertex or joined to another end by a cup or a cap
+    seg_dir = [RIGHT] * n
+    wires = list(range(n))
+    caps: list[tuple[int, int, int]] = []  # (end, end, turn sign) per cup or cap
+    # slot 3v + k holds the end at leg k of vertex v: sources, then
+    # sinks (slot 3v only), then internal vertices in column order, each
+    # holding its left legs, then its right legs, top to bottom
+    slot_end = [-1] * (6 * n)
+    slot_end[0 : 3 * n : 3] = range(0, 2 * n, 2)
     sinks = [False] * n + [True] * n  # per vertex: do its edges point in?
     lefts: dict[int, int] = {}  # internal vertex -> number of left legs
 
     for ci, col in enumerate(diagram.columns):
-        p = col.pos
-        used = TILE_ARITY[col.tile][0]
+        p, tile, dirs = col.pos, col.tile, col.dirs
+        used = TILE_ARITY[tile][0]
         if not 1 <= p <= len(wires) - used + 1:
             raise WebError(f"column {ci}: position {p} out of range")
         incoming = wires[p - 1 : p - 1 + used]
-        if tuple(seg_dir[w] for w in incoming) != col.dirs[:used]:
+        if tuple([seg_dir[w] for w in incoming]) != dirs[:used]:
             raise WebError(f"column {ci}: leg directions disagree with incoming wires")
-        made = [new_seg(d) for d in col.dirs[used:]]
-        ends = [(w, 1) for w in incoming] + [(s, 0) for s in made]
-        if col.tile in ("cup", "cap"):
-            if col.dirs[0] == col.dirs[1]:
-                raise WebError(f"column {ci}: {col.tile} legs must run in opposite senses")
-            sg = 1 if col.dirs[0] == RIGHT else -1
-            joins[ends[0]] = (ends[1], sg)
-            joins[ends[1]] = (ends[0], sg)
+        made = list(range(len(seg_dir), len(seg_dir) + len(dirs) - used))
+        seg_dir += dirs[used:]
+        ends = [2 * w + 1 for w in incoming] + [2 * s for s in made]
+        if tile == "cup" or tile == "cap":
+            if dirs[0] == dirs[1]:
+                raise WebError(f"column {ci}: {tile} legs must run in opposite senses")
+            caps.append((ends[0], ends[1], 1 if dirs[0] == RIGHT else -1))
         else:
-            sink = col.dirs[0] == RIGHT  # its first leg runs into it
-            if col.dirs != VERTEX_DIRS[(col.tile, sink)]:
+            sink = dirs[0] == RIGHT  # its first leg runs into it
+            if dirs != VERTEX_DIRS[(tile, sink)]:
                 raise WebError(f"column {ci}: vertex is neither all-in nor all-out")
             lefts[len(sinks)] = used
             sinks.append(sink)
-            legs.append(ends)
+            slot_end += ends
         wires[p - 1 : p - 1 + used] = made
 
     if len(wires) != n:
@@ -414,56 +428,67 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
     for j, s in enumerate(wires):
         if seg_dir[s] != RIGHT:
             raise WebError(f"sink strand {j + 1} arrives oriented leftward")
-        legs[n + j].append((s, 1))
+        slot_end[3 * (n + j)] = 2 * s + 1
 
-    walked: set[int] = set()
+    join = [-1] * (2 * len(seg_dir))  # end -> the end its cup or cap joins it to
+    sign = [0] * len(join)  # end -> that cup's or cap's turn sign
+    for a, b, sg in caps:
+        join[a], join[b], sign[a], sign[b] = b, a, sg, sg
+    slot_of = [-1] * len(join)  # end -> the slot holding it
+    for slot, end in enumerate(slot_end):
+        if end >= 0:
+            slot_of[end] = slot
 
-    def walk(end: tuple[int, int]) -> tuple[list[int], tuple[int, int]]:
-        # cross segments through cups and caps from end, until an end
-        # held by a vertex or, round a closed loop, end itself
-        turns = []
-        cur = end
-        while cur in joins:
-            (s, side), sg = joins[cur]
-            turns.append(sg)
-            walked.add(s)
-            cur = (s, 1 - side)
-            if cur == end:
-                break
-        return turns, cur
-
-    # walk each edge once, from its first slot; its head is the end at
-    # a sink
-    slot_of = {end: (v, k) for v, ends in enumerate(legs) for k, end in enumerate(ends)}
-    dart: dict[tuple[int, int], int] = {}  # slot -> dart
+    # walk each edge once, from its first slot, across its segments
+    # through cups and caps to the end held at its other slot; its head
+    # is the end at a sink
+    walked = bytearray(len(seg_dir))
+    dart = [-1] * len(slot_end)
     edge_turns: dict[int, tuple[int, ...]] = {}
-    for v, ends in enumerate(legs):
-        for k, (s, side) in enumerate(ends):
-            if (v, k) in dart:
-                continue
-            walked.add(s)
-            turns, last = walk((s, 1 - side))
-            eid = len(edge_turns)
-            edge_turns[eid] = tuple(turns)
-            dart[(v, k)] = 2 * eid + sinks[v]
-            dart[slot_of[last]] = dart[(v, k)] ^ 1
+    for slot, end in enumerate(slot_end):
+        if end < 0 or dart[slot] >= 0:
+            continue
+        walked[end >> 1] = 1
+        turns = []
+        cur = end ^ 1
+        while join[cur] >= 0:
+            turns.append(sign[cur])
+            cur = join[cur]
+            walked[cur >> 1] = 1
+            cur ^= 1
+        eid = len(edge_turns)
+        edge_turns[eid] = tuple(turns)
+        dart[slot] = 2 * eid + sinks[slot // 3]
+        dart[slot_of[cur]] = dart[slot] ^ 1
 
+    # a segment no edge crossed lies on a closed loop: walk it round
     loop_turns = []
-    for s in range(len(seg_dir)):
-        if s not in walked:
-            loop_turns.append(tuple(walk((s, 0))[0]))
+    for s, done in enumerate(walked):
+        if not done:
+            turns = []
+            cur = 2 * s
+            while True:
+                turns.append(sign[cur])
+                cur = join[cur]
+                walked[cur >> 1] = 1
+                cur ^= 1
+                if cur == 2 * s:
+                    break
+            loop_turns.append(tuple(turns))
 
     # CCW from the top right leg: it, the left legs top to bottom, then
     # the other right leg; a merge reads right, left-top, left-bottom and
     # a split right-top, left, right-bottom
-    rot = [[dart[(v, 0)]] for v in range(2 * n)]
+    rot = [(d,) for d in dart[0 : 6 * n : 3]]
     vertex_sides = {}
     for v, nl in lefts.items():
-        rot.append([dart[(v, k)] for k in (nl, *range(nl), *range(nl + 1, 3))])
-        vertex_sides[v] = (
-            tuple(dart[(v, k)] >> 1 for k in range(nl)),
-            tuple(dart[(v, k)] >> 1 for k in range(nl, 3)),
-        )
+        a, b, c = dart[3 * v : 3 * v + 3]
+        if nl == 2:
+            rot.append((c, a, b))
+            vertex_sides[v] = ((a >> 1, b >> 1), (c >> 1,))
+        else:
+            rot.append((b, a, c))
+            vertex_sides[v] = ((a >> 1,), (b >> 1, c >> 1))
 
     m = PlanarMap(n, rot, loops=len(loop_turns))
     geom = DrawingGeometry(vertex_sides, edge_turns, tuple(loop_turns))
@@ -476,17 +501,15 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
 def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int], list[int]]:
     """The block of root_dart's component, walked breadth first from
     it, with its edges and vertices in the order the walk meets them."""
-    vnum: dict[int, int] = {}
+    rot, dv, n = m.rot, m.dart_vertex, m.n
+    vnum = {dv[root_dart]: 0}
     enum: dict[int, int] = {}
     eorder: list[int] = []
     out: list[int] = []
-    v0 = m.dart_vertex[root_dart]
-    vnum[v0] = 0
-    n = m.n
-    queue = deque([(v0, root_dart)])
-    while queue:
-        v, entry = queue.popleft()
-        r = m.rot[v]
+    queue = [root_dart]  # each vertex's entry dart, in the order met
+    for entry in queue:
+        v = dv[entry]
+        r = rot[v]
         # a vertex record opens with its kind and index: source i is
         # (1, i), sink j is (2, j), then (3, 0) or (4, 0) for an internal
         # sink or source
@@ -497,17 +520,17 @@ def _encode_from(m: PlanarMap, root_dart: int) -> tuple[list[int], list[int], li
         else:
             out += (4 - (r[0] & 1), 0)
         i = r.index(entry)
-        for k in range(len(r)):
-            d = r[(i + k) % len(r)]
+        for d in r[i:] + r[:i]:
             e = d >> 1
-            if e not in enum:
-                enum[e] = len(enum)
+            k = enum.get(e)
+            if k is None:
+                k = enum[e] = len(eorder)
                 eorder.append(e)
-                w = m.dart_vertex[d ^ 1]
+                w = dv[d ^ 1]
                 if w not in vnum:
                     vnum[w] = len(vnum)
-                    queue.append((w, d ^ 1))
-            out.append(enum[e])
+                    queue.append(d ^ 1)
+            out.append(k)
     return out, eorder, list(vnum)
 
 
@@ -656,9 +679,14 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
 
 
 def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
-    """Produce some drawing of m.  Any embedding is acceptable; the
-    weight statistic is drawing-independent.  Different salts may give
-    different embeddings.  Loop components must be removed first.  A
+    """Produce some drawing of m.  Any embedding is acceptable to the
+    weight statistic: the weighted counts per boundary word
+    (labelings.boundary_profile) do not depend on the drawing, and
+    neither does a single labeling's weight when every component of m
+    touches the boundary; a closed component can be drawn turned
+    against the rest, which changes single weights
+    (labelings.labeling_weight).  Different salts may give different
+    embeddings.  Loop components must be removed first.  A
     map with no drawing, both boundary sides in order, is refused: with
     the round trip in Web._draw, this is the one check of a web.
 
@@ -719,9 +747,10 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         if low >= 2 * n:
             p, d = 0, 2 * min(eorder) + 1
         else:
+            nxt = m.face_successors()
             walked = [m.rot[low][0]]
             while m.dart_vertex[walked[-1] ^ 1] >= 2 * n:
-                walked.append(m.face_next(walked[-1]))
+                walked.append(nxt[walked[-1]])
             d = min(walked, key=lambda d: d >> 1)
             p = max((p + 1 for p, x in enumerate(F) if n <= m.dart_vertex[x] < low), default=0)
         # a wire runs rightward when its pending end is the edge's head

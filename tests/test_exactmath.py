@@ -89,6 +89,35 @@ class TestRingOps:
         with pytest.raises(TypeError):
             P({"2": 1})
 
+    def test_cancellation_stores_no_zero(self):
+        a, b = P({3: 2, -1: 1}), P({3: -2, 5: 4})
+        assert (a + b)._c == {-1: 1, 5: 4}
+        assert (a - a)._c == {} and (a + (-a))._c == {}
+        # (t + 1)(t - 1) = t^2 - 1: the t terms cancel
+        assert (P({1: 1, 0: 1}) * P({1: 1, 0: -1}))._c == {2: 1, 0: -1}
+        for x, y in itertools.product(_polys(), repeat=2):
+            assert 0 not in (x * y)._c.values() and 0 not in (x + y)._c.values()
+
+    def test_equal_by_different_routes(self):
+        # a product by a monomial, a sum of checked monomials, and a
+        # product through a larger factor with the extra term taken off
+        rng = random.Random(41)
+        for _ in range(200):
+            x = _random_poly(rng)
+            e, c = rng.randint(-5, 5), rng.choice([-2, -1, 1, 3])
+            mono = P({e: c})
+            by_shift = x * mono
+            by_sum = sum((P({k + e: v * c}) for k, v in x._c.items()), LaurentPoly.zero())
+            by_full = x * (mono + P({50: 1})) - x.shift(50)
+            assert by_shift == by_sum == by_full == mono * x
+            assert hash(by_shift) == hash(by_sum) == hash(by_full)
+            assert by_shift == P(dict(by_shift.items()))
+
+    def test_scaling_by_zero(self):
+        for x in _polys():
+            assert (x * 0).is_zero() and (0 * x).is_zero()
+            assert x * 0 == LaurentPoly.zero() and hash(0 * x) == hash(LaurentPoly.zero())
+
 
 class TestExactDiv:
     def test_multiply_then_divide(self):
@@ -179,6 +208,32 @@ class TestRationalCodec:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    # each text's value and type, and below each refusal's message
+    @pytest.mark.parametrize("text, want", [
+        ("7", Fraction(7)), ("-7", Fraction(-7)), ("22/7", Fraction(22, 7)), ("-22/8", Fraction(-11, 4)),
+        ("+7", Fraction(7)), (" 7", Fraction(7)), ("7 ", Fraction(7)), ("1_000", Fraction(1000)),
+        ("\u0663", Fraction(3)), ("\u0663/\u0664", Fraction(3, 4)), ("-0/5", Fraction(0)), ("007/010", Fraction(7, 10)),
+        ("0.5", Fraction(1, 2)), ("1e5", Fraction(100000)),
+    ])
+    def test_texts_read_as_before(self, text, want):
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "not a rational: '1/0'"), ("7/", "not a rational: '7/'"), ("/7", "not a rational: '/7'"),
+        ("-", "not a rational: '-'"), ("--7", "not a rational: '--7'"), ("1/-2", "not a rational: '1/-2'"),
+        ("\u00b2", "not a rational: '\u00b2'"), ("", "not a rational: ''"),
+        ("9" * (MAX_RATIONAL_CHARS + 1), f"rational longer than {MAX_RATIONAL_CHARS} characters"),
+    ])
+    def test_texts_refused_as_before(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_rational(text)
+        assert str(err.value) == message
+
+    def test_a_fraction_is_returned_as_it_is(self):
+        x = Fraction(6, 4)
+        assert parse_rational(x) is x
+
     def test_size_bounds(self):
         # refused before Fraction builds a huge power of ten
         e = MAX_DECIMAL_EXPONENT
@@ -190,6 +245,10 @@ class TestRationalCodec:
                     "9" * (MAX_RATIONAL_CHARS + 1), " " * MAX_RATIONAL_CHARS + "1"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+
+def _polys():
+    return [LaurentPoly.zero(), LaurentPoly.one(), P({2: -1}), qint(3), P({1: 1, 0: -1}), P({-3: 2, 4: -5, 0: 1})]
 
 
 def _random_poly(rng):

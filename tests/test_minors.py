@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -295,3 +296,33 @@ class TestRank:
         report = rank_check(3)
         assert report["max_coefficient"] >= 1
         assert isinstance(report["max_coefficient"], int)
+
+
+def least_words(columns):
+    """The least word g_D of each column D, a map from boundary word to
+    labeling count, when D has exactly one labeling at g_D and the g_D
+    are pairwise distinct; None otherwise.  These two conditions already
+    make the square minor on the rows g_D unitriangular: sorted by g_D,
+    a column whose least word is larger has no labeling at any smaller
+    g_D, and each column has count 1 at its own."""
+    words = [min(c) for c in columns]
+    if any(c[g] != 1 for c, g in zip(columns, words)) or len(set(words)) != len(words):
+        return None
+    return words
+
+
+class TestLeastWords:
+    # full rank with no elimination (Khovanov-Kuperberg's triangularity
+    # by minimal states): each irreducible web has one labeling at its
+    # least boundary word, and no two webs share that word
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_least_words_give_a_unitriangular_minor(self, n):
+        columns = [word_counts(D) for D in irreducible_webs(n)]
+        words = least_words(columns)
+        assert words is not None and len(set(words)) == len(columns)
+        # the controls: a duplicated column, and a raised count at some g_D
+        assert least_words(columns + [columns[-1]]) is None
+        k = len(columns) // 2
+        raised = Counter(columns[k])
+        raised[words[k]] += 1
+        assert least_words(columns[:k] + [raised] + columns[k + 1:]) is None

@@ -481,6 +481,39 @@ class TestValidation:
         with pytest.raises(WebError, match="boundary sink 3 holds an edge tail"):
             PlanarMap(3, [[0], [2], [4], [6], [8], [10], [1, 3, 5], [9, 7, 11]])
 
+    # which refusal comes first, where a map or a diagram has two faults
+    def test_a_dart_listed_twice_before_a_degree(self):
+        # vertex 2 has degree 2, and vertex 3 lists dart 4 twice
+        with pytest.raises(WebError) as err:
+            PlanarMap(1, [[0], [3], [1, 2], [4, 5, 4]])
+        assert str(err.value) == "dart 4 listed twice"
+
+    def test_a_boundary_source_before_a_later_mixed_vertex(self):
+        # source 0 holds a head, sink 5 a tail, and vertex 7 mixes them
+        with pytest.raises(WebError) as err:
+            PlanarMap(3, [[1], [3], [5], [7], [9], [10], [0, 2, 4], [8, 6, 11]])
+        assert str(err.value) == "boundary source 0 holds an edge head"
+
+    def test_a_sink_before_a_later_degree(self):
+        with pytest.raises(WebError) as err:
+            PlanarMap(1, [[0], [2], [1, 3]])
+        assert str(err.value) == "boundary sink 1 holds an edge tail"
+
+    @pytest.mark.parametrize("cols, message", [
+        ((Column(1, "merge", (R, L, L)), Column(5, "cap", (R, L))),
+         "column 0: leg directions disagree with incoming wires"),
+        ((Column(3, "cap", (R, L)), Column(1, "merge", (R, L, L))), "column 0: position 3 out of range"),
+        ((Column(1, "cup", (R, L)), Column(1, "merge", (R, L, R)), Column(9, "cap", (R, L))),
+         "column 1: vertex is neither all-in nor all-out"),
+        ((Column(1, "split", (R, L, L)), Column(1, "cap", (L, L))),
+         "column 1: cap legs must run in opposite senses"),
+        ((Column(1, "split", (R, L, L)), Column(2, "cap", (L, R))), "diagram ends with 1 wires, expected 2"),
+    ])
+    def test_a_diagram_with_two_bad_columns_names_the_first(self, cols, message):
+        with pytest.raises(WebError) as err:
+            to_map(SliceDiagram(2, cols))
+        assert str(err.value) == message
+
     def test_edge_into_source_rejected(self):
         # one edge from source 1 into source 2
         with pytest.raises(WebError):
