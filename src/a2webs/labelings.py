@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter, deque
+from functools import cache
 from typing import Callable, Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
@@ -263,17 +264,34 @@ class KappaVector(Combo):
     __slots__ = ()
     ZERO = LaurentPoly.zero()
 
-    @staticmethod
-    def _product(g1: tuple, g2: tuple) -> tuple:
-        n = len(g1) // 2
-        if g1[n:] != g2[:n]:
-            return ()
-        return ((g1[:n] + g2[n:], 1),)
+    def __mul__(self, other):
+        """Scale by an int, or join on the middle word: the right
+        factor's terms are indexed by source word, so each left term
+        meets only the terms it multiplies with."""
+        if isinstance(other, int):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_n(other)
+        n = self.n
+        by_source: dict[tuple, list] = {}
+        for g, c in other._terms.items():
+            by_source.setdefault(g[:n], []).append((g[n:], c))
+        acc: dict = {}
+        for g, ca in self._terms.items():
+            src = g[:n]
+            for snk, cb in by_source.get(g[n:], ()):
+                k, c = src + snk, ca * cb
+                acc[k] = acc[k] + c if k in acc else c
+        return KappaVector(n, acc)
 
 
+@cache
 def boundary_profile(w: Web) -> KappaVector:
     """The full vector of weighted counts of w, one entry per boundary
-    word that admits a labeling."""
+    word that admits a labeling.  Memoized per web code: the counts do
+    not depend on the drawing, so the first web met with a code stands
+    for all of them."""
     exponent, word = _compile_weight(w), operator.itemgetter(*_boundary_edges(w))
     per_word: dict[tuple[int, ...], Counter] = {}
     for f in enumerate_labelings(w):

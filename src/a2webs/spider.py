@@ -70,14 +70,14 @@ class Outcome:
 _RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
 
 
+def _priority(f: Feature) -> tuple[int, int]:
+    return _RULE_RANK[f[0]], f[1][0] if len(f) > 1 else 0
+
+
 def find_reducible_face(w: Web) -> Optional[Feature]:
     """The next feature the rules erase, or None when w is irreducible:
     loops first, then bigons before squares, then the lowest first dart."""
-    return min(
-        all_reducible_features(w),
-        key=lambda f: (_RULE_RANK[f[0]], f[1][0] if len(f) > 1 else 0),
-        default=None,
-    )
+    return min(all_reducible_features(w), key=_priority, default=None)
 
 
 def is_irreducible(w: Web) -> bool:
@@ -107,11 +107,11 @@ def reduce_random_order(x: Union[Web, "WebCombo"], rng: random.Random) -> "WebCo
     work = list(start.terms())
     while work:
         w, c = work.pop()
-        feats = all_reducible_features(w)
-        if not feats:
+        host, sites = rewrite_sites(w)
+        if not sites:
             done.append((w, c))
             continue
-        for oc in apply_rule(w, feats[rng.randrange(len(feats))]):
+        for oc in rewrite_at(host, rng.randrange(len(sites))):
             work.append((oc.child, c * oc.coeff))
     return WebCombo(start.n, done)
 
@@ -128,13 +128,28 @@ def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
 
 
 @cache
+def rewrite_sites(w: Web) -> tuple[Web, tuple[Feature, ...]]:
+    """The first web seen with w's code, the host, and its rewrite
+    sites in rule priority (find_reducible_face's pick first).  Sites
+    name the host's darts, so every rewrite of the code is made on it."""
+    return w, tuple(sorted(all_reducible_features(w), key=_priority))
+
+
+@cache
+def rewrite_at(w: Web, k: int) -> tuple[Outcome, ...]:
+    """The outcomes of rewriting site k of w's host, in the host's edge
+    numbering.  Keyed by the code, so every reduction order and
+    reduce_web rewrite each (code, site) pair once."""
+    host, sites = rewrite_sites(w)
+    return apply_rule(host, sites[k])
+
+
 def rewrite_step(w: Web) -> tuple[Web, tuple[Outcome, ...]]:
-    """The first web seen with w's code, whose edge numbering the
-    outcomes use, and the outcomes of rewriting its next feature; no
-    outcomes when w is irreducible.  Reduction and label transport
-    share these steps, so each web code is rewritten once."""
-    feature = find_reducible_face(w)
-    return w, apply_rule(w, feature) if feature else ()
+    """The host of w's code and the outcomes of rewriting its next
+    feature; no outcomes when w is irreducible.  Reduction and label
+    transport share these steps, so each web code is rewritten once."""
+    host, sites = rewrite_sites(w)
+    return host, rewrite_at(host, 0) if sites else ()
 
 
 @cache
@@ -144,7 +159,7 @@ def reduce_web(w: Web) -> "WebCombo":
     vertices, a square four, a loop step every loop.  So all parents of
     a web are stepped before it, each web is stepped once with its
     coefficients summed, and nothing recurses.  Only w's reduction is
-    kept here; the steps themselves are kept by rewrite_step."""
+    kept here; the steps themselves are kept by rewrite_at."""
     pending = {w: LaurentPoly.one()}
     done = []
     while pending:

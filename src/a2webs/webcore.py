@@ -183,6 +183,8 @@ class Column:
     def __post_init__(self):
         if self.tile not in TILE_ARITY:
             raise WebError(f"unknown tile {self.tile!r}")
+        if type(self.dirs) is not tuple:
+            raise WebError(f"dirs {self.dirs!r} for {self.tile} must be a tuple")
         want = sum(TILE_ARITY[self.tile])
         if len(self.dirs) != want or any(d not in (RIGHT, LEFT) for d in self.dirs):
             raise WebError(f"bad dirs {self.dirs!r} for {self.tile}")
@@ -259,14 +261,20 @@ class PlanarMap:
         nd = sum(map(len, rot))
         dv = [-1] * (nd + nd % 2)
         top = len(dv)
-        for v, darts in enumerate(rot):
-            for d in darts:
-                # a dart out of range leaves one in range missing
-                if 0 <= d < top:
-                    if dv[d] >= 0:
-                        raise WebError(f"dart {d} listed twice")
-                    dv[d] = v
-        if -1 in dv:
+        try:
+            for v, darts in enumerate(rot):
+                for d in darts:
+                    # a dart out of range leaves one in range missing
+                    if 0 <= d < top:
+                        if dv[d] >= 0:
+                            raise WebError(f"dart {d} listed twice")
+                        dv[d] = v
+        except TypeError:
+            dv = None  # only a dart that is no int fails to compare or to index
+        if dv is None or -1 in dv:
+            bad = [d for darts in rot for d in darts if not isinstance(d, int)]
+            if bad:
+                raise WebError(f"dart {bad[0]!r} is not an int")
             raise WebError(f"dart {dv.index(-1)} missing from rotations")
         self.dart_vertex = tuple(dv)
         self.edges = edges = tuple(zip(dv[::2], dv[1::2]))

@@ -10,7 +10,7 @@ from typing import Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import theta_image
-from a2webs.labelings import LABELS, _boundary_edges, _check_word
+from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word
 from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
 from a2webs.spider import WebCombo
 from a2webs.tlbridge import A1Web
@@ -166,6 +166,22 @@ def oracle_labelings(
         out = [f + free for f in out for free in product(LABELS, repeat=m.loops)]
     out.sort()
     return out
+
+
+def oracle_kappa_product(a: KappaVector, b: KappaVector) -> KappaVector:
+    """The product of two profiles by testing every pair of boundary
+    words: a pair whose middle words match (a's sink word, b's source
+    word) adds the product of their coefficients at its outer words."""
+    if a.n != b.n:
+        raise WebError(f"strand counts differ: {a.n} vs {b.n}")
+    n = a.n
+    acc = {}
+    for g1, c1 in a._terms.items():
+        for g2, c2 in b._terms.items():
+            if g1[n:] == g2[:n]:
+                g = g1[:n] + g2[n:]
+                acc[g] = acc.get(g, LaurentPoly.zero()) + c1 * c2
+    return KappaVector(n, acc)
 
 
 def oracle_components(m: PlanarMap) -> list[set[int]]:

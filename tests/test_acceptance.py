@@ -155,7 +155,8 @@ def test_c06_weighted_counts_ignore_the_drawing():
         prof = boundary_profile(w)
         for salt in (1, 2):
             redrawn = Web.from_map(w.pmap, salt=salt)
-            assert boundary_profile(redrawn) == prof, (n, word, salt)
+            # past the memo, which keys on the code: the redrawing's own counts
+            assert boundary_profile.__wrapped__(redrawn) == prof, (n, word, salt)
             if any(sum(t) for t in redrawn.geom.edge_turns.values()):
                 somebody_bent = True
     assert somebody_bent

@@ -6,12 +6,15 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import random
 
 import pytest
 
 import a2webs
 from a2webs import clear_caches, spider
 from a2webs.immanants import immanant_table
+from a2webs.labelings import boundary_profile
+from a2webs.spider import product_web, reduce_random_order
 from a2webs.webcore import PlanarMap
 
 # sha256 of json.dumps(immanant_table(5).to_json_obj(), sort_keys=True),
@@ -47,20 +50,25 @@ def test_table_6_digest_is_pinned():
 
 def test_clear_caches_empties_every_memo():
     before = table_json(4)
+    w = product_web(3, (1, 2, 1))
+    profile = boundary_profile(w)
+    assert reduce_random_order(w, random.Random(0)) == spider.reduce_web(w)
     caches = package_caches()
     assert {
-        "spider.hecke_image", "spider.generator_combo", "spider.reduce_web", "spider.rewrite_step",
-        "spider.web_product", "spider.shared_coefficient",
+        "spider.hecke_image", "spider.generator_combo", "spider.reduce_web",
+        "spider.rewrite_sites", "spider.rewrite_at",
+        "spider.web_product", "spider.shared_coefficient", "labelings.boundary_profile",
         "immanants.immanant_table", "minors._decompositions", "networks._sliced_web",
         "tlbridge.avoiding_321",
     } <= set(caches)
-    assert caches["spider.hecke_image"].cache_info().currsize > 0
-    assert caches["spider.shared_coefficient"].cache_info().currsize > 0
-    assert spider.reduce_web.cache_info().currsize > 0
-    assert spider.web_product.cache_info().currsize > 0
+    assert "spider.rewrite_step" not in caches  # its steps are rewrite_at's
+    for name in ("spider.hecke_image", "spider.shared_coefficient", "spider.reduce_web", "spider.web_product",
+                 "spider.rewrite_sites", "spider.rewrite_at", "labelings.boundary_profile"):
+        assert caches[name].cache_info().currsize > 0, name
     clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}
     assert table_json(4) == before
+    assert boundary_profile(w) == profile
 
 
 def test_clear_caches_frees_every_map():

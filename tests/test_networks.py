@@ -1140,7 +1140,7 @@ class TestUncross:
             cols = stripped.child.diagram.columns + pair * w.pmap.loops
             drawn = Web.from_slice(SliceDiagram(net.n, cols))
             assert w.diagram == drawn.diagram
-            assert boundary_profile(w) == boundary_profile(drawn)
+            assert boundary_profile(w) == boundary_profile.__wrapped__(drawn)
 
     def test_loop_webs_label_like_the_brute_force(self):
         net = eye_net()

@@ -19,6 +19,7 @@ from a2webs.spider import (
     hecke_image,
     is_irreducible,
     product_web,
+    reduce_random_order,
     reduce_web,
     relation_suite,
     second_generator,
@@ -137,10 +138,9 @@ class TestWorklist:
         for _ in range(3):
             w = product_web(n, [rng.randrange(1, n) for _ in range(3 * n)])
             clear_caches()
-            step.cache_clear()  # patched out of spider, where clear_caches looks
             calls.clear()
             reduce_web(w)
-            assert len(calls) == step.cache_info().misses
+            assert len(calls) == spider.rewrite_sites.cache_info().misses
             assert reduce_web.cache_info().currsize == 1
 
             # only a square branches, so more paths than webs below w
@@ -150,6 +150,35 @@ class TestWorklist:
                 paths[x] = 1 + sum(paths[o.child] for o in step(x)[1])
             shared |= paths[w] > len(calls)
         assert shared or n == 2
+
+
+class TestRewriteSites:
+    def test_each_site_is_rewritten_once(self, monkeypatch):
+        # reduce_web and five random orders per product share one memo per
+        # (code, site): apply_rule sees no pair twice
+        rng = random.Random(SEED + 5)
+        rule = spider.apply_rule
+        calls = []
+        monkeypatch.setattr(spider, "apply_rule", lambda w, f: calls.append((w.code, f)) or rule(w, f))
+        clear_caches()
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            w = product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(1, 8))])
+            base = reduce_web(w)
+            for _ in range(5):
+                assert reduce_random_order(w, rng) == base
+        assert len(calls) == len(set(calls)) > 50
+        assert len(calls) == spider.rewrite_at.cache_info().misses
+
+    def test_sites_follow_the_rule_priority(self):
+        rng = random.Random(SEED + 6)
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            w = product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(1, 8))])
+            host, sites = spider.rewrite_sites(w)
+            assert host.code == w.code
+            assert sorted(sites, key=repr) == sorted(all_reducible_features(host), key=repr)
+            assert (sites[0] if sites else None) == find_reducible_face(host)
 
 
 class TestTripleProduct:
@@ -259,11 +288,10 @@ class TestNoDrawing:
         def refuse(*args, **kwargs):
             raise AssertionError("the rewrite engine drew a web")
 
-        spider.reduce_web.cache_clear()
-        spider.rewrite_step.cache_clear()
+        clear_caches()
         monkeypatch.setattr(webcore, "render", refuse)
         assert reduce_web(w) == want
-        assert spider.rewrite_step.cache_info().currsize > 1
+        assert spider.rewrite_at.cache_info().currsize > 1
 
 
 class TestClosure:

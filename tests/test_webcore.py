@@ -451,6 +451,22 @@ class TestValidation:
         with pytest.raises(WebError, match="dart 0 listed twice"):
             PlanarMap(1, [[0], [0]])
 
+    @pytest.mark.parametrize("rot, message", [
+        ([[0], [1.0]], "dart 1.0 is not an int"),
+        ([[0], ["1"]], "dart '1' is not an int"),
+        ([[0], [5.0]], "dart 5.0 is not an int"),
+    ])
+    def test_a_dart_that_is_no_int(self, rot, message):
+        with pytest.raises(WebError) as err:
+            PlanarMap(1, rot)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("dirs", ["RL", ["R", "L"]])
+    def test_column_dirs_must_be_a_tuple(self, dirs):
+        with pytest.raises(WebError) as err:
+            Column(1, "cup", dirs)
+        assert str(err.value) == f"dirs {dirs!r} for cup must be a tuple"
+
     def test_edge_with_both_ends_at_one_vertex(self):
         # edge 1 runs from vertex 2 round to itself
         with pytest.raises(WebError, match="edge with both ends at vertex 2"):
