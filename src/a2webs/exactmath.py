@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class InexactDivisionError(ArithmeticError):
@@ -302,34 +302,3 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def eval_q1(a: LaurentPoly) -> int:
     """Evaluate at q = 1 (t = 1); a ring homomorphism onto the integers."""
     return sum(a._c.values())
-
-
-def rank_mod2(rows: Iterable[Iterable[tuple[int, int]]], width: int) -> int:
-    """Rank over F_2 of an integer matrix with width columns, each row
-    given as (column, entry) pairs, so a dense row r is enumerate(r).
-    A row becomes the bitset of its odd entries, each XORed in, so the
-    entries of a repeated column add: two odd ones cancel, three count
-    once.  It is then reduced by XOR against the pivots so far, each
-    keyed by its top bit.  Entries must be ints (operator.index).  Once
-    the rank reaches width each later row is still read, so a generator
-    of rows runs to its end, but not looked into.
-
-    The rank over Q is at least this one, and equal to width when this
-    one is: full rank over F_2 means some maximal minor is odd, so it is
-    not zero."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        if len(pivots) == width:
-            continue
-        bits = 0
-        for k, x in row:
-            if operator.index(x) & 1:
-                bits ^= 1 << k
-        while bits:
-            top = bits.bit_length() - 1
-            piv = pivots.get(top)
-            if piv is None:
-                pivots[top] = bits
-                break
-            bits ^= piv
-    return len(pivots)

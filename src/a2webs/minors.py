@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Optional, Sequence
 
-from .exactmath import rank_mod2
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .labelings import word_counts
 from .webcore import Web, WebError, int_entries
@@ -193,31 +192,31 @@ def random_rational_matrix(n: int, rng: random.Random) -> ExactMatrix:
 
 
 def rank_check(n: int) -> dict:
-    """Rank of the coefficient matrix (triples by webs), taken over F_2
-    in one pass over iter_triples(n): each decompose_triple row goes
-    straight to rank_mod2 by web position, and its largest coefficient
-    is recorded on the way, since the expansion is not multiplicity free
-    in general.  Full rank over F_2 proves full column rank over Q, so
-    the immanants are a basis for the span of complementary minor
-    products.  A short F_2 rank fails the check even where the rank over
-    Q may be full; up to n = 6 it is not short."""
+    """Rank of the coefficient matrix (triples by webs), certified in
+    one pass over iter_triples(n).  The first triple whose row holds web
+    D is D's least word g_D.  The webs with one labeling at g_D, one per
+    distinct g_D and sorted by it, give a unitriangular minor, since no
+    web has a labeling before its own least word (Khovanov-Kuperberg's
+    triangularity by minimal states); their count is the rank reported,
+    a lower bound on the rank over Q.  The check passes when that is the
+    number of webs, so the immanants are a basis for the span of
+    complementary minor products; up to n = 6 it is not short.  The
+    largest coefficient is recorded on the way, since the expansion is
+    not multiplicity free in general."""
     webs = irreducible_webs(n)
-    column = {D: k for k, D in enumerate(webs)}
     triples, max_coeff, max_at = 0, 0, None
-
+    least: dict[Web, tuple] = {}
     # iter_triples, not all_triples: at n = 6 the list raised peak RSS
     # from 163 to 199 MiB
-    def coefficient_rows():
-        nonlocal triples, max_coeff, max_at
-        for g in iter_triples(n):
-            triples += 1
-            row = decompose_triple(g)
-            top = max(row.values(), default=0)
-            if top > max_coeff:
-                max_coeff, max_at = top, g
-            yield ((column[D], c) for D, c in row.items())
-
-    r = rank_mod2(coefficient_rows(), len(webs))
+    for g in iter_triples(n):
+        triples += 1
+        row = decompose_triple(g)
+        for D, c in row.items():
+            least.setdefault(D, (g, c))
+        top = max(row.values(), default=0)
+        if top > max_coeff:
+            max_coeff, max_at = top, g
+    r = len({g for g, c in least.values() if c == 1})
     report = {
         "n": n,
         "triples": triples,

@@ -1,12 +1,13 @@
 """Independent routes the tests check the library against.  No program
 path calls these."""
 
+import operator
 import random
 from collections import Counter, deque
 from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product
-from typing import Optional
+from typing import Iterable, Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import theta_image
@@ -539,6 +540,37 @@ def rank_over_q(rows) -> int:
                 rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
         rank += 1
     return rank
+
+
+def rank_mod2(rows: Iterable[Iterable[tuple[int, int]]], width: int) -> int:
+    """Rank over F_2 of an integer matrix with width columns, each row
+    given as (column, entry) pairs, so a dense row r is enumerate(r).
+    A row becomes the bitset of its odd entries, each XORed in, so the
+    entries of a repeated column add: two odd ones cancel, three count
+    once.  It is then reduced by XOR against the pivots so far, each
+    keyed by its top bit.  Entries must be ints (operator.index).  Once
+    the rank reaches width each later row is still read, so a generator
+    of rows runs to its end, but not looked into.
+
+    The rank over Q is at least this one, and equal to width when this
+    one is: full rank over F_2 means some maximal minor is odd, so it is
+    not zero."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        if len(pivots) == width:
+            continue
+        bits = 0
+        for k, x in row:
+            if operator.index(x) & 1:
+                bits ^= 1 << k
+        while bits:
+            top = bits.bit_length() - 1
+            piv = pivots.get(top)
+            if piv is None:
+                pivots[top] = bits
+                break
+            bits ^= piv
+    return len(pivots)
 
 
 def _inversions(w: tuple[int, ...]) -> int:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from a2webs import cli
 from a2webs.cli import _ExprParser, _parse_ints, _suite_tnn, build_parser, main, run_suite
 from a2webs.exactmath import eval_q1, quoted
 from a2webs.labelings import word_from_text
@@ -165,6 +166,36 @@ class TestRunSuite:
         a = strip(run_suite("all", 3, seed=7))
         b = strip(run_suite("all", 3, seed=7))
         assert a == b
+
+    def test_confluence_inputs_depend_on_the_seed_alone(self, monkeypatch):
+        # a random-order reduction that takes one more draw moves no
+        # product and no permutation of the suite
+        product, reduce, reduced_words = cli.product_web, cli.reduce_random_order, cli.all_reduced_words
+
+        def inputs(extra):
+            drawn = []
+
+            def product_web(nn, word):
+                drawn.append((nn, tuple(word)))
+                return product(nn, word)
+
+            def all_reduced_words(w):
+                drawn.append(w)
+                return reduced_words(w)
+
+            def reduce_random_order(w, rng):
+                if extra:
+                    rng.random()
+                return reduce(w, rng)
+
+            monkeypatch.setattr(cli, "product_web", product_web)
+            monkeypatch.setattr(cli, "all_reduced_words", all_reduced_words)
+            monkeypatch.setattr(cli, "reduce_random_order", reduce_random_order)
+            assert run_suite("confluence", 4, seed=SEED)["passed"]
+            return drawn
+
+        drawn = inputs(False)
+        assert len(drawn) == 20 + 5 and drawn == inputs(True)
 
 
 class TestSubcommands:

@@ -13,10 +13,10 @@ from a2webs.exactmath import (
     exact_div,
     parse_rational,
     qint,
-    rank_mod2,
 )
 from a2webs.immanants import ExactMatrix
 from a2webs.perms import all_perms, perm_length
+from oracles import rank_mod2
 
 
 def P(coeffs):

@@ -23,7 +23,7 @@ from a2webs.minors import (
     triple_word,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
-from oracles import rank_over_q
+from oracles import rank_mod2, rank_over_q
 
 SEED = 20260816
 
@@ -273,21 +273,48 @@ class TestRank:
             "passed": True,
         }
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_rank_over_q_of_the_dense_matrix(self, n):
         webs = irreducible_webs(n)
-        rows = [[decompose_triple(g).get(D, 0) for D in webs] for g in iter_triples(n)]
-        assert rank_over_q(rows) == rank_check(n)["rank"] == len(webs)
+        rows = [tuple(decompose_triple(g).get(D, 0) for D in webs) for g in iter_triples(n)]
+        # a repeated row leaves the rank as it is; at n = 5 the 4,653
+        # rows hold 776 distinct ones
+        assert rank_over_q(list(dict.fromkeys(rows))) == rank_check(n)["rank"] == len(webs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_the_least_word_rank_is_the_f2_rank(self, n):
+        webs = irreducible_webs(n)
+        column = {D: k for k, D in enumerate(webs)}
+        rows = (((column[D], c) for D, c in decompose_triple(g).items()) for g in iter_triples(n))
+        assert rank_check(n)["rank"] == rank_mod2(rows, len(webs)) == len(webs)
 
     def test_a_short_certificate_fails(self, monkeypatch):
         full = rank_check(3)
+        least = {}
+        for g in iter_triples(3):
+            for D in decompose_triple(g):
+                least.setdefault(D, g)
+        first, *_, last = least  # the webs of the first and the last least word
 
-        def short(rows, width):
-            for _ in rows:
-                pass
-            return width - 1
+        def patched(changed_at, web, count):
+            def decompose(g):
+                row = decompose_triple(g)
+                return {**row, web: count} if g == changed_at else row
+            return decompose
 
-        monkeypatch.setattr(minors, "rank_mod2", short)
+        # the last web counted twice at its least word: that word drops out
+        monkeypatch.setattr(minors, "decompose_triple", patched(least[last], last, 2))
+        rows, cols = triple_blocks(least[last])
+        assert rank_check(3) == {
+            **full,
+            "rank": 5,
+            "max_coefficient": 2,
+            "max_coefficient_triple": {"rows": [list(b) for b in rows], "cols": [list(b) for b in cols]},
+            "passed": False,
+        }
+        # the last web first seen at the first web's least word: two webs
+        # share one word, which counts once
+        monkeypatch.setattr(minors, "decompose_triple", patched(least[first], last, 1))
         assert rank_check(3) == {**full, "rank": 5, "passed": False}
 
     def test_multiplicity_is_recorded(self):
