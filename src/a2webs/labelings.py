@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
-from .webcore import Combo, Web, WebError, canonical_edge_order
+from .webcore import Combo, Web, WebError, canonical_edge_order, int_entries
 
 LABELS = (1, 2, 3)
 
@@ -73,7 +73,10 @@ def boundary_restriction(w: Web, f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(f[e] for e in _boundary_edges(w))
 
 
-def _check_word(g: tuple[int, ...], n: int) -> None:
+def _check_word(g: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """g as a tuple of ints (see int_entries), refusing a word that is
+    not one on n strands."""
+    g = int_entries(g)
     if len(g) % 2:
         raise WebError("source and sink words must have equal length")
     for x in g:
@@ -81,6 +84,7 @@ def _check_word(g: tuple[int, ...], n: int) -> None:
             raise WebError(f"boundary label {x!r} out of range")
     if len(g) != 2 * n:
         raise WebError(f"boundary has {len(g) // 2} strands, web has {n}")
+    return g
 
 
 # The most partial labelings advanced as one list: the pending chunks,
@@ -160,7 +164,7 @@ def enumerate_labelings(
     m = w.pmap
     pinned: dict[int, int] = {}
     if g is not None:
-        _check_word(g, m.n)
+        g = _check_word(g, m.n)
         for e, lbl in zip(_boundary_edges(w), g):
             if pinned.setdefault(e, lbl) != lbl:
                 return []

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import cache
 from typing import Iterator, Optional, Sequence
 
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
-from .labelings import word_counts
+from .labelings import _boundary_edges, enumerate_labelings
 from .webcore import Web, WebError, int_entries
 
 
@@ -69,8 +70,9 @@ def triple_word(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) ->
 
 
 def _checked_word(g: Sequence[int]) -> tuple[int, ...]:
-    """g as a tuple, refusing a word that is no triple's."""
-    g = tuple(g)
+    """g as a tuple of ints (see int_entries), refusing a word that is
+    no triple's."""
+    g = int_entries(g)
     n, odd = divmod(len(g), 2)
     if odd:
         raise WebError(f"a triple's word has an even length, got {len(g)} labels")
@@ -105,16 +107,19 @@ def _decompositions(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The word of every complementary triple on 1..n, in iter_triples
     order, mapped to the positions in irreducible_webs(n) of the webs
     its labelings are of, one position per labeling, ascending: a web
-    with c labelings appears c times.  At n = 6 these rows of plain ints
-    hold 1,197,741 labelings of 35,169 words in about 16 MiB, where one
-    {web: count} dict per word held 50 MiB.  Each word's list becomes a
-    tuple in place: building a second dict of tuples peaked 2 MiB
-    higher at n = 6.  Bounded: irreducible_webs refuses n above its
-    strand bound."""
+    with c labelings appears c times.  Each web's labelings are
+    enumerated once, and each appends the web's position to the row of
+    its boundary word, read by one itemgetter.  At n = 6 these rows of
+    plain ints hold 1,197,741 labelings of 35,169 words in about 16 MiB,
+    where one {web: count} dict per word held 50 MiB.  Each word's list
+    becomes a tuple in place: building a second dict of tuples peaked
+    2 MiB higher at n = 6.  Bounded: irreducible_webs refuses n above
+    its strand bound."""
     rows: dict = {g: [] for g in iter_triples(n)}
     for k, D in enumerate(irreducible_webs(n)):
-        for g, c in word_counts(D).items():
-            rows[g].extend([k] * c)
+        word = operator.itemgetter(*_boundary_edges(D))
+        for f in enumerate_labelings(D):
+            rows[word(f)].append(k)
     for g, ks in rows.items():
         rows[g] = tuple(ks)
     return rows
@@ -193,33 +198,39 @@ def random_rational_matrix(n: int, rng: random.Random) -> ExactMatrix:
 
 def rank_check(n: int) -> dict:
     """Rank of the coefficient matrix (triples by webs), certified in
-    one pass over iter_triples(n).  The first triple whose row holds web
-    D is D's least word g_D.  The webs with one labeling at g_D, one per
-    distinct g_D and sorted by it, give a unitriangular minor, since no
-    web has a labeling before its own least word (Khovanov-Kuperberg's
+    one pass over the rows of _decompositions(n), in iter_triples order.
+    The first triple whose row holds web D is D's least word g_D, so
+    only a row that holds a position not met before is decomposed, and
+    D's count there is recorded.  The webs with one labeling at g_D, one
+    per distinct g_D and sorted by it, give a unitriangular minor, since
+    no web has a labeling before its own least word (Khovanov-Kuperberg's
     triangularity by minimal states); their count is the rank reported,
     a lower bound on the rank over Q.  The check passes when that is the
     number of webs, so the immanants are a basis for the span of
-    complementary minor products; up to n = 6 it is not short.  The
-    largest coefficient is recorded on the way, since the expansion is
-    not multiplicity free in general."""
+    complementary minor products; up to n = 6 it is not short, and the
+    g_D are distinct, so one row per web is decomposed.  The largest
+    coefficient, the most repeated position of any row, is recorded on
+    the way, since the expansion is not multiplicity free in general."""
     webs = irreducible_webs(n)
-    triples, max_coeff, max_at = 0, 0, None
+    table = _decompositions(n)
+    max_coeff, max_at = 0, None
     least: dict[Web, tuple] = {}
-    # iter_triples, not all_triples: at n = 6 the list raised peak RSS
-    # from 163 to 199 MiB
-    for g in iter_triples(n):
-        triples += 1
-        row = decompose_triple(g)
-        for D, c in row.items():
-            least.setdefault(D, (g, c))
-        top = max(row.values(), default=0)
-        if top > max_coeff:
-            max_coeff, max_at = top, g
+    met: set[int] = set()
+    for g, row in table.items():
+        if not met.issuperset(row):
+            met.update(row)
+            for D, c in decompose_triple(g).items():
+                least.setdefault(D, (g, c))
+        if len(row) > max_coeff:
+            # the row is ascending, so a repeated position is adjacent
+            repeated = {k for k, j in zip(row, row[1:]) if k == j}
+            top = max(map(row.count, repeated)) if repeated else 1
+            if top > max_coeff:
+                max_coeff, max_at = top, g
     r = len({g for g, c in least.values() if c == 1})
     report = {
         "n": n,
-        "triples": triples,
+        "triples": len(table),
         "webs": len(webs),
         "rank": r,
         "max_coefficient": max_coeff,

@@ -1,17 +1,18 @@
 """Independent routes the tests check the library against.  No program
 path calls these."""
 
+import math
 import operator
 import random
 from collections import Counter, deque
-from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product
 from typing import Iterable, Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1
-from a2webs.immanants import theta_image
+from a2webs.immanants import irreducible_webs, theta_image
 from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word
+from a2webs.minors import decompose_triple, iter_triples, triple_blocks
 from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
 from a2webs.spider import WebCombo
 from a2webs.tlbridge import A1Web
@@ -523,21 +524,70 @@ def oracle_render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         F, placed = F[:p] + new + F[p + k :], placed if v is None else placed | {v}
 
 
+def oracle_rank_check(n: int) -> dict:
+    """minors.rank_check(n) with every triple decomposed: each web's
+    count at the first triple whose dict holds it, and the largest
+    coefficient the largest value of any triple's dict (the first
+    triple to reach it is the one recorded)."""
+    webs = irreducible_webs(n)
+    triples, max_coeff, max_at = 0, 0, None
+    least: dict[Web, tuple] = {}
+    for g in iter_triples(n):
+        triples += 1
+        row = decompose_triple(g)
+        for D, c in row.items():
+            least.setdefault(D, (g, c))
+        top = max(row.values(), default=0)
+        if top > max_coeff:
+            max_coeff, max_at = top, g
+    r = len({g for g, c in least.values() if c == 1})
+    report = {
+        "n": n,
+        "triples": triples,
+        "webs": len(webs),
+        "rank": r,
+        "max_coefficient": max_coeff,
+        "max_coefficient_triple": None,
+        "passed": r == len(webs),
+    }
+    if max_at is not None:
+        rows, cols = triple_blocks(max_at)
+        report["max_coefficient_triple"] = {
+            "rows": [list(b) for b in rows],
+            "cols": [list(b) for b in cols],
+        }
+    return report
+
+
 def rank_over_q(rows) -> int:
-    """Rank over Q of a matrix of rational rows, by Gauss-Jordan
-    elimination over Fraction."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+    """Rank over Q of a matrix of rational rows (int or Fraction
+    entries), by fraction-free (Bareiss) elimination over the integers.
+    Each row is first scaled by the lcm of its denominators, which keeps
+    the rank.  A step takes the first row that is nonzero in the leading
+    column as pivot p and replaces every other row r by
+    (p[0] * r - r[0] * p) / d, where d is the pivot before; the division
+    is exact, since each entry is then a minor of the scaled matrix.
+    The leading column is dropped, and so is each row that becomes
+    zero."""
+    scaled = []
+    for r in rows:
+        d = math.lcm(*(x.denominator for x in r))
+        if any(r):
+            scaled.append([x.numerator * (d // x.denominator) for x in r])
+    rows = scaled
+    rank, prev = 0, 1
+    while rows:
+        piv = next((r for r in rows if r[0]), None)
         if piv is None:
+            rows = [r[1:] for r in rows]
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / lead[c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
+        p, tail = piv[0], piv[1:]
+        rows = [
+            new for new in (
+                [(p * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rows if r is not piv
+            ) if any(new)
+        ]
+        prev = p
         rank += 1
     return rank
 

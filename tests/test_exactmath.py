@@ -16,7 +16,7 @@ from a2webs.exactmath import (
 )
 from a2webs.immanants import ExactMatrix
 from a2webs.perms import all_perms, perm_length
-from oracles import rank_mod2
+from oracles import rank_mod2, rank_over_q
 
 
 def P(coeffs):
@@ -314,6 +314,20 @@ class TestElimination:
         for w in all_perms(4):
             rows = [[int(j == w[i]) for j in range(1, 5)] for i in range(4)]
             assert ExactMatrix.from_rows(rows).det() == (-1) ** perm_length(w), w
+
+
+class TestRankOverQ:
+    def test_matches_the_rank_by_minors(self):
+        # the tests' fraction-free oracle on rational rows of every rank,
+        # some with a zero column, so that a step finds no pivot
+        rng = random.Random(37)
+        for _ in range(80):
+            m, n = rng.randint(0, 5), rng.randint(1, 4)
+            rows = _random_rows(rng, m, n, rng.randint(1, n))
+            if rng.random() < 0.3:
+                j = rng.randrange(n)
+                rows = [r[:j] + [Fraction(0)] + r[j + 1:] for r in rows]
+            assert rank_over_q(rows) == _rank_by_minors(rows), rows
 
 
 def _rank_mod2_by_minors(rows):

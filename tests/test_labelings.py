@@ -199,6 +199,9 @@ class TestWordRefusals:
         pytest.param((1, 4, 1, 2), "label 4 out of range", id="label-4"),
         pytest.param((1, 2, 1), "equal length", id="odd-length"),
         pytest.param((1, 2, 3, 1, 2, 3), "has 3 strands, web has 2", id="wrong-strands"),
+        pytest.param((1.0, 2, 1, 2), "not an integer: 1.0", id="label-1.0"),
+        pytest.param((1, 1.5, 1, 2), "not an integer: 1.5", id="label-1.5"),
+        pytest.param((1, 2, "1", 2), "not an integer: '1'", id="label-str"),
     ])
     def test_each_entry_point_refuses(self, g, message):
         w = gweb(2, 1)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from collections import Counter
@@ -23,7 +24,7 @@ from a2webs.minors import (
     triple_word,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
-from oracles import rank_mod2, rank_over_q
+from oracles import oracle_rank_check, rank_mod2, rank_over_q
 
 SEED = 20260816
 
@@ -78,6 +79,12 @@ class TestTripleWord:
                 fn(g)
         with pytest.raises(WebError):
             triple_product(g, ExactMatrix.identity(2))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1"])
+    def test_word_api_refuses_a_label_that_is_no_int(self, bad):
+        for fn, g in ((decompose_triple, (bad, 1)), (triple_blocks, (1, 2, 2, bad))):
+            with pytest.raises(WebError, match=f"not an integer: {re.escape(repr(bad))}"):
+                fn(g)
 
     def test_triple_order_is_pinned(self):
         words = [g for n in range(1, 6) for g in iter_triples(n)]
@@ -276,10 +283,20 @@ class TestRank:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_rank_over_q_of_the_dense_matrix(self, n):
         webs = irreducible_webs(n)
-        rows = [tuple(decompose_triple(g).get(D, 0) for D in webs) for g in iter_triples(n)]
+        column = {D: k for k, D in enumerate(webs)}
+
+        def dense(g):
+            row = [0] * len(webs)
+            for D, c in decompose_triple(g).items():
+                row[column[D]] = c
+            return tuple(row)
+
         # a repeated row leaves the rank as it is; at n = 5 the 4,653
         # rows hold 776 distinct ones
-        assert rank_over_q(list(dict.fromkeys(rows))) == rank_check(n)["rank"] == len(webs)
+        rows = list(dict.fromkeys(map(dense, iter_triples(n))))
+        assert rank_over_q(rows) == rank_check(n)["rank"] == len(webs)
+        if n > 1:  # the control: a copy of the first column in place of the second
+            assert rank_over_q([r[:1] + r[:1] + r[2:] for r in rows]) == len(webs) - 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_the_least_word_rank_is_the_f2_rank(self, n):
@@ -288,22 +305,45 @@ class TestRank:
         rows = (((column[D], c) for D, c in decompose_triple(g).items()) for g in iter_triples(n))
         assert rank_check(n)["rank"] == rank_mod2(rows, len(webs)) == len(webs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_the_report_is_the_oracles(self, n):
+        # the oracle decomposes every triple and takes each row's largest
+        # value; the report must match it to the byte, key order included
+        assert json.dumps(rank_check(n)) == json.dumps(oracle_rank_check(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_web_is_enumerated_once_and_decomposed_once(self, n, monkeypatch):
+        webs = irreducible_webs(n)
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in ("enumerate_labelings", "decompose_triple"):
+            monkeypatch.setattr(minors, name, counted(name, getattr(minors, name)))
+        minors._decompositions.cache_clear()
+        rank_check(n)
+        # least words are distinct up to n = 6, so one row names each web first
+        assert calls == {"enumerate_labelings": len(webs), "decompose_triple": len(webs)}
+
     def test_a_short_certificate_fails(self, monkeypatch):
         full = rank_check(3)
-        least = {}
-        for g in iter_triples(3):
-            for D in decompose_triple(g):
-                least.setdefault(D, g)
+        table = minors._decompositions(3)
+        least = {}  # web position -> least word, in the order the words come
+        for g, row in table.items():
+            for k in row:
+                least.setdefault(k, g)
         first, *_, last = least  # the webs of the first and the last least word
 
-        def patched(changed_at, web, count):
-            def decompose(g):
-                row = decompose_triple(g)
-                return {**row, web: count} if g == changed_at else row
-            return decompose
+        def patched(changed_at, k):
+            rows = {**table, changed_at: tuple(sorted(table[changed_at] + (k,)))}
+            return lambda n: rows
 
         # the last web counted twice at its least word: that word drops out
-        monkeypatch.setattr(minors, "decompose_triple", patched(least[last], last, 2))
+        monkeypatch.setattr(minors, "_decompositions", patched(least[last], last))
         rows, cols = triple_blocks(least[last])
         assert rank_check(3) == {
             **full,
@@ -314,7 +354,7 @@ class TestRank:
         }
         # the last web first seen at the first web's least word: two webs
         # share one word, which counts once
-        monkeypatch.setattr(minors, "decompose_triple", patched(least[first], last, 1))
+        monkeypatch.setattr(minors, "_decompositions", patched(least[first], last))
         assert rank_check(3) == {**full, "rank": 5, "passed": False}
 
     def test_multiplicity_is_recorded(self):
