@@ -314,7 +314,7 @@ def boundary_profile(w: Web) -> KappaVector:
 # by the labels alone: a branch carries the labeling when each of its
 # fused runs meets one label outside the face, and of a square's two
 # branches that both do, the one fusing through the face edges labeled
-# 2, or 3 when the face edges are labeled 1 and 3.
+# 2 unless the outside label is 2, and through those labeled 3 when it is.
 
 
 def _reindex(f: tuple[int, ...], src: Web, dst: Web) -> tuple[int, ...]:
@@ -326,47 +326,24 @@ def _reindex(f: tuple[int, ...], src: Web, dst: Web) -> tuple[int, ...]:
     return tuple(arr) + f[len(src.pmap.edges):]
 
 
-def _chain_label(f: tuple[int, ...], ch) -> Optional[int]:
-    # externals sit at even positions; a transportable strand carries
-    # one label across all of them
-    labs = {f[ch.edges[j]] for j in range(0, len(ch.edges), 2)}
-    return labs.pop() if len(labs) == 1 else None
-
-
-def _carry(f: tuple[int, ...], oc: Outcome, chain_labels: dict) -> tuple[int, ...]:
-    arr = [0] * len(oc.child.pmap.edges)
-    for old, new in oc.edge_map.items():
-        arr[new] = f[old]
-    for ch, lbl in chain_labels.items():
-        arr[ch.child_eid] = lbl
-    if 0 in arr:
-        raise RuntimeError("transport left a child edge unlabeled")
-    return tuple(arr)
-
-
 def _transport_step(outcomes, f: tuple[int, ...]) -> tuple[Outcome, tuple[int, ...]]:
-    # the label rule of transport_and_type
-    carried = []
-    for oc in outcomes:
-        chain_labels = {}
-        for ch in oc.chains:
-            lbl = _chain_label(f, ch)
-            if lbl is None:
-                break
-            if ch.child_eid >= 0:
-                chain_labels[ch] = lbl
-        else:
-            carried.append((oc, chain_labels))
+    """The outcome the label rule above picks, and f carried onto its
+    child: each child edge takes the label of the parent edge that the
+    outcome's carry names.  When both branches of a square carry f, the
+    four outside edges share one label x and the face edges alternate
+    the other two, so the face edge of each branch's first run,
+    runs[0][1], decides: labeled 2 unless x is 2, then 3."""
+    carried = [oc for oc in outcomes if all(len({f[e] for e in run[::2]}) == 1 for run in oc.runs)]
     if len(carried) == 2:
-        via = 2 if 2 in {f[e] for e in outcomes[0].face_edges} else 3
-        carried = [(oc, cl) for oc, cl in carried if f[oc.chains[0].edges[1]] == via]
+        via = 3 if f[carried[0].runs[0][0]] == 2 else 2
+        carried = [oc for oc in carried if f[oc.runs[0][1]] == via]
     if not carried:
         raise RuntimeError(
             "no outcome of a rewrite step carries the labeling; "
             "the counting identity would fail here"
         )
-    oc, chain_labels = carried[0]
-    return oc, _carry(f, oc, chain_labels)
+    oc = carried[0]
+    return oc, tuple(f[e] for e in oc.carry)
 
 
 def transport_and_type(w: Web, f: tuple[int, ...]) -> tuple[Web, tuple[int, ...]]:

@@ -26,8 +26,10 @@ from typing import Iterable, Optional, Union
 
 from .exactmath import LaurentPoly, _coerce, qint
 from .webcore import (
+    Column,
     Combo,
     PlanarMap,
+    SliceDiagram,
     Web,
     WebError,
     concatenate,
@@ -39,32 +41,21 @@ Feature = tuple
 
 
 @dataclass(frozen=True)
-class Chain:
-    """One fused run of parent edges produced by a rewrite.
-
-    edges lists the parent edge ids along the run from its tail end:
-    outside edges at even positions, traversed with their orientation,
-    and between them the face edges, traversed against it.  child_eid
-    is the fused edge's id in the child web, or -1 when the run closed
-    up into a loop.
-    """
-
-    edges: tuple[int, ...]
-    child_eid: int
-
-
-@dataclass(frozen=True)
 class Outcome:
-    """One branch of a rewrite step, with its transport metadata.
-    chains holds every fused run of the step: the open runs, then the
-    closed ones (child_eid -1)."""
+    """One branch of a rewrite step, with what transport reads of it.
+
+    carry lists, for each child edge in id order, the parent edge whose
+    label it takes: the surviving edges, then the first edge of each
+    open run.  runs holds every fused run of the step, open runs first:
+    its parent edge ids along the run from its tail end, outside edges
+    at even positions, traversed with their orientation, and between
+    them the face edges, traversed against it.  An open run becomes one
+    child edge; a closed one, absent from carry, a loop worth [3]."""
 
     coeff: LaurentPoly
     child: Web
-    kind: str  # "loops" | "bigon" | "square"
-    edge_map: dict  # surviving parent eid -> child eid
-    chains: tuple[Chain, ...] = ()
-    face_edges: tuple[int, ...] = ()
+    carry: tuple[int, ...]
+    runs: tuple[tuple[int, ...], ...] = ()
 
 
 _RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
@@ -196,20 +187,18 @@ def _rebuild(
     m: PlanarMap,
     dead_vertices: set,
     dead_edges: set,
-    new_count: int,
     replaced_slots: dict,
-) -> tuple[PlanarMap, dict, list[int]]:
-    """Remove vertices and edges, add new_count fused edges, renumber
-    densely.  Every surviving dart keeps its end, tail or head.
+) -> tuple[PlanarMap, tuple[int, ...]]:
+    """Remove vertices and edges, add one fused edge per open run,
+    renumber densely.  Every surviving dart keeps its end, tail or head.
 
-    replaced_slots maps (vertex, old eid) to the index of the fused edge
-    that takes over that slot.  Returns (map, old eid -> raw child eid
-    for survivors, raw ids of the new edges)."""
-    emap = {}
-    for e in range(len(m.edges)):
-        if e not in dead_edges:
-            emap[e] = len(emap)
-    new_ids = list(range(len(emap), len(emap) + new_count))
+    replaced_slots maps (vertex, old eid) to the first edge of the open
+    run whose fused edge takes over that slot.  Returns the map and its
+    carry: the surviving edges in order, then the first edge of each
+    open run, the child edge ids being the positions."""
+    carry = [e for e in range(len(m.edges)) if e not in dead_edges]
+    carry += dict.fromkeys(replaced_slots.values())
+    child_eid = {e: k for k, e in enumerate(carry)}
     rot = []
     for v, darts in enumerate(m.rot):
         if v in dead_vertices:
@@ -218,15 +207,12 @@ def _rebuild(
         for d in darts:
             e = d >> 1
             if (v, e) in replaced_slots:
-                e = new_ids[replaced_slots[(v, e)]]
-            elif e in emap:
-                e = emap[e]
-            else:
+                e = replaced_slots[(v, e)]
+            elif e in dead_edges:
                 raise RuntimeError("surviving vertex references an erased edge")
-            kept.append(2 * e + (d & 1))
+            kept.append(2 * child_eid[e] + (d & 1))
         rot.append(kept)
-    child = PlanarMap(m.n, rot, loops=0)
-    return child, emap, new_ids
+    return PlanarMap(m.n, rot, loops=m.loops), tuple(carry)
 
 
 def _strip_loops(w: Web) -> Outcome:
@@ -234,8 +220,7 @@ def _strip_loops(w: Web) -> Outcome:
     return Outcome(
         coeff=qint(3) ** m.loops,
         child=Web.from_map(m.without_loops()),
-        kind="loops",
-        edge_map={e: e for e in range(len(m.edges))},
+        carry=tuple(range(len(m.edges))),
     )
 
 
@@ -259,7 +244,7 @@ def _resolve_face(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
     externals = [
         _third_edge(m, corners[k], {fe[k], fe[(k + 1) % size]}) for k in range(size)
     ]
-    kind, coeff = ("bigon", qint(2)) if size == 2 else ("square", LaurentPoly.one())
+    coeff = qint(2) if size == 2 else LaurentPoly.one()
     outcomes = []
     for branch in range(size // 2):
         # branch b fuses corner pairs (k, k+1) for k = b, b+2, ...;
@@ -270,16 +255,13 @@ def _resolve_face(w: Web, orbit: tuple[int, ...]) -> tuple[Outcome, ...]:
             via = fe[(k + 1) % size]
             pair_of[a] = (b, via)
             pair_of[b] = (a, via)
-        runs, replaced, new_count = _route_chains(m, corners, externals, pair_of)
-        dead_e = set(fe).union(*(es for es, _ in runs))
-        raw, emap, new_ids = _rebuild(m, set(corners), dead_e, new_count, replaced)
+        runs, replaced = _route_chains(m, corners, externals, pair_of)
+        raw, carry = _rebuild(m, set(corners), set(fe).union(*runs), replaced)
         outcomes.append(Outcome(
-            coeff=coeff * qint(3) ** sum(slot < 0 for _, slot in runs),
+            coeff=coeff * qint(3) ** (len(runs) - len(replaced) // 2),  # two slots per open run
             child=Web.from_map(raw),
-            kind=kind,
-            edge_map=emap,
-            chains=tuple(Chain(es, new_ids[slot] if slot >= 0 else -1) for es, slot in runs),
-            face_edges=tuple(fe),
+            carry=carry,
+            runs=tuple(runs),
         ))
     return tuple(outcomes)
 
@@ -291,18 +273,16 @@ def _route_chains(m, corners, externals, pair_of):
     its outside edge, until a surviving vertex ends the run or the first
     edge comes round again, closing it.  An open run becomes one new
     edge, from the tail of its first edge to the head of its last.
-    Returns (edges, slot) per run, slot numbering the new edges or -1
-    when closed, with the replaced rotation slots and the number of new
-    edges."""
+    Returns the runs as tuples of edge ids, and the rotation slots the
+    new edges take over, each mapped to its run's first edge."""
     ext_of = dict(zip(corners, externals))
     done = set()
     runs = []
     replaced = {}
-    new_count = 0
     for x in [x for x in externals if m.edges[x][0] not in ext_of] + externals:
         if x in done:
             continue
-        edges_run, slot = [x], -1
+        edges_run = [x]
         c = m.edges[x][1]
         while True:
             partner, via = pair_of[c]
@@ -314,13 +294,11 @@ def _route_chains(m, corners, externals, pair_of):
             t, h = m.edges[x2]
             c = t if h == partner else h
             if c not in ext_of:
-                slot = new_count
-                new_count += 1
-                replaced[(m.edges[x][0], x)] = replaced[(c, x2)] = slot
+                replaced[(m.edges[x][0], x)] = replaced[(c, x2)] = x
                 break
         done.update(edges_run[::2])
-        runs.append((tuple(edges_run), slot))
-    return runs, replaced, new_count
+        runs.append(tuple(edges_run))
+    return runs, replaced
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +350,20 @@ def product_web(n: int, indices: Iterable[int]) -> Web:
 
 @cache
 def second_generator(n: int, i: int) -> Web:
-    """The extra irreducible web on strands i..i+2: both triple products
-    of neighbouring generators exceed their own generator by this one
-    web, and the function checks the two routes agree."""
+    """The extra irreducible web on strands i..i+2, drawn as two claws:
+    strands i and i+1 merge into a sink whose third leg a cap turns back
+    to strand i+2, and a cup turns strand i back into a source that
+    splits onto strands i+1 and i+2.  Both triple products of
+    neighbouring generators exceed their own generator by this one web;
+    relation_suite checks that."""
     if not 1 <= i <= n - 2:
         raise WebError(f"second generator position {i} out of range for n={n}")
-    lo = reduce_web(product_web(n, (i, i + 1, i))) - generator_combo(n, i)
-    hi = reduce_web(product_web(n, (i + 1, i, i + 1))) - generator_combo(n, i + 1)
-    if lo != hi:
-        raise RuntimeError("the two defining routes disagree")
-    [(web_, coeff)] = lo.terms()
-    if not coeff.is_one():
-        raise RuntimeError("defining combination is not a single bare web")
-    return web_
+    return Web.from_slice(SliceDiagram(n, (
+        Column(i, "merge", ("R", "R", "L")),
+        Column(i, "cap", ("L", "R")),
+        Column(i, "cup", ("R", "L")),
+        Column(i + 1, "split", ("L", "R", "R")),
+    )))
 
 
 def second_generator_combo(n: int, i: int) -> WebCombo:
@@ -442,9 +421,10 @@ def relation_suite(n: int) -> list[tuple[str, bool]]:
         d2 = second_generator_combo(n, i)
         out.append(
             (
-                f"E{i} E{i + 1} E{i} - E{i} = E{i + 1} E{i} E{i + 1} - E{i + 1}",
+                f"E{i} E{i + 1} E{i} - E{i} = E{i + 1} E{i} E{i + 1} - E{i + 1} = D2_{i}",
                 gens[i] * gens[i + 1] * gens[i] - gens[i]
-                == gens[i + 1] * gens[i] * gens[i + 1] - gens[i + 1],
+                == gens[i + 1] * gens[i] * gens[i + 1] - gens[i + 1]
+                == d2,
             )
         )
         out.append((f"D2_{i}^2 = [2][3] D2_{i}", d2 * d2 == d2.scale(two * three)))

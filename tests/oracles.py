@@ -14,7 +14,7 @@ from a2webs.immanants import irreducible_webs, theta_image
 from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word
 from a2webs.minors import decompose_triple, iter_triples, triple_blocks
 from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
-from a2webs.spider import WebCombo
+from a2webs.spider import WebCombo, generator_combo, product_web, reduce_web
 from a2webs.tlbridge import A1Web
 from a2webs.webcore import (
     LEFT,
@@ -44,6 +44,18 @@ def parabolic_image(n: int, i: int, j: int) -> WebCombo:
             w[pos - 1] = val
         terms += [(D, LaurentPoly.const(eval_q1(c))) for D, c in theta_image(tuple(w)).terms()]
     return WebCombo(n, terms)
+
+
+def oracle_second_generator(n: int, i: int) -> Web:
+    """D2_i by its definition: E_i E_{i+1} E_i reduced, less E_i, which
+    must be one bare web and equal E_{i+1} E_i E_{i+1} reduced, less
+    E_{i+1}."""
+    lo = reduce_web(product_web(n, (i, i + 1, i))) - generator_combo(n, i)
+    hi = reduce_web(product_web(n, (i + 1, i, i + 1))) - generator_combo(n, i + 1)
+    assert lo == hi, (n, i)
+    [(web, coeff)] = lo.terms()
+    assert coeff.is_one(), (n, i, coeff)
+    return web
 
 
 @cache

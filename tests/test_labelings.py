@@ -839,14 +839,15 @@ class TestTransportDigest:
 
     def test_transports_are_pinned(self, monkeypatch):
         # the square steps where both branches carry the labeling: all four
-        # outside edges share a label, and the face labels decide (2 among
-        # them) or tie (1 and 3); the pin needs steps of both kinds
+        # outside edges share a label x, and the face edges alternate the
+        # other two, so they decide (2 among them, x != 2) or tie (1 and 3,
+        # x = 2); the pin needs steps of both kinds
         both = {"decided": 0, "tie": 0}
         step = labelings._transport_step
 
         def counting_step(outcomes, f):
-            if len(outcomes) == 2 and len({f[e] for ch in outcomes[0].chains for e in ch.edges[::2]}) == 1:
-                both["decided" if 2 in {f[e] for e in outcomes[0].face_edges} else "tie"] += 1
+            if len(outcomes) == 2 and len({f[e] for run in outcomes[0].runs for e in run[::2]}) == 1:
+                both["decided" if f[outcomes[0].runs[0][0]] != 2 else "tie"] += 1
             return step(outcomes, f)
 
         monkeypatch.setattr(labelings, "_transport_step", counting_step)

@@ -34,7 +34,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
-from oracles import flip, turn
+from oracles import flip, oracle_second_generator, turn
 
 SEED = 20260816
 
@@ -213,6 +213,17 @@ class TestTripleProduct:
         hi = reduce_web(product_web(4, (3, 2, 3))) - generator_combo(4, 3)
         assert lo == hi
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_drawn_d2_is_the_reduced_one(self, n):
+        # second_generator draws D2; the oracle reduces both triple
+        # products, and render draws its web in the same four columns.
+        # Empty memos make the oracle's web the reduction's own child.
+        clear_caches()
+        for i in range(1, n - 1):
+            d2, want = second_generator(n, i), oracle_second_generator(n, i)
+            assert d2 == want
+            assert d2.diagram == want.diagram
+
 
 class TestRewriteChildren:
     # rewriting never draws, so draw every child here: reading geom
@@ -235,12 +246,12 @@ class TestRewriteChildren:
             w = work.pop()
             for feature in all_reducible_features(w):
                 for o in apply_rule(w, feature):
-                    kinds.add(o.kind)
+                    kinds.add(feature[0])
                     assert set(o.child.geom.vertex_sides) == set(o.child.pmap.internal_vertices())
                     if o.child.code not in seen:
                         seen.add(o.child.code)
                         work.append(o.child)
-        assert kinds == {"loops", "bigon", "square"}
+        assert kinds == {"loop", "bigon", "square"}
 
 
 class TestThetaCollapse:
@@ -253,7 +264,7 @@ class TestThetaCollapse:
         feature = find_reducible_face(prod)
         assert feature[0] == "bigon"
         (outcome,) = apply_rule(prod, feature)
-        assert sum(ch.child_eid < 0 for ch in outcome.chains) == 1
+        assert sum(run[0] not in outcome.carry for run in outcome.runs) == 1
 
     def test_second_generator_combo_square(self):
         d2 = second_generator_combo(3, 1)
@@ -317,6 +328,12 @@ class TestRelations:
         for name, ok in relation_suite(n):
             assert ok, name
 
+    def test_a_wrong_d2_fails_the_triple_product_row(self, monkeypatch):
+        # the row checks both triple products against the drawn D2 itself
+        monkeypatch.setattr(spider, "second_generator_combo", lambda n, i: generator_combo(n, i + 1))
+        failed = [name for name, ok in relation_suite(3) if not ok]
+        assert "E1 E2 E1 - E1 = E2 E1 E2 - E2 = D2_1" in failed
+
     def test_far_commutation(self):
         a, b = generator_combo(4, 1), generator_combo(4, 3)
         assert a * b == b * a
@@ -352,6 +369,23 @@ class TestConfluence:
             for i in word:
                 via_combo = via_combo * generator_combo(n, i)
             assert via_combo == reduce_web(product_web(n, word))
+
+    def test_a_face_rewrite_keeps_the_webs_loops(self):
+        # a vertexless loop below a bigon: an order that rewrites the bigon
+        # first must still meet the loop, worth [3]
+        circle = SliceDiagram(2, (
+            Column(3, "cup", ("R", "L")),
+            Column(3, "cap", ("R", "L")),
+        ))
+        w = Web.from_slice(concatenate(circle, product_web(2, (1, 1)).diagram))
+        host, sites = spider.rewrite_sites(w)
+        assert [f[0] for f in sites] == ["loop", "bigon"]
+        (o,) = spider.rewrite_at(host, 1)
+        assert o.child.pmap.loops == 1
+        base = reduce_web(w)
+        assert base == generator_combo(2, 1).scale(qint(2) * qint(3))
+        for seed in range(8):
+            assert reduce_random_order(w, random.Random(seed)) == base
 
 
 class TestComboAlgebra:
@@ -408,6 +442,11 @@ class TestHeckeImages:
         assert spider.shared_coefficient.cache_info().currsize == len(set(coeffs))
 
 
+def child_eid(o, run):
+    """The child edge a fused run became, or -1 when it closed up."""
+    return o.carry.index(run[0]) if run[0] in o.carry else -1
+
+
 class TestRewriteDigest:
     # sha256 over every outcome at every rewrite site reachable from the
     # starting webs, recorded before the two-sided face became the
@@ -416,10 +455,16 @@ class TestRewriteDigest:
     # sha256 over the routing of the same outcomes: the face edges and
     # every fused run, open runs then closed ones
     ROUTING = "012f81936f342774e404ece779a59ac822f486d6a16a1094704a5a26db98f55d"
+    # both were recorded from outcomes that named the rule ("loops",
+    # "bigon" or "square"), mapped surviving parent edges to child edges
+    # and kept the face edges; those inputs are rebuilt from the feature
+    # and from each outcome's carry and runs
 
     @staticmethod
     def outcomes():
-        clear_caches()  # second_generator keeps the first web reduced to it
+        """(feature, outcome) for every rewrite site reachable from the
+        starting webs."""
+        clear_caches()  # frees memory only: D2 is drawn and apply_rule reads no memo
         rng = random.Random(SEED + 5)
         circle = SliceDiagram(1, (
             Column(2, "cup", ("R", "L")),
@@ -436,22 +481,29 @@ class TestRewriteDigest:
             w = work.pop()
             for feature in all_reducible_features(w):
                 for o in apply_rule(w, feature):
-                    yield o
+                    yield feature, o
                     if o.child.code not in seen:
                         seen.add(o.child.code)
                         work.append(o.child)
+
+    @staticmethod
+    def kind(feature):
+        return "loops" if feature[0] == "loop" else feature[0]
 
     def test_outcomes_are_pinned(self):
         digest = hashlib.sha256()
         kinds = set()
         closing_bigons = 0
-        for o in self.outcomes():
-            closed = sum(ch.child_eid < 0 for ch in o.chains)
-            kinds.add(o.kind)
-            closing_bigons += o.kind == "bigon" and closed > 0
+        for feature, o in self.outcomes():
+            on_runs = {e for run in o.runs for e in run}
+            edge_map = [(e, k) for k, e in enumerate(o.carry) if e not in on_runs]
+            eids = [child_eid(o, run) for run in o.runs]
+            closed = eids.count(-1)
+            kinds.add(self.kind(feature))
+            closing_bigons += feature[0] == "bigon" and closed > 0
             digest.update(repr((
-                o.kind, o.coeff.to_json_obj(), o.child.code, sorted(o.edge_map.items()),
-                [ch.child_eid for ch in o.chains if ch.child_eid >= 0], closed,
+                self.kind(feature), o.coeff.to_json_obj(), o.child.code, edge_map,
+                [k for k in eids if k >= 0], closed,
             )).encode())
         assert kinds == {"loops", "bigon", "square"}
         assert closing_bigons > 0
@@ -461,16 +513,35 @@ class TestRewriteDigest:
         # transport reads each run's edges, not only its child edge
         digest = hashlib.sha256()
         closed = 0
-        for o in self.outcomes():
-            open_runs = [ch for ch in o.chains if ch.child_eid >= 0]
-            closed_runs = [ch for ch in o.chains if ch.child_eid < 0]
-            assert list(o.chains) == open_runs + closed_runs
-            closed += len(closed_runs)
-            digest.update(repr((
-                o.face_edges, [(ch.edges, ch.child_eid) for ch in o.chains],
-            )).encode())
+        for feature, o in self.outcomes():
+            eids = [child_eid(o, run) for run in o.runs]
+            assert eids == sorted(eids, key=lambda k: k < 0)  # open runs first
+            closed += eids.count(-1)
+            face_edges = tuple(d >> 1 for d in feature[1]) if feature[0] != "loop" else ()
+            digest.update(repr((face_edges, list(zip(o.runs, eids)))).encode())
         assert closed > 0
         assert digest.hexdigest() == self.ROUTING
+
+    def test_carry_names_one_parent_edge_per_child_edge(self):
+        # transport labels each child edge through carry alone, so carry
+        # must cover the child's edges: the surviving edges ascending, off
+        # every run, then each open run's first edge once
+        closed_total = 0
+        rule = {"bigon": qint(2), "square": LaurentPoly.one()}
+        for feature, o in self.outcomes():
+            assert len(o.carry) == len(o.child.pmap.edges)
+            on_runs = {e for run in o.runs for e in run}
+            opened = [run for run in o.runs if run[0] in o.carry]
+            closed = [run for run in o.runs if run[0] not in o.carry]
+            survivors = o.carry[:len(o.carry) - len(opened)]
+            assert list(survivors) == sorted(survivors) and not on_runs & set(survivors)
+            assert o.carry[len(survivors):] == tuple(run[0] for run in opened)
+            assert all(o.carry.count(run[0]) == 1 for run in opened)
+            assert not {e for run in closed for e in run} & set(o.carry)
+            if feature[0] != "loop":
+                assert o.coeff == rule[feature[0]] * qint(3) ** len(closed)
+            closed_total += len(closed)
+        assert closed_total > 0
 
 
 class TestSymmetries:
