@@ -9,9 +9,10 @@ minor, `network` works on weighted planar network files, and `verify`
 runs named identity suites and exits 0 only if every check passes.
 
 Exit codes: 0 success, 1 a check failed, 2 bad input (one `error:`
-line), 3 a failed internal invariant (one `error: internal:` line),
-141 (128 + SIGPIPE, as for a filter killed by the signal) when the
-reader closes stdout early; none of them prints a traceback.
+line), 3 a failed internal invariant (one `error: internal:` line;
+within `verify` it fails its suite's check instead), 141 (128 +
+SIGPIPE, as for a filter killed by the signal) when the reader closes
+stdout early; none of them prints a traceback.
 
 All rationals are written "p/q"; keys are emitted in a deterministic
 order; every randomized check is reproducible from the seed recorded
@@ -545,7 +546,10 @@ def _run_named(task: tuple[str, int, Optional[int], int]) -> dict:
     name, n, samples, seed = task
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    passed, details = _SUITE_FNS[name](n, samples, rng)
+    try:
+        passed, details = _SUITE_FNS[name](n, samples, rng)
+    except RuntimeError as exc:  # a failed invariant fails the check; a WebError is bad input
+        passed, details = False, {"error": str(exc)}
     return {
         "name": name,
         "n": n,

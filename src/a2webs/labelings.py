@@ -3,29 +3,28 @@
 A labeling of a web assigns 1, 2, or 3 to every edge (and to every
 closed loop) so that the three edges meeting at an internal vertex
 carry three different values.  Each labeling gets a monomial weight
-t^k read off the drawing; summing the weights of the labelings with a
-fixed boundary word gives a vector over boundary words that is
-drawing-independent, multiplies under concatenation, and separates
-irreducible webs.  That is what makes reduction coefficients
-recoverable by counting: the coefficient of an irreducible child
-equals the weighted count of parent labelings that transport onto it,
-divided by the child's own weighted count.
+t^k read off the map; summing the weights of the labelings with a
+fixed boundary word gives a vector over boundary words that
+multiplies under concatenation and separates irreducible webs.  That
+is what makes reduction coefficients recoverable by counting: the
+coefficient of an irreducible child equals the weighted count of
+parent labelings that transport onto it, divided by the child's own
+weighted count.
 
 A labeling is a plain tuple: the label of each edge by edge id, then
-one label per closed loop in drawing order.  A boundary word is the
-tuple of the 2n labels read along the boundary, sources then sinks;
-sink labels are stored unprimed, since the primed reading only changes
-comparison order inside the weight statistic.
+one label per closed loop.  A boundary word is the tuple of the 2n
+labels read along the boundary, sources then sinks; sink labels are
+stored unprimed, and the weight reverses its vertex term at a sink
+in their place.
 
-Weight bookkeeping, in t-exponents:
-
-- an internal vertex contributes +1 or -1 according to how the labels
-  of its same-side pair of legs are ordered top to bottom; the
-  comparison is mirrored on right-side pairs, and mirrored again at
-  vertices whose edges all point inward (edge heads read their label
-  in the reversed, primed order);
-- every vertical tangency of an edge or loop labeled i contributes
-  (4 - 2i) times the recorded turn sign.
+The weight is that of a drawing with 120-degree internal corners,
+sources top to bottom on the left and sinks on the right, read off the
+map: _edge_turns solves each edge's turn, tail to head in half turns
+counterclockwise.  The t-exponent is minus (4 - 2i) times the turn of
+each edge labeled i, minus 1/3 at an internal source whose labels rise
+counterclockwise (plus 1/3 where they fall, reversed at a sink), plus
+2(4 - 2i) per closed loop labeled i.  Its sign is a convention of this
+form: a web's mirror image negates every edge and vertex term.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Callable, Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
-from .webcore import Combo, Web, WebError, canonical_edge_order, int_entries
+from .webcore import Combo, PlanarMap, Web, WebError, _walk_memo, canonical_edge_order, int_entries, orbits
 
 LABELS = (1, 2, 3)
 
@@ -216,40 +215,86 @@ def _check_counts(w: Web, f: tuple[int, ...]) -> None:
         raise WebError("labeling does not match the web's edge and loop counts")
 
 
+def _edge_turns(m: PlanarMap) -> list[int]:
+    """Per dart, the turn of its edge walked along it, in thirds of a
+    half turn.  Each face is walked with the face on its right; at the
+    boundary the walk goes on clockwise along the disk's frame to the
+    next boundary vertex, turning -1 between neighbouring sources or
+    sinks and -2 across the top or the bottom.  Every internal corner
+    turns -1/3, and a face -2 in all, but a closed component's outside
+    +2: its face through its least edge's tail dart, as
+    PlanarMap.outer_face_indices declares it.  The turns are solved on a
+    spanning tree of the faces peeled from its leaves, 0 off the tree,
+    and the root face is the check."""
+    n, rot, dv = m.n, m.rot, m.dart_vertex
+    nxt = m.face_successors()
+    bend = [-1] * len(nxt)  # per dart, the turn where its walk goes on
+    ring = [0, *range(n, 2 * n), *range(n - 1, 0, -1)]  # the frame, clockwise from source 1
+    for u, v in zip(ring, ring[1:] + ring[:1]):
+        d = rot[u][0] ^ 1  # the dart that reaches u
+        nxt[d], bend[d] = rot[v][0], -6 if u in (0, 2 * n - 1) else -3
+    faces = orbits(nxt)
+    face = {d: k for k, orbit in enumerate(faces) for d in orbit}
+    outside = {face[2 * min(eorder)] for root, *eorder in _walk_memo(m) if dv[root] >= 2 * n}
+    turn = [0] * len(nxt)
+    up: dict[int, int] = {}  # per face, its dart on the edge to its parent; -1 at a root
+    for root in (k for k in range(len(faces)) if k not in up):  # a face of each component
+        up[root], tree = -1, [root]
+        for k in tree:
+            for d in faces[k]:
+                if face[d ^ 1] not in up:
+                    up[face[d ^ 1]] = d ^ 1
+                    tree.append(face[d ^ 1])
+        for k in reversed(tree):
+            rest = (6 if k in outside else -6) - sum(bend[d] + turn[d] for d in faces[k])
+            d = up[k]
+            if d >= 0:
+                turn[d], turn[d ^ 1] = rest, -rest
+            elif rest:
+                raise RuntimeError("the edge turns of a web fail its root face")
+    return turn
+
+
+# a closed loop labeled k is read like a vertex whose two legs are the
+# loop, at row k and column k: 2(4 - 2k) in thirds
+_LOOP = ((0,) * 4, (0, 12, 0, 0), (0,) * 4, (0, 0, 0, -12))
+
+
 def _compile_weight(w: Web) -> Callable[[tuple[int, ...]], int]:
-    """The t-exponent of a labeling of w, as a function of the labeling,
-    from one read of w's drawing.  It keeps, per internal vertex, its
-    same-side pair of legs, the left pair top first and the right pair
-    bottom first, with the sign the vertex gives when the first label
-    is bigger (+1 at a source, -1 at a sink, whose heads read the
-    primed order), and per turning edge or loop its summed turn."""
-    m, geom = w.pmap, w.geom
-    legs = []
-    for v, (left, right) in geom.vertex_sides.items():
-        a, b = (left[0], left[1]) if len(left) == 2 else (right[1], right[0])
-        legs.append((a, b, -1 if m.is_sink(v) else 1))
-    ne = len(m.edges)
-    turns = [(e, sum(t)) for e, t in geom.edge_turns.items() if sum(t)]
-    turns += [(ne + k, sum(t)) for k, t in enumerate(geom.loop_turns) if sum(t)]
+    """The t-exponent of a labeling of w, from one read of w's map: per
+    internal vertex, a table of its term in thirds at row a, column b,
+    for the labels a, b of its first two legs in rotation order.  Each
+    edge's turn joins its tail's table, or its head's when its tail is
+    a boundary source; a through-strand turns 0."""
+    m = w.pmap
+    turn = _edge_turns(m)
+    tables = []
+    for v in m.internal_vertices():
+        darts = m.rot[v]
+        sign = -1 if m.is_sink(v) else 1
+        owned = [(k, turn[d & ~1]) for k, d in enumerate(darts) if sign > 0 or m.edges[d >> 1][0] < m.n]
+        table = [[0] * 4 for _ in range(4)]
+        for a, b, c in _PERMS:
+            rise = 1 if (b - a) % 3 == 1 else -1
+            table[a][b] = -sign * rise - sum((4 - 2 * (a, b, c)[k]) * t for k, t in owned)
+        tables.append((darts[0] >> 1, darts[1] >> 1, tuple(map(tuple, table))))
+    tables += [(e, e, _LOOP) for e in range(len(m.edges), len(m.edges) + m.loops)]
 
     def exponent(f: tuple[int, ...]) -> int:
         total = 0
-        for a, b, s in legs:
-            total += s if f[a] > f[b] else -s
-        for e, turn in turns:
-            total += (4 - 2 * f[e]) * turn
-        return total
+        for a, b, table in tables:
+            total += table[f[a]][f[b]]
+        return total // 3
 
     return exponent
 
 
 def labeling_weight(w: Web, f: tuple[int, ...]) -> LaurentPoly:
-    """The monomial t^k of one labeling, read off w's drawing.  When
-    every component of w touches the boundary, the value does not
-    depend on which drawing of the map is used.  A closed component can
-    be drawn turned against the rest, and then single weights change
-    (t^8 becomes t^-8 on a strand beside a closed component of four
-    vertices), though the weighted counts of boundary_profile do not."""
+    """The monomial t^k of one labeling, read off w's map.  A closed
+    component has no outside of its own: its weights follow the outer
+    face its map declares (see _edge_turns), and another choice would
+    change single weights, though not the weighted counts of
+    boundary_profile."""
     _check_counts(w, f)
     return LaurentPoly.t_power(_compile_weight(w)(f))
 
@@ -294,7 +339,8 @@ class KappaVector(Combo):
 def boundary_profile(w: Web) -> KappaVector:
     """The full vector of weighted counts of w, one entry per boundary
     word that admits a labeling.  Memoized per web code: the counts do
-    not depend on the drawing, so the first web met with a code stands
+    not depend on the map's edge numbering or on the outer face a
+    closed component declares, so the first web met with a code stands
     for all of them."""
     exponent, word = _compile_weight(w), operator.itemgetter(*_boundary_edges(w))
     per_word: dict[tuple[int, ...], Counter] = {}

@@ -669,7 +669,7 @@ def _sliced_web(n: int, cols: tuple[tuple[int, str, tuple[str, ...]], ...]) -> W
     dirs) triples cols.  Many markings of one network sweep into the
     same diagram, so each diagram is mapped and put in canonical form
     once."""
-    pmap, _ = to_map(SliceDiagram(n, tuple(Column(*c) for c in cols)))
+    pmap = to_map(SliceDiagram(n, tuple(Column(*c) for c in cols)))
     return Web.from_map(pmap)
 
 

@@ -7,8 +7,9 @@ oriented so that each vertex is all-in (a sink) or all-out (a source).
 
 Three representations cooperate:
 
-- SliceDiagram: a concrete drawing, one tile per vertical slice.  The
-  drawing is what the weight statistic of module labelings reads.
+- SliceDiagram: a concrete drawing, one tile per vertical slice.  Webs
+  are multiplied by concatenating drawings, and a code read from input
+  is checked by drawing it.
 - PlanarMap: the embedding-free rotation system (darts, twins, cyclic
   orders) plus a count of closed loops.  The algebra lives here.  The
   rotations are the whole map: a web is bipartite, so a dart's parity
@@ -26,7 +27,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .exactmath import quoted
 
@@ -332,21 +333,7 @@ class PlanarMap:
         """All face walks, as dart orbits of the face-next permutation,
         each from its least dart."""
         if self._faces is None:
-            nxt = self.face_successors()
-            seen = bytearray(len(nxt))
-            out = []
-            for d0 in range(len(nxt)):
-                if seen[d0]:
-                    continue
-                orbit = [d0]
-                seen[d0] = 1
-                d = nxt[d0]
-                while d != d0:
-                    orbit.append(d)
-                    seen[d] = 1
-                    d = nxt[d]
-                out.append(tuple(orbit))
-            self._faces = tuple(out)
+            self._faces = orbits(self.face_successors())
         return self._faces
 
     def outer_face_indices(self) -> set[int]:
@@ -367,45 +354,43 @@ class PlanarMap:
         }
 
 
+def orbits(nxt: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation nxt of range(len(nxt)), each from
+    its least entry, in the order of their least entries."""
+    seen = bytearray(len(nxt))
+    out = []
+    for d in range(len(nxt)):
+        orbit = []
+        while not seen[d]:
+            seen[d] = 1
+            orbit.append(d)
+            d = nxt[d]
+        if orbit:
+            out.append(tuple(orbit))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
-# Drawing geometry for the weight statistic
+# Reading a drawing
 
 
-@dataclass(frozen=True)
-class DrawingGeometry:
-    """What the labeling-weight statistic needs from one drawing.
-
-    vertex_sides: per internal vertex, (left edge ids, right edge ids),
-    each listed top to bottom.  edge_turns: per edge, the signs of its
-    vertical tangencies (+1 for a turn that reads upward through a
-    right-opening tangency or downward through a left-opening one).
-    loop_turns: the same, per drawn closed loop.
-    """
-
-    vertex_sides: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
-    edge_turns: Mapping[int, tuple[int, ...]]
-    loop_turns: tuple[tuple[int, ...], ...]
-
-
-def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
-    """Assemble the rotation system of a drawing.
-
-    Cup and cap tangencies are erased (an edge is a maximal chain of
-    wire segments); their turn signs are kept in the geometry.
+def to_map(diagram: SliceDiagram) -> PlanarMap:
+    """Assemble the rotation system of a drawing.  Cup and cap
+    tangencies are erased: an edge is a maximal chain of wire segments.
     """
     n = diagram.n
     # segment s has the ends 2s (left) and 2s + 1 (right); each end is
     # held by a vertex or joined to another end by a cup or a cap
     seg_dir = [RIGHT] * n
     wires = list(range(n))
-    caps: list[tuple[int, int, int]] = []  # (end, end, turn sign) per cup or cap
+    join: dict[int, int] = {}  # end -> the end its cup or cap joins it to
     # slot 3v + k holds the end at leg k of vertex v: sources, then
     # sinks (slot 3v only), then internal vertices in column order, each
     # holding its left legs, then its right legs, top to bottom
     slot_end = [-1] * (6 * n)
     slot_end[0 : 3 * n : 3] = range(0, 2 * n, 2)
     sinks = [False] * n + [True] * n  # per vertex: do its edges point in?
-    lefts: dict[int, int] = {}  # internal vertex -> number of left legs
+    lefts: list[int] = []  # per internal vertex, its number of left legs
 
     for ci, col in enumerate(diagram.columns):
         p, tile, dirs = col.pos, col.tile, col.dirs
@@ -421,12 +406,12 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
         if tile == "cup" or tile == "cap":
             if dirs[0] == dirs[1]:
                 raise WebError(f"column {ci}: {tile} legs must run in opposite senses")
-            caps.append((ends[0], ends[1], 1 if dirs[0] == RIGHT else -1))
+            join[ends[0]], join[ends[1]] = ends[1], ends[0]
         else:
             sink = dirs[0] == RIGHT  # its first leg runs into it
             if dirs != VERTEX_DIRS[(tile, sink)]:
                 raise WebError(f"column {ci}: vertex is neither all-in nor all-out")
-            lefts[len(sinks)] = used
+            lefts.append(used)
             sinks.append(sink)
             slot_end += ends
         wires[p - 1 : p - 1 + used] = made
@@ -438,11 +423,7 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
             raise WebError(f"sink strand {j + 1} arrives oriented leftward")
         slot_end[3 * (n + j)] = 2 * s + 1
 
-    join = [-1] * (2 * len(seg_dir))  # end -> the end its cup or cap joins it to
-    sign = [0] * len(join)  # end -> that cup's or cap's turn sign
-    for a, b, sg in caps:
-        join[a], join[b], sign[a], sign[b] = b, a, sg, sg
-    slot_of = [-1] * len(join)  # end -> the slot holding it
+    slot_of = [-1] * (2 * len(seg_dir))  # end -> the slot holding it
     for slot, end in enumerate(slot_end):
         if end >= 0:
             slot_of[end] = slot
@@ -452,55 +433,38 @@ def to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
     # is the end at a sink
     walked = bytearray(len(seg_dir))
     dart = [-1] * len(slot_end)
-    edge_turns: dict[int, tuple[int, ...]] = {}
+    edges = 0
     for slot, end in enumerate(slot_end):
         if end < 0 or dart[slot] >= 0:
             continue
         walked[end >> 1] = 1
-        turns = []
         cur = end ^ 1
-        while join[cur] >= 0:
-            turns.append(sign[cur])
+        while cur in join:
             cur = join[cur]
             walked[cur >> 1] = 1
             cur ^= 1
-        eid = len(edge_turns)
-        edge_turns[eid] = tuple(turns)
-        dart[slot] = 2 * eid + sinks[slot // 3]
+        dart[slot] = 2 * edges + sinks[slot // 3]
         dart[slot_of[cur]] = dart[slot] ^ 1
+        edges += 1
 
     # a segment no edge crossed lies on a closed loop: walk it round
-    loop_turns = []
+    loops = 0
     for s, done in enumerate(walked):
         if not done:
-            turns = []
+            loops += 1
             cur = 2 * s
-            while True:
-                turns.append(sign[cur])
-                cur = join[cur]
+            while not walked[cur >> 1]:
                 walked[cur >> 1] = 1
-                cur ^= 1
-                if cur == 2 * s:
-                    break
-            loop_turns.append(tuple(turns))
+                cur = join[cur ^ 1]
 
     # CCW from the top right leg: it, the left legs top to bottom, then
     # the other right leg; a merge reads right, left-top, left-bottom and
     # a split right-top, left, right-bottom
     rot = [(d,) for d in dart[0 : 6 * n : 3]]
-    vertex_sides = {}
-    for v, nl in lefts.items():
+    for v, nl in enumerate(lefts, 2 * n):
         a, b, c = dart[3 * v : 3 * v + 3]
-        if nl == 2:
-            rot.append((c, a, b))
-            vertex_sides[v] = ((a >> 1, b >> 1), (c >> 1,))
-        else:
-            rot.append((b, a, c))
-            vertex_sides[v] = ((a >> 1,), (b >> 1, c >> 1))
-
-    m = PlanarMap(n, rot, loops=len(loop_turns))
-    geom = DrawingGeometry(vertex_sides, edge_turns, tuple(loop_turns))
-    return m, geom
+        rot.append((c, a, b) if nl == 2 else (b, a, c))
+    return PlanarMap(n, rot, loops=loops)
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +651,12 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
 
 
 def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
-    """Produce some drawing of m.  Any embedding is acceptable to the
-    weight statistic: the weighted counts per boundary word
-    (labelings.boundary_profile) do not depend on the drawing, and
-    neither does a single labeling's weight when every component of m
-    touches the boundary; a closed component can be drawn turned
-    against the rest, which changes single weights
-    (labelings.labeling_weight).  Different salts may give different
-    embeddings.  Loop components must be removed first.  A
-    map with no drawing, both boundary sides in order, is refused: with
-    the round trip in Web._draw, this is the one check of a web.
+    """Produce some drawing of m.  Any embedding serves: a drawing is
+    read back only as a map (to_map), and the labeling weight reads the
+    map.  Different salts may give different embeddings.  Loop
+    components must be removed first.  A map with no drawing, both
+    boundary sides in order, is refused: with the round trip in
+    Web._draw, this is the one check of a web.
 
     One left-to-right sweep that never backtracks: each step places a
     vertex (the first placeable one, or the first after a salted
@@ -789,21 +749,20 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
 
 class Web:
     """A web as (map, code); identity is the code.  The drawing is made
-    on the first read of diagram or geom, and geom is numbered by the
-    edge and vertex ids of pmap."""
+    on the first read of diagram."""
 
     __slots__ = ("pmap", "code", "_hash", "_drawing")
 
-    def __init__(self, pmap: PlanarMap, code: tuple[int, ...], drawing=None):
+    def __init__(self, pmap: PlanarMap, code: tuple[int, ...], drawing: Optional[SliceDiagram] = None):
         self.pmap = pmap
         self.code = code
         self._hash = hash(code)  # webs key every cache: hash the code once
-        self._drawing: Optional[tuple[SliceDiagram, DrawingGeometry]] = drawing
+        self._drawing = drawing
 
     @classmethod
     def from_slice(cls, diagram: SliceDiagram) -> "Web":
-        pmap, geom = to_map(diagram)
-        return cls(pmap, canonical_form(pmap), (diagram, geom))
+        pmap = to_map(diagram)
+        return cls(pmap, canonical_form(pmap), diagram)
 
     @classmethod
     def from_map(cls, pmap: PlanarMap, salt: int = 0) -> "Web":
@@ -825,31 +784,20 @@ class Web:
 
     @property
     def diagram(self) -> SliceDiagram:
-        return self._draw()[0]
+        return self._draw()
 
-    @property
-    def geom(self) -> DrawingGeometry:
-        return self._draw()[1]
-
-    def _draw(self, salt: int = 0) -> tuple[SliceDiagram, DrawingGeometry]:
+    def _draw(self, salt: int = 0) -> SliceDiagram:
         """Draw the map without its loops, add one cup/cap pair below the
-        strands per loop, and carry the geometry over to pmap's ids."""
+        strands per loop, and check that the drawing reads back as the
+        web."""
         if self._drawing is None:
             m = self.pmap
             drawing = render(m.without_loops() if m.loops else m, salt=salt)
             loop = (Column(m.n + 1, "cup", (RIGHT, LEFT)), Column(m.n + 1, "cap", (RIGHT, LEFT)))
             diagram = SliceDiagram(m.n, drawing.columns + loop * m.loops)
-            drawn, geom = to_map(diagram)
-            if canonical_form(drawn) != self.code:
+            if canonical_form(to_map(diagram)) != self.code:
                 raise RuntimeError("drawing round-trip produced a different map")
-            eid = dict(zip(canonical_edge_order(drawn), canonical_edge_order(m)))
-            vid = {drawn.edges[a][k]: m.edges[b][k] for a, b in eid.items() for k in (0, 1)}
-            sides = {
-                vid[v]: tuple(tuple(eid[e] for e in side) for side in lr)
-                for v, lr in geom.vertex_sides.items()
-            }
-            turns = {eid[e]: t for e, t in geom.edge_turns.items()}
-            self._drawing = (diagram, DrawingGeometry(sides, turns, geom.loop_turns))
+            self._drawing = diagram
         return self._drawing
 
     @property

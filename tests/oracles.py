@@ -5,9 +5,10 @@ import math
 import operator
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations, product
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1
 from a2webs.immanants import irreducible_webs, theta_image
@@ -19,6 +20,7 @@ from a2webs.tlbridge import A1Web
 from a2webs.webcore import (
     LEFT,
     RIGHT,
+    TILE_ARITY,
     VERTEX_DIRS,
     Column,
     PlanarMap,
@@ -27,6 +29,8 @@ from a2webs.webcore import (
     WebError,
     _encode_from,
     _walk_memo,
+    canonical_edge_order,
+    canonical_form,
 )
 
 
@@ -260,11 +264,164 @@ def oracle_code(m: PlanarMap) -> tuple[int, ...]:
     return tuple(code)
 
 
-def oracle_weight(w: Web, f: tuple[int, ...]) -> int:
+@dataclass(frozen=True)
+class DrawingGeometry:
+    """What the labeling weight once read off one drawing.
+
+    vertex_sides: per internal vertex, (left edge ids, right edge ids),
+    each listed top to bottom.  edge_turns: per edge, the signs of its
+    vertical tangencies (+1 for a turn that reads upward through a
+    right-opening tangency or downward through a left-opening one).
+    loop_turns: the same, per drawn closed loop.
+    """
+
+    vertex_sides: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
+    edge_turns: Mapping[int, tuple[int, ...]]
+    loop_turns: tuple[tuple[int, ...], ...]
+
+
+def oracle_to_map(diagram: SliceDiagram) -> tuple[PlanarMap, DrawingGeometry]:
+    """`webcore.to_map` as it was while the weight read a drawing: the
+    rotation system of a drawing, with the turn signs of its cup and cap
+    tangencies and the sides of each vertex's legs, kept as the drawing
+    route of the weight.  Its map is the library's, edge ids included."""
+    n = diagram.n
+    # segment s has the ends 2s (left) and 2s + 1 (right); each end is
+    # held by a vertex or joined to another end by a cup or a cap
+    seg_dir = [RIGHT] * n
+    wires = list(range(n))
+    caps: list[tuple[int, int, int]] = []  # (end, end, turn sign) per cup or cap
+    # slot 3v + k holds the end at leg k of vertex v: sources, then
+    # sinks (slot 3v only), then internal vertices in column order, each
+    # holding its left legs, then its right legs, top to bottom
+    slot_end = [-1] * (6 * n)
+    slot_end[0 : 3 * n : 3] = range(0, 2 * n, 2)
+    sinks = [False] * n + [True] * n  # per vertex: do its edges point in?
+    lefts: dict[int, int] = {}  # internal vertex -> number of left legs
+
+    for ci, col in enumerate(diagram.columns):
+        p, tile, dirs = col.pos, col.tile, col.dirs
+        used = TILE_ARITY[tile][0]
+        if not 1 <= p <= len(wires) - used + 1:
+            raise WebError(f"column {ci}: position {p} out of range")
+        incoming = wires[p - 1 : p - 1 + used]
+        if tuple([seg_dir[w] for w in incoming]) != dirs[:used]:
+            raise WebError(f"column {ci}: leg directions disagree with incoming wires")
+        made = list(range(len(seg_dir), len(seg_dir) + len(dirs) - used))
+        seg_dir += dirs[used:]
+        ends = [2 * w + 1 for w in incoming] + [2 * s for s in made]
+        if tile == "cup" or tile == "cap":
+            if dirs[0] == dirs[1]:
+                raise WebError(f"column {ci}: {tile} legs must run in opposite senses")
+            caps.append((ends[0], ends[1], 1 if dirs[0] == RIGHT else -1))
+        else:
+            sink = dirs[0] == RIGHT  # its first leg runs into it
+            if dirs != VERTEX_DIRS[(tile, sink)]:
+                raise WebError(f"column {ci}: vertex is neither all-in nor all-out")
+            lefts[len(sinks)] = used
+            sinks.append(sink)
+            slot_end += ends
+        wires[p - 1 : p - 1 + used] = made
+
+    if len(wires) != n:
+        raise WebError(f"diagram ends with {len(wires)} wires, expected {n}")
+    for j, s in enumerate(wires):
+        if seg_dir[s] != RIGHT:
+            raise WebError(f"sink strand {j + 1} arrives oriented leftward")
+        slot_end[3 * (n + j)] = 2 * s + 1
+
+    join = [-1] * (2 * len(seg_dir))  # end -> the end its cup or cap joins it to
+    sign = [0] * len(join)  # end -> that cup's or cap's turn sign
+    for a, b, sg in caps:
+        join[a], join[b], sign[a], sign[b] = b, a, sg, sg
+    slot_of = [-1] * len(join)  # end -> the slot holding it
+    for slot, end in enumerate(slot_end):
+        if end >= 0:
+            slot_of[end] = slot
+
+    # walk each edge once, from its first slot, across its segments
+    # through cups and caps to the end held at its other slot; its head
+    # is the end at a sink
+    walked = bytearray(len(seg_dir))
+    dart = [-1] * len(slot_end)
+    edge_turns: dict[int, tuple[int, ...]] = {}
+    for slot, end in enumerate(slot_end):
+        if end < 0 or dart[slot] >= 0:
+            continue
+        walked[end >> 1] = 1
+        turns = []
+        cur = end ^ 1
+        while join[cur] >= 0:
+            turns.append(sign[cur])
+            cur = join[cur]
+            walked[cur >> 1] = 1
+            cur ^= 1
+        eid = len(edge_turns)
+        edge_turns[eid] = tuple(turns)
+        dart[slot] = 2 * eid + sinks[slot // 3]
+        dart[slot_of[cur]] = dart[slot] ^ 1
+
+    # a segment no edge crossed lies on a closed loop: walk it round
+    loop_turns = []
+    for s, done in enumerate(walked):
+        if not done:
+            turns = []
+            cur = 2 * s
+            while True:
+                turns.append(sign[cur])
+                cur = join[cur]
+                walked[cur >> 1] = 1
+                cur ^= 1
+                if cur == 2 * s:
+                    break
+            loop_turns.append(tuple(turns))
+
+    # CCW from the top right leg: it, the left legs top to bottom, then
+    # the other right leg; a merge reads right, left-top, left-bottom and
+    # a split right-top, left, right-bottom
+    rot = [(d,) for d in dart[0 : 6 * n : 3]]
+    vertex_sides = {}
+    for v, nl in lefts.items():
+        a, b, c = dart[3 * v : 3 * v + 3]
+        if nl == 2:
+            rot.append((c, a, b))
+            vertex_sides[v] = ((a >> 1, b >> 1), (c >> 1,))
+        else:
+            rot.append((b, a, c))
+            vertex_sides[v] = ((a >> 1,), (b >> 1, c >> 1))
+
+    m = PlanarMap(n, rot, loops=len(loop_turns))
+    return m, DrawingGeometry(vertex_sides, edge_turns, tuple(loop_turns))
+
+
+def oracle_geom(w: Web) -> DrawingGeometry:
+    """The geometry of w's drawing (oracle_to_map of w.diagram), carried
+    onto the edge and vertex ids of w.pmap through the canonical edge
+    matching, as `Web` once did when it drew."""
+    m = w.pmap
+    drawn, geom = oracle_to_map(w.diagram)
+    if canonical_form(drawn) != w.code:
+        raise RuntimeError("drawing round-trip produced a different map")
+    eid = dict(zip(canonical_edge_order(drawn), canonical_edge_order(m)))
+    vid = {drawn.edges[a][k]: m.edges[b][k] for a, b in eid.items() for k in (0, 1)}
+    sides = {
+        vid[v]: tuple(tuple(eid[e] for e in side) for side in lr)
+        for v, lr in geom.vertex_sides.items()
+    }
+    turns = {eid[e]: t for e, t in geom.edge_turns.items()}
+    return DrawingGeometry(sides, turns, geom.loop_turns)
+
+
+def oracle_weight(w: Web, f: tuple[int, ...], geom: Optional[DrawingGeometry] = None) -> int:
     """The t-exponent of labeling f of w, read off w's drawing vertex by
-    vertex and edge by edge: the library's loop before it compiled the
-    weight once per web, kept as the reference."""
-    m, geom = w.pmap, w.geom
+    vertex and edge by edge: the library's route before it read the
+    weight off the map, kept as the reference.  An internal vertex gives
+    +1 or -1 by the order of its same-side pair of legs, top to bottom,
+    mirrored on a right-side pair and again at a sink (heads read the
+    primed order); every vertical tangency of an edge or loop labeled i
+    gives (4 - 2i) times its turn sign.  geom, if given, is
+    oracle_geom(w), made once for many labelings."""
+    m, geom = w.pmap, geom or oracle_geom(w)
     total = 0
     for v, (left, right) in geom.vertex_sides.items():
         if len(left) == 2:

@@ -62,7 +62,7 @@ from a2webs.tlbridge import (
     tl_immanant,
 )
 from a2webs.webcore import Web
-from oracles import parabolic_image, rank_over_q
+from oracles import oracle_geom, parabolic_image, rank_over_q
 
 SEED = 20260816
 
@@ -157,7 +157,7 @@ def test_c06_weighted_counts_ignore_the_drawing():
             redrawn = Web.from_map(w.pmap, salt=salt)
             # past the memo, which keys on the code: the redrawing's own counts
             assert boundary_profile.__wrapped__(redrawn) == prof, (n, word, salt)
-            if any(sum(t) for t in redrawn.geom.edge_turns.values()):
+            if any(sum(t) for t in oracle_geom(redrawn).edge_turns.values()):
                 somebody_bent = True
     assert somebody_bent
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from a2webs import cli
+from a2webs import clear_caches, cli, labelings
 from a2webs.cli import _ExprParser, _parse_ints, _suite_tnn, build_parser, main, run_suite
 from a2webs.exactmath import eval_q1, quoted
 from a2webs.labelings import word_from_text
@@ -516,6 +516,27 @@ class TestExitPaths:
         assert rc == 3
         assert captured.out == ""
         assert captured.err == "error: internal: transport left a child edge unlabeled\n"
+
+    def test_a_suite_that_raises_fails_its_check(self, capsys, monkeypatch):
+        # a failed internal invariant in a suite's own work fails that
+        # suite's check, its message in the details, and verify prints
+        # its report and exits 1; only transport's caller, ci, sees it
+        def broken(outcomes, f):
+            raise RuntimeError("no outcome of a rewrite step carries the labeling")
+
+        monkeypatch.setattr(labelings, "_transport_step", broken)
+        clear_caches()
+        try:
+            report = run_suite("all", 4)
+            failed = {c["name"]: c["details"] for c in report["checks"] if not c["passed"]}
+            assert failed == {"ci": {"error": "no outcome of a rewrite step carries the labeling"}}
+            rc = main(["verify", "--n", "4"])
+            out, err = capsys.readouterr()
+            assert (rc, err) == (1, "")
+            assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == ["ci"]
+        finally:
+            monkeypatch.undo()
+            clear_caches()
 
 
 def one_error_line(capsys, argv):

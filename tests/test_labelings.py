@@ -1,10 +1,13 @@
+import dataclasses
+import functools
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from a2webs import clear_caches, labelings
+from a2webs import clear_caches, labelings, spider
 from a2webs.exactmath import LaurentPoly, eval_q1, qint
 from a2webs.immanants import irreducible_webs
 from a2webs.labelings import (
@@ -46,6 +49,7 @@ from oracles import (
     flip,
     is_balanced,
     oracle_kappa_product,
+    oracle_geom,
     oracle_labelings,
     oracle_weight,
     turn,
@@ -86,6 +90,12 @@ def m3_irreducibles():
 
 def first_boundary(w):
     return boundary_restriction(w, enumerate_labelings(w)[0])
+
+
+def has_closed_component(w):
+    """Whether some component of w touches no boundary vertex."""
+    m = w.pmap
+    return any(m.dart_vertex[root] >= 2 * m.n for _, _, root, _ in component_walks(m))
 
 
 class TestBoundaryLabeling:
@@ -369,6 +379,33 @@ class TestSymmetries:
             assert dict(boundary_profile(turn(w)).terms()) == {g[n:] + g[:n]: p for g, p in profile}
         assert len(webs) == 175
 
+    def test_weights_follow_flip_and_turn(self):
+        # both maps keep edge ids, so a labeling of w labels flip(w) and
+        # turn(w) too.  turn keeps every exponent; flip negates all but
+        # the loop terms, 2(4 - 2k) per loop labeled k, since a loop
+        # has no chirality.  A closed component's declared outside, the
+        # face through its least edge's tail dart, is the other face of
+        # that edge in the mirror, so flip is checked on webs without one
+        rng = random.Random(SEED + 52)
+        webs = [D for n in range(1, 6) for D in irreducible_webs(n)]
+        webs += [random_web_with_loops(rng) for _ in range(40)]
+        while len(webs) < 195:
+            w = strand_with_closed_component(rng)
+            if w is not None:
+                webs.append(w)
+        turned = flipped = 0
+        for w in webs:
+            exponent, loops = labelings._compile_weight(w), slice(len(w.pmap.edges), None)
+            after_turn = labelings._compile_weight(turn(w))
+            after_flip = None if has_closed_component(w) else labelings._compile_weight(flip(w))
+            for f in enumerate_labelings(w):
+                assert after_turn(f) == exponent(f), (w.code, f)
+                turned += 1
+                if after_flip is not None:
+                    assert after_flip(f) == -exponent(f) + 2 * sum(8 - 4 * k for k in f[loops]), (w.code, f)
+                    flipped += 1
+        assert (turned, flipped) == (80496, 75456)
+
 
 class TestWeight:
     def test_identity_weight_is_unit(self):
@@ -435,20 +472,166 @@ class TestCompiledWeight:
         webs.append(Web.from_code(CLOSED_THETA))
         labelings_seen = turning = loops = 0
         for w in webs:
-            exponent = labelings._compile_weight(w)
+            exponent, geom = labelings._compile_weight(w), oracle_geom(w)
             profile = {}
             for f in enumerate_labelings(w):
-                k = oracle_weight(w, f)
-                assert exponent(f) == k, (w.code, f)
-                assert labeling_weight(w, f) == LaurentPoly.t_power(k)
+                k = oracle_weight(w, f, geom)
+                # a closed component's single weights follow the outer face
+                # its map declares, not the drawing: CLOSED_THETA is compared
+                # by profile only
+                if not has_closed_component(w):
+                    assert exponent(f) == k, (w.code, f)
+                    assert labeling_weight(w, f) == LaurentPoly.t_power(k)
                 g = boundary_restriction(w, f)
                 profile[g] = profile.get(g, LaurentPoly.zero()) + LaurentPoly.t_power(k)
                 labelings_seen += 1
             assert boundary_profile(w) == KappaVector(w.n, profile), w.code
-            turning += any(map(sum, w.geom.edge_turns.values()))
+            turning += any(map(sum, geom.edge_turns.values()))
             loops += w.pmap.loops
         assert len(w.pmap.edges) == 9  # the closed theta's 3 with two boundary components'
         assert (labelings_seen, turning, loops) == (10245, 17, 4)
+
+
+def weighed_by_both_routes(w):
+    """Per labeling of w, its exponent read off the map and read off the
+    drawing (oracle_weight)."""
+    exponent, geom = labelings._compile_weight(w), oracle_geom(w)
+    return [(f, exponent(f), oracle_weight(w, f, geom)) for f in enumerate_labelings(w)]
+
+
+class TestMapWeight:
+    # the weight read off the map against the drawing route, labeling by
+    # labeling, wherever every component touches the boundary
+
+    def test_irreducible_webs(self):
+        webs = [D for n in range(1, 6) for D in irreducible_webs(n)]
+        pairs = [(w.code, k, j) for w in webs for _, k, j in weighed_by_both_routes(w)]
+        assert [p for p in pairs if p[1] != p[2]] == []
+        assert (len(webs), len(pairs)) == (135, 62691)
+
+    def test_products_with_second_generators(self):
+        # seeded products of E_i and D2_i, each drawn as built and redrawn
+        # from its map at three salts; D2_i D2_i closes a theta, and those
+        # webs are left to the test of closed components
+        rng = random.Random(SEED + 47)
+        webs, factors = [], Counter()
+        while len(webs) < 100:
+            n = rng.randint(3, 5)
+            d, word = identity_web(n), []
+            for _ in range(rng.randint(1, 4)):
+                word.append("D2" if rng.random() < 0.5 else "E")
+                if word[-1] == "D2":
+                    d = concatenate(d, second_generator(n, rng.randint(1, n - 2)).diagram)
+                else:
+                    d = concatenate(d, generator_web(n, rng.randint(1, n - 1)))
+            w = Web.from_slice(d)
+            if not has_closed_component(w):
+                webs += [w] + [Web.from_map(w.pmap, salt=salt) for salt in (1, 2, 3)]
+                factors.update(word)
+        pairs = [(w.code, f, k, j) for w in webs for f, k, j in weighed_by_both_routes(w)]
+        assert [p for p in pairs if p[2] != p[3]] == []
+        assert (len(pairs), factors["D2"], factors["E"]) == (36288, 25, 32)
+
+    def test_uncrossed_webs_with_loops(self):
+        from a2webs.networks import covering_markings, random_planar_network, uncross
+
+        rng = random.Random(SEED + 48)
+        webs = []
+        while len(webs) < 30:
+            net = random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(2, 5))
+            webs += [w for w in map(functools.partial(uncross, net), covering_markings(net)) if w.pmap.loops]
+        pairs = [(w.code, f, k, j) for w in webs for f, k, j in weighed_by_both_routes(w)]
+        assert [p for p in pairs if p[2] != p[3]] == []
+        assert (len(webs), len(pairs)) == (32, 10368)
+
+    def test_a_closed_component_follows_its_declared_outside(self):
+        # a closed component has no outside of its own; its map declares
+        # one, so its single weights may differ from a drawing's, every
+        # drawing gives the same ones, and the profiles agree
+        rng = random.Random(SEED + 49)
+        webs = [Web.from_code([int(x) for x in CLOSED_14.split(",")]), Web.from_code(CLOSED_THETA)]
+        while len(webs) < 30:
+            w = strand_with_closed_component(rng)
+            if w is not None:
+                webs.append(w)
+        moved = labelings_seen = 0
+        for w in webs:
+            weighed = weighed_by_both_routes(w)
+            by_map = Counter((boundary_restriction(w, f), k) for f, k, _ in weighed)
+            by_drawing = Counter((boundary_restriction(w, f), j) for f, _, j in weighed)
+            assert by_map == by_drawing, w.code
+            redrawn = labelings._compile_weight(Web.from_map(w.pmap, salt=1))
+            assert all(redrawn(f) == k for f, k, _ in weighed), w.code
+            moved += sum(k != j for _, k, j in weighed)
+            labelings_seen += len(weighed)
+        assert (labelings_seen, moved) == (10656, 6960)
+
+    def test_the_weight_draws_nothing(self):
+        # a web kept as a map is weighed without a drawing: 800 seeded
+        # generators on 4 strands
+        rng = random.Random(SEED + 50)
+        w = Web.from_map(product_web(4, [rng.randrange(1, 4) for _ in range(800)]).pmap)
+        labelings._compile_weight(w)
+        assert w._drawing is None
+
+    def test_a_map_with_no_drawing_fails_the_root_face(self):
+        # one internal rotation reversed: the map leaves the disk, render
+        # refuses it, and the turns solved on a spanning tree of its faces
+        # cannot close up at the root
+        rng = random.Random(SEED + 51)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            m = product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(2, 8))]).pmap
+            rot = list(m.rot)
+            v = rng.randrange(2 * n, len(rot))
+            rot[v] = rot[v][::-1]
+            bad = Web.from_map(PlanarMap(n, rot))
+            with pytest.raises(WebError):
+                bad.diagram
+            with pytest.raises(RuntimeError, match="root face"):
+                labelings._compile_weight(bad)
+
+
+class TestLoopValue:
+    # a vertexless loop is worth [3] by both routes: reduction strips it
+    # for [3], and the profile counts its three labels through the loop
+    # term.  k cup and cap pairs at wire n + 1 below seeded products
+    @staticmethod
+    def looped(rng, count=30):
+        """(bare, looped, k) for count seeded products."""
+        out = []
+        for _ in range(count):
+            n = rng.randint(1, 4)
+            w = product_web(n, [rng.randint(1, n - 1) for _ in range(rng.randint(0, 5))] if n > 1 else [])
+            k = rng.randint(1, 3)
+            out.append((w, Web.from_slice(concatenate(w.diagram, closed_parts_below(n, k, 0))), k))
+        return out
+
+    def test_a_loop_is_worth_three_both_ways(self):
+        rng = random.Random(SEED + 53)
+        for w, looped, k in self.looped(rng):
+            assert looped.pmap.loops == k
+            assert reduce_web(looped) == reduce_web(w).scale(qint(3) ** k)
+            assert boundary_profile(looped) == boundary_profile(w).scale(qint(3) ** k)
+
+    def test_a_loop_worth_two_fails_the_reduction(self, monkeypatch):
+        # the control: with _strip_loops worth [2], the reduction half
+        # fails on every web and the profile half, which never rewrites,
+        # passes on every web
+        strip = spider._strip_loops
+        monkeypatch.setattr(spider, "_strip_loops",
+                            lambda w: dataclasses.replace(strip(w), coeff=qint(2) ** w.pmap.loops))
+        clear_caches()
+        try:
+            rng = random.Random(SEED + 53)
+            halves = Counter()
+            for w, looped, k in self.looped(rng):
+                halves["reduction"] += reduce_web(looped) == reduce_web(w).scale(qint(3) ** k)
+                halves["profile"] += boundary_profile(looped) == boundary_profile(w).scale(qint(3) ** k)
+            assert halves == {"reduction": 0, "profile": 30}
+        finally:
+            monkeypatch.undo()
+            clear_caches()
 
 
 def _rank_at_q1(vectors):
@@ -802,18 +985,22 @@ class TestDrawingIndependence:
                     pairs += 1
         assert pairs > 1000
 
-    def test_a_closed_component_moves_weights_but_not_profiles(self):
+    def test_a_closed_component_keeps_weights_and_profiles(self):
         # one strand beside a closed component of four vertices: a
-        # redrawing may turn the component against the strand, so single
-        # weights change while the weighted counts per boundary word do not
+        # redrawing may turn the component against the strand, which moves
+        # single weights read off the drawings (the drawing route, 18 of 36
+        # labelings, t^8 becoming t^-8), but the weight reads the map, where
+        # the component declares its outer face, so no weight moves
         w = Web.from_code([int(x) for x in CLOSED_4.split(",")])
         fs = enumerate_labelings(w)
         redrawn = [Web.from_map(w.pmap, salt=salt) for salt in (1, 2, 3)]
-        moved = [f for f in fs if any(labeling_weight(x, f) != labeling_weight(w, f) for x in redrawn)]
+        moved = [f for f in fs if any(oracle_weight(x, f) != oracle_weight(w, f) for x in redrawn)]
         assert (len(fs), len(moved)) == (36, 18)
         f = (1, 1, 2, 3, 2, 3, 1)
-        assert labeling_weight(w, f) == LaurentPoly.t_power(8)
-        assert {labeling_weight(x, f) for x in redrawn} == {LaurentPoly.t_power(-8)}
+        assert oracle_weight(w, f) == 8
+        assert {oracle_weight(x, f) for x in redrawn} == {-8}
+        assert {labeling_weight(x, f) for x in redrawn} == {labeling_weight(w, f)} == {LaurentPoly.one()}
+        assert all(labeling_weight(x, f) == labeling_weight(w, f) for x in redrawn for f in fs)
         assert all(boundary_profile.__wrapped__(x) == boundary_profile(w) for x in redrawn)
 
     def test_rerendered_square_still_balances(self):
@@ -824,7 +1011,7 @@ class TestDrawingIndependence:
             w = Web.from_map(base.pmap, salt=salt)
             assert boundary_profile.__wrapped__(w) == prof
             _assert_conservation(w, bl("1,2,3:1,2,3"), set())
-            if any(sum(t) for t in w.geom.edge_turns.values()):
+            if any(sum(t) for t in oracle_geom(w).edge_turns.values()):
                 bent += 1
         # the point of re-rendering: some drawing must bend an edge past
         # vertical, or the turn bookkeeping went untested

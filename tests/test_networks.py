@@ -46,6 +46,7 @@ from oracles import (
     brute_force_labelings,
     disjoint_union,
     oracle_families,
+    oracle_geom,
     oracle_paths,
     oracle_uncross,
     path_vertices,
@@ -1132,7 +1133,7 @@ class TestUncross:
         ]
         assert loop_webs
         for w in loop_webs:
-            assert len(w.geom.loop_turns) == w.pmap.loops
+            assert len(oracle_geom(w).loop_turns) == w.pmap.loops
             # the drawing uncross used to make: the loop-free web's
             # drawing with one cup/cap pair below the strands per loop
             (stripped,) = apply_rule(w, ("loop",))

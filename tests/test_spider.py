@@ -34,7 +34,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
-from oracles import flip, oracle_second_generator, turn
+from oracles import flip, oracle_geom, oracle_second_generator, turn
 
 SEED = 20260816
 
@@ -118,7 +118,7 @@ class TestReductionDepth:
         w = product_web(2, (1,) * 100)
         # each vertex: its two strand legs take 1 (top) and 2, its middle edge 3
         lab = [0] * len(w.pmap.edges)
-        for left, right in w.geom.vertex_sides.values():
+        for left, right in oracle_geom(w).vertex_sides.values():
             (middle,), pair = (right, left) if len(left) == 2 else (left, right)
             lab[pair[0]], lab[pair[1]], lab[middle] = 1, 2, 3
         ty, _ = transport_and_type(w, tuple(lab))
@@ -226,7 +226,7 @@ class TestTripleProduct:
 
 
 class TestRewriteChildren:
-    # rewriting never draws, so draw every child here: reading geom
+    # rewriting never draws, so draw every child here: oracle_geom
     # renders the child's map and runs the drawing round-trip check
     def test_every_child_is_valid_and_drawable(self):
         rng = random.Random(SEED)
@@ -247,7 +247,7 @@ class TestRewriteChildren:
             for feature in all_reducible_features(w):
                 for o in apply_rule(w, feature):
                     kinds.add(feature[0])
-                    assert set(o.child.geom.vertex_sides) == set(o.child.pmap.internal_vertices())
+                    assert set(oracle_geom(o.child).vertex_sides) == set(o.child.pmap.internal_vertices())
                     if o.child.code not in seen:
                         seen.add(o.child.code)
                         work.append(o.child)

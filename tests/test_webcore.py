@@ -25,7 +25,7 @@ from a2webs.webcore import (
     render,
     to_map,
 )
-from oracles import oracle_code, oracle_components, oracle_render, oracle_roots
+from oracles import oracle_code, oracle_components, oracle_geom, oracle_render, oracle_roots, oracle_to_map
 
 R, L = RIGHT, LEFT
 SEED = 20260816
@@ -48,7 +48,7 @@ def role_tag(m, v):
 
 class TestIdentity:
     def test_three_strands(self):
-        m, geom = to_map(identity_web(3))
+        m = to_map(identity_web(3))
         assert m.n == 3
         assert m.internal_vertex_count == 0
         assert len(m.edges) == 3
@@ -59,7 +59,7 @@ class TestIdentity:
         assert all(len(f) == 2 for f in m.faces())
 
     def test_code_roundtrip(self):
-        m, _ = to_map(identity_web(3))
+        m = to_map(identity_web(3))
         code = canonical_form(m)
         m2 = decode_code(code)
         assert canonical_form(m2) == code
@@ -73,7 +73,7 @@ class TestIdentity:
 
 class TestGeneratorWeb:
     def test_shape(self):
-        m, geom = to_map(generator_web(2, 1))
+        m = to_map(generator_web(2, 1))
         assert m.internal_vertex_count == 2
         assert len(m.edges) == 5
         Web.from_map(m).diagram
@@ -84,13 +84,13 @@ class TestGeneratorWeb:
         assert len(middle) == 1
 
     def test_single_face(self):
-        m, _ = to_map(generator_web(2, 1))
+        m = to_map(generator_web(2, 1))
         faces = m.faces()
         assert len(faces) == 1
         assert len(faces[0]) == 10
 
     def test_boundary_walk_order(self):
-        m, _ = to_map(generator_web(2, 1))
+        m = to_map(generator_web(2, 1))
         (orbit,) = m.faces()
         bnd = [role_tag(m, m.dart_vertex[d]) for d in orbit
                if m.dart_vertex[d] < 2 * m.n]
@@ -99,7 +99,7 @@ class TestGeneratorWeb:
         assert bnd == [("src", 1), ("src", 2), ("snk", 2), ("snk", 1)]
 
     def test_geometry_sides(self):
-        m, geom = to_map(generator_web(2, 1))
+        m, geom = oracle_to_map(generator_web(2, 1))
         u = next(v for v in m.internal_vertices() if m.is_sink(v))
         left_edges, right_edges = geom.vertex_sides[u]
         assert len(left_edges) == 2 and len(right_edges) == 1
@@ -121,22 +121,22 @@ class TestSinkFlags:
 
     def test_drawn_vertices(self):
         d = generator_web(3, 1)
-        m, _ = to_map(d)
+        m = to_map(d)
         cols = [c for c in d.columns if c.tile in ("merge", "split")]
         assert len(cols) == m.internal_vertex_count == 2
         for v, c in zip(m.internal_vertices(), cols):
             assert VERTEX_DIRS[(c.tile, m.is_sink(v))] == c.dirs
 
     def test_rewrite_children(self):
-        # a child's map is rebuilt from its parent's darts, not drawn; its
-        # geometry names each vertex's legs on the child's own ids
+        # a child's map is rebuilt from its parent's darts, not drawn; the
+        # geometry of its drawing names each vertex's legs on its own ids
         from a2webs.spider import all_reducible_features, apply_rule, product_web
 
         w = product_web(3, (2, 1, 1, 2))
         children = [o.child for f in all_reducible_features(w) for o in apply_rule(w, f)]
         assert children
         for child in children:
-            m, geom = child.pmap, child.geom
+            m, geom = child.pmap, oracle_geom(child)
             for v in m.internal_vertices():
                 left, right = geom.vertex_sides[v]
                 tile = "merge" if len(left) == 2 else "split"
@@ -159,7 +159,7 @@ class TestWiggle:
         assert web(self.WIGGLE) == web(generator_web(2, 1))
 
     def test_turns_recorded_and_cancel(self):
-        m, geom = to_map(self.WIGGLE)
+        m, geom = oracle_to_map(self.WIGGLE)
         turned = [t for t in geom.edge_turns.values() if t]
         assert turned == [(-1, 1)] or turned == [(1, -1)]
 
@@ -176,8 +176,9 @@ def assert_geometry_on_own_ids(w):
     # every internal vertex of the web's map has its sides, and they
     # list exactly the edges the map attaches to it
     m = w.pmap
-    assert set(w.geom.vertex_sides) == set(m.internal_vertices())
-    for v, (left, right) in w.geom.vertex_sides.items():
+    geom = oracle_geom(w)
+    assert set(geom.vertex_sides) == set(m.internal_vertices())
+    for v, (left, right) in geom.vertex_sides.items():
         ends = [e for e, (a, b) in enumerate(m.edges) for x in (a, b) if x == v]
         assert sorted(left + right) == sorted(ends)
 
@@ -205,7 +206,7 @@ class TestRender:
         assert_geometry_on_own_ids(w2)
 
     def test_loops_refused(self):
-        m, _ = to_map(circle_diagram())
+        m = to_map(circle_diagram())
         with pytest.raises(WebError):
             render(m)
 
@@ -290,7 +291,7 @@ class TestSweep:
             seeds = sourceless(m)
             for salt in range(4):
                 d = render(m, salt)
-                assert canonical_form(to_map(d)[0]) == bare
+                assert canonical_form(to_map(d)) == bare
                 if not (salt and seeds):
                     assert d == oracle_render(m, salt)
             seeded += seeds
@@ -307,7 +308,7 @@ class TestSweep:
                 d = draw(m)
             except WebError:
                 return False
-            assert canonical_form(to_map(d)[0]) == canonical_form(m)
+            assert canonical_form(to_map(d)) == canonical_form(m)
             return True
 
         counts = [0, 0]
@@ -423,15 +424,15 @@ def circle_diagram():
 
 class TestLoops:
     def test_circle_counts_as_loop(self):
-        m, geom = to_map(circle_diagram())
+        m, geom = oracle_to_map(circle_diagram())
         assert m.loops == 1
         assert m.internal_vertex_count == 0
         assert len(m.edges) == 1
         assert geom.loop_turns == ((1, 1),)
 
     def test_loop_changes_code(self):
-        m, _ = to_map(circle_diagram())
-        mid, _ = to_map(identity_web(1))
+        m = to_map(circle_diagram())
+        mid = to_map(identity_web(1))
         assert canonical_form(m) != canonical_form(mid)
 
 
@@ -655,8 +656,10 @@ class TestCodes:
 
 
 def drawing_record(d):
-    """Everything to_map reads off one drawing, as text."""
-    m, g = to_map(d)
+    """Everything the drawing route of the weight reads off one drawing
+    (oracle_to_map), as text.  Its map is the library's."""
+    m, g = oracle_to_map(d)
+    assert (to_map(d).rot, to_map(d).loops) == (m.rot, m.loops)
     return repr((
         d.columns, tuple(role_tag(m, v) for v in range(len(m.rot))), m.rot, m.edges, m.loops,
         sorted(g.vertex_sides.items()), sorted(g.edge_turns.items()), g.loop_turns,
@@ -664,7 +667,7 @@ def drawing_record(d):
 
 
 class TestDrawingDigest:
-    # sha256 over the drawings render makes and over what to_map reads
+    # sha256 over the drawings render makes and over what oracle_to_map reads
     # off each of them.  SALT0 covers salt 0 and each web's own drawing,
     # unchanged since to_map stitched tagged terminals and render kept one
     # branch per kind of move.  SALTED covers salts 1-3, recorded when
@@ -771,13 +774,13 @@ class TestRandomDrawings:
         for _ in range(300):
             n = rng.randint(1, 4)
             d = random_slice_diagram(n, rng, rng.randint(0, 12))
-            m, _ = to_map(d)
+            m = to_map(d)
             code = canonical_form(m)
             w = Web.from_map(decode_code(code))
-            assert canonical_form(to_map(w.diagram)[0]) == code
+            assert canonical_form(to_map(w.diagram)) == code
             assert_geometry_on_own_ids(w)
             bare = canonical_form(m.without_loops())
             for salt in (1, 2, 3):
-                assert canonical_form(to_map(render(m.without_loops(), salt))[0]) == bare
+                assert canonical_form(to_map(render(m.without_loops(), salt))) == bare
             shapes.add((m.loops > 0, len(component_walks(m)) > n))
         assert shapes == {(False, False), (False, True), (True, False), (True, True)}
