@@ -90,7 +90,7 @@ from .webcore import Web, WebError
 
 def _check_bound(name: str, n: int, what: str) -> None:
     if n > STRAND_BOUNDS[name]:
-        raise WebError(f"{what} documented up to n={STRAND_BOUNDS[name]}, got {n}")
+        raise WebError(f"{what} documented up to n={STRAND_BOUNDS[name]}, got {quoted(n)}")
 
 
 def _emit(obj) -> None:
@@ -125,7 +125,7 @@ def _parse_perm(text: str) -> tuple[int, ...]:
 
 def _combo_json(combo: WebCombo, laurent: bool) -> dict:
     out = {}
-    for D, c in sorted(combo.terms(), key=lambda t: t[0].code):
+    for D, c in combo.terms():  # in code order
         out[_webkey(D.code)] = c.to_json_obj() if laurent else str(eval_q1(c))
     return out
 
@@ -255,7 +255,7 @@ def cmd_immanants(args) -> int:
         raise WebError("need --matrix FILE or --table")
     X = ExactMatrix.from_json_obj(_load_json(args.matrix))
     if X.n != args.n:
-        raise WebError(f"matrix is {X.n}x{X.n} but --n is {args.n}")
+        raise WebError(f"matrix is {X.n}x{X.n} but --n is {quoted(args.n)}")
     _check_bound("immanants", args.n, "immanant evaluation is")
     out = {}
     for D in irreducible_webs(args.n):
@@ -270,7 +270,7 @@ def cmd_decompose(args) -> int:
         [_parse_ints(args.J1), _parse_ints(args.J2), _parse_ints(args.J3)],
     )
     if len(g) != 2 * args.n:
-        raise WebError(f"blocks cover 1..{len(g) // 2} but --n is {args.n}")
+        raise WebError(f"blocks cover 1..{len(g) // 2} but --n is {quoted(args.n)}")
     counts = decompose_triple(g)
     _emit({_webkey(D.code): c for D, c in sorted(counts.items(), key=lambda t: t[0].code)})
     return 0
@@ -571,11 +571,11 @@ def run_suite(suite: str, n: int, samples: Optional[int] = None, seed: int = 0) 
     if suite not in SUITES:
         raise WebError(f"unknown suite {quoted(suite)}; pick from {', '.join(SUITES)}")
     if n < 2 and suite != "dimensions":
-        raise WebError(f"suites need n >= 2, got {n}")
+        raise WebError(f"suites need n >= 2, got {quoted(n)}")
     if n < 1:
-        raise WebError(f"need n >= 1, got {n}")
+        raise WebError(f"need n >= 1, got {quoted(n)}")
     if samples is not None and samples < 1:
-        raise WebError(f"need samples >= 1, got {samples}")
+        raise WebError(f"need samples >= 1, got {quoted(samples)}")
     if suite == "all":
         tasks = [
             (name, min(n, STRAND_BOUNDS[name]), samples, seed * 1009 + i)

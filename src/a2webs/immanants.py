@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1, parse_rational
+from .exactmath import eval_q1, parse_rational, quoted
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError
@@ -158,9 +158,9 @@ class ExactMatrix:
         except (ValueError, TypeError) as exc:
             raise WebError(f"bad matrix entry: {exc}") from exc
         if "n" in obj and type(obj["n"]) is not int:
-            raise WebError(f"matrix 'n' must be an integer, got {obj['n']!r}")
+            raise WebError(f"matrix 'n' must be an integer, got {quoted(obj['n'])}")
         if "n" in obj and obj["n"] != m.n:
-            raise WebError(f"matrix says n={obj['n']} but has {m.n} rows")
+            raise WebError(f"matrix says n={quoted(obj['n'])} but has {m.n} rows")
         return m
 
 
@@ -240,9 +240,9 @@ def immanant_table(n: int) -> ImmanantTable:
     """The one expansion over S_n: f_D(w) for every web D it hits."""
     bound = STRAND_BOUNDS["webs"]
     if n < 1:
-        raise WebError(f"need n >= 1, got {n}")
+        raise WebError(f"need n >= 1, got {quoted(n)}")
     if n > bound:
-        raise WebError(f"web enumeration is bounded at n = {bound}, got {n}")
+        raise WebError(f"web enumeration is bounded at n = {bound}, got {quoted(n)}")
     rows: dict = {}
     for w in all_perms(n):
         for D, v in _q1_row(theta_image(w)).items():

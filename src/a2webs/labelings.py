@@ -19,12 +19,13 @@ in their place.
 
 The weight is that of a drawing with 120-degree internal corners,
 sources top to bottom on the left and sinks on the right, read off the
-map: _edge_turns solves each edge's turn, tail to head in half turns
-counterclockwise.  The t-exponent is minus (4 - 2i) times the turn of
-each edge labeled i, minus 1/3 at an internal source whose labels rise
-counterclockwise (plus 1/3 where they fall, reversed at a sink), plus
-2(4 - 2i) per closed loop labeled i.  Its sign is a convention of this
-form: a web's mirror image negates every edge and vertex term.
+map: webcore.edge_turns solves each edge's turn, tail to head in half
+turns counterclockwise.  The t-exponent is minus (4 - 2i) times the
+turn of each edge labeled i, minus 1/3 at an internal source whose
+labels rise counterclockwise (plus 1/3 where they fall, reversed at a
+sink), plus 2(4 - 2i) per closed loop labeled i.  Its sign is a
+convention of this form: a web's mirror image negates every edge and
+vertex term.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
-from .webcore import Combo, PlanarMap, Web, WebError, _walk_memo, canonical_edge_order, int_entries, orbits
+from .webcore import Combo, Web, WebError, canonical_edge_order, edge_turns, int_entries
 
 LABELS = (1, 2, 3)
 
@@ -80,7 +81,7 @@ def _check_word(g: tuple[int, ...], n: int) -> tuple[int, ...]:
         raise WebError("source and sink words must have equal length")
     for x in g:
         if x not in LABELS:
-            raise WebError(f"boundary label {x!r} out of range")
+            raise WebError(f"boundary label {quoted(x)} out of range")
     if len(g) != 2 * n:
         raise WebError(f"boundary has {len(g) // 2} strands, web has {n}")
     return g
@@ -215,46 +216,6 @@ def _check_counts(w: Web, f: tuple[int, ...]) -> None:
         raise WebError("labeling does not match the web's edge and loop counts")
 
 
-def _edge_turns(m: PlanarMap) -> list[int]:
-    """Per dart, the turn of its edge walked along it, in thirds of a
-    half turn.  Each face is walked with the face on its right; at the
-    boundary the walk goes on clockwise along the disk's frame to the
-    next boundary vertex, turning -1 between neighbouring sources or
-    sinks and -2 across the top or the bottom.  Every internal corner
-    turns -1/3, and a face -2 in all, but a closed component's outside
-    +2: its face through its least edge's tail dart, as
-    PlanarMap.outer_face_indices declares it.  The turns are solved on a
-    spanning tree of the faces peeled from its leaves, 0 off the tree,
-    and the root face is the check."""
-    n, rot, dv = m.n, m.rot, m.dart_vertex
-    nxt = m.face_successors()
-    bend = [-1] * len(nxt)  # per dart, the turn where its walk goes on
-    ring = [0, *range(n, 2 * n), *range(n - 1, 0, -1)]  # the frame, clockwise from source 1
-    for u, v in zip(ring, ring[1:] + ring[:1]):
-        d = rot[u][0] ^ 1  # the dart that reaches u
-        nxt[d], bend[d] = rot[v][0], -6 if u in (0, 2 * n - 1) else -3
-    faces = orbits(nxt)
-    face = {d: k for k, orbit in enumerate(faces) for d in orbit}
-    outside = {face[2 * min(eorder)] for root, *eorder in _walk_memo(m) if dv[root] >= 2 * n}
-    turn = [0] * len(nxt)
-    up: dict[int, int] = {}  # per face, its dart on the edge to its parent; -1 at a root
-    for root in (k for k in range(len(faces)) if k not in up):  # a face of each component
-        up[root], tree = -1, [root]
-        for k in tree:
-            for d in faces[k]:
-                if face[d ^ 1] not in up:
-                    up[face[d ^ 1]] = d ^ 1
-                    tree.append(face[d ^ 1])
-        for k in reversed(tree):
-            rest = (6 if k in outside else -6) - sum(bend[d] + turn[d] for d in faces[k])
-            d = up[k]
-            if d >= 0:
-                turn[d], turn[d ^ 1] = rest, -rest
-            elif rest:
-                raise RuntimeError("the edge turns of a web fail its root face")
-    return turn
-
-
 # a closed loop labeled k is read like a vertex whose two legs are the
 # loop, at row k and column k: 2(4 - 2k) in thirds
 _LOOP = ((0,) * 4, (0, 12, 0, 0), (0,) * 4, (0, 0, 0, -12))
@@ -267,7 +228,7 @@ def _compile_weight(w: Web) -> Callable[[tuple[int, ...]], int]:
     edge's turn joins its tail's table, or its head's when its tail is
     a boundary source; a through-strand turns 0."""
     m = w.pmap
-    turn = _edge_turns(m)
+    turn = edge_turns(m)
     tables = []
     for v in m.internal_vertices():
         darts = m.rot[v]
@@ -292,8 +253,8 @@ def _compile_weight(w: Web) -> Callable[[tuple[int, ...]], int]:
 def labeling_weight(w: Web, f: tuple[int, ...]) -> LaurentPoly:
     """The monomial t^k of one labeling, read off w's map.  A closed
     component has no outside of its own: its weights follow the outer
-    face its map declares (see _edge_turns), and another choice would
-    change single weights, though not the weighted counts of
+    face its map declares (see webcore.edge_turns), and another choice
+    would change single weights, though not the weighted counts of
     boundary_profile."""
     _check_counts(w, f)
     return LaurentPoly.t_power(_compile_weight(w)(f))

@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Optional, Sequence
 
+from .exactmath import quoted
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .labelings import _boundary_edges, enumerate_labelings
 from .webcore import Web, WebError, int_entries
@@ -40,10 +41,10 @@ def index_set(xs: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]:
     xs = int_entries(xs)
     out = tuple(sorted(xs))
     if len(set(out)) != len(out):
-        raise WebError(f"repeated index in {xs}")
+        raise WebError(f"repeated index in {quoted(xs)}")
     for x in out:
         if n is not None and not 1 <= x <= n:
-            raise WebError(f"index {x} out of range 1..{n}")
+            raise WebError(f"index {quoted(x)} out of range 1..{n}")
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Optional, Union
 
-from .exactmath import LaurentPoly, _coerce, qint
+from .exactmath import LaurentPoly, _coerce, qint, quoted
 from .webcore import (
     Column,
     Combo,
@@ -357,7 +357,7 @@ def second_generator(n: int, i: int) -> Web:
     neighbouring generators exceed their own generator by this one web;
     relation_suite checks that."""
     if not 1 <= i <= n - 2:
-        raise WebError(f"second generator position {i} out of range for n={n}")
+        raise WebError(f"second generator position {quoted(i)} out of range for n={n}")
     return Web.from_slice(SliceDiagram(n, (
         Column(i, "merge", ("R", "R", "L")),
         Column(i, "cap", ("L", "R")),

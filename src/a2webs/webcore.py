@@ -8,8 +8,7 @@ oriented so that each vertex is all-in (a sink) or all-out (a source).
 Three representations cooperate:
 
 - SliceDiagram: a concrete drawing, one tile per vertical slice.  Webs
-  are multiplied by concatenating drawings, and a code read from input
-  is checked by drawing it.
+  are multiplied by concatenating drawings.
 - PlanarMap: the embedding-free rotation system (darts, twins, cyclic
   orders) plus a count of closed loops.  The algebra lives here.  The
   rotations are the whole map: a web is bipartite, so a dart's parity
@@ -25,7 +24,6 @@ package computes is invariant under both, so a bare count suffices.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -48,6 +46,9 @@ VERTEX_DIRS = {
 
 class WebError(ValueError):
     """Structurally invalid web data."""
+
+
+NO_DRAWING = "map admits no slice drawing with the prescribed boundary"
 
 
 def int_entries(xs: Iterable) -> tuple[int, ...]:
@@ -213,7 +214,7 @@ def generator_web(n: int, i: int) -> SliceDiagram:
     sink, and a mirrored internal source feeds strands i, i+1 on the
     right; one leftward middle edge runs from the source to the sink."""
     if not 1 <= i <= n - 1:
-        raise WebError(f"generator position {i} out of range for n={n}")
+        raise WebError(f"generator position {quoted(i)} out of range for n={n}")
     return SliceDiagram(
         n,
         (
@@ -611,16 +612,16 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
                 raise WebError("truncated vertex record")
             kind, param = block[i], block[i + 1]
             if kind not in (1, 2, 3, 4):
-                raise WebError(f"unknown vertex kind {kind}")
+                raise WebError(f"unknown vertex kind {quoted(kind)}")
             deg = 1 if kind in (1, 2) else 3
             if i + 2 + deg > len(block):
                 raise WebError("truncated vertex record")
             elist = block[i + 2 : i + 2 + deg]
             if min(elist) < 0:
-                raise WebError(f"negative edge number {min(elist)}")
+                raise WebError(f"negative edge number {quoted(min(elist))}")
             if max(elist) >= blen:
                 # a block numbers its edges below its own length
-                raise WebError(f"edge number {max(elist)} out of range")
+                raise WebError(f"edge number {quoted(max(elist))} out of range")
             i += 2 + deg
             if kind > 2:
                 v = len(rot)
@@ -647,21 +648,65 @@ def decode_code(code: Sequence[int]) -> PlanarMap:
 
 
 # ---------------------------------------------------------------------------
+# Checking that a map is a web
+
+
+def edge_turns(m: PlanarMap) -> list[int]:
+    """Per dart, the turn of its edge walked along it, in thirds of a
+    half turn, in a drawing with 120-degree internal corners, sources
+    top to bottom on the left and sinks on the right.  Each face is
+    walked with the face on its right; at the boundary the walk goes on
+    clockwise along the disk's frame to the next boundary vertex,
+    turning -1 between neighbouring sources or sinks and -2 across the
+    top or the bottom.  Every internal corner turns -1/3, and a face -2
+    in all, but a closed component's outside +2: its face through its
+    least edge's tail dart, as PlanarMap.outer_face_indices declares it.
+    The turns are solved on a spanning tree of the faces peeled from its
+    leaves, 0 off the tree.  The root faces are the check of a web: they
+    close up exactly on the maps render draws, else WebError."""
+    n, rot, dv = m.n, m.rot, m.dart_vertex
+    nxt = m.face_successors()
+    bend = [-1] * len(nxt)  # per dart, the turn where its walk goes on
+    ring = [0, *range(n, 2 * n), *range(n - 1, 0, -1)]  # the frame, clockwise from source 1
+    for u, v in zip(ring, ring[1:] + ring[:1]):
+        d = rot[u][0] ^ 1  # the dart that reaches u
+        nxt[d], bend[d] = rot[v][0], -6 if u in (0, 2 * n - 1) else -3
+    faces = orbits(nxt)
+    face = {d: k for k, orbit in enumerate(faces) for d in orbit}
+    outside = {face[2 * min(eorder)] for root, *eorder in _walk_memo(m) if dv[root] >= 2 * n}
+    turn = [0] * len(nxt)
+    up: dict[int, int] = {}  # per face, its dart on the edge to its parent; -1 at a root
+    for root in (k for k in range(len(faces)) if k not in up):  # a face of each component
+        up[root], tree = -1, [root]
+        for k in tree:
+            for d in faces[k]:
+                if face[d ^ 1] not in up:
+                    up[face[d ^ 1]] = d ^ 1
+                    tree.append(face[d ^ 1])
+        for k in reversed(tree):
+            rest = (6 if k in outside else -6) - sum(bend[d] + turn[d] for d in faces[k])
+            d = up[k]
+            if d >= 0:
+                turn[d], turn[d ^ 1] = rest, -rest
+            elif rest:
+                raise WebError(NO_DRAWING)
+    return turn
+
+
+# ---------------------------------------------------------------------------
 # Rendering a map back to a slice diagram
 
 
-def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
+def render(m: PlanarMap) -> SliceDiagram:
     """Produce some drawing of m.  Any embedding serves: a drawing is
     read back only as a map (to_map), and the labeling weight reads the
-    map.  Different salts may give different embeddings.  Loop
-    components must be removed first.  A map with no drawing, both
-    boundary sides in order, is refused: with the round trip in
-    Web._draw, this is the one check of a web.
+    map.  Loop components must be removed first.  A map with no
+    drawing, both boundary sides in order, is refused, as edge_turns
+    refuses it.
 
-    One left-to-right sweep that never backtracks: each step places a
-    vertex (the first placeable one, or the first after a salted
-    shuffle), and only when none is placeable does the next component
-    without a source start, from one cup."""
+    One left-to-right sweep that never backtracks: each step places the
+    first placeable vertex, and only when none is placeable does the
+    next component without a source start, from one cup."""
     if m.loops:
         raise WebError("cannot draw a map with abstract loop components")
     n = m.n
@@ -672,7 +717,6 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     # initial frontier: the far ends of all source edges, top to bottom
     F = tuple(m.rot[i][0] ^ 1 for i in range(n))
     target = tuple(m.rot[n + j][0] for j in range(n))
-    rng = random.Random(salt) if salt else None
 
     # A move replaces the k frontier darts at position p by new ones and
     # adds tiles at p: (p, k, new darts, (tile, dirs) pairs).
@@ -727,8 +771,6 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     cols: list[Column] = []
     while True:
         moves = vertex_moves()
-        if rng is not None:
-            rng.shuffle(moves)
         if not moves and seeds:
             moves = [seed_move(*seeds.pop())]
         if not moves:
@@ -739,7 +781,7 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     # every component has started, so an unplaced vertex leaves a dart
     # on the frontier
     if F != target:
-        raise WebError("map admits no slice drawing with the prescribed boundary")
+        raise WebError(NO_DRAWING)
     return SliceDiagram(n, tuple(cols))
 
 
@@ -748,8 +790,8 @@ def render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
 
 
 class Web:
-    """A web as (map, code); identity is the code.  The drawing is made
-    on the first read of diagram."""
+    """A web as (map, code); identity is the code.  Only products read a
+    drawing (spider.web_product), made on the first read of diagram."""
 
     __slots__ = ("pmap", "code", "_hash", "_drawing")
 
@@ -765,34 +807,28 @@ class Web:
         return cls(pmap, canonical_form(pmap), diagram)
 
     @classmethod
-    def from_map(cls, pmap: PlanarMap, salt: int = 0) -> "Web":
-        """Keep pmap as the web's map.  A nonzero salt draws at once,
-        with that salt; otherwise drawing waits for the first read."""
-        w = cls(pmap, canonical_form(pmap))
-        if salt:
-            w._draw(salt)
-        return w
+    def from_map(cls, pmap: PlanarMap) -> "Web":
+        """Keep pmap as the web's map; nothing is drawn."""
+        return cls(pmap, canonical_form(pmap))
 
     @classmethod
     def from_code(cls, code: Sequence[int]) -> "Web":
+        """The web of a code read from input, checked on its map, with no
+        drawing, by decode_code and edge_turns.  Loops are refused: each
+        one triples the labelings a short code asks for."""
         m = decode_code(code)
         if m.loops:
             raise WebError("codes with loop components have no canonical drawing")
-        w = cls.from_map(m)
-        w._draw()  # a code read from input must be drawable: refuse it here
-        return w
+        edge_turns(m)
+        return cls.from_map(m)
 
     @property
     def diagram(self) -> SliceDiagram:
-        return self._draw()
-
-    def _draw(self, salt: int = 0) -> SliceDiagram:
-        """Draw the map without its loops, add one cup/cap pair below the
-        strands per loop, and check that the drawing reads back as the
-        web."""
+        """render's drawing of the map without its loops, plus a cup/cap
+        pair below the strands per loop, checked to read back as the web."""
         if self._drawing is None:
             m = self.pmap
-            drawing = render(m.without_loops() if m.loops else m, salt=salt)
+            drawing = render(m.without_loops() if m.loops else m)
             loop = (Column(m.n + 1, "cup", (RIGHT, LEFT)), Column(m.n + 1, "cap", (RIGHT, LEFT)))
             diagram = SliceDiagram(m.n, drawing.columns + loop * m.loops)
             if canonical_form(to_map(diagram)) != self.code:

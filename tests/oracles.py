@@ -594,8 +594,7 @@ def oracle_render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
     Produce some drawing of m.  Any embedding is acceptable; the
     weight statistic is drawing-independent.  Different salts may give
     different embeddings.  Loop components must be removed first.  A
-    map with no drawing, both boundary sides in order, is refused: with
-    the round trip in Web._draw, this is the one check of a web."""
+    map with no drawing, both boundary sides in order, is refused."""
     if m.loops:
         raise WebError("cannot draw a map with abstract loop components")
     # components numbered by their least vertex, each with its edges
@@ -691,6 +690,16 @@ def oracle_render(m: PlanarMap, salt: int = 0) -> SliceDiagram:
         start = len(cols)
         cols += [Column(p + 1, tile, dirs) for tile, dirs in tiles]
         F, placed = F[:p] + new + F[p + k :], placed if v is None else placed | {v}
+
+
+def redrawn(w: Web, salt: int) -> Web:
+    """A web on w's own map whose drawing is oracle_render's at salt,
+    plus one cup/cap pair below the strands per loop: another drawing of
+    the same map, with the same edge ids."""
+    m = w.pmap
+    loop = (Column(m.n + 1, "cup", (RIGHT, LEFT)), Column(m.n + 1, "cap", (RIGHT, LEFT)))
+    drawing = SliceDiagram(m.n, oracle_render(m.without_loops(), salt).columns + loop * m.loops)
+    return Web(m, w.code, drawing)
 
 
 def oracle_rank_check(n: int) -> dict:

@@ -61,8 +61,7 @@ from a2webs.tlbridge import (
     pair_expansion,
     tl_immanant,
 )
-from a2webs.webcore import Web
-from oracles import oracle_geom, parabolic_image, rank_over_q
+from oracles import oracle_geom, parabolic_image, rank_over_q, redrawn
 
 SEED = 20260816
 
@@ -154,10 +153,10 @@ def test_c06_weighted_counts_ignore_the_drawing():
         w = product_web(n, word)
         prof = boundary_profile(w)
         for salt in (1, 2):
-            redrawn = Web.from_map(w.pmap, salt=salt)
+            other = redrawn(w, salt)
             # past the memo, which keys on the code: the redrawing's own counts
-            assert boundary_profile.__wrapped__(redrawn) == prof, (n, word, salt)
-            if any(sum(t) for t in oracle_geom(redrawn).edge_turns.values()):
+            assert boundary_profile.__wrapped__(other) == prof, (n, word, salt)
+            if any(sum(t) for t in oracle_geom(other).edge_turns.values()):
                 somebody_bent = True
     assert somebody_bent
 

@@ -663,6 +663,36 @@ class TestMalformedInput:
         line = one_error_line(capsys, argv)
         assert line.startswith(head) and "characters)" in line and len(line) < 300, line
 
+    @pytest.mark.parametrize("argv, tail", [
+        (["decompose", "--n", "3", "--I1", ",".join(["1"] * 20_000)], ""),
+        (["decompose", "--n", "9" * 999, "--I1", "1", "--J1", "1"], ""),
+        (["bridge", "--n", "3", "--w", "12", "--I3", "9" * 999, "--J3", "1"], " out of range 1..3"),
+        (["bridge", "--n", "9" * 999, "--w", "1"], ""),
+        (["labelings", "--web", GEN, "--boundary", "1," + "9" * 999 + ":1,2"], " out of range"),
+        (["labelings", "--web", "1,0,1,6,1,1," + "9" * 999 + ",2,1,0"], " out of range"),
+        (["reduce", "--n", "2", "E" + "9" * 999], " out of range for n=2"),
+        (["reduce", "--n", "3", "D2_" + "9" * 999], " out of range for n=3"),
+        (["reduce", "--n", "9" * 999, "Id"], ""),
+        (["verify", "--samples", "-" + "9" * 999], ""),
+    ], ids=["repeated-index", "decompose-n", "index", "bridge-n", "label", "edge-number",
+            "E", "D2_", "bound", "samples"])
+    def test_accepted_numbers_are_quoted_by_a_prefix(self, capsys, argv, tail):
+        # each list or number here is read whole, then refused, and the
+        # error line quotes only its first characters
+        line = one_error_line(capsys, argv)
+        assert line.endswith("characters)" + tail) and len(line) < 300, line
+
+    @pytest.mark.parametrize("n, tail", [
+        ("x" * 5000, ""),
+        (list(range(3000)), ""),
+        (int("9" * 999), " but has 1 rows"),
+    ], ids=["text", "list", "number"])
+    def test_matrix_n_is_quoted_by_a_prefix(self, capsys, tmp_path, n, tail):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": n, "rows": [["1"]]}))
+        line = one_error_line(capsys, ["immanants", "--n", "1", "--matrix", str(path)])
+        assert line.endswith("characters)" + tail) and len(line) < 300, line
+
     def test_short_text_is_quoted_whole(self, capsys):
         assert quoted("E1 x") == "'E1 x'"
         assert quoted("x" * 81) == "'" + "x" * 80 + "'... (81 characters)"

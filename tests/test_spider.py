@@ -34,7 +34,7 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
-from oracles import flip, oracle_geom, oracle_second_generator, turn
+from oracles import flip, oracle_geom, oracle_second_generator, redrawn, turn
 
 SEED = 20260816
 
@@ -413,20 +413,20 @@ class TestProductMemo:
         # webs, so it agrees with the memo only because reduction does
         # not depend on the drawing
         rng = random.Random(SEED + 9)
-        redrawn = 0
+        moved = 0
         for n in range(2, 6):
             webs = irreducible_webs(n)
             for _ in range(25):
                 a, b = rng.choice(webs), rng.choice(webs)
                 salt = rng.randrange(1, 4)
-                a2, b2 = Web.from_map(a.pmap, salt), Web.from_map(b.pmap, salt)
-                redrawn += a2.diagram != a.diagram or b2.diagram != b.diagram
+                a2, b2 = redrawn(a, salt), redrawn(b, salt)
+                moved += a2.diagram != a.diagram or b2.diagram != b.diagram
                 direct = reduce_web(Web.from_slice(concatenate(a2.diagram, b2.diagram)))
                 hits = web_product.cache_info().hits
                 assert WebCombo.from_web(a) * WebCombo.from_web(b) == direct
                 assert WebCombo.from_web(a2) * WebCombo.from_web(b2) == direct
                 assert web_product.cache_info().hits > hits
-        assert redrawn > 0
+        assert moved > 0
 
 
 class TestHeckeImages:

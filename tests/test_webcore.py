@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from a2webs import webcore
 from a2webs.webcore import (
     LEFT,
     RIGHT,
@@ -20,6 +21,7 @@ from a2webs.webcore import (
     component_walks,
     concatenate,
     decode_code,
+    edge_turns,
     generator_web,
     identity_web,
     render,
@@ -193,11 +195,6 @@ class TestRender:
         assert w.pmap.internal_vertex_count == 2
         assert len(w.pmap.edges) == 6
 
-    def test_salt_independence(self):
-        m = double_tripod_map()
-        codes = {Web.from_map(m, salt=s).code for s in (0, 1, 2, 7)}
-        assert len(codes) == 1
-
     def test_two_column_web(self):
         d = concatenate(generator_web(3, 1), generator_web(3, 2))
         w = web(d)
@@ -219,10 +216,11 @@ class TestRender:
         sys.setrecursionlimit(200)
         try:
             w = Web.from_code(code)
+            columns = w.diagram.columns
         finally:
             sys.setrecursionlimit(limit)
         assert w.code == code
-        assert len(w.diagram.columns) == 300
+        assert len(columns) == 300
 
 
 def rewrite_children(starts):
@@ -271,6 +269,38 @@ def sweep_corpus():
     return list(webs.values())
 
 
+def mutated_corpus():
+    """Each web of sweep_corpus() without its loops, as (map, mutated):
+    the map itself, then with one internal rotation reversed, or with
+    two sources or two sinks swapped."""
+    out = []
+    for w in sweep_corpus():
+        m = w.pmap.without_loops()
+        out.append((m, False))
+        rots = []
+        for v in m.internal_vertices():
+            rot = list(m.rot)
+            rot[v] = rot[v][::-1]
+            rots.append(rot)
+        for side in (range(m.n), range(m.n, 2 * m.n)):
+            for i in side:
+                for j in side[side.index(i) + 1:]:
+                    rot = list(m.rot)
+                    rot[i], rot[j] = rot[j], rot[i]
+                    rots.append(rot)
+        out += [(PlanarMap(m.n, rot), True) for rot in rots]
+    return out
+
+
+def accepted(check, m):
+    """Whether check(m) passes, as against raising WebError."""
+    try:
+        check(m)
+    except WebError:
+        return False
+    return True
+
+
 def sourceless(m):
     """Whether some component of m has no boundary source."""
     return any(min(verts) >= m.n for *_, verts in component_walks(m))
@@ -278,23 +308,17 @@ def sourceless(m):
 
 class TestSweep:
     # render draws in one sweep where it once searched; the search is
-    # kept as oracle_render.  At salt 0 the drawings agree byte for byte;
-    # a salted search could start a component with no source early, the
-    # sweep only once no vertex can be placed, so salted drawings agree
-    # where every component touches a source
+    # kept as oracle_render, and the drawings agree byte for byte, on
+    # the 78 maps with a component that touches no source too
     def test_drawings_match_the_search(self):
         corpus = sweep_corpus()
         seeded = 0
         for w in corpus:
             m = w.pmap.without_loops()
-            bare = canonical_form(m)
-            seeds = sourceless(m)
-            for salt in range(4):
-                d = render(m, salt)
-                assert canonical_form(to_map(d)) == bare
-                if not (salt and seeds):
-                    assert d == oracle_render(m, salt)
-            seeded += seeds
+            d = render(m)
+            assert canonical_form(to_map(d)) == canonical_form(m)
+            assert d == oracle_render(m)
+            seeded += sourceless(m)
         assert (len(corpus), seeded) == (231, 78)
 
     # one rotation reversed, or two sinks swapped, in each web of the
@@ -331,6 +355,33 @@ class TestSweep:
                 assert ok == drawn(oracle_render, PlanarMap(m.n, rot))
                 counts[ok] += 1
         assert counts == [863, 45]
+
+    # the turn check refuses exactly the maps render cannot draw: of the
+    # 5,087 maps of the mutated corpus, the 231 webs included, render
+    # draws 363
+    def test_the_turn_check_accepts_what_render_draws(self):
+        counts = [0, 0]
+        for m, _ in mutated_corpus():
+            ok = accepted(edge_turns, m)
+            assert ok == accepted(render, m), canonical_form(m)
+            counts[ok] += 1
+        assert counts == [4724, 363]
+
+    # Web.from_code checks a code by its map: with render made to raise,
+    # it still reads every web of the corpus and refuses each mutated
+    # map that render cannot draw
+    def test_from_code_draws_nothing(self, monkeypatch):
+        maps = mutated_corpus()
+        drawn = [accepted(render, m) for m, _ in maps]
+
+        def no_drawing(m):
+            raise AssertionError("Web.from_code drew a map")
+
+        monkeypatch.setattr(webcore, "render", no_drawing)
+        read = [accepted(Web.from_code, canonical_form(m)) for m, _ in maps]
+        assert read == drawn
+        assert all(ok for (_, mutated), ok in zip(maps, read) if not mutated)
+        assert (sum(read), len(read)) == (363, 5087)
 
     def test_a_long_code_with_no_drawing_is_refused(self):
         # 60 internal vertices with one rotation reversed, past the
@@ -668,13 +719,10 @@ def drawing_record(d):
 
 class TestDrawingDigest:
     # sha256 over the drawings render makes and over what oracle_to_map reads
-    # off each of them.  SALT0 covers salt 0 and each web's own drawing,
-    # unchanged since to_map stitched tagged terminals and render kept one
-    # branch per kind of move.  SALTED covers salts 1-3, recorded when
-    # render began to draw in one sweep, starting a component with no
-    # source only once no vertex can be placed
+    # off each of them.  SALT0 covers render's drawing and each web's own
+    # drawing, unchanged since to_map stitched tagged terminals and render
+    # kept one branch per kind of move
     SALT0 = "df7d26d38f36da70c5eaed3db0e2dde28285c18dce0681273a2f7fc0adf476c8"
-    SALTED = "605f8e5a1da9aebfcfa0ed0befe435dc8956c45375deb883186af0da732a88b9"
 
     def test_drawings_are_pinned(self):
         from a2webs.networks import covering_markings, random_planar_network, uncross
@@ -698,17 +746,13 @@ class TestDrawingDigest:
         for _ in range(80):
             net = random_planar_network(rng.randint(1, 4), rng, steps=rng.randint(1, 4))
             webs += [uncross(net, marks) for marks in covering_markings(net)]
-        plain, salted = hashlib.sha256(), hashlib.sha256()
+        plain = hashlib.sha256()
         for w in webs:
-            m = w.pmap.without_loops()
-            plain.update(drawing_record(render(m)).encode())
-            for salt in (1, 2, 3):
-                salted.update(drawing_record(render(m, salt)).encode())
+            plain.update(drawing_record(render(w.pmap.without_loops())).encode())
             plain.update(drawing_record(w.diagram).encode())
         assert len(webs) > 300
         assert any(w.pmap.loops for w in webs)
         assert plain.hexdigest() == self.SALT0
-        assert salted.hexdigest() == self.SALTED
 
 
 def random_slice_diagram(n, rng, steps):
@@ -768,7 +812,7 @@ def random_slice_diagram(n, rng, steps):
 class TestRandomDrawings:
     def test_to_map_code_draw_to_map(self):
         # a random drawing's code survives decoding and drawing again,
-        # at every salt, and the drawn geometry sits on the map's own ids
+        # and the drawn geometry sits on the map's own ids
         rng = random.Random(20261019)
         shapes = set()
         for _ in range(300):
@@ -779,8 +823,5 @@ class TestRandomDrawings:
             w = Web.from_map(decode_code(code))
             assert canonical_form(to_map(w.diagram)) == code
             assert_geometry_on_own_ids(w)
-            bare = canonical_form(m.without_loops())
-            for salt in (1, 2, 3):
-                assert canonical_form(to_map(render(m.without_loops(), salt))) == bare
             shapes.add((m.loops > 0, len(component_walks(m)) > n))
         assert shapes == {(False, False), (False, True), (True, False), (True, True)}
