@@ -619,8 +619,6 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
             raise WebError(f"marking is unbalanced at vertex {quoted(v)}")
         if k_in > 3:
             raise WebError(f"four or more strands pass through vertex {quoted(v)}")
-        if not ins:
-            continue
         if len(ins) == 1 == len(outs):  # one run passes straight through
             line[line.index(first[ins[0]])] = outs[0]
             continue

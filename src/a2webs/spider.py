@@ -12,17 +12,17 @@ then two-sided faces, then four-sided ones, smallest face first):
   outside edges fuse, and it contributes the factor t^-2 + t^2.
 
 The rewriting is confluent, so any application order yields the same
-combination; the fixed order just makes runs reproducible.  Every
+combination; the fixed order just makes runs reproducible, and
+all_orders_agree checks every order of one web.  Every
 rewrite step records which parent edges survive, fuse, or close up, so
 that module labelings can be carried along the reduction afterwards.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Optional, Union
+from typing import Iterable
 
 from .exactmath import LaurentPoly, _coerce, qint, quoted
 from .webcore import (
@@ -58,55 +58,6 @@ class Outcome:
     runs: tuple[tuple[int, ...], ...] = ()
 
 
-_RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
-
-
-def _priority(f: Feature) -> tuple[int, int]:
-    return _RULE_RANK[f[0]], f[1][0] if len(f) > 1 else 0
-
-
-def find_reducible_face(w: Web) -> Optional[Feature]:
-    """The next feature the rules erase, or None when w is irreducible:
-    loops first, then bigons before squares, then the lowest first dart."""
-    return min(all_reducible_features(w), key=_priority, default=None)
-
-
-def is_irreducible(w: Web) -> bool:
-    return find_reducible_face(w) is None
-
-
-def all_reducible_features(w: Web) -> list[Feature]:
-    """Every rewrite site of w, not just the one the fixed scan picks."""
-    m = w.pmap
-    feats: list[Feature] = []
-    if m.loops:
-        feats.append(("loop",))
-    outer = m.outer_face_indices()
-    for fi, orbit in enumerate(m.faces()):
-        if fi in outer or len(orbit) not in (2, 4):
-            continue
-        feats.append(("bigon" if len(orbit) == 2 else "square", orbit))
-    return feats
-
-
-def reduce_random_order(x: Union[Web, "WebCombo"], rng: random.Random) -> "WebCombo":
-    """Reduce with every rewrite site chosen by rng.  Confluence says
-    the answer cannot depend on those choices, so this must agree with
-    reduce_web on every input; the verification suites lean on that."""
-    start = x if isinstance(x, WebCombo) else WebCombo.from_web(x)
-    done = []
-    work = list(start.terms())
-    while work:
-        w, c = work.pop()
-        host, sites = rewrite_sites(w)
-        if not sites:
-            done.append((w, c))
-            continue
-        for oc in rewrite_at(host, rng.randrange(len(sites))):
-            work.append((oc.child, c * oc.coeff))
-    return WebCombo(start.n, done)
-
-
 def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
     """Rewrite one feature of w.  A loop feature erases every closed
     loop of the web at once (one rule application per loop, fused
@@ -121,9 +72,18 @@ def apply_rule(w: Web, feature: Feature) -> tuple[Outcome, ...]:
 @cache
 def rewrite_sites(w: Web) -> tuple[Web, tuple[Feature, ...]]:
     """The first web seen with w's code, the host, and its rewrite
-    sites in rule priority (find_reducible_face's pick first).  Sites
-    name the host's darts, so every rewrite of the code is made on it."""
-    return w, tuple(sorted(all_reducible_features(w), key=_priority))
+    sites in rule priority: the loop site when it has loops, then its
+    bigons, then its squares, each kind in faces() order (by least
+    dart).  Site 0 is the one reduce_web steps; no sites means the web
+    is irreducible.  Sites name the host's darts, so every rewrite of
+    the code is made on it."""
+    m = w.pmap
+    outer = m.outer_face_indices()
+    inner = [orbit for fi, orbit in enumerate(m.faces()) if fi not in outer]
+    sites = [("loop",)] if m.loops else []
+    sites += [("bigon", orbit) for orbit in inner if len(orbit) == 2]
+    sites += [("square", orbit) for orbit in inner if len(orbit) == 4]
+    return w, tuple(sites)
 
 
 @cache
@@ -163,6 +123,29 @@ def reduce_web(w: Web) -> "WebCombo":
             v = c * o.coeff
             pending[o.child] = pending[o.child] + v if o.child in pending else v
     return WebCombo(w.n, done)
+
+
+def all_orders_agree(w: Web) -> bool:
+    """Whether every rewrite order of w gives reduce_web(w).  Each web
+    reachable from w through any site is visited once, and at each of
+    its sites past site 0 the outcomes, reduced, must sum to the web's
+    own reduction; site 0 is how reduce_web steps.  Every step lowers
+    (internal vertices, loops), so by induction on that order every
+    rewrite order of each visited web, w's included, gives its
+    reduce_web."""
+    seen = {w}
+    work = [w]
+    while work:
+        host, sites = rewrite_sites(work.pop())
+        for k in range(len(sites)):
+            outcomes = rewrite_at(host, k)
+            for o in outcomes:
+                if o.child not in seen:
+                    seen.add(o.child)
+                    work.append(o.child)
+            if k and reduce_combo(WebCombo(w.n, [(o.child, o.coeff) for o in outcomes])) != reduce_web(host):
+                return False
+    return True
 
 
 @cache

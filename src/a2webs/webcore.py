@@ -814,13 +814,16 @@ class Web:
     @classmethod
     def from_code(cls, code: Sequence[int]) -> "Web":
         """The web of a code read from input, checked on its map, with no
-        drawing, by decode_code and edge_turns.  Loops are refused: each
-        one triples the labelings a short code asks for."""
+        drawing, by decode_code and edge_turns; decode_code's check that
+        the map encodes back to the code stands for from_map's encoding.
+        Loops are refused: each one triples the labelings a short code
+        asks for."""
+        code = int_entries(code)
         m = decode_code(code)
         if m.loops:
             raise WebError("codes with loop components have no canonical drawing")
         edge_turns(m)
-        return cls.from_map(m)
+        return cls(m, code)
 
     @property
     def diagram(self) -> SliceDiagram:

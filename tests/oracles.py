@@ -10,12 +10,12 @@ from functools import cache
 from itertools import chain, permutations, product
 from typing import Iterable, Mapping, Optional
 
-from a2webs.exactmath import LaurentPoly, eval_q1
+from a2webs.exactmath import LaurentPoly, eval_q1, exact_div
 from a2webs.immanants import irreducible_webs, theta_image
-from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word
+from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word, boundary_profile
 from a2webs.minors import decompose_triple, iter_triples, triple_blocks
 from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
-from a2webs.spider import WebCombo, generator_combo, product_web, reduce_web
+from a2webs.spider import WebCombo, generator_combo, product_web, reduce_web, rewrite_at, rewrite_sites
 from a2webs.tlbridge import A1Web
 from a2webs.webcore import (
     LEFT,
@@ -60,6 +60,77 @@ def oracle_second_generator(n: int, i: int) -> Web:
     [(web, coeff)] = lo.terms()
     assert coeff.is_one(), (n, i, coeff)
     return web
+
+
+def oracle_features(w: Web) -> list[tuple]:
+    """Every rewrite site of w, found by one pass over its faces: the
+    loop site when it has loops, then each inner face of two or four
+    sides in faces() order, bigons and squares mixed."""
+    m = w.pmap
+    feats: list[tuple] = [("loop",)] if m.loops else []
+    outer = m.outer_face_indices()
+    for fi, orbit in enumerate(m.faces()):
+        if fi not in outer and len(orbit) in (2, 4):
+            feats.append(("bigon" if len(orbit) == 2 else "square", orbit))
+    return feats
+
+
+_RULE_RANK = {"loop": 0, "bigon": 1, "square": 2}
+
+
+def oracle_sites(w: Web) -> tuple[tuple, ...]:
+    """The rewrite sites of w sorted into rule priority: loops first,
+    then bigons before squares, then by each face's first dart."""
+    return tuple(sorted(oracle_features(w), key=lambda f: (_RULE_RANK[f[0]], f[1][0] if len(f) > 1 else 0)))
+
+
+def reduce_random_order(x, rng: random.Random) -> WebCombo:
+    """Reduce a web or a WebCombo with every rewrite site chosen by rng,
+    through the library's memo of sites and outcomes.  Confluence says
+    the answer cannot depend on those choices, so this must agree with
+    reduce_web on every input."""
+    start = x if isinstance(x, WebCombo) else WebCombo.from_web(x)
+    done = []
+    work = list(start.terms())
+    while work:
+        w, c = work.pop()
+        host, sites = rewrite_sites(w)
+        if not sites:
+            done.append((w, c))
+            continue
+        for oc in rewrite_at(host, rng.randrange(len(sites))):
+            work.append((oc.child, c * oc.coeff))
+    return WebCombo(start.n, done)
+
+
+def reduce_by_labelings(w: Web) -> WebCombo:
+    """w in the basis irreducible_webs(w.n), read off weighted labeling
+    counts with no rewrite rule.  Each basis web D has one labeling at
+    its least word g_D in iter_triples order, so its profile there is
+    one monomial, and no basis web has a labeling before its own least
+    word.  So, in g_D order, each coefficient c_D is what w's profile at
+    g_D leaves over the earlier webs' share, divided by D's monomial.
+    The sum of c_D times D's profile must then be w's profile on every
+    word."""
+    n = w.n
+    rank = {g: k for k, g in enumerate(iter_triples(n))}
+    basis = []
+    for D in irreducible_webs(n):
+        profile = boundary_profile(D)
+        g = min((g for g in profile._terms if g in rank), key=rank.__getitem__)
+        assert [c for _, c in profile.coeff(g).items()] == [1], (D.code, g)
+        basis.append((rank[g], g, D, profile))
+    basis.sort(key=lambda b: b[0])
+    assert len({b[0] for b in basis}) == len(basis)  # distinct least words
+    target = boundary_profile(w)
+    share = KappaVector(n)
+    coeffs = []
+    for _, g, D, profile in basis:
+        c = exact_div(target.coeff(g) - share.coeff(g), profile.coeff(g))
+        share = share + profile.scale(c)
+        coeffs.append((D, c))
+    assert share == target, w.code
+    return WebCombo(n, coeffs)
 
 
 @cache

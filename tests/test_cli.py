@@ -168,34 +168,32 @@ class TestRunSuite:
         assert a == b
 
     def test_confluence_inputs_depend_on_the_seed_alone(self, monkeypatch):
-        # a random-order reduction that takes one more draw moves no
-        # product and no permutation of the suite
-        product, reduce, reduced_words = cli.product_web, cli.reduce_random_order, cli.all_reduced_words
+        # the check draws nothing: a verdict that fails every product
+        # moves no product and no permutation of the suite, and names
+        # each product as failed
+        agree, reduced_words = cli.all_orders_agree, cli.all_reduced_words
 
-        def inputs(extra):
+        def inputs(verdict):
             drawn = []
 
-            def product_web(nn, word):
-                drawn.append((nn, tuple(word)))
-                return product(nn, word)
+            def all_orders_agree(w):
+                drawn.append(w.code)
+                return verdict(w)
 
             def all_reduced_words(w):
                 drawn.append(w)
                 return reduced_words(w)
 
-            def reduce_random_order(w, rng):
-                if extra:
-                    rng.random()
-                return reduce(w, rng)
-
-            monkeypatch.setattr(cli, "product_web", product_web)
+            monkeypatch.setattr(cli, "all_orders_agree", all_orders_agree)
             monkeypatch.setattr(cli, "all_reduced_words", all_reduced_words)
-            monkeypatch.setattr(cli, "reduce_random_order", reduce_random_order)
-            assert run_suite("confluence", 4, seed=SEED)["passed"]
-            return drawn
+            return drawn, run_suite("confluence", 4, seed=SEED)["checks"][0]
 
-        drawn = inputs(False)
-        assert len(drawn) == 20 + 5 and drawn == inputs(True)
+        drawn, check = inputs(agree)
+        assert check["passed"] and len(drawn) == 20 + 5
+        refused, failing = inputs(lambda w: False)
+        assert refused == drawn and not failing["passed"]
+        words = [(f["n"], tuple(f["word"])) for f in failing["details"]["failed"]]
+        assert [product_web(n, word).code for n, word in words] == drawn[:20]
 
 
 class TestSubcommands:

@@ -25,10 +25,9 @@ from a2webs.labelings import (
 )
 from a2webs.spider import (
     apply_rule,
-    find_reducible_face,
-    is_irreducible,
     product_web,
     reduce_web,
+    rewrite_sites,
     second_generator,
 )
 from a2webs.webcore import (
@@ -53,6 +52,7 @@ from oracles import (
     oracle_labelings,
     oracle_weight,
     redrawn,
+    reduce_by_labelings,
     turn,
 )
 
@@ -719,7 +719,7 @@ class TestKappaVector:
 
     def test_separates_irreducibles(self):
         webs = m3_irreducibles()
-        assert all(is_irreducible(w) for w in webs)
+        assert not any(rewrite_sites(w)[1] for w in webs)
         profiles = [boundary_profile(w) for w in webs]
         assert _rank_at_q1(profiles) == len(webs)
 
@@ -834,6 +834,43 @@ class TestCoefficients:
                 assert coefficient_via_labelings(w, child, g) == coeff, (n, word)
 
 
+def mixed_products(rng, count):
+    """count seeded products on 2-5 strands of one to six factors, each
+    a generator E_i or, on 3 strands or more, one time in three a D2_i."""
+    webs = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        d = identity_web(n)
+        for _ in range(rng.randint(1, 6)):
+            if n > 2 and rng.randrange(3) == 0:
+                d = concatenate(d, second_generator(n, rng.randrange(1, n - 1)).diagram)
+            else:
+                d = concatenate(d, generator_web(n, rng.randrange(1, n)))
+        webs.append(Web.from_slice(d))
+    return webs
+
+
+class TestReductionByLabelings:
+    def test_matches_reduce_web(self):
+        # the labeling route reads no rewrite rule, and agrees at generic q
+        webs = mixed_products(random.Random(SEED + 23), 60)
+        assert {w.n for w in webs} == {2, 3, 4, 5}
+        # D2 webs are among the coefficients both routes recover
+        d2 = {second_generator(n, i) for n in range(3, 6) for i in range(1, n - 1)}
+        assert sum(D in d2 for w in webs for D, _ in reduce_web(w).terms()) > 5
+        for w in webs:
+            assert reduce_by_labelings(w) == reduce_web(w), w.code
+
+    def test_matches_reduce_web_on_the_sweep_corpus(self):
+        # the corpus's webs on at most 5 strands, some with loops
+        from test_webcore import sweep_corpus
+
+        webs = [w for w in sweep_corpus() if w.n <= 5]
+        assert len(webs) == 219 and sum(w.pmap.loops > 0 for w in webs) == 4
+        for w in webs:
+            assert reduce_by_labelings(w) == reduce_web(w), w.code
+
+
 class TestTwinTransport:
     def test_equal_code_twin_transports_alike(self):
         # the shared rewrite steps keep the first web seen with a code;
@@ -927,11 +964,11 @@ def _assert_conservation(w, g, seen):
     if w.code in seen:
         return
     seen.add(w.code)
-    feature = find_reducible_face(w)
-    if feature is None:
+    host, sites = rewrite_sites(w)
+    if not sites:
         return
     total = LaurentPoly.zero()
-    for oc in apply_rule(w, feature):
+    for oc in apply_rule(host, sites[0]):
         total = total + oc.coeff * weighted_count(oc.child, g)
         _assert_conservation(oc.child, g, seen)
     assert weighted_count(w, g) == total

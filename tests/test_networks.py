@@ -1015,6 +1015,29 @@ class TestUncrossOracle:
             assert uncross_outcome(oracle_uncross, net, mutant) == want
 
 
+    def test_four_strands_through_one_vertex_are_refused(self):
+        # two pairs of entries merge into two doubled edges, and those
+        # merge at v into one edge of multiplicity 4, which w splits
+        # onto the four exits: every vertex is balanced, and v is the
+        # first to carry four strands
+        net = PlanarNetwork(
+            4,
+            [("s1", 0, 4), ("s2", 0, 3), ("s3", 0, 2), ("s4", 0, 1),
+             ("m1", 1, Fraction(7, 2)), ("m2", 1, Fraction(3, 2)),
+             ("v", 2, Fraction(5, 2)), ("w", 3, Fraction(5, 2)),
+             ("t1", 4, 4), ("t2", 4, 3), ("t3", 4, 2), ("t4", 4, 1)],
+            [("s1", "m1", 1), ("s2", "m1", 1), ("s3", "m2", 1), ("s4", "m2", 1),
+             ("m1", "v", 1), ("m2", "v", 1), ("v", "w", 1),
+             ("w", "t1", 1), ("w", "t2", 1), ("w", "t3", 1), ("w", "t4", 1)],
+            ["s1", "s2", "s3", "s4"],
+            ["t1", "t2", "t3", "t4"],
+        )
+        marks = ((0, 1), (1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, 4), (7, 1), (8, 1), (9, 1), (10, 1))
+        want = "four or more strands pass through vertex 'v'"
+        assert uncross_outcome(uncross, net, marks) == want
+        assert uncross_outcome(oracle_uncross, net, marks) == want
+
+
 class TestMarking:
     def test_rejects_multiplicity_four(self):
         net = identity_network(1)

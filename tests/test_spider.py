@@ -11,15 +11,12 @@ from a2webs.labelings import transport_and_type
 from a2webs.perms import all_perms, first_reduced_word
 from a2webs.spider import (
     WebCombo,
-    all_reducible_features,
+    all_orders_agree,
     apply_rule,
-    find_reducible_face,
     generator_combo,
     hecke_generator,
     hecke_image,
-    is_irreducible,
     product_web,
-    reduce_random_order,
     reduce_web,
     relation_suite,
     second_generator,
@@ -34,7 +31,16 @@ from a2webs.webcore import (
     generator_web,
     identity_web,
 )
-from oracles import flip, oracle_geom, oracle_second_generator, redrawn, turn
+from oracles import (
+    flip,
+    oracle_features,
+    oracle_geom,
+    oracle_second_generator,
+    oracle_sites,
+    redrawn,
+    reduce_random_order,
+    turn,
+)
 
 SEED = 20260816
 
@@ -43,21 +49,30 @@ def gweb(n, i):
     return Web.from_slice(generator_web(n, i))
 
 
+def with_loops(w, loops):
+    """w with the given number of loops drawn below its strands, one
+    cup/cap pair at position n + 1 each, as Web.diagram draws them."""
+    pair = (Column(w.n + 1, "cup", ("R", "L")), Column(w.n + 1, "cap", ("R", "L")))
+    return Web.from_slice(SliceDiagram(w.n, w.diagram.columns + pair * loops))
+
+
+def sites(w):
+    """The rewrite sites of w's host, in rule priority."""
+    return spider.rewrite_sites(w)[1]
+
+
 class TestFeatures:
     def test_identity_is_irreducible(self):
-        assert find_reducible_face(Web.from_slice(identity_web(3))) is None
+        assert sites(Web.from_slice(identity_web(3))) == ()
 
     def test_generator_is_irreducible(self):
-        assert is_irreducible(gweb(3, 1))
+        assert not sites(gweb(3, 1))
 
     def test_double_generator_has_bigon(self):
-        w = product_web(2, (1, 1))
-        feat = find_reducible_face(w)
-        assert feat is not None and feat[0] == "bigon"
+        assert [f[0] for f in sites(product_web(2, (1, 1)))] == ["bigon"]
 
     def test_triple_product_has_square(self):
-        feat = find_reducible_face(product_web(3, (1, 2, 1)))
-        assert feat is not None and feat[0] == "square"
+        assert [f[0] for f in sites(product_web(3, (1, 2, 1)))] == ["square"]
 
     def test_drawn_loop_takes_priority(self):
         circle = SliceDiagram(2, (
@@ -65,7 +80,7 @@ class TestFeatures:
             Column(2, "cap", ("R", "L")),
         ))
         w = Web.from_slice(concatenate(circle, generator_web(2, 1)))
-        assert find_reducible_face(w) == ("loop",)
+        assert sites(w) == (("loop",),)
 
 
 class TestLoopRule:
@@ -154,8 +169,9 @@ class TestWorklist:
 
 class TestRewriteSites:
     def test_each_site_is_rewritten_once(self, monkeypatch):
-        # reduce_web and five random orders per product share one memo per
-        # (code, site): apply_rule sees no pair twice
+        # reduce_web, the every-site check and five random orders per
+        # product share one memo per (code, site): apply_rule sees no
+        # pair twice
         rng = random.Random(SEED + 5)
         rule = spider.apply_rule
         calls = []
@@ -165,20 +181,35 @@ class TestRewriteSites:
             n = rng.randint(2, 4)
             w = product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(1, 8))])
             base = reduce_web(w)
+            assert all_orders_agree(w)
             for _ in range(5):
                 assert reduce_random_order(w, rng) == base
         assert len(calls) == len(set(calls)) > 50
         assert len(calls) == spider.rewrite_at.cache_info().misses
 
     def test_sites_follow_the_rule_priority(self):
+        # on every web reachable through any site from seeded products,
+        # the in-order scan gives the sites of the sort into rule priority
         rng = random.Random(SEED + 6)
-        for _ in range(20):
-            n = rng.randint(2, 4)
+        clear_caches()
+        work = []
+        for i in range(200):
+            n = rng.randint(2, 5)
             w = product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(1, 8))])
-            host, sites = spider.rewrite_sites(w)
-            assert host.code == w.code
-            assert sorted(sites, key=repr) == sorted(all_reducible_features(host), key=repr)
-            assert (sites[0] if sites else None) == find_reducible_face(host)
+            # every tenth product with a loop drawn below it
+            work.append(with_loops(w, 1) if i % 10 == 0 else w)
+        seen = set(work)
+        kinds = set()
+        while work:
+            host, got = spider.rewrite_sites(work.pop())
+            assert got == oracle_sites(host)
+            kinds.update(f[0] for f in got)
+            for k in range(len(got)):
+                for o in spider.rewrite_at(host, k):
+                    if o.child not in seen:
+                        seen.add(o.child)
+                        work.append(o.child)
+        assert len(seen) == 745 and kinds == {"loop", "bigon", "square"}
 
 
 class TestTripleProduct:
@@ -190,16 +221,15 @@ class TestTripleProduct:
         assert combo.coeff(d2) == LaurentPoly.one()
 
     def test_trace_is_one_square_step(self):
-        w = product_web(3, (1, 2, 1))
-        feature = find_reducible_face(w)
+        host, (feature,) = spider.rewrite_sites(product_web(3, (1, 2, 1)))
         assert feature[0] == "square"
-        outcomes = apply_rule(w, feature)
+        outcomes = apply_rule(host, feature)
         assert len(outcomes) == 2
         children = {o.child for o in outcomes}
         assert children == {gweb(3, 1), second_generator(3, 1)}
         for o in outcomes:
             assert o.coeff == LaurentPoly.one()
-            assert find_reducible_face(o.child) is None
+            assert not sites(o.child)
 
     def test_second_generator_shape(self):
         d2 = second_generator(3, 1)
@@ -244,7 +274,7 @@ class TestRewriteChildren:
         work = list(starts)
         while work:
             w = work.pop()
-            for feature in all_reducible_features(w):
+            for feature in oracle_features(w):
                 for o in apply_rule(w, feature):
                     kinds.add(feature[0])
                     assert set(oracle_geom(o.child).vertex_sides) == set(o.child.pmap.internal_vertices())
@@ -261,9 +291,9 @@ class TestThetaCollapse:
         [(w, coeff)] = reduce_web(prod).terms()
         assert w == d2
         assert coeff == qint(2) * qint(3)
-        feature = find_reducible_face(prod)
+        host, (feature, *_) = spider.rewrite_sites(prod)
         assert feature[0] == "bigon"
-        (outcome,) = apply_rule(prod, feature)
+        (outcome,) = apply_rule(host, feature)
         assert sum(run[0] not in outcome.carry for run in outcome.runs) == 1
 
     def test_second_generator_combo_square(self):
@@ -287,7 +317,7 @@ class TestFourStrandExample:
         assert combo.coeff(d22) == LaurentPoly.one()
         [(other, coeff)] = [(w, c) for w, c in combo.terms() if w != d22]
         assert coeff == LaurentPoly.one()
-        assert is_irreducible(other)
+        assert not sites(other)
         assert other.n == 4 and other != second_generator(4, 1)
 
 
@@ -479,7 +509,7 @@ class TestRewriteDigest:
         work = starts
         while work:
             w = work.pop()
-            for feature in all_reducible_features(w):
+            for feature in oracle_features(w):
                 for o in apply_rule(w, feature):
                     yield feature, o
                     if o.child.code not in seen:

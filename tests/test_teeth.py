@@ -2,19 +2,27 @@
 into the library one at a time, must fail the suites pinned for it.
 
 A later second route shows up here as a larger set of failing suites,
-and a blunted check as a smaller one.  The negated labeling exponent
-fails no suite: every rule coefficient ([2], [3] and 1) is invariant
-under t -> 1/t, so no suite sees the sign, and its empty set is the
-known gap.
+and a blunted check as a smaller one.  Two mutants fail no suite, and
+their empty sets are the known gaps.  The negated labeling exponent:
+every rule coefficient ([2], [3] and 1) is invariant under t -> 1/t, so
+no suite sees the sign.  A face rewrite that drops the web's loops: the
+suites draw no loop, and reduce_web and transport erase loops first.
+The every-site check sees it on products with loops drawn below them.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from a2webs import clear_caches, immanants, labelings, spider
 from a2webs.cli import run_suite
 from a2webs.exactmath import LaurentPoly, qint
+from a2webs.spider import all_orders_agree, product_web, reduce_web
+from a2webs.webcore import PlanarMap
+from oracles import reduce_by_labelings
+from test_labelings import mixed_products
+from test_spider import with_loops
 
 
 def _faces(mp, size, change):
@@ -39,6 +47,16 @@ def _loops_worth_two(mp):
         return dataclasses.replace(strip(w), coeff=qint(2) ** w.pmap.loops)
 
     mp.setattr(spider, "_strip_loops", broken)
+
+
+def _face_drops_loops(mp):
+    rebuild = spider._rebuild
+
+    def broken(m, *args):
+        raw, carry = rebuild(m, *args)
+        return PlanarMap(raw.n, raw.rot), carry
+
+    mp.setattr(spider, "_rebuild", broken)
 
 
 def _hecke_plus_one(mp):
@@ -78,6 +96,7 @@ MUTANTS = {
     "a square keeps only its first outcome": lambda mp: _faces(mp, 4, lambda oc: oc[:1]),
     "the bigon times t^2": lambda mp: _faces(mp, 2, lambda oc: _scaled(oc, LaurentPoly.t_power(2))),
     "a loop worth [2]": _loops_worth_two,
+    "a face rewrite drops the web's loops": _face_drops_loops,
     "T_i = t^2 E_i + 1": _hecke_plus_one,
     "the labeling exponent doubled": lambda mp: _exponent(mp, lambda k, f: 2 * k),
     "+2 on labelings whose edge 0 is labeled 1": lambda mp: _exponent(mp, lambda k, f: k + 2 * (f[0] == 1)),
@@ -94,6 +113,7 @@ TEETH = {
     "a square keeps only its first outcome": SQUARE,
     "the bigon times t^2": {"ci", "confluence", "relations"},
     "a loop worth [2]": {"networks"},
+    "a face rewrite drops the web's loops": set(),
     "T_i = t^2 E_i + 1": {"relations"},
     "the labeling exponent doubled": {"ci"},
     "+2 on labelings whose edge 0 is labeled 1": {"kappa"},
@@ -102,21 +122,55 @@ TEETH = {
 }
 
 
-def failing_suites(mp, mutant: str, n: int) -> set[str]:
-    """The suites that fail in run_suite("all", n, seed=0) with the
-    mutant patched in through the monkeypatch mp.  The memos are
-    emptied before the run and again after the patch is undone, so no
-    broken result outlives it."""
+def under(mp, mutant: str, fn, xs) -> list:
+    """fn of each x with the mutant patched in through the monkeypatch
+    mp.  The memos are emptied before the run and again after the patch
+    is undone, so no broken result outlives it."""
     clear_caches()
     try:
         MUTANTS[mutant](mp)
-        report = run_suite("all", n, seed=0)
+        return [fn(x) for x in xs]
     finally:
         mp.undo()
         clear_caches()
+
+
+def failing_suites(mp, mutant: str, n: int) -> set[str]:
+    """The suites that fail in run_suite("all", n, seed=0) with the
+    mutant patched in."""
+    [report] = under(mp, mutant, lambda k: run_suite("all", k, seed=0), [n])
     return {c["name"] for c in report["checks"] if not c["passed"]}
 
 
 @pytest.mark.parametrize("mutant", TEETH)
 def test_each_mutant_fails_its_suites(monkeypatch, mutant):
     assert failing_suites(monkeypatch, mutant, 4) == TEETH[mutant]
+
+
+def test_every_site_sees_a_face_rewrite_drop_loops(monkeypatch):
+    # products with one to three loops drawn below them: a site past the
+    # loop site rewrites a face first, and the mutant loses the loops' [3]s
+    rng = random.Random(26)
+    webs = []
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        w = product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(1, 6))])
+        webs.append(with_loops(w, rng.randint(1, 3)))
+    assert under(monkeypatch, "none", all_orders_agree, webs) == [True] * 30
+    assert under(monkeypatch, "a face rewrite drops the web's loops", all_orders_agree, webs).count(False) == 24
+
+
+# the products of 40 seeded ones whose reduction each broken face rule moves
+FACE_MUTANTS = {"square outcomes doubled": 3, "a square keeps only its first outcome": 3, "the bigon times t^2": 28}
+
+
+@pytest.mark.parametrize("mutant", FACE_MUTANTS)
+def test_the_labeling_route_sees_each_broken_face_rule(monkeypatch, mutant):
+    # reduce_by_labelings reads no rewrite rule: made before the patch,
+    # its answers disagree with the broken reduce_web
+    webs = mixed_products(random.Random(23), 40)
+    clear_caches()
+    want = [reduce_by_labelings(w) for w in webs]
+    assert under(monkeypatch, "none", reduce_web, webs) == want
+    got = under(monkeypatch, mutant, reduce_web, webs)
+    assert sum(a != b for a, b in zip(got, want)) == FACE_MUTANTS[mutant]

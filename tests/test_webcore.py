@@ -27,7 +27,15 @@ from a2webs.webcore import (
     render,
     to_map,
 )
-from oracles import oracle_code, oracle_components, oracle_geom, oracle_render, oracle_roots, oracle_to_map
+from oracles import (
+    oracle_code,
+    oracle_components,
+    oracle_features,
+    oracle_geom,
+    oracle_render,
+    oracle_roots,
+    oracle_to_map,
+)
 
 R, L = RIGHT, LEFT
 SEED = 20260816
@@ -132,10 +140,10 @@ class TestSinkFlags:
     def test_rewrite_children(self):
         # a child's map is rebuilt from its parent's darts, not drawn; the
         # geometry of its drawing names each vertex's legs on its own ids
-        from a2webs.spider import all_reducible_features, apply_rule, product_web
+        from a2webs.spider import apply_rule, product_web
 
         w = product_web(3, (2, 1, 1, 2))
-        children = [o.child for f in all_reducible_features(w) for o in apply_rule(w, f)]
+        children = [o.child for f in oracle_features(w) for o in apply_rule(w, f)]
         assert children
         for child in children:
             m, geom = child.pmap, oracle_geom(child)
@@ -226,12 +234,12 @@ class TestRender:
 def rewrite_children(starts):
     """Every web that some sequence of rewrites reaches from starts, by
     code, each as the child Web the first rewrite to reach it made."""
-    from a2webs.spider import all_reducible_features, apply_rule
+    from a2webs.spider import apply_rule
 
     webs, work = {}, list(starts)
     while work:
         w = work.pop()
-        for feature in all_reducible_features(w):
+        for feature in oracle_features(w):
             for o in apply_rule(w, feature):
                 if o.child.code not in webs:
                     webs[o.child.code] = o.child
@@ -637,6 +645,22 @@ class TestCodes:
         w = web(concatenate(generator_web(3, 2), generator_web(3, 1)))
         assert Web.from_code(w.code) == w
 
+    def test_from_code_encodes_once(self, monkeypatch):
+        # decode_code's check that the map encodes back to the code is
+        # the only encoding; the web keeps the checked code
+        encode = webcore.canonical_form
+        calls = []
+        monkeypatch.setattr(webcore, "canonical_form", lambda m: calls.append(m) or encode(m))
+        from a2webs.spider import product_web
+
+        rng = random.Random(48)
+        webs = [web(identity_web(1))]
+        webs += [product_web(n, [rng.randrange(1, n) for _ in range(6)]) for n in (2, 3, 4)]
+        for w in webs:
+            calls.clear()
+            got = Web.from_code(list(w.code))
+            assert len(calls) == 1 and got == w and type(got.code) is tuple
+
     def test_from_code_refuses_a_code_with_no_drawing(self):
         # two strands that cross: the code decodes, but no drawing exists
         m = PlanarMap(2, [[0], [2], [3], [1]])
@@ -726,7 +750,7 @@ class TestDrawingDigest:
 
     def test_drawings_are_pinned(self):
         from a2webs.networks import covering_markings, random_planar_network, uncross
-        from a2webs.spider import all_reducible_features, apply_rule, product_web
+        from a2webs.spider import apply_rule, product_web
 
         rng = random.Random(20261018)
         starts = [
@@ -738,7 +762,7 @@ class TestDrawingDigest:
         while work:
             w = work.pop()
             webs.append(w)
-            for feature in all_reducible_features(w):
+            for feature in oracle_features(w):
                 for o in apply_rule(w, feature):
                     if o.child.code not in seen:
                         seen.add(o.child.code)
