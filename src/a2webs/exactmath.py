@@ -133,7 +133,7 @@ class LaurentPoly:
         return not self._c
 
     def is_one(self) -> bool:
-        return self._c == {0: 1}
+        return self._c == _ONE
 
     @property
     def min_exp(self) -> int:
@@ -172,7 +172,19 @@ class LaurentPoly:
         return _coerce(other) - self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+        """The product.  By a one-term operand c*t^k (1, -1 and t^2
+        among them) it is the other operand shifted by k and scaled by
+        c, in one pass; by 1 it is the other operand itself, since
+        polynomials are immutable."""
         other = _coerce(other)
+        if self._c == _ONE:
+            return other
+        p, mono = (self, other) if len(other._c) == 1 else (other, self)
+        if len(mono._c) == 1:
+            (k, c), = mono._c.items()
+            if k == 0 and c == 1:
+                return p
+            return _unchecked({e + k: v * c for e, v in p._c.items()})
         out: dict[int, int] = {}
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():
@@ -204,8 +216,14 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        """Structural, and equal to the int's hash on a constant (zero
+        on zero), since a constant equals its int."""
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._c.items())))
+            c = self._c
+            if not c or c.keys() == {0}:
+                self._hash = hash(c.get(0, 0))
+            else:
+                self._hash = hash(tuple(sorted(c.items())))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -236,6 +254,9 @@ class LaurentPoly:
 
     def to_json_obj(self) -> dict[str, str]:
         return {str(e): str(c) for e, c in sorted(self._c.items())}
+
+
+_ONE = {0: 1}
 
 
 def _unchecked(c: dict[int, int]) -> LaurentPoly:

@@ -186,9 +186,10 @@ def theta_image(w: Perm, word: Optional[Sequence[int]] = None) -> WebCombo:
 
 
 def _q1_row(combo: WebCombo) -> dict:
-    """Integer web coefficients of a combo at q = 1, zeros dropped."""
+    """Integer web coefficients of a combo at q = 1, zeros dropped, in
+    the combo's own term order: the table sorts its webs itself."""
     out = {}
-    for web, coeff in combo.terms():
+    for web, coeff in combo._terms.items():
         v = eval_q1(coeff)
         if v:
             out[web] = v

@@ -20,12 +20,12 @@ in their place.
 The weight is that of a drawing with 120-degree internal corners,
 sources top to bottom on the left and sinks on the right, read off the
 map: webcore.edge_turns solves each edge's turn, tail to head in half
-turns counterclockwise.  The t-exponent is minus (4 - 2i) times the
-turn of each edge labeled i, minus 1/3 at an internal source whose
-labels rise counterclockwise (plus 1/3 where they fall, reversed at a
-sink), plus 2(4 - 2i) per closed loop labeled i.  Its sign is a
-convention of this form: a web's mirror image negates every edge and
-vertex term.
+turns counterclockwise, once per map (PlanarMap.turns).  The
+t-exponent is minus (4 - 2i) times the turn of each edge labeled i,
+minus 1/3 at an internal source whose labels rise counterclockwise
+(plus 1/3 where they fall, reversed at a sink), plus 2(4 - 2i) per
+closed loop labeled i.  Its sign is a convention of this form: a web's
+mirror image negates every edge and vertex term.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
-from .webcore import Combo, Web, WebError, canonical_edge_order, edge_turns, int_entries
+from .webcore import Combo, Web, WebError, canonical_edge_order, int_entries
 
 LABELS = (1, 2, 3)
 
@@ -147,8 +147,10 @@ def _plan(w: Web, pinned: dict[int, int]) -> tuple[tuple, list[tuple], list[int]
 def enumerate_labelings(
     w: Web, g: Optional[tuple[int, ...]] = None
 ) -> list[tuple[int, ...]]:
-    """All consistent labelings of w, sorted, restricted to boundary
-    word g if given.
+    """All consistent labelings of w, restricted to boundary word g if
+    given, each once, in the search's order: sorted(...) gives the
+    lexicographic one.  The order depends on w's map, g and CHUNK
+    alone, never on string hashing.
 
     Labels a vertex at a time, with no recursion.  A partial labeling
     is a tuple in visit order: the pinned boundary edges first, then
@@ -195,7 +197,6 @@ def enumerate_labelings(
             out += map(in_edge_order, parts) if in_edge_order else parts
     if m.loops:
         out = [f + free for f in out for free in itertools.product(LABELS, repeat=m.loops)]
-    out.sort()
     return out
 
 
@@ -228,7 +229,7 @@ def _compile_weight(w: Web) -> Callable[[tuple[int, ...]], int]:
     edge's turn joins its tail's table, or its head's when its tail is
     a boundary source; a through-strand turns 0."""
     m = w.pmap
-    turn = edge_turns(m)
+    turn = m.turns()
     tables = []
     for v in m.internal_vertices():
         darts = m.rot[v]

@@ -107,15 +107,16 @@ def minor(X: ExactMatrix, I: Sequence[int], J: Sequence[int]) -> Fraction:
 def _decompositions(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The word of every complementary triple on 1..n, in iter_triples
     order, mapped to the positions in irreducible_webs(n) of the webs
-    its labelings are of, one position per labeling, ascending: a web
-    with c labelings appears c times.  Each web's labelings are
-    enumerated once, and each appends the web's position to the row of
-    its boundary word, read by one itemgetter.  At n = 6 these rows of
-    plain ints hold 1,197,741 labelings of 35,169 words in about 16 MiB,
-    where one {web: count} dict per word held 50 MiB.  Each word's list
-    becomes a tuple in place: building a second dict of tuples peaked
-    2 MiB higher at n = 6.  Bounded: irreducible_webs refuses n above
-    its strand bound."""
+    its labelings are of, one position per labeling: a web with c
+    labelings appears c times.  Each web's labelings are enumerated
+    once, in any order, and each appends the web's position to the row
+    of its boundary word, read by one itemgetter; the webs are taken in
+    position order, so every row is ascending by construction.  At n = 6
+    these rows of plain ints hold 1,197,741 labelings of 35,169 words in
+    about 16 MiB, where one {web: count} dict per word held 50 MiB.
+    Each word's list becomes a tuple in place: building a second dict of
+    tuples peaked 2 MiB higher at n = 6.  Bounded: irreducible_webs
+    refuses n above its strand bound."""
     rows: dict = {g: [] for g in iter_triples(n)}
     for k, D in enumerate(irreducible_webs(n)):
         word = operator.itemgetter(*_boundary_edges(D))

@@ -130,13 +130,15 @@ class Combo:
         return type(self)(self.n, acc)
 
     def __neg__(self):
-        return self.scale(-1)
+        """Each coefficient negated: scale(-1) without the products."""
+        return type(self)(self.n, {k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Scale by an int, or multiply term by term through _product."""
+        """Scale by an int, or multiply term by term through _product,
+        each pair's ca * cb formed once for all the terms of its product."""
         if isinstance(other, int):
             return self.scale(other)
         if type(other) is not type(self):
@@ -145,8 +147,9 @@ class Combo:
         acc: dict = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
+                cab = ca * cb
                 for k, v in self._product(a, b):
-                    c = v * ca * cb
+                    c = v * cab
                     acc[k] = acc[k] + c if k in acc else c
         return type(self)(self.n, acc)
 
@@ -248,7 +251,7 @@ class PlanarMap:
     on the map, for the readers that need no block.
     """
 
-    __slots__ = ("n", "rot", "edges", "loops", "dart_vertex", "_faces", "_walks")
+    __slots__ = ("n", "rot", "edges", "loops", "dart_vertex", "_faces", "_walks", "_turns")
 
     def __init__(self, n: int, rot: Sequence[Sequence[int]], loops: int = 0):
         self.n = n
@@ -256,6 +259,7 @@ class PlanarMap:
         self.loops = loops
         self._faces = None
         self._walks: Optional[tuple[tuple[int, ...], ...]] = None
+        self._turns: Optional[tuple[int, ...]] = None
         if loops < 0:
             raise WebError("negative loop count")
         if len(rot) < 2 * n:
@@ -336,6 +340,14 @@ class PlanarMap:
         if self._faces is None:
             self._faces = orbits(self.face_successors())
         return self._faces
+
+    def turns(self) -> tuple[int, ...]:
+        """edge_turns(self), solved on the first call and kept, so the
+        check of a code and the labeling weight share one solve.  A map
+        with no drawing raises edge_turns' WebError on every call."""
+        if self._turns is None:
+            self._turns = tuple(edge_turns(self))
+        return self._turns
 
     def outer_face_indices(self) -> set[int]:
         """Index (into faces()) of the unbounded face of each component,
@@ -814,15 +826,15 @@ class Web:
     @classmethod
     def from_code(cls, code: Sequence[int]) -> "Web":
         """The web of a code read from input, checked on its map, with no
-        drawing, by decode_code and edge_turns; decode_code's check that
-        the map encodes back to the code stands for from_map's encoding.
-        Loops are refused: each one triples the labelings a short code
-        asks for."""
+        drawing, by decode_code and the map's turns (kept on the map for
+        the labeling weight); decode_code's check that the map encodes
+        back to the code stands for from_map's encoding.  Loops are
+        refused: each one triples the labelings a short code asks for."""
         code = int_entries(code)
         m = decode_code(code)
         if m.loops:
             raise WebError("codes with loop components have no canonical drawing")
-        edge_turns(m)
+        m.turns()
         return cls(m, code)
 
     @property

@@ -73,6 +73,15 @@ class TestRingOps:
     def test_hash_consistency(self):
         assert hash(qint(2) * qint(2)) == hash(qint(3) + 1)
 
+    def test_constants_hash_as_their_ints(self):
+        # a constant equals its int, so it hashes as that int: it finds
+        # the int's entry in a dict or a set, and zero hashes as 0
+        for c in (0, 1, -1, 3, 10**30):
+            p = LaurentPoly.const(c)
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1 and {c: "x"}.get(p) == "x" and {p: "x"}.get(c) == "x"
+        assert hash(LaurentPoly.zero()) == 0 and hash(qint(3) - qint(3)) == 0
+
     def test_zero_coefficient_dropped(self):
         assert P({5: 0}) == LaurentPoly.zero()
         assert not P({5: 0})
@@ -117,6 +126,49 @@ class TestRingOps:
         for x in _polys():
             assert (x * 0).is_zero() and (0 * x).is_zero()
             assert x * 0 == LaurentPoly.zero() and hash(0 * x) == hash(LaurentPoly.zero())
+
+
+def _schoolbook(a, b):
+    """The product by every pair of terms, zeros dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+class TestMonomialProducts:
+    # a product by one term c*t^k shifts and scales the other operand in
+    # one pass; it must equal the product by every pair of terms, in both
+    # orders, and change neither operand
+    def test_one_term_factors_match_the_schoolbook_product(self):
+        rng = random.Random(50)
+        factors = [LaurentPoly.one(), LaurentPoly.const(-1), LaurentPoly.t_power(2), LaurentPoly.zero(), 1, -1, 0]
+        for _ in range(300):
+            e, c = rng.randint(-9, 9), rng.choice([-7, -2, -1, 1, 2, 5, 10**20])
+            factors.append(P({e: c}))
+        for mono in factors:
+            m = LaurentPoly.const(mono) if isinstance(mono, int) else mono
+            for _ in range(5):
+                x = _random_poly(rng)
+                x_before, m_before = dict(x._c), dict(m._c)
+                want = _schoolbook(x._c, m._c)
+                for got in (x * mono, mono * x):
+                    assert got == want and got._c == want._c and hash(got) == hash(want)
+                    assert 0 not in got._c.values()
+                assert x._c == x_before and m._c == m_before
+
+    def test_a_product_by_one_is_the_other_operand(self):
+        rng = random.Random(51)
+        for _ in range(50):
+            x = _random_poly(rng)
+            assert x * LaurentPoly.one() is x and LaurentPoly.one() * x is x
+
+    def test_many_term_products_match_the_schoolbook_product(self):
+        rng = random.Random(52)
+        for _ in range(300):
+            x, y = _random_poly(rng), _random_poly(rng)
+            assert x * y == y * x == _schoolbook(x._c, y._c)
 
 
 class TestExactDiv:

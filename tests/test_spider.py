@@ -7,7 +7,7 @@ import pytest
 from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.immanants import irreducible_webs
-from a2webs.labelings import transport_and_type
+from a2webs.labelings import KappaVector, boundary_profile, transport_and_type
 from a2webs.perms import all_perms, first_reduced_word
 from a2webs.spider import (
     WebCombo,
@@ -23,6 +23,7 @@ from a2webs.spider import (
     second_generator_combo,
     web_product,
 )
+from a2webs.tlbridge import TLCombo, tl_generator_combo
 from a2webs.webcore import (
     Column,
     SliceDiagram,
@@ -435,6 +436,76 @@ class TestComboAlgebra:
         e = generator_combo(3, 2)
         one = WebCombo.unit(3)
         assert one * e == e * one == e
+
+
+def product_as_it_was(x, y, product):
+    """A product of combinations with each term's coefficient formed as
+    v * ca * cb: the reference for Combo.__mul__, which forms ca * cb
+    once per pair of terms."""
+    acc = {}
+    for a, ca in x._terms.items():
+        for b, cb in y._terms.items():
+            for k, v in product(a, b):
+                c = v * ca * cb
+                acc[k] = acc[k] + c if k in acc else c
+    return type(x)(x.n, acc)
+
+
+def random_coefficient(rng):
+    """1, -1, t^2, a random c*t^k or a random polynomial of a few terms."""
+    pick = rng.randrange(5)
+    if pick < 3:
+        return (LaurentPoly.one(), LaurentPoly.const(-1), LaurentPoly.t_power(2))[pick]
+    if pick == 3:
+        return LaurentPoly({rng.randint(-8, 8): rng.choice([-3, -1, 1, 2])})
+    return LaurentPoly({rng.randint(-8, 8): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))})
+
+
+def random_combos(rng, cls, n, elements, coefficient, terms=(1, 4)):
+    return [cls(n, [(rng.choice(elements), coefficient()) for _ in range(rng.randint(*terms))])
+            for _ in range(12)]
+
+
+class TestComboFastPaths:
+    # negation and products of every combination type equal scale(-1)
+    # and the products with each coefficient formed as v * ca * cb
+    def check(self, combos, product):
+        for x in combos:
+            assert -x == x.scale(-1) and type(-x) is type(x)
+            for y in combos:
+                assert x * y == product_as_it_was(x, y, product)
+
+    def test_web_combos(self):
+        rng = random.Random(SEED + 50)
+        combos = random_combos(rng, WebCombo, 4, irreducible_webs(4), lambda: random_coefficient(rng))
+        self.check(combos, WebCombo._product)
+
+    def test_matching_combos(self):
+        rng = random.Random(SEED + 51)
+        gens = [TLCombo.unit(4)] + [tl_generator_combo(4, i) for i in range(1, 4)]
+        matchings = set()
+        for _ in range(20):
+            x = gens[0]
+            for _ in range(rng.randint(0, 4)):
+                x = x * rng.choice(gens)
+            matchings.update(x._terms)
+        matchings = sorted(matchings, key=TLCombo._sort_key)
+        combos = random_combos(rng, TLCombo, 4, matchings, lambda: rng.choice([1, -1, 2, -3, 7]))
+        self.check(combos, TLCombo._product)
+
+    def test_kappa_vectors(self):
+        rng = random.Random(SEED + 52)
+        n = 3
+        webs = irreducible_webs(n)
+        words = sorted({g for D in webs for g in boundary_profile(D)._terms})
+
+        def join(a, b):
+            return ((a[:n] + b[n:], 1),) if a[n:] == b[:n] else ()
+
+        combos = random_combos(rng, KappaVector, n, words, lambda: random_coefficient(rng), (3, 12))
+        combos += [boundary_profile(D).scale(random_coefficient(rng)) for D in webs]
+        self.check(combos, join)
+        assert sum(not (x * y).is_zero() for x in combos for y in combos) > 50
 
 
 class TestProductMemo:

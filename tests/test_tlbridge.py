@@ -270,14 +270,14 @@ class TestPairOfMinors:
 class TestForgetful:
     def test_identity_web_keeps_its_labels(self):
         w = idweb(2)
-        f = enumerate_labelings(w, (1, 2, 1, 2))[0]
+        f = min(enumerate_labelings(w, (1, 2, 1, 2)))
         aweb = forgetful(w, f)
         assert aweb == identity_matching(2)
         assert admits(aweb, (1, 2, 1, 2))
 
     def test_identity_web_drops_the_3_strand(self):
         w = idweb(3)
-        f = enumerate_labelings(w, (1, 3, 2, 1, 3, 2))[0]
+        f = min(enumerate_labelings(w, (1, 3, 2, 1, 3, 2)))
         aweb = forgetful(w, f)
         assert aweb == identity_matching(2)
         assert admits(aweb, (1, 2, 1, 2))
@@ -331,7 +331,7 @@ class TestForgetful:
 
     def test_rejects_labeling_of_wrong_length(self):
         w = product_web(2, [1])
-        f = enumerate_labelings(w)[0]
+        f = min(enumerate_labelings(w))
         for bad in (f[:-1], f + (1,), ()):
             with pytest.raises(WebError, match="edge and loop counts"):
                 forgetful(w, bad)

@@ -661,6 +661,38 @@ class TestCodes:
             got = Web.from_code(list(w.code))
             assert len(calls) == 1 and got == w and type(got.code) is tuple
 
+    def test_from_code_and_the_weight_share_one_turn_solve(self, monkeypatch):
+        # the turns that check a code are kept on its map, and the
+        # labeling weight reads them there; a map with no drawing keeps
+        # nothing and is refused by the same message on every read
+        from a2webs import labelings
+        from a2webs.spider import product_web
+
+        solve = webcore.edge_turns
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return solve(m)
+
+        monkeypatch.setattr(webcore, "edge_turns", counting)
+        monkeypatch.setattr(labelings, "edge_turns", counting, raising=False)
+        rng = random.Random(50)
+        for n in (2, 3, 4):
+            w = product_web(n, [rng.randrange(1, n) for _ in range(6)])
+            g = labelings.boundary_restriction(w, min(labelings.enumerate_labelings(w)))
+            calls.clear()
+            got = Web.from_code(list(w.code))
+            count = labelings.weighted_count(got, g)
+            assert len(calls) == 1 and calls[0] is got.pmap
+            assert count == labelings.weighted_count(w, g) and not count.is_zero()
+        m = canonical_form(PlanarMap(2, [[0], [2], [3], [1]]))
+        calls.clear()
+        for _ in range(2):
+            with pytest.raises(WebError, match=webcore.NO_DRAWING):
+                Web.from_code(m)
+        assert len(calls) == 2
+
     def test_from_code_refuses_a_code_with_no_drawing(self):
         # two strands that cross: the code decodes, but no drawing exists
         m = PlanarMap(2, [[0], [2], [3], [1]])
