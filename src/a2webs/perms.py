@@ -18,7 +18,9 @@ def identity_perm(n: int) -> Perm:
 
 
 def is_perm(w: Sequence[int]) -> bool:
-    return sorted(w) == list(range(1, len(w) + 1))
+    """Whether w lists 1..len(w) once each, as exact ints: a bool or a
+    float that equals an int is refused."""
+    return all(type(x) is int for x in w) and sorted(w) == list(range(1, len(w) + 1))
 
 
 def times_s(w: Perm, i: int) -> Perm:

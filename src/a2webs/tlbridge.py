@@ -1,12 +1,18 @@
 """Matching layer and the bridge between its immanants and web immanants.
 
 Noncrossing perfect matchings on n left and n right points are the
-diagram basis of the rank-2 relative of our algebra.  They multiply by
-concatenation, every erased loop is worth 2 (the q = 1 loop value), and
-the basis diagrams are the generator products along reduced words of
-321-avoiding permutations.  Arcs with both ends on one side carry a
-marked interior point; labelings assign 1 or 2 to each arc end and must
-switch value exactly at the marked points.
+diagram basis of the rank-2 relative of our algebra.  They glue by
+concatenation, which erases closed loops, and the basis diagrams are
+the generator products along reduced words of 321-avoiding
+permutations.  Arcs with both ends on one side carry a marked interior
+point; labelings assign 1 or 2 to each arc end and must switch value
+exactly at the marked points.
+
+The layer keeps no algebra of its own.  The Temperley-Lieb immanant of
+a 321-avoiding permutation w is the web immanant of tl_web(w), the
+product of the E_i along w's reduced word, which is irreducible
+(checked for every w up to the `webs` strand bound; the matching
+algebra's own route, after Rhoades and Skandera, lives in the tests).
 
 Deleting the 3-labeled edges from a consistently labeled web leaves
 each internal vertex with degree two, so the surviving edges join up
@@ -24,11 +30,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .immanants import ExactMatrix, irreducible_webs
+from .exactmath import quoted
+from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .labelings import _boundary_edges, _check_counts, enumerate_labelings
 from .minors import index_set
 from .perms import Perm, all_perms, avoids, first_reduced_word, is_perm
-from .webcore import Combo, Web, WebError
+from .spider import product_web
+from .webcore import Web, WebError
 
 Arc = tuple[int, int]
 
@@ -120,42 +128,25 @@ def tl_concat(a: A1Web, b: A1Web) -> tuple[A1Web, int]:
     return A1Web(n, tuple(arcs)), loops
 
 
-class TLCombo(Combo):
-    """Integer combination of matchings, multiplied by concatenation
-    with every erased loop worth a factor of two."""
-
-    __slots__ = ()
-
-    @classmethod
-    def unit(cls, n: int) -> "TLCombo":
-        return cls(n, {identity_matching(n): 1})
-
-    @classmethod
-    def from_matching(cls, m: A1Web, coeff: int = 1) -> "TLCombo":
-        return cls(m.n, {m: coeff})
-
-    @staticmethod
-    def _sort_key(m: A1Web) -> tuple[Arc, ...]:
-        return m.arcs
-
-    @staticmethod
-    def _product(a: A1Web, b: A1Web) -> tuple:
-        prod, loops = tl_concat(a, b)
-        return ((prod, 2 ** loops),)
+def _check_avoiding(w: Perm) -> None:
+    if not is_perm(w):
+        raise WebError(f"{quoted(w)} is not a permutation")
+    if not avoids(w, (3, 2, 1)):
+        raise WebError(f"{quoted(w)} contains a 321 pattern")
 
 
-def tl_generator_combo(n: int, i: int) -> TLCombo:
-    return TLCombo.from_matching(tl_generator(n, i))
-
-
-@cache
 def matching_of_perm(w: Perm) -> A1Web:
     """Basis matching of a 321-avoiding permutation: the concatenation
     of uncrossings along a reduced word.  The word is taken reversed,
     the same orientation the trivalent layer uses for its generator
-    products; reduced words never produce loops, which is checked."""
-    if not avoids(w, (3, 2, 1)):
-        raise WebError(f"{w} contains a 321 pattern")
+    products; reduced words never produce loops, which is checked.
+    w is checked before the memo, which (True, 2) would hit as (1, 2)."""
+    _check_avoiding(w)
+    return _matching(w)
+
+
+@cache
+def _matching(w: Perm) -> A1Web:
     n = len(w)
     m = identity_matching(n)
     for i in reversed(first_reduced_word(w)):
@@ -165,31 +156,31 @@ def matching_of_perm(w: Perm) -> A1Web:
     return m
 
 
+def tl_web(w: Perm) -> Web:
+    """The web of a 321-avoiding permutation: the product of the E_i
+    along its reversed reduced word, as matching_of_perm takes it.  It
+    is irreducible, checked against the table (refused above the `webs`
+    strand bound), and its immanant is w's Temperley-Lieb immanant.
+    Checked and memoized as matching_of_perm is."""
+    _check_avoiding(w)
+    return _tl_web(w)
+
+
 @cache
-def theta_two(v: Perm) -> TLCombo:
-    """Image of a permutation under s_i -> (uncrossing i) - 1 at q = 1,
-    multiplied along the reversed reduced word as in matching_of_perm."""
-    if not is_perm(v):
-        raise WebError(f"{v} is not a permutation")
-    n = len(v)
-    acc = TLCombo.unit(n)
-    for i in reversed(first_reduced_word(v)):
-        acc = acc * (tl_generator_combo(n, i) - TLCombo.unit(n))
-    return acc
+def _tl_web(w: Perm) -> Web:
+    webs = irreducible_webs(len(w))
+    D = product_web(len(w), reversed(first_reduced_word(w)))
+    if D not in webs:
+        raise RuntimeError(f"the web of {w} is not an irreducible web of the table")
+    return D
 
 
 def tl_immanant(w: Perm, Xp: ExactMatrix) -> Fraction:
-    """Matrix function of a 321-avoiding permutation: sum over all v of
-    the coefficient of w's matching in theta_two(v) times the entry
-    product of v, read from the matrix's cached monomials."""
-    if not avoids(w, (3, 2, 1)):
-        raise WebError(f"{w} contains a 321 pattern")
-    n = len(w)
-    if Xp.n != n:
-        raise WebError(f"permutation of {n} against a {Xp.n} by {Xp.n} matrix")
-    target = matching_of_perm(w)
-    den, mono = Xp.monomials
-    return Fraction(sum(theta_two(v).coeff(target) * m for v, m in mono.items()), den)
+    """Temperley-Lieb immanant of a 321-avoiding permutation: the web
+    immanant of tl_web(w)."""
+    if Xp.n != len(w):
+        raise WebError(f"permutation of {len(w)} against a {Xp.n} by {Xp.n} matrix")
+    return evaluate_immanant(tl_web(w), Xp)
 
 
 # -- labelings of matchings -------------------------------------------

@@ -12,17 +12,19 @@ from typing import Iterable, Mapping, Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1, exact_div
 from a2webs.immanants import irreducible_webs, theta_image
-from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word, boundary_profile
+from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word, boundary_profile, word_counts
 from a2webs.minors import decompose_triple, iter_triples, triple_blocks
 from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
+from a2webs.perms import first_reduced_word, is_perm
 from a2webs.spider import WebCombo, generator_combo, product_web, reduce_web, rewrite_at, rewrite_sites
-from a2webs.tlbridge import A1Web
+from a2webs.tlbridge import A1Web, identity_matching, tl_concat, tl_generator
 from a2webs.webcore import (
     LEFT,
     RIGHT,
     TILE_ARITY,
     VERTEX_DIRS,
     Column,
+    Combo,
     PlanarMap,
     SliceDiagram,
     Web,
@@ -152,6 +154,90 @@ def all_a1_webs(n: int) -> tuple[A1Web, ...]:
 
     webs = [A1Web(n, tuple(arcs)) for arcs in go(tuple(walk))]
     return tuple(sorted(webs, key=lambda w: w.arcs))
+
+
+class TLCombo(Combo):
+    """Integer combination of matchings, multiplied by concatenation
+    with every erased loop worth a factor of two: the Temperley-Lieb
+    algebra at q = 1, the matching layer's own algebra."""
+
+    __slots__ = ()
+
+    @classmethod
+    def unit(cls, n: int) -> "TLCombo":
+        return cls(n, {identity_matching(n): 1})
+
+    @staticmethod
+    def _sort_key(m: A1Web) -> tuple:
+        return m.arcs
+
+    @staticmethod
+    def _product(a: A1Web, b: A1Web) -> tuple:
+        prod, loops = tl_concat(a, b)
+        return ((prod, 2 ** loops),)
+
+
+def tl_generator_combo(n: int, i: int) -> TLCombo:
+    return TLCombo(n, {tl_generator(n, i): 1})
+
+
+@cache
+def theta_two(v: tuple[int, ...]) -> TLCombo:
+    """Image of a permutation under s_i -> (uncrossing i) - 1 at q = 1,
+    multiplied along the reversed reduced word as in matching_of_perm.
+    The coefficient of u's matching is the Temperley-Lieb immanant's
+    f_u(v) (Rhoades and Skandera, Ann. Comb. 9, 2005): the route the
+    library's web immanant of tlbridge.tl_web(u) is checked against."""
+    if not is_perm(v):
+        raise WebError(f"{v} is not a permutation")
+    n = len(v)
+    acc = TLCombo.unit(n)
+    for i in reversed(first_reduced_word(v)):
+        acc = acc * (tl_generator_combo(n, i) - TLCombo.unit(n))
+    return acc
+
+
+def triple_coefficient(g: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """L_g(w): the coefficient of x_{1,w(1)} ... x_{n,w(n)} in the
+    product of the three minors whose boundary word is g.  It is the
+    product over the blocks of the sign of w from row block k onto
+    column block k when w maps each row block onto its column block,
+    and 0 otherwise."""
+    n = len(w)
+    if any(g[i] != g[n + w[i] - 1] for i in range(n)):
+        return 0
+    inversions = sum(g[i] == g[j] and w[i] > w[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
+def table_by_least_words(n: int, counts=None, coefficient=triple_coefficient) -> dict[Web, dict]:
+    """The rows f_D of the immanant table with no Hecke algebra, from
+    the triple identity coefficientwise over S_n,
+        sum over D of c_D(g) f_D(w) = L_g(w),
+    with c_D(g) D's plain labeling count at g.  Each basis web D has
+    one labeling at its least word g_D, and the g_D are distinct, so
+    every other web with a labeling at g_D has a smaller least word.
+    In g_D order, then, f_D = L_{g_D} - sum of c_{D'}(g_D) f_{D'} over
+    the webs solved before it.  counts (one Counter per web of
+    irreducible_webs(n), word_counts by default) and coefficient (L)
+    may be replaced, for the controls."""
+    webs = irreducible_webs(n)
+    if counts is None:
+        counts = [word_counts(D) for D in webs]
+    perms = list(permutations(range(1, n + 1)))
+    least = sorted((min(c), k) for k, c in enumerate(counts))
+    assert len({g for g, _ in least}) == len(webs)
+    rows: dict[int, dict] = {}
+    for g, k in least:
+        assert counts[k][g] == 1, (webs[k].code, g)
+        row = Counter({w: coefficient(g, w) for w in perms})
+        for j, solved in rows.items():
+            c = counts[j][g]
+            if c:
+                for w, v in solved.items():
+                    row[w] -= c * v
+        rows[k] = {w: v for w, v in row.items() if v}
+    return {webs[k]: rows[k] for k in range(len(webs))}
 
 
 def is_balanced(g: tuple[int, ...]) -> bool:

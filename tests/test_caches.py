@@ -10,7 +10,7 @@ import pkgutil
 import pytest
 
 import a2webs
-from a2webs import clear_caches, spider
+from a2webs import clear_caches, spider, tlbridge
 from a2webs.immanants import immanant_table
 from a2webs.labelings import boundary_profile
 from a2webs.spider import product_web
@@ -52,17 +52,18 @@ def test_clear_caches_empties_every_memo():
     w = product_web(3, (1, 2, 1))
     profile = boundary_profile(w)
     assert spider.all_orders_agree(w)
+    tlbridge.tl_web((2, 1, 3))
     caches = package_caches()
     assert {
         "spider.hecke_image", "spider.generator_combo", "spider.reduce_web",
         "spider.rewrite_sites", "spider.rewrite_at",
         "spider.web_product", "spider.shared_coefficient", "labelings.boundary_profile",
         "immanants.immanant_table", "minors._decompositions", "networks._sliced_web",
-        "tlbridge.avoiding_321",
+        "tlbridge.avoiding_321", "tlbridge._tl_web",
     } <= set(caches)
     assert "spider.rewrite_step" not in caches  # its steps are rewrite_at's
     for name in ("spider.hecke_image", "spider.shared_coefficient", "spider.reduce_web", "spider.web_product",
-                 "spider.rewrite_sites", "spider.rewrite_at", "labelings.boundary_profile"):
+                 "spider.rewrite_sites", "spider.rewrite_at", "labelings.boundary_profile", "tlbridge._tl_web"):
         assert caches[name].cache_info().currsize > 0, name
     clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from a2webs.spider import (
     second_generator_combo,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
-from oracles import bruhat_leq, flip, kl_polynomials, parabolic_image, turn
+from oracles import bruhat_leq, flip, kl_polynomials, parabolic_image, table_by_least_words, triple_coefficient, turn
 
 SEED = 20260816
 
@@ -133,6 +134,11 @@ class TestThetaImage:
     def test_rejects_non_permutation(self):
         with pytest.raises(WebError, match="not a permutation"):
             theta_image((1, 1, 3))
+
+    def test_rejects_values_only_equal_to_ints(self):
+        for w in [(2.0, 1.0), (True, 2)]:
+            with pytest.raises(WebError, match="not a permutation"):
+                theta_image(w)
 
     def test_rejects_non_reduced_word(self):
         with pytest.raises(WebError):
@@ -485,6 +491,41 @@ class TestEvaluateImmanant:
                     if count:
                         total += count * evaluate_immanant(D, X)
                 assert total == X.det(), n
+
+
+def table_rows(n):
+    t = immanant_table(n)
+    return {D: t._row(D) for D in t.webs}
+
+
+class TestLeastWordRoute:
+    # a second route for every row, with no Hecke algebra: the triple
+    # identity solved at each web's least word (table_by_least_words,
+    # tests/oracles.py); CI runs n = 6
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_equal_the_table(self, n):
+        assert table_by_least_words(n) == table_rows(n)
+
+    def test_each_control_moves_a_row(self):
+        n = 4
+        webs, want = irreducible_webs(n), table_rows(n)
+        counts = [word_counts(D) for D in webs]
+        least = [min(c) for c in counts]
+        # one labeling dropped from one count at a least word: another
+        # web's, since each web has exactly one at its own
+        k, j = next((k, j) for k, g in enumerate(least) for j, c in enumerate(counts) if j != k and c[g])
+        dropped = [Counter(c) for c in counts]
+        dropped[j][least[k]] -= 1
+        got = table_by_least_words(n, counts=dropped)
+        assert got[webs[k]] != want[webs[k]]
+        # one sign flipped in L_g, at a least word
+        g, w = least[k], next(w for w in all_perms(n) if triple_coefficient(least[k], w))
+
+        def flipped(h, v):
+            return -triple_coefficient(h, v) if (h, v) == (g, w) else triple_coefficient(h, v)
+
+        got = table_by_least_words(n, coefficient=flipped)
+        assert got[webs[k]] != want[webs[k]]
 
 
 class TestParabolicImage:

@@ -9,6 +9,7 @@ from a2webs.perms import (
     descents,
     first_reduced_word,
     identity_perm,
+    is_perm,
     kostka_three_column,
     perm_from_word,
     perm_length,
@@ -30,6 +31,12 @@ class TestBasics:
     def test_descents(self):
         assert descents((2, 1, 3)) == [1]
         assert descents((3, 2, 1)) == [1, 2]
+
+    def test_is_perm_takes_exact_ints_only(self):
+        assert is_perm((2, 3, 1)) and is_perm(())
+        # a repeat, a value off 1..n, and values only equal to ints
+        for w in [(1, 1), (0, 1), (1, 3), ("a", "b"), (True, 2), (2.0, 1.0), (1, "a")]:
+            assert not is_perm(w), w
 
 
 class TestReducedWords:

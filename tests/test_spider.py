@@ -23,7 +23,6 @@ from a2webs.spider import (
     second_generator_combo,
     web_product,
 )
-from a2webs.tlbridge import TLCombo, tl_generator_combo
 from a2webs.webcore import (
     Column,
     SliceDiagram,
@@ -33,6 +32,7 @@ from a2webs.webcore import (
     identity_web,
 )
 from oracles import (
+    TLCombo,
     flip,
     oracle_features,
     oracle_geom,
@@ -40,6 +40,7 @@ from oracles import (
     oracle_sites,
     redrawn,
     reduce_random_order,
+    tl_generator_combo,
     turn,
 )
 

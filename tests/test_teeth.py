@@ -2,10 +2,19 @@
 into the library one at a time, must fail the suites pinned for it.
 
 A later second route shows up here as a larger set of failing suites,
-and a blunted check as a smaller one.  Two mutants fail no suite, and
-their empty sets are the known gaps.  The negated labeling exponent:
-every rule coefficient ([2], [3] and 1) is invariant under t -> 1/t, so
-no suite sees the sign.  A face rewrite that drops the web's loops: the
+and a blunted check as a smaller one.  Three mutants fail no suite.
+Two of them are symmetries, not gaps, and no internal route can see
+them (test_the_label_involution_and_the_loop_sign_move_no_profile):
+  - The negated labeling exponent is the label involution k -> 4 - k:
+    with it each boundary profile is the true one with every label k
+    read as 4 - k.  Every statement the suites check is invariant under
+    that relabeling (it swaps blocks 1 and 3 of a triple, whose product
+    of minors does not change), so only a route tied to the paper's own
+    orientation, such as a golden file, could see the sign.
+  - A loop term of the wrong sign, -2(4 - 2k) for a loop labeled k,
+    moves no profile: a loop takes each label freely, and the sign only
+    swaps the terms of its labels 1 and 3.
+The third is a gap: a face rewrite that drops the web's loops.  The
 suites draw no loop, and reduce_web and transport erase loops first.
 The every-site check sees it on products with loops drawn below them.
 """
@@ -18,10 +27,11 @@ import pytest
 from a2webs import clear_caches, immanants, labelings, spider
 from a2webs.cli import run_suite
 from a2webs.exactmath import LaurentPoly, qint
+from a2webs.labelings import KappaVector, boundary_profile
 from a2webs.spider import all_orders_agree, product_web, reduce_web
 from a2webs.webcore import PlanarMap
-from oracles import reduce_by_labelings
-from test_labelings import mixed_products
+from oracles import reduce_by_labelings, table_by_least_words
+from test_labelings import mixed_products, random_web_with_loops, strand_with_closed_component
 from test_spider import with_loops
 
 
@@ -77,6 +87,10 @@ def _exponent(mp, change):
     mp.setattr(labelings, "_compile_weight", broken)
 
 
+def _loop_sign_flipped(mp):
+    mp.setattr(labelings, "_LOOP", tuple(tuple(-x for x in row) for row in labelings._LOOP))
+
+
 def _q1_row_plus_one(mp):
     q1_row = immanants._q1_row
 
@@ -101,6 +115,7 @@ MUTANTS = {
     "the labeling exponent doubled": lambda mp: _exponent(mp, lambda k, f: 2 * k),
     "+2 on labelings whose edge 0 is labeled 1": lambda mp: _exponent(mp, lambda k, f: k + 2 * (f[0] == 1)),
     "the labeling exponent negated": lambda mp: _exponent(mp, lambda k, f: -k),
+    "a loop term of -2(4 - 2k)": _loop_sign_flipped,
     "one table row entry + 1": _q1_row_plus_one,
 }
 
@@ -118,6 +133,7 @@ TEETH = {
     "the labeling exponent doubled": {"ci"},
     "+2 on labelings whose edge 0 is labeled 1": {"kappa"},
     "the labeling exponent negated": set(),
+    "a loop term of -2(4 - 2k)": set(),
     "one table row entry + 1": {"bridge", "minors", "networks"},
 }
 
@@ -174,3 +190,41 @@ def test_the_labeling_route_sees_each_broken_face_rule(monkeypatch, mutant):
     assert under(monkeypatch, "none", reduce_web, webs) == want
     got = under(monkeypatch, mutant, reduce_web, webs)
     assert sum(a != b for a, b in zip(got, want)) == FACE_MUTANTS[mutant]
+
+
+def test_the_label_involution_and_the_loop_sign_move_no_profile(monkeypatch):
+    # every irreducible web for n <= 5, seeded products with D2 factors,
+    # webs with loops and strands beside a closed component
+    rng = random.Random(54)
+    webs = [D for n in range(1, 6) for D in immanants.irreducible_webs(n)]
+    webs += mixed_products(rng, 60)
+    webs += [random_web_with_loops(rng) for _ in range(40)]
+    closed = []
+    while len(closed) < 26:
+        w = strand_with_closed_component(rng)
+        if w is not None:
+            closed.append(w)
+    webs += closed
+    true = under(monkeypatch, "none", boundary_profile, webs)
+    involuted = [KappaVector(p.n, {tuple(4 - k for k in g): c for g, c in p.terms()}) for p in true]
+    assert under(monkeypatch, "the labeling exponent negated", boundary_profile, webs) == involuted
+    assert under(monkeypatch, "a loop term of -2(4 - 2k)", boundary_profile, webs) == true
+    moved = sum(a != b for a, b in zip(true, involuted))
+    looped = sum(w.pmap.loops > 0 for w in webs)
+    assert (len(webs), moved, looped) == (261, 221, 31)
+
+
+def test_the_least_word_route_sees_a_table_row_entry_moved(monkeypatch):
+    # table_by_least_words reads no Hecke image: made before the patch,
+    # its rows disagree with the broken table's
+    clear_caches()
+    want = table_by_least_words(4)
+
+    def rows(n):
+        t = immanants.immanant_table(n)
+        return {D: t._row(D) for D in t.webs}
+
+    [none] = under(monkeypatch, "none", rows, [4])
+    [got] = under(monkeypatch, "one table row entry + 1", rows, [4])
+    assert none == want
+    assert sum(got[D] != want[D] for D in want) == len(want) == 23

@@ -1,17 +1,20 @@
 import hashlib
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from a2webs.immanants import evaluate_immanant, irreducible_webs
-from a2webs.labelings import boundary_restriction, enumerate_labelings
-from a2webs.minors import minor, random_rational_matrix
-from a2webs.perms import all_perms, all_reduced_words, avoids, catalan
-from a2webs.spider import product_web, second_generator
+from a2webs import clear_caches, tlbridge
+from a2webs.cli import run_suite
+from a2webs.immanants import ExactMatrix, evaluate_immanant, immanant_table, irreducible_webs
+from a2webs.labelings import _boundary_edges, boundary_restriction, enumerate_labelings
+from a2webs.minors import decompose_triple, minor, random_rational_matrix
+from a2webs.perms import all_perms, all_reduced_words, avoids, catalan, first_reduced_word
+from a2webs.spider import product_web, reduce_web, second_generator
 from a2webs.tlbridge import (
     A1Web,
-    TLCombo,
     admits,
     avoiding_321,
     bridge_expansion,
@@ -22,16 +25,19 @@ from a2webs.tlbridge import (
     matching_of_perm,
     pair_boundary,
     pair_expansion,
-    theta_two,
     tl_concat,
     tl_generator,
-    tl_generator_combo,
     tl_immanant,
+    tl_web,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
-from oracles import all_a1_webs
+from oracles import TLCombo, all_a1_webs, theta_two, tl_generator_combo
 
 SEED = 20260816
+
+# sequences that are no permutation of 1..n: a repeat, values off 1..n,
+# and values that only compare equal to ints
+NON_PERMUTATIONS = [(1, 1), (0, 1), (1, 3), ("a", "b"), (True, 2), (2.0, 1.0)]
 
 
 def idweb(n):
@@ -80,6 +86,15 @@ class TestA1Web:
     def test_321_pattern_rejected(self):
         with pytest.raises(WebError):
             matching_of_perm((3, 2, 1))
+
+    @pytest.mark.parametrize("w", NON_PERMUTATIONS)
+    def test_non_permutation_rejected(self, w):
+        # after the memo holds (1, 2) and (2, 1), which (True, 2) and
+        # (2.0, 1.0) equal
+        matching_of_perm((1, 2))
+        matching_of_perm((2, 1))
+        with pytest.raises(WebError, match="is not a permutation"):
+            matching_of_perm(w)
 
 
 class TestDiagramAlgebra:
@@ -178,6 +193,79 @@ class TestThetaTwo:
         rng = random.Random(SEED)
         with pytest.raises(WebError):
             tl_immanant((2, 1), random_rational_matrix(3, rng))
+
+    @pytest.mark.parametrize("w", NON_PERMUTATIONS)
+    def test_immanant_rejects_non_permutation(self, w):
+        X = random_rational_matrix(2, random.Random(1))
+        with pytest.raises(WebError, match="is not a permutation"):
+            tl_immanant(w, X)
+
+    def test_immanant_is_bounded_with_the_table(self):
+        with pytest.raises(WebError, match="web enumeration is bounded at n = 6, got 7"):
+            tl_immanant(tuple(range(1, 8)), ExactMatrix.identity(7))
+
+
+class TestTemperleyLiebWebs:
+    # Temperley-Lieb immanants are web immanants: the web of each
+    # 321-avoiding u, the product of the E_i along its reduced word, is
+    # irreducible and carries u's row of the matching algebra's route
+    # (theta_two, tests/oracles.py); CI runs n = 6
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_web_is_irreducible_and_carries_its_tl_row(self, n):
+        t = immanant_table(n)
+        X = random_rational_matrix(n, random.Random(SEED + n))
+        den, mono = X.monomials
+        for u in avoiding_321(n):
+            D = tl_web(u)
+            assert D == product_web(n, reversed(first_reduced_word(u)))
+            [(E, c)] = reduce_web(D).terms()
+            assert E == D and c.is_one(), u
+            m = matching_of_perm(u)
+            want = {v: theta_two(v).coeff(m) for v in all_perms(n)}
+            assert t._row(D) == {v: x for v, x in want.items() if x}, u
+            assert tl_immanant(u, X) == Fraction(sum(want[v] * x for v, x in mono.items()), den)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_pair_word_decomposes_into_the_webs_of_its_expansion(self, n):
+        everyone = range(1, n + 1)
+        pairs = 0
+        for k in range(n + 1):
+            for rows1 in itertools.combinations(everyone, k):
+                for cols1 in itertools.combinations(everyone, k):
+                    want = {tl_web(u): 1 for u in pair_expansion(n, rows1, cols1)}
+                    assert decompose_triple(pair_boundary(n, rows1, cols1)) == want, (rows1, cols1)
+                    pairs += 1
+        assert pairs == math.comb(2 * n, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_the_matching_is_read_off_the_web(self, n):
+        # every labeling of u's web with no 3 on its boundary, 2^n of
+        # them, forgets onto u's matching
+        for u in avoiding_321(n):
+            D = tl_web(u)
+            bedge = _boundary_edges(D)
+            images = [forgetful(D, f) for f in enumerate_labelings(D) if 3 not in map(f.__getitem__, bedge)]
+            assert images == [matching_of_perm(u)] * 2 ** n, u
+
+    @pytest.mark.parametrize("w", NON_PERMUTATIONS)
+    def test_non_permutation_rejected(self, w):
+        tl_web((1, 2))
+        tl_web((2, 1))
+        with pytest.raises(WebError, match="is not a permutation"):
+            tl_web(w)
+
+    def test_a_web_off_the_table_fails_the_bridge_check(self, monkeypatch):
+        # the web of (2, 1, 3) drawn as E1 E1, which reduces: a failed
+        # invariant, which verify reports as a failed check
+        clear_caches()
+        monkeypatch.setattr(tlbridge, "product_web", lambda n, word: product_web(n, list(word) * 2))
+        try:
+            [check] = run_suite("bridge", 3, seed=0)["checks"]
+        finally:
+            monkeypatch.undo()
+            clear_caches()
+        assert not check["passed"]
+        assert check["details"]["error"] == "the web of (2, 1, 3) is not an irreducible web of the table"
 
 
 class TestMatchingLabelings:
@@ -441,6 +529,11 @@ class TestBridge:
     def test_wrong_permutation_size_rejected(self):
         with pytest.raises(WebError):
             lifted_boundaries(3, (1, 2, 3), (1,), (1,))
+
+    @pytest.mark.parametrize("w", NON_PERMUTATIONS)
+    def test_non_permutation_rejected(self, w):
+        with pytest.raises(WebError, match="is not a permutation"):
+            bridge_expansion(3, w, (1,), (1,))
 
 
 class TestBridgeDigest:
