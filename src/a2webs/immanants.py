@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .exactmath import eval_q1, parse_rational, quoted
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
-from .webcore import Web, WebError
+from .webcore import Web, WebError, int_entries
 
 # documented strand bounds, the one table of them.  "webs" bounds web
 # enumeration: expansions run over all of S_n, so the cost is factorial
@@ -175,14 +175,18 @@ def theta_image(w: Perm, word: Optional[Sequence[int]] = None) -> WebCombo:
     wired to sink w(i), matching row i and column w(i) of a matrix.
     """
     if not is_perm(w):
-        raise WebError(f"{w} is not a permutation")
+        raise WebError(f"{quoted(w)} is not a permutation")
+    n = len(w)
     if word is None:
         word = first_reduced_word(w)
     else:
-        word = tuple(word)
-        if perm_from_word(len(w), word) != w or len(word) != perm_length(w):
-            raise WebError(f"{word} is not a reduced word for {w}")
-    return hecke_image(len(w), tuple(reversed(word)))
+        word = int_entries(word)
+        for i in word:
+            if not 1 <= i < n:
+                raise WebError(f"generator {quoted(i)} of {quoted(word)} lies outside 1..{n - 1}")
+        if perm_from_word(n, word) != w or len(word) != perm_length(w):
+            raise WebError(f"{quoted(word)} is not a reduced word for {quoted(w)}")
+    return hecke_image(n, tuple(reversed(word)))
 
 
 def _q1_row(combo: WebCombo) -> dict:

@@ -78,9 +78,9 @@ def _checked_word(g: Sequence[int]) -> tuple[int, ...]:
     if odd:
         raise WebError(f"a triple's word has an even length, got {len(g)} labels")
     if not set(g) <= {1, 2, 3}:
-        raise WebError(f"a triple's labels lie in 1..3, got {g}")
+        raise WebError(f"a triple's labels lie in 1..3, got {quoted(g)}")
     if sorted(g[:n]) != sorted(g[n:]):
-        raise WebError(f"each label of {g} must mark as many sources as sinks")
+        raise WebError(f"each label of {quoted(g)} must mark as many sources as sinks")
     return g
 
 

@@ -1,18 +1,18 @@
 """Matching layer and the bridge between its immanants and web immanants.
 
 Noncrossing perfect matchings on n left and n right points are the
-diagram basis of the rank-2 relative of our algebra.  They glue by
-concatenation, which erases closed loops, and the basis diagrams are
-the generator products along reduced words of 321-avoiding
-permutations.  Arcs with both ends on one side carry a marked interior
-point; labelings assign 1 or 2 to each arc end and must switch value
-exactly at the marked points.
+diagram basis of the rank-2 relative of our algebra, one for each
+321-avoiding permutation.  Arcs with both ends on one side carry a
+marked interior point; labelings assign 1 or 2 to each arc end and must
+switch value exactly at the marked points.
 
-The layer keeps no algebra of its own.  The Temperley-Lieb immanant of
-a 321-avoiding permutation w is the web immanant of tl_web(w), the
-product of the E_i along w's reduced word, which is irreducible
-(checked for every w up to the `webs` strand bound; the matching
-algebra's own route, after Rhoades and Skandera, lives in the tests).
+The layer keeps no algebra and no gluing of its own.  The
+Temperley-Lieb immanant of a 321-avoiding permutation w is the web
+immanant of tl_web(w), the product of the E_i along w's reduced word,
+which is irreducible (checked for every w up to the `webs` strand
+bound), and w's matching is read off that web by the forgetful map
+below.  The matching algebra's own route, after Rhoades and Skandera,
+with its gluing by concatenation, lives in the tests.
 
 Deleting the 3-labeled edges from a consistently labeled web leaves
 each internal vertex with degree two, so the surviving edges join up
@@ -77,57 +77,6 @@ class A1Web:
         return [list(a) for a in self.arcs]
 
 
-def identity_matching(n: int) -> A1Web:
-    return A1Web(n, tuple((p, n + p) for p in range(n)))
-
-
-def tl_generator(n: int, i: int) -> A1Web:
-    """The i-th uncrossing: points i, i+1 cupped on both sides (1-based)."""
-    if not 1 <= i < n:
-        raise WebError(f"generator index {i} out of range for n={n}")
-    arcs = [(i - 1, i), (n + i - 1, n + i)]
-    arcs += [(p, n + p) for p in range(n) if p not in (i - 1, i)]
-    return A1Web(n, tuple(arcs))
-
-
-def tl_concat(a: A1Web, b: A1Web) -> tuple[A1Web, int]:
-    """Glue a's right side to b's left side.
-
-    Returns the resulting matching and the number of closed loops
-    erased.  b's point p is numbered 2n + p, so junction j joins a's
-    point n + j to b's point 2n + j, and the outer points are 0..n-1
-    and 3n..4n-1.  One walk runs from each outer point, then from each
-    junction point, not yet reached: along an arc, across the junction
-    it meets, and on until it reaches an outer point or comes back
-    round, closing a loop.
-    """
-    if a.n != b.n:
-        raise WebError(f"cannot concatenate matchings on {a.n} and {b.n} strands")
-    n = a.n
-    mate = [0] * (4 * n)
-    for off, m in ((0, a), (2 * n, b)):
-        for p, q in m.arcs:
-            mate[off + p], mate[off + q] = off + q, off + p
-    seen = [False] * (4 * n)
-    arcs, loops = [], 0
-    for start in [*range(n), *range(3 * n, 4 * n), *range(n, 3 * n)]:
-        if seen[start]:
-            continue
-        p = start
-        while True:
-            seen[p] = True
-            p = mate[p]
-            seen[p] = True
-            if not n <= p < 3 * n:
-                arcs.append((start % (2 * n), p % (2 * n)))
-                break
-            p += n if p < 2 * n else -n
-            if p == start:
-                loops += 1
-                break
-    return A1Web(n, tuple(arcs)), loops
-
-
 def _check_avoiding(w: Perm) -> None:
     if not is_perm(w):
         raise WebError(f"{quoted(w)} is not a permutation")
@@ -135,33 +84,13 @@ def _check_avoiding(w: Perm) -> None:
         raise WebError(f"{quoted(w)} contains a 321 pattern")
 
 
-def matching_of_perm(w: Perm) -> A1Web:
-    """Basis matching of a 321-avoiding permutation: the concatenation
-    of uncrossings along a reduced word.  The word is taken reversed,
-    the same orientation the trivalent layer uses for its generator
-    products; reduced words never produce loops, which is checked.
-    w is checked before the memo, which (True, 2) would hit as (1, 2)."""
-    _check_avoiding(w)
-    return _matching(w)
-
-
-@cache
-def _matching(w: Perm) -> A1Web:
-    n = len(w)
-    m = identity_matching(n)
-    for i in reversed(first_reduced_word(w)):
-        m, loops = tl_concat(m, tl_generator(n, i))
-        if loops:
-            raise RuntimeError("a reduced word produced a loop")
-    return m
-
-
 def tl_web(w: Perm) -> Web:
     """The web of a 321-avoiding permutation: the product of the E_i
-    along its reversed reduced word, as matching_of_perm takes it.  It
-    is irreducible, checked against the table (refused above the `webs`
-    strand bound), and its immanant is w's Temperley-Lieb immanant.
-    Checked and memoized as matching_of_perm is."""
+    along its reversed reduced word, the orientation the trivalent layer
+    uses for its generator products.  It is irreducible, checked against
+    the table (refused above the `webs` strand bound), and its immanant
+    is w's Temperley-Lieb immanant.  w is checked before the memo, which
+    (True, 2) would hit as (1, 2)."""
     _check_avoiding(w)
     return _tl_web(w)
 
@@ -173,6 +102,27 @@ def _tl_web(w: Perm) -> Web:
     if D not in webs:
         raise RuntimeError(f"the web of {w} is not an irreducible web of the table")
     return D
+
+
+def matching_of_perm(w: Perm) -> A1Web:
+    """Basis matching of a 321-avoiding permutation, read off its web:
+    the forgetful image of the first labeling of tl_web(w), in search
+    order, with no 3 on its boundary.  Every such labeling, 2^n of
+    them, lands on this one matching, the concatenation of uncrossings
+    along w's reduced word (tested); a web with none is a failed
+    invariant.  Bounded, checked and memoized as tl_web is."""
+    _check_avoiding(w)
+    return _matching(w)
+
+
+@cache
+def _matching(w: Perm) -> A1Web:
+    D = _tl_web(w)
+    bedge = _boundary_edges(D)
+    for f in enumerate_labelings(D):
+        if 3 not in map(f.__getitem__, bedge):
+            return forgetful(D, f)
+    raise RuntimeError(f"the web of {w} has no labeling without a 3 on its boundary")
 
 
 def tl_immanant(w: Perm, Xp: ExactMatrix) -> Fraction:

@@ -17,7 +17,7 @@ from a2webs.minors import decompose_triple, iter_triples, triple_blocks
 from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
 from a2webs.perms import first_reduced_word, is_perm
 from a2webs.spider import WebCombo, generator_combo, product_web, reduce_web, rewrite_at, rewrite_sites
-from a2webs.tlbridge import A1Web, identity_matching, tl_concat, tl_generator
+from a2webs.tlbridge import A1Web
 from a2webs.webcore import (
     LEFT,
     RIGHT,
@@ -156,6 +156,72 @@ def all_a1_webs(n: int) -> tuple[A1Web, ...]:
     return tuple(sorted(webs, key=lambda w: w.arcs))
 
 
+def identity_matching(n: int) -> A1Web:
+    return A1Web(n, tuple((p, n + p) for p in range(n)))
+
+
+def tl_generator(n: int, i: int) -> A1Web:
+    """The i-th uncrossing: points i, i+1 cupped on both sides (1-based)."""
+    if not 1 <= i < n:
+        raise WebError(f"generator index {i} out of range for n={n}")
+    arcs = [(i - 1, i), (n + i - 1, n + i)]
+    arcs += [(p, n + p) for p in range(n) if p not in (i - 1, i)]
+    return A1Web(n, tuple(arcs))
+
+
+def tl_concat(a: A1Web, b: A1Web) -> tuple[A1Web, int]:
+    """Glue a's right side to b's left side.
+
+    Returns the resulting matching and the number of closed loops
+    erased.  b's point p is numbered 2n + p, so junction j joins a's
+    point n + j to b's point 2n + j, and the outer points are 0..n-1
+    and 3n..4n-1.  One walk runs from each outer point, then from each
+    junction point, not yet reached: along an arc, across the junction
+    it meets, and on until it reaches an outer point or comes back
+    round, closing a loop.
+    """
+    if a.n != b.n:
+        raise WebError(f"cannot concatenate matchings on {a.n} and {b.n} strands")
+    n = a.n
+    mate = [0] * (4 * n)
+    for off, m in ((0, a), (2 * n, b)):
+        for p, q in m.arcs:
+            mate[off + p], mate[off + q] = off + q, off + p
+    seen = [False] * (4 * n)
+    arcs, loops = [], 0
+    for start in [*range(n), *range(3 * n, 4 * n), *range(n, 3 * n)]:
+        if seen[start]:
+            continue
+        p = start
+        while True:
+            seen[p] = True
+            p = mate[p]
+            seen[p] = True
+            if not n <= p < 3 * n:
+                arcs.append((start % (2 * n), p % (2 * n)))
+                break
+            p += n if p < 2 * n else -n
+            if p == start:
+                loops += 1
+                break
+    return A1Web(n, tuple(arcs)), loops
+
+
+def matching_by_concatenation(u: tuple[int, ...]) -> A1Web:
+    """The basis matching of a 321-avoiding u by the matching layer's
+    own gluing: the uncrossings concatenated along u's reversed reduced
+    word, the route tlbridge.matching_of_perm, which reads the matching
+    off u's web, is checked against.  Reduced words never produce
+    loops, which is checked."""
+    n = len(u)
+    m = identity_matching(n)
+    for i in reversed(first_reduced_word(u)):
+        m, loops = tl_concat(m, tl_generator(n, i))
+        if loops:
+            raise RuntimeError("a reduced word produced a loop")
+    return m
+
+
 class TLCombo(Combo):
     """Integer combination of matchings, multiplied by concatenation
     with every erased loop worth a factor of two: the Temperley-Lieb
@@ -184,10 +250,11 @@ def tl_generator_combo(n: int, i: int) -> TLCombo:
 @cache
 def theta_two(v: tuple[int, ...]) -> TLCombo:
     """Image of a permutation under s_i -> (uncrossing i) - 1 at q = 1,
-    multiplied along the reversed reduced word as in matching_of_perm.
-    The coefficient of u's matching is the Temperley-Lieb immanant's
-    f_u(v) (Rhoades and Skandera, Ann. Comb. 9, 2005): the route the
-    library's web immanant of tlbridge.tl_web(u) is checked against."""
+    multiplied along the reversed reduced word as in
+    matching_by_concatenation.  The coefficient of u's matching is the
+    Temperley-Lieb immanant's f_u(v) (Rhoades and Skandera, Ann.
+    Comb. 9, 2005): the route the library's web immanant of
+    tlbridge.tl_web(u) is checked against."""
     if not is_perm(v):
         raise WebError(f"{v} is not a permutation")
     n = len(v)

@@ -14,6 +14,7 @@ from a2webs.immanants import (
     theta_image,
 )
 from a2webs.labelings import enumerate_labelings, word_counts
+from a2webs.minors import decompose_triple
 from a2webs.perms import (
     all_perms,
     all_reduced_words,
@@ -143,6 +144,37 @@ class TestThetaImage:
     def test_rejects_non_reduced_word(self):
         with pytest.raises(WebError):
             theta_image((2, 1), word=(1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ((0,), "generator 0 of (0,) lies outside 1..1"),
+            ((5,), "generator 5 of (5,) lies outside 1..1"),
+            (("a",), "not an integer: 'a'"),
+            ((1.0,), "not an integer: 1.0"),
+        ],
+        ids=["0", "5", "a string", "a float"],
+    )
+    def test_rejects_a_word_that_is_no_generator_word(self, word, message):
+        with pytest.raises(WebError) as exc:
+            theta_image((2, 1), word=word)
+        assert str(exc.value) == message
+
+    # each refusal quotes its 5,000-entry input by a prefix
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: theta_image((0,) * 5000),
+            lambda: theta_image((2, 1), (1,) * 5000),
+            lambda: decompose_triple((4,) * 5000),
+            lambda: decompose_triple((1,) * 2500 + (2,) * 2500),
+        ],
+        ids=["not a permutation", "not a reduced word", "label off 1..3", "labels unbalanced"],
+    )
+    def test_refusals_quote_long_input_by_a_prefix(self, call):
+        with pytest.raises(WebError) as exc:
+            call()
+        assert "(15,000 characters)" in str(exc.value) and len(str(exc.value)) < 300
 
     def test_reduced_word_independence(self):
         rng = random.Random(SEED)

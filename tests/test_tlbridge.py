@@ -11,7 +11,7 @@ from a2webs.cli import run_suite
 from a2webs.immanants import ExactMatrix, evaluate_immanant, immanant_table, irreducible_webs
 from a2webs.labelings import _boundary_edges, boundary_restriction, enumerate_labelings
 from a2webs.minors import decompose_triple, minor, random_rational_matrix
-from a2webs.perms import all_perms, all_reduced_words, avoids, catalan, first_reduced_word
+from a2webs.perms import all_perms, all_reduced_words, avoids, catalan, first_reduced_word, perm_length
 from a2webs.spider import product_web, reduce_web, second_generator
 from a2webs.tlbridge import (
     A1Web,
@@ -19,19 +19,26 @@ from a2webs.tlbridge import (
     avoiding_321,
     bridge_expansion,
     forgetful,
-    identity_matching,
     lifted_boundaries,
     matching_labelings,
     matching_of_perm,
     pair_boundary,
     pair_expansion,
-    tl_concat,
-    tl_generator,
     tl_immanant,
     tl_web,
 )
 from a2webs.webcore import Web, WebError, generator_web, identity_web
-from oracles import TLCombo, all_a1_webs, theta_two, tl_generator_combo
+from oracles import (
+    TLCombo,
+    all_a1_webs,
+    identity_matching,
+    kl_polynomials,
+    matching_by_concatenation,
+    theta_two,
+    tl_concat,
+    tl_generator,
+    tl_generator_combo,
+)
 
 SEED = 20260816
 
@@ -86,6 +93,18 @@ class TestA1Web:
     def test_321_pattern_rejected(self):
         with pytest.raises(WebError):
             matching_of_perm((3, 2, 1))
+
+    def test_bounded_with_the_web(self):
+        # the matching is read off tl_web(w), so it has the table's
+        # bound; a 321 pattern or a non-permutation is refused first
+        with pytest.raises(WebError, match="web enumeration is bounded at n = 6, got 7"):
+            matching_of_perm(tuple(range(1, 8)))
+        with pytest.raises(WebError, match="need n >= 1, got 0"):
+            matching_of_perm(())
+        with pytest.raises(WebError, match="contains a 321 pattern"):
+            matching_of_perm(tuple(range(7, 0, -1)))
+        with pytest.raises(WebError, match="is not a permutation"):
+            matching_of_perm((1,) * 7)
 
     @pytest.mark.parametrize("w", NON_PERMUTATIONS)
     def test_non_permutation_rejected(self, w):
@@ -240,12 +259,54 @@ class TestTemperleyLiebWebs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_the_matching_is_read_off_the_web(self, n):
         # every labeling of u's web with no 3 on its boundary, 2^n of
-        # them, forgets onto u's matching
+        # them, forgets onto the concatenation of u's uncrossings, and
+        # matching_of_perm reads the first of them
         for u in avoiding_321(n):
             D = tl_web(u)
             bedge = _boundary_edges(D)
             images = [forgetful(D, f) for f in enumerate_labelings(D) if 3 not in map(f.__getitem__, bedge)]
-            assert images == [matching_of_perm(u)] * 2 ** n, u
+            assert images == [matching_by_concatenation(u)] * 2 ** n, u
+            assert matching_of_perm(u) == images[0], u
+
+    # per n: the rows that each control moves, of the catalan(n) webs:
+    # P_{u,v} in place of P_{w0 v, w0 u}, and the sign dropped
+    @pytest.mark.parametrize(
+        "n, transposed, unsigned", [(1, 0, 0), (2, 0, 1), (3, 0, 5), (4, 5, 14), (5, 34, 42)]
+    )
+    def test_each_row_is_a_kazhdan_lusztig_immanant(self, n, transposed, unsigned):
+        # Rhoades and Skandera: the Temperley-Lieb immanant of u is the
+        # Kazhdan-Lusztig immanant f_u(v) = (-1)^(l(v)-l(u)) P_{w0 v, w0 u}(1);
+        # CI runs n = 6
+        t = immanant_table(n)
+        P = kl_polynomials(n)
+
+        def w0(v):
+            return tuple(n + 1 - a for a in v)
+
+        def kl_row(u, pair, sign):
+            row = {v: sum(P.get(pair(v, u), ())) * sign(v, u) for v in all_perms(n)}
+            return {v: x for v, x in row.items() if x}
+
+        def signed(v, u):
+            return (-1) ** (perm_length(v) - perm_length(u))
+
+        moved = {"transposed": 0, "unsigned": 0}
+        for u in avoiding_321(n):
+            row = t._row(tl_web(u))
+            assert row == kl_row(u, lambda v, u: (w0(v), w0(u)), signed), u
+            moved["transposed"] += row != kl_row(u, lambda v, u: (u, v), signed)
+            moved["unsigned"] += row != kl_row(u, lambda v, u: (w0(v), w0(u)), lambda v, u: 1)
+        assert moved == {"transposed": transposed, "unsigned": unsigned}
+
+    def test_a_web_with_no_labeling_off_3_is_a_failed_invariant(self, monkeypatch):
+        clear_caches()
+        monkeypatch.setattr(tlbridge, "enumerate_labelings", lambda D: [])
+        try:
+            with pytest.raises(RuntimeError, match=r"the web of \(2, 1\) has no labeling without a 3 on its boundary"):
+                matching_of_perm((2, 1))
+        finally:
+            monkeypatch.undo()
+            clear_caches()
 
     @pytest.mark.parametrize("w", NON_PERMUTATIONS)
     def test_non_permutation_rejected(self, w):
@@ -255,8 +316,11 @@ class TestTemperleyLiebWebs:
             tl_web(w)
 
     def test_a_web_off_the_table_fails_the_bridge_check(self, monkeypatch):
-        # the web of (2, 1, 3) drawn as E1 E1, which reduces: a failed
-        # invariant, which verify reports as a failed check
+        # every word doubled: the pair half reads each u's web for its
+        # matching, in avoiding_321 order, so (1, 2, 3), whose word is
+        # empty, passes and the web of (1, 3, 2), drawn as E2 E2, which
+        # reduces, is the first failed invariant, which verify reports
+        # as a failed check
         clear_caches()
         monkeypatch.setattr(tlbridge, "product_web", lambda n, word: product_web(n, list(word) * 2))
         try:
@@ -265,7 +329,7 @@ class TestTemperleyLiebWebs:
             monkeypatch.undo()
             clear_caches()
         assert not check["passed"]
-        assert check["details"]["error"] == "the web of (2, 1, 3) is not an irreducible web of the table"
+        assert check["details"]["error"] == "the web of (1, 3, 2) is not an irreducible web of the table"
 
 
 class TestMatchingLabelings:
