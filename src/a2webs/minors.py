@@ -223,7 +223,9 @@ def rank_check(n: int) -> dict:
             met.update(row)
             for D, c in decompose_triple(g).items():
                 least.setdefault(D, (g, c))
-        if len(row) > max_coeff:
+        # a row whose positions repeat fewer than max_coeff times in all
+        # holds no web more than max_coeff times
+        if row and len(row) - len(set(row)) >= max_coeff:
             # the row is ascending, so a repeated position is adjacent
             repeated = {k for k, j in zip(row, row[1:]) if k == j}
             top = max(map(row.count, repeated)) if repeated else 1

@@ -205,12 +205,12 @@ class PlanarNetwork:
     lists each vertex's out-edges top to bottom as they leave it, by
     slope.  Both orders, the drawing check and uncross's entry-side test
     read the coordinates scaled to integers once (`_grid`); `pos` keeps
-    the exact rationals.  The path table, the sweep table and the path
-    matrix are built on first use and kept on the network.
+    the exact rationals.  The path table, the sweep table, the scales
+    and the path matrix are built on first use and kept on the network.
     """
 
     __slots__ = ("n", "ids", "pos", "edges", "sources", "sinks", "order",
-                 "out_edges", "in_edges", "_grid", "_paths", "_sweep", "_matrix", "_gaps")
+                 "out_edges", "in_edges", "_grid", "_paths", "_sweep", "_scaled", "_matrix", "_gaps")
 
     def __init__(
         self,
@@ -277,7 +277,7 @@ class PlanarNetwork:
             if self.out_edges[t]:
                 raise WebError(f"exit {quoted(t)} has an outgoing edge")
         _check_drawing(grid, self.edges)
-        self._paths = self._sweep = self._matrix = None
+        self._paths = self._sweep = self._scaled = self._matrix = None
         self._gaps: dict[tuple[str, int], int] = {}
 
     # -- serialization ----------------------------------------------------
@@ -419,7 +419,10 @@ def _scales(net: PlanarNetwork) -> tuple[dict[str, int], list[int]]:
     integer product over S(v).  Dividing out g keeps the scales small
     where numerators cancel denominators: S(v) divides the lcm of the
     paths' unreduced denominator products and is a multiple of the lcm
-    of their reduced weights' denominators."""
+    of their reduced weights' denominators.  Solved once per network
+    and kept on it, beside the path matrix that reads it."""
+    if net._scaled is not None:
+        return net._scaled
     scale: dict[str, int] = {}
     ints = [0] * len(net.edges)
     for v in net.order:
@@ -431,7 +434,8 @@ def _scales(net: PlanarNetwork) -> tuple[dict[str, int], list[int]]:
         scale[v] = math.lcm(*(need for _, _, need in parts))
         for eid, num, need in parts:
             ints[eid] = num * (scale[v] // need)
-    return scale, ints
+    net._scaled = scale, ints
+    return net._scaled
 
 
 def _path_sums(net: PlanarNetwork, weights: Sequence, one) -> list[list]:

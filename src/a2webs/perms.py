@@ -10,6 +10,9 @@ import itertools
 from functools import cache
 from typing import Iterator, Sequence
 
+from .exactmath import quoted
+from .webcore import WebError
+
 Perm = tuple[int, ...]
 
 
@@ -61,6 +64,10 @@ def first_reduced_word(w: Perm) -> tuple[int, ...]:
 
 
 def all_reduced_words(w: Perm) -> list[tuple[int, ...]]:
+    """Every reduced word of the permutation w; anything else is
+    refused with a WebError."""
+    if not is_perm(w):
+        raise WebError(f"{quoted(w)} is not a permutation")
     cache: dict[Perm, list[tuple[int, ...]]] = {}
 
     def go(u: Perm) -> list[tuple[int, ...]]:

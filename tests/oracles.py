@@ -52,6 +52,18 @@ def parabolic_image(n: int, i: int, j: int) -> WebCombo:
     return WebCombo(n, terms)
 
 
+def hecke_fold(n: int, word: tuple[int, ...]) -> list[WebCombo]:
+    """The image of every prefix of word, shortest first, each folded
+    from the one before in three passes, as spider.hecke_image did: the
+    product by E_i, a scale by t^2, then the previous image subtracted,
+    each pass a new combination."""
+    images = [WebCombo.unit(n)]
+    for i in word:
+        prev = images[-1]
+        images.append((prev * generator_combo(n, i)).scale(LaurentPoly.t_power(2)) - prev)
+    return images
+
+
 def oracle_second_generator(n: int, i: int) -> Web:
     """D2_i by its definition: E_i E_{i+1} E_i reduced, less E_i, which
     must be one bare web and equal E_{i+1} E_i E_{i+1} reduced, less

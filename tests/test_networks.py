@@ -700,6 +700,16 @@ class TestScales:
                 assert type(a) is int and a == e.weight * scale[e.head] / scale[e.tail]
         assert len(scale_nets()) == 241 and listed == 18_212 and smaller == 1_376
 
+    def test_the_scales_are_solved_once_per_network(self):
+        for net in scale_nets()[:20]:
+            fresh = PlanarNetwork.from_json_obj(net.to_json_obj())
+            assert fresh._scaled is None
+            path_matrix(fresh)
+            kept = fresh._scaled
+            assert kept is not None and _scales(fresh) is kept
+            assert network_immanants(fresh) == network_immanants(net)
+            assert fresh._scaled is kept
+
     def test_cancelling_numerators_keep_the_scales_small(self):
         # one strand through 10,000 edges weighing 2/3 and 3/2 in turn:
         # its path sums are 2/3 and 1, where the lcms of the unreduced

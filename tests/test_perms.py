@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from a2webs.perms import (
@@ -15,6 +17,7 @@ from a2webs.perms import (
     perm_length,
     times_s,
 )
+from a2webs.webcore import WebError
 
 
 class TestBasics:
@@ -59,6 +62,15 @@ class TestReducedWords:
         for word in all_reduced_words(w):
             assert perm_from_word(4, word) == w
             assert len(word) == perm_length(w)
+
+    @pytest.mark.parametrize("w", [(2, 2), (0, 1), (1, 3), (True,), (1.0, 2)])
+    def test_refuses_what_is_no_permutation(self, w):
+        with pytest.raises(WebError, match=rf"^{re.escape(repr(w))} is not a permutation$"):
+            all_reduced_words(w)
+
+    def test_a_long_non_permutation_is_quoted_by_a_prefix(self):
+        with pytest.raises(WebError, match=r"\.\.\. \(15,000 characters\) is not a permutation"):
+            all_reduced_words((1,) * 5000)
 
 
 class TestPatterns:

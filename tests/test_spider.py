@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 import sys
 
@@ -8,7 +9,7 @@ from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.immanants import irreducible_webs
 from a2webs.labelings import KappaVector, boundary_profile, transport_and_type
-from a2webs.perms import all_perms, first_reduced_word
+from a2webs.perms import all_perms, all_reduced_words, first_reduced_word
 from a2webs.spider import (
     WebCombo,
     all_orders_agree,
@@ -34,6 +35,7 @@ from a2webs.webcore import (
 from oracles import (
     TLCombo,
     flip,
+    hecke_fold,
     oracle_features,
     oracle_geom,
     oracle_second_generator,
@@ -337,6 +339,22 @@ class TestNoDrawing:
         assert spider.rewrite_at.cache_info().currsize > 1
 
 
+class TestProductWeb:
+    def test_refuses_a_generator_that_is_no_integer(self):
+        for word, quoted in (((1, "a"), "'a'"), ((1.0,), "1.0"), ((None,), "None")):
+            with pytest.raises(webcore.WebError, match=f"not an integer: {quoted}"):
+                product_web(2, word)
+
+    def test_refuses_a_generator_out_of_range(self):
+        with pytest.raises(webcore.WebError, match="generator position 2 out of range for n=2"):
+            product_web(2, (1, 2))
+
+    def test_a_long_generator_is_quoted_by_a_prefix(self):
+        with pytest.raises(webcore.WebError) as err:
+            product_web(2, ("9" * 5000,))
+        assert len(str(err.value)) < 200 and "(5,000 characters)" in str(err.value)
+
+
 class TestClosure:
     def test_three_strand_span_has_six_webs(self):
         seen = {Web.from_slice(identity_web(3)).code}
@@ -532,6 +550,36 @@ class TestProductMemo:
 
 
 class TestHeckeImages:
+    def test_every_prefix_of_every_first_word_is_the_three_pass_fold(self):
+        clear_caches()
+        checked = 0
+        for n in range(1, 6):
+            for v in all_perms(n):
+                word = tuple(reversed(first_reduced_word(v)))
+                for k, image in enumerate(hecke_fold(n, word)):
+                    assert hecke_image(n, word[:k]) == image, (n, word[:k])
+                    checked += 1
+        # one image per prefix, the empty one included, of 153 words
+        assert checked == 835
+
+    def test_every_reduced_word_in_s4_is_the_three_pass_fold(self):
+        words = 0
+        for v in all_perms(4):
+            for word in all_reduced_words(v):
+                word = tuple(reversed(word))
+                assert hecke_image(4, word) == hecke_fold(4, word)[-1], word
+                words += 1
+        assert words == 66
+
+    def test_coefficient_products_are_memoized_by_value_and_type(self):
+        clear_caches()
+        two, three = LaurentPoly.const(2), LaurentPoly.const(3)
+        assert webcore.coefficient_op(operator.mul, 2, 3) == 6
+        six = webcore.coefficient_op(operator.mul, two, three)
+        assert type(six) is LaurentPoly and six == LaurentPoly.const(6)
+        assert webcore.coefficient_op(operator.mul, LaurentPoly.const(2), LaurentPoly.const(3)) is six
+        assert webcore.coefficient_op.cache_info()[:2] == (1, 2)
+
     def test_cached_images_share_one_object_per_coefficient_value(self):
         clear_caches()
         coeffs = []
