@@ -48,6 +48,7 @@ from .labelings import (
     boundary_restriction,
     coefficient_via_labelings,
     enumerate_labelings,
+    profile_product,
     weighted_count,
     word_counts,
     word_from_text,
@@ -240,7 +241,7 @@ def cmd_labelings(args) -> int:
         else:
             out["count"] = len(enumerate_labelings(w, g))
     else:
-        table = boundary_profile(w).terms() if args.q else sorted(word_counts(w).items())
+        table = sorted((boundary_profile(w) if args.q else word_counts(w)).items())
         out["boundaries"] = {word_to_text(g): c.to_json_obj() if args.q else c for g, c in table}
     _emit(out)
     return 0
@@ -387,7 +388,7 @@ def _suite_kappa(n: int, samples: Optional[int], rng: random.Random) -> tuple[bo
         u = tuple(rng.randrange(1, k) for _ in range(rng.randint(1, 3)))
         v = tuple(rng.randrange(1, k) for _ in range(rng.randint(1, 3)))
         lhs = boundary_profile(product_web(k, u + v))
-        rhs = boundary_profile(product_web(k, u)) * boundary_profile(product_web(k, v))
+        rhs = profile_product(boundary_profile(product_web(k, u)), boundary_profile(product_web(k, v)))
         if lhs != rhs:
             bad.append({"n": k, "left": list(u), "right": list(v)})
     report = rank_check(n)

@@ -4,8 +4,9 @@ A labeling of a web assigns 1, 2, or 3 to every edge (and to every
 closed loop) so that the three edges meeting at an internal vertex
 carry three different values.  Each labeling gets a monomial weight
 t^k read off the map; summing the weights of the labelings with a
-fixed boundary word gives a vector over boundary words that
-multiplies under concatenation and separates irreducible webs.  That
+fixed boundary word gives a web's profile, a map from boundary word
+to weighted count (boundary_profile), which multiplies under
+concatenation (profile_product) and separates irreducible webs.  That
 is what makes reduction coefficients recoverable by counting: the
 coefficient of an irreducible child equals the weighted count of
 parent labelings that transport onto it, divided by the child's own
@@ -34,11 +35,12 @@ import itertools
 import operator
 from collections import Counter, deque
 from functools import cache
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from .exactmath import InexactDivisionError, LaurentPoly, eval_q1, exact_div, parse_int, quoted
 from .spider import Outcome, rewrite_step
-from .webcore import Combo, Web, WebError, canonical_edge_order, int_entries
+from .webcore import Web, WebError, canonical_edge_order, int_entries
 
 LABELS = (1, 2, 3)
 
@@ -267,48 +269,40 @@ def weighted_count(w: Web, g: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly(Counter(map(_compile_weight(w), enumerate_labelings(w, g))))
 
 
-class KappaVector(Combo):
-    """Sparse vector of weighted counts per boundary word.  The product
-    joins entries whose middle words match (the left factor's sink word
-    against the right's source word)."""
-
-    __slots__ = ()
-    ZERO = LaurentPoly.zero()
-
-    def __mul__(self, other):
-        """Scale by an int, or join on the middle word: the right
-        factor's terms are indexed by source word, so each left term
-        meets only the terms it multiplies with."""
-        if isinstance(other, int):
-            return self.scale(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_n(other)
-        n = self.n
-        by_source: dict[tuple, list] = {}
-        for g, c in other._terms.items():
-            by_source.setdefault(g[:n], []).append((g[n:], c))
-        acc: dict = {}
-        for g, ca in self._terms.items():
-            src = g[:n]
-            for snk, cb in by_source.get(g[n:], ()):
-                k, c = src + snk, ca * cb
-                acc[k] = acc[k] + c if k in acc else c
-        return KappaVector(n, acc)
-
-
 @cache
-def boundary_profile(w: Web) -> KappaVector:
-    """The full vector of weighted counts of w, one entry per boundary
-    word that admits a labeling.  Memoized per web code: the counts do
-    not depend on the map's edge numbering or on the outer face a
-    closed component declares, so the first web met with a code stands
-    for all of them."""
+def boundary_profile(w: Web) -> Mapping[tuple[int, ...], LaurentPoly]:
+    """The weighted counts of w, a read-only map from each boundary
+    word that admits a labeling to its weighted count.  Memoized per
+    web code: the counts do not depend on the map's edge numbering or
+    on the outer face a closed component declares, so the first web
+    met with a code stands for all of them, and every call shares one
+    map."""
     exponent, word = _compile_weight(w), operator.itemgetter(*_boundary_edges(w))
     per_word: dict[tuple[int, ...], Counter] = {}
     for f in enumerate_labelings(w):
         per_word.setdefault(word(f), Counter())[exponent(f)] += 1
-    return KappaVector(w.n, {g: LaurentPoly(c) for g, c in per_word.items()})
+    return MappingProxyType({g: LaurentPoly(c) for g, c in per_word.items()})
+
+
+def profile_product(a: Mapping, b: Mapping) -> dict[tuple[int, ...], LaurentPoly]:
+    """The profile of a concatenation from its factors' profiles: the
+    words of a and b whose middle words match (a's sink word, b's
+    source word) join, and their counts multiply.  b's words are
+    indexed by source word, so each word of a meets only those it
+    joins; zero sums are dropped."""
+    n, m = len(next(iter(a), ())) // 2, len(next(iter(b), ())) // 2
+    if a and b and n != m:
+        raise WebError(f"strand counts differ: {n} vs {m}")
+    by_source: dict[tuple, list] = {}
+    for g, c in b.items():
+        by_source.setdefault(g[:n], []).append((g[n:], c))
+    acc: dict = {}
+    for g, ca in a.items():
+        src = g[:n]
+        for snk, cb in by_source.get(g[n:], ()):
+            k, c = src + snk, ca * cb
+            acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------

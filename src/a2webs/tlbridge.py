@@ -107,9 +107,12 @@ def _tl_web(w: Perm) -> Web:
 def matching_of_perm(w: Perm) -> A1Web:
     """Basis matching of a 321-avoiding permutation, read off its web:
     the forgetful image of the first labeling of tl_web(w), in search
-    order, with no 3 on its boundary.  Every such labeling, 2^n of
-    them, lands on this one matching, the concatenation of uncrossings
-    along w's reduced word (tested); a web with none is a failed
+    order, at the alternating word 1,2,1,2,...:1,2,1,2,...  Every
+    product of E_i admits that word, since each E_i meets strands i
+    and i+1 labeled 1 and 2 and can hand them on in the same order, and
+    every labeling with no 3 on its boundary, 2^n of them, lands on
+    this one matching, the concatenation of uncrossings along w's
+    reduced word (tested); a web with none at that word is a failed
     invariant.  Bounded, checked and memoized as tl_web is."""
     _check_avoiding(w)
     return _matching(w)
@@ -118,11 +121,10 @@ def matching_of_perm(w: Perm) -> A1Web:
 @cache
 def _matching(w: Perm) -> A1Web:
     D = _tl_web(w)
-    bedge = _boundary_edges(D)
-    for f in enumerate_labelings(D):
-        if 3 not in map(f.__getitem__, bedge):
-            return forgetful(D, f)
-    raise RuntimeError(f"the web of {w} has no labeling without a 3 on its boundary")
+    found = enumerate_labelings(D, tuple(1 + k % 2 for k in range(len(w))) * 2)
+    if not found:
+        raise RuntimeError(f"the web of {w} has no labeling at the alternating boundary word")
+    return forgetful(D, found[0])
 
 
 def tl_immanant(w: Perm, Xp: ExactMatrix) -> Fraction:

@@ -19,14 +19,14 @@ Three representations cooperate:
 
 Closed loops carry no chirality or nesting data: every quantity the
 package computes is invariant under both, so a bare count suffices.
+The module holds no arithmetic: combinations of webs are spider's.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .exactmath import quoted
 
@@ -63,136 +63,6 @@ def int_entries(xs: Iterable) -> tuple[int, ...]:
         except TypeError:
             raise WebError(f"not an integer: {quoted(x)}") from None
     return tuple(out)
-
-
-@lru_cache(maxsize=None, typed=True)
-def coefficient_op(op, a, b):
-    """op(a, b), memoized by op and by the values of a and b, and by
-    their types too: a constant LaurentPoly equals its int, and an int
-    result must not be handed back for a Laurent one.  Its size is the
-    number of distinct (op, a, b)."""
-    return op(a, b)
-
-
-class Combo:
-    """A finite combination of basis elements on n strands: a dict from
-    basis element to nonzero coefficient (int or LaurentPoly).
-
-    The constructor takes a dict or (element, coefficient) pairs;
-    repeated elements are summed and zero sums dropped.  Combinations
-    are never changed in place.  Only the product of two basis elements
-    depends on the basis, so a subclass supplies _product(a, b), the
-    (element, coefficient) pairs of that product, together with its zero
-    coefficient ZERO and the term order _sort_key.
-    """
-
-    __slots__ = ("n", "_terms")
-    ZERO = 0
-
-    def __init__(self, n: int, terms: Union[dict, Iterable[tuple]] = ()):
-        if isinstance(terms, dict):  # its keys are distinct: nothing to sum
-            acc = terms
-        else:
-            acc = {}
-            for k, c in terms:
-                acc[k] = acc[k] + c if k in acc else c
-        self.n = n
-        self._terms = {k: c for k, c in acc.items() if c}
-
-    @classmethod
-    def zero(cls, n: int):
-        return cls(n)
-
-    @classmethod
-    def _of(cls, n: int, terms: dict):
-        """A combination on terms as they are: the caller's keys are
-        distinct and its coefficients nonzero, so nothing is summed or
-        filtered."""
-        combo = object.__new__(cls)
-        combo.n, combo._terms = n, terms
-        return combo
-
-    @staticmethod
-    def _sort_key(k):
-        return k
-
-    @staticmethod
-    def _product(a, b) -> Iterable[tuple]:
-        raise NotImplementedError
-
-    def terms(self) -> list[tuple]:
-        key = self._sort_key
-        return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
-
-    def coeff(self, k):
-        return self._terms.get(k, self.ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def scale(self, c):
-        if not c:
-            return self.zero(self.n)
-        return type(self)(self.n, {k: v * c for k, v in self._terms.items()})
-
-    def _check_n(self, other: "Combo") -> None:
-        if self.n != other.n:
-            raise WebError(f"strand counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_n(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc[k] + c if k in acc else c
-        return type(self)(self.n, acc)
-
-    def __neg__(self):
-        """Each coefficient negated: scale(-1) without the products."""
-        return type(self)(self.n, {k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Scale by an int, or multiply term by term through _product,
-        each pair's ca * cb formed once for all the terms of its product.
-        Each term's v * cab and each running sum is read from the memo
-        coefficient_op, so a pair of coefficient values met again costs
-        a lookup, not a Laurent product.  The memo stays small because
-        few values recur: a Hecke image's coefficients are
-        +-t^(2 l(w)) P(t^4) for Kazhdan-Lusztig polynomials P, and a
-        rewrite's are products of [2] and [3].  The images of S_6 form
-        83,816 term products of 220 distinct pairs and 39,804 sums of
-        1,246."""
-        if isinstance(other, int):
-            return self.scale(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_n(other)
-        mul, add = operator.mul, operator.add
-        acc: dict = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                cab = ca * cb
-                for k, v in self._product(a, b):
-                    c = coefficient_op(mul, v, cab)
-                    acc[k] = coefficient_op(add, acc[k], c) if k in acc else c
-        return type(self)(self.n, acc)
-
-    def __rmul__(self, other):
-        return self.scale(other) if isinstance(other, int) else NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.n == other.n and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        bits = " + ".join(f"({c})*{k!r}" for k, c in self.terms()) or "0"
-        return f"<{type(self).__name__} n={self.n} {bits}>"
 
 
 # ---------------------------------------------------------------------------

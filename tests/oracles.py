@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Optional
 
 from a2webs.exactmath import LaurentPoly, eval_q1, exact_div
 from a2webs.immanants import irreducible_webs, theta_image
-from a2webs.labelings import LABELS, KappaVector, _boundary_edges, _check_word, boundary_profile, word_counts
+from a2webs.labelings import LABELS, _boundary_edges, _check_word, boundary_profile, word_counts
 from a2webs.minors import decompose_triple, iter_triples, triple_blocks
 from a2webs.networks import PlanarNetwork, _multiplicities, _sliced_web
 from a2webs.perms import first_reduced_word, is_perm
@@ -24,7 +24,6 @@ from a2webs.webcore import (
     TILE_ARITY,
     VERTEX_DIRS,
     Column,
-    Combo,
     PlanarMap,
     SliceDiagram,
     Web,
@@ -117,6 +116,18 @@ def reduce_random_order(x, rng: random.Random) -> WebCombo:
     return WebCombo(start.n, done)
 
 
+def profile_sum(*pairs) -> dict:
+    """The sum of c times p over pairs (c, p) of a coefficient and a
+    profile (a map from boundary word to Laurent coefficient), zero
+    sums dropped: the linear combinations the tests take of
+    labelings.boundary_profile, which keeps none of its own."""
+    acc = {}
+    for c, p in pairs:
+        for g, v in p.items():
+            acc[g] = acc[g] + c * v if g in acc else c * v
+    return {g: v for g, v in acc.items() if v}
+
+
 def reduce_by_labelings(w: Web) -> WebCombo:
     """w in the basis irreducible_webs(w.n), read off weighted labeling
     counts with no rewrite rule.  Each basis web D has one labeling at
@@ -131,17 +142,19 @@ def reduce_by_labelings(w: Web) -> WebCombo:
     basis = []
     for D in irreducible_webs(n):
         profile = boundary_profile(D)
-        g = min((g for g in profile._terms if g in rank), key=rank.__getitem__)
-        assert [c for _, c in profile.coeff(g).items()] == [1], (D.code, g)
+        g = min((g for g in profile if g in rank), key=rank.__getitem__)
+        assert [c for _, c in profile[g].items()] == [1], (D.code, g)
         basis.append((rank[g], g, D, profile))
     basis.sort(key=lambda b: b[0])
     assert len({b[0] for b in basis}) == len(basis)  # distinct least words
     target = boundary_profile(w)
-    share = KappaVector(n)
+    zero = LaurentPoly.zero()
+    share = {}
     coeffs = []
     for _, g, D, profile in basis:
-        c = exact_div(target.coeff(g) - share.coeff(g), profile.coeff(g))
-        share = share + profile.scale(c)
+        c = exact_div(target.get(g, zero) - share.get(g, zero), profile[g])
+        if c:
+            share = profile_sum((1, share), (c, profile))
         coeffs.append((D, c))
     assert share == target, w.code
     return WebCombo(n, coeffs)
@@ -234,29 +247,63 @@ def matching_by_concatenation(u: tuple[int, ...]) -> A1Web:
     return m
 
 
-class TLCombo(Combo):
-    """Integer combination of matchings, multiplied by concatenation
-    with every erased loop worth a factor of two: the Temperley-Lieb
-    algebra at q = 1, the matching layer's own algebra."""
+class TLCombo:
+    """Integer combination of matchings on n strands, a dict from
+    matching to nonzero coefficient, multiplied by concatenation with
+    every erased loop worth a factor of two: the Temperley-Lieb algebra
+    at q = 1, the matching layer's own algebra."""
 
-    __slots__ = ()
+    def __init__(self, n: int, terms: Iterable[tuple] = ()):
+        acc = Counter()
+        for m, c in terms:
+            acc[m] += c
+        self.n = n
+        self._terms = {m: c for m, c in acc.items() if c}
 
     @classmethod
     def unit(cls, n: int) -> "TLCombo":
-        return cls(n, {identity_matching(n): 1})
+        return cls(n, [(identity_matching(n), 1)])
 
-    @staticmethod
-    def _sort_key(m: A1Web) -> tuple:
-        return m.arcs
+    def coeff(self, m: A1Web) -> int:
+        return self._terms.get(m, 0)
 
-    @staticmethod
-    def _product(a: A1Web, b: A1Web) -> tuple:
-        prod, loops = tl_concat(a, b)
-        return ((prod, 2 ** loops),)
+    def scale(self, c: int) -> "TLCombo":
+        return TLCombo(self.n, [(m, v * c) for m, v in self._terms.items()])
+
+    def __add__(self, other: "TLCombo") -> "TLCombo":
+        return TLCombo(self.n, chain(self._terms.items(), other._terms.items()))
+
+    def __neg__(self) -> "TLCombo":
+        return self.scale(-1)
+
+    def __sub__(self, other: "TLCombo") -> "TLCombo":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        return TLCombo(self.n, [
+            (k, v * ca * cb)
+            for a, ca in self._terms.items()
+            for b, cb in other._terms.items()
+            for k, v in tl_product(a, b)
+        ])
+
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TLCombo) and self.n == other.n and self._terms == other._terms
+
+
+def tl_product(a: A1Web, b: A1Web) -> tuple:
+    """The product of two matchings, as (matching, coefficient) pairs:
+    their gluing, worth 2 per erased loop."""
+    prod, loops = tl_concat(a, b)
+    return ((prod, 2 ** loops),)
 
 
 def tl_generator_combo(n: int, i: int) -> TLCombo:
-    return TLCombo(n, {tl_generator(n, i): 1})
+    return TLCombo(n, [(tl_generator(n, i), 1)])
 
 
 @cache
@@ -422,20 +469,21 @@ def oracle_labelings(
     return out
 
 
-def oracle_kappa_product(a: KappaVector, b: KappaVector) -> KappaVector:
+def oracle_kappa_product(a: Mapping, b: Mapping) -> dict:
     """The product of two profiles by testing every pair of boundary
     words: a pair whose middle words match (a's sink word, b's source
-    word) adds the product of their coefficients at its outer words."""
-    if a.n != b.n:
-        raise WebError(f"strand counts differ: {a.n} vs {b.n}")
-    n = a.n
+    word) adds the product of their coefficients at its outer words,
+    and zero sums are dropped."""
+    n, m = len(next(iter(a), ())) // 2, len(next(iter(b), ())) // 2
+    if a and b and n != m:
+        raise WebError(f"strand counts differ: {n} vs {m}")
     acc = {}
-    for g1, c1 in a._terms.items():
-        for g2, c2 in b._terms.items():
+    for g1, c1 in a.items():
+        for g2, c2 in b.items():
             if g1[n:] == g2[:n]:
                 g = g1[:n] + g2[n:]
                 acc[g] = acc.get(g, LaurentPoly.zero()) + c1 * c2
-    return KappaVector(n, acc)
+    return {g: c for g, c in acc.items() if c}
 
 
 def oracle_components(m: PlanarMap) -> list[set[int]]:

@@ -8,7 +8,7 @@ import pytest
 from a2webs import clear_caches, spider, webcore
 from a2webs.exactmath import LaurentPoly, qint
 from a2webs.immanants import irreducible_webs
-from a2webs.labelings import KappaVector, boundary_profile, transport_and_type
+from a2webs.labelings import boundary_profile, profile_product, transport_and_type
 from a2webs.perms import all_perms, all_reduced_words, first_reduced_word
 from a2webs.spider import (
     WebCombo,
@@ -40,9 +40,11 @@ from oracles import (
     oracle_geom,
     oracle_second_generator,
     oracle_sites,
+    profile_sum,
     redrawn,
     reduce_random_order,
     tl_generator_combo,
+    tl_product,
     turn,
 )
 
@@ -458,16 +460,16 @@ class TestComboAlgebra:
 
 
 def product_as_it_was(x, y, product):
-    """A product of combinations with each term's coefficient formed as
-    v * ca * cb: the reference for Combo.__mul__, which forms ca * cb
-    once per pair of terms."""
+    """The product of two term dicts with each term's coefficient formed
+    as v * ca * cb, zero sums dropped: the reference for
+    WebCombo.__mul__, which forms ca * cb once per pair of terms."""
     acc = {}
-    for a, ca in x._terms.items():
-        for b, cb in y._terms.items():
+    for a, ca in x.items():
+        for b, cb in y.items():
             for k, v in product(a, b):
                 c = v * ca * cb
                 acc[k] = acc[k] + c if k in acc else c
-    return type(x)(x.n, acc)
+    return {k: c for k, c in acc.items() if c}
 
 
 def random_coefficient(rng):
@@ -480,26 +482,26 @@ def random_coefficient(rng):
     return LaurentPoly({rng.randint(-8, 8): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))})
 
 
-def random_combos(rng, cls, n, elements, coefficient, terms=(1, 4)):
-    return [cls(n, [(rng.choice(elements), coefficient()) for _ in range(rng.randint(*terms))])
-            for _ in range(12)]
+def random_terms(rng, elements, coefficient, terms=(1, 4)):
+    return [[(rng.choice(elements), coefficient()) for _ in range(rng.randint(*terms))] for _ in range(12)]
 
 
 class TestComboFastPaths:
-    # negation and products of every combination type equal scale(-1)
+    # negation and products of both combination types equal scale(-1)
     # and the products with each coefficient formed as v * ca * cb
     def check(self, combos, product):
         for x in combos:
             assert -x == x.scale(-1) and type(-x) is type(x)
             for y in combos:
-                assert x * y == product_as_it_was(x, y, product)
+                assert (x * y)._terms == product_as_it_was(x._terms, y._terms, product)
 
     def test_web_combos(self):
         rng = random.Random(SEED + 50)
-        combos = random_combos(rng, WebCombo, 4, irreducible_webs(4), lambda: random_coefficient(rng))
-        self.check(combos, WebCombo._product)
+        terms = random_terms(rng, irreducible_webs(4), lambda: random_coefficient(rng))
+        self.check([WebCombo(4, t) for t in terms], web_product)
 
     def test_matching_combos(self):
+        # the reference route's own arithmetic (tests/oracles.py)
         rng = random.Random(SEED + 51)
         gens = [TLCombo.unit(4)] + [tl_generator_combo(4, i) for i in range(1, 4)]
         matchings = set()
@@ -508,23 +510,28 @@ class TestComboFastPaths:
             for _ in range(rng.randint(0, 4)):
                 x = x * rng.choice(gens)
             matchings.update(x._terms)
-        matchings = sorted(matchings, key=TLCombo._sort_key)
-        combos = random_combos(rng, TLCombo, 4, matchings, lambda: rng.choice([1, -1, 2, -3, 7]))
-        self.check(combos, TLCombo._product)
+        matchings = sorted(matchings, key=lambda m: m.arcs)
+        terms = random_terms(rng, matchings, lambda: rng.choice([1, -1, 2, -3, 7]))
+        self.check([TLCombo(4, t) for t in terms], tl_product)
 
     def test_kappa_vectors(self):
+        # profile_product, the join indexed by source word, against the
+        # product of every pair of words
         rng = random.Random(SEED + 52)
         n = 3
         webs = irreducible_webs(n)
-        words = sorted({g for D in webs for g in boundary_profile(D)._terms})
+        words = sorted({g for D in webs for g in boundary_profile(D)})
 
         def join(a, b):
             return ((a[:n] + b[n:], 1),) if a[n:] == b[:n] else ()
 
-        combos = random_combos(rng, KappaVector, n, words, lambda: random_coefficient(rng), (3, 12))
-        combos += [boundary_profile(D).scale(random_coefficient(rng)) for D in webs]
-        self.check(combos, join)
-        assert sum(not (x * y).is_zero() for x in combos for y in combos) > 50
+        profiles = [profile_sum(*((c, {g: 1}) for g, c in t))
+                    for t in random_terms(rng, words, lambda: random_coefficient(rng), (3, 12))]
+        profiles += [profile_sum((random_coefficient(rng), boundary_profile(D))) for D in webs]
+        for x in profiles:
+            for y in profiles:
+                assert profile_product(x, y) == product_as_it_was(x, y, join)
+        assert sum(bool(profile_product(x, y)) for x in profiles for y in profiles) > 50
 
 
 class TestProductMemo:
@@ -574,11 +581,11 @@ class TestHeckeImages:
     def test_coefficient_products_are_memoized_by_value_and_type(self):
         clear_caches()
         two, three = LaurentPoly.const(2), LaurentPoly.const(3)
-        assert webcore.coefficient_op(operator.mul, 2, 3) == 6
-        six = webcore.coefficient_op(operator.mul, two, three)
+        assert spider.coefficient_op(operator.mul, 2, 3) == 6
+        six = spider.coefficient_op(operator.mul, two, three)
         assert type(six) is LaurentPoly and six == LaurentPoly.const(6)
-        assert webcore.coefficient_op(operator.mul, LaurentPoly.const(2), LaurentPoly.const(3)) is six
-        assert webcore.coefficient_op.cache_info()[:2] == (1, 2)
+        assert spider.coefficient_op(operator.mul, LaurentPoly.const(2), LaurentPoly.const(3)) is six
+        assert spider.coefficient_op.cache_info()[:2] == (1, 2)
 
     def test_cached_images_share_one_object_per_coefficient_value(self):
         clear_caches()

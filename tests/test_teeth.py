@@ -27,7 +27,7 @@ import pytest
 from a2webs import clear_caches, immanants, labelings, spider
 from a2webs.cli import run_suite
 from a2webs.exactmath import LaurentPoly, qint
-from a2webs.labelings import KappaVector, boundary_profile
+from a2webs.labelings import boundary_profile
 from a2webs.spider import all_orders_agree, product_web, reduce_web
 from a2webs.webcore import PlanarMap
 from oracles import reduce_by_labelings, table_by_least_words
@@ -208,7 +208,7 @@ def test_the_label_involution_and_the_loop_sign_move_no_profile(monkeypatch):
             closed.append(w)
     webs += closed
     true = under(monkeypatch, "none", boundary_profile, webs)
-    involuted = [KappaVector(p.n, {tuple(4 - k for k in g): c for g, c in p.terms()}) for p in true]
+    involuted = [{tuple(4 - k for k in g): c for g, c in p.items()} for p in true]
     assert under(monkeypatch, "the labeling exponent negated", boundary_profile, webs) == involuted
     assert under(monkeypatch, "a loop term of -2(4 - 2k)", boundary_profile, webs) == true
     moved = sum(a != b for a, b in zip(true, involuted))

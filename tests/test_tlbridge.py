@@ -259,13 +259,16 @@ class TestTemperleyLiebWebs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_the_matching_is_read_off_the_web(self, n):
         # every labeling of u's web with no 3 on its boundary, 2^n of
-        # them, forgets onto the concatenation of u's uncrossings, and
-        # matching_of_perm reads the first of them
+        # them, forgets onto the concatenation of u's uncrossings, the
+        # alternating word 1,2,1,2,...:1,2,1,2,... among them, and
+        # matching_of_perm reads the first at that word
         for u in avoiding_321(n):
             D = tl_web(u)
             bedge = _boundary_edges(D)
             images = [forgetful(D, f) for f in enumerate_labelings(D) if 3 not in map(f.__getitem__, bedge)]
             assert images == [matching_by_concatenation(u)] * 2 ** n, u
+            alternating = enumerate_labelings(D, tuple(1 + k % 2 for k in range(n)) * 2)
+            assert alternating and forgetful(D, alternating[0]) == matching_by_concatenation(u), u
             assert matching_of_perm(u) == images[0], u
 
     # per n: the rows that each control moves, of the catalan(n) webs:
@@ -300,9 +303,9 @@ class TestTemperleyLiebWebs:
 
     def test_a_web_with_no_labeling_off_3_is_a_failed_invariant(self, monkeypatch):
         clear_caches()
-        monkeypatch.setattr(tlbridge, "enumerate_labelings", lambda D: [])
+        monkeypatch.setattr(tlbridge, "enumerate_labelings", lambda D, g=None: [])
         try:
-            with pytest.raises(RuntimeError, match=r"the web of \(2, 1\) has no labeling without a 3 on its boundary"):
+            with pytest.raises(RuntimeError, match=r"the web of \(2, 1\) has no labeling at the alternating boundary word"):
                 matching_of_perm((2, 1))
         finally:
             monkeypatch.undo()
