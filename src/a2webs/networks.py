@@ -485,15 +485,19 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
     """Compare det(path matrix) against the weighted count of
     vertex-disjoint families connecting entry i to exit i, which `_walk`
     lists from high vertex plane -1.  Crossing connections cancel in a
-    planar picture, so the two must agree."""
+    planar picture, so the two must agree.  A family weighs as a
+    marking does in `network_immanants`: it ends at all n exits, so the
+    integer weights of `_scales` sum over one denominator."""
     X = path_matrix(net)
     det = X.det()
-    total, count = Fraction(0), 0
+    scale, ints = _scales(net)
+    total, count = 0, 0
     table = net._path_table()
     pools = [[(1 << i, vmask, emask) for vmask, emask in table.get((i, i), ())] for i in range(net.n)]
     for lo, hi in _walk(pools, -1):
         count += 1
-        total += marking_weight(net, _marks(lo, hi))
+        total += _int_weight(ints, _marks(lo, hi))
+    total = Fraction(total, math.prod(scale[t] for t in net.sinks))
     return {
         "n": net.n,
         "det": str(det),
@@ -503,15 +507,24 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
     }
 
 
+def _int_weight(ints: Sequence[int], marks: Iterable[tuple[int, int]]) -> int:
+    """The product of ints[eid] ** m over a marking's (eid, m) pairs."""
+    num = 1
+    for eid, m in marks:
+        num *= ints[eid] ** m
+    return num
+
+
 # ---------------------------------------------------------------------------
 # Markings and their uncrossing
 
 
 def _multiplicities(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """marks as a dict from edge id to multiplicity, refused with
-    WebError unless each edge id is one of the network's, listed once,
-    with an int multiplicity of at least 1.  A multiplicity past 3 is
-    left to `uncross`, which refuses it at the vertex it overloads."""
+    """marks as a dict from edge id to multiplicity, the first check
+    `uncross` makes: refused with WebError unless each edge id is one of
+    the network's, listed once, with an int multiplicity of at least 1.
+    A multiplicity past 3 is left to the sweep, which refuses it at the
+    vertex it overloads."""
     mult: dict[int, int] = {}
     ne = len(net.edges)
     for eid, m in marks:
@@ -523,17 +536,6 @@ def _multiplicities(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> dic
             raise WebError(f"marking gives edge {eid} multiplicity {quoted(m)}, not an integer of at least 1")
         mult[eid] = m
     return mult
-
-
-def marking_weight(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Fraction:
-    """The product of weight ** multiplicity over the marked edges,
-    taken over integer numerators and denominators."""
-    num = den = 1
-    for eid, m in _multiplicities(net, marks).items():
-        w = net.edges[eid].weight
-        num *= w.numerator ** m
-        den *= w.denominator ** m
-    return Fraction(num, den)
 
 
 def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
@@ -562,9 +564,9 @@ def uncross(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Web:
 
     The marking is refused with WebError unless it names only edges of
     the network, each once with an int multiplicity of at least 1
-    (`_multiplicities`, which `marking_weight` shares), each entry
-    starts one strand, each exit ends one, each other vertex passes as
-    many strands out as in and at most three, and the drawing leaves
+    (`_multiplicities`), each entry starts one strand, each exit ends
+    one, each other vertex passes as many strands out as in and at most
+    three, and the drawing leaves
     room for the boundary: at each entry the nearest marked runs above
     and below its placeholder must pass above and below the entry (each
     by its edge that spans the entry's abscissa), the marked edges into
@@ -754,10 +756,7 @@ def network_immanants(net: PlanarNetwork) -> dict[Web, Fraction]:
     weights: dict[Web, int] = {}
     for marks in covering_markings(net):
         web = uncross(net, marks)
-        num = 1
-        for eid, m in marks:
-            num *= ints[eid] ** m
-        weights[web] = weights.get(web, 0) + num
+        weights[web] = weights.get(web, 0) + _int_weight(ints, marks)
     totals = dict.fromkeys(irreducible_webs(net.n), 0)
     for web, w in weights.items():
         for D, c in reduce_web(web).terms():

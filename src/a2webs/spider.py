@@ -19,16 +19,17 @@ that module labelings can be carried along the reduction afterwards.
 
 WebCombo, the package's one sparse combination type, holds the
 combinations: webs with Laurent coefficients, multiplied by
-web_product, their coefficient products and sums memoized by value
-(coefficient_op).
+web_product.  Their coefficients are multiplied and summed plainly;
+the one memo of coefficient arithmetic is the Hecke step
+(_hecke_step), since a Hecke image's coefficients are few values met
+many times.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from typing import Iterable, Optional, Union
+from functools import cache
+from typing import Iterable, Union
 
 from .exactmath import LaurentPoly, _coerce, qint, quoted
 from .webcore import (
@@ -372,28 +373,19 @@ class WebCombo:
 
     def __mul__(self, other):
         """Scale by an int, or multiply web by web through web_product,
-        each pair's ca * cb formed once for all the terms of its product.
-        Each term's v * cab and each running sum is read from the memo
-        coefficient_op, so a pair of coefficient values met again costs
-        a lookup, not a Laurent product.  The memo stays small because
-        few values recur: a Hecke image's coefficients are
-        +-t^(2 l(w)) P(t^4) for Kazhdan-Lusztig polynomials P, and a
-        rewrite's are products of [2] and [3].  The images of S_6 form
-        83,816 term products of 220 distinct pairs and 39,804 sums of
-        1,246."""
+        each pair's ca * cb formed once for all the terms of its product."""
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, WebCombo):
             return NotImplemented
         self._check_n(other)
-        mul, add = operator.mul, operator.add
         acc: dict = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
                 cab = ca * cb
                 for k, v in web_product(a, b):
-                    c = coefficient_op(mul, v, cab)
-                    acc[k] = coefficient_op(add, acc[k], c) if k in acc else c
+                    c = v * cab
+                    acc[k] = acc[k] + c if k in acc else c
         return WebCombo(self.n, acc)
 
     def __eq__(self, other) -> bool:
@@ -454,17 +446,6 @@ def hecke_generator(n: int, i: int) -> WebCombo:
     return generator_combo(n, i).scale(LaurentPoly.t_power(2)) - WebCombo.unit(n)
 
 
-@lru_cache(maxsize=None, typed=True)
-def coefficient_op(op, a, b):
-    """op(a, b), memoized by op and by the values of a and b, and by
-    their types too: a constant LaurentPoly equals and hashes as its
-    int, so an untyped memo would hand the int result of a call such
-    as coefficient_op(mul, 2, 3) back to a later Laurent call of the
-    same values, and a WebCombo's coefficients must stay LaurentPoly.
-    Its size is the number of distinct (op, a, b)."""
-    return op(a, b)
-
-
 @cache
 def shared_coefficient(c: LaurentPoly) -> LaurentPoly:
     """The first LaurentPoly met equal to c.  Each coefficient of a
@@ -478,10 +459,12 @@ def shared_coefficient(c: LaurentPoly) -> LaurentPoly:
 _T2 = LaurentPoly.t_power(2)
 
 
-def _hecke_step(c: LaurentPoly, p: LaurentPoly) -> Optional[LaurentPoly]:
-    """t^2 c - p through shared_coefficient, or None when it is zero."""
-    step = c * _T2 - p
-    return shared_coefficient(step) if step else None
+@cache
+def _hecke_step(c: LaurentPoly, p: LaurentPoly) -> LaurentPoly:
+    """t^2 c - p through shared_coefficient, memoized by the values of
+    c and p.  Its size is the number of distinct (c, p): the images of
+    S_6 take 91,063 steps of 388."""
+    return shared_coefficient(c * _T2 - p)
 
 
 @cache
@@ -493,12 +476,10 @@ def hecke_image(n: int, word: tuple[int, ...]) -> WebCombo:
     prefix * (t^2 E_i - 1) = t^2 (prefix * E_i) - prefix, so only the
     generator web is multiplied, not the identity.  The image is then
     built in one pass over the webs of prefix * E_i and of the prefix:
-    a web's coefficient is t^2 c, a shift, less the prefix's p, passed
-    through shared_coefficient, and a zero one is dropped there.  Each
-    (c, p) is read from the memo coefficient_op, which stays small
-    because the coefficients are Kazhdan-Lusztig values
-    +-t^(2 l(w)) P(t^4) (see shared_coefficient): the images of S_6
-    take 91,063 steps of 388 distinct pairs.  So the cached images
+    a web's coefficient is t^2 c, a shift, less the prefix's p, read
+    from the memo _hecke_step, and a zero one is dropped.  The memo
+    stays small because the coefficients are Kazhdan-Lusztig values
+    +-t^(2 l(w)) P(t^4) (see shared_coefficient), and the cached images
     share one object per distinct value.  A one-letter word's image is
     hecke_generator's."""
     if len(word) < 2:
@@ -510,17 +491,19 @@ def hecke_image(n: int, word: tuple[int, ...]) -> WebCombo:
     zero = WebCombo.ZERO
     terms = {}
     for D in {**above, **below}:
-        c = coefficient_op(_hecke_step, above.get(D, zero), below.get(D, zero))
-        if c is not None:
+        c = _hecke_step(above.get(D, zero), below.get(D, zero))
+        if c:
             terms[D] = c
     return WebCombo._of(n, terms)
 
 
 def relation_suite(n: int) -> list[tuple[str, bool]]:
     """Check every defining relation at generic parameter, returning
-    one (name, passed) row per check."""
-    out = []
+    one (name, passed) row per check.  The first is the loop's value:
+    the identity web with one closed loop drawn above its strands."""
     two, three = qint(2), qint(3)
+    loop = Web.from_slice(SliceDiagram(n, (Column(1, "cup", ("R", "L")), Column(1, "cap", ("R", "L")))))
+    out = [("Id with a loop = [3] Id", reduce_web(loop) == WebCombo.unit(n).scale(three))]
     gens = {i: generator_combo(n, i) for i in range(1, n)}
     for i in range(1, n):
         out.append((f"E{i}^2 = [2] E{i}", gens[i] * gens[i] == gens[i].scale(two)))

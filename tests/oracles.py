@@ -6,6 +6,7 @@ import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product
 from typing import Iterable, Mapping, Optional
@@ -785,6 +786,19 @@ def oracle_paths(net: PlanarNetwork, i: int, j: int) -> list[tuple[int, ...]]:
 def path_vertices(net: PlanarNetwork, path: tuple[int, ...]) -> set[str]:
     """The vertices of a path given by its edge ids."""
     return {net.edges[path[0]].tail} | {net.edges[e].head for e in path}
+
+
+def marking_weight(net: PlanarNetwork, marks: Iterable[tuple[int, int]]) -> Fraction:
+    """The product of weight ** multiplicity over the marked edges,
+    taken over integer numerators and denominators, the marking checked
+    as `uncross` checks it: the reference for the integer weights of
+    `networks._scales`."""
+    num = den = 1
+    for eid, m in _multiplicities(net, marks).items():
+        w = net.edges[eid].weight
+        num *= w.numerator ** m
+        den *= w.denominator ** m
+    return Fraction(num, den)
 
 
 def oracle_families(net: PlanarNetwork, w):

@@ -59,12 +59,12 @@ def test_clear_caches_empties_every_memo():
         "spider.rewrite_sites", "spider.rewrite_at",
         "spider.web_product", "spider.shared_coefficient", "labelings.boundary_profile",
         "immanants.immanant_table", "minors._decompositions", "networks._sliced_web",
-        "tlbridge.avoiding_321", "tlbridge._tl_web", "spider.coefficient_op", "immanants._q1_value",
+        "tlbridge.avoiding_321", "tlbridge._tl_web", "spider._hecke_step", "immanants._q1_value",
     } <= set(caches)
     assert "spider.rewrite_step" not in caches  # its steps are rewrite_at's
     for name in ("spider.hecke_image", "spider.shared_coefficient", "spider.reduce_web", "spider.web_product",
                  "spider.rewrite_sites", "spider.rewrite_at", "labelings.boundary_profile", "tlbridge._tl_web",
-                 "spider.coefficient_op", "immanants._q1_value"):
+                 "spider._hecke_step", "immanants._q1_value"):
         assert caches[name].cache_info().currsize > 0, name
     clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items() if c.cache_info().currsize} == {}

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,6 @@ from a2webs.networks import (
     covering_markings,
     identity_network,
     lindstrom_check,
-    marking_weight,
     network_immanants,
     path_matrix,
     random_planar_network,
@@ -45,6 +45,7 @@ from a2webs.webcore import Column, SliceDiagram, Web, WebError, generator_web, i
 from oracles import (
     brute_force_labelings,
     disjoint_union,
+    marking_weight,
     oracle_families,
     oracle_geom,
     oracle_paths,
@@ -652,10 +653,10 @@ def paths_into(net, v):
 
 
 class TestScales:
-    # path_matrix and network_immanants sum integer edge weights over
-    # per-vertex scales; the corollary cannot catch a wrong scale, since
-    # its identity holds for any edge weights, so both are compared with
-    # the sums over the Fraction weights themselves
+    # path_matrix, network_immanants and lindstrom_check sum integer
+    # edge weights over per-vertex scales; the corollary cannot catch a
+    # wrong scale, since its identity holds for any edge weights, so all
+    # three are compared with the sums over the Fraction weights themselves
 
     def test_the_nets_cover_signs_and_denominators(self):
         weights = [e.weight for net in scale_nets() for e in net.edges]
@@ -676,6 +677,21 @@ class TestScales:
                 for D, c in reduce_web(uncross(net, marks)).terms():
                     want[D] += eval_q1(c) * w
             assert network_immanants(net) == want
+
+    def test_lindstrom_family_sum_equals_the_per_family_sum(self):
+        # the report prints the heavy chain's sums, past the
+        # interpreter's cap on int/str conversion, as cli.main does
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            for net in scale_nets():
+                want = sum((marking_weight(net, Counter(itertools.chain.from_iterable(family)).items())
+                            for family, load in oracle_families(net, range(1, net.n + 1)) if load == 1), Fraction(0))
+                assert lindstrom_check(net)["family_sum"] == str(want)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
     def test_scales_lie_between_the_path_denominators(self):
         # S(v) follows the one-sweep rule; it divides the lcm of the

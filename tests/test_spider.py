@@ -1,5 +1,4 @@
 import hashlib
-import operator
 import random
 import sys
 
@@ -578,14 +577,32 @@ class TestHeckeImages:
                 words += 1
         assert words == 66
 
-    def test_coefficient_products_are_memoized_by_value_and_type(self):
+    def test_hecke_steps_are_memoized_by_value_and_shared(self, monkeypatch):
         clear_caches()
-        two, three = LaurentPoly.const(2), LaurentPoly.const(3)
-        assert spider.coefficient_op(operator.mul, 2, 3) == 6
-        six = spider.coefficient_op(operator.mul, two, three)
-        assert type(six) is LaurentPoly and six == LaurentPoly.const(6)
-        assert spider.coefficient_op(operator.mul, LaurentPoly.const(2), LaurentPoly.const(3)) is six
-        assert spider.coefficient_op.cache_info()[:2] == (1, 2)
+        t2 = LaurentPoly.t_power(2)
+        step = spider._hecke_step(LaurentPoly.const(2), LaurentPoly.const(3))
+        assert step == LaurentPoly.const(2) * t2 - LaurentPoly.const(3)
+        # equal values, other objects: one entry, and the result shared
+        assert spider._hecke_step(LaurentPoly.const(2), LaurentPoly.const(3)) is step
+        assert spider._hecke_step.cache_info()[:2] == (1, 1)
+        assert spider.shared_coefficient(LaurentPoly.const(2) * t2 - LaurentPoly.const(3)) is step
+        c = qint(3)
+        assert spider._hecke_step(c, c * t2).is_zero()
+
+        # the tables' images take no zero step, so one is forced: every
+        # web of the prefix missing from prefix * E_2 steps to zero
+        step = spider._hecke_step
+        zero = LaurentPoly.zero()
+        monkeypatch.setattr(spider, "_hecke_step", lambda c, p: step(c, p) if c else zero)
+        clear_caches()
+        try:
+            below = hecke_image(3, (1,))
+            above = below * generator_combo(3, 2)
+            image = hecke_image(3, (1, 2))
+            assert set(below._terms) - set(above._terms)
+            assert image == WebCombo(3, [(D, c) for D, c in (above.scale(t2) - below).terms() if above.coeff(D)])
+        finally:
+            clear_caches()
 
     def test_cached_images_share_one_object_per_coefficient_value(self):
         clear_caches()

@@ -15,8 +15,9 @@ them (test_the_label_involution_and_the_loop_sign_move_no_profile):
     moves no profile: a loop takes each label freely, and the sign only
     swaps the terms of its labels 1 and 3.
 The third is a gap: a face rewrite that drops the web's loops.  The
-suites draw no loop, and reduce_web and transport erase loops first.
-The every-site check sees it on products with loops drawn below them.
+suites draw one loop, in the relations row of its value, on a web with
+no face, and reduce_web and transport erase loops first.  The
+every-site check sees it on products with loops drawn below them.
 """
 
 import dataclasses
@@ -127,7 +128,7 @@ TEETH = {
     "square outcomes doubled": SQUARE,
     "a square keeps only its first outcome": SQUARE,
     "the bigon times t^2": {"ci", "confluence", "relations"},
-    "a loop worth [2]": {"networks"},
+    "a loop worth [2]": {"networks", "relations"},
     "a face rewrite drops the web's loops": set(),
     # a one-letter word's Hecke image is hecke_generator's, so every
     # image, and each suite reading the table, sees the wrong generator
