@@ -132,9 +132,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_one(self) -> bool:
-        return self._c == _ONE
-
     @property
     def min_exp(self) -> int:
         if not self._c:

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import LaurentPoly, eval_q1, parse_rational, quoted
+from .exactmath import eval_q1, parse_rational, quoted
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError, int_entries
@@ -189,19 +189,12 @@ def theta_image(w: Perm, word: Optional[Sequence[int]] = None) -> WebCombo:
     return hecke_image(n, tuple(reversed(word)))
 
 
-@cache
-def _q1_value(coeff: LaurentPoly) -> int:
-    """eval_q1(coeff), once per distinct coefficient: the Hecke images
-    share one object per value (spider.shared_coefficient)."""
-    return eval_q1(coeff)
-
-
 def _q1_row(combo: WebCombo) -> dict:
     """Integer web coefficients of a combo at q = 1, zeros dropped, in
     the combo's own term order: the table sorts its webs itself."""
     out = {}
     for web, coeff in combo._terms.items():
-        v = _q1_value(coeff)
+        v = eval_q1(coeff)
         if v:
             out[web] = v
     return out

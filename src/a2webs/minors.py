@@ -146,13 +146,20 @@ def decompose_triple(g: Sequence[int]) -> dict[Web, int]:
 
 
 def triple_product(g: Sequence[int], X: ExactMatrix) -> Fraction:
-    return math.prod(minor(X, I, J) for I, J in zip(*triple_blocks(g)))
+    """The product of the three minors of X that the triple with
+    boundary word g picks out; refuses a word that is no triple's and
+    a matrix whose size is not the word's strand count."""
+    rows, cols = triple_blocks(g)
+    if X.n != len(g) // 2:
+        raise WebError(f"a triple on {len(g) // 2} strands against a {X.n} by {X.n} matrix")
+    return math.prod(minor(X, I, J) for I, J in zip(rows, cols))
 
 
 def check_triple(g: Sequence[int], X: ExactMatrix, imm_cache: Optional[dict] = None) -> bool:
     """Numeric verification of the expansion on one matrix.  Pass a
     dict when checking many triples against the same matrix; immanant
     values are reused through it."""
+    lhs = triple_product(g, X)
     if imm_cache is None:
         imm_cache = {}
     rhs = Fraction(0)
@@ -160,7 +167,7 @@ def check_triple(g: Sequence[int], X: ExactMatrix, imm_cache: Optional[dict] = N
         if D.code not in imm_cache:
             imm_cache[D.code] = evaluate_immanant(D, X)
         rhs += c * imm_cache[D.code]
-    return triple_product(g, X) == rhs
+    return lhs == rhs
 
 
 def iter_triples(n: int) -> Iterator[tuple[int, ...]]:

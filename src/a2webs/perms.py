@@ -7,7 +7,7 @@ Generator indices are 1-based: s_i swaps the values in positions i, i+1.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+import math
 from typing import Iterator, Sequence
 
 from .exactmath import quoted
@@ -29,7 +29,7 @@ def is_perm(w: Sequence[int]) -> bool:
 def times_s(w: Perm, i: int) -> Perm:
     """w * s_i (swap positions i, i+1; 1-based i < n)."""
     if not 1 <= i < len(w):
-        raise ValueError(f"generator index {i} out of range for n={len(w)}")
+        raise WebError(f"generator index {quoted(i)} out of range for n={len(w)}")
     lst = list(w)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
     return tuple(lst)
@@ -108,11 +108,10 @@ def count_avoiding(n: int, pattern: Perm) -> int:
     return sum(1 for w in all_perms(n) if avoids(w, pattern))
 
 
-@cache
 def catalan(n: int) -> int:
-    if n == 0:
-        return 1
-    return catalan(n - 1) * 2 * (2 * n - 1) // (n + 1)
+    if n < 0:
+        raise WebError(f"catalan needs n >= 0, got {quoted(n)}")
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def kostka_three_column(n: int) -> int:

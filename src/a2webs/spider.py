@@ -22,7 +22,8 @@ combinations: webs with Laurent coefficients, multiplied by
 web_product.  Their coefficients are multiplied and summed plainly;
 the one memo of coefficient arithmetic is the Hecke step
 (_hecke_step), since a Hecke image's coefficients are few values met
-many times.
+many times, and the cached images hold the one object each step
+returns.
 """
 
 from __future__ import annotations
@@ -418,7 +419,6 @@ def product_web(n: int, indices: Iterable[int]) -> Web:
     return Web.from_slice(d)
 
 
-@cache
 def second_generator(n: int, i: int) -> Web:
     """The extra irreducible web on strands i..i+2, drawn as two claws:
     strands i and i+1 merge into a sink whose third leg a cap turns back
@@ -440,20 +440,9 @@ def second_generator_combo(n: int, i: int) -> WebCombo:
     return WebCombo.from_web(second_generator(n, i))
 
 
-@cache
 def hecke_generator(n: int, i: int) -> WebCombo:
     """Image of the i-th braid generator: t^2 * (generator web) - 1."""
     return generator_combo(n, i).scale(LaurentPoly.t_power(2)) - WebCombo.unit(n)
-
-
-@cache
-def shared_coefficient(c: LaurentPoly) -> LaurentPoly:
-    """The first LaurentPoly met equal to c.  Each coefficient of a
-    Hecke image is +-t^(2 l(w)) P(t^4) for a Kazhdan-Lusztig polynomial
-    P, so few values recur many times: the images of S_6 hold 91,074
-    coefficients with 138 distinct values, and through this memo they
-    hold 138 objects.  Its size is the number of distinct values."""
-    return c
 
 
 _T2 = LaurentPoly.t_power(2)
@@ -461,10 +450,11 @@ _T2 = LaurentPoly.t_power(2)
 
 @cache
 def _hecke_step(c: LaurentPoly, p: LaurentPoly) -> LaurentPoly:
-    """t^2 c - p through shared_coefficient, memoized by the values of
-    c and p.  Its size is the number of distinct (c, p): the images of
-    S_6 take 91,063 steps of 388."""
-    return shared_coefficient(c * _T2 - p)
+    """t^2 c - p, memoized by the values of c and p, so every image
+    that takes the step (c, p) holds the one object it returns.  Its
+    size is the number of distinct (c, p): the images of S_6 take
+    91,063 steps of 388."""
+    return c * _T2 - p
 
 
 @cache
@@ -479,12 +469,10 @@ def hecke_image(n: int, word: tuple[int, ...]) -> WebCombo:
     a web's coefficient is t^2 c, a shift, less the prefix's p, read
     from the memo _hecke_step, and a zero one is dropped.  The memo
     stays small because the coefficients are Kazhdan-Lusztig values
-    +-t^(2 l(w)) P(t^4) (see shared_coefficient), and the cached images
-    share one object per distinct value.  A one-letter word's image is
-    hecke_generator's."""
+    +-t^(2 l(w)) P(t^4), and the cached images share one object per
+    distinct step.  A one-letter word's image is hecke_generator's."""
     if len(word) < 2:
-        terms = (hecke_generator(n, word[0]) if word else WebCombo.unit(n))._terms
-        return WebCombo._of(n, {D: shared_coefficient(c) for D, c in terms.items()})
+        return hecke_generator(n, word[0]) if word else WebCombo.unit(n)
     prefix = hecke_image(n, word[:-1])
     below = prefix._terms
     above = (prefix * generator_combo(n, word[-1]))._terms

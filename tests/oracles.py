@@ -72,7 +72,7 @@ def oracle_second_generator(n: int, i: int) -> Web:
     hi = reduce_web(product_web(n, (i + 1, i, i + 1))) - generator_combo(n, i + 1)
     assert lo == hi, (n, i)
     [(web, coeff)] = lo.terms()
-    assert coeff.is_one(), (n, i, coeff)
+    assert coeff == 1, (n, i, coeff)
     return web
 
 

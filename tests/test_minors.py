@@ -80,6 +80,13 @@ class TestTripleWord:
         with pytest.raises(WebError):
             triple_product(g, ExactMatrix.identity(2))
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_a_matrix_of_another_size_is_refused(self, size):
+        X = ExactMatrix.identity(size)
+        for fn in (triple_product, check_triple):
+            with pytest.raises(WebError, match=f"a triple on 3 strands against a {size} by {size} matrix"):
+                fn((1, 2, 3, 1, 2, 3), X)
+
     @pytest.mark.parametrize("bad", [1.0, 1.5, "1"])
     def test_word_api_refuses_a_label_that_is_no_int(self, bad):
         for fn, g in ((decompose_triple, (bad, 1)), (triple_blocks, (1, 2, 2, bad))):

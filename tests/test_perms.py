@@ -24,8 +24,11 @@ class TestBasics:
     def test_times_s(self):
         assert times_s((1, 2, 3), 1) == (2, 1, 3)
         assert times_s((1, 2, 3), 2) == (1, 3, 2)
-        with pytest.raises(ValueError):
-            times_s((1, 2, 3), 3)
+        for w, i in (((1, 2, 3), 3), ((1, 2, 3), 0), ((1,), 1)):
+            with pytest.raises(WebError, match=f"generator index {i} out of range for n={len(w)}"):
+                times_s(w, i)
+        with pytest.raises(WebError, match="generator index 5 out of range for n=3"):
+            perm_from_word(3, (5,))
 
     def test_length_counts_inversions(self):
         assert perm_length((4, 3, 2, 1)) == 6
@@ -93,6 +96,8 @@ class TestPatterns:
 class TestOracleAgreement:
     def test_catalan_values(self):
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+        with pytest.raises(WebError, match="got -1$"):
+            catalan(-1)
 
     def test_kostka_matches_avoidance(self):
         # two independent counts of the same dimension

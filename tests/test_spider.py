@@ -585,7 +585,6 @@ class TestHeckeImages:
         # equal values, other objects: one entry, and the result shared
         assert spider._hecke_step(LaurentPoly.const(2), LaurentPoly.const(3)) is step
         assert spider._hecke_step.cache_info()[:2] == (1, 1)
-        assert spider.shared_coefficient(LaurentPoly.const(2) * t2 - LaurentPoly.const(3)) is step
         c = qint(3)
         assert spider._hecke_step(c, c * t2).is_zero()
 
@@ -604,16 +603,22 @@ class TestHeckeImages:
         finally:
             clear_caches()
 
-    def test_cached_images_share_one_object_per_coefficient_value(self):
+    def test_cached_images_share_one_object_per_hecke_step(self):
+        # an image of two letters or more holds the objects _hecke_step
+        # returned; the images of shorter words hold their own
         clear_caches()
-        coeffs = []
+        coeffs, own = [], set()
         for n in range(1, 6):
             for v in all_perms(n):
                 word = tuple(reversed(first_reduced_word(v)))
                 for k in range(len(word) + 1):
-                    coeffs += [c for _, c in hecke_image(n, word[:k]).terms()]
-        assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
-        assert spider.shared_coefficient.cache_info().currsize == len(set(coeffs))
+                    image = hecke_image(n, word[:k]).terms()
+                    coeffs += [c for _, c in image]
+                    if k < 2:
+                        own |= {id(c) for _, c in image}
+        objects = {id(c) for c in coeffs}
+        assert len(objects) <= spider._hecke_step.cache_info().currsize + len(own)
+        assert (len(set(coeffs)), len(objects), len(coeffs)) == (38, 107, 9_937)
 
 
 def child_eid(o, run):

@@ -238,7 +238,7 @@ class TestTemperleyLiebWebs:
             D = tl_web(u)
             assert D == product_web(n, reversed(first_reduced_word(u)))
             [(E, c)] = reduce_web(D).terms()
-            assert E == D and c.is_one(), u
+            assert E == D and c == 1, u
             m = matching_of_perm(u)
             want = {v: theta_two(v).coeff(m) for v in all_perms(n)}
             assert t._row(D) == {v: x for v, x in want.items() if x}, u
