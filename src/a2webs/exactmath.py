@@ -81,6 +81,38 @@ def parse_int(text: str) -> int:
         raise ValueError(f"invalid literal for int() with base 10: {quoted(text)}") from None
 
 
+# Digits per piece when exact_str writes a long int: under 640, the
+# least cap on int-to-string conversion that the interpreter accepts.
+_DIGITS_PER_PIECE = 600
+_PIECE = 10**_DIGITS_PER_PIECE
+
+
+def exact_str(x: "int | Fraction") -> str:
+    """str(x) for an int or a Fraction, the one writer of exact values
+    in reports, also past the interpreter's cap on int-to-string
+    conversion (sys.get_int_max_str_digits), which it leaves as it is.
+    A value under the cap is str(x); a longer one is written piece by
+    piece, each piece under any cap the interpreter accepts."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if isinstance(x, Fraction):
+        num = _long_str(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_long_str(x.denominator)}"
+    return _long_str(x)
+
+
+def _long_str(x: int) -> str:
+    sign, x = ("-", -x) if x < 0 else ("", x)
+    pieces = []
+    while x >= _PIECE:
+        x, r = divmod(x, _PIECE)
+        pieces.append(str(r).zfill(_DIGITS_PER_PIECE))
+    pieces.append(str(x))
+    return sign + "".join(reversed(pieces))
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients.
 
@@ -131,6 +163,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._c
+
+    def is_one(self) -> bool:
+        return self._c == _ONE
 
     @property
     def min_exp(self) -> int:

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import eval_q1, parse_rational, quoted
+from .exactmath import eval_q1, exact_str, parse_rational, quoted
 from .perms import Perm, all_perms, first_reduced_word, is_perm, perm_from_word, perm_length
 from .spider import WebCombo, hecke_image
 from .webcore import Web, WebError, int_entries
@@ -142,7 +142,7 @@ class ExactMatrix:
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
-            "rows": [[str(x) for x in r] for r in self.rows],
+            "rows": [[exact_str(x) for x in r] for r in self.rows],
         }
 
     @classmethod
@@ -284,7 +284,7 @@ def tnn_check(n: int, samples: int = 100, seed: int = 0) -> dict:
                     {
                         "web": list(D.code),
                         "matrix": X.to_json_obj(),
-                        "value": str(v),
+                        "value": exact_str(v),
                         "seed": seed + k,
                     }
                 )
@@ -293,7 +293,7 @@ def tnn_check(n: int, samples: int = 100, seed: int = 0) -> dict:
         "samples": samples,
         "seed": seed,
         "immanants": len(webs),
-        "min_value": str(least) if least is not None else None,
+        "min_value": exact_str(least) if least is not None else None,
         "violations": violations,
         "passed": not violations,
     }

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exactmath import eval_q1, parse_rational, quoted
+from .exactmath import eval_q1, exact_str, parse_rational, quoted
 from .immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from .spider import reduce_web
 from .webcore import LEFT, RIGHT, Column, SliceDiagram, Web, WebError, to_map
@@ -500,9 +500,9 @@ def lindstrom_check(net: PlanarNetwork) -> dict:
     total = Fraction(total, math.prod(scale[t] for t in net.sinks))
     return {
         "n": net.n,
-        "det": str(det),
+        "det": exact_str(det),
         "disjoint_families": count,
-        "family_sum": str(total),
+        "family_sum": exact_str(total),
         "passed": det == total,
     }
 
@@ -777,7 +777,7 @@ def corollary_check(net: PlanarNetwork) -> dict:
     for D in irreducible_webs(net.n):
         a = vals[D]
         b = evaluate_immanant(D, X)
-        rows.append({"web": list(D.code), "from_network": str(a), "from_matrix": str(b), "match": a == b})
+        rows.append({"web": list(D.code), "from_network": exact_str(a), "from_matrix": exact_str(b), "match": a == b})
         ok = ok and a == b
     return {"n": net.n, "passed": ok, "immanants": rows}
 

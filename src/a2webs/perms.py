@@ -88,7 +88,15 @@ def all_reduced_words(w: Perm) -> list[tuple[int, ...]]:
 
 
 def all_perms(n: int) -> Iterator[Perm]:
+    """The permutations of 1..n in lexicographic order; a negative n is
+    refused, so count_avoiding and tlbridge.avoiding_321 refuse it too."""
+    _check_nonnegative("all_perms", n)
     return itertools.permutations(range(1, n + 1))
+
+
+def _check_nonnegative(name: str, n: int) -> None:
+    if n < 0:
+        raise WebError(f"{name} needs n >= 0, got {quoted(n)}")
 
 
 def contains_pattern(w: Perm, pattern: Perm) -> bool:
@@ -109,8 +117,7 @@ def count_avoiding(n: int, pattern: Perm) -> int:
 
 
 def catalan(n: int) -> int:
-    if n < 0:
-        raise WebError(f"catalan needs n >= 0, got {quoted(n)}")
+    _check_nonnegative("catalan", n)
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -123,8 +130,9 @@ def kostka_three_column(n: int) -> int:
     7.10): the cells holding one letter form a horizontal strip, so
     filling letter by letter adds at most one cell to each column.  A
     shape is its three column lengths, at most n each, and the count
-    walks all of them once per letter.
+    walks all of them once per letter.  A negative n is refused.
     """
+    _check_nonnegative("kostka_three_column", n)
     ways = {(0, 0, 0): 1}
     for size in [1] * n + [2] * n:
         grown: dict[tuple[int, int, int], int] = {}

@@ -701,7 +701,8 @@ def render(m: PlanarMap) -> SliceDiagram:
 
 class Web:
     """A web as (map, code); identity is the code.  Only products read a
-    drawing (spider.web_product), made on the first read of diagram."""
+    drawing (spider.web_product, except those its fork rule reads off
+    the map), made on the first read of diagram."""
 
     __slots__ = ("pmap", "code", "_hash", "_drawing")
 

@@ -83,7 +83,7 @@ def test_clear_caches_frees_every_map():
 
     clear_caches()
     before = len(maps())
-    table_json(4)
+    table_json(5)
     filled = maps()
     assert sum(m._walks is not None for m in filled) > 50
     del filled

@@ -13,7 +13,7 @@ from a2webs.cli import _ExprParser, _parse_ints, _suite_tnn, build_parser, main,
 from a2webs.exactmath import eval_q1, quoted
 from a2webs.labelings import word_from_text
 from a2webs.minors import decompose_triple, triple_word
-from a2webs.networks import random_planar_network
+from a2webs.networks import PlanarNetwork, corollary_check, lindstrom_check, random_planar_network
 from a2webs.spider import (
     WebCombo,
     generator_combo,
@@ -416,6 +416,26 @@ class TestSubcommands:
             assert got["passed"] is True
             (imm,) = got["immanants"]
             assert imm["from_network"] == imm["from_matrix"] == want
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no cap on int-to-string conversion")
+    def test_library_reports_match_the_cli_under_the_default_cap(self, capsys):
+        # called from the library, under the interpreter's default cap of
+        # 4,300 digits, both checks write the 5,994-digit values that the
+        # CLI prints; at n = 1 the determinant is the one matrix entry
+        path = Path(__file__).parent / "golden" / "heavy_chain_6.json"
+        _, matrix = run_json(capsys, ["network", "--file", str(path), "--matrix"])
+        _, corollary = run_json(capsys, ["network", "--file", str(path), "--check-corollary"])
+        net = PlanarNetwork.from_json_obj(json.loads(path.read_text()))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            lindstrom = lindstrom_check(net)
+            assert corollary_check(net) == corollary
+        finally:
+            sys.set_int_max_str_digits(limit)
+        [[entry]] = matrix["rows"]
+        assert lindstrom["det"] == lindstrom["family_sum"] == entry
+        assert len(entry) == 5994 and lindstrom["passed"]
 
     def test_reduce_prints_exact_values_of_any_length(self, capsys):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from a2webs.exactmath import (
     LaurentPoly,
     eval_q1,
     exact_div,
+    exact_str,
     parse_rational,
     qint,
 )
@@ -231,6 +233,34 @@ class TestRendering:
     def test_signs_and_coefficients(self):
         p = P({-2: -1, 0: 2, 3: -3, 1: 1})
         assert str(p) == "-t^-2 + 2 + t - 3*t^3"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no cap on int-to-string conversion")
+class TestExactStr:
+    # exact_str writes what str() writes with the cap lifted, under the
+    # least cap the interpreter accepts, and leaves the cap as it was
+    def values(self):
+        rng = random.Random(4300)
+        out = [0, 1, -1, 10**600, 10**600 - 1, -(10**1200), 10**5000]
+        for digits in (599, 600, 601, 1201, 4299, 4300, 4301, 9000):
+            out.append(rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1)))
+        return out + [Fraction(x, d) for x in out[:12] for d in (1, 3, 10**700 + 7)]
+
+    def test_equals_str_without_the_cap(self):
+        values = self.values()
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = [str(x) for x in values]
+            sys.set_int_max_str_digits(640)
+            assert [exact_str(x) for x in values] == want
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_a_value_under_the_cap_is_its_str(self):
+        for x in (0, -7, Fraction(-22, 7), 10**4299, Fraction(1, 10**4299)):
+            assert exact_str(x) == str(x)
 
 
 class TestJson:

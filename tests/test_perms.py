@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from a2webs.exactmath import quoted
 from a2webs.perms import (
     all_perms,
     all_reduced_words,
@@ -17,6 +18,7 @@ from a2webs.perms import (
     perm_length,
     times_s,
 )
+from a2webs.tlbridge import avoiding_321
 from a2webs.webcore import WebError
 
 
@@ -98,6 +100,27 @@ class TestOracleAgreement:
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
         with pytest.raises(WebError, match="got -1$"):
             catalan(-1)
+
+    def test_a_negative_n_is_refused(self):
+        # one WebError quoting n, a long one by a prefix, also from the
+        # counts that walk all_perms
+        refusals = [
+            ("all_perms", all_perms),
+            ("kostka_three_column", kostka_three_column),
+            ("all_perms", lambda n: count_avoiding(n, (3, 2, 1))),
+            ("all_perms", avoiding_321),
+        ]
+        for n in (-1, -(10**100)):
+            for name, fn in refusals:
+                with pytest.raises(WebError, match=f"^{name} needs n >= 0, got {re.escape(quoted(n))}$"):
+                    fn(n)
+
+    def test_values_from_zero_to_six(self):
+        assert [len(list(all_perms(n))) for n in range(7)] == [1, 1, 2, 6, 24, 120, 720]
+        assert list(all_perms(0)) == [()] and avoiding_321(0) == ((),)
+        assert [kostka_three_column(n) for n in range(7)] == [1, 1, 2, 6, 23, 103, 513]
+        assert [count_avoiding(n, (4, 3, 2, 1)) for n in range(7)] == [1, 1, 2, 6, 23, 103, 513]
+        assert [len(avoiding_321(n)) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
     def test_kostka_matches_avoidance(self):
         # two independent counts of the same dimension

@@ -340,6 +340,88 @@ class TestNoDrawing:
         assert spider.rewrite_at.cache_info().currsize > 1
 
 
+def drawn_product(a, b):
+    """a b by the drawn route: the drawings concatenated, then reduced."""
+    return reduce_web(Web.from_slice(concatenate(a.diagram, b.diagram)))
+
+
+# per n, the pairs (D, E_i) with D irreducible, and those the fork rule takes
+FORK_PAIRS = {1: (0, 0), 2: (2, 1), 3: (12, 6), 4: (69, 33), 5: (412, 188), 6: (2565, 1125)}
+
+
+class TestForkRule:
+    # web_product(a, E_i) is [2] reduce_web(a) when a's sinks i and i+1
+    # leave one internal vertex, read off a's map; it must equal the
+    # drawn route wherever it applies
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_drawn_route_on_every_irreducible_web(self, n):
+        pairs = absorbed = 0
+        for D in irreducible_webs(n):
+            for i in range(1, n):
+                E = gweb(n, i)
+                pairs += 1
+                if spider.fork_absorbs(D, E):
+                    absorbed += 1
+                    assert WebCombo(n, web_product(D, E)) == drawn_product(D, E) == reduce_web(D).scale(qint(2))
+        assert (pairs, absorbed) == FORK_PAIRS[n]
+
+    def test_only_a_generator_closes_a_fork(self):
+        # every pair of irreducible webs for n <= 4: the rule takes only
+        # (D, E_i) pairs, and each product equals the drawn route
+        absorbed = 0
+        for n in range(1, 5):
+            webs = irreducible_webs(n)
+            gens = {gweb(n, i) for i in range(1, n)}
+            for a in webs:
+                for b in webs:
+                    if spider.fork_absorbs(a, b):
+                        absorbed += 1
+                        assert b in gens
+                    assert WebCombo(n, web_product(a, b)) == drawn_product(a, b)
+        assert absorbed == sum(FORK_PAIRS[n][1] for n in range(1, 5))
+
+    def test_reducible_webs_with_and_without_loops(self):
+        # seeded products of generators and D2s, each with a fork at the
+        # last generator's strands, with up to two loops drawn below
+        rng = random.Random(SEED + 57)
+        absorbed = reducible = looped = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            a = product_web(n, [rng.randrange(1, n) for _ in range(rng.randint(1, 6))])
+            if n > 2 and rng.random() < 0.5:
+                d = second_generator(n, rng.randrange(1, n - 1))
+                a = Web.from_slice(concatenate(a.diagram, d.diagram))
+            a = with_loops(a, rng.randint(0, 2))
+            for i in range(1, n):
+                E = gweb(n, i)
+                if spider.fork_absorbs(a, E):
+                    absorbed += 1
+                    reducible += bool(sites(a))
+                    looped += a.pmap.loops > 0
+                    assert WebCombo(n, web_product(a, E)) == drawn_product(a, E) == reduce_web(a).scale(qint(2))
+        assert (absorbed, reducible, looped) == (98, 96, 58)
+
+    def test_the_rule_draws_nothing(self, monkeypatch):
+        # webs read from their codes have no drawing, and the rule makes none
+        clear_caches()
+        webs = [Web.from_code(D.code) for D in irreducible_webs(4)]
+        gens = [gweb(4, i) for i in range(1, 4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fork rule drew a web")
+
+        monkeypatch.setattr(webcore, "render", refuse)
+        monkeypatch.setattr(webcore, "to_map", refuse)
+        products = [web_product(D, E) for D in webs for E in gens if spider.fork_absorbs(D, E)]
+        assert len(products) == FORK_PAIRS[4][1]
+
+    def test_strand_counts_that_differ_are_refused(self):
+        with pytest.raises(webcore.WebError, match="strand counts differ: 3 vs 2"):
+            web_product(product_web(3, (1,)), gweb(2, 1))
+        with pytest.raises(webcore.WebError, match="strand counts differ: 2 vs 3"):
+            web_product(gweb(2, 1), gweb(3, 1))
+
+
 class TestProductWeb:
     def test_refuses_a_generator_that_is_no_integer(self):
         for word, quoted in (((1, "a"), "'a'"), ((1.0,), "1.0"), ((None,), "None")):

@@ -21,6 +21,7 @@ every-site check sees it on products with loops drawn below them.
 """
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -77,6 +78,18 @@ def _hecke_plus_one(mp):
     mp.setattr(spider, "hecke_generator", broken)
 
 
+def _fork_worth_three(mp):
+    product = spider.web_product
+
+    @functools.cache
+    def broken(a, b):
+        if spider.fork_absorbs(a, b):
+            return tuple((w, v * qint(3)) for w, v in spider.reduce_web(a).terms())
+        return product(a, b)
+
+    mp.setattr(spider, "web_product", broken)
+
+
 def _exponent(mp, change):
     """Pass every labeling exponent through change(exponent, labeling)."""
     compile_weight = labelings._compile_weight
@@ -113,6 +126,7 @@ MUTANTS = {
     "a loop worth [2]": _loops_worth_two,
     "a face rewrite drops the web's loops": _face_drops_loops,
     "T_i = t^2 E_i + 1": _hecke_plus_one,
+    "the fork absorbs E_i as [3]": _fork_worth_three,
     "the labeling exponent doubled": lambda mp: _exponent(mp, lambda k, f: 2 * k),
     "+2 on labelings whose edge 0 is labeled 1": lambda mp: _exponent(mp, lambda k, f: k + 2 * (f[0] == 1)),
     "the labeling exponent negated": lambda mp: _exponent(mp, lambda k, f: -k),
@@ -133,6 +147,9 @@ TEETH = {
     # a one-letter word's Hecke image is hecke_generator's, so every
     # image, and each suite reading the table, sees the wrong generator
     "T_i = t^2 E_i + 1": {"bridge", "confluence", "minors", "networks", "relations", "tnn"},
+    # every Hecke image is folded through the fork rule, and the Hecke
+    # quadratic in relations multiplies E_i by itself through it
+    "the fork absorbs E_i as [3]": {"bridge", "confluence", "minors", "networks", "relations", "tnn"},
     "the labeling exponent doubled": {"ci"},
     "+2 on labelings whose edge 0 is labeled 1": {"kappa"},
     "the labeling exponent negated": set(),
