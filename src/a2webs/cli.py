@@ -14,10 +14,13 @@ within `verify` it fails its suite's check instead), 141 (128 +
 SIGPIPE, as for a filter killed by the signal) when the reader closes
 stdout early; none of them prints a traceback.
 
-All rationals are written "p/q"; keys are emitted in a deterministic
-order; every randomized check is reproducible from the seed recorded
-in its report.  Timing fields are informational and are the only part
-of a report that varies between runs.
+Every exact value is written by exactmath.exact_str ("p/q" for a
+rational), in full under the interpreter's cap on int-to-string
+conversion, which the CLI leaves as the user set it; keys are emitted
+in a deterministic order, a web's in code order (`_by_web`); every
+randomized check is reproducible from the seed recorded in its report.
+Timing fields are informational and are the only part of a report
+that varies between runs.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ import random
 import re
 import sys
 import time
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .exactmath import MAX_QUOTED_CHARS, eval_q1, parse_int, quoted
+from .exactmath import MAX_QUOTED_CHARS, LaurentPoly, eval_q1, exact_str, parse_int, quoted
 from .immanants import (
     STRAND_BOUNDS,
     ExactMatrix,
@@ -63,7 +65,6 @@ from .minors import (
     random_triple,
     rank_check,
     triple_blocks,
-    triple_product,
     triple_word,
 )
 from .networks import (
@@ -124,11 +125,9 @@ def _parse_perm(text: str) -> tuple[int, ...]:
     return w
 
 
-def _combo_json(combo: WebCombo, laurent: bool) -> dict:
-    out = {}
-    for D, c in combo.terms():  # in code order
-        out[_webkey(D.code)] = c.to_json_obj() if laurent else str(eval_q1(c))
-    return out
+def _by_web(pairs: Iterable[tuple[Web, object]], value: Callable) -> dict:
+    """The JSON map from each web's key to value(c), in code order."""
+    return {_webkey(D.code): value(c) for D, c in sorted(pairs, key=lambda t: t[0].code)}
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def _number(text: str, at: Optional[int] = None) -> int:
 def cmd_reduce(args) -> int:
     _check_bound("reduce", args.n, "reduction is")
     combo = reduce_combo(_ExprParser(args.expr, args.n).parse())
-    _emit(_combo_json(combo, args.q))
+    _emit(_by_web(combo.terms(), LaurentPoly.to_json_obj if args.q else lambda c: exact_str(eval_q1(c))))
     return 0
 
 
@@ -258,10 +257,7 @@ def cmd_immanants(args) -> int:
     if X.n != args.n:
         raise WebError(f"matrix is {X.n}x{X.n} but --n is {quoted(args.n)}")
     _check_bound("immanants", args.n, "immanant evaluation is")
-    out = {}
-    for D in irreducible_webs(args.n):
-        out[_webkey(D.code)] = str(evaluate_immanant(D, X))
-    _emit(out)
+    _emit(_by_web(((D, evaluate_immanant(D, X)) for D in irreducible_webs(args.n)), exact_str))
     return 0
 
 
@@ -272,8 +268,7 @@ def cmd_decompose(args) -> int:
     )
     if len(g) != 2 * args.n:
         raise WebError(f"blocks cover 1..{len(g) // 2} but --n is {quoted(args.n)}")
-    counts = decompose_triple(g)
-    _emit({_webkey(D.code): c for D, c in sorted(counts.items(), key=lambda t: t[0].code)})
+    _emit(_by_web(decompose_triple(g).items(), int))
     return 0
 
 
@@ -284,9 +279,7 @@ def cmd_bridge(args) -> int:
         {
             "w": list(w),
             "matching": matching_of_perm(w).to_json_obj(),
-            "coefficients": {
-                _webkey(D.code): c for D, c in sorted(exp.items(), key=lambda t: t[0].code)
-            },
+            "coefficients": _by_web(exp.items(), int),
         }
     )
     return 0
@@ -301,13 +294,7 @@ def cmd_network(args) -> int:
     # "networks" bound caps the suite, which samples random networks
     _check_bound("immanants", net.n, "network immanants are")
     if args.immanants:
-        vals = network_immanants(net)
-        _emit(
-            {
-                _webkey(D.code): str(v)
-                for D, v in sorted(vals.items(), key=lambda t: t[0].code)
-            }
-        )
+        _emit(_by_web(network_immanants(net).items(), exact_str))
         return 0
     report = corollary_check(net)
     _emit(report)
@@ -492,14 +479,10 @@ def _suite_networks(n: int, samples: Optional[int], rng: random.Random) -> tuple
     if n >= 3:
         net = random_planar_network(3, rng, steps=3)
         X = path_matrix(net)
-        vals = network_immanants(net)
+        values = {D.code: v for D, v in network_immanants(net).items()}
         for g in all_triples(3):
-            rhs = sum(
-                (Fraction(c) * vals[D] for D, c in decompose_triple(g).items()),
-                Fraction(0),
-            )
             triple_checks += 1
-            if triple_product(g, X) != rhs:
+            if not check_triple(g, X, values):
                 bad.append({"n": 3, "check": "triple-minor"})
     return not bad, {"networks": nets_checked, "triple_checks": triple_checks, "failed": bad}
 
@@ -701,12 +684,6 @@ def _read_int_options(args) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # Exact values print in full, past the interpreter's default cap on
-    # int/str conversion; the cap is restored so in-process callers keep
-    # their own.  Numbers read from input are bounded where they are read.
-    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved is not None:
-        sys.set_int_max_str_digits(0)
     try:
         _read_int_options(args)
         rc = args.fn(args)
@@ -721,9 +698,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         _silence_stdout()
         return 141
-    finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -34,15 +35,16 @@ def parse_rational(x) -> Fraction:
     """The one reader of rational input: an int, a Fraction, a string
     such as "-22/7" or "0.1", or a float read through its decimal form,
     so 0.1 is 1/10.  Anything else, bool included, raises ValueError,
-    as does a string longer than MAX_RATIONAL_CHARS or with a decimal
-    exponent beyond MAX_DECIMAL_EXPONENT."""
+    as does a string longer than `_read_bound()` characters or with a
+    decimal exponent beyond MAX_DECIMAL_EXPONENT."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         x = str(x)
     if isinstance(x, str):
-        if len(x) > MAX_RATIONAL_CHARS:
-            raise ValueError(f"rational longer than {MAX_RATIONAL_CHARS} characters")
+        bound, why = _read_bound()
+        if len(x) > bound:
+            raise ValueError(f"rational longer than {bound} characters{why}")
         m = _EXPONENT.search(x)
         if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {quoted(x)}")
@@ -54,15 +56,29 @@ def parse_rational(x) -> Fraction:
     raise ValueError(f"not a rational: {quoted(x)}")
 
 
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no cap
+
+
+def _read_bound() -> tuple[int, str]:
+    """The most characters a number read may have, and why: the
+    interpreter's cap on int-to-string conversion where a user set it
+    below MAX_RATIONAL_CHARS, so that int() never meets the cap."""
+    cap = _int_max_str_digits()
+    if 0 < cap < MAX_RATIONAL_CHARS:
+        return cap, " (the interpreter's cap on int-to-string conversion)"
+    return MAX_RATIONAL_CHARS, ""
+
+
 def quoted(value) -> str:
-    """repr(value) for an error message.  A string longer than
-    MAX_QUOTED_CHARS characters is cut to that many and followed by its
-    length; so is the repr of any other value, when that repr is longer."""
+    """repr(value) for an error message, an int written by exact_str.  A
+    string longer than MAX_QUOTED_CHARS characters is cut to that many
+    and followed by its length; so is the text of any other value, when
+    that text is longer."""
     if isinstance(value, str):
         if len(value) <= MAX_QUOTED_CHARS:
             return repr(value)
         return f"{value[:MAX_QUOTED_CHARS]!r}... ({len(value):,} characters)"
-    text = repr(value)
+    text = exact_str(value) if type(value) is int else repr(value)
     if len(text) <= MAX_QUOTED_CHARS:
         return text
     return f"{text[:MAX_QUOTED_CHARS]}... ({len(text):,} characters)"
@@ -70,11 +86,12 @@ def quoted(value) -> str:
 
 def parse_int(text: str) -> int:
     """int(text) under parse_rational's bound: a text with more than
-    MAX_RATIONAL_CHARS characters besides its sign and surrounding
-    space raises OverflowError before int() reads it.  Any other bad
-    text raises int()'s ValueError, quoting the text through `quoted`."""
-    if len(text.strip().lstrip("+-")) > MAX_RATIONAL_CHARS:
-        raise OverflowError(f"number longer than {MAX_RATIONAL_CHARS} digits")
+    `_read_bound()` characters besides its sign and surrounding space
+    raises OverflowError before int() reads it.  Any other bad text
+    raises int()'s ValueError, quoting the text through `quoted`."""
+    bound, why = _read_bound()
+    if len(text.strip().lstrip("+-")) > bound:
+        raise OverflowError(f"number longer than {bound} digits{why}")
     try:
         return int(text)
     except ValueError:
@@ -269,10 +286,10 @@ class LaurentPoly:
         parts = []
         for e, c in sorted(self._c.items()):
             if e == 0:
-                body = str(abs(c))
+                body = exact_str(abs(c))
             else:
                 pw = "t" if e == 1 else f"t^{e}"
-                body = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
+                body = pw if abs(c) == 1 else f"{exact_str(abs(c))}*{pw}"
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
@@ -285,7 +302,7 @@ class LaurentPoly:
     # -- JSON ------------------------------------------------------------
 
     def to_json_obj(self) -> dict[str, str]:
-        return {str(e): str(c) for e, c in sorted(self._c.items())}
+        return {str(e): exact_str(c) for e, c in sorted(self._c.items())}
 
 
 _ONE = {0: 1}

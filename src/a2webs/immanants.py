@@ -113,6 +113,11 @@ class ExactMatrix:
         return den, out
 
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "ExactMatrix":
+        """The entries in rows keep_rows and columns keep_cols, 0-indexed;
+        an index outside 0..n-1 is refused."""
+        for i in (*keep_rows, *keep_cols):
+            if not 0 <= i < self.n:
+                raise WebError(f"matrix index {quoted(i)} lies outside 0..{self.n - 1}")
         return ExactMatrix(
             tuple(tuple(self.rows[i][j] for j in keep_cols) for i in keep_rows)
         )

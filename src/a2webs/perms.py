@@ -99,17 +99,19 @@ def _check_nonnegative(name: str, n: int) -> None:
         raise WebError(f"{name} needs n >= 0, got {quoted(n)}")
 
 
-def contains_pattern(w: Perm, pattern: Perm) -> bool:
+def avoids(w: Perm, pattern: Perm) -> bool:
+    """Whether no letters of w stand in the relative order of pattern.
+    A w or a pattern that is not a permutation is refused with a
+    WebError quoting it, so count_avoiding refuses a bad pattern too."""
+    for x in (w, pattern):
+        if not is_perm(x):
+            raise WebError(f"{quoted(x)} is not a permutation")
     k = len(pattern)
     rel = tuple(sorted(range(k), key=lambda i: pattern[i]))
     for sub in itertools.combinations(w, k):
         if tuple(sorted(range(k), key=lambda i: sub[i])) == rel:
-            return True
-    return False
-
-
-def avoids(w: Perm, pattern: Perm) -> bool:
-    return not contains_pattern(w, pattern)
+            return False
+    return True
 
 
 def count_avoiding(n: int, pattern: Perm) -> int:

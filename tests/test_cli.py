@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from a2webs import clear_caches, cli, labelings
 from a2webs.cli import _ExprParser, _parse_ints, _suite_tnn, build_parser, main, run_suite
 from a2webs.exactmath import eval_q1, quoted
+from a2webs.immanants import ExactMatrix, evaluate_immanant, irreducible_webs
 from a2webs.labelings import word_from_text
 from a2webs.minors import decompose_triple, triple_word
 from a2webs.networks import PlanarNetwork, corollary_check, lindstrom_check, random_planar_network
@@ -444,6 +446,52 @@ class TestSubcommands:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
         assert rc == 0
         assert list(got.values()) == [digits_of((10**1000 - 1) ** 5)]
+
+    def test_reduce_q_prints_coefficients_of_any_length(self, capsys):
+        nines = "9" * 1000
+        rc, got = run_json(capsys, ["reduce", "--n", "2", "--q", "*".join([nines] * 5 + ["E1"])])
+        assert rc == 0
+        assert got == {GEN: {"0": digits_of((10**1000 - 1) ** 5)}}
+
+    def test_immanants_print_values_past_the_default_cap(self, capsys, tmp_path):
+        # entries of 400-digit numerators over 499-digit denominators give
+        # immanants of more than 4,300 digits in numerator or denominator
+        rng = random.Random(SEED)
+        rows = [[Fraction(rng.randrange(10**399, 10**400), rng.randrange(10**498, 10**499)) for _ in range(4)]
+                for _ in range(4)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 4, "rows": [[f"{x.numerator}/{x.denominator}" for x in r] for r in rows]}))
+        rc, got = run_json(capsys, ["immanants", "--n", "4", "--matrix", str(path)])
+        assert rc == 0
+        X = ExactMatrix.from_rows(rows)
+        want = {}
+        for D in irreducible_webs(4):
+            v = evaluate_immanant(D, X)
+            want[",".join(map(str, D.code))] = (
+                digits_of(v.numerator) if v.denominator == 1 else f"{digits_of(v.numerator)}/{digits_of(v.denominator)}"
+            )
+        assert list(got.items()) == list(want.items())
+        assert max(len(v) for v in want.values()) > 4300
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no cap on int-to-string conversion")
+    def test_a_lowered_cap_bounds_what_is_read(self, capsys):
+        # the CLI keeps the user's cap: a number read past it ends in one
+        # error line naming it, and a small network prints as under the
+        # default cap
+        golden = Path(__file__).parent / "golden"
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+        for argv in (["reduce", "--n", "2", "9" * 999],
+                     ["network", "--file", str(golden / "heavy_chain_6.json"), "--immanants"]):
+            proc = subprocess.run([sys.executable, "-m", "a2webs.cli", *argv],
+                                  capture_output=True, text=True, timeout=30, env=env)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+            assert "longer than 640 " in proc.stderr and "cap on int-to-string conversion" in proc.stderr
+        argv = ["network", "--file", str(golden / "network_bench_0.json"), "--immanants"]
+        proc = subprocess.run([sys.executable, "-m", "a2webs.cli", *argv],
+                              capture_output=True, text=True, timeout=30, env=env)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
     def test_network_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -13,8 +13,10 @@ from a2webs.exactmath import (
     eval_q1,
     exact_div,
     exact_str,
+    parse_int,
     parse_rational,
     qint,
+    quoted,
 )
 from a2webs.immanants import ExactMatrix
 from a2webs.perms import all_perms, perm_length
@@ -261,6 +263,44 @@ class TestExactStr:
     def test_a_value_under_the_cap_is_its_str(self):
         for x in (0, -7, Fraction(-22, 7), 10**4299, Fraction(1, 10**4299)):
             assert exact_str(x) == str(x)
+
+    def test_coefficients_of_any_length_print_under_the_least_cap(self):
+        big = (10**1000 - 1) ** 5
+        p = LaurentPoly({0: big, 2: -big})
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = str(big)
+            sys.set_int_max_str_digits(640)
+            assert p.to_json_obj() == {"0": want, "2": "-" + want}
+            assert str(p) == f"{want} - {want}*t^2"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_a_long_int_is_quoted_by_a_prefix(self):
+        # repr() of the int would raise the interpreter's own ValueError
+        text = quoted(-(10**5000))
+        assert text == "-1" + "0" * 78 + "... (5,002 characters)"
+
+    def test_the_read_bound_is_under_the_default_cap(self):
+        # so reading never meets the cap unless the user lowers it
+        if hasattr(sys.int_info, "default_max_str_digits"):
+            assert MAX_RATIONAL_CHARS < sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize("read, what", [(parse_int, "digits"), (parse_rational, "characters")])
+    def test_a_lowered_cap_bounds_what_is_read(self, read, what):
+        # past a cap below MAX_RATIONAL_CHARS the length check names the
+        # cap, before int() meets it; at the cap a number still reads
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert read("9" * 640) == 10**640 - 1
+            with pytest.raises((OverflowError, ValueError), match=f"^[a-z]+ longer than 640 {what} "
+                               r"\(the interpreter's cap on int-to-string conversion\)$"):
+                read("9" * 641)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert read("9" * 641) == 10**641 - 1
 
 
 class TestJson:

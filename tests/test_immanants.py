@@ -99,6 +99,13 @@ class TestExactMatrix:
         X = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         assert X.submatrix((0, 2), (1, 2)).rows == ((2, 3), (8, 10))
 
+    def test_submatrix_refuses_an_index_outside_the_matrix(self):
+        X = ExactMatrix.from_rows([[1, 2], [3, 4]])
+        for rows, cols, bad in (((-1,), (-1,), -1), ((0,), (2,), 2), ((5, 0), (0, 1), 5)):
+            with pytest.raises(WebError, match=f"^matrix index {bad} lies outside 0..1$"):
+                X.submatrix(rows, cols)
+        assert X.submatrix((), ()).rows == ()
+
     def test_json_roundtrip(self):
         X = ExactMatrix.from_rows([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
         assert ExactMatrix.from_json_obj(X.to_json_obj()) == X

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -94,12 +95,35 @@ class TestPatterns:
         for n in range(1, 6):
             assert count_avoiding(n, (3, 2, 1)) == catalan(n)
 
+    def test_a_non_permutation_is_refused(self):
+        # w or the pattern, with one WebError quoting it; a long one by a prefix
+        for w, pattern, bad in (((1, 2, 3), (1, 1), (1, 1)), ((1, 1), (1, 2), (1, 1)),
+                                ((1, True), (1,), (1, True)), ((1, 2), (2,), (2,)),
+                                ((1, 2), (1,) * 5000, (1,) * 5000)):
+            with pytest.raises(WebError, match=f"^{re.escape(quoted(bad))} is not a permutation$"):
+                avoids(w, pattern)
+        assert quoted((1,) * 5000).endswith("... (15,000 characters)")
+        with pytest.raises(WebError, match=r"^\(1, 1\) is not a permutation$"):
+            count_avoiding(3, (1, 1))
+
+    def test_avoidance_equals_a_scan_for_decreasing_runs(self):
+        # for n <= 6, w avoids k...1 iff no k letters of w decrease
+        for n in range(7):
+            for w in all_perms(n):
+                for k in (1, 2, 3, 4):
+                    run = any(all(a > b for a, b in zip(sub, sub[1:])) for sub in itertools.combinations(w, k))
+                    assert avoids(w, tuple(range(k, 0, -1))) is not run
+
 
 class TestOracleAgreement:
     def test_catalan_values(self):
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
         with pytest.raises(WebError, match="got -1$"):
             catalan(-1)
+        # an int past the interpreter's cap on int-to-string conversion
+        # is quoted by a prefix, not refused by repr()
+        with pytest.raises(WebError, match=r"^catalan needs n >= 0, got -10+\.\.\. \(5,002 characters\)$"):
+            catalan(-(10**5000))
 
     def test_a_negative_n_is_refused(self):
         # one WebError quoting n, a long one by a prefix, also from the

@@ -461,6 +461,10 @@ class TestRelations:
         for name, ok in relation_suite(n):
             assert ok, name
 
+    def test_row_counts(self):
+        # a dropped row shows here, not only in the golden total of 26
+        assert [len(relation_suite(n)) for n in (2, 3, 4)] == [3, 8, 15]
+
     def test_a_wrong_d2_fails_the_triple_product_row(self, monkeypatch):
         # the row checks both triple products against the drawn D2 itself
         monkeypatch.setattr(spider, "second_generator_combo", lambda n, i: generator_combo(n, i + 1))
